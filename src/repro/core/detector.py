@@ -95,7 +95,13 @@ class ContentionDetector:
                                    mean_elasticity=0.0,
                                    fraction_above=0.0, n_readings=0)
         values = [r.elasticity for r in usable]
-        mean = sum(values) / len(values)
+        # Added left to right, not with sum(): from Python 3.12 that is
+        # compensated and the mean (a stored result) would differ in
+        # its last bit between interpreters.
+        mean = 0.0
+        for value in values:
+            mean += value
+        mean /= len(values)
         above = sum(1 for v in values if v >= self.threshold) / len(values)
         if self.rule == "mean":
             contending = mean >= self.threshold

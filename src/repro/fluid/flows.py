@@ -1,8 +1,9 @@
 """Fluid flow laws: per-flow rate dynamics for every CCA and source.
 
 Each flow exposes ``rate`` (its current sending rate, bytes/second) and
-``advance(now, dt, fb)``, where ``fb`` is a :class:`Feedback` carrying
-what the bottleneck did to the flow this tick.  Window-based CCAs keep
+``advance(now, dt, delivered_rate, queue_delay, loss, ecn_mark)``,
+whose last four arguments are what the bottleneck did to the flow this
+tick (see :meth:`FluidFlow.advance`).  Window-based CCAs keep
 a congestion window in bytes and derive the rate as ``cwnd / rtt``
 with ``rtt = base_rtt + queue_delay`` -- which is exactly what couples
 them to the probe's pulses: an up-pulse grows the queue, the queue
@@ -16,7 +17,7 @@ packet CCA reacts once per loss event, not once per lost packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 
 import numpy as np
 
@@ -31,23 +32,6 @@ POISSON_OFFERED_RATE = 30.0 * 50_000.0  # flows/s x mean size
 BBR_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass
-class Feedback:
-    """What one tick at the bottleneck looked like to a flow.
-
-    Attributes:
-        delivered_rate: the flow's service rate this tick (bytes/s).
-        queue_delay: bottleneck queueing delay (seconds).
-        loss: the flow lost bytes to a drop this tick.
-        ecn_mark: the flow's bytes were ECN-marked this tick.
-    """
-
-    delivered_rate: float
-    queue_delay: float
-    loss: bool
-    ecn_mark: bool
-
-
 class FluidFlow:
     """Base: a rate source that may react to feedback."""
 
@@ -58,8 +42,17 @@ class FluidFlow:
         self.rate = 0.0
         self.delivered_bytes = 0.0
 
-    def advance(self, now: float, dt: float, fb: Feedback) -> None:
-        self.delivered_bytes += fb.delivered_rate * dt
+    def advance(self, now: float, dt: float, delivered_rate: float,
+                queue_delay: float, loss: bool, ecn_mark: bool) -> None:
+        """React to one tick of feedback from the bottleneck (the
+        model has already credited ``delivered_bytes``).
+
+        Args:
+            delivered_rate: the flow's service rate this tick (bytes/s).
+            queue_delay: the queueing delay the flow sees (seconds).
+            loss: the flow lost bytes to a drop this tick.
+            ecn_mark: the flow's bytes were ECN-marked this tick.
+        """
 
 
 class WindowFlow(FluidFlow):
@@ -102,13 +95,13 @@ class WindowFlow(FluidFlow):
         self._epoch_start = None
         self.cwnd = max(2.0 * self.mss, self.cwnd * factor)
 
-    def advance(self, now: float, dt: float, fb: Feedback) -> None:
-        super().advance(now, dt, fb)
-        rtt = self.base_rtt + fb.queue_delay
-        if fb.loss:
+    def advance(self, now, dt, delivered_rate, queue_delay, loss,
+                ecn_mark) -> None:
+        rtt = self.base_rtt + queue_delay
+        if loss:
             beta = 0.7 if self.kind == "cubic" else 0.5
             self._cut(now, rtt, beta)
-        elif fb.ecn_mark and self.kind == "dctcp":
+        elif ecn_mark and self.kind == "dctcp":
             self._cut(now, rtt, 0.8)
         if self.kind == "cubic":
             if self._epoch_start is None:
@@ -122,9 +115,9 @@ class WindowFlow(FluidFlow):
         elif self._delay_hi > 0.0:
             # Delay-based: grow below the low watermark, shrink above
             # the high one, hold in between.
-            if fb.queue_delay < self._delay_lo:
+            if queue_delay < self._delay_lo:
                 self.cwnd += self.mss * dt / rtt
-            elif fb.queue_delay > self._delay_hi:
+            elif queue_delay > self._delay_hi:
                 self.cwnd = max(2.0 * self.mss,
                                 self.cwnd - self.mss * dt / rtt)
         else:
@@ -151,7 +144,9 @@ class BbrFlow(FluidFlow):
         super().__init__(flow_id, base_rtt, start=start)
         self.mss = float(mss)
         self.rate = 10.0 * self.mss / base_rtt
-        self._bw_samples: list[tuple[float, float]] = []
+        # (time, delivery rate) with rates strictly decreasing, so the
+        # head is the windowed max.
+        self._bw_samples: deque[tuple[float, float]] = deque()
         self._bw = self.rate
         self._state = "STARTUP"
         self._full_bw = 0.0
@@ -163,15 +158,17 @@ class BbrFlow(FluidFlow):
     def _update_bw(self, now: float, delivered: float) -> None:
         window = max(10.0 * self.base_rtt, 1.0)
         samples = self._bw_samples
+        while samples and samples[-1][1] <= delivered:
+            samples.pop()
         samples.append((now, delivered))
-        while samples and samples[0][0] < now - window:
-            samples.pop(0)
-        self._bw = max(v for _, v in samples)
+        while samples[0][0] < now - window:
+            samples.popleft()
+        self._bw = samples[0][1]
 
-    def advance(self, now: float, dt: float, fb: Feedback) -> None:
-        super().advance(now, dt, fb)
-        self._update_bw(now, fb.delivered_rate)
-        rtt = self.base_rtt + fb.queue_delay
+    def advance(self, now, dt, delivered_rate, queue_delay, loss,
+                ecn_mark) -> None:
+        self._update_bw(now, delivered_rate)
+        rtt = self.base_rtt + queue_delay
         # Quasi-static inflight: bytes in the pipe plus this flow's
         # share of the queue, i.e. sending rate times current RTT.
         inflight = self.rate * rtt
@@ -243,8 +240,8 @@ class PoissonFlow(FluidFlow):
         self._next_draw = start
         self.rate = offered
 
-    def advance(self, now: float, dt: float, fb: Feedback) -> None:
-        super().advance(now, dt, fb)
+    def advance(self, now, dt, delivered_rate, queue_delay, loss,
+                ecn_mark) -> None:
         if now >= self._next_draw:
             n = self._rng.poisson(self._mean_arrivals)
             self.rate = n * 50_000.0 / self.WINDOW
@@ -287,13 +284,13 @@ class VideoFlow(FluidFlow):
                     int(frac * (len(self.LADDER) - 1)) + 1)]
         return bitrate * self.CHUNK_SECONDS
 
-    def advance(self, now: float, dt: float, fb: Feedback) -> None:
-        super().advance(now, dt, fb)
+    def advance(self, now, dt, delivered_rate, queue_delay, loss,
+                ecn_mark) -> None:
         self._buffer = max(0.0, self._buffer - dt)
-        rtt = self.base_rtt + fb.queue_delay
+        rtt = self.base_rtt + queue_delay
         if self._chunk_remaining > 0.0:
-            self._chunk_remaining -= fb.delivered_rate * dt
-            if fb.loss and now - self._last_cut >= rtt:
+            self._chunk_remaining -= delivered_rate * dt
+            if loss and now - self._last_cut >= rtt:
                 self._last_cut = now
                 self.cwnd = max(2.0 * self.mss, self.cwnd * 0.5)
             else:

@@ -2,12 +2,15 @@
 
 :class:`FluidModel` owns a set of :class:`~repro.fluid.flows.FluidFlow`
 objects and one bottleneck from :mod:`repro.fluid.queue`.  Each tick
-(default 5 ms) it collects every flow's sending rate into a numpy
-vector, pushes the resulting byte cohort through the bottleneck, and
-feeds each flow its service rate, the queueing delay, and edge-
-triggered loss/mark signals.  There is no event heap, no packets, and
-no per-packet Python work -- a 20-second scenario is 4000 ticks
-regardless of link speed.
+(default 5 ms) it collects every flow's sending rate into a list,
+pushes the resulting byte cohort through the bottleneck, and feeds
+each flow its service rate, its queueing delay, and edge-triggered
+loss/mark signals.  There is no event heap, no packets, and no
+per-packet Python work -- a 20-second scenario is 4000 ticks
+regardless of link speed.  The per-tick state is plain floats: a model
+holds at most six flows, and at that size numpy's per-call overhead
+costs several times the arithmetic (DESIGN.md section 7); numpy is
+used only to draw the seeded jitter stream.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..units import DEFAULT_PACKET_SIZE
-from .flows import Feedback, FluidFlow
-from .queue import ContentionBottleneck, FairBottleneck, build_bottleneck
+from .flows import FluidFlow
+from .queue import build_bottleneck
 
 #: Default integration step (seconds): well below the shortest pulse
 #: period (200 ms at f_p = 5 Hz) and the smallest base RTT (20 ms).
@@ -37,7 +40,7 @@ class FluidModel:
 
     Args:
         flows: the flows sharing the bottleneck (order fixes the
-            vector index).
+            flow index).
         rate: bottleneck link rate (bytes/second).
         buffer_bytes: bottleneck buffer (bytes).
         qdisc: one of :data:`repro.qa.scenario.QDISC_NAMES`.
@@ -75,52 +78,38 @@ class FluidModel:
         self.bottleneck, self.effective_rate = build_bottleneck(
             qdisc, len(flows), rate, buffer_bytes, ecn=ecn,
             medium=medium)
-        self._fair = isinstance(self.bottleneck,
-                                (FairBottleneck, ContentionBottleneck))
         self.now = 0.0
         self.ticks = 0
-        self.jitter = jitter
         self._jitter_rng = (np.random.default_rng(_jitter_seed(jitter_seed))
                             if jitter > 0 else None)
         if jitter_mask is None:
-            self._jitter_mask = np.ones(len(flows))
-        else:
-            if len(jitter_mask) != len(flows):
-                raise ConfigError("jitter_mask length != number of flows")
-            self._jitter_mask = np.asarray(jitter_mask, dtype=float)
-        # Per-flow smoothed service rate, for fair-queue sojourns.
-        self._svc_smoothed = np.zeros(len(flows))
+            jitter_mask = [True] * len(flows)
+        elif len(jitter_mask) != len(flows):
+            raise ConfigError("jitter_mask length != number of flows")
+        self._jitter_scale = [jitter * float(m) for m in jitter_mask]
 
     def run(self, duration: float) -> None:
         """Advance the model to ``duration`` seconds."""
         dt = self.dt
         flows = self.flows
-        n = len(flows)
-        rates = np.zeros(n)
+        tick = self.bottleneck.tick
+        rng, scale = self._jitter_rng, self._jitter_scale
         steps = int(round((duration - self.now) / dt))
         for _ in range(steps):
             now = self.now
+            rates = [f.rate if now >= f.start else 0.0 for f in flows]
+            if rng is not None:
+                # One vector draw per tick keeps the seeded stream.
+                rates = [r * (1.0 + a * (2.0 * u - 1.0)) for r, a, u
+                         in zip(rates, scale, rng.random(len(flows)).tolist())]
+            served, dropped, marked, delays = tick(
+                [r * dt for r in rates], dt)
             for i, flow in enumerate(flows):
-                rates[i] = flow.rate if now >= flow.start else 0.0
-            if self._jitter_rng is not None:
-                rates *= 1.0 + self.jitter * self._jitter_mask * (
-                    2.0 * self._jitter_rng.random(n) - 1.0)
-            result = self.bottleneck.tick(rates * dt, dt)
-            served = result.served
-            self._svc_smoothed += 0.2 * (served / dt - self._svc_smoothed)
-            for i, flow in enumerate(flows):
-                if now < flow.start:
-                    continue
-                if self._fair:
-                    q_delay = self.bottleneck.flow_delay(
-                        i, self._svc_smoothed[i])
-                else:
-                    q_delay = result.queue_delay
-                flow.advance(now, dt, Feedback(
-                    delivered_rate=served[i] / dt,
-                    queue_delay=q_delay,
-                    loss=result.dropped[i] > 0.0,
-                    ecn_mark=result.marked[i] > 0.0))
+                if now >= flow.start:
+                    delivered_rate = served[i] / dt
+                    flow.delivered_bytes += delivered_rate * dt
+                    flow.advance(now, dt, delivered_rate, delays[i],
+                                 dropped[i] > 0.0, marked[i] > 0.0)
             self.now = now + dt
             self.ticks += 1
 

@@ -25,7 +25,8 @@ import math
 from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
                                cross_traffic_estimate)
 from ..units import DEFAULT_MSS
-from .flows import Feedback, FluidFlow
+from .flows import FluidFlow
+from .queue import ordered_sum
 
 #: Mirrors NimbusCca's rate-smoothing window (seconds).
 RATE_SMOOTHING = 0.06
@@ -89,13 +90,13 @@ class FluidProbe(FluidFlow):
         lo = max(0, end - k)
         if end <= lo:
             return 0.0
-        return sum(hist[lo:end]) / (end - lo)
+        return ordered_sum(hist[lo:end]) / (end - lo)
 
-    def advance(self, now: float, dt: float, fb: Feedback) -> None:
-        super().advance(now, dt, fb)
+    def advance(self, now, dt, delivered_rate, queue_delay, loss,
+                ecn_mark) -> None:
         self._send_hist.append(self.rate)
-        self._recv_hist.append(fb.delivered_rate)
-        self._q_smoothed += 0.1 * (fb.queue_delay - self._q_smoothed)
+        self._recv_hist.append(delivered_rate)
+        self._q_smoothed += 0.1 * (queue_delay - self._q_smoothed)
 
         if now + dt >= self._next_sample:
             self._next_sample += self.sample_interval
@@ -112,7 +113,7 @@ class FluidProbe(FluidFlow):
         # Delay-mode control law (NimbusCca._update_control).
         fair_share = max(0.0, self.mu - self._z_smoothed)
         queue_term = (self.QUEUE_GAIN * self.mu
-                      * (self.delay_target - fb.queue_delay)
+                      * (self.delay_target - queue_delay)
                       / self.GAIN_REFERENCE_DELAY)
         self._base_rate = min(max(fair_share + queue_term,
                                   self.min_rate_frac * self.mu),

@@ -1,7 +1,7 @@
 """Fluid bottleneck models for the eight qdisc archetypes.
 
 The workhorse is :class:`FifoBottleneck`: arrivals are stored as
-per-tick *cohorts* (numpy vectors over flows) and service drains
+per-tick *cohorts* (one float per flow) and service drains
 cohorts strictly in order, so the service composition at time ``t``
 equals the arrival composition at time ``t - queue_delay`` -- the
 property that makes the Nimbus ẑ estimator read the *cross* arrival
@@ -21,32 +21,37 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..medium.bianchi import airtime_shares, expected_service_time
 from ..medium.config import MediumSpec
 from ..units import DEFAULT_PACKET_SIZE
 
+# Every ``tick(arrivals, dt)`` takes one float of arriving bytes per
+# flow and returns ``(served, dropped, marked, delays)``, each one
+# float per flow.  A model holds at most six flows, where plain lists
+# beat numpy vectors several times over (DESIGN.md section 7).
 
-class TickResult:
-    """What one service tick did, flow-indexed numpy vectors."""
 
-    __slots__ = ("served", "dropped", "marked", "queue_delay")
+def ordered_sum(values) -> float:
+    """Sum of floats, strictly left to right.
 
-    def __init__(self, served: np.ndarray, dropped: np.ndarray,
-                 marked: np.ndarray, queue_delay: float):
-        self.served = served
-        self.dropped = dropped
-        self.marked = marked
-        self.queue_delay = queue_delay
+    Everything in :mod:`repro.fluid` that feeds a result adds with
+    this, never with builtin ``sum()``: from Python 3.12 that is
+    compensated (Neumaier), so the same values would add up to a
+    different last bit -- and a different stored fingerprint --
+    depending on the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class FifoBottleneck:
     """Shared FIFO with cohort-accurate composition delay.
 
     Args:
-        n_flows: number of flows (vector dimension).
+        n_flows: number of flows (cohort length).
         rate: service rate (bytes/second).
         buffer_bytes: tail-drop limit on total backlog.
     """
@@ -57,70 +62,70 @@ class FifoBottleneck:
         self.n = n_flows
         self.rate = rate
         self.buffer_bytes = buffer_bytes
-        self._cohorts: deque[tuple[float, np.ndarray]] = deque()
+        self._cohorts: deque[tuple[float, list[float]]] = deque()
+        self._zeros = (0.0,) * n_flows
         self.backlog = 0.0
         self.accepted_bytes = 0.0
         self.served_bytes = 0.0
         self.dropped_bytes = 0.0
         self.marked_bytes = 0.0
 
-    # Subclass hook: fraction of arriving bytes to early-drop (RED) or
-    # an ECN share to mark; the base FIFO never early-drops.
-    def _early_action(self, arrivals: np.ndarray, dt: float
+    # Subclass hook: fraction of the ``total_in`` arriving bytes to
+    # early-drop (RED) or an ECN share to mark; the base FIFO never
+    # early-drops.
+    def _early_action(self, total_in: float, dt: float
                       ) -> tuple[float, float]:
         return 0.0, 0.0
 
-    def tick(self, arrivals: np.ndarray, dt: float) -> TickResult:
-        dropped = np.zeros(self.n)
-        marked = np.zeros(self.n)
-        total_in = float(arrivals.sum())
-        accepted = arrivals
+    def tick(self, arrivals: list[float], dt: float):
+        dropped = marked = self._zeros
+        total_in = ordered_sum(arrivals)
         if total_in > 0.0:
-            drop_frac, mark_frac = self._early_action(arrivals, dt)
+            accepted = arrivals
+            drop_frac, mark_frac = self._early_action(total_in, dt)
             if mark_frac > 0.0:
-                marked += arrivals * mark_frac
+                marked = [a * mark_frac for a in arrivals]
                 self.marked_bytes += total_in * mark_frac
             if drop_frac > 0.0:
-                dropped += arrivals * drop_frac
-                accepted = arrivals * (1.0 - drop_frac)
-                total_in = float(accepted.sum())
+                dropped = [a * drop_frac for a in arrivals]
+                accepted = [a * (1.0 - drop_frac) for a in arrivals]
+                total_in = ordered_sum(accepted)
             # Tail drop: whatever exceeds the buffer comes out of the
             # arriving cohort, proportionally across its flows.
             space = self.buffer_bytes - self.backlog
             if total_in > space:
                 keep = max(0.0, space) / total_in
-                dropped += accepted * (1.0 - keep)
-                accepted = accepted * keep
-                total_in = float(accepted.sum())
+                dropped = [d + a * (1.0 - keep)
+                           for d, a in zip(dropped, accepted)]
+                accepted = [a * keep for a in accepted]
+                total_in = ordered_sum(accepted)
             if total_in > 0.0:
                 self._cohorts.append((total_in, accepted))
                 self.backlog += total_in
                 self.accepted_bytes += total_in
-        drop_total = float(dropped.sum())
-        if drop_total > 0.0:
-            self.dropped_bytes += drop_total
+            if dropped is not self._zeros:
+                self.dropped_bytes += ordered_sum(dropped)
 
-        served = np.zeros(self.n)
+        served = [0.0] * self.n
         budget = self.rate * dt
         cohorts = self._cohorts
         while budget > 1e-9 and cohorts:
-            size, vec = cohorts[0]
+            size, cohort = cohorts[0]
             if size <= budget:
-                served += vec
+                served = [s + c for s, c in zip(served, cohort)]
                 budget -= size
                 self.backlog -= size
                 cohorts.popleft()
             else:
                 frac = budget / size
-                served += vec * frac
-                remaining = vec * (1.0 - frac)
-                cohorts[0] = (size - budget, remaining)
+                served = [s + c * frac for s, c in zip(served, cohort)]
+                rest = 1.0 - frac
+                cohorts[0] = (size - budget, [c * rest for c in cohort])
                 self.backlog -= budget
                 budget = 0.0
         self.backlog = max(0.0, self.backlog)
-        self.served_bytes += float(served.sum())
-        return TickResult(served, dropped, marked,
-                          self.backlog / self.rate)
+        self.served_bytes += ordered_sum(served)
+        return served, dropped, marked, [self.backlog / self.rate] * self.n
 
 
 class RedBottleneck(FifoBottleneck):
@@ -135,7 +140,7 @@ class RedBottleneck(FifoBottleneck):
         self.ecn = ecn
         self._avg = 0.0
 
-    def _early_action(self, arrivals: np.ndarray, dt: float
+    def _early_action(self, total_in: float, dt: float
                       ) -> tuple[float, float]:
         self._avg += 0.1 * (self.backlog - self._avg)
         if self._avg <= self.min_thresh:
@@ -160,7 +165,7 @@ class CodelBottleneck(FifoBottleneck):
         self._drops = 0
         self._clock = 0.0
 
-    def _early_action(self, arrivals: np.ndarray, dt: float
+    def _early_action(self, total_in: float, dt: float
                       ) -> tuple[float, float]:
         self._clock += dt
         sojourn = self.backlog / self.rate
@@ -176,9 +181,7 @@ class CodelBottleneck(FifoBottleneck):
             self._above_since = self._clock
             self._drops += 1
             # Drop roughly one packet's worth out of this tick.
-            total = float(arrivals.sum())
-            if total > 0.0:
-                return min(1.0, DEFAULT_PACKET_SIZE / total), 0.0
+            return min(1.0, DEFAULT_PACKET_SIZE / total_in), 0.0
         return 0.0, 0.0
 
 
@@ -187,7 +190,8 @@ class FairBottleneck:
 
     Composition delay is per-flow and, for an isolated flow, identical
     to a FIFO of its own backlog, so the probe's ẑ alignment carries
-    over with the flow's own queue delay.
+    over with the flow's own queue delay: each flow's delay is its
+    backlog's sojourn at its recent (smoothed) service rate.
     """
 
     def __init__(self, n_flows: int, rate: float, buffer_bytes: float):
@@ -196,7 +200,9 @@ class FairBottleneck:
         self.n = n_flows
         self.rate = rate
         self.buffer_bytes = buffer_bytes
-        self.queues = np.zeros(n_flows)
+        self.queues = [0.0] * n_flows
+        self._zeros = (0.0,) * n_flows
+        self._svc_smoothed = [0.0] * n_flows
         self.accepted_bytes = 0.0
         self.served_bytes = 0.0
         self.dropped_bytes = 0.0
@@ -204,54 +210,50 @@ class FairBottleneck:
 
     @property
     def backlog(self) -> float:
-        return float(self.queues.sum())
+        return ordered_sum(self.queues)
 
-    def tick(self, arrivals: np.ndarray, dt: float) -> TickResult:
-        dropped = np.zeros(self.n)
-        self.queues += arrivals
-        self.accepted_bytes += float(arrivals.sum())
+    def tick(self, arrivals: list[float], dt: float):
+        queues = self.queues
+        dropped = self._zeros
+        for i, arrived in enumerate(arrivals):
+            queues[i] += arrived
+        self.accepted_bytes += ordered_sum(arrivals)
         # Overflow drops from the longest queue (DRR semantics).
-        overflow = self.backlog - self.buffer_bytes
-        while overflow > 1e-9:
-            i = int(self.queues.argmax())
-            cut = min(overflow, self.queues[i])
-            self.queues[i] -= cut
-            dropped[i] += cut
-            overflow -= cut
-        drop_total = float(dropped.sum())
-        if drop_total > 0.0:
+        overflow = ordered_sum(queues) - self.buffer_bytes
+        if overflow > 1e-9:
+            dropped = [0.0] * self.n
+            while overflow > 1e-9:
+                i = queues.index(max(queues))
+                cut = min(overflow, queues[i])
+                queues[i] -= cut
+                dropped[i] += cut
+                overflow -= cut
+            drop_total = ordered_sum(dropped)
             self.dropped_bytes += drop_total
             self.accepted_bytes -= drop_total
 
-        served = np.zeros(self.n)
+        served = [0.0] * self.n
         budget = self.rate * dt
         while budget > 1e-9:
-            active = np.flatnonzero(self.queues > 1e-9)
-            if active.size == 0:
+            active = [i for i, q in enumerate(queues) if q > 1e-9]
+            if not active:
                 break
-            share = budget / active.size
-            take = np.minimum(self.queues[active], share)
-            self.queues[active] -= take
-            served[active] += take
-            spent = float(take.sum())
+            share = budget / len(active)
+            spent = 0.0
+            for i in active:
+                take = min(queues[i], share)
+                queues[i] -= take
+                served[i] += take
+                spent += take
             if spent <= 1e-12:
                 break
             budget -= spent
-        self.served_bytes += float(served.sum())
-        # Queue delay as seen by a flow at its fair share: total
-        # backlog over rate is wrong under isolation, so report the
-        # *maximum per-flow* sojourn (the probe reads its own via
-        # per-flow service; the model uses this only for RTT inflation,
-        # which water-filling applies per flow below).
-        delay = float(self.queues.max()) / self.rate * \
-            max(1, int((self.queues > 1e-9).sum()))
-        return TickResult(served, dropped, np.zeros(self.n), delay)
-
-    def flow_delay(self, i: int, recent_rate: float) -> float:
-        """Sojourn of flow ``i``'s backlog at its recent service rate."""
-        if recent_rate <= 0.0:
-            return 0.0
-        return float(self.queues[i]) / recent_rate
+        self.served_bytes += ordered_sum(served)
+        recent = self._svc_smoothed
+        for i, got in enumerate(served):
+            recent[i] += 0.2 * (got / dt - recent[i])
+        delays = [q / r if r > 0.0 else 0.0 for q, r in zip(queues, recent)]
+        return served, dropped, self._zeros, delays
 
 
 class PolicerBottleneck:
@@ -262,34 +264,33 @@ class PolicerBottleneck:
             raise ConfigError("need positive rate")
         self.n = n_flows
         self.rate = rate
+        self._zeros = (0.0,) * n_flows
         self.backlog = 0.0
         self.accepted_bytes = 0.0
         self.served_bytes = 0.0
         self.dropped_bytes = 0.0
         self.marked_bytes = 0.0
 
-    def tick(self, arrivals: np.ndarray, dt: float) -> TickResult:
-        total = float(arrivals.sum())
+    def tick(self, arrivals: list[float], dt: float):
+        total = ordered_sum(arrivals)
         budget = self.rate * dt
-        if total <= budget or total <= 0.0:
-            served = arrivals.copy()
-            dropped = np.zeros(self.n)
-        else:
+        served, dropped = arrivals, self._zeros
+        if total > budget:
             keep = budget / total
-            served = arrivals * keep
-            dropped = arrivals * (1.0 - keep)
-            self.dropped_bytes += float(dropped.sum())
-        got = float(served.sum())
+            served = [a * keep for a in arrivals]
+            dropped = [a * (1.0 - keep) for a in arrivals]
+            self.dropped_bytes += ordered_sum(dropped)
+        got = ordered_sum(served)
         self.accepted_bytes += got
         self.served_bytes += got
-        return TickResult(served, dropped, np.zeros(self.n), 0.0)
+        return served, dropped, self._zeros, self._zeros
 
 
 class ContentionBottleneck:
     """Bianchi-style shared-medium airtime model (the fluid MAC).
 
     Flows are assigned to ``spec.n_stations`` stations round-robin by
-    vector index (matching the packet backend's first-appearance
+    flow index (matching the packet backend's first-appearance
     order).  Each tick:
 
     1. Arrivals join per-flow backlogs; each *station's* backlog is
@@ -319,25 +320,22 @@ class ContentionBottleneck:
         self.rate = rate
         self.buffer_bytes = buffer_bytes
         self.spec = spec
-        self.station_of = np.array(
-            [i % spec.n_stations for i in range(n_flows)], dtype=int)
-        self.queues = np.zeros(n_flows)
+        # Flow indices per station, ascending; stations past the last
+        # flow carry nothing and never contend.
+        self._members = [list(range(s, n_flows, spec.n_stations))
+                         for s in range(min(n_flows, spec.n_stations))]
+        self.queues = [0.0] * n_flows
+        self._zeros = (0.0,) * n_flows
         self.accepted_bytes = 0.0
         self.served_bytes = 0.0
         self.dropped_bytes = 0.0
         self.marked_bytes = 0.0
         self._payload_time = payload_bytes / rate
         self._share_cache: dict[tuple, tuple] = {}
-        self._flow_delay = np.zeros(n_flows)
 
     @property
     def backlog(self) -> float:
-        return float(self.queues.sum())
-
-    def _station_backlogs(self) -> np.ndarray:
-        out = np.zeros(self.spec.n_stations)
-        np.add.at(out, self.station_of, self.queues)
-        return out
+        return ordered_sum(self.queues)
 
     def _solve(self, active: tuple[int, ...]) -> tuple:
         """(per-active-station rate caps, MAC access delay) -- cached."""
@@ -354,74 +352,65 @@ class ContentionBottleneck:
             self._share_cache[active] = cached
         return cached
 
-    def tick(self, arrivals: np.ndarray, dt: float) -> TickResult:
-        dropped = np.zeros(self.n)
-        self.queues += arrivals
-        self.accepted_bytes += float(arrivals.sum())
-        backlogs = self._station_backlogs()
+    def tick(self, arrivals: list[float], dt: float):
+        queues, members, limit = self.queues, self._members, self.buffer_bytes
+        for i, arrived in enumerate(arrivals):
+            queues[i] += arrived
+        self.accepted_bytes += ordered_sum(arrivals)
+        backlogs = [ordered_sum([queues[i] for i in flows])
+                    for flows in members]
         # Per-station tail drop, proportional across the station's flows.
-        for s in np.flatnonzero(backlogs > self.buffer_bytes):
-            flows = np.flatnonzero(self.station_of == s)
-            over = backlogs[s] - self.buffer_bytes
-            keep = self.buffer_bytes / backlogs[s]
-            dropped[flows] += self.queues[flows] * (1.0 - keep)
-            self.queues[flows] *= keep
-            backlogs[s] -= over
-        drop_total = float(dropped.sum())
-        if drop_total > 0.0:
+        dropped = self._zeros
+        for s, backlog in enumerate(backlogs):
+            if backlog > limit:
+                if dropped is self._zeros:
+                    dropped = [0.0] * self.n
+                keep = limit / backlog
+                for i in members[s]:
+                    dropped[i] += queues[i] * (1.0 - keep)
+                    queues[i] *= keep
+                backlogs[s] = backlog - (backlog - limit)
+        if dropped is not self._zeros:
+            drop_total = ordered_sum(dropped)
             self.dropped_bytes += drop_total
             self.accepted_bytes -= drop_total
 
-        served = np.zeros(self.n)
-        active = tuple(int(s) for s in np.flatnonzero(backlogs > 1e-9))
+        served = [0.0] * self.n
+        delays = [0.0] * self.n
+        active = tuple(s for s, b in enumerate(backlogs) if b > 1e-9)
         if active:
             caps, access = self._solve(active)
-            budgets = {s: caps[k] * dt for k, s in enumerate(active)}
-            weights = {s: caps[k] for k, s in enumerate(active)}
+            waiting = [backlogs[s] for s in active]
+            budgets = [cap * dt for cap in caps]
             # Water-fill: capacity a station cannot use goes back to
             # the still-backlogged ones in proportion to their shares.
-            for _ in range(len(active)):
+            for _ in active:
                 spare = 0.0
                 busy = []
-                for s in list(budgets):
-                    take = min(backlogs[s], budgets[s])
-                    if backlogs[s] > budgets[s] + 1e-9:
-                        busy.append(s)
-                    spare += budgets[s] - take
+                for k, budget in enumerate(budgets):
+                    if waiting[k] > budget + 1e-9:
+                        busy.append(k)
+                    spare += budget - min(waiting[k], budget)
                 if spare <= 1e-9 or not busy:
                     break
-                weight_sum = sum(weights[s] for s in busy)
-                for s in list(budgets):
-                    if s in busy:
-                        budgets[s] += spare * weights[s] / weight_sum
+                weight_sum = ordered_sum([caps[k] for k in busy])
+                for k, budget in enumerate(budgets):
+                    if k in busy:
+                        budgets[k] = budget + spare * caps[k] / weight_sum
                     else:
-                        budgets[s] = min(budgets[s], backlogs[s])
+                        budgets[k] = min(budget, waiting[k])
             for k, s in enumerate(active):
-                flows = np.flatnonzero(self.station_of == s)
-                station_q = float(self.queues[flows].sum())
-                if station_q <= 0.0:
-                    continue
-                take = min(station_q, budgets[s])
+                station_q = ordered_sum([queues[i] for i in members[s]])
+                take = min(station_q, budgets[k])
                 frac = take / station_q
-                served[flows] = self.queues[flows] * frac
-                self.queues[flows] *= (1.0 - frac)
                 # Sojourn at the station's cap plus MAC access delay.
-                cap = max(caps[k], 1e-9)
-                self._flow_delay[flows] = (
-                    (station_q - take) / cap + access[k])
-            self._flow_delay[~np.isin(self.station_of,
-                                      np.array(active))] = 0.0
-        else:
-            self._flow_delay[:] = 0.0
-        self.served_bytes += float(served.sum())
-        total_cap = sum(self._solve(active)[0]) if active else self.rate
-        delay = self.backlog / max(total_cap, 1e-9)
-        return TickResult(served, dropped, np.zeros(self.n), delay)
-
-    def flow_delay(self, i: int, recent_rate: float) -> float:
-        """Contention delay flow ``i`` feels (recent_rate unused: the
-        Bianchi cap, not the measured rate, sets the drain speed)."""
-        return float(self._flow_delay[i])
+                delay = (station_q - take) / max(caps[k], 1e-9) + access[k]
+                for i in members[s]:
+                    served[i] = queues[i] * frac
+                    queues[i] *= 1.0 - frac
+                    delays[i] = delay
+        self.served_bytes += ordered_sum(served)
+        return served, dropped, self._zeros, delays
 
 
 def build_bottleneck(qdisc: str, n_flows: int, rate: float,

@@ -17,6 +17,7 @@ from ..units import DEFAULT_PACKET_SIZE, mbps, ms
 from .flows import make_cross_traffic, make_flow_cca
 from .model import FluidModel
 from .probe import FluidProbe
+from .queue import ordered_sum
 
 
 def _probe_report(probe: FluidProbe, duration: float) -> ProbeReport:
@@ -24,7 +25,7 @@ def _probe_report(probe: FluidProbe, duration: float) -> ProbeReport:
     readings = tuple(r for r in probe.readings if lo <= r.time < duration)
     if readings:
         values = [r.elasticity for r in readings]
-        mean_e = sum(values) / len(values)
+        mean_e = ordered_sum(values) / len(values)
         peak_e = max(values)
     else:
         mean_e = 0.0
