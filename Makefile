@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-full serve serve-smoke
+.PHONY: test bench bench-quick serve serve-smoke
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -14,16 +14,11 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-## quick perf smoke: timing-disabled core benches + the built-in bench
+## quick perf smoke: timing-disabled core benches
 bench-quick:
 	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest \
 		benchmarks/bench_perf_core.py benchmarks/bench_parallel.py \
 		--benchmark-disable -q
-	$(PYTHON) -m repro bench
-
-## paper-scale built-in bench (serial vs parallel wall clock)
-bench-full:
-	$(PYTHON) -m repro bench --full
 
 ## run the always-on experiment service (see SERVING.md)
 serve:

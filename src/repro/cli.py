@@ -12,8 +12,6 @@ Subcommands:
 * ``repro quicklook --cross reno`` -- probe one emulated path.
 * ``repro synth-ndt --flows 1000 --out ndt.jsonl`` -- write a synthetic
   NDT dataset.
-* ``repro bench`` -- quick built-in performance smoke (engine, PELT,
-  pipeline, campaign serial vs parallel).
 * ``repro store stat|ls|gc`` -- inspect and prune the result store.
 * ``repro qa fuzz|search|envelope|shrink|corpus`` -- deterministic
   scenario fuzzing against the oracle suite, coverage-guided
@@ -110,14 +108,22 @@ def cmd_list(args) -> int:
     return 0
 
 
+#: ``(args attribute, run() parameter)`` for every optional flag that
+#: ``run``/``trace``/``metrics`` pass through to an experiment that
+#: accepts it; the late axes' flags join from their declaration.
+_PASSTHROUGH = (("seed", "seed"), ("workers", "workers"),
+                ("resume", "resume"), ("cluster", "cluster"),
+                ("flows", "n_flows"), ("chunk_size", "chunk_size"))
+
+
 def _resolve_experiment(args):
     """Map CLI args to ``(run_fn, params)``; None when unknown.
 
     Shared by ``run``, ``trace``, and ``metrics``: handles smoke
-    overrides and the optional ``--seed`` / ``--workers`` /
-    ``--resume`` passthrough (silently meaningful only for experiments
-    that accept them).
+    overrides and the optional flag passthrough (a flag the experiment
+    does not accept is ignored with a note).
     """
+    from .core.axes import AXES, declared
     from .experiments import EXPERIMENTS
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; "
@@ -127,58 +133,21 @@ def _resolve_experiment(args):
     run_fn = EXPERIMENTS[args.experiment]
     params = _smoke_overrides(args.experiment) if args.smoke else {}
     accepted = inspect.signature(run_fn).parameters
-    if getattr(args, "seed", None) is not None:
-        if "seed" in accepted:
-            params["seed"] = args.seed
+    axes = tuple((a.name, a.name) for a in declared("run", "path"))
+    for arg, param in _PASSTHROUGH + axes:
+        value = getattr(args, arg, None)
+        if value is None or value is False or value == "":
+            continue
+        if param in accepted:
+            params[param] = value
+        elif arg in AXES and param + "s" in accepted:
+            # An experiment that sweeps the axis (E16's ``mediums``)
+            # keeps its control cells at the axis default.
+            params[param + "s"] = tuple(dict.fromkeys(
+                (AXES[arg].default, value)))
         else:
-            print(f"note: {args.experiment} takes no seed; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "workers", None) is not None:
-        if "workers" in accepted:
-            params["workers"] = args.workers
-        else:
-            print(f"note: {args.experiment} takes no workers; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "resume", False):
-        if "resume" in accepted:
-            params["resume"] = True
-        else:
-            print(f"note: {args.experiment} takes no resume; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "backend", None) is not None:
-        if "backend" in accepted:
-            params["backend"] = args.backend
-        else:
-            print(f"note: {args.experiment} takes no backend; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "medium", None) is not None:
-        if "medium" in accepted:
-            params["medium"] = args.medium
-        elif "mediums" in accepted:
-            # Sweep experiments (E16) keep their queue control cells.
-            params["mediums"] = tuple(dict.fromkeys(
-                ("queue", args.medium)))
-        else:
-            print(f"note: {args.experiment} takes no medium; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "cluster", None):
-        if "cluster" in accepted:
-            params["cluster"] = args.cluster
-        else:
-            print(f"note: {args.experiment} takes no cluster; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "flows", None) is not None:
-        if "n_flows" in accepted:
-            params["n_flows"] = args.flows
-        else:
-            print(f"note: {args.experiment} takes no flows; ignoring",
-                  file=sys.stderr)
-    if getattr(args, "chunk_size", None) is not None:
-        if "chunk_size" in accepted:
-            params["chunk_size"] = args.chunk_size
-        else:
-            print(f"note: {args.experiment} takes no chunk size; "
-                  "ignoring", file=sys.stderr)
+            print(f"note: {args.experiment} takes no "
+                  f"{arg.replace('_', ' ')}; ignoring", file=sys.stderr)
     return run_fn, params
 
 
@@ -304,6 +273,19 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _print_registry(entries, indent: str = "", width: int = 32) -> None:
+    """One line per metric of a registry snapshot."""
+    for name, entry in entries:
+        if entry["type"] == "histogram":
+            count = entry["count"]
+            mean = entry["sum"] / count if count else 0.0
+            print(f"{indent}{name:{width}s} histogram n={count} "
+                  f"mean={mean:.6g}")
+        else:
+            print(f"{indent}{name:{width}s} {entry['type']} "
+                  f"{entry['value']:.6g}")
+
+
 def cmd_metrics(args) -> int:
     """``repro metrics <experiment>``: run and print the metrics registry."""
     resolved = _resolve_experiment(args)
@@ -323,13 +305,7 @@ def cmd_metrics(args) -> int:
             result.attachments["metrics_registry"] = snapshot
             result.save(args.out)
         return 0
-    for name, entry in snapshot.items():
-        if entry["type"] == "histogram":
-            count = entry["count"]
-            mean = entry["sum"] / count if count else 0.0
-            print(f"{name:32s} histogram n={count} mean={mean:.6g}")
-        else:
-            print(f"{name:32s} {entry['type']} {entry['value']:.6g}")
+    _print_registry(snapshot.items())
     if not snapshot:
         print("(no metrics recorded)")
     if args.out:
@@ -343,27 +319,18 @@ def cmd_metrics(args) -> int:
 def cmd_quicklook(args) -> int:
     """``repro quicklook``: probe one emulated path and print verdicts."""
     from .core.quicklook import run_quicklook
+    from .core.axes import declared
+    axes = {a.name: getattr(args, a.name) for a in declared("path")}
+    axes = {k: v for k, v in axes.items() if v is not None}
     result = run_quicklook(cross_traffic=args.cross,
                            duration=args.duration, seed=args.seed or 0,
-                           medium=args.medium)
+                           **axes)
     print(f"cross traffic:     {result.cross_traffic}")
-    print(f"medium:            {args.medium}")
+    for axis in declared("path"):
+        print(f"{axis.name + ':':18s} {axes.get(axis.name, axis.default)}")
     print(f"mean elasticity:   {result.mean_elasticity:.2f}")
     print(f"contending:        {result.verdict} ({result.category})")
     print(f"probe throughput:  {result.probe_throughput_mbps:.1f} Mbit/s")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """``repro bench``: built-in quick performance smoke."""
-    from .benchtool import render, run_quick_bench
-    rows = run_quick_bench(workers=args.workers, full=args.full)
-    print(render(rows))
-    failed = [r.name for r in rows if not r.ok]
-    if failed:
-        print(f"self-checks FAILED: {', '.join(failed)}",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -737,15 +704,7 @@ def cmd_cluster(args) -> int:
                          connect_timeout=2.0)
              for n in membership.nodes])
         print("merged cluster metrics:")
-        for name, entry in sorted(merged.items()):
-            if entry["type"] == "histogram":
-                count = entry["count"]
-                mean = entry["sum"] / count if count else 0.0
-                print(f"  {name:40s} histogram n={count} "
-                      f"mean={mean:.6g}")
-            else:
-                print(f"  {name:40s} {entry['type']} "
-                      f"{entry['value']:.6g}")
+        _print_registry(sorted(merged.items()), indent="  ", width=40)
     return 0 if live else 1
 
 
@@ -765,6 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description=("Reproduction of 'How I Learned to Stop Worrying "
                      "About CCA Contention' (HotNets '23)"))
+    from .core.axes import declared
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -785,79 +745,57 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print one machine-readable JSON document "
                             "to stdout instead of the report text")
 
+    def add_experiment_flags(p):
+        """What ``run``/``trace``/``metrics`` share: the experiment
+        name and every flag :func:`_resolve_experiment` passes on."""
+        p.add_argument("experiment")
+        p.add_argument("--smoke", action="store_true",
+                       help="reduced parameters, seconds not minutes")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--workers", type=int,
+                       help="worker processes for parallel experiments "
+                            "(default: $REPRO_WORKERS, then CPU count)")
+        for axis in declared("run", "path"):
+            axis.add_flag(p)
+        p.add_argument("--flows", type=int,
+                       help="population size for flow-count experiments "
+                            "(fig2: above 20k flows the run streams "
+                            "out of core in bounded memory)")
+        p.add_argument("--chunk-size", type=int, dest="chunk_size",
+                       help="flows per shard for streamed runs -- the "
+                            "memory and checkpoint/resume unit")
+        add_cache_flags(p)
+        add_json_flag(p)
+
     p_run = sub.add_parser("run", help="run an experiment")
-    p_run.add_argument("experiment")
+    add_experiment_flags(p_run)
     p_run.add_argument("--out", help="directory for CSV/JSON artifacts")
     p_run.add_argument("--force", action="store_true",
                        help="overwrite existing results under --out "
                             "instead of versioning them")
-    p_run.add_argument("--smoke", action="store_true",
-                       help="reduced parameters, seconds not minutes")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--workers", type=int,
-                       help="worker processes for parallel experiments "
-                            "(default: $REPRO_WORKERS, then CPU count)")
-    p_run.add_argument("--backend", choices=("packet", "fluid"),
-                       help="simulation backend for experiments that "
-                            "accept one (fluid = rate-based fast path, "
-                            "20-50x faster; see DESIGN.md)")
-    p_run.add_argument("--medium", metavar="MEDIUM",
-                       help="bottleneck access regime for experiments "
-                            "that accept one: 'queue' (default) or "
-                            "'csma-<n>[-prio]' for a CSMA/CA shared "
-                            "medium with n stations (see DESIGN.md)")
     p_run.add_argument("--cluster", metavar="NODES",
                        help="shard the experiment's inner work across "
                             "repro serve nodes (host1:8765,host2,...) "
                             "and merge results into the local store; "
                             "byte-identical to a local run "
                             "(see SERVING.md)")
-    p_run.add_argument("--flows", type=int,
-                       help="population size for flow-count experiments "
-                            "(fig2: above 20k flows the run streams "
-                            "out of core in bounded memory)")
-    p_run.add_argument("--chunk-size", type=int, dest="chunk_size",
-                       help="flows per shard for streamed runs -- the "
-                            "memory and checkpoint/resume unit")
-    add_cache_flags(p_run)
-    add_json_flag(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_trace = sub.add_parser(
         "trace", help="run an experiment with event tracing to JSONL")
-    p_trace.add_argument("experiment")
+    add_experiment_flags(p_trace)
     p_trace.add_argument("--out", default="trace.jsonl",
                          help="JSONL output path (default: trace.jsonl)")
     p_trace.add_argument("--kinds",
                          help="comma-separated event kinds to keep "
                               "(default: all)")
-    p_trace.add_argument("--smoke", action="store_true",
-                         help="reduced parameters, seconds not minutes")
-    p_trace.add_argument("--seed", type=int)
-    p_trace.add_argument("--workers", type=int)
-    p_trace.add_argument("--backend", choices=("packet", "fluid"))
-    p_trace.add_argument("--medium", metavar="MEDIUM")
-    p_trace.add_argument("--flows", type=int)
-    p_trace.add_argument("--chunk-size", type=int, dest="chunk_size")
-    add_cache_flags(p_trace)
-    add_json_flag(p_trace)
     p_trace.set_defaults(fn=cmd_trace)
 
     p_metrics = sub.add_parser(
         "metrics", help="run an experiment and print the metrics registry")
-    p_metrics.add_argument("experiment")
+    add_experiment_flags(p_metrics)
     p_metrics.add_argument("--out",
                            help="directory for report + registry snapshot")
-    p_metrics.add_argument("--smoke", action="store_true",
-                           help="reduced parameters, seconds not minutes")
-    p_metrics.add_argument("--seed", type=int)
-    p_metrics.add_argument("--workers", type=int)
-    p_metrics.add_argument("--backend", choices=("packet", "fluid"))
-    p_metrics.add_argument("--medium", metavar="MEDIUM")
-    p_metrics.add_argument("--flows", type=int)
-    p_metrics.add_argument("--chunk-size", type=int, dest="chunk_size")
-    add_cache_flags(p_metrics)
-    add_json_flag(p_metrics)
     p_metrics.set_defaults(fn=cmd_metrics)
 
     p_store = sub.add_parser(
@@ -883,14 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "entries down to this budget")
     p_store.set_defaults(fn=cmd_store)
 
-    p_bench = sub.add_parser(
-        "bench", help="quick built-in performance smoke")
-    p_bench.add_argument("--workers", type=int,
-                         help="worker processes for the parallel rows")
-    p_bench.add_argument("--full", action="store_true",
-                         help="paper-scale sizes (minutes, not seconds)")
-    p_bench.set_defaults(fn=cmd_bench)
-
     p_quick = sub.add_parser("quicklook",
                              help="probe one emulated path")
     p_quick.add_argument("--cross", default="reno",
@@ -898,10 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "poisson, cbr, none)")
     p_quick.add_argument("--duration", type=float, default=30.0)
     p_quick.add_argument("--seed", type=int)
-    p_quick.add_argument("--medium", default="queue", metavar="MEDIUM",
-                         help="bottleneck access regime: 'queue' "
-                              "(default) or 'csma-<n>[-prio]' for a "
-                              "CSMA/CA shared medium with n stations")
+    for axis in declared("path"):
+        axis.add_flag(p_quick)
     p_quick.set_defaults(fn=cmd_quicklook)
 
     p_qa = sub.add_parser(

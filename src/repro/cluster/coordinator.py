@@ -45,9 +45,9 @@ from .membership import (CONNECT_TIMEOUT_S, READ_TIMEOUT_S, Membership,
                          Node, parse_cluster)
 from .merge import pull_objects
 
-#: Campaign params forwarded into ``paths`` shard tasks.
-_CAMPAIGN_PARAM_KEYS = ("n_paths", "seed", "duration", "fq_fraction",
-                        "backend", "medium")
+#: Campaign params forwarded into ``paths`` shard tasks, besides the
+#: run- and path-level axes of :mod:`repro.core.axes`.
+_CAMPAIGN_PARAM_KEYS = ("n_paths", "seed", "duration", "fq_fraction")
 
 
 @dataclass(frozen=True)
@@ -490,6 +490,7 @@ def run_clustered_campaign(params: Mapping, cluster,
             prior manifest's quarantine list).
         coordinator: injectable pre-built coordinator (tests).
     """
+    from ..core.axes import declared
     from ..serve.jobs import campaign_from_params
     from ..store import active_store
     from ..store.fingerprint import fingerprint
@@ -508,8 +509,9 @@ def run_clustered_campaign(params: Mapping, cluster,
             coordinator = Coordinator(
                 membership, store,
                 journal=ClusterJournal(store, campaign.fingerprint()))
-        base = {k: params[k] for k in _CAMPAIGN_PARAM_KEYS
-                if k in params}
+        forwarded = _CAMPAIGN_PARAM_KEYS + tuple(
+            axis.name for axis in declared("run", "path"))
+        base = {k: params[k] for k in forwarded if k in params}
         shard_count = shards_per_node * len(
             coordinator.membership.nodes)
         tasks = []

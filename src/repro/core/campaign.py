@@ -18,16 +18,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import ConfigError
-from ..medium.config import MEDIUM_DEFAULT, parse_medium
 from ..runtime import FaultPolicy, parallel_map
-from ..qdisc.fifo import DropTailQueue
-from ..qdisc.fq import DrrFairQueue
-from ..sim.engine import Simulator
-from ..sim.network import default_buffer_packets, dumbbell, medium_dumbbell
-from ..traffic.mix import CROSS_TRAFFIC_IS_ELASTIC, make_cross_traffic
-from ..units import mbps, ms
+from ..traffic.mix import CROSS_TRAFFIC_IS_ELASTIC
+from .axes import AXES, declared, drop_defaults, resolve_axes
 from .detector import ContentionDetector, DetectorVerdict, confusion_counts
-from .probe import ElasticityProbe, ProbeReport
+from .path import build_packet_path
+from .probe import ProbeReport
 
 
 @dataclass(frozen=True)
@@ -52,14 +48,15 @@ class PathSpec:
     cross_traffic: str
     buffer_multiplier: float = 1.0
     seed: int = 0
-    medium: str = MEDIUM_DEFAULT
+    medium: str = AXES["medium"].default
 
     def __post_init__(self):
         if self.rate_mbps <= 0 or self.rtt_ms <= 0:
             raise ConfigError(f"invalid path spec: {self}")
         if self.qdisc not in ("droptail", "fq"):
             raise ConfigError(f"unknown qdisc {self.qdisc!r}")
-        parse_medium(self.medium)  # raises ConfigError on bad values
+        for axis in declared("path"):
+            axis.validate(getattr(self, axis.name, axis.default))
 
     @property
     def truly_contending(self) -> bool:
@@ -92,14 +89,11 @@ class PathSpec:
 def _spec_config(spec: PathSpec) -> dict:
     """``spec`` as a fingerprint payload.
 
-    Hashes identically to the bare dataclass for queue-regime paths
-    (the ``medium`` key is omitted at its default), so every
-    pre-medium cache entry stays addressable.
+    Hashes identically to the bare pre-axis dataclass when every late
+    axis sits at its default, so older cache entries stay addressable.
     """
-    config = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    if config["medium"] == MEDIUM_DEFAULT:
-        del config["medium"]
-    return config
+    return drop_defaults(
+        {f.name: getattr(spec, f.name) for f in fields(spec)})
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def sample_paths(n_paths: int, seed: int = 0,
                      ("none", 0.25), ("video", 0.15), ("poisson", 0.15),
                      ("cbr", 0.10), ("reno", 0.20), ("bbr", 0.15)),
                  fq_fraction: float = 0.3,
-                 medium: str = MEDIUM_DEFAULT) -> list[PathSpec]:
+                 **path_axes) -> list[PathSpec]:
     """Sample a path population.
 
     Args:
@@ -206,10 +200,11 @@ def sample_paths(n_paths: int, seed: int = 0,
         cross_traffic_mix: (name, probability) pairs.
         fq_fraction: fraction of paths with per-flow fair queueing at
             the bottleneck (the §2.1 isolation deployment knob).
-        medium: bottleneck access regime for every path ("queue", or a
-            CSMA/CA medium name -- a last-hop WLAN study population).
+        path_axes: path-level axes (:mod:`repro.core.axes`) set on
+            every path, e.g. ``medium="csma-4"`` for a last-hop WLAN
+            study population.
     """
-    parse_medium(medium)  # raises ConfigError on bad values
+    path_axes = drop_defaults(resolve_axes(path_axes, "path"))
     if n_paths <= 0:
         raise ConfigError(f"n_paths must be positive: {n_paths}")
     probs = [p for _, p in cross_traffic_mix]
@@ -226,14 +221,13 @@ def sample_paths(n_paths: int, seed: int = 0,
             cross_traffic=str(names[rng.choice(len(names), p=probs)]),
             buffer_multiplier=float(rng.choice([0.5, 1.0, 2.0])),
             seed=int(rng.integers(0, 2**31)),
-            medium=medium,
+            **path_axes,
         ))
     return specs
 
 
 def run_path(spec: PathSpec, duration: float = 30.0,
              detector: ContentionDetector | None = None,
-             capacity_hint: bool = True,
              backend: str = "packet") -> PathResult:
     """Run one probe over one path.
 
@@ -242,40 +236,15 @@ def run_path(spec: PathSpec, duration: float = 30.0,
     rate-based model in :mod:`repro.fluid` -- same result types,
     20-50x faster; see DESIGN.md for its validity envelope).
     """
-    if backend == "fluid":
+    if AXES["backend"].validate(backend) == "fluid":
         from ..fluid import run_path_fluid
-        return run_path_fluid(spec, duration=duration, detector=detector,
-                              capacity_hint=capacity_hint)
-    if backend != "packet":
-        raise ConfigError(f"unknown backend {backend!r}")
+        return run_path_fluid(spec, duration=duration, detector=detector)
     det = detector if detector is not None else ContentionDetector()
-    sim = Simulator()
-    rate = mbps(spec.rate_mbps)
-    rtt = ms(spec.rtt_ms)
-    buffer_packets = default_buffer_packets(rate, rtt,
-                                            spec.buffer_multiplier)
-
-    def make_qdisc():
-        if spec.qdisc == "fq":
-            return DrrFairQueue(limit_packets=buffer_packets)
-        return DropTailQueue(limit_packets=buffer_packets)
-
-    medium_spec = parse_medium(getattr(spec, "medium", MEDIUM_DEFAULT))
-    if medium_spec is None:
-        path = dumbbell(sim, rate, rtt, qdisc=make_qdisc())
-    else:
-        path = medium_dumbbell(sim, rate, rtt, medium_spec,
-                               qdisc_factory=make_qdisc, seed=spec.seed)
-    probe = ElasticityProbe(
-        sim, path, capacity_hint=rate if capacity_hint else None)
-    probe.start()
-    cross = make_cross_traffic(spec.cross_traffic, sim, path, "cross",
-                               seed=spec.seed)
-    cross.start()
-    sim.run(until=duration)
-    report = probe.report()
-    verdict = det.verdict(list(report.readings))
-    return PathResult(spec=spec, report=report, verdict=verdict)
+    handles, sources = build_packet_path(spec)
+    handles.sim.run(until=duration)
+    report = sources["probe"].report()
+    return PathResult(spec=spec, report=report,
+                      verdict=det.verdict(list(report.readings)))
 
 
 #: Default sentinel: ``run(store=...)`` omitted means "use the ambient
@@ -295,32 +264,37 @@ class Campaign:
                  duration: float = 30.0,
                  detector: ContentionDetector | None = None,
                  fq_fraction: float = 0.3,
-                 cross_traffic_mix=None,
-                 backend: str = "packet",
-                 medium: str = MEDIUM_DEFAULT):
-        if backend not in ("packet", "fluid"):
-            raise ConfigError(f"unknown backend {backend!r}")
+                 cross_traffic_mix=None, **axes):
+        """``axes`` are the run- and path-level axes of
+        :mod:`repro.core.axes`: ``backend=`` for the whole campaign,
+        ``medium=`` on every sampled path."""
+        axes = resolve_axes(axes, "run", "path")
+        path_axes = {a.name: axes.pop(a.name) for a in declared("path")}
         kwargs = {}
         if cross_traffic_mix is not None:
             kwargs["cross_traffic_mix"] = cross_traffic_mix
         self.specs = sample_paths(n_paths, seed=seed,
                                   fq_fraction=fq_fraction,
-                                  medium=medium, **kwargs)
+                                  **path_axes, **kwargs)
         self.duration = duration
-        self.backend = backend
+        self.run_axes = axes
         self.detector = detector if detector is not None \
             else ContentionDetector()
 
     # -- store fingerprints ----------------------------------------------
 
+    def _config(self, **what) -> dict:
+        """A fingerprint payload: ``what`` plus everything that is the
+        same for every path.  Run-level axes are left out at their
+        defaults, so entries cached before an axis existed stay
+        addressable."""
+        return drop_defaults({
+            **what, "duration": self.duration,
+            "detector": self.detector.fingerprint_config(),
+            **self.run_axes})
+
     def _task_config(self, spec: PathSpec) -> dict:
-        config = {"spec": _spec_config(spec), "duration": self.duration,
-                  "detector": self.detector.fingerprint_config()}
-        # The packet backend is the historical default; omitting the
-        # key keeps every pre-fluid cache entry addressable.
-        if self.backend != "packet":
-            config["backend"] = self.backend
-        return config
+        return self._config(spec=_spec_config(spec))
 
     def path_key(self, spec: PathSpec) -> str:
         """The store fingerprint of one path's full task config."""
@@ -331,12 +305,9 @@ class Campaign:
         """The whole campaign's config fingerprint (names the
         checkpoint manifest)."""
         from ..store import fingerprint
-        config = {"specs": [_spec_config(s) for s in self.specs],
-                  "duration": self.duration,
-                  "detector": self.detector.fingerprint_config()}
-        if self.backend != "packet":
-            config["backend"] = self.backend
-        return fingerprint(config, kind="campaign")
+        return fingerprint(
+            self._config(specs=[_spec_config(s) for s in self.specs]),
+            kind="campaign")
 
     # -- execution -------------------------------------------------------
 
@@ -372,29 +343,19 @@ class Campaign:
             policy: retry/timeout policy for the fault-tolerant path
                 (store runs only; default :class:`FaultPolicy`).
         """
-        job = functools.partial(run_path, duration=self.duration,
-                                detector=self.detector,
-                                backend=self.backend)
         if store is _AUTO:
             from ..store import active_store
             store = active_store()
         if store is None:
             # Default raising path: no cache, first failure propagates.
-            results = parallel_map(job, self.specs, workers=workers,
-                                   chunk_size=chunk_size,
+            results = parallel_map(self._job(), self.specs,
+                                   workers=workers, chunk_size=chunk_size,
                                    progress=progress)
             return CampaignResult(results=results)
-        from ..store import ResumableScheduler
-        labels = [f"path[{i}] {s.cross_traffic}@{s.qdisc} "
-                  f"{s.rate_mbps:g}mbps/{s.rtt_ms:g}ms seed={s.seed}"
-                  for i, s in enumerate(self.specs)]
-        scheduler = ResumableScheduler(store, self.fingerprint(),
-                                       resume=resume, kind="path")
-        report = scheduler.run(
-            job, self.specs, [self.path_key(s) for s in self.specs],
-            labels=labels, workers=workers, chunk_size=chunk_size,
-            policy=policy if policy is not None else FaultPolicy(),
-            progress=progress)
+        report = self.run_stored(store, range(len(self.specs)),
+                                 self.fingerprint(), workers=workers,
+                                 chunk_size=chunk_size, resume=resume,
+                                 policy=policy, progress=progress)
         failed = [FailedPath(spec=self.specs[o.index], error=o.error,
                              error_type=o.error_type,
                              attempts=o.attempts)
@@ -402,3 +363,32 @@ class Campaign:
         return CampaignResult(
             results=[r for r in report.results if r is not None],
             failed=failed)
+
+    def _job(self):
+        return functools.partial(run_path, duration=self.duration,
+                                 detector=self.detector, **self.run_axes)
+
+    def run_stored(self, store, indices, manifest_key: str, *,
+                   workers=None, chunk_size=None, resume: bool = False,
+                   policy: FaultPolicy | None = None, progress=None):
+        """Run the paths at ``indices`` through the resumable scheduler.
+
+        Every path is cached and checkpointed under :meth:`path_key`,
+        whichever subset it runs in -- which is what lets a cluster
+        node run one shard (:func:`repro.serve.jobs.execute_paths`) and
+        the coordinator assemble the whole campaign from store hits.
+        ``manifest_key`` names the checkpoint manifest.  Returns the
+        scheduler's report, positions following ``indices``.
+        """
+        from ..store import ResumableScheduler
+        specs = [self.specs[i] for i in indices]
+        labels = [f"path[{i}] {s.cross_traffic}@{s.qdisc} "
+                  f"{s.rate_mbps:g}mbps/{s.rtt_ms:g}ms seed={s.seed}"
+                  for i, s in zip(indices, specs)]
+        scheduler = ResumableScheduler(store, manifest_key,
+                                       resume=resume, kind="path")
+        return scheduler.run(
+            self._job(), specs, [self.path_key(s) for s in specs],
+            labels=labels, workers=workers, chunk_size=chunk_size,
+            policy=policy if policy is not None else FaultPolicy(),
+            progress=progress)

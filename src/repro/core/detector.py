@@ -16,6 +16,19 @@ from ..errors import ConfigError
 from .elasticity import ElasticityReading
 
 
+def ordered_mean(values: list[float]) -> float:
+    """Mean of a non-empty list, added left to right.
+
+    Not ``sum()``: from Python 3.12 that is compensated, and a mean
+    that is a stored result (a verdict, a probe report) would differ
+    in its last bit between interpreters.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 @dataclass(frozen=True)
 class DetectorVerdict:
     """One path's verdict.
@@ -95,13 +108,7 @@ class ContentionDetector:
                                    mean_elasticity=0.0,
                                    fraction_above=0.0, n_readings=0)
         values = [r.elasticity for r in usable]
-        # Added left to right, not with sum(): from Python 3.12 that is
-        # compensated and the mean (a stored result) would differ in
-        # its last bit between interpreters.
-        mean = 0.0
-        for value in values:
-            mean += value
-        mean /= len(values)
+        mean = ordered_mean(values)
         above = sum(1 for v in values if v >= self.threshold) / len(values)
         if self.rule == "mean":
             contending = mean >= self.threshold
@@ -116,6 +123,18 @@ class ContentionDetector:
         return DetectorVerdict(contending=contending, category=category,
                                mean_elasticity=mean,
                                fraction_above=above, n_readings=len(usable))
+
+
+def probe_summary(report) -> dict:
+    """The default detector's verdict on a probe report, as the plain
+    dict a QA :class:`~repro.qa.scenario.ScenarioOutcome` carries."""
+    verdict = ContentionDetector().verdict(list(report.readings))
+    return {
+        "mean_elasticity": verdict.mean_elasticity,
+        "contending": verdict.contending,
+        "category": verdict.category,
+        "n_readings": verdict.n_readings,
+    }
 
 
 def confusion_counts(verdicts: list[bool], truths: list[bool]

@@ -26,6 +26,7 @@ from ..sim.engine import Simulator
 from ..sim.network import PathHandles
 from ..tcp.endpoint import Connection
 from ..units import DEFAULT_MSS
+from .detector import ordered_mean
 from .elasticity import ElasticityReading
 
 
@@ -46,6 +47,16 @@ class ProbeReport:
     peak_elasticity: float
     mean_throughput: float
     duration: float
+
+    @classmethod
+    def summarize(cls, readings, throughput: float,
+                  duration: float) -> "ProbeReport":
+        """The report over ``readings`` (both backends' one reduction)."""
+        values = [r.elasticity for r in readings]
+        return cls(readings=tuple(readings),
+                   mean_elasticity=ordered_mean(values) if values else 0.0,
+                   peak_elasticity=max(values, default=0.0),
+                   mean_throughput=throughput, duration=duration)
 
     def verdict(self, threshold: float = 2.0) -> bool:
         """True if the path showed elastic (contending) cross traffic."""
@@ -100,6 +111,11 @@ class ElasticityProbe:
     def readings(self) -> list[ElasticityReading]:
         return self.cca.elasticity_readings
 
+    @property
+    def delivered_bytes(self) -> int:
+        """The probe's goodput so far, like any traffic source's."""
+        return self.connection.receiver.received_bytes
+
     def readings_between(self, t_start: float, t_end: float
                          ) -> list[ElasticityReading]:
         """Readings whose window ended within [t_start, t_end)."""
@@ -111,16 +127,7 @@ class ElasticityProbe:
         started = self._started_at if self._started_at is not None else 0.0
         lo = t_start if t_start is not None else started + self.warmup
         hi = t_end if t_end is not None else self.sim.now
-        readings = tuple(self.readings_between(lo, hi))
-        if readings:
-            values = [r.elasticity for r in readings]
-            mean_e = sum(values) / len(values)
-            peak_e = max(values)
-        else:
-            mean_e = 0.0
-            peak_e = 0.0
         duration = max(hi - started, 1e-9)
-        throughput = self.connection.receiver.received_bytes / duration
-        return ProbeReport(readings=readings, mean_elasticity=mean_e,
-                           peak_elasticity=peak_e,
-                           mean_throughput=throughput, duration=hi - lo)
+        return ProbeReport.summarize(
+            self.readings_between(lo, hi),
+            self.delivered_bytes / duration, hi - lo)

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..medium import parse_medium
-from ..sim.engine import Simulator
-from ..sim.network import dumbbell, medium_dumbbell
-from ..traffic.mix import make_cross_traffic
-from ..units import mbps, ms, to_mbps
-from .detector import ContentionDetector
-from .probe import ElasticityProbe
+from ..units import to_mbps
+from .campaign import PathSpec, run_path
 
 
 @dataclass(frozen=True)
@@ -27,32 +22,25 @@ class QuicklookResult:
 
 def run_quicklook(cross_traffic: str = "reno", duration: float = 30.0,
                   rate_mbps: float = 48.0, rtt_ms: float = 100.0,
-                  seed: int = 0, medium: str = "queue") -> QuicklookResult:
+                  seed: int = 0, **path_axes) -> QuicklookResult:
     """Probe one emulated path carrying ``cross_traffic``.
 
-    ``medium`` swaps the bottleneck queue for a CSMA/CA shared medium
-    ("csma-<n>", optionally "-prio"); the probe and each cross flow
-    then contend as separate stations.
+    ``path_axes`` are :class:`~repro.core.campaign.PathSpec`'s late
+    axes: ``medium="csma-<n>"`` (optionally "-prio") swaps the
+    bottleneck queue for a CSMA/CA shared medium, on which the probe
+    and each cross flow contend as separate stations.  The path is the
+    one :func:`~repro.core.campaign.run_path` builds for a droptail
+    ``PathSpec`` of this shape, 1xBDP buffer included.
     """
-    sim = Simulator()
-    spec = parse_medium(medium)
-    if spec is None:
-        path = dumbbell(sim, mbps(rate_mbps), ms(rtt_ms))
-    else:
-        path = medium_dumbbell(sim, mbps(rate_mbps), ms(rtt_ms), spec,
-                               seed=seed)
-    probe = ElasticityProbe(sim, path, capacity_hint=mbps(rate_mbps))
-    probe.start()
-    cross = make_cross_traffic(cross_traffic, sim, path, "cross", seed=seed)
-    cross.start()
-    sim.run(until=duration)
-    report = probe.report()
-    verdict = ContentionDetector().verdict(list(report.readings))
+    result = run_path(PathSpec(rate_mbps=rate_mbps, rtt_ms=rtt_ms,
+                               qdisc="droptail",
+                               cross_traffic=cross_traffic, seed=seed,
+                               **path_axes), duration=duration)
     return QuicklookResult(
         cross_traffic=cross_traffic,
-        mean_elasticity=report.mean_elasticity,
-        verdict=verdict.contending,
-        category=verdict.category,
-        probe_throughput_mbps=to_mbps(report.mean_throughput),
+        mean_elasticity=result.report.mean_elasticity,
+        verdict=result.verdict.contending,
+        category=result.verdict.category,
+        probe_throughput_mbps=to_mbps(result.report.mean_throughput),
         duration=duration,
     )

@@ -9,6 +9,7 @@ threshold ROC sweep DESIGN.md calls out as a design-choice ablation.
 from __future__ import annotations
 
 from .. import viz
+from ..core.axes import drop_defaults
 from ..core.campaign import Campaign, CampaignResult
 from ..core.detector import ContentionDetector, confusion_counts
 from ..core.hypothesis import evaluate_hypothesis
@@ -59,11 +60,10 @@ def run(n_paths: int = 48, duration: float = 30.0, seed: int = 1,
     with Stopwatch() as watch:
         if cluster:
             from ..cluster import run_clustered_campaign
-            params = {"n_paths": n_paths, "seed": seed,
-                      "duration": duration,
-                      "fq_fraction": fq_fraction, "backend": backend}
-            if medium != "queue":
-                params["medium"] = medium
+            params = drop_defaults({
+                "n_paths": n_paths, "seed": seed, "duration": duration,
+                "fq_fraction": fq_fraction, "backend": backend,
+                "medium": medium})
             campaign = run_clustered_campaign(
                 params, cluster, workers=workers, resume=resume)
         else:

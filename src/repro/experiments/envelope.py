@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 
 from .. import viz
-from ..errors import ConfigError
 from ..qa.scenario import Scenario, run_scenario
 from ..runtime import parallel_map
 from .runner import ExperimentResult, Stopwatch
@@ -49,8 +48,6 @@ def run(backend: str = "packet", duration: float = 20.0, seed: int = 1,
     "fluid" (the rate-based fast path).  Cells are independent, so
     ``workers`` parallelizes them with bit-identical results.
     """
-    if backend not in ("packet", "fluid"):
-        raise ConfigError(f"unknown backend {backend!r}")
     scenarios = [
         Scenario(family="probe", rate_mbps=rate, rtt_ms=rtt,
                  qdisc="droptail", duration=duration, seed=seed,

@@ -31,16 +31,12 @@ from __future__ import annotations
 import functools
 
 from .. import viz
+from ..core.axes import AXES
+from ..core.campaign import PathSpec
 from ..core.detector import ContentionDetector
-from ..core.probe import ElasticityProbe
-from ..errors import ConfigError
+from ..core.path import build_packet_path
 from ..medium import parse_medium
 from ..runtime import parallel_map
-from ..sim.engine import Simulator
-from ..sim.network import (default_buffer_packets, dumbbell,
-                           medium_dumbbell)
-from ..qdisc.fifo import DropTailQueue
-from ..units import DEFAULT_PACKET_SIZE, mbps, ms
 from .runner import ExperimentResult, Stopwatch
 
 #: The medium sweep: a queue control plus CSMA/CA at 2/4/8 stations
@@ -77,49 +73,22 @@ def _run_cell(cell, rate_mbps: float, rtt_ms: float, duration: float,
               seed: int, backend: str) -> dict:
     """Run one (medium, cross, n_cross) cell and summarize the probe."""
     medium, cross, n_cross = cell
-    spec = parse_medium(medium)
-    rate = mbps(rate_mbps)
-    rtt = ms(rtt_ms)
-    buffer_packets = default_buffer_packets(rate, rtt)
-
+    spec = PathSpec(rate_mbps=rate_mbps, rtt_ms=rtt_ms, qdisc="droptail",
+                    cross_traffic=cross, seed=seed, medium=medium)
+    cross_ids = tuple(f"cross-{i}" for i in range(n_cross))
     if backend == "fluid":
-        from ..fluid.flows import make_cross_traffic as make_fluid_cross
-        from ..fluid.model import FluidModel
-        from ..fluid.probe import FluidProbe
-
-        buffer_bytes = buffer_packets * DEFAULT_PACKET_SIZE
-        probe = FluidProbe(rate, rtt, buffer_bytes / rate)
-        flows = [probe]
-        for i in range(n_cross):
-            flows.append(make_fluid_cross(cross, f"cross-{i}", rtt,
-                                          seed=seed + i))
-        model = FluidModel(flows, rate, buffer_bytes, qdisc="droptail",
-                           medium=spec)
+        from ..fluid.runner import build_fluid_path
+        model, flows = build_fluid_path(spec, cross_ids=cross_ids)
         model.run(duration)
-        readings = [r for r in probe.readings
-                    if probe.warmup <= r.time < duration]
-        probe_bytes = probe.delivered_bytes
-        total_bytes = sum(f.delivered_bytes for f in flows)
+        readings = list(flows["probe"].report(duration).readings)
+        probe_bytes = flows["probe"].delivered_bytes
+        total_bytes = sum(f.delivered_bytes for f in flows.values())
     else:
-        sim = Simulator()
-        if spec is None:
-            path = dumbbell(sim, rate, rtt)
-        else:
-            path = medium_dumbbell(
-                sim, rate, rtt, spec,
-                qdisc_factory=lambda: DropTailQueue(
-                    limit_packets=buffer_packets),
-                seed=seed)
-        probe = ElasticityProbe(sim, path, capacity_hint=rate)
-        probe.start()
-        from ..traffic.mix import make_cross_traffic
-        for i in range(n_cross):
-            make_cross_traffic(cross, sim, path, f"cross-{i}",
-                               seed=seed + i).start()
-        sim.run(until=duration)
-        readings = list(probe.report().readings)
-        probe_bytes = path.bottleneck.flow_bytes("probe")
-        total_bytes = path.bottleneck.delivered_bytes
+        handles, sources = build_packet_path(spec, cross_ids=cross_ids)
+        handles.sim.run(until=duration)
+        readings = list(sources["probe"].report().readings)
+        probe_bytes = handles.bottleneck.flow_bytes("probe")
+        total_bytes = handles.bottleneck.delivered_bytes
 
     detector = ContentionDetector()
     verdict = detector.verdict(readings)
@@ -151,11 +120,8 @@ def run(backend: str = "packet", rate_mbps: float = 20.0,
     baseline.  Cells are independent; ``workers`` parallelizes them
     with bit-identical results.
     """
-    if backend not in ("packet", "fluid"):
-        raise ConfigError(f"unknown backend {backend!r}")
-    for medium in mediums:
-        parse_medium(medium)  # raises ConfigError on bad values
-    cells = _cells(mediums, cross_types)
+    AXES["backend"].validate(backend)
+    cells = _cells(mediums, cross_types)  # parses (validates) each medium
     with Stopwatch() as watch:
         rows = parallel_map(
             functools.partial(_run_cell, rate_mbps=rate_mbps,

@@ -24,6 +24,7 @@ import math
 
 from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
                                cross_traffic_estimate)
+from ..core.probe import ProbeReport
 from ..units import DEFAULT_MSS
 from .flows import FluidFlow
 from .queue import ordered_sum
@@ -125,3 +126,11 @@ class FluidProbe(FluidFlow):
     @property
     def readings(self):
         return self.estimator.readings
+
+    def report(self, duration: float) -> ProbeReport:
+        """Post-warmup summary of a ``duration``-second run (the fluid
+        side of :meth:`repro.core.probe.ElasticityProbe.report`)."""
+        lo = self.warmup
+        return ProbeReport.summarize(
+            [r for r in self.readings if lo <= r.time < duration],
+            self.delivered_bytes / max(duration, 1e-9), duration - lo)

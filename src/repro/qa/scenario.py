@@ -17,30 +17,17 @@ comparison for the metamorphic oracles.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..cca import make_cca
-from ..cca.cbr import CbrCca
-from ..core.detector import ContentionDetector
-from ..core.probe import ElasticityProbe
+from ..core.axes import AXES, axis_values, drop_defaults
+from ..core.detector import probe_summary
+from ..core.path import QDISC_NAMES, build_packet_path, build_qdisc
 from ..errors import ConfigError
-from ..medium.config import MEDIUM_DEFAULT, parse_medium
 from ..obs.bus import capture
 from ..obs.invariants import check_trace
-from ..qdisc import (CoDelQueue, DropTailQueue, DrrFairQueue, HtbClass,
-                     HtbQueue, Policer, RedQueue, StochasticFairQueue,
-                     TokenBucketFilter)
-from ..sim.engine import Simulator
-from ..sim.jitter import MAX_AMPLITUDE as JITTER_MAX, TimingJitter
-from ..sim.network import default_buffer_packets, dumbbell, medium_dumbbell
 from ..store.fingerprint import fingerprint
-from ..traffic.backlogged import BackloggedFlow
-from ..traffic.mix import CROSS_TRAFFIC_REGISTRY, make_cross_traffic
-from ..units import mbps, ms
-
-#: Every qdisc in :mod:`repro.qdisc`, by scenario name.
-QDISC_NAMES = ("droptail", "red", "codel", "fq", "sfq", "tbf",
-               "policer", "htb")
+from ..traffic.mix import CROSS_TRAFFIC_REGISTRY
 
 #: Every CCA in :mod:`repro.cca` a fuzzed flow can run (Nimbus is the
 #: probe's CCA and is exercised by the probe scenario family).
@@ -51,9 +38,6 @@ FLOW_CCAS = ("reno", "newreno", "cubic", "vegas", "copa", "bbr",
 #: one qdisc; "probe" attaches the paper's elasticity probe to a path
 #: with one cross-traffic type (the §3.2 measurement setup).
 FAMILIES = ("flows", "probe")
-
-#: Simulation backends a scenario can run on.
-BACKENDS = ("packet", "fluid")
 
 
 @dataclass(frozen=True)
@@ -122,9 +106,9 @@ class Scenario:
     buffer_multiplier: float = 1.0
     flows: tuple[FlowSpec, ...] = ()
     cross_traffic: str = "none"
-    backend: str = "packet"
-    timing_jitter: float = 0.0
-    medium: str = MEDIUM_DEFAULT
+    backend: str = AXES["backend"].default
+    timing_jitter: float = AXES["timing_jitter"].default
+    medium: str = AXES["medium"].default
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -145,33 +129,21 @@ class Scenario:
         if self.family == "probe" and self.flows:
             raise ConfigError("'probe' scenarios take cross_traffic, "
                               "not explicit flows")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"unknown backend {self.backend!r}; "
-                              f"known: {', '.join(BACKENDS)}")
-        if not 0.0 <= self.timing_jitter <= JITTER_MAX:
-            raise ConfigError(
-                f"timing_jitter must be in [0, {JITTER_MAX}]: "
-                f"{self.timing_jitter}")
-        parse_medium(self.medium)  # raises ConfigError on bad values
+        for axis in AXES.values():
+            axis.validate(getattr(self, axis.name, axis.default))
 
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready; round-trips via from_dict).
 
-        Default-valued late additions (backend, timing_jitter, medium)
-        are omitted so every pre-existing scenario fingerprint -- and
-        the whole regression corpus -- is unchanged by their existence.
+        Default-valued late axes (:mod:`repro.core.axes`) are omitted
+        so every pre-existing scenario fingerprint -- and the whole
+        regression corpus -- is unchanged by their existence.
         """
         d = dataclasses.asdict(self)
         d["flows"] = [dataclasses.asdict(f) for f in self.flows]
-        if d["backend"] == "packet":
-            del d["backend"]
-        if d["timing_jitter"] == 0.0:
-            del d["timing_jitter"]
-        if d["medium"] == MEDIUM_DEFAULT:
-            del d["medium"]
-        return d
+        return drop_defaults(d)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -190,86 +162,29 @@ class Scenario:
         extra = (f" cross={self.cross_traffic}"
                  if self.family == "flows" and self.cross_traffic != "none"
                  else "")
-        tail = "" if self.backend == "packet" else f" backend={self.backend}"
-        if self.timing_jitter:
-            tail += f" jitter={self.timing_jitter:g}"
-        if self.medium != MEDIUM_DEFAULT:
-            tail += f" medium={self.medium}"
+        tail = "".join(
+            f" {AXES[name].tag}="
+            + (f"{value:g}" if isinstance(value, float) else str(value))
+            for name, value in drop_defaults(axis_values(self)).items())
         return (f"{self.family}[{what}] qdisc={self.qdisc}{extra} "
                 f"{self.rate_mbps:g}mbps/{self.rtt_ms:g}ms "
                 f"buf={self.buffer_multiplier:g} dur={self.duration:g}s "
                 f"seed={self.seed}{tail}")
 
+    def builder_arguments(self) -> dict:
+        """What a path builder needs besides the scenario itself: the
+        probe family is the probe plus its cross traffic, the flows
+        family its flows plus any cross traffic named."""
+        if self.family == "probe":
+            return {"probe": True}
+        return {"probe": False, "flows": self.flows,
+                "cross_ids": (("cross",) if self.cross_traffic != "none"
+                              else ())}
+
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Content fingerprint of a scenario (names corpus files)."""
     return fingerprint(scenario.to_dict(), kind="qa-scenario")
-
-
-# -- qdisc construction ---------------------------------------------------
-
-def build_qdisc(scenario: Scenario):
-    """Build the scenario's bottleneck qdisc (all eight supported).
-
-    Shaper/policer rates are derived from the link rate (90% for
-    tbf/policer, a 45%/45% class split for htb) so rescaling the link
-    rescales the whole bottleneck -- the property the rate-monotonicity
-    oracle relies on.
-    """
-    rate = mbps(scenario.rate_mbps)
-    rtt = ms(scenario.rtt_ms)
-    buf = default_buffer_packets(rate, rtt, scenario.buffer_multiplier)
-    name = scenario.qdisc
-    if name == "droptail":
-        return DropTailQueue(limit_packets=buf)
-    if name == "red":
-        limit = max(buf, 8)
-        min_thresh = max(1, limit // 4)
-        max_thresh = max(min_thresh + 1, (3 * limit) // 4)
-        return RedQueue(min_thresh=min_thresh, max_thresh=max_thresh,
-                        limit_packets=limit, seed=scenario.seed)
-    if name == "codel":
-        return CoDelQueue(limit_packets=buf)
-    if name == "fq":
-        return DrrFairQueue(limit_packets=buf)
-    if name == "sfq":
-        return StochasticFairQueue(limit_packets=buf, buckets=32,
-                                   salt=scenario.seed & 0xFFFF)
-    if name == "tbf":
-        return TokenBucketFilter(rate=0.9 * rate, burst=30_000,
-                                 child=DropTailQueue(limit_packets=buf))
-    if name == "policer":
-        return Policer(rate=0.9 * rate, burst=30_000,
-                       child=DropTailQueue(limit_packets=buf))
-    if name == "htb":
-        classes = [HtbClass("a", rate=0.45 * rate, ceil=rate),
-                   HtbClass("b", rate=0.45 * rate, ceil=rate)]
-        return HtbQueue(classes, default_class="a", limit_packets=buf)
-    raise ConfigError(f"unknown qdisc {name!r}")  # pragma: no cover
-
-
-def _jitter_for(scenario: Scenario, stream: str) -> TimingJitter | None:
-    """The scenario's jitter stream for one flow (None when disabled)."""
-    if scenario.timing_jitter <= 0.0:
-        return None
-    return TimingJitter(scenario.timing_jitter, scenario.seed, stream)
-
-
-def _make_flow(sim: Simulator, path, index: int, spec: FlowSpec,
-               rate_bps: float,
-               jitter: TimingJitter | None = None) -> BackloggedFlow:
-    if spec.cca == "cbr":
-        cca = CbrCca(rate=max(10_000.0, spec.rate_frac * rate_bps))
-    else:
-        cca = make_cca(spec.cca)
-    flow = BackloggedFlow(sim, path, f"flow-{index}", cca,
-                          user_id=spec.user_id, ecn=spec.ecn,
-                          jitter=jitter)
-    if spec.start > 0:
-        sim.schedule(spec.start, flow.start)
-    else:
-        flow.start()
-    return flow
 
 
 # -- outcome --------------------------------------------------------------
@@ -340,83 +255,30 @@ def run_scenario(scenario: Scenario,
         from ..fluid import run_scenario_fluid
         return run_scenario_fluid(scenario,
                                   check_invariants=check_invariants)
-    sim = Simulator()
-    rate = mbps(scenario.rate_mbps)
-    rtt = ms(scenario.rtt_ms)
-    medium_spec = parse_medium(scenario.medium)
-    qdisc = build_qdisc(scenario) if medium_spec is None else None
-    medium_link = None
 
-    def build_and_run():
-        # Starting a backlogged flow pumps its initial window into the
-        # qdisc synchronously, so trace capture must already be active
-        # here -- not just around sim.run() -- or the invariant checker
-        # sees dequeues without their enqueues.
-        nonlocal medium_link
-        if medium_spec is None:
-            path = dumbbell(sim, rate, rtt, qdisc=qdisc)
-        else:
-            path = medium_dumbbell(sim, rate, rtt, medium_spec,
-                                   qdisc_factory=lambda:
-                                   build_qdisc(scenario),
-                                   seed=scenario.seed)
-            medium_link = path.bottleneck
-        sources: dict[str, object] = {}
-        probe = None
-        if scenario.family == "probe":
-            probe = ElasticityProbe(sim, path, capacity_hint=rate,
-                                    jitter=_jitter_for(scenario, "probe"))
-            probe.start()
-        else:
-            for i, spec in enumerate(scenario.flows):
-                sources[f"flow-{i}"] = _make_flow(
-                    sim, path, i, spec, rate,
-                    jitter=_jitter_for(scenario, f"flow-{i}"))
-        if scenario.family == "probe" or scenario.cross_traffic != "none":
-            cross = make_cross_traffic(scenario.cross_traffic, sim, path,
-                                       "cross", seed=scenario.seed)
-            cross.start()
-            sources["cross"] = cross
-        sim.run(until=scenario.duration)
-        return sources, probe
-
-    def live_qdiscs():
-        roots = ([qdisc] if medium_spec is None
-                 else list(medium_link.station_qdiscs))
-        out = []
-        for q in roots:
-            out.append(q)
-            child = getattr(q, "child", None)
-            if child is not None:
-                out.append(child)
-        return out
-
+    # Starting a backlogged flow pumps its initial window into the
+    # qdisc synchronously, so trace capture must already be active
+    # while the path is built -- not just around sim.run() -- or the
+    # invariant checker sees dequeues without their enqueues.
+    with (capture() if check_invariants else nullcontext()) as trace:
+        handles, sources = build_packet_path(
+            scenario, **scenario.builder_arguments())
+        handles.sim.run(until=scenario.duration)
+    # On a shared medium the stats aggregate over the per-station
+    # qdiscs (the medium has no single shared queue).
+    roots = (handles.bottleneck.station_qdiscs
+             if "medium" in handles.extras else [handles.bottleneck.qdisc])
     violations: list[str] = []
     if check_invariants:
-        with capture() as trace:
-            sources, probe = build_and_run()
+        live = []
+        for q in roots:
+            live.append(q)
+            child = getattr(q, "child", None)
+            if child is not None:
+                live.append(child)
         violations = [str(v) for v in check_trace(trace.events,
-                                                  qdiscs=live_qdiscs())]
-    else:
-        sources, probe = build_and_run()
-
-    delivered = {fid: int(src.delivered_bytes)
-                 for fid, src in sources.items()}
-    probe_summary = None
-    if probe is not None:
-        delivered["probe"] = int(
-            probe.connection.receiver.received_bytes)
-        report = probe.report()
-        verdict = ContentionDetector().verdict(list(report.readings))
-        probe_summary = {
-            "mean_elasticity": verdict.mean_elasticity,
-            "contending": verdict.contending,
-            "category": verdict.category,
-            "n_readings": verdict.n_readings,
-        }
-    # In the contention regime the stats aggregate over the per-station
-    # qdiscs (the medium has no single shared queue).
-    roots = [qdisc] if medium_spec is None else medium_link.station_qdiscs
+                                                  qdiscs=live)]
+    probe = sources.get("probe")
     qdisc_stats = {
         "enqueued": float(sum(q.enqueued for q in roots)),
         "dequeued": float(sum(q.dequeued for q in roots)),
@@ -427,8 +289,12 @@ def run_scenario(scenario: Scenario,
         "residual_packets": float(sum(len(q) for q in roots)),
         "residual_bytes": float(sum(q.byte_length for q in roots)),
     }
-    return ScenarioOutcome(scenario=scenario, delivered=delivered,
-                           qdisc_stats=qdisc_stats,
-                           events_processed=sim.events_processed,
-                           clock=sim.now, violations=violations,
-                           probe=probe_summary)
+    return ScenarioOutcome(
+        scenario=scenario,
+        delivered={fid: int(src.delivered_bytes)
+                   for fid, src in sources.items()},
+        qdisc_stats=qdisc_stats,
+        events_processed=handles.sim.events_processed,
+        clock=handles.sim.now, violations=violations,
+        probe=(probe_summary(probe.report()) if probe is not None
+               else None))

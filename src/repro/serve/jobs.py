@@ -81,25 +81,16 @@ def campaign_from_params(params: dict):
     from the *same* params dict, so their per-path store fingerprints
     agree and merged shard results assemble byte-identically.
     """
+    from ..core.axes import declared
     from ..core.campaign import Campaign
-    from ..medium import MEDIUM_DEFAULT, parse_medium
 
-    backend = params.get("backend", "packet")
-    if backend not in ("packet", "fluid"):
-        raise ConfigError(
-            f"param 'backend' must be 'packet' or 'fluid': {backend!r}")
-    medium = params.get("medium", MEDIUM_DEFAULT)
-    if not isinstance(medium, str):
-        raise ConfigError(
-            f"param 'medium' must be a string: {medium!r}")
-    parse_medium(medium)  # raises ConfigError on bad values
     return Campaign(
         n_paths=_int_param(params, "n_paths", 40),
         seed=_int_param(params, "seed", 0, minimum=0),
         duration=_float_param(params, "duration", 30.0),
         fq_fraction=float(params.get("fq_fraction", 0.3)),
-        backend=backend,
-        medium=medium)
+        **{axis.name: params[axis.name]
+           for axis in declared("run", "path") if axis.name in params})
 
 
 def execute_campaign(params: dict, store, workers) -> tuple[dict, object]:
@@ -137,12 +128,6 @@ def execute_paths(params: dict, store, workers) -> tuple[dict, object]:
     computed -- which is what makes the shard's results pullable (and
     the merge idempotent) by content address.
     """
-    import functools as _functools
-
-    from ..core.campaign import run_path
-    from ..runtime import FaultPolicy
-    from ..store.scheduler import ResumableScheduler
-
     if store is None:
         raise ConfigError("'paths' jobs need a store (the shard's "
                           "results travel by content address)")
@@ -155,20 +140,12 @@ def execute_paths(params: dict, store, workers) -> tuple[dict, object]:
         raise ConfigError(
             f"param 'indices' must be a non-empty array of path "
             f"indices in [0, {len(campaign.specs)}): {indices!r}")
-    specs = [campaign.specs[i] for i in indices]
-    keys = [campaign.path_key(s) for s in specs]
-    labels = [f"path[{i}] {s.cross_traffic}@{s.qdisc} "
-              f"{s.rate_mbps:g}mbps/{s.rtt_ms:g}ms seed={s.seed}"
-              for i, s in zip(indices, specs)]
-    job = _functools.partial(run_path, duration=campaign.duration,
-                             detector=campaign.detector,
-                             backend=campaign.backend)
     shard_key = fingerprint(
         {"campaign": campaign.fingerprint(), "indices": list(indices)},
         kind="paths-shard")
-    scheduler = ResumableScheduler(store, shard_key, kind="path")
-    report = scheduler.run(job, specs, keys, labels=labels,
-                           workers=workers, policy=FaultPolicy())
+    report = campaign.run_stored(store, indices, shard_key,
+                                 workers=workers)
+    keys = [campaign.path_key(campaign.specs[i]) for i in indices]
     failed = [{"index": indices[o.index], "error": o.error,
                "error_type": o.error_type, "attempts": o.attempts}
               for o in report.failed]

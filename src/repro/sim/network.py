@@ -54,6 +54,21 @@ def default_buffer_packets(rate_bps: float, rtt: float,
     return max(10, int(round(bdp_packets(rate_bps, rtt) * multiplier)))
 
 
+def _ends(sim: Simulator, rtt: float, reverse_rate_bps: float):
+    """What every topology shares: the two hosts, the forward
+    propagation delay into ``dst`` and the uncongested ACK path back
+    to ``src``.  Returns ``(src, dst, fwd_delay, reverse)``."""
+    if rtt <= 0:
+        raise ConfigError(f"rtt must be positive: {rtt}")
+    src = Host("src")
+    dst = Host("dst")
+    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst, name="fwd-delay")
+    rev_delay = DelayBox(sim, rtt / 2.0, sink=src, name="rev-delay")
+    reverse = Link(sim, reverse_rate_bps, sink=rev_delay,
+                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse")
+    return src, dst, fwd_delay, reverse
+
+
 def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
              qdisc: Optional[Qdisc] = None,
              buffer_multiplier: float = 1.0,
@@ -73,29 +88,17 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
             uncongested but still serializing).
         loss_rate: optional random loss on the forward path.
     """
-    if rtt <= 0:
-        raise ConfigError(f"rtt must be positive: {rtt}")
+    src, dst, fwd_delay, reverse = _ends(
+        sim, rtt, reverse_rate_bps if reverse_rate_bps is not None
+        else rate_bps * 40.0)
     if qdisc is None:
         qdisc = DropTailQueue(limit_packets=default_buffer_packets(
             rate_bps, rtt, buffer_multiplier))
-    src = Host("src")
-    dst = Host("dst")
-
-    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst, name="fwd-delay")
+    sink = fwd_delay
     if loss_rate > 0:
-        lossbox = LossBox(sim, loss_rate, sink=fwd_delay, seed=seed)
-        bottleneck = Link(sim, rate_bps, sink=lossbox, qdisc=qdisc,
-                          name="bottleneck")
-    else:
-        bottleneck = Link(sim, rate_bps, sink=fwd_delay, qdisc=qdisc,
-                          name="bottleneck")
-
-    rev_delay = DelayBox(sim, rtt / 2.0, sink=src, name="rev-delay")
-    rev_rate = reverse_rate_bps if reverse_rate_bps is not None \
-        else rate_bps * 40.0
-    reverse = Link(sim, rev_rate, sink=rev_delay,
-                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse")
-
+        sink = LossBox(sim, loss_rate, sink=fwd_delay, seed=seed)
+    bottleneck = Link(sim, rate_bps, sink=sink, qdisc=qdisc,
+                      name="bottleneck")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)
@@ -122,40 +125,41 @@ def medium_dumbbell(sim: Simulator, rate_bps: float, rtt: float, spec,
     """
     from .medium import MediumLink
 
-    if rtt <= 0:
-        raise ConfigError(f"rtt must be positive: {rtt}")
-    src = Host("src")
-    dst = Host("dst")
-    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst, name="fwd-delay")
+    src, dst, fwd_delay, reverse = _ends(
+        sim, rtt, reverse_rate_bps if reverse_rate_bps is not None
+        else rate_bps * 40.0)
     bottleneck = MediumLink(sim, rate_bps, spec, sink=fwd_delay,
                             qdisc_factory=qdisc_factory, seed=seed,
                             name="bottleneck")
-    rev_delay = DelayBox(sim, rtt / 2.0, sink=src, name="rev-delay")
-    rev_rate = reverse_rate_bps if reverse_rate_bps is not None \
-        else rate_bps * 40.0
-    reverse = Link(sim, rev_rate, sink=rev_delay,
-                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt, extras={"medium": bottleneck})
+
+
+def bottleneck_path(sim: Simulator, rate_bps: float, rtt: float,
+                    qdisc_factory, medium=None, seed: int = 0) -> PathHandles:
+    """The dumbbell a probe path runs on, in either bottleneck regime.
+
+    ``medium`` is None for a queue-fronted link (one qdisc from
+    ``qdisc_factory``) or a :class:`~repro.medium.config.MediumSpec`
+    for a CSMA/CA shared medium (one qdisc per station, ``seed`` roots
+    the backoff streams).
+    """
+    if medium is None:
+        return dumbbell(sim, rate_bps, rtt, qdisc=qdisc_factory())
+    return medium_dumbbell(sim, rate_bps, rtt, medium,
+                           qdisc_factory=qdisc_factory, seed=seed)
 
 
 def trace_dumbbell(sim: Simulator, opportunities_ms: list[float], rtt: float,
                    qdisc: Optional[Qdisc] = None,
                    buffer_packets: int = 200) -> PathHandles:
     """A dumbbell whose bottleneck is a Mahimahi-style trace link."""
-    if rtt <= 0:
-        raise ConfigError(f"rtt must be positive: {rtt}")
+    src, dst, fwd_delay, reverse = _ends(sim, rtt, 1e9)
     if qdisc is None:
         qdisc = DropTailQueue(limit_packets=buffer_packets)
-    src = Host("src")
-    dst = Host("dst")
-    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst, name="fwd-delay")
     bottleneck = TraceLink(sim, opportunities_ms, sink=fwd_delay,
                            qdisc=qdisc, name="trace-bottleneck")
-    rev_delay = DelayBox(sim, rtt / 2.0, sink=src, name="rev-delay")
-    reverse = Link(sim, 1e9, sink=rev_delay,
-                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)
@@ -169,23 +173,12 @@ def two_hop_chain(sim: Simulator, rates_bps: tuple[float, float], rtt: float,
     The smaller rate is the true bottleneck; the builder does not assume
     which one that is.
     """
-    if rtt <= 0:
-        raise ConfigError(f"rtt must be positive: {rtt}")
-    src = Host("src")
-    dst = Host("dst")
-    q1, q2 = qdiscs
-    if q2 is None:
-        q2 = DropTailQueue(limit_packets=default_buffer_packets(
-            rates_bps[1], rtt, buffer_multiplier))
-    if q1 is None:
-        q1 = DropTailQueue(limit_packets=default_buffer_packets(
-            rates_bps[0], rtt, buffer_multiplier))
-    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst, name="fwd-delay")
+    src, dst, fwd_delay, reverse = _ends(sim, rtt, max(rates_bps) * 40.0)
+    q1, q2 = (q if q is not None else DropTailQueue(
+        limit_packets=default_buffer_packets(rate, rtt, buffer_multiplier))
+        for q, rate in zip(qdiscs, rates_bps))
     second = Link(sim, rates_bps[1], sink=fwd_delay, qdisc=q2, name="hop2")
     first = Link(sim, rates_bps[0], sink=second, qdisc=q1, name="hop1")
-    rev_delay = DelayBox(sim, rtt / 2.0, sink=src, name="rev-delay")
-    reverse = Link(sim, max(rates_bps) * 40.0, sink=rev_delay,
-                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse")
     return PathHandles(sim=sim, entry=first, bottleneck=second,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt, extras={"hop1": first, "hop2": second})

@@ -83,6 +83,25 @@ class TestRunPath:
         result = run_path(spec("none"), duration=20.0)
         assert not result.verdict.contending
 
+    @pytest.mark.parametrize("medium", ["queue", "csma-3"])
+    def test_quicklook_is_run_path(self, medium):
+        # One builder behind both: same 1xBDP (per-station) buffer,
+        # same probe, same numbers -- on a shared medium too, where
+        # quicklook once ran on MediumLink's 100-packet default.
+        from repro.core.quicklook import run_quicklook
+        from repro.units import to_mbps
+        shape = dict(rate_mbps=10.0, rtt_ms=20.0, seed=4)
+        look = run_quicklook(cross_traffic="reno", duration=9.0,
+                             medium=medium, **shape)
+        result = run_path(PathSpec(qdisc="droptail", cross_traffic="reno",
+                                   medium=medium, **shape), duration=9.0)
+        assert look.mean_elasticity == result.report.mean_elasticity
+        assert look.verdict == result.verdict.contending
+        assert look.category == result.verdict.category
+        assert look.probe_throughput_mbps \
+            == to_mbps(result.report.mean_throughput)
+        assert (look.cross_traffic, look.duration) == ("reno", 9.0)
+
 
 class TestCampaignAggregation:
     @pytest.fixture(scope="class")
