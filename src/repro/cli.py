@@ -318,16 +318,18 @@ def cmd_metrics(args) -> int:
 
 def cmd_quicklook(args) -> int:
     """``repro quicklook``: probe one emulated path and print verdicts."""
-    from .core.quicklook import run_quicklook
     from .core.axes import declared
-    axes = {a.name: getattr(args, a.name) for a in declared("path")}
-    axes = {k: v for k, v in axes.items() if v is not None}
+    from .core.quicklook import run_quicklook
+    axes = {}
+    for axis in declared("path"):
+        value = getattr(args, axis.name)
+        axes[axis.name] = axis.default if value is None else value
     result = run_quicklook(cross_traffic=args.cross,
                            duration=args.duration, seed=args.seed or 0,
                            **axes)
     print(f"cross traffic:     {result.cross_traffic}")
-    for axis in declared("path"):
-        print(f"{axis.name + ':':18s} {axes.get(axis.name, axis.default)}")
+    for name, value in axes.items():
+        print(f"{name + ':':18s} {value}")
     print(f"mean elasticity:   {result.mean_elasticity:.2f}")
     print(f"contending:        {result.verdict} ({result.category})")
     print(f"probe throughput:  {result.probe_throughput_mbps:.1f} Mbit/s")
@@ -720,11 +722,11 @@ def cmd_synth_ndt(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (exposed for tests)."""
+    from .core.axes import declared
     parser = argparse.ArgumentParser(
         prog="repro",
         description=("Reproduction of 'How I Learned to Stop Worrying "
                      "About CCA Contention' (HotNets '23)"))
-    from .core.axes import declared
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
