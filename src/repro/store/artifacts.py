@@ -6,13 +6,36 @@ Layout (under ``$REPRO_STORE`` or ``~/.cache/repro``)::
                                  config fingerprint that produced them
     index.json                   per-entry metadata: size, kind, label,
                                  creation time, last access, hit count
+    access.log                   one ``<key> <time> <h|m>`` line per
+                                 ``get`` since the index last counted
+    index.lock                   advisory lock serializing index saves
     checkpoints/<fp>.json        campaign checkpoint manifests
                                  (see repro.store.scheduler)
 
-Every write is atomic (tmp + ``os.replace``), so a killed run never
-leaves a truncated object or index.  The index is an accounting cache:
-if it is missing or corrupt it is rebuilt by scanning ``objects/``,
-so deleting ``index.json`` is always safe.
+Every object and index write is atomic (tmp + ``os.replace``), so a
+killed run never leaves a truncated object or index.  The index is an
+accounting cache: if it is missing or corrupt it is rebuilt by scanning
+``objects/``, so deleting ``index.json`` is always safe.
+
+A ``get`` -- hit or miss -- costs the same whatever the store holds: it
+opens the object, unpickles it and appends one line to ``access.log``
+with a single ``O_APPEND`` write.  It takes no lock and neither reads
+nor writes ``index.json``.  The log is *folded* into the index (hits
+summed, ``last_access`` maxed, lifetime hits/misses added) under
+``index.lock`` by the operations that change the index or report from
+it -- ``put``/``put_bytes``/``delete``/``prune`` and ``stat``/
+``entries`` -- and by the ``get`` that grows the log past
+:data:`LOG_FOLD_BYTES`.  The index records how many log bytes it has
+counted (``log_offset``) in the same atomic write as the counts, so a
+line is counted exactly once however appends and folds interleave; the
+log is cut back to empty only once that offset passes
+:data:`LOG_FOLD_BYTES`.
+
+What can be lost is accounting, never results: an access appended
+between that cut's last read and its truncate, and whatever a crash
+between the cut and the index write had just folded, lose their
+*counts*.  A ``put``'s entry is never lost, and a folded access never
+moves an entry's ``last_access`` backwards, so LRU order holds.
 
 Store operations feed the ``store.*`` counters on the process metrics
 registry (:mod:`repro.obs.metrics`), which is how ``repro metrics``
@@ -21,14 +44,17 @@ and the CI cache-effectiveness job observe hit rates.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
 import pickle
+import threading
 import time
 from pathlib import Path
 
 from ..errors import ConfigError
 from ..obs.metrics import REGISTRY as _METRICS
-from .atomic import atomic_write_bytes, atomic_write_json
+from .atomic import atomic_write_bytes
 
 #: Environment variable overriding the store root directory.
 STORE_ENV = "REPRO_STORE"
@@ -36,6 +62,13 @@ STORE_ENV = "REPRO_STORE"
 #: Pinned pickle protocol so objects written by one interpreter stay
 #: readable by the others we support.
 PICKLE_PROTOCOL = 4
+
+#: Once the index has counted this many bytes of ``access.log`` the
+#: log is cut back to empty, and a ``get`` that grows it past this
+#: folds it, so a server that only ever hits cannot grow it without
+#: bound.  A fold costs O(entries) and a line is ~85 bytes, so this
+#: spreads one fold over ~12,000 accesses.
+LOG_FOLD_BYTES = 1024 * 1024
 
 _INDEX_VERSION = 1
 
@@ -56,14 +89,21 @@ class ArtifactStore:
 
     Keys are fingerprint hex digests from
     :func:`repro.store.fingerprint.fingerprint`; values are arbitrary
-    picklable results.  ``get``/``put`` update hit/size accounting in
-    ``index.json``; :meth:`prune` evicts by age and LRU byte budget.
+    picklable results.  ``put`` records size accounting in
+    ``index.json`` and ``get`` logs hits to ``access.log`` (see the
+    module docstring); :meth:`prune` evicts by age and LRU byte budget.
+    One handle may be shared between threads.
     """
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_root()
         self._index_path = self.root / "index.json"
+        self._log_path = self.root / "access.log"
         self._index: dict | None = None
+        # The index.json bytes ``_index`` was parsed from or saved as.
+        self._index_bytes: bytes | None = None
+        # Guards ``_index``; ``get`` touches neither.
+        self._mutex = threading.Lock()
         self._metrics = _METRICS.scoped("store")
 
     # -- paths -----------------------------------------------------------
@@ -80,21 +120,39 @@ class ArtifactStore:
     # -- index -----------------------------------------------------------
 
     def _load_index(self) -> dict:
-        if self._index is not None:
+        """The index as ``index.json`` has it.
+
+        The file is the truth.  This handle's parsed copy is reused
+        only while the bytes on disk are the ones it last parsed or
+        saved, i.e. no other handle or process has saved since.
+        """
+        try:
+            data = self._index_path.read_bytes()
+        except OSError:
+            data = None
+        if self._index is not None and data == self._index_bytes:
             return self._index
         try:
-            with open(self._index_path) as f:
-                import json
-                index = json.load(f)
+            if data is None:
+                raise ValueError("index missing")
+            index = json.loads(data)
             if index.get("version") != _INDEX_VERSION:
                 raise ValueError("index version mismatch")
             if not isinstance(index.get("entries"), dict):
                 raise ValueError("index entries table missing")
             self._sanitize_entries(index)
-        except (OSError, ValueError):
-            index = self._rebuild_index()
-        self._index = index
+        except ValueError:
+            index, data = self._rebuild_index(), None
+        self._index, self._index_bytes = index, data
         return index
+
+    @staticmethod
+    def _entry_from_stat(path: Path) -> dict:
+        """The entry for an object the index knows nothing about."""
+        stat = path.stat()
+        return {"size": stat.st_size, "kind": "unknown", "label": "",
+                "created": stat.st_mtime, "last_access": stat.st_mtime,
+                "hits": 0}
 
     def _sanitize_entries(self, index: dict) -> None:
         """Repair or drop torn index entries so accounting and gc
@@ -113,22 +171,14 @@ class ArtifactStore:
             if (isinstance(entry, dict)
                     and isinstance(entry.get("size"), (int, float))
                     and isinstance(entry.get("last_access"), (int, float))
-                    and isinstance(entry.get("created"), (int, float))):
+                    and isinstance(entry.get("created"), (int, float))
+                    and isinstance(entry.get("hits"), int)):
                 continue
             try:
-                stat = self._object_path(key).stat()
+                entries[key] = self._entry_from_stat(self._object_path(key))
             except (ConfigError, OSError):
                 # Invalid key or missing object: nothing to account.
                 del entries[key]
-                continue
-            entries[key] = {
-                "size": stat.st_size,
-                "kind": "unknown",
-                "label": "",
-                "created": stat.st_mtime,
-                "last_access": stat.st_mtime,
-                "hits": 0,
-            }
 
     def _rebuild_index(self) -> dict:
         """Reconstruct accounting from the objects directory."""
@@ -136,15 +186,7 @@ class ArtifactStore:
         objects = self.root / "objects"
         if objects.is_dir():
             for path in sorted(objects.glob("*/*.pkl")):
-                stat = path.stat()
-                entries[path.stem] = {
-                    "size": stat.st_size,
-                    "kind": "unknown",
-                    "label": "",
-                    "created": stat.st_mtime,
-                    "last_access": stat.st_mtime,
-                    "hits": 0,
-                }
+                entries[path.stem] = self._entry_from_stat(path)
         return {"version": _INDEX_VERSION, "entries": entries,
                 "hits": 0, "misses": 0}
 
@@ -152,9 +194,9 @@ class ArtifactStore:
         """An exclusive advisory lock serializing index saves.
 
         Returns an open lock-file handle (close to release), or None
-        where ``fcntl`` is unavailable -- saves then degrade to the
-        best-effort read-merge-write, which is still union-shaped but
-        can drop a concurrent writer's entry in a tight race.
+        where ``fcntl`` is unavailable -- saves then degrade to a
+        best-effort read-modify-write, which can drop a concurrent
+        writer's entry in a tight race.
         """
         try:
             import fcntl
@@ -165,51 +207,109 @@ class ArtifactStore:
         fcntl.flock(lock, fcntl.LOCK_EX)
         return lock
 
-    def _save_index(self) -> None:
-        """Persist the index, folding in entries other writers landed.
+    @contextlib.contextmanager
+    def _locked_index(self, save: bool = True):
+        """The index, current with disk and the access log, for the
+        caller to read or change.
 
         Several store handles (server workers, a cluster coordinator
         pulling while a batch run computes) can share one root.  Object
         writes are safe by content addressing, but a blind index write
-        would be last-writer-wins and drop entries a concurrent handle
-        added for *different* keys.  Under an advisory file lock, the
-        on-disk index is re-read and entries unknown to this handle
-        adopted before the atomic replace, so saves are union-shaped:
-        entries only ever accumulate (GC is the sole deleter, and a
-        concurrently re-added key simply wins).
+        would be last-writer-wins and drop what a concurrent handle
+        added.  So every change is a read-modify-write of the on-disk
+        index under the advisory file lock (and the handle's mutex,
+        for threads sharing it), saved once on the way out.  Readers
+        pass ``save=False`` and save only what the log fold changed.
         """
-        if self._index is None:
-            return
-        lock = self._index_lock()
-        try:
-            self._merge_disk_entries()
-            atomic_write_json(self._index_path, self._index, indent=None)
-        finally:
-            if lock is not None:
-                lock.close()
+        with self._mutex:
+            lock = self._index_lock()
+            try:
+                index = self._load_index()
+                folded = self._fold_log(index)
+                yield index
+                if save or folded:
+                    data = (json.dumps(index) + "\n").encode()
+                    atomic_write_bytes(self._index_path, data)
+                    self._index_bytes = data
+            except BaseException:
+                self._index = None  # half-changed: re-read next time
+                raise
+            finally:
+                if lock is not None:
+                    lock.close()
 
-    def _merge_disk_entries(self) -> None:
+    def _log_access(self, key: str, outcome: str) -> None:
+        """Count one ``get`` (``outcome`` is ``"hits"`` or ``"misses"``)
+        on the registry and append it to the access log: lock-free,
+        one write.
+
+        ``O_APPEND`` puts each line whole at the end of the file
+        whoever else is appending, which is what lets any number of
+        handles and processes share the log.
+        """
+        self._metrics.counter(outcome).inc()
+        line = f"{key} {time.time():.6f} {outcome[0]}\n".encode()
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
-            with open(self._index_path) as f:
-                import json
-                disk = json.load(f)
-            others = disk.get("entries")
-            if isinstance(others, dict):
-                for key, entry in others.items():
-                    if key in self._index["entries"] \
-                            or not isinstance(entry, dict):
-                        continue
+            fd = os.open(self._log_path, flags, 0o666)
+        except FileNotFoundError:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self._log_path, flags, 0o666)
+        try:
+            os.write(fd, line)
+            size = os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            os.close(fd)
+        if size > LOG_FOLD_BYTES:
+            with self._locked_index(save=False):
+                pass
+
+    def _fold_log(self, index: dict) -> bool:
+        """Count the access lines ``index`` has not seen; True if any.
+
+        Lines are ``<key> <time> <h|m>``.  Anything else (a line torn
+        by a crash or a full disk) is skipped, and so is the per-entry
+        count of a hit whose object has since been deleted.
+        """
+        try:
+            log = open(self._log_path, "r+b")
+        except OSError:
+            return False
+        with log:
+            offset = index.get("log_offset", 0)
+            size = os.fstat(log.fileno()).st_size
+            if not isinstance(offset, int) or not 0 <= offset <= size:
+                offset = 0  # not this log: it was cut or replaced
+            log.seek(offset)
+            data = log.read()
+            if not data:
+                return False
+            offset += len(data)
+            if offset > LOG_FOLD_BYTES:
+                log.truncate(0)
+                offset = 0
+        index["log_offset"] = offset
+        entries = index["entries"]
+        for line in data.decode(errors="replace").split("\n"):
+            try:
+                key, when, outcome = line.split()
+                when = float(when)
+            except ValueError:
+                continue
+            if outcome == "m":
+                index["misses"] += 1
+            elif outcome == "h":
+                index["hits"] += 1
+                entry = entries.get(key)
+                if entry is None:
                     try:
-                        # Adopt only keys whose object is actually on
-                        # disk -- a key we (or gc) just deleted must
-                        # not be resurrected from a stale disk index.
-                        if self._object_path(key).exists():
-                            self._index["entries"][key] = entry
-                    except ConfigError:
+                        entry = entries[key] = self._entry_from_stat(
+                            self._object_path(key))
+                    except (ConfigError, OSError):
                         continue
-        except (OSError, ValueError):
-            pass
-        atomic_write_json(self._index_path, self._index, indent=None)
+                entry["hits"] += 1
+                entry["last_access"] = max(entry["last_access"], when)
+        return True
 
     # -- core operations -------------------------------------------------
 
@@ -219,60 +319,33 @@ class ArtifactStore:
     def get(self, key: str, default=None):
         """Fetch the payload for ``key``; ``default`` on miss.
 
-        A hit bumps the entry's hit count and last-access time; an
-        unreadable object (truncated by a crash predating atomic
-        writes, or hand-edited) counts as a miss and is deleted.
+        Hit or miss is logged for the index to count later (see the
+        module docstring); an unreadable object (truncated by a crash
+        predating atomic writes, or hand-edited) counts as a miss and
+        is deleted.
         """
         path = self._object_path(key)
-        index = self._load_index()
         try:
             with open(path, "rb") as f:
                 payload = pickle.load(f)
         except FileNotFoundError:
-            index["misses"] += 1
-            self._metrics.counter("misses").inc()
-            self._save_index()
+            self._log_access(key, "misses")
             return default
         except (OSError, pickle.UnpicklingError, EOFError,
                 AttributeError, ImportError):
             # Unreadable object: drop it so the task re-runs.
-            path.unlink(missing_ok=True)
-            index["entries"].pop(key, None)
-            index["misses"] += 1
-            self._metrics.counter("misses").inc()
-            self._save_index()
+            self.delete(key)
+            self._log_access(key, "misses")
             return default
-        entry = index["entries"].setdefault(key, {
-            "size": path.stat().st_size, "kind": "unknown", "label": "",
-            "created": time.time(), "last_access": 0.0, "hits": 0})
-        entry["hits"] += 1
-        entry["last_access"] = time.time()
-        index["hits"] += 1
-        self._metrics.counter("hits").inc()
-        self._save_index()
+        self._log_access(key, "hits")
         return payload
 
     def put(self, key: str, payload, kind: str = "generic",
             label: str = "") -> Path:
         """Store ``payload`` under ``key`` (idempotent; atomic)."""
-        path = self._object_path(key)
-        data = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
-        atomic_write_bytes(path, data)
-        index = self._load_index()
-        now = time.time()
-        prior = index["entries"].get(key)
-        index["entries"][key] = {
-            "size": len(data),
-            "kind": kind,
-            "label": label,
-            "created": prior["created"] if prior else now,
-            "last_access": now,
-            "hits": prior["hits"] if prior else 0,
-        }
-        self._metrics.counter("puts").inc()
-        self._metrics.counter("bytes_written").inc(len(data))
-        self._save_index()
-        return path
+        return self.put_bytes(
+            key, pickle.dumps(payload, protocol=PICKLE_PROTOCOL),
+            kind, label)
 
     def get_bytes(self, key: str) -> bytes | None:
         """The raw pickled object bytes for ``key``; None on miss.
@@ -299,22 +372,19 @@ class ArtifactStore:
                 f"put_bytes needs bytes, got {type(data).__name__}")
         path = self._object_path(key)
         atomic_write_bytes(path, data)
-        index = self._load_index()
         now = time.time()
-        prior = index["entries"].get(key)
-        index["entries"][key] = {
-            "size": len(data),
-            "kind": kind,
-            "label": label,
-            "created": prior["created"] if isinstance(prior, dict)
-            and "created" in prior else now,
-            "last_access": now,
-            "hits": prior["hits"] if isinstance(prior, dict)
-            and "hits" in prior else 0,
-        }
+        with self._locked_index() as index:
+            prior = index["entries"].get(key) or {}
+            index["entries"][key] = {
+                "size": len(data),
+                "kind": kind,
+                "label": label,
+                "created": prior.get("created", now),
+                "last_access": now,
+                "hits": prior.get("hits", 0),
+            }
         self._metrics.counter("puts").inc()
         self._metrics.counter("bytes_written").inc(len(data))
-        self._save_index()
         return path
 
     def delete(self, key: str) -> bool:
@@ -322,38 +392,37 @@ class ArtifactStore:
         path = self._object_path(key)
         existed = path.exists()
         path.unlink(missing_ok=True)
-        index = self._load_index()
-        index["entries"].pop(key, None)
-        self._save_index()
+        with self._locked_index() as index:
+            index["entries"].pop(key, None)
         return existed
 
     # -- accounting ------------------------------------------------------
 
     def entries(self) -> dict[str, dict]:
         """The index's entry table (key -> metadata dict), a copy."""
-        return {k: dict(v)
-                for k, v in self._load_index()["entries"].items()}
+        with self._locked_index(save=False) as index:
+            return {k: dict(v) for k, v in index["entries"].items()}
 
     def stat(self) -> dict:
         """Aggregate accounting: entry/byte totals, hit/miss counters,
         per-kind breakdown."""
-        index = self._load_index()
         by_kind: dict[str, dict] = {}
         total_bytes = 0
-        for entry in index["entries"].values():
-            total_bytes += entry["size"]
-            bucket = by_kind.setdefault(
-                entry["kind"], {"entries": 0, "bytes": 0})
-            bucket["entries"] += 1
-            bucket["bytes"] += entry["size"]
-        return {
-            "root": str(self.root),
-            "entries": len(index["entries"]),
-            "bytes": total_bytes,
-            "hits": index["hits"],
-            "misses": index["misses"],
-            "by_kind": by_kind,
-        }
+        with self._locked_index(save=False) as index:
+            for entry in index["entries"].values():
+                total_bytes += entry["size"]
+                bucket = by_kind.setdefault(
+                    entry["kind"], {"entries": 0, "bytes": 0})
+                bucket["entries"] += 1
+                bucket["bytes"] += entry["size"]
+            return {
+                "root": str(self.root),
+                "entries": len(index["entries"]),
+                "bytes": total_bytes,
+                "hits": index["hits"],
+                "misses": index["misses"],
+                "by_kind": by_kind,
+            }
 
     def prune(self, max_age_s: float | None = None,
               max_bytes: int | None = None) -> tuple[int, int]:
@@ -371,34 +440,32 @@ class ArtifactStore:
             raise ConfigError(f"max_age_s must be >= 0: {max_age_s}")
         if max_bytes is not None and max_bytes < 0:
             raise ConfigError(f"max_bytes must be >= 0: {max_bytes}")
-        index = self._load_index()
         now = time.time()
         evicted, freed = 0, 0
+        with self._locked_index() as index:
+            entries = index["entries"]
 
-        def drop(key: str) -> None:
-            nonlocal evicted, freed
-            entry = index["entries"].pop(key, None)
-            try:
-                self._object_path(key).unlink(missing_ok=True)
-            except ConfigError:
-                pass  # invalid key: the index entry is all there was
-            evicted += 1
-            if isinstance(entry, dict):
-                freed += entry.get("size", 0)
+            def drop(key: str) -> None:
+                nonlocal evicted, freed
+                entry = entries.pop(key)
+                try:
+                    self._object_path(key).unlink(missing_ok=True)
+                except ConfigError:
+                    pass  # invalid key: the index entry is all there was
+                evicted += 1
+                freed += entry["size"]
 
-        if max_age_s is not None:
-            for key in [k for k, e in index["entries"].items()
-                        if now - e["last_access"] > max_age_s]:
-                drop(key)
-        if max_bytes is not None:
-            total = sum(e["size"] for e in index["entries"].values())
-            by_lru = sorted(index["entries"],
-                            key=lambda k: index["entries"][k]["last_access"])
-            for key in by_lru:
-                if total <= max_bytes:
-                    break
-                total -= index["entries"][key]["size"]
-                drop(key)
+            if max_age_s is not None:
+                for key in [k for k, e in entries.items()
+                            if now - e["last_access"] > max_age_s]:
+                    drop(key)
+            if max_bytes is not None:
+                total = sum(e["size"] for e in entries.values())
+                for key in sorted(
+                        entries, key=lambda k: entries[k]["last_access"]):
+                    if total <= max_bytes:
+                        break
+                    total -= entries[key]["size"]
+                    drop(key)
         self._metrics.counter("evictions").inc(evicted)
-        self._save_index()
         return evicted, freed

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -247,3 +248,142 @@ class TestOnDiskLayout:
         index = json.loads((store.root / "index.json").read_text())
         assert index["version"] == 1
         assert len(index["entries"]) == 1
+
+
+class TestAccessLog:
+    """``get`` appends to ``access.log``; the index counts it later."""
+
+    @staticmethod
+    def _count_index_io(monkeypatch):
+        """Count index.json parses, index.json writes and lock takes."""
+        from repro.store import atomic
+        counts = {"reads": 0, "writes": 0, "locks": 0}
+        real_loads, real_open = json.loads, atomic.atomic_open
+        real_lock = ArtifactStore._index_lock
+
+        def loads(*args, **kwargs):
+            counts["reads"] += 1
+            return real_loads(*args, **kwargs)
+
+        def atomic_open(path, *args, **kwargs):
+            if os.path.basename(path) == "index.json":
+                counts["writes"] += 1
+            return real_open(path, *args, **kwargs)
+
+        def index_lock(self):
+            counts["locks"] += 1
+            return real_lock(self)
+
+        monkeypatch.setattr(json, "loads", loads)
+        monkeypatch.setattr(atomic, "atomic_open", atomic_open)
+        monkeypatch.setattr(ArtifactStore, "_index_lock", index_lock)
+        return counts
+
+    def test_get_does_no_index_io(self, store, monkeypatch):
+        """Hit or miss, on a 2,000-entry store: no index.json read or
+        write and no lock -- the per-get cost cannot depend on how
+        much the store holds."""
+        keys = [key_of(i) for i in range(2000)]
+        for key in keys:  # objects written directly, indexed below
+            path = store._object_path(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps(key))
+        store.put(key_of("one more"), 0)  # rebuilds + saves the index
+        index_path = store.root / "index.json"
+        before = (index_path.stat().st_ino, index_path.stat().st_mtime_ns,
+                  index_path.read_bytes())
+        assert len(json.loads(before[2])["entries"]) == 2001
+
+        counts = self._count_index_io(monkeypatch)
+        for i in range(50):
+            assert store.get(keys[i * 40]) == keys[i * 40]
+            assert store.get(key_of(("absent", i))) is None
+        assert counts == {"reads": 0, "writes": 0, "locks": 0}
+        assert before == (index_path.stat().st_ino,
+                          index_path.stat().st_mtime_ns,
+                          index_path.read_bytes())
+        monkeypatch.undo()
+        stat = store.stat()
+        assert (stat["hits"], stat["misses"]) == (50, 50)
+
+    def test_put_writes_index_once(self, store, monkeypatch):
+        store.put(key_of("p0"), 0)
+        counts = self._count_index_io(monkeypatch)
+        store.put(key_of("p1"), 1)
+        assert (counts["writes"], counts["locks"]) == (1, 1)
+        # nobody else saved in between: the handle's copy is reused
+        assert counts["reads"] == 0
+
+    def test_prune_from_fresh_handle_honours_logged_access(self, tmp_path):
+        store = ArtifactStore(tmp_path / "s")
+        a, b, c = key_of("a"), key_of("b"), key_of("c")
+        for key in (a, b, c):
+            store.put(key, "v" * 100)
+        assert store.get(a) == "v" * 100  # a is now the most recent
+        size = store.entries()[a]["size"]
+        fresh = ArtifactStore(tmp_path / "s")
+        assert fresh.prune(max_bytes=2 * size) == (1, size)
+        assert b not in fresh and a in fresh and c in fresh
+
+    def test_fold_skips_torn_and_stale_lines(self, store):
+        kept, gone = key_of("kept"), key_of("gone")
+        store.put(kept, 1)
+        store.put(gone, 2)
+        store.get(kept)
+        store.get(gone)
+        store._object_path(gone).unlink()  # behind the index's back
+        store.delete(gone)
+        with open(store.root / "access.log", "ab") as log:
+            log.write(f"{gone} 1700000000.0 h\n".encode())
+            log.write(b"garbage\n\xff\xfe\n" + kept.encode() + b" nan\n")
+            log.write(kept.encode() + b" 17000")  # torn: no newline
+        stat = store.stat()
+        assert (stat["hits"], stat["misses"]) == (3, 0)
+        assert gone not in store.entries()
+        assert store.entries()[kept]["hits"] == 1
+        store.get(kept)  # lands right behind the torn line
+        assert store.entries()[kept]["hits"] == 2
+
+    def test_stat_sees_other_handles_hits(self, tmp_path):
+        a = ArtifactStore(tmp_path / "s")
+        key = key_of("shared")
+        a.put(key, "v")
+        assert a.stat()["hits"] == 0
+        b = ArtifactStore(tmp_path / "s")
+        for _ in range(3):
+            b.get(key)
+        assert a.stat()["hits"] == 3  # from the log
+        b.get(key)
+        assert b.entries()[key]["hits"] == 4  # b folds and saves ...
+        assert a.stat()["hits"] == 4  # ... and a re-reads the index
+        assert a.entries()[key]["hits"] == 4
+
+    def test_stat_leaves_nothing_to_fold(self, store):
+        key = key_of("q")
+        store.put(key, "v")
+        store.get(key)
+        store.get(key_of("absent"))
+        assert store.stat()["hits"] == 1
+        index_path = store.root / "index.json"
+        index = json.loads(index_path.read_text())
+        assert index["log_offset"] == \
+            (store.root / "access.log").stat().st_size
+        inode = index_path.stat().st_ino
+        assert store.stat()["misses"] == 1
+        assert index_path.stat().st_ino == inode  # nothing new: no save
+
+    def test_log_is_cut_past_fold_bytes(self, store, monkeypatch):
+        """The get that grows the log past LOG_FOLD_BYTES folds it, and
+        a fold that has counted that much empties it."""
+        from repro.store import artifacts
+        monkeypatch.setattr(artifacts, "LOG_FOLD_BYTES", 1000)
+        key = key_of("r")
+        store.put(key, "v")
+        log_path = store.root / "access.log"
+        sizes = []
+        for _ in range(40):
+            store.get(key)
+            sizes.append(log_path.stat().st_size)
+        assert max(sizes) < 1200 and sizes.count(0) >= 2
+        assert store.stat()["hits"] == 40
+        assert store.entries()[key]["hits"] == 40
