@@ -36,6 +36,14 @@ def result(golden):
         flows, min_relative_shift=golden["min_relative_shift"], store=None)
 
 
+@pytest.fixture(scope="module")
+def streamed(golden):
+    return run_pipeline_streaming(
+        golden["n_flows"], seed=golden["seed"], chunk_size=1250,
+        min_relative_shift=golden["min_relative_shift"],
+        workers=1, store=None)
+
+
 class TestGoldenPopulation:
     def test_category_counts_exact(self, golden, result):
         counts = {cat.value: result.counts.get(cat, 0)
@@ -63,16 +71,22 @@ class TestGoldenPopulation:
         assert q["recall"] >= 0.95
         assert q["false_negatives"] == 0.0
 
-    def test_streamed_run_matches_golden(self, golden):
+    def test_streamed_run_matches_golden(self, golden, streamed):
         """The streaming path must land on the same pinned numbers."""
-        streamed = run_pipeline_streaming(
-            golden["n_flows"], seed=golden["seed"],
-            chunk_size=1250,
-            min_relative_shift=golden["min_relative_shift"],
-            workers=1, store=None)
         counts = {cat.value: streamed.counts.get(cat, 0)
                   for cat in FlowCategory}
         assert counts == golden["counts"]
         assert streamed.detector_quality() == golden["detector_quality"]
         assert streamed.fraction_possible_contention \
             == golden["fraction_possible_contention"]
+
+    def test_sketch_state_exact(self, golden, streamed):
+        """The sketch half of ``aggregate_fingerprint``, pinned from the
+        materialized path: per-category sample count, exact extrema and
+        every occupied (bin, count) of the merged four-shard sketches."""
+        state = {
+            cat.value: {"total": s.total, "vmin": s.vmin, "vmax": s.vmax,
+                        "bins": [[i, c] for i, c in enumerate(s.counts)
+                                 if c]}
+            for cat, s in streamed.sketches.items()}
+        assert state == golden["sketches"]
