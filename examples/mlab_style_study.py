@@ -3,8 +3,9 @@
 
 1. Generate a synthetic NDT dataset (2,000 flows) and save it as
    JSONL -- the stand-in for a BigQuery export.
-2. Reload it and run the §3.1 pipeline: filter app-limited /
-   receiver-limited / cellular flows, change-point the rest.
+2. Reload it and run the §3.1 analysis over the records as one
+   shard: filter app-limited / receiver-limited / cellular flows,
+   change-point the rest.
 3. Also *collect* a handful of NDT records from live simulations
    (clean path, contended path, policed path) and push them through
    the same pipeline, showing the two data sources are interchangeable.
@@ -18,7 +19,7 @@ from pathlib import Path
 from repro import viz
 from repro.cca import CubicCca, RenoCca
 from repro.ndt import (NdtCollector, NdtDataset, SyntheticNdtGenerator,
-                       analyse_flow, run_pipeline)
+                       analyse_flow, analyse_records)
 from repro.qdisc import DropTailQueue, Policer
 from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection
@@ -32,7 +33,7 @@ def synthetic_study(workdir: Path) -> None:
     print(f"saved {len(dataset)} records to {store}")
 
     reloaded = NdtDataset.load_jsonl(store)
-    result = run_pipeline(reloaded)
+    result = analyse_records(reloaded.records)
     print(viz.table(
         [(name, count, f"{frac:.1%}")
          for name, count, frac in result.summary_rows()],

@@ -72,7 +72,7 @@ class CdfSketch:
     integer counts and order-free extrema, so :meth:`merge` is exactly
     commutative, associative, and deterministic -- sketches built from
     any sharding of the same samples are byte-identical once merged.
-    That is what lets streamed and materialized pipeline runs compare
+    That is what lets NDT pipeline runs at any chunk size compare
     equal (:meth:`repro.ndt.Fig2Result.aggregate_fingerprint`), at the
     cost of quantiles only being accurate to the bin width.
 

@@ -761,11 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
             axis.add_flag(p)
         p.add_argument("--flows", type=int,
                        help="population size for flow-count experiments "
-                            "(fig2: above 20k flows the run streams "
-                            "out of core in bounded memory)")
+                            "(fig2 runs shard by shard in bounded "
+                            "memory at any size)")
         p.add_argument("--chunk-size", type=int, dest="chunk_size",
-                       help="flows per shard for streamed runs -- the "
-                            "memory and checkpoint/resume unit")
+                       help="flows per shard of the NDT pipeline "
+                            "(fig2, fig2_scale) -- the memory and "
+                            "checkpoint/resume unit")
         add_cache_flags(p)
         add_json_flag(p)
 

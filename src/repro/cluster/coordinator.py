@@ -541,7 +541,7 @@ def run_clustered_fig2(n_flows: int, cluster,
                        resume: bool = False,
                        progress: Callable[[int, int], None] | None = None,
                        coordinator: Coordinator | None = None):
-    """Run a streamed §3.1 fig2 pipeline across a serve cluster;
+    """Run a §3.1 fig2 pipeline across a serve cluster;
     returns :class:`~repro.ndt.pipeline.Fig2Result`.
 
     The flow mirrors :func:`run_clustered_campaign`: cut the

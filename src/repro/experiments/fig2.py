@@ -11,37 +11,30 @@ application-limited, receiver-limited, or cellular; only a small
 residual fraction shows throughput level shifts, and some of those
 shifts (policed flows) are not contention at all.
 
-Above :data:`STREAMING_THRESHOLD` flows (or with ``streaming=True``,
-``--flows 1000000`` on the CLI) the run goes through the out-of-core
-shard pipeline (:func:`repro.ndt.stream.run_pipeline_streaming`):
-bounded memory, store-checkpointed shards (``--resume`` picks an
-interrupted run back up), and aggregates byte-identical to the
-materialized path.
+Every size goes through the one sharded pipeline
+(:func:`repro.ndt.stream.run_pipeline_streaming`): bounded memory
+(``--flows 1000000`` runs on a laptop), store-checkpointed shards
+(``--resume`` picks an interrupted run back up), and aggregates
+byte-identical for any ``chunk_size``.
 """
 
 from __future__ import annotations
 
 from .. import viz
 from ..ndt.filters import FlowCategory
-from ..ndt.pipeline import run_pipeline
 from ..ndt.stream import run_pipeline_streaming
-from ..ndt.synth import DEFAULT_CHUNK_SIZE, PopulationModel, \
-    SyntheticNdtGenerator
+from ..ndt.synth import DEFAULT_CHUNK_SIZE, PopulationModel
 from ..units import to_mbps
 from .runner import ExperimentResult, Stopwatch
 
 #: The paper analysed 9,984 flows from June 2023.
 PAPER_FLOW_COUNT = 9_984
 
-#: Populations above this stream out of core by default.
-STREAMING_THRESHOLD = 20_000
-
 
 def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
         min_relative_shift: float = 0.25,
         model: PopulationModel | None = None,
         workers: int | None = None,
-        streaming: bool | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         resume: bool = False,
         cluster: str | None = None) -> ExperimentResult:
@@ -49,16 +42,12 @@ def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
 
     ``workers`` fans the analysis out over processes (default:
     ``REPRO_WORKERS`` env var, then CPU count); results are identical
-    for any value.  ``streaming`` selects the out-of-core shard
-    pipeline (default: only above :data:`STREAMING_THRESHOLD` flows);
-    ``chunk_size`` is its flows-per-shard memory/checkpoint unit and
-    ``resume`` continues an interrupted streamed run.  ``cluster``
-    ("host1:8765,host2:...") shards a streamed run across serve nodes.
+    for any value.  ``chunk_size`` is the flows-per-shard
+    memory/checkpoint unit and ``resume`` continues an interrupted
+    run.  ``cluster`` ("host1:8765,host2:...") spreads the shards
+    across serve nodes.
     """
     with Stopwatch() as watch:
-        streamed = (streaming if streaming is not None
-                    else (n_flows > STREAMING_THRESHOLD
-                          or cluster is not None))
         if cluster:
             from ..cluster import run_clustered_fig2
             result = run_clustered_fig2(
@@ -66,17 +55,11 @@ def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
                 chunk_size=chunk_size,
                 min_relative_shift=min_relative_shift,
                 workers=workers, resume=resume)
-        elif streamed:
+        else:
             result = run_pipeline_streaming(
                 n_flows, seed=seed, model=model, chunk_size=chunk_size,
                 min_relative_shift=min_relative_shift,
                 workers=workers, resume=resume)
-        else:
-            dataset = SyntheticNdtGenerator(model=model, seed=seed) \
-                .generate(n_flows)
-            result = run_pipeline(dataset,
-                                  min_relative_shift=min_relative_shift,
-                                  workers=workers)
         quality = result.detector_quality()
 
     rows = [{"category": name, "flows": count, "fraction": round(frac, 4)}
@@ -86,16 +69,12 @@ def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
          "cdf": round(f, 4)}
         for cat in FlowCategory
         if result.counts.get(cat, 0) > 0
-        for v, f in (result.throughput_sketch(cat) if streamed
-                     else result.throughput_cdf(cat))
-        .points(max_points=100)
+        for v, f in result.throughput_sketch(cat).points(max_points=100)
     ]
 
     parts = [
         f"Figure 2 reproduction: {n_flows} synthetic NDT flows "
-        f"(seed={seed}"
-        + (f", streamed in {len(result.shards)} shards)" if streamed
-           else ")"),
+        f"(seed={seed}, {len(result.shards)} shard(s))",
         "",
         viz.table(
             [(r["category"], r["flows"], f"{r['fraction']:.1%}")
@@ -126,7 +105,7 @@ def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
         "detector_precision": quality["precision"],
         "detector_recall": quality["recall"],
     }
-    if streamed and len(result.shards) >= 2:
+    if len(result.shards) >= 2:
         point, ci_low, ci_high = result.fraction_ci()
         metrics["possible_contention_ci_low"] = ci_low
         metrics["possible_contention_ci_high"] = ci_high
@@ -142,7 +121,6 @@ def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
         tables={"categories": rows, "throughput_cdfs": cdf_rows},
         params={"n_flows": n_flows, "seed": seed,
                 "min_relative_shift": min_relative_shift,
-                "workers": workers, "streaming": streamed,
-                "chunk_size": chunk_size},
+                "workers": workers, "chunk_size": chunk_size},
         elapsed_s=watch.elapsed,
     )

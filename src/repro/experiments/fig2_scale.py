@@ -1,7 +1,7 @@
 """Experiment E15: Figure 2 fractions vs population size.
 
 The paper subsampled M-Lab to 9,984 flows; a month of NDT is millions.
-This experiment runs the streamed §3.1 pipeline at increasing
+This experiment runs the §3.1 pipeline at increasing
 population sizes (default 10k → 1M) and reports the headline
 possible-contention fraction with cluster-bootstrap confidence
 intervals over shards -- the protocol for saying how stable the

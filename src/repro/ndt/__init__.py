@@ -5,7 +5,7 @@ from .collect import NdtCollector
 from .filters import (FlowCategory, categorize, infer_cellular,
                       is_app_limited, is_rwnd_limited)
 from .pipeline import (Fig2Result, FlowAnalysis, QualityTally, ShardRow,
-                       analyse_flow, run_pipeline)
+                       analyse_flow, analyse_records)
 from .schema import ACCESS_TYPES, NdtDataset, NdtRecord
 from .stream import (ShardSpec, analyse_shard, merge_partials,
                      run_pipeline_streaming, shard_specs)
@@ -20,7 +20,7 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "FlowCategory", "categorize", "is_app_limited", "is_rwnd_limited",
     "infer_cellular",
-    "run_pipeline", "analyse_flow", "Fig2Result", "FlowAnalysis",
+    "analyse_flow", "analyse_records", "Fig2Result", "FlowAnalysis",
     "QualityTally", "ShardRow",
     "ShardSpec", "shard_specs", "analyse_shard", "merge_partials",
     "run_pipeline_streaming",

@@ -6,19 +6,24 @@ indicate CCA contention.  Because our dataset carries ground truth, the
 pipeline also reports how good this passive inference actually is --
 the question the paper raises when it notes passive approaches "cannot
 conclusively determine the presence (or absence) of CCA contention".
+
+This module is the per-flow and per-shard half: :func:`analyse_flow`
+judges one record, :func:`analyse_records` folds a list of records
+into a one-shard :class:`Fig2Result`, and results merge.
+:func:`repro.ndt.stream.run_pipeline_streaming` cuts a synthetic
+population into shards and merges their results; records already in
+memory are one shard.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.changepoint import throughput_level_shift
 from ..errors import AnalysisError
-from ..runtime import parallel_map
-from ..analysis.stats import Cdf, CdfSketch, bootstrap_ci
+from ..analysis.stats import CdfSketch, bootstrap_ci
 from .filters import FlowCategory, categorize
-from .schema import NdtDataset, NdtRecord
+from .schema import NdtRecord
 
 
 @dataclass(frozen=True)
@@ -92,64 +97,42 @@ class ShardRow:
 class Fig2Result:
     """Aggregate results backing Figure 2 -- a mergeable monoid.
 
-    Both pipeline paths produce one: the materialized path
-    (:func:`run_pipeline`) keeps every per-flow analysis, the streaming
-    path (:func:`repro.ndt.stream.run_pipeline_streaming`) folds
-    per-shard partials with :meth:`merge` and drops the flows.  All
+    :func:`analyse_records` builds one per shard, dropping the
+    per-flow analyses, and :meth:`merge` folds shards together.  All
     aggregate state (integer counts, :class:`QualityTally`,
-    :class:`CdfSketch`) merges commutatively and associatively, so the
-    folded aggregates are byte-identical to the materialized ones --
-    :meth:`aggregate_fingerprint` is the equality oracle the test
-    harness and benchmarks gate on.
+    :class:`CdfSketch`) merges commutatively and associatively, so any
+    sharding of a population folds to the aggregates of its one-shard
+    run -- :meth:`aggregate_fingerprint` is the equality oracle the
+    test harness and benchmarks gate on.
 
     Attributes:
         total: number of flows analysed.
         counts: flows per §3.1 category.
         remaining_with_shifts: remaining flows showing >= 1 level shift.
-        flows: per-flow analyses; empty when streamed out of core.
         quality: ground-truth detector tallies.
         sketches: per-category mean-throughput CDF sketches.
         shards: per-shard aggregate rows (population CIs, merge
-            bookkeeping); a materialized run is one shard.
+            bookkeeping).
     """
 
     total: int
     counts: dict[FlowCategory, int]
     remaining_with_shifts: int
-    flows: list[FlowAnalysis] = field(default_factory=list)
-    quality: QualityTally | None = None
-    sketches: dict[FlowCategory, CdfSketch] | None = None
+    quality: QualityTally
+    sketches: dict[FlowCategory, CdfSketch]
     shards: tuple[ShardRow, ...] = ()
-
-    def __post_init__(self):
-        if self.quality is None:
-            self.quality = QualityTally.of(self.flows)
-        if self.sketches is None:
-            self.sketches = _sketches_of(self.flows)
-        if not self.shards and self.total:
-            self.shards = (ShardRow(
-                shard_id=f"shard-{0:09d}+{self.total}", start=0,
-                count=self.total,
-                counts=tuple(sorted((cat.value, n)
-                                    for cat, n in self.counts.items())),
-                remaining_with_shifts=self.remaining_with_shifts,
-                quality=self.quality),)
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_flows(cls, flows, shard_id: str | None = None,
-                   start: int = 0,
-                   keep_flows: bool = True) -> "Fig2Result":
-        """Aggregate a list of per-flow analyses into one result.
+    def from_flows(cls, flows, start: int = 0) -> "Fig2Result":
+        """Aggregate one shard's per-flow analyses into a result.
 
         Args:
             flows: :class:`FlowAnalysis` items, in dataset order.
-            shard_id: merge-identity of this partial (defaults to the
-                ``shard-<start>+<count>`` convention).
-            start: dataset position of the first flow.
-            keep_flows: retain the per-flow list (materialized mode);
-                streaming shards pass False to stay out of core.
+            start: dataset position of the first flow; with the count
+                it names the shard, the merge identity
+                (:attr:`repro.ndt.stream.ShardSpec.shard_id`).
         """
         flows = list(flows)
         if not flows:
@@ -163,8 +146,7 @@ class Fig2Result:
             and f.inferred_contention)
         quality = QualityTally.of(flows)
         shard = ShardRow(
-            shard_id=(shard_id if shard_id is not None
-                      else f"shard-{start:09d}+{len(flows)}"),
+            shard_id=f"shard-{start:09d}+{len(flows)}",
             start=start, count=len(flows),
             counts=tuple(sorted((cat.value, n)
                                 for cat, n in counts.items())),
@@ -172,7 +154,6 @@ class Fig2Result:
             quality=quality)
         return cls(total=len(flows), counts=counts,
                    remaining_with_shifts=remaining_with_shifts,
-                   flows=flows if keep_flows else [],
                    quality=quality, sketches=_sketches_of(flows),
                    shards=(shard,))
 
@@ -209,18 +190,11 @@ class Fig2Result:
         for cat, sketch in other.sketches.items():
             sketches[cat] = (sketches[cat].merge(sketch)
                              if cat in sketches else sketch)
-        flows: list[FlowAnalysis] = []
-        if (self.flows and other.flows
-                and len(self.flows) == self.total
-                and len(other.flows) == other.total):
-            first, second = sorted(
-                (self, other), key=lambda r: r.shards[0].start)
-            flows = first.flows + second.flows
         return Fig2Result(
             total=self.total + other.total, counts=counts,
             remaining_with_shifts=(self.remaining_with_shifts
                                    + other.remaining_with_shifts),
-            flows=flows, quality=self.quality.merge(other.quality),
+            quality=self.quality.merge(other.quality),
             sketches=sketches,
             shards=tuple(sorted(self.shards + other.shards,
                                 key=lambda s: (s.start, s.shard_id))))
@@ -247,19 +221,9 @@ class Fig2Result:
                 "empty dataset: no flows to take a fraction of")
         return self.remaining_with_shifts / self.total
 
-    def throughput_cdf(self, category: FlowCategory | None = None) -> Cdf:
-        """Exact mean-throughput CDF (materialized results only)."""
-        if len(self.flows) != self.total:
-            raise AnalysisError(
-                "per-flow analyses were streamed out of core; use "
-                "throughput_sketch() for the mergeable summary")
-        samples = [f.mean_throughput_bps for f in self.flows
-                   if category is None or f.category is category]
-        return Cdf.from_samples(samples)
-
     def throughput_sketch(self, category: FlowCategory | None = None
                           ) -> CdfSketch:
-        """Mergeable mean-throughput CDF sketch (any result).
+        """Mean-throughput CDF sketch of a category, or of all flows.
 
         ``None`` merges every category's sketch into the population
         sketch -- exact, because sketch merging just adds counts.
@@ -284,8 +248,8 @@ class Fig2Result:
         """Cluster-bootstrap CI for a headline fraction.
 
         Resamples whole shards with replacement (shards are the
-        independent units the streaming run retains), so it needs a
-        result with >= 2 shards.  ``category=None`` gives the CI of
+        independent units a result retains), so it needs a result
+        with >= 2 shards.  ``category=None`` gives the CI of
         :attr:`fraction_possible_contention`.
 
         Returns:
@@ -293,8 +257,8 @@ class Fig2Result:
         """
         if len(self.shards) < 2:
             raise AnalysisError(
-                "population CIs need >= 2 shards: re-run streamed "
-                f"with a smaller chunk size (have {len(self.shards)})")
+                "population CIs need >= 2 shards: re-run with a "
+                f"smaller chunk size (have {len(self.shards)})")
 
         if category is None:
             hits = [float(s.remaining_with_shifts) for s in self.shards]
@@ -338,9 +302,8 @@ class Fig2Result:
     def aggregate_fingerprint(self) -> str:
         """Fingerprint of the order-free aggregates.
 
-        Deliberately excludes the flow list and the shard bookkeeping:
-        a streamed run (many shards, no flows) and a materialized run
-        (one shard, all flows) over the same population hash equal.
+        Deliberately excludes the shard bookkeeping: a many-shard run
+        and the one-shard run over the same population hash equal.
         """
         from ..store import fingerprint
         return fingerprint({
@@ -397,66 +360,15 @@ def analyse_flow(record: NdtRecord,
     )
 
 
-def dataset_fingerprint(dataset: NdtDataset,
-                        min_relative_shift: float) -> str:
-    """Store fingerprint of a whole pipeline run's config.
+def analyse_records(records, min_relative_shift: float = 0.25,
+                    start: int = 0) -> Fig2Result:
+    """Analyse a list of records as one shard.
 
-    Hashes every record incrementally (datasets run to tens of
-    thousands of flows) plus the analysis parameters, so any change to
-    the data or the threshold invalidates the cached result.
+    What :func:`repro.ndt.stream.analyse_shard` runs on the slice it
+    has rendered, and the entry point for records that exist only in
+    memory (a reloaded JSONL, :class:`~repro.ndt.collect.NdtCollector`
+    output).  ``start`` is the dataset position of the first record.
     """
-    from ..store import fingerprint_stream
-    return fingerprint_stream(
-        [{"min_relative_shift": min_relative_shift}]
-        + list(dataset.records), kind="fig2-pipeline")
-
-
-_AUTO = object()
-
-
-def run_pipeline(dataset: NdtDataset,
-                 min_relative_shift: float = 0.25,
-                 workers: int | None = None,
-                 chunk_size: int | None = None,
-                 progress=None, store=_AUTO) -> Fig2Result:
-    """Run the full §3.1 pipeline over a dataset.
-
-    Per-flow analysis (categorize + change-point detection) is
-    independent across flows, so it is fanned out over worker
-    processes; flow order and every result are bit-for-bit identical
-    to the serial run for any ``workers`` value.
-
-    Args:
-        dataset: the flows to analyse.
-        min_relative_shift: level-shift significance threshold.
-        workers: worker processes; ``None`` defers to ``REPRO_WORKERS``
-            then the CPU count; ``1`` forces serial.
-        chunk_size: flows per dispatched task (default: automatic).
-        progress: optional ``fn(done, total)`` completion callback.
-        store: a :class:`repro.store.ArtifactStore` caching the whole
-            :class:`Fig2Result` keyed by dataset content + parameters
-            (per-flow tasks are too cheap to cache individually).
-            Defaults to the ambient store
-            (:func:`repro.store.active_store`); pass ``None`` to
-            disable caching.
-    """
-    if store is _AUTO:
-        from ..store import active_store
-        store = active_store()
-    key = None
-    if store is not None:
-        key = dataset_fingerprint(dataset, min_relative_shift)
-        cached = store.get(key)
-        if cached is not None:
-            if progress is not None:
-                progress(len(dataset.records), len(dataset.records))
-            return cached
-    job = functools.partial(analyse_flow,
-                            min_relative_shift=min_relative_shift)
-    flows = parallel_map(job, dataset.records, workers=workers,
-                         chunk_size=chunk_size, progress=progress)
-    result = Fig2Result.from_flows(flows)
-    if store is not None and key is not None:
-        store.put(key, result, kind="fig2",
-                  label=f"fig2 n={len(flows)}")
-    return result
+    return Fig2Result.from_flows(
+        [analyse_flow(record, min_relative_shift=min_relative_shift)
+         for record in records], start=start)

@@ -1,16 +1,16 @@
-"""Streaming, out-of-core §3.1 pipeline.
+"""The §3.1 runner: one sharded, out-of-core pipeline.
 
-:func:`repro.ndt.pipeline.run_pipeline` materializes the whole
-dataset; at M-Lab's actual monthly scale (millions of NDT rows) that
-is gigabytes of snapshots.  This module runs the same analysis in
-bounded memory:
+At M-Lab's actual monthly scale (millions of NDT rows) a materialized
+dataset is gigabytes of snapshots, so the analysis runs shard by shard
+in bounded memory at every size:
 
 1. The population is cut into :class:`ShardSpec`\\ s -- *descriptions*
    of dataset slices, a few integers each.  Per-flow seeding in
    :class:`~repro.ndt.synth.SyntheticNdtGenerator` means any shard is
    regenerable in isolation, on any process or machine.
-2. :func:`analyse_shard` renders one shard, runs categorize +
-   change-point per flow, and folds the flows into a flowless
+2. :func:`analyse_shard` renders one shard and hands the records to
+   :func:`~repro.ndt.pipeline.analyse_records`, which runs categorize +
+   change-point per flow and folds the flows into a
    :class:`~repro.ndt.pipeline.Fig2Result` partial (integer counts,
    CDF sketches, quality tallies).  Peak memory is one chunk of
    records, regardless of the population size.
@@ -19,8 +19,8 @@ bounded memory:
    the checkpointing :class:`~repro.store.ResumableScheduler`, making
    million-flow runs resumable at shard granularity -- and merges the
    partials.  Merging is commutative/associative/idempotent, so the
-   result is byte-identical to the materialized path's aggregates
-   (``aggregate_fingerprint()``) for any chunk size or worker count.
+   aggregates (``aggregate_fingerprint()``) are byte-identical for any
+   chunk size or worker count, the single shard included.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 from ..errors import AnalysisError, ConfigError
 from ..obs.metrics import REGISTRY as _METRICS
 from ..runtime import FaultPolicy, parallel_map
-from .pipeline import Fig2Result, analyse_flow
+from .pipeline import Fig2Result, analyse_records
 from .synth import DEFAULT_CHUNK_SIZE, PopulationModel, SyntheticNdtGenerator
 
 _AUTO = object()
@@ -89,18 +89,16 @@ def shard_specs(n_flows: int, seed: int = 0,
 
 
 def analyse_shard(spec: ShardSpec) -> Fig2Result:
-    """Render and analyse one shard; returns a flowless partial.
+    """Render and analyse one shard; returns its partial.
 
     Pure function of the spec -- the unit of work the scheduler
     checkpoints and cluster nodes execute.
     """
     generator = SyntheticNdtGenerator(model=spec.model, seed=spec.seed)
     dataset = generator.generate_shard(spec.start, spec.count)
-    flows = [analyse_flow(record,
-                          min_relative_shift=spec.min_relative_shift)
-             for record in dataset.records]
-    return Fig2Result.from_flows(flows, shard_id=spec.shard_id,
-                                 start=spec.start, keep_flows=False)
+    return analyse_records(dataset.records,
+                           min_relative_shift=spec.min_relative_shift,
+                           start=spec.start)
 
 
 def merge_partials(partials: Sequence[Fig2Result]) -> Fig2Result:
@@ -112,7 +110,7 @@ def merge_partials(partials: Sequence[Fig2Result]) -> Fig2Result:
 
 
 def stream_run_key(specs: Sequence[ShardSpec]) -> str:
-    """Fingerprint of a whole streaming run's config."""
+    """Fingerprint of a whole run's config."""
     from ..store import fingerprint
     return fingerprint({"shards": [spec.key() for spec in specs]},
                        kind="fig2-stream")
@@ -129,11 +127,9 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
     """Run the §3.1 pipeline over ``n_flows`` synthetic flows, out of
     core.
 
-    Aggregates are byte-identical to
-    ``run_pipeline(generator.generate(n_flows))`` for any
-    ``chunk_size``/``workers`` (compare ``aggregate_fingerprint()``),
-    but peak memory is one shard, so populations far beyond RAM run on
-    a laptop.
+    Aggregates are byte-identical for any ``chunk_size``/``workers``
+    (compare ``aggregate_fingerprint()``) and peak memory is one
+    shard, so populations far beyond RAM run on a laptop.
 
     Args:
         n_flows: population size (the paper's month of NDT is ~10M).
@@ -147,7 +143,9 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
             result; defaults to the ambient store, ``None`` disables
             persistence (pure parallel_map).
         resume: resume a prior interrupted run's manifest -- finished
-            shards become cache hits, only the remainder executes.
+            shards become cache hits, only the remainder executes, and
+            shards the manifest quarantined are reported failed again
+            instead of being retried.
         policy: fault policy for shard execution (store path only).
         progress: optional ``fn(done, total)`` over shards.
     """
@@ -182,11 +180,16 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
     _METRICS.counter("ndt.stream.shards_cached").inc(report.hits)
     _METRICS.counter("ndt.stream.shards_computed").inc(report.computed)
     if report.failed:
-        names = ", ".join(o.label for o in report.failed[:5])
+        shown = report.failed[:5]
+        names = ", ".join(o.label for o in shown)
+        if len(report.failed) > len(shown):
+            names += ", ..."
         raise AnalysisError(
-            f"{len(report.failed)} shard(s) failed ({names}...); "
-            "re-run to retry, or resume=True to skip quarantined "
-            "shards explicitly")
+            f"{len(report.failed)} shard(s) failed ({names}); a merged "
+            "result cannot omit a shard, so none was produced.  Re-run "
+            "with resume=False to retry them (finished shards are "
+            "store hits); resume=True does not retry a quarantined "
+            "shard and raises this error again")
     result = merge_partials(report.results)
     store.put(run_key, result, kind="fig2-stream",
               label=f"fig2 streamed n={n_flows} chunk={chunk_size}")

@@ -36,18 +36,16 @@ Scale: every flow is rendered from its **own** seed stream, derived
 from the generator seed and the flow index (:class:`RngRegistry`
 derivation).  Record ``i`` is therefore a pure function of
 ``(model, seed, i)`` -- independent of every other record -- which is
-what makes the dataset streamable: :meth:`~SyntheticNdtGenerator.
-generate_chunks` yields it chunk by chunk at any chunk size,
+what makes the dataset streamable:
 :meth:`~SyntheticNdtGenerator.generate_shard` regenerates any slice
 in isolation (a worker on another machine can render flows
-[start, start+count) without touching the rest), and both reproduce
-:meth:`~SyntheticNdtGenerator.generate` record for record.
+[start, start+count) without touching the rest), and
+:meth:`~SyntheticNdtGenerator.generate` is the shard that starts at 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -314,29 +312,6 @@ class SyntheticNdtGenerator:
             description=(f"synthetic NDT shard [{start}, "
                          f"{start + count}), seed={self.rngs.seed}"))
 
-    def generate_chunks(self, n_flows: int,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE
-                        ) -> Iterator[NdtDataset]:
-        """Yield the ``n_flows`` population as bounded-memory chunks.
-
-        Concatenating the chunks reproduces :meth:`generate` record for
-        record at any ``chunk_size``.
-        """
-        if n_flows <= 0:
-            raise ConfigError(f"n_flows must be positive: {n_flows}")
-        if chunk_size <= 0:
-            raise ConfigError(
-                f"chunk_size must be positive: {chunk_size}")
-        for start in range(0, n_flows, chunk_size):
-            yield self.generate_shard(
-                start, min(chunk_size, n_flows - start))
-
     def generate(self, n_flows: int) -> NdtDataset:
         """Generate ``n_flows`` records (the paper used 9,984)."""
-        if n_flows <= 0:
-            raise ConfigError(f"n_flows must be positive: {n_flows}")
-        records = [self.generate_record(i) for i in range(n_flows)]
-        return NdtDataset(
-            records=records,
-            description=(f"synthetic NDT population, n={n_flows}, "
-                         f"seed={self.rngs.seed}"))
+        return self.generate_shard(0, n_flows)

@@ -8,7 +8,7 @@ Two layers live here:
   object, stored in the artifact store under the request fingerprint.
   Executors run on a thread executor and reuse the existing batch
   machinery (:class:`repro.core.campaign.Campaign`,
-  :func:`repro.ndt.pipeline.run_pipeline`,
+  :func:`repro.ndt.stream.run_pipeline_streaming`,
   :func:`repro.experiments.runner.sweep`,
   :func:`repro.qa.fuzz.run_fuzz`), always passing the service's store
   through -- so campaign jobs checkpoint per path and a killed server
@@ -193,12 +193,12 @@ def execute_qa_eval(params: dict, store, workers) -> tuple[dict, object]:
 
 
 def execute_fig2_shard(params: dict, store, workers) -> tuple[dict, object]:
-    """``fig2-shard`` jobs: one shard of a streamed §3.1 pipeline run.
+    """``fig2-shard`` jobs: one shard of a §3.1 pipeline run.
 
     The cluster coordinator's unit of dispatch for ``repro run fig2
     --cluster``: the node rebuilds the :class:`~repro.ndt.stream.
     ShardSpec` from the same params the coordinator used, analyses it,
-    and stores the flowless partial under the spec's own content key --
+    and stores the partial under the spec's own content key --
     which is what makes the shard pullable (and the merge idempotent)
     by content address.  Only the default :class:`PopulationModel`
     travels over the wire.
@@ -235,42 +235,29 @@ def execute_pipeline(params: dict, store, workers) -> tuple[dict, object]:
     """``pipeline`` jobs: the §3.1 passive NDT pipeline over a
     synthetic dataset (Figure 2).
 
-    ``streaming: true`` (or any request above the fig2 streaming
-    threshold) runs out of core -- bounded memory, per-shard store
-    checkpoints -- with aggregates byte-identical to the materialized
-    path; ``chunk_size`` sets the shard size.
+    The run is sharded at every size -- bounded memory, per-shard
+    store checkpoints, aggregates byte-identical for any sharding;
+    ``chunk_size`` sets the shard size.
     """
-    from ..experiments.fig2 import STREAMING_THRESHOLD
-    from ..ndt.pipeline import run_pipeline
     from ..ndt.stream import run_pipeline_streaming
-    from ..ndt.synth import DEFAULT_CHUNK_SIZE, SyntheticNdtGenerator
+    from ..ndt.synth import DEFAULT_CHUNK_SIZE
 
     flows = _int_param(params, "flows", 2000)
     seed = _int_param(params, "seed", 0, minimum=0)
     min_relative_shift = _float_param(params, "min_relative_shift", 0.25)
-    streaming = params.get("streaming")
-    if streaming is None:
-        streaming = flows > STREAMING_THRESHOLD
-    if streaming:
-        result = run_pipeline_streaming(
-            flows, seed=seed,
-            chunk_size=_int_param(params, "chunk_size",
-                                  DEFAULT_CHUNK_SIZE),
-            min_relative_shift=min_relative_shift,
-            workers=workers, store=store,
-            resume=bool(params.get("resume", False)))
-    else:
-        dataset = SyntheticNdtGenerator(seed=seed).generate(flows)
-        result = run_pipeline(dataset,
-                              min_relative_shift=min_relative_shift,
-                              workers=workers, store=store)
+    result = run_pipeline_streaming(
+        flows, seed=seed,
+        chunk_size=_int_param(params, "chunk_size",
+                              DEFAULT_CHUNK_SIZE),
+        min_relative_shift=min_relative_shift,
+        workers=workers, store=store,
+        resume=bool(params.get("resume", False)))
     summary = {
         "total": result.total,
         "counts": {getattr(cat, "name", str(cat)): n
                    for cat, n in sorted(result.counts.items(),
                                         key=lambda kv: str(kv[0]))},
         "remaining_with_shifts": result.remaining_with_shifts,
-        "streamed": bool(streaming),
         "aggregate_fingerprint": result.aggregate_fingerprint(),
     }
     return summary, result

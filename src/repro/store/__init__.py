@@ -19,13 +19,13 @@ changed".  This package provides:
 
 Cache policy
 ------------
-Library entry points (``Campaign.run``, ``sweep``, ``run_pipeline``)
-take an explicit ``store=`` argument; when it is omitted they fall back
-to the **ambient store**: enabled when ``REPRO_CACHE=1`` (rooted at
-``$REPRO_STORE``), otherwise off, so plain library use and the test
-suite stay side-effect-free.  The CLI turns the ambient store on for
-``repro run`` / ``repro metrics`` / ``repro trace`` unless
-``--no-cache`` is given.
+Library entry points (``Campaign.run``, ``sweep``,
+``run_pipeline_streaming``) take an explicit ``store=`` argument; when
+it is omitted they fall back to the **ambient store**: enabled when
+``REPRO_CACHE=1`` (rooted at ``$REPRO_STORE``), otherwise off, so
+plain library use and the test suite stay side-effect-free.  The CLI
+turns the ambient store on for ``repro run`` / ``repro metrics`` /
+``repro trace`` unless ``--no-cache`` is given.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Text-mode visualization: ASCII line charts and CDF plots.
+"""Text-mode visualization: ASCII line charts, bar charts and tables.
 
 The execution environment has no plotting stack, so figures are
 rendered as unicode charts on stdout and their backing data written as
@@ -7,27 +7,9 @@ CSV by the experiment harness.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .errors import AnalysisError
-
-_BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """A one-line unicode sparkline of a series."""
-    vals = list(values)
-    if not vals:
-        raise AnalysisError("cannot sparkline an empty series")
-    if len(vals) > width:
-        stride = len(vals) / width
-        vals = [vals[int(i * stride)] for i in range(width)]
-    lo, hi = min(vals), max(vals)
-    span = hi - lo if hi > lo else 1.0
-    return "".join(
-        _BLOCKS[1 + int((v - lo) / span * (len(_BLOCKS) - 2))] for v in vals)
-
 
 def line_chart(xs: Sequence[float], ys: Sequence[float], width: int = 70,
                height: int = 15, title: str = "", x_label: str = "",
@@ -80,17 +62,6 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], width: int = 70,
     return "\n".join(lines)
 
 
-def cdf_chart(values: Sequence[float], width: int = 70, height: int = 12,
-              title: str = "", x_label: str = "") -> str:
-    """Render an empirical CDF as an ASCII chart."""
-    vals = sorted(values)
-    if not vals:
-        raise AnalysisError("cannot chart an empty CDF")
-    fracs = [(i + 1) / len(vals) for i in range(len(vals))]
-    return line_chart(vals, fracs, width=width, height=height,
-                      title=title, x_label=x_label, y_label="CDF")
-
-
 def bar_chart(labels: Sequence[str], values: Sequence[float],
               width: int = 50, title: str = "",
               fmt: str = "{:.3g}") -> str:
@@ -117,10 +88,3 @@ def table(rows: Sequence[Sequence], header: Sequence[str]) -> str:
         return "  ".join(f"{c:<{w}}" for c, w in zip(row, widths))
     sep = "  ".join("-" * w for w in widths)
     return "\n".join([fmt(header), sep, *(fmt(r) for r in str_rows)])
-
-
-def format_rate(rate_bps: float) -> str:
-    """Human-readable bytes/second rate as Mbit/s."""
-    if not math.isfinite(rate_bps):
-        return "inf"
-    return f"{rate_bps * 8 / 1e6:.2f} Mbit/s"

@@ -18,9 +18,10 @@ from repro.cluster import (ClusterJournal, Coordinator, Membership,
                            run_clustered_search, shard_indices,
                            task_for)
 from repro.errors import ClusterError, ConfigError
+from repro.experiments import fig2
 from repro.serve import ServeError, ServerThread, campaign_from_params
 from repro.serve.limits import ClientRateLimiter
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, using_store
 
 
 @pytest.fixture(autouse=True)
@@ -345,3 +346,17 @@ class TestClusteredSearch:
             report = run_clustered_search(budget, membership,
                                           seed=seed, store=local)
         assert report.to_dict() == golden.to_dict()
+
+
+class TestClusteredFig2:
+    def test_small_run_reports_the_local_tables(self, tmp_path):
+        """A clustered run below the old 20k streaming threshold has
+        the local run's sketch CDF table and metrics."""
+        run = dict(n_flows=300, seed=4, chunk_size=100, workers=1)
+        with _node(tmp_path, "node-a") as a, \
+                using_store(ArtifactStore(tmp_path / "local")):
+            clustered = fig2.run(cluster=f"127.0.0.1:{a.port}", **run)
+        local = fig2.run(**run)
+        assert clustered.tables["throughput_cdfs"]
+        assert clustered.tables == local.tables
+        assert clustered.metrics == local.metrics

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConfigError
-from repro.ndt import (FlowCategory, NdtDataset, NdtRecord,
+from repro.ndt import (Fig2Result, FlowCategory, NdtDataset, NdtRecord,
                        PopulationModel, SyntheticNdtGenerator, analyse_flow,
                        categorize, infer_cellular, is_app_limited,
-                       is_rwnd_limited, run_pipeline)
+                       is_rwnd_limited)
 from repro.tcp.tcp_info import TcpInfoSnapshot
 
 
@@ -153,9 +153,13 @@ class TestSynth:
 
 class TestPipeline:
     @pytest.fixture(scope="class")
-    def result(self):
+    def flows(self):
         ds = SyntheticNdtGenerator(seed=42).generate(1000)
-        return run_pipeline(ds)
+        return [analyse_flow(r) for r in ds.records]
+
+    @pytest.fixture(scope="class")
+    def result(self, flows):
+        return Fig2Result.from_flows(flows)
 
     def test_counts_partition_dataset(self, result):
         assert sum(result.counts.values()) == result.total == 1000
@@ -172,8 +176,8 @@ class TestPipeline:
         quality = result.detector_quality()
         assert quality["recall"] > 0.9
 
-    def test_policed_flows_are_false_positives(self, result):
-        policed_hits = [f for f in result.flows
+    def test_policed_flows_are_false_positives(self, flows):
+        policed_hits = [f for f in flows
                         if f.true_class == "policed"
                         and f.inferred_contention]
         assert policed_hits, (
@@ -181,8 +185,8 @@ class TestPipeline:
             "that ambiguity is the paper's motivation for active "
             "measurement")
 
-    def test_bulk_clean_rarely_flagged(self, result):
-        clean = [f for f in result.flows
+    def test_bulk_clean_rarely_flagged(self, flows):
+        clean = [f for f in flows
                  if f.true_class == "bulk_clean"
                  and f.category is FlowCategory.REMAINING]
         flagged = sum(1 for f in clean if f.inferred_contention)

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.ndt.pipeline import FlowCategory, run_pipeline
+from repro.ndt.pipeline import FlowCategory
 from repro.ndt.stream import run_pipeline_streaming
-from repro.ndt.synth import SyntheticNdtGenerator
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig2_golden_5k.json"
 
@@ -28,20 +27,22 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _run(golden, chunk_size):
+    return run_pipeline_streaming(
+        golden["n_flows"], seed=golden["seed"], chunk_size=chunk_size,
+        min_relative_shift=golden["min_relative_shift"],
+        workers=1, store=None)
+
+
 @pytest.fixture(scope="module")
 def result(golden):
-    gen = SyntheticNdtGenerator(seed=golden["seed"])
-    flows = gen.generate(golden["n_flows"])
-    return run_pipeline(
-        flows, min_relative_shift=golden["min_relative_shift"], store=None)
+    """The one-shard run (what the materialized runner computed)."""
+    return _run(golden, golden["n_flows"])
 
 
 @pytest.fixture(scope="module")
 def streamed(golden):
-    return run_pipeline_streaming(
-        golden["n_flows"], seed=golden["seed"], chunk_size=1250,
-        min_relative_shift=golden["min_relative_shift"],
-        workers=1, store=None)
+    return _run(golden, 1250)
 
 
 class TestGoldenPopulation:
@@ -72,7 +73,7 @@ class TestGoldenPopulation:
         assert q["false_negatives"] == 0.0
 
     def test_streamed_run_matches_golden(self, golden, streamed):
-        """The streaming path must land on the same pinned numbers."""
+        """A four-shard run must land on the same pinned numbers."""
         counts = {cat.value: streamed.counts.get(cat, 0)
                   for cat in FlowCategory}
         assert counts == golden["counts"]
@@ -81,9 +82,9 @@ class TestGoldenPopulation:
             == golden["fraction_possible_contention"]
 
     def test_sketch_state_exact(self, golden, streamed):
-        """The sketch half of ``aggregate_fingerprint``, pinned from the
-        materialized path: per-category sample count, exact extrema and
-        every occupied (bin, count) of the merged four-shard sketches."""
+        """The sketch half of ``aggregate_fingerprint``, recorded from
+        the materialized runner before it was deleted: per-category
+        sample count, exact extrema and every occupied (bin, count)."""
         state = {
             cat.value: {"total": s.total, "vmin": s.vmin, "vmax": s.vmax,
                         "bins": [[i, c] for i, c in enumerate(s.counts)

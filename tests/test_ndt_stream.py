@@ -1,14 +1,14 @@
-"""Property harness for the streaming NDT pipeline.
+"""Property harness for the sharded NDT pipeline.
 
-Three equivalence laws guard the out-of-core refactor:
+Three equivalence laws guard it:
 
-1. **Chunk invariance** -- chunked/sharded synthesis reproduces the
-   monolithic dataset record for record, at any chunk size.
+1. **Shard invariance** -- any shard rendered in isolation reproduces
+   its slice of the whole dataset record for record.
 2. **Merge laws** -- ``Fig2Result.merge`` is commutative, associative,
    and idempotent over any partition of the population into shards.
-3. **Worker invariance** -- streamed runs are aggregate-fingerprint
-   identical for any worker count and byte-identical to the
-   materialized pipeline.
+3. **Sharding invariance** -- any chunk size and any worker count give
+   the aggregate fingerprint of the one-shard run (``chunk_size >=
+   n_flows``: what the materialized runner used to compute).
 
 All generators are seeded (Hypothesis-style randomized cases, fully
 deterministic re-runs).
@@ -28,9 +28,10 @@ from repro.analysis.stats import CdfSketch
 from repro.errors import AnalysisError, ConfigError
 from repro.ndt import (Fig2Result, PopulationModel, ShardSpec,
                        SyntheticNdtGenerator, analyse_flow, analyse_shard,
-                       merge_partials, run_pipeline,
-                       run_pipeline_streaming, shard_specs)
+                       merge_partials, run_pipeline_streaming,
+                       shard_specs)
 from repro.ndt.stream import stream_run_key
+from repro.runtime import FaultPolicy
 from repro.store import ArtifactStore
 
 SEED = 20230601
@@ -50,21 +51,13 @@ def partials():
 
 
 @pytest.fixture(scope="module")
-def golden(dataset):
-    return run_pipeline(dataset, store=None)
+def golden():
+    """The one-shard run every sharding must reproduce."""
+    return run_pipeline_streaming(N, seed=SEED, chunk_size=N,
+                                  store=None, workers=1)
 
 
 class TestChunkInvariance:
-    def test_random_chunk_sizes_reproduce_monolithic(self, dataset):
-        gen = SyntheticNdtGenerator(seed=SEED)
-        rng = random.Random(0)
-        for chunk_size in [1, 7, N, N + 13] + \
-                [rng.randrange(2, N) for _ in range(3)]:
-            chunks = list(gen.generate_chunks(N, chunk_size))
-            assert sum(len(c) for c in chunks) == N
-            flat = [r for c in chunks for r in c.records]
-            assert flat == dataset.records, f"chunk_size={chunk_size}"
-
     def test_any_shard_regenerates_in_isolation(self, dataset):
         rng = random.Random(1)
         for _ in range(5):
@@ -93,8 +86,6 @@ class TestChunkInvariance:
             gen.generate_shard(-1, 5)
         with pytest.raises(ConfigError):
             gen.generate_shard(0, 0)
-        with pytest.raises(ConfigError):
-            list(gen.generate_chunks(10, 0))
 
 
 class TestMergeLaws:
@@ -140,8 +131,7 @@ class TestMergeLaws:
             cuts = sorted(rng.sample(range(1, N), n_cuts))
             bounds = [0] + cuts + [N]
             parts = [
-                Fig2Result.from_flows(flows[lo:hi], start=lo,
-                                      keep_flows=False)
+                Fig2Result.from_flows(flows[lo:hi], start=lo)
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             rng.shuffle(parts)
@@ -154,14 +144,6 @@ class TestMergeLaws:
         with pytest.raises(AnalysisError, match="overlapping"):
             a.merge(b)
 
-    def test_merged_flows_survive_when_both_complete(self, dataset):
-        flows = [analyse_flow(r) for r in dataset.records]
-        a = Fig2Result.from_flows(flows[:200], start=0)
-        b = Fig2Result.from_flows(flows[200:], start=200)
-        merged = b.merge(a)  # out of order on purpose
-        assert merged.flows == flows
-        assert merged.throughput_cdf().values.shape == (N,)
-
 
 class TestStreamedEqualsMaterialized:
     def test_aggregates_byte_identical(self, golden):
@@ -171,7 +153,7 @@ class TestStreamedEqualsMaterialized:
             == golden.aggregate_fingerprint()
         assert streamed.counts == golden.counts
         assert streamed.detector_quality() == golden.detector_quality()
-        assert streamed.flows == []  # out of core: flows dropped
+        assert (len(golden.shards), len(streamed.shards)) == (1, 10)
 
     def test_chunk_size_invariant(self):
         fps = {
@@ -190,6 +172,8 @@ class TestStreamedEqualsMaterialized:
         assert one.aggregate_fingerprint() \
             == four.aggregate_fingerprint()
         assert one.shards == four.shards
+        assert [s.shard_id for s in one.shards] == [
+            s.shard_id for s in shard_specs(300, seed=SEED, chunk_size=30)]
 
     def test_streamed_store_roundtrip_hits_cache(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
@@ -204,15 +188,44 @@ class TestStreamedEqualsMaterialized:
         assert again.aggregate_fingerprint() \
             == first.aggregate_fingerprint()
 
-    def test_sketch_quantiles_track_exact_cdf(self, golden):
-        from repro.ndt.filters import FlowCategory
-        exact = golden.throughput_cdf(FlowCategory.REMAINING)
+    def test_sketch_quantiles_track_exact_cdf(self, dataset, golden):
+        from repro.analysis.stats import Cdf
+        from repro.ndt.filters import FlowCategory, categorize
+        exact = Cdf.from_samples(
+            [r.mean_throughput_bps for r in dataset.records
+             if categorize(r) is FlowCategory.REMAINING])
         sketch = golden.throughput_sketch(FlowCategory.REMAINING)
         for q in (0.25, 0.5, 0.9):
             assert sketch.quantile(q) \
                 == pytest.approx(exact.quantile(q), rel=0.08)
         assert sketch.vmin == exact.values[0]
         assert sketch.vmax == exact.values[-1]
+
+
+class TestFailedShards:
+    def test_failed_shard_raises_and_resume_raises_again(
+            self, tmp_path, monkeypatch):
+        """A merged result cannot omit a shard: a failed one fails the
+        run, and ``resume=True`` re-reports it instead of skipping it."""
+        def flaky(spec):
+            if spec.start == 40:
+                raise RuntimeError("injected shard failure")
+            return analyse_shard(spec)
+
+        monkeypatch.setattr("repro.ndt.stream.analyse_shard", flaky)
+        run = dict(seed=5, chunk_size=40, workers=1,
+                   store=ArtifactStore(tmp_path / "store"),
+                   policy=FaultPolicy(retries=0))
+        with pytest.raises(AnalysisError, match="cannot omit a shard") as err:
+            run_pipeline_streaming(120, **run)
+        message = str(err.value)
+        assert "1 shard(s) failed (shard-000000040+40);" in message
+        assert "..." not in message and "skip" not in message
+        monkeypatch.undo()
+        # The shard would now succeed, but the manifest quarantined it.
+        with pytest.raises(AnalysisError, match="shard-000000040"):
+            run_pipeline_streaming(120, resume=True, **run)
+        assert run_pipeline_streaming(120, **run).total == 120
 
 
 class TestEmptyDatasetGuards:
@@ -231,7 +244,7 @@ class TestEmptyDatasetGuards:
 
     def test_ci_needs_two_shards(self, golden):
         with pytest.raises(AnalysisError, match=">= 2 shards"):
-            golden.fraction_ci()  # materialized: one shard
+            golden.fraction_ci()  # one shard
 
 
 class TestCdfSketch:

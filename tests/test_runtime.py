@@ -2,7 +2,7 @@
 
 Covers the pool mechanics (ordering, chunking, progress, fallbacks,
 error propagation) and the determinism contract on the real workloads:
-``Campaign.run`` and ``run_pipeline`` must produce bit-for-bit
+``Campaign.run`` and ``sweep`` must produce bit-for-bit
 identical results for any worker count and across repeated runs.
 """
 
@@ -164,21 +164,6 @@ class TestWorkloadDeterminism:
         assert serial_results == again_results      # repeatable
         assert serial_results == parallel_results   # worker-invariant
         assert serial_quality == again_quality == parallel_quality
-
-    def test_pipeline_identical_across_worker_counts(self):
-        from repro.ndt.pipeline import run_pipeline
-        from repro.ndt.synth import SyntheticNdtGenerator
-
-        dataset = SyntheticNdtGenerator(seed=11).generate(120)
-        serial = run_pipeline(dataset, workers=1)
-        again = run_pipeline(dataset, workers=1)
-        parallel = run_pipeline(dataset, workers=4)
-        assert serial.flows == again.flows
-        assert serial.flows == parallel.flows
-        assert serial.counts == parallel.counts
-        assert serial.remaining_with_shifts \
-            == parallel.remaining_with_shifts
-        assert serial.detector_quality() == parallel.detector_quality()
 
     def test_sweep_parallel_matches_serial(self):
         from repro.experiments import fig2

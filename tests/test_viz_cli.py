@@ -7,19 +7,6 @@ from repro.cli import build_parser, main
 from repro.errors import AnalysisError
 
 
-class TestSparkline:
-    def test_length_bounded(self):
-        assert len(viz.sparkline(range(500), width=60)) <= 60
-
-    def test_monotone_series_uses_increasing_blocks(self):
-        line = viz.sparkline([1, 2, 3, 4, 5])
-        assert line == "".join(sorted(line))
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            viz.sparkline([])
-
-
 class TestLineChart:
     def test_contains_title_and_labels(self):
         chart = viz.line_chart([0, 1, 2], [5, 3, 9], title="demo",
@@ -49,13 +36,6 @@ class TestBarAndTable:
         text = viz.table([("a", 1), ("bbbb", 22)], header=("n", "v"))
         lines = text.splitlines()
         assert len(set(len(l) for l in lines if l.strip())) == 1
-
-    def test_cdf_chart_runs(self):
-        chart = viz.cdf_chart([1, 2, 2, 3, 9], title="cdf")
-        assert "cdf" in chart
-
-    def test_format_rate(self):
-        assert viz.format_rate(6_000_000) == "48.00 Mbit/s"
 
 
 class TestCli:
