@@ -4,26 +4,16 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick serve serve-smoke
+.PHONY: test slow serve
 
 ## tier-1 test suite (the CI gate)
 test:
 	$(PYTHON) -m pytest -x -q
 
-## full paper-scale benchmark suite (minutes; add -s to stream reports)
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-## quick perf smoke: timing-disabled core benches
-bench-quick:
-	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest \
-		benchmarks/bench_perf_core.py benchmarks/bench_parallel.py \
-		--benchmark-disable -q
+## the opt-in tier: soaks, tests/test_system.py, tests/test_paper_scale.py
+slow:
+	$(PYTHON) -m pytest -q -m slow
 
 ## run the always-on experiment service (see SERVING.md)
 serve:
 	$(PYTHON) -m repro serve
-
-## end-to-end service smoke: submit over HTTP, cache hit, clean drain
-serve-smoke:
-	$(PYTHON) benchmarks/serve_smoke.py

@@ -51,40 +51,6 @@ import sys
 
 from . import __version__
 
-#: Reduced parameters so every experiment finishes in seconds (CI and
-#: demos); keys are experiment names, values are run() overrides.
-SMOKE_PARAMS: dict[str, dict] = {
-    "fig2": {"n_flows": 500},
-    "fig3": {"phases": None},  # filled in below to shorten phases
-    "fq_ablation": {"duration": 10.0},
-    "tbf_jitter": {"duration": 8.0, "burst_sizes_kb": (15.0, 250.0)},
-    "subpacket": {"duration": 40.0, "n_flows": 8},
-    "fairness_matrix": {"duration": 10.0,
-                        "ccas": ("reno", "cubic", "bbr")},
-    "campaign_eval": {"n_paths": 8, "duration": 15.0},
-    "access_link": {"duration": 3.0},
-    "tslp_vs_elasticity": {"duration": 12.0},
-    "bwe_isolation": {"duration": 8.0},
-    "cellular_robustness": {"duration": 20.0,
-                            "volatilities": (0.0, 0.1)},
-    "envelope": {"backend": "fluid"},
-    "robustness": {"budget": 40},
-    "medium_contention": {"backend": "fluid", "duration": 10.0,
-                          "mediums": ("queue", "csma-2", "csma-4")},
-    "fig2_scale": {"population_sizes": (400, 1000),
-                   "chunk_size": 100},
-}
-
-
-def _smoke_overrides(name: str) -> dict:
-    params = dict(SMOKE_PARAMS.get(name, {}))
-    if name == "fig3":
-        from .traffic.mix import FIGURE3_PHASES, Phase
-        params["phases"] = tuple(Phase(p.name, 15.0)
-                                 for p in FIGURE3_PHASES)
-    return params
-
-
 def _json_default(obj):
     """JSON fallback for numpy scalars and other numerics."""
     if hasattr(obj, "item"):
@@ -124,14 +90,15 @@ def _resolve_experiment(args):
     does not accept is ignored with a note).
     """
     from .core.axes import AXES, declared
-    from .experiments import EXPERIMENTS
+    from .experiments import EXPERIMENTS, SMOKE_PARAMS
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; "
               f"try: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return None
     import inspect
     run_fn = EXPERIMENTS[args.experiment]
-    params = _smoke_overrides(args.experiment) if args.smoke else {}
+    params = (dict(SMOKE_PARAMS.get(args.experiment, {}))
+              if args.smoke else {})
     accepted = inspect.signature(run_fn).parameters
     axes = tuple((a.name, a.name) for a in declared("run", "path"))
     for arg, param in _PASSTHROUGH + axes:

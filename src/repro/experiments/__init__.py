@@ -19,6 +19,7 @@
 ==============  ===========================================================
 """
 
+from ..traffic.mix import FIGURE3_PHASES, Phase
 from . import (access_link, bwe_isolation, campaign_eval,
                cellular_robustness, envelope, fairness_matrix, fig2,
                fig2_scale, fig3, fq_ablation, medium_contention,
@@ -44,7 +45,34 @@ EXPERIMENTS = {
     "medium_contention": medium_contention.run,
 }
 
-__all__ = ["EXPERIMENTS", "ExperimentResult", "Stopwatch", "sweep",
+#: Reduced parameters so every experiment finishes in seconds (the
+#: CLI's ``--smoke``, a serve job's ``"smoke": true``); keys are
+#: experiment names, values are run() overrides.
+SMOKE_PARAMS: dict[str, dict] = {
+    "fig2": {"n_flows": 500},
+    "fig3": {"phases": tuple(Phase(p.name, 15.0) for p in FIGURE3_PHASES)},
+    "fq_ablation": {"duration": 10.0},
+    "tbf_jitter": {"duration": 8.0, "burst_sizes_kb": (15.0, 250.0)},
+    "subpacket": {"duration": 40.0, "n_flows": 8},
+    "fairness_matrix": {"duration": 10.0,
+                        "ccas": ("reno", "cubic", "bbr")},
+    "campaign_eval": {"n_paths": 8, "duration": 15.0},
+    "access_link": {"duration": 3.0},
+    "tslp_vs_elasticity": {"duration": 12.0},
+    "bwe_isolation": {"duration": 8.0},
+    "cellular_robustness": {"duration": 20.0,
+                            "volatilities": (0.0, 0.1)},
+    "envelope": {"backend": "fluid"},
+    "robustness": {"budget": 40},
+    "medium_contention": {"backend": "fluid", "duration": 10.0,
+                          "mediums": ("queue", "csma-2", "csma-4")},
+    "fig2_scale": {"population_sizes": (400, 1000),
+                   "chunk_size": 100},
+}
+
+
+__all__ = ["EXPERIMENTS", "SMOKE_PARAMS", "ExperimentResult",
+           "Stopwatch", "sweep",
            "fig2", "fig3", "fq_ablation", "tbf_jitter", "subpacket",
            "fairness_matrix", "campaign_eval", "access_link",
            "tslp_vs_elasticity", "bwe_isolation",

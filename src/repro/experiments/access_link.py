@@ -22,7 +22,7 @@ from ..sim.engine import Simulator
 from ..sim.network import dumbbell
 from ..traffic.cbr import CbrSource
 from ..units import mbps, ms, to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _measure(load_fraction: float, rate_mbps: float, rtt_ms_val: float,
@@ -53,6 +53,7 @@ def _measure(load_fraction: float, rate_mbps: float, rtt_ms_val: float,
     }
 
 
+@records_params
 def run(load_fractions: tuple = (0.2, 0.4, 0.6, 0.8, 0.95, 1.1, 1.4),
         rate_mbps: float = 100.0, rtt_ms_val: float = 20.0,
         duration: float = 10.0, n_apps: int = 5) -> ExperimentResult:
@@ -91,8 +92,5 @@ def run(load_fractions: tuple = (0.2, 0.4, 0.6, 0.8, 0.95, 1.1, 1.4),
         text="\n".join(parts),
         metrics=metrics,
         tables={"sweep": rows},
-        params={"rate_mbps": rate_mbps, "n_apps": n_apps,
-                "duration": duration,
-                "load_fractions": list(load_fractions)},
         elapsed_s=watch.elapsed,
     )

@@ -26,7 +26,7 @@ from ..sim.engine import Simulator
 from ..sim.network import dumbbell
 from ..tcp.endpoint import Connection
 from ..units import mbps, ms, to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 #: (flow name, group, weight, CCA when contending)
 FLOWS = (
@@ -74,6 +74,7 @@ def _run_bwe(rate_mbps: float, duration: float
     return achieved, dict(controller.allocations)
 
 
+@records_params
 def run(rate_mbps: float = 100.0, duration: float = 20.0
         ) -> ExperimentResult:
     """Compare CCA contention against BwE-managed allocation."""
@@ -124,6 +125,5 @@ def run(rate_mbps: float = 100.0, duration: float = 20.0
         text="\n".join(parts),
         metrics=metrics,
         tables={"flows": rows},
-        params={"rate_mbps": rate_mbps, "duration": duration},
         elapsed_s=watch.elapsed,
     )

@@ -13,7 +13,7 @@ from ..core.axes import drop_defaults
 from ..core.campaign import Campaign, CampaignResult
 from ..core.detector import ContentionDetector, confusion_counts
 from ..core.hypothesis import evaluate_hypothesis
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _roc_rows(campaign: CampaignResult,
@@ -32,6 +32,7 @@ def _roc_rows(campaign: CampaignResult,
     return rows
 
 
+@records_params
 def run(n_paths: int = 48, duration: float = 30.0, seed: int = 1,
         fq_fraction: float = 0.3,
         roc_thresholds: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0, 9.0),
@@ -151,8 +152,5 @@ def run(n_paths: int = 48, duration: float = 30.0, seed: int = 1,
         metrics=metrics,
         tables={"paths": path_rows, "roc": roc,
                 "by_cross_traffic": group_rows},
-        params={"n_paths": n_paths, "duration": duration, "seed": seed,
-                "fq_fraction": fq_fraction, "workers": workers,
-                "backend": backend},
         elapsed_s=watch.elapsed,
     )

@@ -29,7 +29,7 @@ from ..sim.network import trace_dumbbell
 from ..sim.trace import cellular_trace
 from ..tcp.endpoint import Connection
 from ..units import mbps, ms, to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _run(volatility: float, contended: bool, mean_mbps: float,
@@ -56,6 +56,7 @@ def _run(volatility: float, contended: bool, mean_mbps: float,
     }
 
 
+@records_params
 def run(volatilities: tuple = (0.0, 0.05, 0.1, 0.2, 0.3),
         mean_mbps: float = 48.0, rtt_ms_val: float = 80.0,
         duration: float = 40.0, seed: int = 0,
@@ -116,8 +117,5 @@ def run(volatilities: tuple = (0.0, 0.05, 0.1, 0.2, 0.3),
         text="\n".join(parts),
         metrics=metrics,
         tables={"sweep": rows},
-        params={"volatilities": list(volatilities),
-                "mean_mbps": mean_mbps, "duration": duration,
-                "seed": seed},
         elapsed_s=watch.elapsed,
     )

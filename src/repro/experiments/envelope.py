@@ -7,8 +7,8 @@ experiment runs exactly those cells -- the five elastic cells, the
 three inelastic CBR cells, and an idle-path control -- on either
 backend and reports the verdict table plus scenarios/second, making it
 both the envelope's regression check and the standard yardstick for
-backend speed comparisons (``benchmarks/bench_fluid.py`` reuses one of
-these cells as its reference scenario).
+backend speed comparisons (``tests/test_system.py`` times the heaviest
+elastic cell on both backends).
 """
 
 from __future__ import annotations
@@ -16,22 +16,16 @@ from __future__ import annotations
 import functools
 
 from .. import viz
+from ..qa.oracles import _ELASTIC_ENVELOPE, _INELASTIC_ENVELOPE
 from ..qa.scenario import Scenario, run_scenario
 from ..runtime import parallel_map
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 #: The calibrated cells: (cross_traffic, rate_mbps, rtt_ms, expected
-#: contending).  Mirrors ``_ELASTIC_ENVELOPE`` / ``_INELASTIC_ENVELOPE``
-#: in :mod:`repro.qa.oracles`, plus an idle control.
+#: contending) -- the oracles' envelopes plus an idle control.
 ENVELOPE_CELLS: tuple[tuple[str, float, float, bool], ...] = (
-    ("reno", 20.0, 20.0, True),
-    ("reno", 20.0, 50.0, True),
-    ("reno", 48.0, 50.0, True),
-    ("bbr", 20.0, 20.0, True),
-    ("bbr", 48.0, 20.0, True),
-    ("cbr", 20.0, 50.0, False),
-    ("cbr", 48.0, 20.0, False),
-    ("cbr", 48.0, 50.0, False),
+    *(cell + (True,) for cell in _ELASTIC_ENVELOPE),
+    *(cell + (False,) for cell in _INELASTIC_ENVELOPE),
     ("none", 48.0, 20.0, False),
 )
 
@@ -40,6 +34,7 @@ def _run_cell(scenario: Scenario, check_invariants: bool = True):
     return run_scenario(scenario, check_invariants=check_invariants)
 
 
+@records_params
 def run(backend: str = "packet", duration: float = 20.0, seed: int = 1,
         workers: int | None = None) -> ExperimentResult:
     """Run every envelope cell and compare verdicts with ground truth.
@@ -110,7 +105,5 @@ def run(backend: str = "packet", duration: float = 20.0, seed: int = 1,
             "scenarios_per_s": scenarios_per_s,
         },
         tables={"cells": rows},
-        params={"backend": backend, "duration": duration, "seed": seed,
-                "workers": workers},
         elapsed_s=watch.elapsed,
     )

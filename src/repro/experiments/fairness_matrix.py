@@ -23,7 +23,7 @@ from ..sim.engine import Simulator
 from ..sim.network import dumbbell
 from ..tcp.endpoint import Connection
 from ..units import mbps, ms, to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 DEFAULT_CCAS = ("reno", "cubic", "vegas", "copa", "bbr")
 
@@ -44,6 +44,7 @@ def _share(cca_a: str, cca_b: str, rate_mbps: float, rtt_ms_val: float,
     return got_a / total if total else 0.0
 
 
+@records_params
 def run(ccas: tuple = DEFAULT_CCAS, rate_mbps: float = 40.0,
         rtt_ms_val: float = 40.0, duration: float = 30.0,
         buffer_multiplier: float = 1.0) -> ExperimentResult:
@@ -88,8 +89,5 @@ def run(ccas: tuple = DEFAULT_CCAS, rate_mbps: float = 40.0,
         text="\n".join(parts),
         metrics=metrics,
         tables={"matrix": rows},
-        params={"ccas": list(ccas), "rate_mbps": rate_mbps,
-                "duration": duration,
-                "buffer_multiplier": buffer_multiplier},
         elapsed_s=watch.elapsed,
     )

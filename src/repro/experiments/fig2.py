@@ -25,12 +25,13 @@ from ..ndt.filters import FlowCategory
 from ..ndt.stream import run_pipeline_streaming
 from ..ndt.synth import DEFAULT_CHUNK_SIZE, PopulationModel
 from ..units import to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 #: The paper analysed 9,984 flows from June 2023.
 PAPER_FLOW_COUNT = 9_984
 
 
+@records_params
 def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
         min_relative_shift: float = 0.25,
         model: PopulationModel | None = None,
@@ -119,8 +120,5 @@ def run(n_flows: int = PAPER_FLOW_COUNT, seed: int = 2023,
         text="\n".join(parts),
         metrics=metrics,
         tables={"categories": rows, "throughput_cdfs": cdf_rows},
-        params={"n_flows": n_flows, "seed": seed,
-                "min_relative_shift": min_relative_shift,
-                "workers": workers, "chunk_size": chunk_size},
         elapsed_s=watch.elapsed,
     )

@@ -21,13 +21,14 @@ from __future__ import annotations
 from .. import viz
 from ..ndt.stream import run_pipeline_streaming
 from ..ndt.synth import PopulationModel
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 #: Default population-size ladder: 10k (paper scale) to 1M (M-Lab
 #: monthly scale), half-decade steps.
 DEFAULT_SIZES = (10_000, 31_623, 100_000, 316_228, 1_000_000)
 
 
+@records_params
 def run(population_sizes: tuple[int, ...] = DEFAULT_SIZES,
         seed: int = 2023, chunk_size: int = 5_000,
         min_relative_shift: float = 0.25,
@@ -102,9 +103,5 @@ def run(population_sizes: tuple[int, ...] = DEFAULT_SIZES,
         text="\n".join(parts),
         metrics=metrics,
         tables={"populations": rows},
-        params={"population_sizes": list(sizes), "seed": seed,
-                "chunk_size": chunk_size,
-                "min_relative_shift": min_relative_shift,
-                "confidence": confidence, "workers": workers},
         elapsed_s=watch.elapsed,
     )

@@ -28,7 +28,7 @@ from ..sim.network import default_buffer_packets, dumbbell
 from ..traffic.mix import (CROSS_TRAFFIC_IS_ELASTIC, FIGURE3_PHASES, Phase,
                            make_cross_traffic)
 from ..units import mbps, ms, to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 #: Paper parameters: 48 Mbit/s, 100 ms Mahimahi link, 45 s per phase.
 LINK_RATE_MBPS = 48.0
@@ -48,6 +48,7 @@ class PhaseOutcome:
     cross_throughput_mbps: float
 
 
+@records_params
 def run(phases: tuple[Phase, ...] = FIGURE3_PHASES,
         rate_mbps: float = LINK_RATE_MBPS, rtt_ms: float = LINK_RTT_MS,
         seed: int = 0, settle: float = 6.0) -> ExperimentResult:
@@ -161,7 +162,5 @@ def run(phases: tuple[Phase, ...] = FIGURE3_PHASES,
         text="\n".join(parts),
         metrics=metrics,
         tables={"phases": phase_rows, "elasticity_series": series_rows},
-        params={"rate_mbps": rate_mbps, "rtt_ms": rtt_ms, "seed": seed,
-                "phases": [(p.name, p.duration) for p in phases]},
         elapsed_s=watch.elapsed,
     )

@@ -21,7 +21,7 @@ from ..sim.engine import Simulator
 from ..sim.network import default_buffer_packets, dumbbell
 from ..tcp.endpoint import Connection
 from ..units import mbps, ms, to_mbps
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 DEFAULT_PAIRS = (("reno", "bbr"), ("cubic", "bbr"), ("reno", "cubic"),
                  ("vegas", "cubic"))
@@ -58,6 +58,7 @@ def _race(pair: tuple[str, str], qdisc_name: str, rate_mbps: float,
     }
 
 
+@records_params
 def run(pairs: tuple = DEFAULT_PAIRS, rate_mbps: float = 40.0,
         rtt_ms: float = 40.0, duration: float = 30.0,
         buffer_multiplier: float = 1.0) -> ExperimentResult:
@@ -104,8 +105,5 @@ def run(pairs: tuple = DEFAULT_PAIRS, rate_mbps: float = 40.0,
         text="\n".join(parts),
         metrics=metrics,
         tables={"races": rows},
-        params={"rate_mbps": rate_mbps, "rtt_ms": rtt_ms,
-                "duration": duration,
-                "buffer_multiplier": buffer_multiplier},
         elapsed_s=watch.elapsed,
     )

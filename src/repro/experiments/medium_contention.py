@@ -37,7 +37,7 @@ from ..core.detector import ContentionDetector
 from ..core.path import build_packet_path
 from ..medium import parse_medium
 from ..runtime import parallel_map
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 #: The medium sweep: a queue control plus CSMA/CA at 2/4/8 stations
 #: and one EDCA priority mix (odd stations get voice-class access).
@@ -107,6 +107,7 @@ def _run_cell(cell, rate_mbps: float, rtt_ms: float, duration: float,
     }
 
 
+@records_params
 def run(backend: str = "packet", rate_mbps: float = 20.0,
         rtt_ms: float = 20.0, duration: float = 20.0, seed: int = 1,
         workers: int | None = None,
@@ -194,8 +195,5 @@ def run(backend: str = "packet", rate_mbps: float = 20.0,
                 / len(drift_rows) if drift_rows else 0.0),
         },
         tables={"cells": rows, "drift": drift_rows},
-        params={"backend": backend, "rate_mbps": rate_mbps,
-                "rtt_ms": rtt_ms, "duration": duration, "seed": seed,
-                "workers": workers},
         elapsed_s=watch.elapsed,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .. import viz
 from ..errors import ConfigError
 from ..qa.search import run_random_baseline, run_search
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _jitter_cells(cells: dict) -> int:
@@ -26,6 +26,7 @@ def _jitter_cells(cells: dict) -> int:
                if cell_id.split("|")[5] != "none")
 
 
+@records_params
 def run(budget: int = 300, seed: int = 0,
         workers: int | None = None) -> ExperimentResult:
     """Run guided search and the random baseline at equal budget.
@@ -95,6 +96,5 @@ def run(budget: int = 300, seed: int = 0,
         text="\n".join(parts),
         metrics=metrics,
         tables={"arms": rows},
-        params={"budget": budget, "seed": seed, "workers": workers},
         elapsed_s=watch.elapsed,
     )

@@ -1,10 +1,10 @@
 """Shared experiment scaffolding.
 
 Each experiment module exposes ``run(**params) -> ExperimentResult``;
-the CLI and benchmarks call it with defaults (or scaled-down "smoke"
-parameters).  Results carry printable text, tabular rows for CSV
-export, and a metrics dict that tests and EXPERIMENTS.md assertions key
-on.
+the CLI and the paper-scale tests call it with defaults (or
+scaled-down "smoke" parameters).  Results carry printable text,
+tabular rows for CSV export, and a metrics dict that tests and
+EXPERIMENTS.md assertions key on.
 
 All report artifacts are written atomically (tmp + ``os.replace`` via
 :mod:`repro.store.atomic`), so a run killed mid-save never leaves a
@@ -15,6 +15,9 @@ requires ``force=True``.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +45,8 @@ class ExperimentResult:
         text: human-readable rendering (charts + tables).
         metrics: headline numbers, for assertions and EXPERIMENTS.md.
         tables: named row-sets to export as CSV.
-        params: the parameters the run used.
+        params: every argument of the ``run`` call, defaults included
+            (filled in by :func:`records_params`).
         attachments: named JSON-able payloads saved alongside the
             report (e.g. the ``metrics_registry`` snapshot from
             :mod:`repro.obs.metrics`).
@@ -91,6 +95,34 @@ class ExperimentResult:
             write_json(json_path, payload)
             written.append(json_path)
         return written
+
+
+def _json_ready(value):
+    """Tuples as lists; a dataclass (``Phase``, ``PopulationModel``)
+    as the list of its field values, so ``Type(*value)`` rebuilds it."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return value
+
+
+def records_params(run):
+    """Decorator for an experiment's ``run``: the result's ``params``
+    is the call's bound arguments, so a saved ``metrics.json`` names
+    everything needed to repeat the run."""
+    signature = inspect.signature(run)
+
+    @functools.wraps(run)
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        result = run(*args, **kwargs)
+        result.params = {name: _json_ready(value)
+                         for name, value in bound.arguments.items()}
+        return result
+
+    return wrapper
 
 
 class Stopwatch:

@@ -25,7 +25,7 @@ from ..sim.network import dumbbell
 from ..qdisc.fifo import DropTailQueue
 from ..tcp.endpoint import Connection
 from ..units import bdp_packets, kbps, mbps, ms
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _run_link(rate_bps: float, rtt: float, n_flows: int, duration: float,
@@ -67,6 +67,7 @@ def _run_link(rate_bps: float, rtt: float, n_flows: int, duration: float,
     }
 
 
+@records_params
 def run(n_flows: int = 8, duration: float = 120.0, window: float = 20.0,
         subpacket_rate_kbps: float = 48.0, subpacket_rtt_ms: float = 120.0,
         healthy_rate_mbps: float = 10.0, mss: int = 1448
@@ -107,8 +108,5 @@ def run(n_flows: int = 8, duration: float = 120.0, window: float = 20.0,
         text="\n".join(parts),
         metrics=metrics,
         tables={"links": rows},
-        params={"n_flows": n_flows, "duration": duration,
-                "window": window,
-                "subpacket_rate_kbps": subpacket_rate_kbps},
         elapsed_s=watch.elapsed,
     )

@@ -26,7 +26,7 @@ from ..sim.node import Host
 from ..tcp.endpoint import Connection
 from ..traffic.cbr import CbrSource
 from ..units import mbps, ms, to_ms
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _shaped_path(sim: Simulator, shaped_rate: float, line_rate: float,
@@ -84,6 +84,7 @@ def _measure(burst_kb: float | None, shaped_mbps: float,
     }
 
 
+@records_params
 def run(burst_sizes_kb: tuple = (15.0, 60.0, 250.0, 1000.0),
         shaped_mbps: float = 10.0, line_mbps: float = 1000.0,
         rtt_ms_val: float = 20.0,
@@ -132,7 +133,5 @@ def run(burst_sizes_kb: tuple = (15.0, 60.0, 250.0, 1000.0),
         text="\n".join(parts),
         metrics=metrics,
         tables={"jitter": rows},
-        params={"burst_sizes_kb": list(burst_sizes_kb),
-                "shaped_mbps": shaped_mbps, "duration": duration},
         elapsed_s=watch.elapsed,
     )

@@ -30,7 +30,7 @@ from ..sim.network import dumbbell
 from ..tcp.endpoint import Connection
 from ..traffic.poisson import PoissonShortFlows
 from ..units import mbps, ms, to_mbps, to_ms
-from .runner import ExperimentResult, Stopwatch
+from .runner import ExperimentResult, Stopwatch, records_params
 
 
 def _add_scenario_traffic(scenario: str, sim, path, rate_mbps: float,
@@ -92,17 +92,18 @@ def _run_scenario(scenario: str, rate_mbps: float, rtt_ms_val: float,
     }
 
 
-def run(rate_mbps: float = 48.0, rtt_ms_val: float = 50.0,
+@records_params
+def run(rate_mbps: float = 48.0, rtt_ms: float = 50.0,
         duration: float = 30.0, seed: int = 0) -> ExperimentResult:
     """Run the three scenarios and compare the instruments."""
     with Stopwatch() as watch:
-        rows = [_run_scenario(s, rate_mbps, rtt_ms_val, duration, seed)
+        rows = [_run_scenario(s, rate_mbps, rtt_ms, duration, seed)
                 for s in ("idle", "aggregate", "contention")]
 
     by_name = {r["scenario"]: r for r in rows}
     parts = [
         f"E9: TSLP vs elasticity probing on a {rate_mbps:.0f} Mbit/s, "
-        f"{rtt_ms_val:.0f} ms link",
+        f"{rtt_ms:.0f} ms link",
         "",
         viz.table(
             [(r["scenario"],
@@ -135,7 +136,5 @@ def run(rate_mbps: float = 48.0, rtt_ms_val: float = 50.0,
         text="\n".join(parts),
         metrics=metrics,
         tables={"scenarios": rows},
-        params={"rate_mbps": rate_mbps, "rtt_ms": rtt_ms_val,
-                "duration": duration, "seed": seed},
         elapsed_s=watch.elapsed,
     )

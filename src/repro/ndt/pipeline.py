@@ -103,7 +103,7 @@ class Fig2Result:
     :class:`CdfSketch`) merges commutatively and associatively, so any
     sharding of a population folds to the aggregates of its one-shard
     run -- :meth:`aggregate_fingerprint` is the equality oracle the
-    test harness and benchmarks gate on.
+    tests gate on.
 
     Attributes:
         total: number of flows analysed.

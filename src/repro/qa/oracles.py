@@ -246,13 +246,14 @@ class ElasticityRescalingOracle(Oracle):
 # TESTING.md, still fuzzed for invariants, but not judged for
 # contention.  Poisson's verdict is seed-dependent near the threshold
 # and is never judged.
-_ELASTIC_ENVELOPE = {
+# (Tuples, not sets: experiment E12 lists the cells in this order.)
+_ELASTIC_ENVELOPE = (
     ("reno", 20.0, 20.0), ("reno", 20.0, 50.0), ("reno", 48.0, 50.0),
     ("bbr", 20.0, 20.0), ("bbr", 48.0, 20.0),
-}
-_INELASTIC_ENVELOPE = {
+)
+_INELASTIC_ENVELOPE = (
     ("cbr", 20.0, 50.0), ("cbr", 48.0, 20.0), ("cbr", 48.0, 50.0),
-}
+)
 
 # The *contention* envelope: the same measurement repeated with the
 # bottleneck replaced by a CSMA/CA shared medium (probe and cross

@@ -267,7 +267,7 @@ def execute_experiment(params: dict, store, workers) -> tuple[dict, object]:
     """``experiment`` jobs: any registered experiment by name."""
     import inspect
 
-    from ..experiments import EXPERIMENTS
+    from ..experiments import EXPERIMENTS, SMOKE_PARAMS
 
     name = params.get("experiment")
     if name not in EXPERIMENTS:
@@ -277,8 +277,7 @@ def execute_experiment(params: dict, store, workers) -> tuple[dict, object]:
     run_fn = EXPERIMENTS[name]
     run_params: dict = {}
     if params.get("smoke"):
-        from ..cli import _smoke_overrides
-        run_params.update(_smoke_overrides(name))
+        run_params.update(SMOKE_PARAMS.get(name, {}))
     extra = params.get("params", {})
     if not isinstance(extra, dict):
         raise ConfigError(f"param 'params' must be an object: {extra!r}")

@@ -54,6 +54,11 @@ def default_buffer_packets(rate_bps: float, rtt: float,
     return max(10, int(round(bdp_packets(rate_bps, rtt) * multiplier)))
 
 
+#: ACK-path rate as a multiple of the forward rate: effectively
+#: uncongested but still serializing.
+REVERSE_RATE_FACTOR = 40.0
+
+
 def _ends(sim: Simulator, rtt: float, reverse_rate_bps: float):
     """What every topology shares: the two hosts, the forward
     propagation delay into ``dst`` and the uncongested ACK path back
@@ -72,7 +77,6 @@ def _ends(sim: Simulator, rtt: float, reverse_rate_bps: float):
 def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
              qdisc: Optional[Qdisc] = None,
              buffer_multiplier: float = 1.0,
-             reverse_rate_bps: Optional[float] = None,
              loss_rate: float = 0.0, seed: int = 0) -> PathHandles:
     """Build a single-bottleneck dumbbell.
 
@@ -84,13 +88,10 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
         rtt: two-way propagation delay, seconds.
         qdisc: bottleneck queue (default: 1xBDP DropTail).
         buffer_multiplier: BDP multiple for the default queue size.
-        reverse_rate_bps: ACK-path rate (default: 40x forward, effectively
-            uncongested but still serializing).
         loss_rate: optional random loss on the forward path.
     """
     src, dst, fwd_delay, reverse = _ends(
-        sim, rtt, reverse_rate_bps if reverse_rate_bps is not None
-        else rate_bps * 40.0)
+        sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
     if qdisc is None:
         qdisc = DropTailQueue(limit_packets=default_buffer_packets(
             rate_bps, rtt, buffer_multiplier))
@@ -105,8 +106,7 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
 
 
 def medium_dumbbell(sim: Simulator, rate_bps: float, rtt: float, spec,
-                    qdisc_factory=None, seed: int = 0,
-                    reverse_rate_bps: Optional[float] = None) -> PathHandles:
+                    qdisc_factory=None, seed: int = 0) -> PathHandles:
     """A dumbbell whose bottleneck is a CSMA/CA shared medium.
 
     Forward data crosses a :class:`~repro.sim.medium.MediumLink`
@@ -126,8 +126,7 @@ def medium_dumbbell(sim: Simulator, rate_bps: float, rtt: float, spec,
     from .medium import MediumLink
 
     src, dst, fwd_delay, reverse = _ends(
-        sim, rtt, reverse_rate_bps if reverse_rate_bps is not None
-        else rate_bps * 40.0)
+        sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
     bottleneck = MediumLink(sim, rate_bps, spec, sink=fwd_delay,
                             qdisc_factory=qdisc_factory, seed=seed,
                             name="bottleneck")
@@ -173,7 +172,8 @@ def two_hop_chain(sim: Simulator, rates_bps: tuple[float, float], rtt: float,
     The smaller rate is the true bottleneck; the builder does not assume
     which one that is.
     """
-    src, dst, fwd_delay, reverse = _ends(sim, rtt, max(rates_bps) * 40.0)
+    src, dst, fwd_delay, reverse = _ends(
+        sim, rtt, max(rates_bps) * REVERSE_RATE_FACTOR)
     q1, q2 = (q if q is not None else DropTailQueue(
         limit_packets=default_buffer_packets(rate, rtt, buffer_multiplier))
         for q, rate in zip(qdiscs, rates_bps))

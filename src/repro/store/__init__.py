@@ -38,7 +38,7 @@ from .atomic import (atomic_open, atomic_write_bytes, atomic_write_json,
                      atomic_write_text)
 from .fingerprint import (CODE_VERSION, STORE_SCHEMA_VERSION,
                           callable_config, canonical_json, canonicalize,
-                          fingerprint, fingerprint_stream)
+                          fingerprint)
 from .scheduler import ResumableScheduler, SchedulerReport
 
 #: When "1"/"true"/"yes", library calls without an explicit ``store=``
@@ -90,7 +90,7 @@ def using_store(store: ArtifactStore | None):
 __all__ = [
     "ArtifactStore", "ResumableScheduler", "SchedulerReport",
     "STORE_ENV", "CACHE_ENV", "CODE_VERSION", "STORE_SCHEMA_VERSION",
-    "default_root", "fingerprint", "fingerprint_stream",
+    "default_root", "fingerprint",
     "canonical_json", "canonicalize", "callable_config",
     "atomic_open", "atomic_write_text", "atomic_write_bytes",
     "atomic_write_json",

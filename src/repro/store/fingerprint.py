@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import fields, is_dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .. import __version__
 from ..errors import ConfigError
@@ -106,23 +106,6 @@ def fingerprint(payload, kind: str = "generic",
     material = (f"{salt if salt is not None else CODE_VERSION}\x00"
                 f"{kind}\x00{canonical_json(payload)}")
     return hashlib.sha256(material.encode()).hexdigest()
-
-
-def fingerprint_stream(items: Iterable, kind: str = "dataset",
-                       salt: str | None = None) -> str:
-    """Incremental fingerprint over a large sequence of items.
-
-    Equivalent in spirit to ``fingerprint(list(items))`` but hashes one
-    canonical item at a time, so multi-thousand-record datasets never
-    materialize a giant JSON string.
-    """
-    h = hashlib.sha256(
-        f"{salt if salt is not None else CODE_VERSION}\x00{kind}\x00"
-        .encode())
-    for item in items:
-        h.update(canonical_json(item).encode())
-        h.update(b"\x1e")  # record separator: [a, bc] != [ab, c]
-    return h.hexdigest()
 
 
 def callable_config(fn) -> dict:

@@ -1,5 +1,7 @@
 """Smoke test for the E11 cellular-robustness experiment (reduced)."""
 
+import inspect
+
 import pytest
 
 from repro.experiments import cellular_robustness
@@ -9,6 +11,12 @@ from repro.experiments import cellular_robustness
 def result():
     return cellular_robustness.run(volatilities=(0.0, 0.1),
                                    duration=25.0)
+
+
+def test_params_name_every_run_argument(result):
+    assert set(result.params) == set(
+        inspect.signature(cellular_robustness.run).parameters)
+    assert result.params["volatilities"] == [0.0, 0.1]
 
 
 def test_rows_cover_matrix(result):

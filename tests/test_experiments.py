@@ -1,10 +1,13 @@
 """Smoke + shape tests for the experiment harness (reduced parameters).
 
-The full-size paper-shape assertions live in the benchmarks; here every
-experiment runs in seconds and its structural contract is checked:
-text renders, metrics exist, CSV tables are well-formed, results save
-to disk.
+The full-size paper-shape assertions live in
+``tests/test_paper_scale.py`` (``-m slow``); here every experiment
+runs in seconds and its structural contract is checked: text renders,
+metrics exist, CSV tables are well-formed, results save to disk.
 """
+
+import inspect
+import json
 
 import pytest
 
@@ -14,7 +17,18 @@ from repro.experiments import (EXPERIMENTS, access_link, bwe_isolation,
 from repro.experiments.runner import ExperimentResult
 
 
-class TestFig2:
+class ParamsRecorded:
+    """Mixed into each experiment's class: ``result.params`` names
+    every argument of the ``run`` that produced it, JSON-ready, so a
+    saved ``metrics.json`` can repeat its run."""
+
+    def test_params_name_every_run_argument(self, result):
+        accepted = inspect.signature(EXPERIMENTS[result.experiment])
+        assert set(result.params) == set(accepted.parameters)
+        assert json.loads(json.dumps(result.params)) == result.params
+
+
+class TestFig2(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return fig2.run(n_flows=400, seed=5)
@@ -47,7 +61,7 @@ class TestFig2:
                 "categories.csv"} <= names
 
 
-class TestFqAblation:
+class TestFqAblation(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return fq_ablation.run(pairs=(("reno", "bbr"),), duration=15.0)
@@ -60,7 +74,7 @@ class TestFqAblation:
             < result.metrics["min_jain_fq"]
 
 
-class TestTbfJitter:
+class TestTbfJitter(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return tbf_jitter.run(burst_sizes_kb=(15.0, 500.0), duration=10.0)
@@ -81,7 +95,7 @@ class TestTbfJitter:
                        for r in others))
 
 
-class TestSubpacket:
+class TestSubpacket(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return subpacket.run(n_flows=8, duration=60.0, window=20.0)
@@ -95,7 +109,7 @@ class TestSubpacket:
         assert result.metrics["subpacket_timeouts"] > 0
 
 
-class TestAccessLink:
+class TestAccessLink(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return access_link.run(duration=3.0,
@@ -108,7 +122,7 @@ class TestAccessLink:
         assert result.metrics["min_error_above_saturation"] > 0.05
 
 
-class TestTslpVsElasticity:
+class TestTslpVsElasticity(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return tslp_vs_elasticity.run(duration=15.0)
@@ -122,7 +136,7 @@ class TestTslpVsElasticity:
         assert result.metrics["probe_flags_aggregate"] == 0.0
 
 
-class TestBweIsolation:
+class TestBweIsolation(ParamsRecorded):
     @pytest.fixture(scope="class")
     def result(self):
         return bwe_isolation.run(duration=8.0)
@@ -168,6 +182,13 @@ class TestRegistryAndResults:
             "fairness_matrix", "campaign_eval", "access_link",
             "tslp_vs_elasticity", "bwe_isolation", "cellular_robustness",
             "envelope", "robustness", "fig2_scale", "medium_contention"}
+
+    def test_every_run_records_its_params(self):
+        # ParamsRecorded checks the results tier-1 computes; the
+        # experiments it never runs must at least be decorated.
+        for name, fn in sorted(EXPERIMENTS.items()):
+            assert hasattr(fn, "__wrapped__"), (
+                f"{name}.run() is not wrapped by records_params")
 
     def test_result_save_round_trip(self, tmp_path):
         result = ExperimentResult(

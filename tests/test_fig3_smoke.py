@@ -1,10 +1,12 @@
 """A compact Figure 3 run: the centerpiece experiment, reduced phases.
 
 The full 5 x 45 s reproduction with shape assertions lives in
-``benchmarks/bench_fig3_elasticity.py``; this checks the experiment
+``tests/test_paper_scale.py``; this checks the experiment
 machinery (phase sequencing, per-phase accounting, artifact tables) on
 a short three-phase plan.
 """
+
+import inspect
 
 import pytest
 
@@ -17,6 +19,13 @@ def result():
     phases = (Phase("reno", 15.0), Phase("video", 15.0),
               Phase("cbr", 15.0))
     return fig3.run(phases=phases, settle=6.0)
+
+
+def test_params_name_every_run_argument(result):
+    assert set(result.params) == set(
+        inspect.signature(fig3.run).parameters)
+    assert result.params["settle"] == 6.0
+    assert result.params["phases"][0] == ["reno", 15.0]
 
 
 def test_phase_rows_cover_plan(result):

@@ -183,6 +183,15 @@ class TestWorkloadDeterminism:
             label="n_flows", workers=2)
         assert serial_rows == pool_rows
 
+    def test_fig2_identical_across_worker_counts(self):
+        from repro.experiments import fig2
+
+        serial, parallel = (
+            fig2.run(n_flows=400, seed=2023, chunk_size=100,
+                     workers=workers) for workers in (1, 4))
+        assert serial.metrics == parallel.metrics
+        assert serial.tables == parallel.tables
+
 
 class TestCampaignJobPicklability:
     """The campaign's worker payload must stay picklable, or the pool

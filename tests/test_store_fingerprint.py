@@ -17,7 +17,7 @@ from repro.core.campaign import PathSpec
 from repro.core.detector import ContentionDetector
 from repro.errors import ConfigError
 from repro.store import (CODE_VERSION, callable_config, canonical_json,
-                         fingerprint, fingerprint_stream)
+                         fingerprint)
 
 
 def spec(**overrides):
@@ -88,10 +88,6 @@ class TestSaltAndKind:
         base = fingerprint({"x": 1})
         assert base == fingerprint({"x": 1}, salt=CODE_VERSION)
         assert base != fingerprint({"x": 1}, salt=CODE_VERSION + ".next")
-
-    def test_stream_matches_no_concat_ambiguity(self):
-        assert fingerprint_stream(["ab"]) != fingerprint_stream(["a", "b"])
-        assert fingerprint_stream([1, 2]) == fingerprint_stream((1, 2))
 
 
 class TestCrossProcessStability:

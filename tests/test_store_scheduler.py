@@ -274,7 +274,10 @@ class TestCampaignResume:
 
     def test_cached_rerun_executes_nothing(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
+        REGISTRY.reset()
         first = self.fresh_campaign().run(workers=1, store=store)
+        assert REGISTRY.counter("store.hits").value == 0
+        assert REGISTRY.counter("pool.tasks").value == self.N_PATHS
         REGISTRY.reset()
         second = self.fresh_campaign().run(workers=1, store=store)
         assert REGISTRY.counter("pool.tasks").value == 0
