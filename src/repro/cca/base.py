@@ -132,12 +132,6 @@ class CongestionControl(abc.ABC):
                        app_limited: bool) -> None:
         """A data segment left the sender."""
 
-    # -- introspection -----------------------------------------------------
-
-    def cwnd_bytes(self) -> float:
-        """Congestion window in bytes."""
-        return self.cwnd * self.mss
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pacing = self.pacing_rate
         pacing_str = f", pacing={pacing:.0f}B/s" if pacing else ""

@@ -188,11 +188,6 @@ class NimbusCca(CongestionControl):
         """All elasticity readings so far (the measurement output)."""
         return self.estimator.readings
 
-    @property
-    def latest_elasticity(self) -> float | None:
-        readings = self.estimator.readings
-        return readings[-1].elasticity if readings else None
-
     # -- event plumbing -------------------------------------------------------
 
     def on_packet_sent(self, now: float, bytes_sent: int,

@@ -47,6 +47,7 @@ also skip paths the previous run quarantined as persistently failing).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -74,48 +75,46 @@ def cmd_list(args) -> int:
     return 0
 
 
-#: ``(args attribute, run() parameter)`` for every optional flag that
+#: ``run() parameter: args attribute`` for every optional flag that
 #: ``run``/``trace``/``metrics`` pass through to an experiment that
 #: accepts it; the late axes' flags join from their declaration.
-_PASSTHROUGH = (("seed", "seed"), ("workers", "workers"),
-                ("resume", "resume"), ("cluster", "cluster"),
-                ("flows", "n_flows"), ("chunk_size", "chunk_size"))
+_PASSTHROUGH = {"seed": "seed", "workers": "workers", "resume": "resume",
+                "cluster": "cluster", "n_flows": "flows",
+                "chunk_size": "chunk_size"}
 
 
-def _resolve_experiment(args):
-    """Map CLI args to ``(run_fn, params)``; None when unknown.
+def _experiment_command(command):
+    """``command(args, run_fn, params)`` as a sub-command of ``args``.
 
-    Shared by ``run``, ``trace``, and ``metrics``: handles smoke
-    overrides and the optional flag passthrough (a flag the experiment
-    does not accept is ignored with a note).
+    Shared by ``run``, ``trace``, and ``metrics``: smoke overrides and
+    the optional flag passthrough are :func:`repro.experiments.resolve`
+    (a flag the experiment does not accept is ignored with a note; an
+    unknown experiment is a usage error).
     """
-    from .core.axes import AXES, declared
-    from .experiments import EXPERIMENTS, SMOKE_PARAMS
-    if args.experiment not in EXPERIMENTS:
-        print(f"unknown experiment {args.experiment!r}; "
-              f"try: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
-        return None
-    import inspect
-    run_fn = EXPERIMENTS[args.experiment]
-    params = (dict(SMOKE_PARAMS.get(args.experiment, {}))
-              if args.smoke else {})
-    accepted = inspect.signature(run_fn).parameters
-    axes = tuple((a.name, a.name) for a in declared("run", "path"))
-    for arg, param in _PASSTHROUGH + axes:
-        value = getattr(args, arg, None)
-        if value is None or value is False or value == "":
-            continue
-        if param in accepted:
-            params[param] = value
-        elif arg in AXES and param + "s" in accepted:
-            # An experiment that sweeps the axis (E16's ``mediums``)
-            # keeps its control cells at the axis default.
-            params[param + "s"] = tuple(dict.fromkeys(
-                (AXES[arg].default, value)))
-        else:
+    @functools.wraps(command)
+    def resolved(args) -> int:
+        from .core.axes import declared
+        from .errors import ConfigError
+        from .experiments import resolve
+        flags = {**_PASSTHROUGH,
+                 **{a.name: a.name for a in declared("run", "path")}}
+        offered = {param: getattr(args, arg, None)
+                   for param, arg in flags.items()}
+        try:
+            run_fn, params, declined = resolve(
+                args.experiment, args.smoke,
+                offered={param: value for param, value in offered.items()
+                         if value is not None and value is not False
+                         and value != ""})
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        for param in declined:
             print(f"note: {args.experiment} takes no "
-                  f"{arg.replace('_', ' ')}; ignoring", file=sys.stderr)
-    return run_fn, params
+                  f"{flags[param].replace('_', ' ')}; ignoring",
+                  file=sys.stderr)
+        return command(args, run_fn, params)
+    return resolved
 
 
 def _parse_qdisc_thresholds(pairs) -> dict[str, float] | None:
@@ -161,25 +160,18 @@ def _experiment_key(name: str, params: dict) -> str:
                        kind="experiment")
 
 
-def cmd_run(args) -> int:
+@_experiment_command
+def cmd_run(args, run_fn, params) -> int:
     """``repro run <experiment>``: run and print one experiment."""
-    resolved = _resolve_experiment(args)
-    if resolved is None:
-        return 2
-    run_fn, params = resolved
     from .store import using_store
     store = _cli_store(args)
-    cached = False
     with using_store(store):
-        result = None
-        key = None
-        if store is not None:
-            key = _experiment_key(args.experiment, params)
-            result = store.get(key)
-            cached = result is not None
-        if result is None:
+        key = _experiment_key(args.experiment, params)
+        result = None if store is None else store.get(key)
+        cached = result is not None
+        if not cached:
             result = run_fn(**params)
-            if store is not None and key is not None:
+            if store is not None:
                 store.put(key, result, kind="experiment",
                           label=args.experiment)
     written = []
@@ -215,12 +207,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
+@_experiment_command
+def cmd_trace(args, run_fn, params) -> int:
     """``repro trace <experiment>``: run with event tracing to JSONL."""
-    resolved = _resolve_experiment(args)
-    if resolved is None:
-        return 2
-    run_fn, params = resolved
     from .obs.bus import JsonlTraceWriter
     from .store import using_store
     kinds = args.kinds.split(",") if args.kinds else None
@@ -253,33 +242,28 @@ def _print_registry(entries, indent: str = "", width: int = 32) -> None:
                   f"{entry['value']:.6g}")
 
 
-def cmd_metrics(args) -> int:
+@_experiment_command
+def cmd_metrics(args, run_fn, params) -> int:
     """``repro metrics <experiment>``: run and print the metrics registry."""
-    resolved = _resolve_experiment(args)
-    if resolved is None:
-        return 2
-    run_fn, params = resolved
     from .obs.metrics import REGISTRY
     from .store import using_store
     REGISTRY.reset()
     with using_store(_cli_store(args)):
         result = run_fn(**params)
     snapshot = REGISTRY.snapshot()
+    written = []
+    if args.out:
+        result.attachments["metrics_registry"] = snapshot
+        written = result.save(args.out)
     if args.json:
         _print_json({"experiment": result.experiment,
                      "metrics_registry": snapshot})
-        if args.out:
-            result.attachments["metrics_registry"] = snapshot
-            result.save(args.out)
         return 0
     _print_registry(snapshot.items())
     if not snapshot:
         print("(no metrics recorded)")
-    if args.out:
-        result.attachments["metrics_registry"] = snapshot
-        written = result.save(args.out)
-        for path in written:
-            print(f"wrote {path}")
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 
@@ -364,20 +348,34 @@ def cmd_store(args) -> int:
             print(f"... and {len(entries) - args.limit} more "
                   f"(--limit to see them)")
         return 0
-    if args.store_command == "gc":
-        if args.max_age_days is None and args.max_bytes is None:
-            print("gc needs --max-age-days and/or --max-bytes",
-                  file=sys.stderr)
-            return 2
-        evicted, freed = store.prune(
-            max_age_s=(None if args.max_age_days is None
-                       else args.max_age_days * 86400.0),
-            max_bytes=args.max_bytes)
-        print(f"evicted {evicted} entries, freed {_human_bytes(freed)}")
-        return 0
-    print(f"unknown store command {args.store_command!r}",
-          file=sys.stderr)  # pragma: no cover
-    return 2  # pragma: no cover
+    # gc (argparse admits no fourth command)
+    if args.max_age_days is None and args.max_bytes is None:
+        print("gc needs --max-age-days and/or --max-bytes",
+              file=sys.stderr)
+        return 2
+    evicted, freed = store.prune(
+        max_age_s=(None if args.max_age_days is None
+                   else args.max_age_days * 86400.0),
+        max_bytes=args.max_bytes)
+    print(f"evicted {evicted} entries, freed {_human_bytes(freed)}")
+    return 0
+
+
+def _promote_failures(found, args) -> None:
+    """Shrink the first ``--max-shrink`` of ``found``, ``(failure,
+    origin)`` pairs, into ``--corpus-out`` (``qa fuzz``, ``qa search``)."""
+    import time
+
+    from .qa.search import promote_failure
+
+    created = time.strftime("%Y-%m-%d")
+    for failure, origin in found[:args.max_shrink]:
+        print(f"shrinking [{failure.oracle}] "
+              f"{failure.scenario.label()}...", file=sys.stderr)
+        case, runs = promote_failure(failure, origin, created,
+                                     directory=args.corpus_out)
+        print(f"  -> {args.corpus_out}/{case.name}.json "
+              f"({runs} shrink runs)", file=sys.stderr)
 
 
 def cmd_qa_fuzz(args) -> int:
@@ -390,56 +388,32 @@ def cmd_qa_fuzz(args) -> int:
     """
     import time as _time
 
-    from .qa.corpus import case_for, save_case
-    from .qa.fuzz import run_fuzz
+    from .qa.fuzz import sample_scenario
     from .qa.oracles import ORACLES
-    from .qa.scenario import run_scenario
-    from .qa.shrink import shrink
+    from .qa.search import SearchFailure
+    from .serve.jobs import execute_qa_fuzz
 
     t0 = _time.time()
-    report = run_fuzz(args.budget, seed=args.seed,
-                      store=_cli_store(args),
-                      pool_check=not args.no_pool_check)
+    summary, report = execute_qa_fuzz(
+        _cli_store(args), None, budget=args.budget, seed=args.seed,
+        pool_check=not args.no_pool_check)
     if args.json:
-        _print_json({
-            "seed": report.seed,
-            "budget": report.budget,
-            "passed": report.budget - len(report.failures),
-            "cache_hits": report.cache_hits,
-            "failures": [{"index": v.index, "label": v.label,
-                          "findings": [str(f) for f in v.findings]}
-                         for v in report.failures]})
+        _print_json(summary)
     else:
         print(report.render())
     print(f"[{_time.time() - t0:.1f}s, {report.cache_hits} cached "
           f"verdicts]", file=sys.stderr)
-    failures = report.failures
-    if not failures:
-        return 0
-    if not args.no_shrink:
-        by_name = {o.name: o for o in ORACLES}
-        created = _time.strftime("%Y-%m-%d")
-        for verdict in failures[:args.max_shrink]:
-            oracle = by_name.get(verdict.findings[0].oracle)
-            if oracle is None:  # synthetic finding (pool-equivalence)
-                print(f"not shrinkable: {verdict.findings[0]}",
-                      file=sys.stderr)
-                continue
-            from .qa.fuzz import sample_scenario
-            scenario = sample_scenario(verdict.index, args.seed)
-            print(f"shrinking [{verdict.index}] {verdict.label} "
-                  f"({oracle.name})...", file=sys.stderr)
-            result = shrink(scenario, oracle, run_scenario)
-            case = case_for(
-                result.scenario, oracle.name,
-                origin=(f"fuzz seed={args.seed} index={verdict.index} "
-                        f"(shrunk, {result.runs} runs)"),
-                created=created)
-            path = save_case(case, args.corpus_out)
-            print(f"  -> {path} ({len(result.steps)} shrink steps: "
-                  f"{'; '.join(result.steps) or 'already minimal'})",
-                  file=sys.stderr)
-    return 1
+    if report.failures and not args.no_shrink:
+        # Synthetic findings (pool-equivalence) have no oracle to hold.
+        shrinkable = {o.name for o in ORACLES}
+        _promote_failures(
+            [(SearchFailure(sample_scenario(v.index, args.seed),
+                            v.findings[0].oracle, (str(v.findings[0]),),
+                            (), reproduced=False),
+              f"fuzz seed={args.seed} index={v.index}")
+             for v in report.failures[:args.max_shrink]
+             if v.findings[0].oracle in shrinkable], args)
+    return 1 if report.failures else 0
 
 
 def cmd_qa_search(args) -> int:
@@ -453,7 +427,7 @@ def cmd_qa_search(args) -> int:
     """
     import time as _time
 
-    from .qa.search import promote_failure, run_search
+    from .qa.search import run_search
 
     qdisc_thresholds = _parse_qdisc_thresholds(
         getattr(args, "qdisc_threshold", None))
@@ -475,15 +449,9 @@ def cmd_qa_search(args) -> int:
         print(report.render())
     print(f"[{_time.time() - t0:.1f}s]", file=sys.stderr)
     reproduced = report.reproduced_failures
-    if reproduced and not args.no_shrink:
-        created = _time.strftime("%Y-%m-%d")
-        for failure in reproduced[:args.max_shrink]:
-            print(f"shrinking [{failure.oracle}] "
-                  f"{failure.scenario.label()}...", file=sys.stderr)
-            case, runs = promote_failure(failure, args.seed, created,
-                                         directory=args.corpus_out)
-            print(f"  -> {args.corpus_out}/{case.name}.json "
-                  f"({runs} shrink runs)", file=sys.stderr)
+    if not args.no_shrink:
+        _promote_failures([(failure, f"search seed={args.seed}")
+                           for failure in reproduced], args)
     return 1 if reproduced else 0
 
 
@@ -641,13 +609,13 @@ def cmd_cluster(args) -> int:
     membership.tick()
     rows = membership.status()
     journals = list_journals(ArtifactStore(args.root))
+    merged = collect_metrics(
+        [ServeClient(n.host, n.port, timeout=10.0, connect_timeout=2.0)
+         for n in membership.nodes]) if args.metrics else None
     if args.json:
         payload = {"nodes": rows, "journals": journals}
         if args.metrics:
-            payload["metrics"] = collect_metrics(
-                [ServeClient(n.host, n.port, timeout=10.0,
-                             connect_timeout=2.0)
-                 for n in membership.nodes])
+            payload["metrics"] = merged
         _print_json(payload)
         return 0 if membership.live() else 1
     for row in rows:
@@ -668,10 +636,6 @@ def cmd_cluster(args) -> int:
             print(f"  {row['run'][:16]}  {row['status']:9s} "
                   f"{row['tasks']} tasks  {counts}")
     if args.metrics:
-        merged = collect_metrics(
-            [ServeClient(n.host, n.port, timeout=10.0,
-                         connect_timeout=2.0)
-             for n in membership.nodes])
         print("merged cluster metrics:")
         _print_registry(sorted(merged.items()), indent="  ", width=40)
     return 0 if live else 1
@@ -716,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_experiment_flags(p):
         """What ``run``/``trace``/``metrics`` share: the experiment
-        name and every flag :func:`_resolve_experiment` passes on."""
+        name and every flag :func:`_experiment_command` passes on."""
         p.add_argument("experiment")
         p.add_argument("--smoke", action="store_true",
                        help="reduced parameters, seconds not minutes")
@@ -805,6 +769,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_qa = sub.add_parser(
         "qa", help="simulator QA: fuzz, shrink, regression corpus")
     qa_sub = p_qa.add_subparsers(dest="qa_command", required=True)
+
+    def add_shrink_flags(p):
+        """What ``fuzz`` and ``search`` do with the failures found."""
+        p.add_argument("--corpus-out", default="qa-failures",
+                       help="directory for shrunk failing scenarios")
+        p.add_argument("--max-shrink", type=int, default=5,
+                       help="max failures to shrink after the campaign")
+        p.add_argument("--no-shrink", action="store_true",
+                       help="report failures without shrinking them")
+
+    def add_search_flags(p):
+        """What ``search`` and ``envelope`` share: the report is a pure
+        function of seed/budget/threshold(s)."""
+        p.add_argument("--budget", type=int, default=200,
+                       help="candidate scenarios to evaluate")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int,
+                       help="evaluation parallelism (wall-clock only; "
+                            "output is worker-count invariant)")
+        p.add_argument("--threshold", type=float, default=2.0,
+                       help="detector threshold the confidence buckets "
+                            "center on")
+        p.add_argument("--qdisc-threshold", action="append",
+                       metavar="QDISC=VALUE",
+                       help="per-qdisc detector-threshold override "
+                            "(repeatable); recorded in the envelope's "
+                            "detectors matrix")
+        add_json_flag(p)
+
     p_fuzz = qa_sub.add_parser(
         "fuzz", help="run a budgeted scenario-fuzzing campaign")
     p_fuzz.add_argument("--budget", type=int, default=200,
@@ -814,55 +807,23 @@ def build_parser() -> argparse.ArgumentParser:
                              "pure function of it)")
     p_fuzz.add_argument("--no-cache", action="store_true",
                         help="skip the verdict cache")
-    p_fuzz.add_argument("--corpus-out", default="qa-failures",
-                        help="directory for shrunk failing scenarios")
-    p_fuzz.add_argument("--max-shrink", type=int, default=5,
-                        help="max failures to shrink after the campaign")
-    p_fuzz.add_argument("--no-shrink", action="store_true",
-                        help="report failures without shrinking them")
+    add_shrink_flags(p_fuzz)
     p_fuzz.add_argument("--no-pool-check", action="store_true",
                         help="skip the worker-equivalence stage")
     add_json_flag(p_fuzz)
     p_fuzz.set_defaults(fn=cmd_qa_fuzz)
     p_search = qa_sub.add_parser(
         "search", help="coverage-guided adversarial scenario search")
-    p_search.add_argument("--budget", type=int, default=200,
-                          help="candidate scenarios to evaluate")
-    p_search.add_argument("--seed", type=int, default=0,
-                          help="campaign seed (the report is a pure "
-                               "function of seed/budget/threshold)")
-    p_search.add_argument("--workers", type=int,
-                          help="evaluation parallelism (wall-clock "
-                               "only; output is worker-count invariant)")
-    p_search.add_argument("--threshold", type=float, default=2.0,
-                          help="detector threshold the confidence "
-                               "buckets center on")
-    p_search.add_argument("--corpus-out", default="qa-failures",
-                          help="directory for shrunk reproduced "
-                               "failures")
-    p_search.add_argument("--max-shrink", type=int, default=5,
-                          help="max failures to shrink after the search")
-    p_search.add_argument("--no-shrink", action="store_true",
-                          help="report failures without shrinking them")
+    add_search_flags(p_search)
+    add_shrink_flags(p_search)
     p_search.add_argument("--cluster", metavar="NODES",
                           help="evaluate candidates across repro serve "
                                "nodes (host1:8765,...); the report "
                                "stays byte-identical to a local run")
-    p_search.add_argument("--qdisc-threshold", action="append",
-                          metavar="QDISC=VALUE",
-                          help="per-qdisc detector-threshold override "
-                               "for the confidence axis (repeatable)")
-    add_json_flag(p_search)
     p_search.set_defaults(fn=cmd_qa_search)
     p_envelope = qa_sub.add_parser(
         "envelope", help="produce the robustness-envelope artifact")
-    p_envelope.add_argument("--budget", type=int, default=200,
-                            help="search budget behind the envelope")
-    p_envelope.add_argument("--seed", type=int, default=0)
-    p_envelope.add_argument("--workers", type=int,
-                            help="evaluation parallelism")
-    p_envelope.add_argument("--threshold", type=float, default=2.0,
-                            help="detector threshold under test")
+    add_search_flags(p_envelope)
     p_envelope.add_argument("--no-cache", action="store_true",
                             help="recompute even if the store has a "
                                  "matching envelope")
@@ -872,13 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="diff against a baseline envelope "
                                  "JSON; exit 1 on pass->fail "
                                  "regressions")
-    p_envelope.add_argument("--qdisc-threshold", action="append",
-                            metavar="QDISC=VALUE",
-                            help="per-qdisc detector-threshold "
-                                 "override; recorded in the "
-                                 "artifact's detectors matrix "
-                                 "(repeatable)")
-    add_json_flag(p_envelope)
     p_envelope.set_defaults(fn=cmd_qa_envelope)
     p_shrink = qa_sub.add_parser(
         "shrink", help="re-minimize a saved corpus case")

@@ -45,11 +45,6 @@ from .membership import (CONNECT_TIMEOUT_S, READ_TIMEOUT_S, Membership,
                          Node, parse_cluster)
 from .merge import pull_objects
 
-#: Campaign params forwarded into ``paths`` shard tasks, besides the
-#: run- and path-level axes of :mod:`repro.core.axes`.
-_CAMPAIGN_PARAM_KEYS = ("n_paths", "seed", "duration", "fq_fraction")
-
-
 @dataclass(frozen=True)
 class ClusterTask:
     """One unit of cluster dispatch.
@@ -478,9 +473,8 @@ def run_clustered_campaign(params: Mapping, cluster,
     and the result is byte-identical to a serial run by construction.
 
     Args:
-        params: campaign params as a serve ``campaign`` job takes them
-            (``n_paths``, ``seed``, ``duration``, ``fq_fraction``,
-            ``backend``).
+        params: what a serve ``campaign`` job takes, held to the same
+            declaration (:func:`repro.serve.jobs.bind_params`).
         cluster: node spec for :func:`parse_cluster`, or an existing
             :class:`Membership` when ``coordinator`` is None.
         store: local merge target (default: the default store).
@@ -490,14 +484,18 @@ def run_clustered_campaign(params: Mapping, cluster,
             prior manifest's quarantine list).
         coordinator: injectable pre-built coordinator (tests).
     """
-    from ..core.axes import declared
-    from ..serve.jobs import campaign_from_params
+    from ..core.campaign import Campaign
+    from ..serve.jobs import bind_params
     from ..store import active_store
     from ..store.fingerprint import fingerprint
 
     if store is None:
         store = active_store() or ArtifactStore()
-    campaign = campaign_from_params(dict(params))
+    # What a shard forwards is what names the campaign: a ``campaign``
+    # job's params less the one that only steers its own run.
+    base = bind_params("campaign", params)
+    base.pop("resume", None)
+    campaign = Campaign(**base)
     path_keys = [campaign.path_key(s) for s in campaign.specs]
     todo = [i for i, key in enumerate(path_keys) if key not in store]
     _METRICS.scoped("cluster").counter("campaign_paths_local").inc(
@@ -509,9 +507,6 @@ def run_clustered_campaign(params: Mapping, cluster,
             coordinator = Coordinator(
                 membership, store,
                 journal=ClusterJournal(store, campaign.fingerprint()))
-        forwarded = _CAMPAIGN_PARAM_KEYS + tuple(
-            axis.name for axis in declared("run", "path"))
-        base = {k: params[k] for k in forwarded if k in params}
         shard_count = shards_per_node * len(
             coordinator.membership.nodes)
         tasks = []

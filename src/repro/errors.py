@@ -50,10 +50,6 @@ class SweepPointError(ReproError):
     """
 
 
-class StoreError(ReproError):
-    """The artifact store encountered an unrecoverable condition."""
-
-
 class ClusterError(ReproError):
     """A clustered run cannot make progress (no live nodes, or a task
     exhausted its attempts on every reachable node)."""

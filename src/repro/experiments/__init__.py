@@ -19,6 +19,10 @@
 ==============  ===========================================================
 """
 
+import inspect
+
+from ..core.axes import AXES
+from ..errors import ConfigError
 from ..traffic.mix import FIGURE3_PHASES, Phase
 from . import (access_link, bwe_isolation, campaign_eval,
                cellular_robustness, envelope, fairness_matrix, fig2,
@@ -71,8 +75,42 @@ SMOKE_PARAMS: dict[str, dict] = {
 }
 
 
+def resolve(name: str, smoke: bool = False, given={}, offered={}):
+    """``(run, kwargs, declined)``: experiment ``name``'s ``run()`` and
+    the keyword arguments to call it with.
+
+    ``smoke`` starts from :data:`SMOKE_PARAMS`.  ``given`` overrides
+    them and must name parameters of that ``run()``.  ``offered`` (the
+    CLI's optional flags, a serve job's ``workers``) is passed only
+    where ``run()`` takes it -- an experiment that sweeps an axis
+    (E16's ``mediums``) takes the offered value beside the axis
+    default, which keeps its control cells -- and the names it does
+    not take come back as ``declined``.
+    """
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; "
+                          f"try: {', '.join(sorted(EXPERIMENTS))}")
+    run = EXPERIMENTS[name]
+    accepted = inspect.signature(run).parameters
+    kwargs = {**(SMOKE_PARAMS.get(name, {}) if smoke else {}), **given}
+    unknown = set(kwargs) - set(accepted)
+    if unknown:
+        raise ConfigError(f"experiment {name} does not accept: "
+                          f"{', '.join(sorted(unknown))}")
+    declined = []
+    for param, value in offered.items():
+        if param in accepted:
+            kwargs[param] = value
+        elif param in AXES and param + "s" in accepted:
+            kwargs[param + "s"] = tuple(dict.fromkeys(
+                (AXES[param].default, value)))
+        else:
+            declined.append(param)
+    return run, kwargs, declined
+
+
 __all__ = ["EXPERIMENTS", "SMOKE_PARAMS", "ExperimentResult",
-           "Stopwatch", "sweep",
+           "Stopwatch", "resolve", "sweep",
            "fig2", "fig3", "fq_ablation", "tbf_jitter", "subpacket",
            "fairness_matrix", "campaign_eval", "access_link",
            "tslp_vs_elasticity", "bwe_isolation",

@@ -62,10 +62,9 @@ def run(ccas: tuple = DEFAULT_CCAS, rate_mbps: float = 40.0,
         [a] + [f"{matrix[(a, b)]:.2f}" for b in ccas]
         for a in ccas
     ]
-    bbr_vs_loss = [matrix[("bbr", loss)] for loss in ("reno", "cubic")
-                   if loss in ccas]
-    vegas_vs_loss = [matrix[("vegas", loss)] for loss in ("reno", "cubic")
-                     if loss in ccas]
+    bbr_vs_loss, vegas_vs_loss = (
+        [matrix[(row, loss)] for loss in ("reno", "cubic")
+         if row in ccas and loss in ccas] for row in ("bbr", "vegas"))
 
     parts = [
         f"E6: pairwise throughput share of the ROW CCA vs the column "

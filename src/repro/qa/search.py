@@ -594,21 +594,23 @@ def run_random_baseline(budget: int, seed: int = 0,
 
 # -- corpus promotion ------------------------------------------------------
 
-def promote_failure(failure: SearchFailure, seed: int, created: str,
+def promote_failure(failure: SearchFailure, origin: str, created: str,
                     directory=DEFAULT_CORPUS_DIR,
                     max_runs: int = 80) -> tuple[CorpusCase, int]:
-    """Shrink one search-found failure and commit it to the corpus.
+    """Shrink one failure and commit it to the corpus.
 
     Reproduced failures are shrunk on the packet backend (the corpus
-    replays there); fluid-only failures are shrunk as found.  Returns
-    the saved case and the number of shrink runs spent.
+    replays there); the rest (fluid-only, or found by ``qa fuzz``) are
+    shrunk as found.  ``origin`` says who found it (``"search
+    seed=3"``) and is recorded on the case.  Returns the saved case and
+    the number of shrink runs spent.
     """
     oracle = _ORACLES_BY_NAME[failure.oracle]
     scenario = (dataclasses.replace(failure.scenario, backend="packet")
                 if failure.reproduced else failure.scenario)
     result = shrink(scenario, oracle, run_scenario, max_runs=max_runs)
-    origin = (f"search seed={seed} (shrunk, {result.runs} runs)"
-              if result.steps else f"search seed={seed}")
+    if result.steps:
+        origin += f" (shrunk, {result.runs} runs)"
     case = case_for(result.scenario, oracle=failure.oracle,
                     origin=origin, created=created)
     save_case(case, directory)

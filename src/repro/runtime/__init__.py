@@ -11,10 +11,10 @@ share:
   chunked, process-pool ``map`` with progress callbacks and an
   automatic serial fallback (``workers <= 1``, unpicklable work, or an
   unavailable pool all degrade gracefully to the plain loop).
-* :meth:`ParallelExecutor.run_tasks` / :meth:`ParallelExecutor.imap_tasks`
-  -- fault-tolerant execution under a :class:`FaultPolicy` (per-task
-  retry with exponential backoff, per-task timeout, deterministic
-  ``REPRO_FAULT_RATE`` fault injection); failures come back as
+* :meth:`ParallelExecutor.imap_tasks` -- fault-tolerant execution
+  under a :class:`FaultPolicy` (per-task retry with exponential
+  backoff, per-task timeout, deterministic ``REPRO_FAULT_RATE`` fault
+  injection); failures come back as
   ``ok=False`` :class:`TaskOutcome` records instead of exceptions, so
   the :mod:`repro.store` scheduler can quarantine them.
 * :func:`resolve_workers` -- worker-count policy: explicit argument,

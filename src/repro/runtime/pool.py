@@ -15,9 +15,9 @@ Design notes
   sandboxes without semaphores), or running *inside* a pool worker all
   fall back to the plain serial loop -- correctness never depends on
   the pool, so doctests, Windows ``spawn``, and CI stay correct.
-* **Fault tolerance.**  :meth:`ParallelExecutor.run_tasks` applies a
+* **Fault tolerance.**  :meth:`ParallelExecutor.imap_tasks` applies a
   :class:`FaultPolicy` -- per-task retry with exponential backoff and a
-  per-task wall-clock timeout -- and returns a :class:`TaskOutcome` per
+  per-task wall-clock timeout -- and yields a :class:`TaskOutcome` per
   item instead of raising, so one persistently failing task quarantines
   instead of killing a thousand-task campaign.  ``REPRO_FAULT_RATE``
   injects deterministic pseudo-random faults before task bodies, which
@@ -501,23 +501,6 @@ class ParallelExecutor:
             for future in pending:
                 future.cancel()
             raise
-
-    def run_tasks(self, fn: Callable, items: Iterable,
-                  policy: FaultPolicy | None = None,
-                  labels: Sequence[str] | None = None,
-                  progress=None) -> list[TaskOutcome]:
-        """Fault-tolerant map: one :class:`TaskOutcome` per item, in
-        submission order.  Never raises for task failures."""
-        items = list(items)
-        outcomes: list[TaskOutcome | None] = [None] * len(items)
-        done = 0
-        for outcome in self.imap_tasks(fn, items, policy=policy,
-                                       labels=labels):
-            outcomes[outcome.index] = outcome
-            done += 1
-            if progress is not None:
-                progress(done, len(items))
-        return outcomes  # type: ignore[return-value]
 
 
 def parallel_map(fn: Callable, items: Iterable, workers: int | None = None,

@@ -30,8 +30,7 @@ See SERVING.md for the API reference and lifecycle details.
 """
 
 from .client import JobFailed, ServeClient, ServeError
-from .jobs import (EXECUTORS, JobManager, ServiceDraining,
-                   campaign_from_params)
+from .jobs import EXECUTORS, JobManager, ServiceDraining, bind_params
 from .limits import ClientRateLimiter, RateLimited, TokenBucket
 from .protocol import Job, JobRequest, JobState
 from .queue import JobQueue, QueueFull
@@ -41,6 +40,5 @@ __all__ = [
     "ClientRateLimiter", "EXECUTORS", "Job", "JobFailed", "JobManager",
     "JobQueue", "JobRequest", "JobState", "QueueFull", "RateLimited",
     "ReproServer", "ServeClient", "ServeError", "ServerThread",
-    "ServiceDraining", "TokenBucket", "campaign_from_params",
-    "serve_main",
+    "ServiceDraining", "TokenBucket", "bind_params", "serve_main",
 ]

@@ -2,10 +2,13 @@
 
 Two layers live here:
 
-* **Executors** -- one module-level function per job kind, mapping a
-  request's params to ``(summary, payload)``.  The summary is the
-  JSON document returned over HTTP; the payload is the full result
-  object, stored in the artifact store under the request fingerprint.
+* **Executors** -- one module-level function per job kind,
+  ``execute_x(store, workers, *, name: type = default, ...) ->
+  (summary, payload)``.  Its keyword-only parameters *are* the kind:
+  the params a request may carry, which :func:`bind_params` holds it
+  to at admission.  The summary is the JSON document returned over
+  HTTP; the payload is the full result object, stored in the artifact
+  store under the request fingerprint.
   Executors run on a thread executor and reuse the existing batch
   machinery (:class:`repro.core.campaign.Campaign`,
   :func:`repro.ndt.stream.run_pipeline_streaming`,
@@ -30,16 +33,22 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import functools
+import inspect
+import json
 import time
-from typing import Callable
+from typing import Annotated, Callable, get_args
 
+from ..core.axes import Axis, declared
+from ..core.campaign import Campaign
 from ..errors import ConfigError, ReproError
+from ..ndt.synth import DEFAULT_CHUNK_SIZE
 from ..obs.metrics import REGISTRY as _METRICS
 from ..store.artifacts import ArtifactStore
 from ..store.atomic import atomic_write_json
 from ..store.fingerprint import fingerprint
-from .protocol import Job, JobRequest, JobState
+from .protocol import NONSEMANTIC_PARAMS, Job, JobRequest, JobState
 from .queue import JobQueue, QueueFull
 
 _JOURNAL_VERSION = 1
@@ -53,55 +62,26 @@ class ServiceDraining(ReproError):
 # Executors
 # ---------------------------------------------------------------------------
 
-
-def _int_param(params: dict, name: str, default: int,
-               minimum: int = 1) -> int:
-    value = params.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < minimum:
-        raise ConfigError(
-            f"param {name!r} must be an integer >= {minimum}: {value!r}")
-    return value
+#: ``Annotated[number type, exclusive lower bound]``: the ranges the
+#: signatures below put on a number.
+Count = Annotated[int, 0]
+Index = Annotated[int, -1]
+Positive = Annotated[float, 0]
 
 
-def _float_param(params: dict, name: str, default: float) -> float:
-    value = params.get(name, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or value <= 0:
-        raise ConfigError(
-            f"param {name!r} must be a positive number: {value!r}")
-    return float(value)
-
-
-def campaign_from_params(params: dict):
-    """Build the :class:`Campaign` a params document describes.
-
-    Shared by ``campaign`` jobs and the cluster fabric's ``paths``
-    shards: a coordinator and its worker nodes construct campaigns
-    from the *same* params dict, so their per-path store fingerprints
-    agree and merged shard results assemble byte-identically.
-    """
-    from ..core.axes import declared
-    from ..core.campaign import Campaign
-
-    return Campaign(
-        n_paths=_int_param(params, "n_paths", 40),
-        seed=_int_param(params, "seed", 0, minimum=0),
-        duration=_float_param(params, "duration", 30.0),
-        fq_fraction=float(params.get("fq_fraction", 0.3)),
-        **{axis.name: params[axis.name]
-           for axis in declared("run", "path") if axis.name in params})
-
-
-def execute_campaign(params: dict, store, workers) -> tuple[dict, object]:
+def execute_campaign(store, workers, *, n_paths: Count = 40,
+                     seed: Index = 0, duration: Positive = 30.0,
+                     fq_fraction: float = 0.3, resume: bool = False,
+                     **axes: Axis) -> tuple[dict, object]:
     """``campaign`` jobs: a §3.2-style measurement study (E7).
 
     Runs through :meth:`Campaign.run` with the service's store, so
     every completed path checkpoints and an interrupted job resumes.
+    ``axes`` are the run- and path-level axes of :mod:`repro.core.axes`.
     """
-    campaign = campaign_from_params(params)
-    result = campaign.run(store=store, workers=workers,
-                          resume=bool(params.get("resume", False)))
+    campaign = Campaign(n_paths=n_paths, seed=seed, duration=duration,
+                        fq_fraction=fq_fraction, **axes)
+    result = campaign.run(store=store, workers=workers, resume=resume)
     outcome = [{"contending": r.verdict.contending,
                 "category": r.verdict.category,
                 "mean_elasticity": r.verdict.mean_elasticity}
@@ -118,28 +98,25 @@ def execute_campaign(params: dict, store, workers) -> tuple[dict, object]:
     return summary, result
 
 
-def execute_paths(params: dict, store, workers) -> tuple[dict, object]:
+def execute_paths(store, workers, *, n_paths: Count = 40,
+                  seed: Index = 0, duration: Positive = 30.0,
+                  fq_fraction: float = 0.3,
+                  indices: Annotated[list, "n_paths"],
+                  **axes: Axis) -> tuple[dict, object]:
     """``paths`` jobs: one shard of a campaign -- a subset of its
     paths, named by index.
 
     The cluster coordinator's unit of dispatch: the node rebuilds the
-    full campaign from the same params, runs only ``indices``, and
-    checkpoints every path under the exact store key the coordinator
-    computed -- which is what makes the shard's results pullable (and
-    the merge idempotent) by content address.
+    full campaign from the same params a ``campaign`` job takes, runs
+    only ``indices``, and checkpoints every path under the exact store
+    key the coordinator computed -- which is what makes the shard's
+    results pullable (and the merge idempotent) by content address.
     """
     if store is None:
         raise ConfigError("'paths' jobs need a store (the shard's "
                           "results travel by content address)")
-    campaign = campaign_from_params(params)
-    indices = params.get("indices")
-    if (not isinstance(indices, (list, tuple)) or not indices
-            or not all(isinstance(i, int) and not isinstance(i, bool)
-                       and 0 <= i < len(campaign.specs)
-                       for i in indices)):
-        raise ConfigError(
-            f"param 'indices' must be a non-empty array of path "
-            f"indices in [0, {len(campaign.specs)}): {indices!r}")
+    campaign = Campaign(n_paths=n_paths, seed=seed, duration=duration,
+                        fq_fraction=fq_fraction, **axes)
     shard_key = fingerprint(
         {"campaign": campaign.fingerprint(), "indices": list(indices)},
         kind="paths-shard")
@@ -162,7 +139,8 @@ def execute_paths(params: dict, store, workers) -> tuple[dict, object]:
     return summary, {"path_keys": done_keys, "failed": failed}
 
 
-def execute_qa_eval(params: dict, store, workers) -> tuple[dict, object]:
+def execute_qa_eval(store, workers, *,
+                    scenario: dict) -> tuple[dict, object]:
     """``qa-eval`` jobs: run + judge one search candidate scenario.
 
     The cluster fabric's unit of dispatch for ``repro qa search
@@ -175,24 +153,23 @@ def execute_qa_eval(params: dict, store, workers) -> tuple[dict, object]:
     from ..qa.scenario import Scenario
     from ..qa.search import _run_search_scenario
 
-    doc = params.get("scenario")
-    if not isinstance(doc, dict):
-        raise ConfigError(
-            f"param 'scenario' must be a scenario document: {doc!r}")
     try:
-        scenario = Scenario.from_dict(doc)
+        candidate = Scenario.from_dict(scenario)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario document: {exc}")
-    outcome, findings = _run_search_scenario(scenario)
+    outcome, findings = _run_search_scenario(candidate)
     summary = {
-        "scenario": scenario.label(),
+        "scenario": candidate.label(),
         "failed": bool(findings),
         "findings": [str(f) for f in findings],
     }
     return summary, (outcome, findings)
 
 
-def execute_fig2_shard(params: dict, store, workers) -> tuple[dict, object]:
+def execute_fig2_shard(store, workers, *, seed: Index = 0,
+                       start: Index = 0, count: Count = 2000,
+                       min_relative_shift: Positive = 0.25
+                       ) -> tuple[dict, object]:
     """``fig2-shard`` jobs: one shard of a §3.1 pipeline run.
 
     The cluster coordinator's unit of dispatch for ``repro run fig2
@@ -208,12 +185,8 @@ def execute_fig2_shard(params: dict, store, workers) -> tuple[dict, object]:
     if store is None:
         raise ConfigError("'fig2-shard' jobs need a store (the shard's "
                           "partial travels by content address)")
-    spec = ShardSpec(
-        seed=_int_param(params, "seed", 0, minimum=0),
-        start=_int_param(params, "start", 0, minimum=0),
-        count=_int_param(params, "count", 2000),
-        min_relative_shift=_float_param(params, "min_relative_shift",
-                                        0.25))
+    spec = ShardSpec(seed=seed, start=start, count=count,
+                     min_relative_shift=min_relative_shift)
     key = spec.key()
     partial = store.get(key)
     cached = partial is not None
@@ -231,7 +204,11 @@ def execute_fig2_shard(params: dict, store, workers) -> tuple[dict, object]:
     return summary, {"shard_key": key}
 
 
-def execute_pipeline(params: dict, store, workers) -> tuple[dict, object]:
+def execute_pipeline(store, workers, *, flows: Count = 2000,
+                     seed: Index = 0,
+                     min_relative_shift: Positive = 0.25,
+                     chunk_size: Count = DEFAULT_CHUNK_SIZE,
+                     resume: bool = False) -> tuple[dict, object]:
     """``pipeline`` jobs: the §3.1 passive NDT pipeline over a
     synthetic dataset (Figure 2).
 
@@ -240,18 +217,11 @@ def execute_pipeline(params: dict, store, workers) -> tuple[dict, object]:
     ``chunk_size`` sets the shard size.
     """
     from ..ndt.stream import run_pipeline_streaming
-    from ..ndt.synth import DEFAULT_CHUNK_SIZE
 
-    flows = _int_param(params, "flows", 2000)
-    seed = _int_param(params, "seed", 0, minimum=0)
-    min_relative_shift = _float_param(params, "min_relative_shift", 0.25)
     result = run_pipeline_streaming(
-        flows, seed=seed,
-        chunk_size=_int_param(params, "chunk_size",
-                              DEFAULT_CHUNK_SIZE),
+        flows, seed=seed, chunk_size=chunk_size,
         min_relative_shift=min_relative_shift,
-        workers=workers, store=store,
-        resume=bool(params.get("resume", False)))
+        workers=workers, store=store, resume=resume)
     summary = {
         "total": result.total,
         "counts": {getattr(cat, "name", str(cat)): n
@@ -263,32 +233,16 @@ def execute_pipeline(params: dict, store, workers) -> tuple[dict, object]:
     return summary, result
 
 
-def execute_experiment(params: dict, store, workers) -> tuple[dict, object]:
-    """``experiment`` jobs: any registered experiment by name."""
-    import inspect
+def execute_experiment(store, workers, *, experiment: str,
+                       smoke: bool = False,
+                       params: dict = {}) -> tuple[dict, object]:
+    """``experiment`` jobs: any registered experiment by name, with
+    ``params`` as overrides of its ``run()`` keywords."""
+    from ..experiments import resolve
 
-    from ..experiments import EXPERIMENTS, SMOKE_PARAMS
-
-    name = params.get("experiment")
-    if name not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; "
-            f"try: {', '.join(sorted(EXPERIMENTS))}")
-    run_fn = EXPERIMENTS[name]
-    run_params: dict = {}
-    if params.get("smoke"):
-        run_params.update(SMOKE_PARAMS.get(name, {}))
-    extra = params.get("params", {})
-    if not isinstance(extra, dict):
-        raise ConfigError(f"param 'params' must be an object: {extra!r}")
-    run_params.update(extra)
-    accepted = inspect.signature(run_fn).parameters
-    unknown = set(run_params) - set(accepted)
-    if unknown:
-        raise ConfigError(f"experiment {name} does not accept: "
-                          f"{', '.join(sorted(unknown))}")
-    if workers is not None and "workers" in accepted:
-        run_params["workers"] = workers
+    run_fn, run_params, _ = resolve(
+        experiment, smoke, given=params,
+        offered={} if workers is None else {"workers": workers})
     result = run_fn(**run_params)
     summary = {
         "experiment": result.experiment,
@@ -304,41 +258,28 @@ def _run_sweep_point(value, experiment: str, param: str, base: dict):
     return EXPERIMENTS[experiment](**{**base, param: value})
 
 
-def execute_sweep(params: dict, store, workers) -> tuple[dict, object]:
+def execute_sweep(store, workers, *, experiment: str, param: str,
+                  values: list, base: dict = {}) -> tuple[dict, object]:
     """``sweep`` jobs: one experiment across a parameter range."""
-    from ..experiments import EXPERIMENTS
+    from ..experiments import resolve
     from ..experiments.runner import sweep
 
-    name = params.get("experiment")
-    if name not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; "
-            f"try: {', '.join(sorted(EXPERIMENTS))}")
-    param = params.get("param")
-    values = params.get("values")
-    if not isinstance(param, str) or not param:
-        raise ConfigError(f"param 'param' must be a string: {param!r}")
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(
-            f"param 'values' must be a non-empty array: {values!r}")
-    base = params.get("base", {})
-    if not isinstance(base, dict):
-        raise ConfigError(f"param 'base' must be an object: {base!r}")
-    task = functools.partial(_run_sweep_point, experiment=name,
+    resolve(experiment)
+    task = functools.partial(_run_sweep_point, experiment=experiment,
                              param=param, base=base)
     rows = sweep(list(values), task, label=param, workers=workers,
                  store=store)
-    return {"experiment": name, "param": param, "rows": rows}, rows
+    return {"experiment": experiment, "param": param, "rows": rows}, rows
 
 
-def execute_qa_fuzz(params: dict, store, workers) -> tuple[dict, object]:
+def execute_qa_fuzz(store, workers, *, budget: Count = 25,
+                    seed: Index = 0,
+                    pool_check: bool = False) -> tuple[dict, object]:
     """``qa-fuzz`` jobs: a budgeted scenario-fuzz campaign."""
     from ..qa.fuzz import run_fuzz
 
-    budget = _int_param(params, "budget", 25)
-    seed = _int_param(params, "seed", 0, minimum=0)
     report = run_fuzz(budget, seed=seed, store=store,
-                      pool_check=bool(params.get("pool_check", False)))
+                      pool_check=pool_check)
     summary = {
         "budget": budget,
         "seed": seed,
@@ -351,13 +292,12 @@ def execute_qa_fuzz(params: dict, store, workers) -> tuple[dict, object]:
     return summary, report
 
 
-def execute_qa_search(params: dict, store, workers) -> tuple[dict, object]:
+def execute_qa_search(store, workers, *, budget: Count = 50,
+                      seed: Index = 0,
+                      threshold: Positive = 2.0) -> tuple[dict, object]:
     """``qa-search`` jobs: a coverage-guided search campaign."""
     from ..qa.search import run_search
 
-    budget = _int_param(params, "budget", 50)
-    seed = _int_param(params, "seed", 0, minimum=0)
-    threshold = _float_param(params, "threshold", 2.0)
     report = run_search(budget, seed=seed, workers=workers,
                         threshold=threshold)
     summary = {
@@ -372,7 +312,9 @@ def execute_qa_search(params: dict, store, workers) -> tuple[dict, object]:
     return summary, report.to_dict()
 
 
-def execute_qa_envelope(params: dict, store, workers) -> tuple[dict, object]:
+def execute_qa_envelope(store, workers, *, budget: Count = 50,
+                        seed: Index = 0, threshold: Positive = 2.0
+                        ) -> tuple[dict, object]:
     """``qa-envelope`` jobs: the robustness-envelope artifact.
 
     The artifact itself is store-cached under its own key (seed,
@@ -382,9 +324,6 @@ def execute_qa_envelope(params: dict, store, workers) -> tuple[dict, object]:
     """
     from ..qa.search import run_envelope
 
-    budget = _int_param(params, "budget", 50)
-    seed = _int_param(params, "seed", 0, minimum=0)
-    threshold = _float_param(params, "threshold", 2.0)
     artifact, cached = run_envelope(budget, seed=seed, store=store,
                                     workers=workers, threshold=threshold)
     failing = sum(1 for s in artifact["cells"].values() if not s["pass"])
@@ -400,8 +339,8 @@ def execute_qa_envelope(params: dict, store, workers) -> tuple[dict, object]:
     return summary, artifact
 
 
-#: Kind -> executor.  Tests may register extra kinds; admission
-#: validates against this table.
+#: Kind -> executor.  Tests may register extra kinds (one that declares
+#: ``**params`` takes anything); admission binds against this table.
 EXECUTORS: dict[str, Callable] = {
     "campaign": execute_campaign,
     "paths": execute_paths,
@@ -414,6 +353,89 @@ EXECUTORS: dict[str, Callable] = {
     "qa-eval": execute_qa_eval,
     "qa-envelope": execute_qa_envelope,
 }
+
+
+def _checked(name: str, value, annotation, sibling):
+    """``value`` as the executor takes it, or :class:`ConfigError`.
+
+    ``float`` takes any real number (and hands on a float, so ``30``
+    and ``30.0`` name one campaign), no number takes a ``bool``, a
+    ``str`` or ``list`` may not be empty; ``Annotated`` adds a
+    number's exclusive lower bound or, on a list, the name of the
+    param (read through ``sibling``) its integer elements index into.
+    """
+    if annotation is inspect.Parameter.empty:
+        return value
+    kind, *extra = get_args(annotation) or (annotation,)
+    number, sized = kind in (int, float), kind in (str, list)
+    accepted = {float: (int, float), list: (list, tuple)}.get(kind, kind)
+    if (not isinstance(value, accepted)
+            or number and isinstance(value, bool)
+            or sized and not value):
+        raise ConfigError(f"param {name!r} must be "
+                          f"{'a non-empty' if sized else 'of type'} "
+                          f"{kind.__name__}: {value!r}")
+    if extra and number and not value > extra[0]:
+        raise ConfigError(f"param {name!r} must be "
+                          + (f">= {extra[0] + 1}" if kind is int
+                             else f"> {extra[0]}") + f": {value!r}")
+    if extra and kind is list:
+        limit = sibling(extra[0])
+        if not all(isinstance(i, int) and not isinstance(i, bool)
+                   and 0 <= i < limit for i in value):
+            raise ConfigError(f"param {name!r} must hold indices in "
+                              f"[0, {limit}): {value!r}")
+    return float(value) if kind is float else value
+
+
+#: An executor's evaluated signature, built once: ``inspect`` takes
+#: ~90 us, which every submission (cache hits included) would pay.
+_declaration = functools.cache(
+    functools.partial(inspect.signature, eval_str=True))
+
+
+def bind_params(kind: str, params) -> dict:
+    """The keyword arguments ``EXECUTORS[kind]`` takes for ``params``.
+
+    The executor's keyword-only parameters are the kind's declaration:
+    a name it does not declare, a value its annotation does not admit
+    (see :func:`_checked`) or a missing param that has no default is a
+    :class:`ConfigError`.  A ``**axes: Axis`` catch-all takes the run-
+    and path-level axes of :mod:`repro.core.axes`, each validated by
+    its own declaration; an unannotated catch-all takes anything.
+    :data:`NONSEMANTIC_PARAMS` are accepted for every kind and not
+    handed on.
+    """
+    if kind not in EXECUTORS:
+        raise ConfigError(f"unknown job kind {kind!r}; "
+                          f"try: {', '.join(sorted(EXECUTORS))}")
+    signature = _declaration(EXECUTORS[kind])
+    given = {k: v for k, v in params.items()
+             if k not in NONSEMANTIC_PARAMS}
+    known, bound = [], {}
+    for name, param in signature.parameters.items():
+        if param.kind is param.KEYWORD_ONLY:
+            known.append(name)
+            if name in given:
+                bound[name] = _checked(
+                    name, given.pop(name), param.annotation,
+                    lambda ref: bound.get(
+                        ref, signature.parameters[ref].default))
+            elif param.default is param.empty:
+                raise ConfigError(f"{kind!r} jobs need param {name!r}")
+        elif param.kind is param.VAR_KEYWORD and param.annotation is Axis:
+            for axis in declared("run", "path"):
+                known.append(axis.name)
+                if axis.name in given:
+                    bound[axis.name] = axis.validate(given.pop(axis.name))
+        elif param.kind is param.VAR_KEYWORD:
+            bound.update(given)
+            given.clear()
+    if given:
+        raise ConfigError(
+            f"{kind!r} jobs take no param {', '.join(sorted(given))}; "
+            f"known: {', '.join(known)}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +486,17 @@ class JobManager:
         return self.store.root / "serve" / "journal" / f"{key}.json"
 
     def _journal_write(self, job: Job) -> None:
-        if self.store is None:
-            return
-        atomic_write_json(self._journal_path(job.key), {
-            "version": _JOURNAL_VERSION,
-            "request": job.request.to_dict(),
-            "admitted": job.created,
-        })
+        if self.store is not None:
+            atomic_write_json(self._journal_path(job.key), {
+                "version": _JOURNAL_VERSION,
+                "request": job.request.to_dict(),
+                "admitted": job.created,
+            })
 
     def _journal_remove(self, key: str) -> None:
-        if self.store is None:
-            return
-        try:
-            self._journal_path(key).unlink(missing_ok=True)
-        except OSError:
-            pass
+        if self.store is not None:
+            with contextlib.suppress(OSError):
+                self._journal_path(key).unlink(missing_ok=True)
 
     def resume_journal(self) -> list[Job]:
         """Re-admit every journaled (admitted but unfinished) request.
@@ -492,25 +510,21 @@ class JobManager:
         """
         if self.store is None:
             return []
-        journal_dir = self.store.root / "serve" / "journal"
-        if not journal_dir.is_dir():
-            return []
         resumed = []
-        for path in sorted(journal_dir.glob("*.json")):
+        for path in sorted(self._journal_path("*").parent.glob("*.json")):
             try:
-                import json
                 with open(path) as f:
                     entry = json.load(f)
                 if entry.get("version") != _JOURNAL_VERSION:
                     raise ValueError("journal version mismatch")
-                request = JobRequest.from_dict(entry["request"])
-            except (OSError, ValueError, KeyError, ConfigError):
-                path.unlink(missing_ok=True)
-                continue
-            try:
-                job, _ = self.submit(request)
+                job, _ = self.submit(
+                    JobRequest.from_dict(entry["request"]))
             except QueueFull:
                 break  # keep the rest journaled for the next start
+            except (OSError, ValueError, KeyError, ConfigError):
+                # unreadable, or admitted by a server that still took it
+                path.unlink(missing_ok=True)
+                continue
             self._metrics.counter("jobs_resumed").inc()
             resumed.append(job)
         return resumed
@@ -532,10 +546,7 @@ class JobManager:
         """
         if self.draining:
             raise ServiceDraining("service is draining; retry later")
-        if request.kind not in EXECUTORS:
-            raise ConfigError(
-                f"unknown job kind {request.kind!r}; "
-                f"try: {', '.join(sorted(EXECUTORS))}")
+        bind_params(request.kind, request.params)
         key = request.fingerprint()
         now = self.clock()
         if self.store is not None:
@@ -620,9 +631,9 @@ class JobManager:
         self.running.add(job.id)
         self._metrics.gauge("running").set(len(self.running))
         loop = asyncio.get_running_loop()
-        body = functools.partial(EXECUTORS[job.request.kind],
-                                 dict(job.request.params), self.store,
-                                 self.job_workers)
+        body = functools.partial(
+            EXECUTORS[job.request.kind], self.store, self.job_workers,
+            **bind_params(job.request.kind, job.request.params))
         try:
             future = loop.run_in_executor(self._executor, body)
             summary, payload = await asyncio.wait_for(

@@ -109,7 +109,7 @@ class JobRequest:
         if "kind" not in payload:
             raise ConfigError("request needs a 'kind' field")
         return cls(kind=payload["kind"],
-                   params=dict(payload.get("params", {})),
+                   params=payload.get("params", {}),
                    priority=payload.get("priority", PRIORITY_DEFAULT),
                    client=payload.get("client", "anonymous"))
 
@@ -119,8 +119,8 @@ class JobRequest:
 
     # -- identity --------------------------------------------------------
 
-    def fingerprint_payload(self) -> dict:
-        """The semantic payload the fingerprint hashes.
+    def fingerprint(self) -> str:
+        """Deterministic identity of this request's *result*.
 
         Priority and client identity are delivery concerns, and
         :data:`NONSEMANTIC_PARAMS` cannot change results, so none of
@@ -129,11 +129,8 @@ class JobRequest:
         """
         params = {k: v for k, v in self.params.items()
                   if k not in NONSEMANTIC_PARAMS}
-        return {"kind": self.kind, "params": params}
-
-    def fingerprint(self) -> str:
-        """Deterministic identity of this request's *result*."""
-        return fingerprint(self.fingerprint_payload(), kind=JOB_KIND)
+        return fingerprint({"kind": self.kind, "params": params},
+                           kind=JOB_KIND)
 
 
 _JOB_SEQ = itertools.count(1)
@@ -170,7 +167,6 @@ class Job:
     error_type: str = ""
     summary: dict | None = None
     version: int = 0
-    cancel_requested: bool = False
 
     def __post_init__(self):
         if not self.id:

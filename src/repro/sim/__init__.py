@@ -8,8 +8,7 @@ topology builders (:mod:`network`).
 
 from .engine import Event, Simulator
 from .link import DelayBox, Link, LossBox, TraceLink
-from .network import PathHandles, dumbbell, trace_dumbbell, two_hop_chain
-from .monitor import QueueMonitor, UtilizationMonitor
+from .network import PathHandles, dumbbell, trace_dumbbell
 from .node import CountingSink, Host
 from .packet import Packet, PacketKind, make_ack, make_data
 from .rng import RngRegistry
@@ -17,6 +16,5 @@ from .rng import RngRegistry
 __all__ = [
     "Simulator", "Event", "Packet", "PacketKind", "make_ack", "make_data",
     "Link", "DelayBox", "LossBox", "TraceLink", "Host", "CountingSink",
-    "PathHandles", "dumbbell", "trace_dumbbell", "two_hop_chain",
-    "RngRegistry", "QueueMonitor", "UtilizationMonitor",
+    "PathHandles", "dumbbell", "trace_dumbbell", "RngRegistry",
 ]

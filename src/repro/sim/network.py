@@ -162,23 +162,3 @@ def trace_dumbbell(sim: Simulator, opportunities_ms: list[float], rtt: float,
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)
-
-
-def two_hop_chain(sim: Simulator, rates_bps: tuple[float, float], rtt: float,
-                  qdiscs: tuple[Optional[Qdisc], Optional[Qdisc]] = (None, None),
-                  buffer_multiplier: float = 1.0) -> PathHandles:
-    """Two links in series (e.g. a Wi-Fi hop behind an access link, §2.2).
-
-    The smaller rate is the true bottleneck; the builder does not assume
-    which one that is.
-    """
-    src, dst, fwd_delay, reverse = _ends(
-        sim, rtt, max(rates_bps) * REVERSE_RATE_FACTOR)
-    q1, q2 = (q if q is not None else DropTailQueue(
-        limit_packets=default_buffer_packets(rate, rtt, buffer_multiplier))
-        for q, rate in zip(qdiscs, rates_bps))
-    second = Link(sim, rates_bps[1], sink=fwd_delay, qdisc=q2, name="hop2")
-    first = Link(sim, rates_bps[0], sink=second, qdisc=q1, name="hop1")
-    return PathHandles(sim=sim, entry=first, bottleneck=second,
-                       src_host=src, dst_host=dst, reverse_entry=reverse,
-                       rtt=rtt, extras={"hop1": first, "hop2": second})

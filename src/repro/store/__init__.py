@@ -49,24 +49,12 @@ _UNSET = object()
 _active: object = _UNSET
 
 
-def set_active_store(store: ArtifactStore | None) -> None:
-    """Set (or, with ``None``, disable) the process's ambient store."""
-    global _active
-    _active = store
-
-
-def clear_active_store() -> None:
-    """Back to environment-driven resolution (``REPRO_CACHE``)."""
-    global _active
-    _active = _UNSET
-
-
 def active_store() -> ArtifactStore | None:
     """The ambient store, or ``None`` when caching is off.
 
-    Resolution: an explicit :func:`set_active_store` value wins;
-    otherwise ``REPRO_CACHE`` truthiness decides, with the store rooted
-    per ``$REPRO_STORE`` / ``~/.cache/repro``.
+    Resolution: a :func:`using_store` scope wins; otherwise
+    ``REPRO_CACHE`` truthiness decides, with the store rooted per
+    ``$REPRO_STORE`` / ``~/.cache/repro``.
     """
     if _active is not _UNSET:
         return _active  # type: ignore[return-value]
@@ -77,7 +65,8 @@ def active_store() -> ArtifactStore | None:
 
 @contextlib.contextmanager
 def using_store(store: ArtifactStore | None):
-    """Scoped :func:`set_active_store`; restores the prior state."""
+    """Make ``store`` (``None``: no caching) the ambient store for the
+    block; restores the prior state."""
     global _active
     prior = _active
     _active = store
@@ -94,6 +83,5 @@ __all__ = [
     "canonical_json", "canonicalize", "callable_config",
     "atomic_open", "atomic_write_text", "atomic_write_bytes",
     "atomic_write_json",
-    "active_store", "set_active_store", "clear_active_store",
-    "using_store",
+    "active_store", "using_store",
 ]

@@ -3,17 +3,14 @@
 from .backlogged import BackloggedFlow
 from .base import TrafficSource
 from .cbr import CbrSource
-from .gaming import CloudGamingStream
 from .mix import (CROSS_TRAFFIC_IS_ELASTIC, CROSS_TRAFFIC_REGISTRY,
                   FIGURE3_PHASES, IdleSource, Phase, make_cross_traffic)
 from .poisson import FlowRecord, PoissonShortFlows
 from .video import DEFAULT_LADDER_MBPS, VideoStats, VideoStream
-from .web import WebBrowsingUser
 
 __all__ = [
     "TrafficSource", "BackloggedFlow", "VideoStream", "VideoStats",
     "DEFAULT_LADDER_MBPS", "PoissonShortFlows", "FlowRecord", "CbrSource",
-    "CloudGamingStream", "WebBrowsingUser", "IdleSource", "Phase",
-    "FIGURE3_PHASES", "CROSS_TRAFFIC_REGISTRY", "CROSS_TRAFFIC_IS_ELASTIC",
-    "make_cross_traffic",
+    "IdleSource", "Phase", "FIGURE3_PHASES", "CROSS_TRAFFIC_REGISTRY",
+    "CROSS_TRAFFIC_IS_ELASTIC", "make_cross_traffic",
 ]

@@ -1,10 +1,11 @@
 """Integration tests: AQM disciplines under real transport load."""
 
+import numpy as np
 import pytest
 
 from repro.cca import CubicCca, RenoCca
 from repro.qdisc import CoDelQueue, DropTailQueue, RedQueue
-from repro.sim import QueueMonitor, Simulator, dumbbell
+from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection
 from repro.units import mbps, ms, to_mbps
 
@@ -12,29 +13,34 @@ from repro.units import mbps, ms, to_mbps
 def run_bulk(qdisc, duration=15.0, rate=10.0, rtt=40.0, ecn=False):
     sim = Simulator()
     path = dumbbell(sim, mbps(rate), ms(rtt), qdisc=qdisc)
-    monitor = QueueMonitor(sim, path.bottleneck.qdisc, interval=0.05)
-    monitor.start()
+    occupancy = []
+
+    def sample():
+        occupancy.append(len(path.bottleneck.qdisc))
+        sim.schedule(0.05, sample)
+
+    sample()
     conn = Connection(sim, path, "f", CubicCca(), ecn=ecn)
     conn.sender.set_infinite_backlog()
     sim.run(until=duration)
     goodput = to_mbps(conn.receiver.received_bytes / duration)
-    return goodput, monitor.occupancy_stats(), conn
+    return goodput, float(np.percentile(occupancy, 95)), conn
 
 
 def test_codel_keeps_queue_short_at_similar_goodput():
     deep = DropTailQueue(limit_packets=300)
-    goodput_tail, stats_tail, _ = run_bulk(deep)
+    goodput_tail, p95_tail, _ = run_bulk(deep)
     codel = CoDelQueue(limit_packets=300)
-    goodput_codel, stats_codel, _ = run_bulk(codel)
+    goodput_codel, p95_codel, _ = run_bulk(codel)
     assert goodput_codel > goodput_tail * 0.85
-    assert stats_codel["p95_packets"] < stats_tail["p95_packets"] * 0.6
+    assert p95_codel < p95_tail * 0.6
 
 
 def test_red_ecn_marks_instead_of_dropping():
     red = RedQueue(min_thresh=10, max_thresh=30, limit_packets=100,
                    ecn=True, seed=1)
     red.set_service_rate_hint(mbps(10))
-    goodput, stats, conn = run_bulk(red, ecn=True)
+    goodput, _, conn = run_bulk(red, ecn=True)
     assert goodput > 8.0
     assert red.marks > 0
     assert conn.sender.tracker.retransmits < red.marks
@@ -44,7 +50,7 @@ def test_red_without_ecn_drops():
     red = RedQueue(min_thresh=10, max_thresh=30, limit_packets=100,
                    seed=2)
     red.set_service_rate_hint(mbps(10))
-    goodput, stats, conn = run_bulk(red, ecn=False)
+    goodput, _, conn = run_bulk(red, ecn=False)
     assert goodput > 7.0
     assert red.drops > 0
     assert red.marks == 0

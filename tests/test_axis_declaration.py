@@ -18,7 +18,7 @@ from repro.core.axes import AXES, Axis, drop_defaults
 from repro.core.campaign import Campaign, PathSpec, _spec_config
 from repro.errors import ConfigError
 from repro.qa.scenario import Scenario, scenario_fingerprint
-from repro.serve import campaign_from_params
+from repro.serve import bind_params
 from repro.store import ArtifactStore
 
 
@@ -115,14 +115,20 @@ class TestToyAxis:
             Campaign(n_paths=2, no_such_axis=1)
 
     def test_serve_params_validate_and_forward(self, toy_axes):
-        campaign = campaign_from_params({"n_paths": 2, "toy": 3})
+        campaign = Campaign(**bind_params("campaign",
+                                          {"n_paths": 2, "toy": 3}))
         assert campaign.run_axes["toy"] == 3
         assert campaign.fingerprint() == Campaign(n_paths=2,
                                                   toy=3).fingerprint()
-        with pytest.raises(ConfigError):
-            campaign_from_params({"n_paths": 2, "toy": "3"})
-        with pytest.raises(ConfigError):
-            campaign_from_params({"n_paths": 2, "toy": -1})
+        for kind, more in (("campaign", {}), ("paths", {"indices": [1]})):
+            params = {"n_paths": 2, "toy": 3, "toy_hop": "relay", **more}
+            assert bind_params(kind, params) == params
+            with pytest.raises(ConfigError):
+                bind_params(kind, {**params, "toy": "3"})
+            with pytest.raises(ConfigError):
+                bind_params(kind, {**params, "toy": -1})
+            with pytest.raises(ConfigError):
+                bind_params(kind, {**params, "timing_jitter": 0.1})
 
     def test_cluster_shards_forward(self, toy_axes, tmp_path):
         class Dispatched(Exception):
@@ -140,14 +146,19 @@ class TestToyAxis:
         with pytest.raises(Dispatched) as caught:
             run_clustered_campaign(
                 {"n_paths": 2, "duration": 5.0, "toy": 3,
-                 "not_a_campaign_param": 1}, cluster=None,
+                 "resume": True}, cluster=None,
                 store=ArtifactStore(tmp_path), coordinator=Recorder())
         tasks = caught.value.args[0]
         assert tasks
         for task in tasks:
             assert task.kind == "paths"
             assert task.params["toy"] == 3
-            assert "not_a_campaign_param" not in task.params
+            assert "resume" not in task.params
+            bind_params(task.kind, task.params)
+        with pytest.raises(ConfigError, match="not_a_campaign_param"):
+            run_clustered_campaign(
+                {"n_paths": 2, "not_a_campaign_param": 1}, cluster=None,
+                store=ArtifactStore(tmp_path), coordinator=Recorder())
 
     @pytest.mark.parametrize("command", ["run", "trace", "metrics"])
     def test_experiment_commands_take_the_flags(self, toy_axes, command):

@@ -17,9 +17,10 @@ from repro.cluster import (ClusterJournal, Coordinator, Membership,
                            parse_cluster, run_clustered_campaign,
                            run_clustered_search, shard_indices,
                            task_for)
+from repro.core.campaign import Campaign
 from repro.errors import ClusterError, ConfigError
 from repro.experiments import fig2
-from repro.serve import ServeError, ServerThread, campaign_from_params
+from repro.serve import ServeError, ServerThread
 from repro.serve.limits import ClientRateLimiter
 from repro.store import ArtifactStore, using_store
 
@@ -292,7 +293,7 @@ def _node(tmp_path, name):
 class TestClusteredCampaign:
     def test_two_nodes_byte_identical_to_serial(self, tmp_path):
         serial_store = ArtifactStore(tmp_path / "serial")
-        golden = campaign_from_params(E2E_PARAMS).run(
+        golden = Campaign(**E2E_PARAMS).run(
             store=serial_store, workers=1)
 
         local = ArtifactStore(tmp_path / "local")
@@ -307,7 +308,7 @@ class TestClusteredCampaign:
         # The byte-identity contract holds at the store level: every
         # per-path object a remote node computed matches the serial
         # run's bytes for the same content address.
-        campaign = campaign_from_params(E2E_PARAMS)
+        campaign = Campaign(**E2E_PARAMS)
         for spec in campaign.specs:
             key = campaign.path_key(spec)
             assert local.get_bytes(key) == serial_store.get_bytes(key)
@@ -318,7 +319,7 @@ class TestClusteredCampaign:
 
     def test_dead_node_in_spec_does_not_block_the_run(self, tmp_path):
         serial_store = ArtifactStore(tmp_path / "serial")
-        golden = campaign_from_params(E2E_PARAMS).run(
+        golden = Campaign(**E2E_PARAMS).run(
             store=serial_store, workers=1)
 
         local = ArtifactStore(tmp_path / "local")

@@ -25,9 +25,8 @@ def load_example(name: str):
 
 def test_examples_directory_complete():
     names = {p.stem for p in EXAMPLES_DIR.glob("*.py")}
-    assert {"quickstart", "elasticity_probe", "home_network_isolation",
-            "mlab_style_study", "video_vs_bulk",
-            "campaign_study"} <= names
+    assert {"quickstart", "elasticity_probe", "mlab_style_study",
+            "video_vs_bulk", "campaign_study"} <= names
 
 
 def test_quickstart_runs(capsys):
@@ -52,11 +51,3 @@ def test_video_vs_bulk_single_race(capsys):
     row = module.race(50.0)
     assert row["video_mbps"] > 5.0
     assert row["bulk_mbps"] > 10.0
-
-
-def test_home_network_isolation_single_household():
-    module = load_example("home_network_isolation")
-    row = module.run_household("fq")
-    assert row["gaming_mbps"] > 5.0
-    assert row["update_mbps"] > 5.0
-    assert row["web_pages"] >= 1

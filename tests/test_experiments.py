@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.experiments import (EXPERIMENTS, access_link, bwe_isolation,
-                               fig2, fq_ablation, subpacket, tbf_jitter,
-                               tslp_vs_elasticity)
+                               fairness_matrix, fig2, fq_ablation,
+                               subpacket, tbf_jitter, tslp_vs_elasticity)
 from repro.experiments.runner import ExperimentResult
 
 
@@ -147,6 +147,22 @@ class TestBweIsolation(ParamsRecorded):
 
     def test_enforcement_tight(self, result):
         assert result.metrics["max_enforcement_error"] < 0.15
+
+
+class TestFairnessMatrix(ParamsRecorded):
+    """The smoke's ``ccas`` leave out vegas: a shape check whose row
+    CCA is absent falls back to its neutral value (it was a KeyError)."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fairness_matrix.run(ccas=("reno", "bbr"), duration=2.0)
+
+    def test_absent_row_cca_is_neutral(self, result):
+        metrics = result.metrics
+        assert metrics["vegas_share_vs_loss_max"] == 1.0
+        assert metrics["bbr_share_vs_loss_min"] \
+            == metrics["share_bbr_vs_reno"]
+        assert "share_vegas_vs_reno" not in metrics
 
 
 class TestElapsedRecorded:

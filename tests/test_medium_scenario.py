@@ -204,14 +204,19 @@ def test_campaign_medium_param_reaches_every_spec():
 
 
 def test_serve_campaign_params_accept_medium():
-    from repro.serve.jobs import campaign_from_params
+    from repro.core.campaign import Campaign
+    from repro.serve.jobs import bind_params
     base = {"n_paths": 4, "seed": 0, "duration": 5.0}
-    default = campaign_from_params(dict(base))
-    explicit = campaign_from_params({**base, "medium": "queue"})
+
+    def campaign(params):
+        return Campaign(**bind_params("campaign", params))
+
+    default = campaign(base)
+    explicit = campaign({**base, "medium": "queue"})
     assert default.fingerprint() == explicit.fingerprint()
-    shared = campaign_from_params({**base, "medium": "csma-4"})
+    shared = campaign({**base, "medium": "csma-4"})
     assert shared.fingerprint() != default.fingerprint()
     with pytest.raises(ConfigError):
-        campaign_from_params({**base, "medium": "token-ring"})
+        bind_params("campaign", {**base, "medium": "token-ring"})
     with pytest.raises(ConfigError):
-        campaign_from_params({**base, "medium": 4})
+        bind_params("campaign", {**base, "medium": 4})

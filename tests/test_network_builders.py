@@ -4,8 +4,7 @@ import pytest
 
 from repro.cca import CubicCca
 from repro.errors import ConfigError
-from repro.sim import RngRegistry, Simulator, dumbbell, trace_dumbbell, \
-    two_hop_chain
+from repro.sim import RngRegistry, Simulator, dumbbell, trace_dumbbell
 from repro.sim.network import default_buffer_packets
 from repro.sim.trace import constant_rate_trace
 from repro.tcp import Connection
@@ -96,24 +95,3 @@ class TestTraceDumbbell:
         goodput = to_mbps(conn.receiver.received_bytes / 20.0)
         assert goodput > 8.0
         assert goodput <= 12.2
-
-
-class TestTwoHopChain:
-    def test_smaller_hop_is_bottleneck(self):
-        sim = Simulator()
-        path = two_hop_chain(sim, (mbps(50), mbps(10)), ms(40))
-        conn = Connection(sim, path, "f", CubicCca())
-        conn.sender.set_infinite_backlog()
-        sim.run(until=10.0)
-        goodput = to_mbps(conn.receiver.received_bytes / 10.0)
-        assert 7.0 < goodput <= 10.1
-
-    def test_first_hop_can_be_bottleneck_too(self):
-        # The Wi-Fi-slower-than-access case from §2.2 (Yang et al.).
-        sim = Simulator()
-        path = two_hop_chain(sim, (mbps(8), mbps(100)), ms(40))
-        conn = Connection(sim, path, "f", CubicCca())
-        conn.sender.set_infinite_backlog()
-        sim.run(until=10.0)
-        goodput = to_mbps(conn.receiver.received_bytes / 10.0)
-        assert 5.5 < goodput <= 8.1

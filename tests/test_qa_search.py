@@ -111,7 +111,8 @@ def test_search_failures_shrink_into_the_corpus(monkeypatch, tmp_path):
     assert reproduced, "injected fault must reproduce on packet"
     failure = sorted(reproduced,
                      key=lambda f: f.scenario.duration)[0]
-    case, runs = promote_failure(failure, seed=3, created="2026-08-09",
+    case, runs = promote_failure(failure, "search seed=3",
+                                 created="2026-08-09",
                                  directory=tmp_path, max_runs=10)
     assert runs <= 10
     assert case.oracle == "injected-fault"
@@ -163,14 +164,12 @@ def test_cli_envelope_out_check_and_json(tmp_path, capsys,
 def test_serve_executors_roundtrip(tmp_path):
     from repro.serve.jobs import execute_qa_envelope, execute_qa_search
     store = ArtifactStore(tmp_path / "store")
-    summary, payload = execute_qa_search(
-        {"budget": 8, "seed": 0}, store, 2)
+    summary, payload = execute_qa_search(store, 2, budget=8, seed=0)
     assert summary["coverage"] > 0
     assert payload["map"]["coverage"] == summary["coverage"]
-    cold, _ = execute_qa_envelope({"budget": 8, "seed": 0}, store, 2)
+    cold, _ = execute_qa_envelope(store, 2, budget=8, seed=0)
     assert not cold["cached"]
-    warm, artifact = execute_qa_envelope({"budget": 8, "seed": 0},
-                                         store, 2)
+    warm, artifact = execute_qa_envelope(store, 2, budget=8, seed=0)
     assert warm["cached"]
     assert warm["fingerprint"] == cold["fingerprint"]
     assert artifact["fingerprint"] == warm["fingerprint"]

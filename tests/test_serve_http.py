@@ -46,7 +46,7 @@ def block(monkeypatch):
     release = threading.Event()
     started = threading.Event()
 
-    def execute_block(params, store, workers):
+    def execute_block(store, workers, **params):
         started.set()
         if not release.wait(timeout=30.0):
             raise TimeoutError("block executor never released")
@@ -232,10 +232,23 @@ class TestHttpSurface:
             client = ServeClient(port=server.port, client_id="bad")
             for body in ({"params": {}},           # no kind
                          {"kind": "nope"},         # unknown kind
-                         {"kind": "pipeline", "extra": 1}):
+                         {"kind": "pipeline", "extra": 1},
+                         {"kind": "pipeline", "params": [200]},
+                         # params the kind's executor does not declare,
+                         # of the wrong type, or out of range
+                         {"kind": "campaign", "params": {"n_path": 3}},
+                         {"kind": "campaign",
+                          "params": {"n_paths": "three"}},
+                         {"kind": "campaign", "params": {"n_paths": 0}},
+                         {"kind": "paths",
+                          "params": {"n_paths": 3, "indices": [3]}},
+                         {"kind": "qa-eval",
+                          "params": {"scenario": "reno"}}):
                 with pytest.raises(ServeError) as exc:
                     client._request("POST", "/jobs", body)
                 assert exc.value.status == 400
+            assert client.healthz()["jobs"] == 0
+            assert "serve.jobs_admitted" not in client.metrics()
 
     def test_result_409_until_done_then_200(self, block):
         with ServerThread(store=None, concurrency=1,

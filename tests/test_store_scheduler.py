@@ -78,17 +78,23 @@ class TestFaultPolicy:
         assert any(first) and not all(first)
 
 
+def run_tasks(executor, fn, items, **kwargs):
+    """``imap_tasks``' outcomes, in submission order."""
+    return sorted(executor.imap_tasks(fn, items, **kwargs),
+                  key=lambda outcome: outcome.index)
+
+
 class TestRunTasks:
     def test_outcomes_ordered_and_ok(self):
         with ParallelExecutor(workers=1) as ex:
-            outcomes = ex.run_tasks(double, [1, 2, 3])
+            outcomes = run_tasks(ex, double, [1, 2, 3])
         assert [o.value for o in outcomes] == [2, 4, 6]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
 
     def test_failures_quarantined_not_raised(self):
         with ParallelExecutor(workers=1) as ex:
-            outcomes = ex.run_tasks(
-                fragile, [3, -1, 5],
+            outcomes = run_tasks(
+                ex, fragile, [3, -1, 5],
                 policy=FaultPolicy(retries=1, backoff_s=0.0))
         assert [o.ok for o in outcomes] == [True, False, True]
         bad = outcomes[1]
@@ -101,15 +107,15 @@ class TestRunTasks:
     def test_pool_mode_matches_serial(self):
         with ParallelExecutor(workers=1) as serial, \
                 ParallelExecutor(workers=2, chunk_size=1) as pool:
-            a = serial.run_tasks(double, list(range(10)))
-            b = pool.run_tasks(double, list(range(10)))
+            a = run_tasks(serial, double, list(range(10)))
+            b = run_tasks(pool, double, list(range(10)))
         assert [o.value for o in a] == [o.value for o in b]
 
     def test_injected_faults_recovered_by_retries(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.3")
         with ParallelExecutor(workers=1) as ex:
-            outcomes = ex.run_tasks(
-                double, list(range(24)),
+            outcomes = run_tasks(
+                ex, double, list(range(24)),
                 policy=FaultPolicy(retries=6, backoff_s=0.0))
         assert all(o.ok for o in outcomes)
         assert [o.value for o in outcomes] == [2 * x for x in range(24)]
@@ -125,8 +131,8 @@ class TestRunTasks:
             return x
 
         with ParallelExecutor(workers=1) as ex:
-            outcome = ex.run_tasks(
-                spin, [1],
+            outcome = run_tasks(
+                ex, spin, [1],
                 policy=FaultPolicy(retries=0, timeout_s=0.2))[0]
         assert not outcome.ok
         assert outcome.error_type == "TaskTimeout"
@@ -135,7 +141,7 @@ class TestRunTasks:
     def test_label_mismatch_rejected(self):
         with ParallelExecutor(workers=1) as ex:
             with pytest.raises(ConfigError):
-                ex.run_tasks(double, [1, 2], labels=["only-one"])
+                run_tasks(ex, double, [1, 2], labels=["only-one"])
 
 
 class TestScheduler:

@@ -24,10 +24,10 @@ import pytest
 
 from repro.cluster import run_clustered_campaign
 from repro.core.campaign import Campaign
+from repro.experiments import EXPERIMENTS
 from repro.experiments.envelope import ENVELOPE_CELLS
 from repro.qa.scenario import Scenario, run_scenario
 from repro.serve import ServeClient, ServeError
-from repro.serve.jobs import campaign_from_params
 from repro.store import ArtifactStore
 
 pytestmark = pytest.mark.slow
@@ -90,6 +90,21 @@ def test_serve_subprocess_drains_cleanly_on_sigterm(spawn):
     assert "drained cleanly" in out
 
 
+# -- repro run --smoke: every registered experiment --------------------------
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_smoke_runs(name):
+    """``SMOKE_PARAMS`` are parameters nothing else runs with (E6's
+    left out vegas and raised KeyError for five PRs)."""
+    child = subprocess.run(
+        [sys.executable, "-m", "repro", "run", name, "--smoke",
+         "--no-cache", "--json"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=1800)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["experiment"] == name
+
+
 # -- repro cluster: subprocess nodes, SIGKILL, speedup -----------------------
 
 #: Big enough that per-path simulation dominates HTTP dispatch
@@ -102,8 +117,7 @@ CLUSTER_PARAMS = {"n_paths": 16, "seed": 5, "duration": 2.0,
 def golden(tmp_path_factory):
     """The serial run every clustered run must equal, and its store."""
     store = ArtifactStore(tmp_path_factory.mktemp("serial"))
-    return store, campaign_from_params(CLUSTER_PARAMS).run(store=store,
-                                                           workers=1)
+    return store, Campaign(**CLUSTER_PARAMS).run(store=store, workers=1)
 
 
 def clustered_run(local_root, clients):
@@ -118,7 +132,7 @@ def clustered_run(local_root, clients):
 
 def assert_equals_golden(store, result, golden):
     golden_store, golden_result = golden
-    campaign = campaign_from_params(CLUSTER_PARAMS)
+    campaign = Campaign(**CLUSTER_PARAMS)
     for spec in campaign.specs:
         key = campaign.path_key(spec)
         assert store.get_bytes(key) == golden_store.get_bytes(key)

@@ -7,9 +7,9 @@ from repro.errors import ConfigError
 from repro.sim import Simulator, dumbbell
 from repro.traffic import (CROSS_TRAFFIC_IS_ELASTIC,
                            CROSS_TRAFFIC_REGISTRY, BackloggedFlow,
-                           CbrSource, CloudGamingStream, IdleSource,
-                           Phase, PoissonShortFlows, VideoStream,
-                           WebBrowsingUser, make_cross_traffic)
+                           CbrSource, IdleSource, Phase,
+                           PoissonShortFlows, VideoStream,
+                           make_cross_traffic)
 from repro.units import mbps, ms, to_mbps
 
 
@@ -171,39 +171,6 @@ class TestPoisson:
             return [(r.flow_id, r.size) for r in src.records]
         assert arrivals(7) == arrivals(7)
         assert arrivals(7) != arrivals(8)
-
-
-class TestGaming:
-    def test_stays_at_top_rate_on_clean_link(self):
-        sim = Simulator()
-        path = make_path(sim, rate=100.0, rtt=20.0)
-        game = CloudGamingStream(sim, path, "game", rtt_hint=ms(20))
-        game.start()
-        sim.run(until=10.0)
-        assert to_mbps(game.delivered_bytes / 10.0) > 20.0
-        assert game.downgrades == 0
-
-    def test_downgrades_under_queueing(self):
-        sim = Simulator()
-        # 10 Mbit/s link cannot carry the 30 Mbit/s top rate.
-        path = make_path(sim, rate=10.0, rtt=20.0, buffer_multiplier=8.0)
-        game = CloudGamingStream(sim, path, "game", rtt_hint=ms(20))
-        game.start()
-        sim.run(until=10.0)
-        assert game.downgrades > 0
-        assert game.current_rate < mbps(30)
-
-
-class TestWeb:
-    def test_pages_load(self):
-        sim = Simulator()
-        path = make_path(sim, rate=50.0)
-        user = WebBrowsingUser(sim, path, think_time=1.0, seed=4)
-        user.start()
-        sim.run(until=30.0)
-        assert user.pages_loaded > 3
-        assert all(t > 0 for t in user.page_load_times)
-        assert user.delivered_bytes > 0
 
 
 class TestRegistry:
