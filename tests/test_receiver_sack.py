@@ -2,8 +2,10 @@
 scoreboard interaction (driven directly, no network)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cca import RenoCca
+from repro.cca.base import CongestionControl
 from repro.sim import Simulator
 from repro.sim.packet import Packet, PacketKind, make_data
 from repro.tcp.endpoint import TcpReceiver, TcpSender
@@ -103,6 +105,63 @@ class TestReceiverReassembly:
         assert acks == []
 
 
+class _ReferenceReceiver:
+    """The reassembly rule written the slow way: every arrival merges
+    into the full interval list, whatever shortcuts the receiver has."""
+
+    def __init__(self):
+        self.rcv_nxt = 0
+        self.ooo = []
+        self.received_bytes = 0
+        self.duplicate_packets = 0
+
+    def arrive(self, seq, end):
+        before = self.rcv_nxt
+        if end <= self.rcv_nxt:
+            self.duplicate_packets += 1
+        else:
+            merged = []
+            for lo, hi in sorted(self.ooo + [(max(seq, self.rcv_nxt), end)]):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+                else:
+                    merged.append((lo, hi))
+            while merged and merged[0][0] <= self.rcv_nxt:
+                self.rcv_nxt = max(self.rcv_nxt, merged.pop(0)[1])
+            self.ooo = merged
+        self.received_bytes += self.rcv_nxt - before
+        return self.rcv_nxt, tuple(self.ooo[-3:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                min_size=1, max_size=60))
+def test_receiver_matches_reference_on_any_arrival_order(arrivals):
+    # (start, length) in units of 100 bytes over a 4,600-byte stream:
+    # duplicates, overlaps, stale retransmissions below rcv_nxt, and
+    # long in-order runs with nothing buffered all turn up.
+    acks = []
+    rx = TcpReceiver(Simulator(), "f", transmit=acks.append)
+    ref = _ReferenceReceiver()
+    for start, length in arrivals:
+        seq, payload = start * 100, length * 100
+        expected = ref.arrive(seq, seq + payload)
+        rx.on_packet(data(seq, payload=payload))
+        assert (acks[-1].ack, acks[-1].sack_blocks) == expected
+        assert rx.rcv_nxt == ref.rcv_nxt
+        assert rx._ooo == ref.ooo
+        assert rx.received_bytes == ref.received_bytes
+        assert rx.duplicate_packets == ref.duplicate_packets
+    assert len(acks) == len(arrivals)
+
+
+class _WideOpen(CongestionControl):
+    """A window that never binds and never reacts."""
+
+    name = "wide-open"
+    cwnd = 1e6
+
+
 class TestSenderScoreboard:
     def make(self):
         sim = Simulator()
@@ -170,3 +229,22 @@ class TestSenderScoreboard:
         tx.on_packet(self.ack_packet(10_000))
         assert not tx.in_recovery
         assert tx.pipe_bytes == 0
+
+    def test_rto_forgets_where_sack_walks_stopped(self):
+        # Go-back-N rebuilds the scoreboard, so segments re-sent inside
+        # a block the receiver still advertises are new to it: the next
+        # ACK carrying that block must mark them, not resume past them.
+        sim = Simulator()
+        sent = []
+        tx = TcpSender(sim, "f", _WideOpen(mss=1000), transmit=sent.append,
+                       mss=1000)
+        tx.write(10_000)
+        tx.on_packet(self.ack_packet(0, sacks=[(3000, 6000)]))
+        assert tx.pipe_bytes == 7000
+        sim.run(until=5.0)   # nothing else arrives: the RTO fires
+        assert tx.timeouts >= 1
+        assert tx.pipe_bytes == 10_000   # everything re-sent
+        tx.on_packet(self.ack_packet(1000, sacks=[(3000, 6000)]))
+        assert [tx._segments[seq].sacked for seq in (3000, 4000, 5000)] \
+            == [True, True, True]
+        assert tx.pipe_bytes == 10_000 - 1000 - 3000
