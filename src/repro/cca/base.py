@@ -22,9 +22,13 @@ from ..obs.bus import BUS as _OBS
 from ..units import DEFAULT_MSS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckSample:
     """Everything a CCA may want to know about one incoming ACK.
+
+    One is built per ACK, positionally, by the sender; it is read-only
+    by convention (a frozen dataclass pays an ``object.__setattr__``
+    per field per ACK).
 
     Attributes:
         now: arrival time of the ACK.
@@ -98,15 +102,6 @@ class CongestionControl(abc.ABC):
     def pacing_rate(self) -> float | None:
         """Pacing rate in bytes/second; None disables pacing."""
         return None
-
-    @property
-    def allows_retransmission(self) -> bool:
-        """Whether the endpoint should provide reliability.
-
-        Unreliable senders (CBR/UDP models) return False: no
-        retransmissions and no RTO.
-        """
-        return True
 
     # -- event callbacks ---------------------------------------------------
 

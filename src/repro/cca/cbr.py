@@ -36,7 +36,3 @@ class CbrCca(CongestionControl):
     @property
     def pacing_rate(self) -> float:
         return self.rate
-
-    @property
-    def allows_retransmission(self) -> bool:
-        return False

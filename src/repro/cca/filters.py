@@ -24,17 +24,19 @@ class WindowedExtremum:
         self.mode = mode
         self._deque: deque[tuple[float, float]] = deque()
 
-    def _better(self, a: float, b: float) -> bool:
-        return a >= b if self.mode == "max" else a <= b
-
     def update(self, key: float, value: float) -> None:
         """Insert a sample and expire anything older than the window."""
-        while self._deque and self._better(value, self._deque[-1][1]):
-            self._deque.pop()
-        self._deque.append((key, value))
+        samples = self._deque
+        if self.mode == "max":
+            while samples and value >= samples[-1][1]:
+                samples.pop()
+        else:
+            while samples and value <= samples[-1][1]:
+                samples.pop()
+        samples.append((key, value))
         horizon = key - self.window
-        while self._deque and self._deque[0][0] < horizon:
-            self._deque.popleft()
+        while samples and samples[0][0] < horizon:
+            samples.popleft()
 
     @property
     def value(self) -> float | None:

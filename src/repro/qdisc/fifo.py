@@ -10,6 +10,7 @@ from collections import deque
 from typing import Optional
 
 from ..errors import ConfigError
+from ..obs.bus import BUS as _OBS, EventKind
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -53,7 +54,13 @@ class DropTailQueue(Qdisc):
         packet.enqueue_time = now
         self._queue.append(packet)
         self._bytes += packet.size
-        self._record_enqueue(packet, now)
+        # The default discipline on every link of every path: the
+        # counters and the trace emit of Qdisc._record_enqueue /
+        # _record_dequeue, without their frames.
+        self.enqueued += 1
+        if _OBS.enabled:
+            _OBS.emit(now, EventKind.ENQUEUE, self.obs_name,
+                      packet.flow_id, packet.size)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -61,7 +68,11 @@ class DropTailQueue(Qdisc):
             return None
         packet = self._queue.popleft()
         self._bytes -= packet.size
-        self._record_dequeue(packet, now)
+        self.dequeued += 1
+        self.dequeued_bytes += packet.size
+        if _OBS.enabled:
+            _OBS.emit(now, EventKind.DEQUEUE, self.obs_name,
+                      packet.flow_id, packet.size)
         return packet
 
     def __len__(self) -> int:

@@ -174,30 +174,28 @@ class Simulator:
         self._running = True
         heap = self._heap
         pop = heapq.heappop
-        processed_before = self._events_processed
+        executed = 0
         if _OBS.enabled:
             _OBS.emit(self.now, EventKind.SIM_RUN, "sim",
                       meta={"phase": "begin"})
         limit = float("inf") if until is None else until
         try:
             while heap:
-                entry = heap[0]
-                event = entry[3]
+                entry = pop(heap)
+                time, _, callback, event = entry
                 if event is not None and event.cancelled:
-                    pop(heap)
                     continue
-                time = entry[0]
                 if time > limit:
+                    heapq.heappush(heap, entry)  # same (time, seq): same place
                     break
-                pop(heap)
                 self.now = time
-                entry[2]()
-                self._events_processed += 1
+                callback()
+                executed += 1
             if until is not None and until > self.now:
                 self.now = until
         finally:
             self._running = False
-            executed = self._events_processed - processed_before
+            self._events_processed += executed
             _, events_counter, runs_counter, clock_gauge = \
                 _run_instruments()
             events_counter.inc(executed)
@@ -209,7 +207,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of callbacks executed so far."""
+        """Total number of callbacks executed so far (a :meth:`run` in
+        progress adds its own when it returns)."""
         return self._events_processed
 
     @property

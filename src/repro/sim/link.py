@@ -86,7 +86,8 @@ class Link:
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link's egress queue."""
         self.qdisc.enqueue(packet, self.sim.now)
-        self._kick()
+        if not self._busy:
+            self._kick()
 
     def _kick(self) -> None:
         if self._busy:
@@ -94,13 +95,14 @@ class Link:
         if self._retry_event is not None:
             self._retry_event.cancel()
             self._retry_event = None
-        packet = self.qdisc.dequeue(self.sim.now)
+        now = self.sim.now
+        packet = self.qdisc.dequeue(now)
         if packet is None:
-            ready = self.qdisc.next_ready_time(self.sim.now)
+            ready = self.qdisc.next_ready_time(now)
             if ready is not None:
                 # A token-gated queue told us when to look again; the
                 # epsilon floor guards against zero-delay retry spins.
-                delay = max(1e-6, ready - self.sim.now)
+                delay = max(1e-6, ready - now)
                 self._retry_event = self.sim.schedule(delay, self._kick)
             return
         self._busy = True
@@ -117,23 +119,21 @@ class Link:
         packet = self._in_flight
         self._in_flight = None
         self._busy = False
-        self._deliver(packet)
-        self._kick()
-
-    def _deliver(self, packet: Packet) -> None:
         now = self.sim.now
-        self.delivered_packets += 1
-        self.delivered_bytes += packet.size
+        size = packet.size
         flow = packet.flow_id
-        self._per_flow_bytes[flow] = (
-            self._per_flow_bytes.get(flow, 0) + packet.size)
+        self.delivered_packets += 1
+        self.delivered_bytes += size
+        per_flow = self._per_flow_bytes
+        per_flow[flow] = per_flow.get(flow, 0) + size
         if _OBS.enabled:
             _OBS.emit(now, EventKind.DELIVER, f"link:{self.name}", flow,
-                      packet.size)
+                      size)
         for tap in self._taps:
             tap(packet, now)
         if self.sink is not None:
             self.sink.send(packet)
+        self._kick()
 
     # -- stats -------------------------------------------------------------
 

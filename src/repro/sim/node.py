@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .packet import Packet, recycle
+from .packet import _FREE, _POOL_LIMIT, Packet, recycle
 
 Handler = Callable[[Packet], None]
 
@@ -39,7 +39,8 @@ class Host:
         The host is a terminal consumption point: once the handler
         returns (handlers read header fields and reply with *new*
         packets, they never re-inject their argument), the packet is
-        dead and goes back to the free-list pool.
+        dead and goes back to the free-list pool (:func:`recycle`,
+        written out: every packet of every path ends here).
         """
         self.received_packets += 1
         self.received_bytes += packet.size
@@ -48,7 +49,10 @@ class Host:
             self.unclaimed += 1
         else:
             handler(packet)
-        recycle(packet)
+        if packet.packet_id:
+            packet.packet_id = 0
+            if len(_FREE) < _POOL_LIMIT:
+                _FREE.append(packet)
 
 
 class CountingSink:

@@ -39,7 +39,6 @@ class Packet:
         seq: for DATA, the byte offset of the first payload byte.
         end_seq: for DATA, one past the last payload byte.
         ack: for ACK, the cumulative acknowledgement (next byte expected).
-        sacked: for ACK, highest selectively-acked byte (simplified SACK).
         ecn_capable / ecn_marked: ECN negotiation and CE mark.
         sent_time: when the transport handed the packet to the network.
         enqueue_time: when the bottleneck queue accepted the packet
@@ -52,7 +51,7 @@ class Packet:
 
     __slots__ = (
         "packet_id", "flow_id", "user_id", "kind", "size",
-        "seq", "end_seq", "ack", "sacked",
+        "seq", "end_seq", "ack",
         "ecn_capable", "ecn_marked",
         "sent_time", "enqueue_time", "ack_of_sent_time",
         "app_limited", "retransmit", "rwnd", "ecn_echo", "sack_blocks",
@@ -70,7 +69,6 @@ class Packet:
         self.seq = seq
         self.end_seq = end_seq
         self.ack = ack
-        self.sacked = 0
         self.ecn_capable = ecn_capable
         self.ecn_marked = False
         self.sent_time = 0.0
@@ -106,11 +104,12 @@ class Packet:
 # of them die at a terminal host within one path traversal.  Network-
 # internal consumption points (``Host.send`` dispatch, ``CountingSink``,
 # ``LossBox`` drops) hand dead packets back via :func:`recycle`, and
-# :func:`make_data` / :func:`make_ack` reset-and-reuse them instead of
-# allocating.  ``packet_id == 0`` marks a packet currently sitting in
-# the pool: a recycled packet must never be recycled again (double-free
-# guard), and every reuse stamps a fresh id so identity-based analysis
-# never confuses two wire lifetimes.
+# :func:`acquire` (which :func:`make_data` / :func:`make_ack` spell by
+# keyword) resets and reuses them instead of allocating.
+# ``packet_id == 0`` marks a packet currently sitting in the pool: a
+# recycled packet must never be recycled again (double-free guard), and
+# every reuse stamps a fresh id so identity-based analysis never
+# confuses two wire lifetimes.
 
 _FREE: list[Packet] = []
 _POOL_LIMIT = 4096
@@ -135,9 +134,12 @@ def pool_size() -> int:
     return len(_FREE)
 
 
-def _acquire(flow_id: str, kind: PacketKind, size: int, seq: int,
-             end_seq: int, ack: int, user_id: str,
-             ecn_capable: bool) -> Packet:
+def acquire(flow_id: str, kind: PacketKind, size: int, seq: int,
+            end_seq: int, ack: int, user_id: str,
+            ecn_capable: bool) -> Packet:
+    """A packet with exactly these header fields and every other field
+    at its default: a pooled one if there is one, else a new one.  The
+    transport endpoints call this directly, once per segment and ACK."""
     if _FREE:
         packet = _FREE.pop()
         packet.packet_id = next(_packet_ids)
@@ -148,7 +150,6 @@ def _acquire(flow_id: str, kind: PacketKind, size: int, seq: int,
         packet.seq = seq
         packet.end_seq = end_seq
         packet.ack = ack
-        packet.sacked = 0
         packet.ecn_capable = ecn_capable
         packet.ecn_marked = False
         packet.sent_time = 0.0
@@ -169,11 +170,11 @@ def make_data(flow_id: str, seq: int, payload: int,
               ecn_capable: bool = False) -> Packet:
     """Build a DATA packet carrying ``payload`` bytes starting at ``seq``."""
     wire = size if size is not None else payload + 52
-    return _acquire(flow_id, PacketKind.DATA, wire, seq, seq + payload,
-                    0, user_id, ecn_capable)
+    return acquire(flow_id, PacketKind.DATA, wire, seq, seq + payload,
+                   0, user_id, ecn_capable)
 
 
 def make_ack(flow_id: str, ack: int, user_id: str = "") -> Packet:
     """Build a bare ACK acknowledging everything before ``ack``."""
-    return _acquire(flow_id, PacketKind.ACK, ACK_SIZE, 0, 0, ack,
-                    user_id, False)
+    return acquire(flow_id, PacketKind.ACK, ACK_SIZE, 0, 0, ack,
+                   user_id, False)

@@ -28,8 +28,8 @@ from ..errors import TransportError
 from ..obs.bus import BUS as _OBS, EventKind
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
-from ..sim.packet import Packet, PacketKind, make_ack, make_data
-from ..units import DEFAULT_MSS
+from ..sim.packet import Packet, PacketKind, acquire
+from ..units import ACK_SIZE, DEFAULT_MSS
 from .rtt import RttEstimator
 from .tcp_info import LimitState, TcpInfoTracker
 
@@ -43,13 +43,16 @@ UNLIMITED_RWND = 1 << 48
 #: Maximum SACK blocks carried per ACK (as in real TCP options).
 MAX_SACK_BLOCKS = 3
 
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 
 class _Segment:
     """Scoreboard entry for one in-flight data segment."""
 
     __slots__ = ("seq", "end", "wire_size", "sent_time", "retransmitted",
                  "retx_inflight", "sacked", "lost", "delivered_at_send",
-                 "app_limited")
+                 "app_limited", "payload")
 
     def __init__(self, seq: int, end: int, wire_size: int, sent_time: float,
                  delivered_at_send: int, app_limited: bool):
@@ -63,10 +66,7 @@ class _Segment:
         self.lost = False
         self.delivered_at_send = delivered_at_send
         self.app_limited = app_limited
-
-    @property
-    def payload(self) -> int:
-        return self.end - self.seq
+        self.payload = end - seq
 
 
 class TcpSender:
@@ -111,15 +111,19 @@ class TcpSender:
         # Scoreboard: seq -> segment, plus an ordered queue of lost
         # segments awaiting retransmission and a running pipe estimate.
         # `_order` holds outstanding seqs in (monotone) send order with
-        # `_head` as its logical start and `_scan` as the loss-marking
-        # pointer -- this keeps SACK processing amortized O(1) per ACK
+        # `_head` as its logical start, `_scan` as the loss-marking
+        # pointer and `_sack_resume` as, per block start of the last
+        # SACK-bearing ACK, the `_order` index where marking that block
+        # stopped -- this keeps SACK processing amortized O(1) per ACK
         # instead of O(window), which matters when a BBR-sized window
-        # (thousands of segments) is in flight.
+        # (thousands of segments) is in flight.  The indices die with
+        # the positions they name: on go-back-N and on compaction.
         self._segments: dict[int, _Segment] = {}
         self._by_end: dict[int, int] = {}
         self._order: list[int] = []
         self._head = 0
         self._scan = 0
+        self._sack_resume: dict[int, int] = {}
         self._lost_queue: deque[int] = deque()
         self._pipe_bytes = 0
         self._highest_sacked = 0
@@ -140,7 +144,6 @@ class TcpSender:
 
         # BBR-style delivery accounting.
         self.delivered = 0
-        self.delivered_time = sim.now
 
         self.fast_retransmits = 0
         self.timeouts = 0
@@ -170,13 +173,6 @@ class TcpSender:
         self._maybe_complete()
 
     @property
-    def backlog(self) -> int:
-        """Bytes written but not yet (first-)transmitted."""
-        if self._infinite_backlog:
-            return 1 << 60
-        return max(0, self._total_written - self.snd_nxt)
-
-    @property
     def inflight_bytes(self) -> int:
         """Payload bytes sent and not yet cumulatively acked."""
         return self.snd_nxt - self.snd_una
@@ -194,60 +190,69 @@ class TcpSender:
     def completed(self) -> bool:
         return self._completed
 
-    # -- window/pipe arithmetic --------------------------------------------
-
-    def _window_bytes(self) -> float:
-        return min(self.cca.cwnd * self.mss, float(self._peer_rwnd))
-
-    def _window_open(self) -> bool:
-        return self._pipe_bytes + self.mss <= self._window_bytes() + 1e-9
-
-    def _can_transmit(self) -> bool:
-        if not self._window_open():
-            return False
-        return bool(self._lost_queue) or self.backlog > 0
-
     # -- transmission -------------------------------------------------------
+    #
+    # Everything from here to the receiver runs once per segment or per
+    # ACK.  Window, backlog and timer arithmetic is written where it is
+    # used rather than behind helpers: a Python frame per helper, a
+    # dozen helpers per packet, is a third of the packet backend's time.
 
     def _pump(self) -> None:
         if self._pump_scheduled:
             return
-        now = self.sim.now
-        while self._can_transmit():
+        sim = self.sim
+        now = sim.now
+        cca = self.cca
+        mss = self.mss
+        lost_queue = self._lost_queue
+        while True:
+            window = cca.cwnd * mss
+            if self._peer_rwnd < window:
+                window = float(self._peer_rwnd)
+            if self._pipe_bytes + mss > window + 1e-9:
+                break
+            if not (lost_queue or self._infinite_backlog
+                    or self._total_written > self.snd_nxt):
+                break
             if self._next_tx_time > now + 1e-12:
                 self._pump_scheduled = True
-                self.sim.call_at(self._next_tx_time, self._pump_fire)
+                sim.call_at(self._next_tx_time, self._pump_fire)
                 break
-            if self._lost_queue:
+            if lost_queue:
                 self._send_retransmission()
             else:
-                self._send_new_segment()
+                self._send_new_segment(now)
         self._update_limit_state()
 
     def _pump_fire(self) -> None:
         self._pump_scheduled = False
         self._pump()
 
-    def _send_new_segment(self) -> None:
-        now = self.sim.now
-        payload = min(self.mss, self.backlog)
+    def _send_new_segment(self, now: float) -> None:
         seq = self.snd_nxt
-        packet = make_data(self.flow_id, seq=seq, payload=payload,
-                           size=payload + self.header_bytes,
-                           user_id=self.user_id, ecn_capable=self.ecn)
+        if self._infinite_backlog:
+            payload = self.mss
+            app_limited = False
+        else:
+            payload = min(self.mss, self._total_written - seq)
+            app_limited = seq + payload == self._total_written
+        end = seq + payload
+        size = payload + self.header_bytes
+        packet = acquire(self.flow_id, _DATA, size, seq, end, 0,
+                         self.user_id, self.ecn)
         packet.sent_time = now
-        self.snd_nxt = seq + payload
-        app_limited = (not self._infinite_backlog) and self.backlog == 0
         packet.app_limited = app_limited
+        self.snd_nxt = end
         self._segments[seq] = _Segment(
-            seq, seq + payload, packet.size, now, self.delivered, app_limited)
-        self._by_end[seq + payload] = seq
+            seq, end, size, now, self.delivered, app_limited)
+        self._by_end[end] = seq
         self._order.append(seq)
         self._pipe_bytes += payload
         self.tracker.bytes_sent += payload
-        self._advance_pacing_clock(packet.size)
+        self._advance_pacing_clock(now, size)
         self.cca.on_packet_sent(now, payload, app_limited)
-        self._arm_rto()
+        if self._rto_event is None:
+            self._rto_event = self.sim.schedule(self.rtt.rto, self._on_rto)
         self.transmit(packet)
 
     def _send_retransmission(self) -> None:
@@ -257,9 +262,8 @@ class TcpSender:
             return
         now = self.sim.now
         payload = segment.payload
-        packet = make_data(self.flow_id, seq=segment.seq, payload=payload,
-                           size=segment.wire_size, user_id=self.user_id,
-                           ecn_capable=self.ecn)
+        packet = acquire(self.flow_id, _DATA, segment.wire_size, segment.seq,
+                         segment.end, 0, self.user_id, self.ecn)
         packet.sent_time = now
         packet.retransmit = True
         segment.retransmitted = True
@@ -268,13 +272,13 @@ class TcpSender:
         self._pipe_bytes += payload
         self.tracker.bytes_retrans += payload
         self.tracker.retransmits += 1
-        self._advance_pacing_clock(packet.size)
-        self._arm_rto()
+        self._advance_pacing_clock(now, packet.size)
+        if self._rto_event is None:
+            self._rto_event = self.sim.schedule(self.rtt.rto, self._on_rto)
         self.transmit(packet)
 
-    def _advance_pacing_clock(self, wire_size: int) -> None:
+    def _advance_pacing_clock(self, now: float, wire_size: int) -> None:
         rate = self.cca.pacing_rate
-        now = self.sim.now
         if rate is None or rate <= 0:
             self._next_tx_time = now
             return
@@ -290,52 +294,70 @@ class TcpSender:
 
     def on_packet(self, packet: Packet) -> None:
         """Entry point for packets arriving from the network (ACKs)."""
-        if packet.kind is not PacketKind.ACK:
+        if packet.kind is not _ACK:
             return
         now = self.sim.now
         if packet.rwnd is not None:
             self._peer_rwnd = max(0, packet.rwnd - self.snd_una)
 
-        self._apply_sack_blocks(packet.sack_blocks)
+        blocks = packet.sack_blocks
+        if blocks:
+            self._apply_sack_blocks(blocks)
         if packet.ack > self.snd_una:
             self._on_new_ack(packet, now)
-        elif packet.ack == self.snd_una and self.inflight_bytes > 0:
+        elif packet.ack == self.snd_una and self.snd_nxt > self.snd_una:
             self.dupacks_total += 1
             self.cca.on_dup_ack(now)
-        self._detect_losses(now)
-        self._maybe_exit_recovery(now)
+        if blocks:
+            # The FACK threshold moves only with `_highest_sacked`, so
+            # an ACK without SACK blocks cannot mark anything lost.
+            self._detect_losses(now)
+        if self._in_recovery and self.snd_una >= self._recover_point:
+            self._in_recovery = False
+            self.cca.on_recovery_exit(now)
         self._pump()
 
     def _apply_sack_blocks(self,
                            blocks: tuple[tuple[int, int], ...]) -> None:
+        order = self._order
+        segments = self._segments
+        resume = self._sack_resume
+        self._sack_resume = stops = {}
         for lo, hi in blocks:
             if hi > self._highest_sacked:
                 self._highest_sacked = hi
-            idx = bisect.bisect_left(self._order, lo, lo=self._head)
-            while idx < len(self._order):
-                seq = self._order[idx]
+            # A block keeps its start while it grows, and everything
+            # marked under that start stays marked: carry on from where
+            # the previous ACK's walk of it stopped.  (A walk that
+            # stopped at the end of `_order` resumes at whatever was
+            # sent next, which after go-back-N can still be below the
+            # block: hence `seq >= lo`.)
+            idx = resume.get(lo)
+            if idx is None:
+                idx = bisect.bisect_left(order, lo, lo=self._head)
+            while idx < len(order):
+                seq = order[idx]
                 if seq >= hi:
                     break
-                idx += 1
-                seg = self._segments.get(seq)
-                if seg is None or seg.sacked:
-                    continue
-                if seg.seq >= lo and seg.end <= hi:
+                seg = segments.get(seq)
+                if seg is not None and not seg.sacked and seq >= lo:
+                    if seg.end > hi:
+                        break  # straddles the edge: look again next ACK
                     seg.sacked = True
                     # Count delivery at SACK time (as Linux tcp_rate
                     # does): otherwise the cumulative ACK that later
                     # repairs the hole below looks like a multi-MB
                     # instantaneous delivery and poisons rate samples.
                     self.delivered += seg.payload
-                    self.delivered_time = self.sim.now
-                    if seg.lost:
-                        # Original was marked lost; only an in-flight
-                        # retransmission still counts toward pipe.
-                        if seg.retx_inflight:
-                            self._pipe_bytes -= seg.payload
-                            seg.retx_inflight = False
-                    else:
+                    # If the original was marked lost, only an in-flight
+                    # retransmission still counts toward pipe.
+                    if not seg.lost:
                         self._pipe_bytes -= seg.payload
+                    elif seg.retx_inflight:
+                        self._pipe_bytes -= seg.payload
+                        seg.retx_inflight = False
+                idx += 1
+            stops[lo] = idx
 
     def _detect_losses(self, now: float) -> None:
         threshold = self._highest_sacked - DUPACK_THRESHOLD * self.mss
@@ -370,81 +392,71 @@ class TcpSender:
                           self.flow_id, float(self.mss))
             self.cca.on_loss(now, self.mss)
 
-    def _maybe_exit_recovery(self, now: float) -> None:
-        if self._in_recovery and self.snd_una >= self._recover_point:
-            self._in_recovery = False
-            self.cca.on_recovery_exit(now)
-
     def _on_new_ack(self, packet: Packet, now: float) -> None:
-        acked = packet.ack - self.snd_una
-        self.snd_una = packet.ack
-        if self.snd_nxt < self.snd_una:
+        ack = packet.ack
+        acked = ack - self.snd_una
+        self.snd_una = ack
+        if self.snd_nxt < ack:
             # A late cumulative ACK can outrun snd_nxt after a go-back-N
             # reset (the receiver already held the data out of order).
-            self.snd_nxt = self.snd_una
+            self.snd_nxt = ack
         self.tracker.bytes_acked += acked
 
+        rtt = self.rtt
         rtt_sample: float | None = None
         if packet.ack_of_sent_time is not None:
-            candidate = now - packet.ack_of_sent_time
-            if candidate > 0:
-                self.rtt.update(candidate)
-                rtt_sample = candidate
+            elapsed = now - packet.ack_of_sent_time
+            if elapsed > 0:
+                rtt.update(elapsed)
+                rtt_sample = elapsed
 
-        # Grab the rate-sample candidate before its segment is dropped.
-        sample_seq = self._by_end.get(packet.ack)
-        sample_seg = self._segments.get(sample_seq) \
-            if sample_seq is not None else None
+        # Grab the rate-sample candidate (the segment ending exactly at
+        # the new ack) before its segment is dropped.
+        candidate = self._segments.get(self._by_end.get(ack))
 
         # Delivery accounting: bytes already counted when SACKed are
         # not re-counted; bytes with no scoreboard entry (post-RTO
         # go-back-N races) are credited from the ACK itself.
-        newly_delivered, covered = self._drop_acked_segments(packet.ack)
+        newly_delivered, covered = self._drop_acked_segments(ack)
         self.delivered += newly_delivered + max(0, acked - covered)
-        self.delivered_time = now
 
-        delivery_rate, rate_app_limited = self._delivery_rate_sample(
-            sample_seg, now)
+        delivery_rate = None
+        rate_app_limited = False
+        if candidate is not None and not candidate.retransmitted:
+            elapsed = now - candidate.sent_time
+            # A segment cannot be acknowledged in less than the path's
+            # min RTT.  If this "ack" arrived faster, the cumulative ack
+            # was really triggered by older data (e.g. a post-RTO
+            # duplicate resend the receiver already held) and the sample
+            # would divide a large delivered delta by a near-zero
+            # interval.
+            min_rtt = rtt.min_rtt
+            if elapsed > 0 and (min_rtt is None or elapsed >= min_rtt):
+                delivery_rate = (self.delivered
+                                 - candidate.delivered_at_send) / elapsed
+                rate_app_limited = candidate.app_limited
 
-        sample = AckSample(
-            now=now, acked_bytes=acked, rtt=rtt_sample,
-            min_rtt=self.rtt.min_rtt, srtt=self.rtt.srtt,
-            inflight_bytes=self.inflight_bytes,
-            delivery_rate=delivery_rate,
-            delivery_rate_app_limited=rate_app_limited,
-            delivered_total=self.delivered,
-            in_recovery=self._in_recovery and self.snd_una < self._recover_point,
-            ecn_echo=packet.ecn_echo,
-        )
-        self.cca.on_ack(sample)
+        cca = self.cca
+        cca.on_ack(AckSample(
+            now, acked, rtt_sample, rtt.min_rtt, rtt.srtt,
+            self.snd_nxt - ack, delivery_rate, rate_app_limited,
+            self.delivered,
+            self._in_recovery and ack < self._recover_point,
+            packet.ecn_echo))
         if _OBS.enabled:
-            pacing = self.cca.pacing_rate
+            pacing = cca.pacing_rate
             _OBS.emit(now, EventKind.CWND, f"tcp:{self.flow_id}",
-                      self.flow_id, self.cca.cwnd,
+                      self.flow_id, cca.cwnd,
                       {"pacing_rate": pacing} if pacing is not None else None)
 
-        if self.inflight_bytes > 0:
-            self._arm_rto(restart=True)
-        else:
-            self._disarm_rto()
-        self._maybe_complete()
-
-    def _delivery_rate_sample(self, candidate: _Segment | None, now: float
-                              ) -> tuple[float | None, bool]:
-        # The candidate is the segment ending exactly at the new ack.
-        if candidate is None or candidate.retransmitted:
-            return None, False
-        elapsed = now - candidate.sent_time
-        # A segment cannot be acknowledged in less than the path's min
-        # RTT.  If this "ack" arrived faster, the cumulative ack was
-        # really triggered by older data (e.g. a post-RTO duplicate
-        # resend the receiver already held) and the sample would divide
-        # a large delivered delta by a near-zero interval.
-        min_rtt = self.rtt.min_rtt
-        if elapsed <= 0 or (min_rtt is not None and elapsed < min_rtt):
-            return None, False
-        rate = (self.delivered - candidate.delivered_at_send) / elapsed
-        return rate, candidate.app_limited
+        # Restart the retransmission timer while data is outstanding.
+        if self._rto_event is not None:
+            self._rto_event.cancelled = True
+            self._rto_event = None
+        if self.snd_nxt > ack:
+            self._rto_event = self.sim.schedule(rtt.rto, self._on_rto)
+        if self._closed:
+            self._maybe_complete()
 
     def _drop_acked_segments(self, ack: int) -> tuple[int, int]:
         """Remove segments below ``ack``.
@@ -456,28 +468,29 @@ class TcpSender:
         """
         newly_delivered = 0
         covered = 0
-        while self._head < len(self._order):
-            seq = self._order[self._head]
-            seg = self._segments.get(seq)
-            if seg is None:
-                self._head += 1
-                continue
-            if seg.end > ack:
-                break
-            self._head += 1
-            del self._segments[seq]
-            self._by_end.pop(seg.end, None)
-            covered += seg.payload
-            if not seg.sacked:
-                newly_delivered += seg.payload
-                if not seg.lost:
-                    self._pipe_bytes -= seg.payload
-                elif seg.retx_inflight:
-                    self._pipe_bytes -= seg.payload
+        order = self._order
+        segments = self._segments
+        head = self._head
+        while head < len(order):
+            seq = order[head]
+            seg = segments.get(seq)
+            if seg is not None:
+                if seg.end > ack:
+                    break
+                del segments[seq]
+                self._by_end.pop(seg.end, None)
+                covered += seg.payload
+                if not seg.sacked:
+                    newly_delivered += seg.payload
+                    if not seg.lost or seg.retx_inflight:
+                        self._pipe_bytes -= seg.payload
+            head += 1
+        self._head = head
         if self._head > 4096 and self._head > len(self._order) // 2:
             del self._order[:self._head]
             self._scan = max(0, self._scan - self._head)
             self._head = 0
+            self._sack_resume = {}
         while self._lost_queue and self._lost_queue[0] not in self._segments:
             # Cumulatively-acked entries sit at the front (lowest seqs).
             self._lost_queue.popleft()
@@ -485,27 +498,20 @@ class TcpSender:
 
     # -- RTO -------------------------------------------------------------------
 
-    def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_event is not None:
-            if not restart:
-                return
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(self.rtt.rto, self._on_rto)
-
     def _disarm_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self._rto_event.cancelled = True
             self._rto_event = None
 
     def _on_rto(self) -> None:
         self._rto_event = None
-        if self.inflight_bytes <= 0:
+        if self.snd_nxt <= self.snd_una:
             return
         now = self.sim.now
         self.timeouts += 1
         if _OBS.enabled:
             _OBS.emit(now, EventKind.RTO, f"tcp:{self.flow_id}",
-                      self.flow_id, float(self.inflight_bytes))
+                      self.flow_id, float(self.snd_nxt - self.snd_una))
         self.rtt.backoff()
         # Go-back-N: everything outstanding is presumed lost.
         self._segments.clear()
@@ -513,6 +519,7 @@ class TcpSender:
         self._order.clear()
         self._head = 0
         self._scan = 0
+        self._sack_resume = {}
         self._lost_queue.clear()
         self._pipe_bytes = 0
         self._highest_sacked = 0
@@ -521,31 +528,43 @@ class TcpSender:
         self._next_tx_time = now
         self.cca.on_rto(now)
         self._pump()
-        if self.inflight_bytes > 0 or self.backlog > 0:
-            self._arm_rto(restart=True)
+        if (self.snd_nxt > self.snd_una or self._infinite_backlog
+                or self._total_written > self.snd_nxt):
+            # Restarted even if the pump just armed it: the timer runs
+            # from the end of the go-back-N burst.
+            self._disarm_rto()
+            self._rto_event = self.sim.schedule(self.rtt.rto, self._on_rto)
 
     # -- accounting ---------------------------------------------------------
 
     def _update_limit_state(self) -> None:
-        now = self.sim.now
-        if self.backlog <= 0 and self.inflight_bytes == 0:
+        backlogged = (self._infinite_backlog
+                      or self._total_written > self.snd_nxt)
+        if not backlogged and self.snd_nxt == self.snd_una:
             state = LimitState.IDLE if self._closed else LimitState.APP_LIMITED
-        elif self.backlog <= 0 and not self._lost_queue:
+        elif not backlogged and not self._lost_queue:
             state = LimitState.APP_LIMITED
-        elif self._can_transmit() or self._pump_scheduled:
+        elif self._pump_scheduled:
             state = LimitState.BUSY
-        elif self._peer_rwnd < self.cca.cwnd * self.mss:
-            state = LimitState.RWND_LIMITED
         else:
-            state = LimitState.CWND_LIMITED
-        if state is not self.tracker.state:
-            self.tracker.set_state(state, now)
+            # Something is waiting to go out (new data or a lost
+            # segment): which window, if any, is holding it back?
+            cwnd_bytes = self.cca.cwnd * self.mss
+            window = min(cwnd_bytes, float(self._peer_rwnd))
+            if self._pipe_bytes + self.mss <= window + 1e-9:
+                state = LimitState.BUSY
+            elif self._peer_rwnd < cwnd_bytes:
+                state = LimitState.RWND_LIMITED
+            else:
+                state = LimitState.CWND_LIMITED
+        tracker = self.tracker
+        if state is not tracker.state:
+            tracker.set_state(state, self.sim.now)
 
     def _maybe_complete(self) -> None:
         if (self._closed and not self._completed
                 and not self._infinite_backlog
-                and self.snd_una >= self._total_written
-                and self.backlog <= 0):
+                and self.snd_una >= self._total_written):
             self._completed = True
             if self.on_complete is not None:
                 self.on_complete(self.sim.now)
@@ -592,21 +611,44 @@ class TcpReceiver:
         self.duplicate_packets = 0
 
     def on_packet(self, packet: Packet) -> None:
-        """Entry point for packets arriving from the network (DATA)."""
-        if packet.kind is not PacketKind.DATA:
+        """Entry point for packets arriving from the network (DATA):
+        reassemble, then acknowledge at once."""
+        if packet.kind is not _DATA:
             return
         now = self.sim.now
         before = self.rcv_nxt
-        if packet.end_seq <= self.rcv_nxt:
+        end = packet.end_seq
+        if end <= before:
             self.duplicate_packets += 1
         else:
-            self._insert(packet.seq, packet.end_seq)
-        advanced = self.rcv_nxt - before
-        if advanced > 0:
-            self.received_bytes += advanced
-            if self.on_data is not None:
-                self.on_data(advanced, now)
-        self._send_ack(packet, now)
+            if not self._ooo and packet.seq <= before:
+                self.rcv_nxt = end  # in order, nothing buffered
+            else:
+                self._insert(packet.seq, end)
+            advanced = self.rcv_nxt - before
+            if advanced > 0:
+                self.received_bytes += advanced
+                if self.on_data is not None:
+                    self.on_data(advanced, now)
+
+        ack = acquire(self.flow_id, _ACK, ACK_SIZE, 0, 0, self.rcv_nxt,
+                      self.user_id, False)
+        ack.sent_time = now
+        if not packet.retransmit:
+            # Karn's algorithm: never derive RTT from retransmissions.
+            ack.ack_of_sent_time = packet.sent_time
+        if self._ooo:
+            ack.sack_blocks = tuple(self._ooo[-MAX_SACK_BLOCKS:])
+        if self.rwnd_bytes is not None:
+            ack.rwnd = self.rcv_nxt + self.rwnd_bytes
+        if packet.ecn_marked:
+            ack.ecn_echo = True
+        if self.jitter is not None:
+            when = max(now + self.jitter.ack_delay(), self._next_ack_time)
+            self._next_ack_time = when
+            self.sim.call_at(when, functools.partial(self.transmit, ack))
+        else:
+            self.transmit(ack)
 
     def _insert(self, seq: int, end: int) -> None:
         seq = max(seq, self.rcv_nxt)
@@ -623,25 +665,6 @@ class TcpReceiver:
             self.rcv_nxt = max(self.rcv_nxt, merged[0][1])
             merged.pop(0)
         self._ooo = merged
-
-    def _send_ack(self, data_packet: Packet, now: float) -> None:
-        ack = make_ack(self.flow_id, ack=self.rcv_nxt, user_id=self.user_id)
-        ack.sent_time = now
-        if not data_packet.retransmit:
-            # Karn's algorithm: never derive RTT from retransmissions.
-            ack.ack_of_sent_time = data_packet.sent_time
-        if self._ooo:
-            ack.sack_blocks = tuple(self._ooo[-MAX_SACK_BLOCKS:])
-        if self.rwnd_bytes is not None:
-            ack.rwnd = self.rcv_nxt + self.rwnd_bytes
-        if data_packet.ecn_marked:
-            ack.ecn_echo = True
-        if self.jitter is not None:
-            when = max(now + self.jitter.ack_delay(), self._next_ack_time)
-            self._next_ack_time = when
-            self.sim.call_at(when, functools.partial(self.transmit, ack))
-        else:
-            self.transmit(ack)
 
 
 class Connection:

@@ -28,7 +28,8 @@ class RttEstimator:
         self.rttvar: float | None = None
         self.min_rtt: float | None = None
         self.latest_rtt: float | None = None
-        self._rto = initial_rto
+        #: current retransmission timeout (seconds)
+        self.rto = initial_rto
         self.samples = 0
 
     def update(self, rtt: float) -> None:
@@ -48,13 +49,8 @@ class RttEstimator:
                            + self.BETA * abs(self.srtt - rtt))
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
         raw = self.srtt + self.K * self.rttvar
-        self._rto = min(max(raw, self.min_rto), self.max_rto)
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout (seconds)."""
-        return self._rto
+        self.rto = min(max(raw, self.min_rto), self.max_rto)
 
     def backoff(self) -> None:
         """Exponential RTO backoff after a timeout fires."""
-        self._rto = min(self._rto * 2.0, self.max_rto)
+        self.rto = min(self.rto * 2.0, self.max_rto)

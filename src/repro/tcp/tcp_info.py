@@ -62,27 +62,24 @@ class TcpInfoTracker:
         self.bytes_sent = 0
         self.bytes_retrans = 0
         self.retransmits = 0
-        self._state = LimitState.IDLE
+        #: what limits the sender now (written only by :meth:`set_state`)
+        self.state = LimitState.IDLE
         self._state_since = start_time
         self._durations: dict[LimitState, float] = {
             state: 0.0 for state in LimitState}
         self._last_snapshot_time = start_time
         self._last_snapshot_acked = 0
 
-    @property
-    def state(self) -> LimitState:
-        return self._state
-
     def set_state(self, state: LimitState, now: float) -> None:
         """Transition to ``state``, charging elapsed time to the old one."""
-        self._durations[self._state] += max(0.0, now - self._state_since)
-        self._state = state
+        self._durations[self.state] += max(0.0, now - self._state_since)
+        self.state = state
         self._state_since = now
 
     def duration(self, state: LimitState, now: float) -> float:
         """Total seconds spent in ``state`` up to ``now``."""
         extra = max(0.0, now - self._state_since) \
-            if state is self._state else 0.0
+            if state is self.state else 0.0
         return self._durations[state] + extra
 
     def snapshot(self, now: float, min_rtt_s: float | None = None,

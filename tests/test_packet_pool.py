@@ -26,7 +26,6 @@ def test_reuse_does_not_leak_header_fields():
     p.ecn_marked = True
     p.enqueue_time = 123.456
     p.sack_blocks = ((0, 100), (200, 300))
-    p.sacked = 3
     p.sent_time = 9.0
     p.ack_of_sent_time = 8.5
     p.app_limited = True
@@ -39,7 +38,6 @@ def test_reuse_does_not_leak_header_fields():
     assert not q.ecn_marked
     assert q.enqueue_time == 0.0
     assert q.sack_blocks == ()
-    assert q.sacked == 0
     assert q.sent_time == 0.0
     assert q.ack_of_sent_time is None
     assert not q.app_limited

@@ -156,7 +156,7 @@ def test_receiver_matches_reference_on_any_arrival_order(arrivals):
 
 
 class _WideOpen(CongestionControl):
-    """A window that never binds and never reacts."""
+    """A window that never reacts, and binds only where a test sets it."""
 
     name = "wide-open"
     cwnd = 1e6
@@ -230,6 +230,40 @@ class TestSenderScoreboard:
         assert not tx.in_recovery
         assert tx.pipe_bytes == 0
 
+    def test_sack_walk_is_amortised_over_acks(self):
+        # One hole at the front of a 2,000-segment window and 1,999
+        # ACKs, each extending the same SACK block by one segment: the
+        # scoreboard must be walked once overall, not once per ACK.
+        class CountingSegments(dict):
+            visits = 0
+            counting = False
+
+            def get(self, key, default=None):
+                if self.counting:
+                    self.visits += 1
+                return super().get(key, default)
+
+        class CountingSender(TcpSender):
+            def _apply_sack_blocks(self, blocks):
+                self._segments.counting = True
+                try:
+                    super()._apply_sack_blocks(blocks)
+                finally:
+                    self._segments.counting = False
+
+        sent = []
+        tx = CountingSender(Simulator(), "f", _WideOpen(mss=1000),
+                            transmit=sent.append, mss=1000)
+        tx._segments = CountingSegments()
+        n = 2000
+        tx.write(n * 1000)
+        assert len(sent) == n
+        for k in range(2, n + 1):
+            tx.on_packet(self.ack_packet(0, sacks=[(1000, k * 1000)]))
+        assert tx.delivered == (n - 1) * 1000
+        assert tx.pipe_bytes <= 1000   # only the hole's retransmission
+        assert tx._segments.visits <= 3 * (n - 1)
+
     def test_rto_forgets_where_sack_walks_stopped(self):
         # Go-back-N rebuilds the scoreboard, so segments re-sent inside
         # a block the receiver still advertises are new to it: the next
@@ -248,3 +282,25 @@ class TestSenderScoreboard:
         assert [tx._segments[seq].sacked for seq in (3000, 4000, 5000)] \
             == [True, True, True]
         assert tx.pipe_bytes == 10_000 - 1000 - 3000
+
+    def test_sack_walk_resumed_after_go_back_n_stays_inside_its_block(self):
+        # After go-back-N an ACK can advertise a block the sender has
+        # not re-sent up to yet; the walk that found nothing must not
+        # resume on the segments sent next, which sit *below* the block.
+        sim = Simulator()
+        sent = []
+        cca = _WideOpen(mss=1000)
+        tx = TcpSender(sim, "f", cca, transmit=sent.append, mss=1000)
+        tx.write(10_000)
+        tx.on_packet(self.ack_packet(0, sacks=[(5000, 8000)]))
+        cca.cwnd = 2.0
+        sim.run(until=5.0)   # RTO: seqs 0 and 1000 go out again
+        assert tx.timeouts >= 1 and tx.snd_nxt == 2000
+        tx.on_packet(self.ack_packet(1000, sacks=[(5000, 8000)]))
+        cca.cwnd = 10.0
+        tx.on_packet(self.ack_packet(2000, sacks=[(5000, 8000)]))
+        assert tx.snd_nxt == 10_000
+        tx.on_packet(self.ack_packet(3000, sacks=[(5000, 8000)]))
+        assert [tx._segments[seq].sacked
+                for seq in (3000, 4000, 5000, 6000, 7000, 8000)] \
+            == [False, False, True, True, True, False]
