@@ -7,7 +7,8 @@ citing the survey of Truong, Oudre & Vayatis (Signal Processing 2020)
 * :func:`binary_segmentation` -- greedy recursive splitting; fast and
   simple, approximate.
 * :func:`pelt` -- Pruned Exact Linear Time (Killick et al. 2012);
-  exact penalized optimum with amortized linear cost.
+  exact penalized optimum with amortized linear cost, searched for a
+  whole batch of equal-length signals at once.
 
 Both use a piecewise-constant (L2 / Gaussian mean-shift) cost by
 default, which is the right model for "did this flow's achieved
@@ -24,20 +25,37 @@ import numpy as np
 from ..errors import AnalysisError
 
 
-class L2Cost:
+class _PrefixSums:
+    """Prefix sums of a signal -- or, given a ``(rows, n)`` array, of
+    every row (``cumsum`` along the last axis adds in the same order
+    either way, so a row's sums do not depend on its neighbours)."""
+
+    def __init__(self, signal: np.ndarray):
+        x = np.asarray(signal, dtype=float)
+        if x.ndim not in (1, 2):
+            raise AnalysisError("signal must be one- or two-dimensional")
+        self.n = x.shape[-1]
+        sums = np.cumsum([x, x * x], axis=-1)
+        self._both = np.concatenate(
+            [np.zeros_like(sums[..., :1]), sums], axis=-1)
+        self._cum, self._cum2 = self._both
+
+    def _sums(self, starts, ends):
+        """(length, sum, sum of squares) of the segments; ``starts``
+        and ``ends`` broadcast against each other."""
+        starts = np.asarray(starts)
+        ends = np.asarray(ends)
+        hi = self._both.take(ends, axis=-1)
+        lo = self._both.take(starts, axis=-1)
+        return ends - starts, hi[0] - lo[0], hi[1] - lo[1]
+
+
+class L2Cost(_PrefixSums):
     """Sum of squared deviations from the segment mean.
 
     cost(a, b) over signal x = sum_{a<=i<b} (x_i - mean(x[a:b]))^2,
     computed in O(1) per query from prefix sums.
     """
-
-    def __init__(self, signal: np.ndarray):
-        x = np.asarray(signal, dtype=float)
-        if x.ndim != 1:
-            raise AnalysisError("signal must be one-dimensional")
-        self.n = len(x)
-        self._cum = np.concatenate([[0.0], np.cumsum(x)])
-        self._cum2 = np.concatenate([[0.0], np.cumsum(x * x)])
 
     def cost(self, a: int, b: int) -> float:
         """Cost of the segment ``signal[a:b]``."""
@@ -51,32 +69,19 @@ class L2Cost:
     def cost_batch(self, starts, ends) -> np.ndarray:
         """Vectorized :meth:`cost` over arrays of segment bounds.
 
-        ``starts`` and ``ends`` broadcast against each other; every
-        resulting segment must be non-empty.  Identical arithmetic to
-        the scalar path (same IEEE-754 operations on the same prefix
-        sums), so results are bit-for-bit equal.
+        Every resulting segment must be non-empty.  Identical
+        arithmetic to the scalar path (same IEEE-754 operations on the
+        same prefix sums), so results are bit-for-bit equal.
         """
-        starts = np.asarray(starts)
-        ends = np.asarray(ends)
-        n = ends - starts
-        s = self._cum[ends] - self._cum[starts]
-        s2 = self._cum2[ends] - self._cum2[starts]
+        n, s, s2 = self._sums(starts, ends)
         return np.maximum(0.0, s2 - s * s / n)
 
 
-class NormalMeanVarCost:
+class NormalMeanVarCost(_PrefixSums):
     """Negative log-likelihood cost for a Gaussian with free mean and
     variance per segment -- detects changes in mean *or* variance."""
 
     MIN_SEGMENT = 2
-
-    def __init__(self, signal: np.ndarray):
-        x = np.asarray(signal, dtype=float)
-        if x.ndim != 1:
-            raise AnalysisError("signal must be one-dimensional")
-        self.n = len(x)
-        self._cum = np.concatenate([[0.0], np.cumsum(x)])
-        self._cum2 = np.concatenate([[0.0], np.cumsum(x * x)])
 
     def cost(self, a: int, b: int) -> float:
         n = b - a
@@ -89,27 +94,26 @@ class NormalMeanVarCost:
 
     def cost_batch(self, starts, ends) -> np.ndarray:
         """Vectorized :meth:`cost` over arrays of segment bounds."""
-        starts = np.asarray(starts)
-        ends = np.asarray(ends)
-        n = (ends - starts).astype(float)
-        s = self._cum[ends] - self._cum[starts]
-        s2 = self._cum2[ends] - self._cum2[starts]
+        n, s, s2 = self._sums(starts, ends)
+        n = n.astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
             var = np.maximum((s2 - s * s / n) / n, 1e-12)
             out = n * (np.log(var) + 1.0 + math.log(2.0 * math.pi)) / 2.0
         return np.where(n < self.MIN_SEGMENT, 0.0, out)
 
 
-def default_penalty(signal: np.ndarray) -> float:
+def default_penalty(signal: np.ndarray):
     """BIC-style penalty: 2 * sigma^2 * log(n), with sigma estimated
-    robustly from first differences (median absolute deviation)."""
+    robustly from first differences (median absolute deviation).  A
+    ``(rows, n)`` array gives one penalty per row."""
     x = np.asarray(signal, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if n < 4:
-        return float("inf")
+        return np.full(x.shape[:-1], np.inf)[()]
     diffs = np.diff(x)
-    mad = np.median(np.abs(diffs - np.median(diffs)))
-    sigma = max(mad / 0.6745 / math.sqrt(2.0), 1e-12)
+    mad = np.median(np.abs(
+        diffs - np.median(diffs, axis=-1, keepdims=True)), axis=-1)
+    sigma = np.maximum(mad / 0.6745 / math.sqrt(2.0), 1e-12)
     return 2.0 * sigma * sigma * math.log(n)
 
 
@@ -153,62 +157,79 @@ def _check_length(n: int, min_segment: int) -> None:
             f"(need at least {2 * min_segment} points)")
 
 
+def _pelt_rows(x: np.ndarray, penalty, cost_class,
+               min_segment: int) -> list[ChangePointResult]:
+    """PELT on every row of the ``(rows, n)`` array ``x`` at once.
+
+    f[r, t] = optimal cost of x[r, :t]; prev[r, t] = last breakpoint
+    before t.  The rows share one list of candidate columns and each
+    row's pruning is a mask over it: a pruned candidate's total is
+    ``inf``, so ``argmin`` resolves a row's ties to its first surviving
+    candidate, exactly as PELT on that row alone, and no row's result
+    depends on its neighbours.  Columns no row still holds are dropped,
+    so a batch of one is classic pruned PELT.
+    """
+    cost = cost_class(x)  # rejects an array of three or more axes
+    rows, n = x.shape
+    _check_length(n, min_segment)
+    if penalty is None:
+        penalty = default_penalty(x)
+    penalty = np.broadcast_to(np.asarray(penalty, dtype=float), (rows,))
+    f = np.full((rows, n + 1), np.inf)
+    f[:, 0] = 0.0
+    prev = np.zeros((rows, n + 1), dtype=np.int64)
+    each_row = np.arange(rows)
+    candidates = np.array([0], dtype=np.int64)
+    # f at each candidate column, or inf once the row has pruned it.
+    start = f[:, :1].copy()
+    per_change = penalty[:, None]
+    for t in range(min_segment, n + 1):
+        reach = start + cost.cost_batch(candidates, [t])
+        totals = reach + per_change
+        best = totals.argmin(axis=1)
+        f[:, t] = totals[each_row, best]
+        prev[:, t] = candidates[best]
+        # Prune, per row, candidates that can never win again.
+        np.putmask(start, reach > f[:, t:t + 1], np.inf)
+        held = (start < np.inf).any(axis=0)
+        new = t - min_segment + 1
+        candidates = np.concatenate([candidates[held], [new]])
+        start = np.concatenate([start[:, held], f[:, new:new + 1]], axis=1)
+
+    results = []
+    for back, row_penalty in zip(prev.tolist(), penalty.tolist()):
+        breakpoints = []
+        t = back[n]
+        while t > 0:
+            breakpoints.append(t)
+            t = back[t]
+        results.append(ChangePointResult(tuple(sorted(breakpoints)), n,
+                                         row_penalty))
+    return results
+
+
 def pelt(signal, penalty: float | None = None, cost_class=L2Cost,
-         min_segment: int = 2) -> ChangePointResult:
+         min_segment: int = 2):
     """Exact penalized change-point detection (PELT).
 
     Args:
-        signal: 1-D array-like.
+        signal: 1-D array-like, or a ``(flows, n)`` batch of
+            equal-length signals searched in one pass.
         penalty: per-change-point penalty; default is a robust BIC.
-        cost_class: segment cost model (L2Cost or NormalMeanVarCost).
+        cost_class: segment cost model (L2Cost or NormalMeanVarCost;
+            its ``cost_batch`` is what the search calls).
         min_segment: minimum points per segment.
 
     Returns:
-        :class:`ChangePointResult` with the optimal breakpoints.
+        :class:`ChangePointResult` with the optimal breakpoints; for a
+        batch, a list of them, row ``i`` equal to ``pelt(signal[i])``.
 
     Raises:
         AnalysisError: if the signal is shorter than ``2*min_segment``.
     """
     x = np.asarray(signal, dtype=float)
-    n = len(x)
-    _check_length(n, min_segment)
-    if penalty is None:
-        penalty = default_penalty(x)
-    cost = cost_class(x)
-    cost_batch = getattr(cost, "cost_batch", None)
-
-    # f[t] = optimal cost of x[0:t]; prev[t] = last breakpoint before t.
-    # The per-candidate scan is vectorized over the (pruned) candidate
-    # set via the cost model's ``cost_batch``; candidate order is
-    # preserved and ties resolve to the first candidate, exactly like
-    # the scalar loop, so breakpoints are unchanged.
-    f = np.empty(n + 1)
-    f[0] = 0.0
-    f[1:] = np.inf
-    prev = np.zeros(n + 1, dtype=np.int64)
-    candidates = np.array([0], dtype=np.int64)
-    for t in range(min_segment, n + 1):
-        if cost_batch is not None:
-            seg_costs = cost_batch(candidates, t)
-        else:
-            seg_costs = np.array([cost.cost(int(s), t)
-                                  for s in candidates])
-        totals = f[candidates] + seg_costs + penalty
-        best_i = int(np.argmin(totals))
-        f[t] = totals[best_i]
-        prev[t] = candidates[best_i]
-        # Prune candidates that can never win again.
-        keep = f[candidates] + seg_costs <= f[t]
-        candidates = np.append(candidates[keep], t - min_segment + 1)
-
-    breakpoints = []
-    t = n
-    while t > 0:
-        s = int(prev[t])
-        if s > 0:
-            breakpoints.append(s)
-        t = s
-    return ChangePointResult(tuple(sorted(breakpoints)), n, penalty)
+    results = _pelt_rows(np.atleast_2d(x), penalty, cost_class, min_segment)
+    return results if x.ndim == 2 else results[0]
 
 
 def binary_segmentation(signal, penalty: float | None = None,
@@ -228,7 +249,6 @@ def binary_segmentation(signal, penalty: float | None = None,
     if penalty is None:
         penalty = default_penalty(x)
     cost = cost_class(x)
-    cost_batch = getattr(cost, "cost_batch", None)
 
     def best_split(a: int, b: int) -> tuple[float, int]:
         # Vectorized scan over every admissible split point; ties
@@ -236,12 +256,8 @@ def binary_segmentation(signal, penalty: float | None = None,
         splits = np.arange(a + min_segment, b - min_segment + 1)
         if len(splits) == 0:
             return 0.0, -1
-        base = cost.cost(a, b)
-        if cost_batch is not None:
-            gains = base - cost_batch(a, splits) - cost_batch(splits, b)
-        else:
-            gains = np.array([base - cost.cost(a, int(i))
-                              - cost.cost(int(i), b) for i in splits])
+        gains = (cost.cost(a, b) - cost.cost_batch(a, splits)
+                 - cost.cost_batch(splits, b))
         best = int(np.argmax(gains))
         if gains[best] <= 0.0:
             return 0.0, -1
@@ -266,7 +282,7 @@ def binary_segmentation(signal, penalty: float | None = None,
 
 def throughput_level_shift(signal, penalty: float | None = None,
                            min_relative_shift: float = 0.2,
-                           min_segment: int = 4) -> ChangePointResult:
+                           min_segment: int = 4):
     """The §3.1 detector: change points that are *meaningful* throughput
     level shifts.
 
@@ -276,18 +292,26 @@ def throughput_level_shift(signal, penalty: float | None = None,
 
     A flow too short to hold two segments trivially has no level shift,
     so (unlike the raw detectors, which raise) this returns an empty
-    result for short signals.
+    result for short signals.  Like :func:`pelt`, a ``(flows, n)``
+    batch is searched in one pass and gives a list, one result per row.
     """
     x = np.asarray(signal, dtype=float)
-    if len(x) < 2 * min_segment:
-        return ChangePointResult((), len(x), penalty or float("inf"))
-    raw = pelt(x, penalty=penalty, min_segment=min_segment)
-    kept = []
-    edges = [0, *raw.breakpoints, raw.n]
-    for i, bp in enumerate(raw.breakpoints):
-        left = x[edges[i]:bp].mean()
-        right = x[bp:edges[i + 2]].mean()
-        scale = max(abs(left), abs(right), 1e-12)
-        if abs(left - right) / scale >= min_relative_shift:
-            kept.append(bp)
-    return ChangePointResult(tuple(kept), raw.n, raw.penalty)
+    rows = np.atleast_2d(x)
+    n = rows.shape[1]
+    if n < 2 * min_segment:
+        results = [ChangePointResult(
+            (), n, float("inf") if penalty is None else penalty)] * len(rows)
+    else:
+        results = []
+        for row, raw in zip(rows, _pelt_rows(rows, penalty, L2Cost,
+                                             min_segment)):
+            kept = []
+            edges = [0, *raw.breakpoints, n]
+            for i, bp in enumerate(raw.breakpoints):
+                left = row[edges[i]:bp].mean()
+                right = row[bp:edges[i + 2]].mean()
+                scale = max(abs(left), abs(right), 1e-12)
+                if abs(left - right) / scale >= min_relative_shift:
+                    kept.append(bp)
+            results.append(ChangePointResult(tuple(kept), n, raw.penalty))
+    return results if x.ndim == 2 else results[0]

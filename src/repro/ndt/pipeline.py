@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..analysis.changepoint import throughput_level_shift
 from ..errors import AnalysisError
 from ..analysis.stats import CdfSketch, bootstrap_ci
@@ -339,22 +341,40 @@ def _sketches_of(flows) -> dict[FlowCategory, CdfSketch]:
             for cat, vals in samples.items()}
 
 
-def analyse_flow(record: NdtRecord,
-                 min_relative_shift: float = 0.25) -> FlowAnalysis:
-    """Run the §3.1 analysis on one flow."""
-    category = categorize(record)
-    shifts = 0
-    if category is FlowCategory.REMAINING:
-        result = throughput_level_shift(
-            record.throughput_series(),
+def _level_shifts(records, categories,
+                  min_relative_shift: float) -> list[int]:
+    """Level shifts found in each record (0 unless ``REMAINING``): one
+    batched detector call per series length."""
+    by_length: dict[int, list[int]] = {}
+    for i, category in enumerate(categories):
+        if category is FlowCategory.REMAINING:
+            by_length.setdefault(len(records[i].snapshots), []).append(i)
+    shifts = [0] * len(records)
+    for group in by_length.values():
+        results = throughput_level_shift(
+            np.stack([records[i].throughput_series() for i in group]),
             min_relative_shift=min_relative_shift)
-        shifts = result.num_changes
+        for i, result in zip(group, results):
+            shifts[i] = result.num_changes
+    return shifts
+
+
+def analyse_flow(record: NdtRecord, min_relative_shift: float = 0.25,
+                 category: FlowCategory | None = None,
+                 level_shifts: int = 0) -> FlowAnalysis:
+    """Run the §3.1 analysis on one flow.  :func:`analyse_records`
+    passes the ``category`` and ``level_shifts`` it found for the flow
+    in its batch; without a category both are computed here."""
+    if category is None:
+        category = categorize(record)
+        level_shifts, = _level_shifts([record], [category],
+                                      min_relative_shift)
     return FlowAnalysis(
         uuid=record.uuid,
         category=category,
-        num_level_shifts=shifts,
+        num_level_shifts=level_shifts,
         mean_throughput_bps=record.mean_throughput_bps,
-        inferred_contention=shifts > 0,
+        inferred_contention=level_shifts > 0,
         true_contention=record.true_contention,
         true_class=record.true_class,
     )
@@ -368,7 +388,12 @@ def analyse_records(records, min_relative_shift: float = 0.25,
     has rendered, and the entry point for records that exist only in
     memory (a reloaded JSONL, :class:`~repro.ndt.collect.NdtCollector`
     output).  ``start`` is the dataset position of the first record.
+    Records need not be equally long (:func:`_level_shifts`).
     """
+    records = list(records)
+    categories = [categorize(record) for record in records]
+    shifts = _level_shifts(records, categories, min_relative_shift)
     return Fig2Result.from_flows(
-        [analyse_flow(record, min_relative_shift=min_relative_shift)
-         for record in records], start=start)
+        [analyse_flow(record, min_relative_shift, category, n_shifts)
+         for record, category, n_shifts
+         in zip(records, categories, shifts)], start=start)

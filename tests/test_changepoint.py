@@ -1,5 +1,8 @@
 """Unit and property tests for change-point detection."""
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,7 +171,145 @@ class TestPeltExactness:
             == _exact_partition(x, penalty)
 
 
+def _reference_penalty(x):
+    """``default_penalty`` in Python floats."""
+    diffs = [b - a for a, b in zip(x, x[1:])]
+    centre = statistics.median(diffs)
+    mad = statistics.median([abs(d - centre) for d in diffs])
+    sigma = max(mad / 0.6745 / math.sqrt(2.0), 1e-12)
+    return 2.0 * sigma * sigma * math.log(len(x))
+
+
+def _reference_partition(x, penalty, cost_class, min_segment, prune):
+    """Optimal partitioning in plain Python floats, no numpy: every
+    candidate last breakpoint is tried for every prefix, in order, and
+    only a strictly better one replaces the incumbent.  With ``prune``
+    a candidate is dropped once it cannot win again (the PELT rule);
+    without, it is the O(n^2) search over all of them."""
+    n = len(x)
+    cum, cum2 = [0.0], [0.0]
+    for v in x:
+        cum.append(cum[-1] + v)
+        cum2.append(cum2[-1] + v * v)
+
+    def cost(a, b):
+        m = b - a
+        s, s2 = cum[b] - cum[a], cum2[b] - cum2[a]
+        if cost_class is L2Cost:
+            return max(0.0, s2 - s * s / m)
+        if m < NormalMeanVarCost.MIN_SEGMENT:
+            return 0.0
+        var = max((s2 - s * s / m) / m, 1e-12)
+        return m * (math.log(var) + 1.0 + math.log(2.0 * math.pi)) / 2.0
+
+    f = [0.0] + [math.inf] * n
+    prev = [0] * (n + 1)
+    candidates = [0]
+    for t in range(min_segment, n + 1):
+        reach = [f[s] + cost(s, t) for s in candidates]
+        for s, value in zip(candidates, reach):
+            if value + penalty < f[t]:
+                f[t], prev[t] = value + penalty, s
+        if prune:
+            candidates = [s for s, value in zip(candidates, reach)
+                          if value <= f[t]]
+        candidates.append(t - min_segment + 1)
+    bps, t = [], prev[n]
+    while t > 0:
+        bps.append(t)
+        t = prev[t]
+    return tuple(sorted(bps))
+
+
+@st.composite
+def signal_batches(draw):
+    """(rows, cost class, min_segment): constant rows (every total an
+    exact tie), rows with 0-3 planted shifts with and without noise,
+    and pure noise, mixed in one batch."""
+    min_segment = draw(st.integers(1, 6))
+    n = draw(st.integers(max(2 * min_segment, 4), 200))
+    kinds = draw(st.lists(
+        st.sampled_from(["constant", "steps", "noisy_steps", "noise"]),
+        min_size=1, max_size=64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        row = np.full(n, float(rng.integers(-3, 4)))
+        if kind in ("steps", "noisy_steps"):
+            for at in rng.integers(1, n, size=rng.integers(0, 4)):
+                row[at:] += float(rng.integers(-20, 21))
+        if kind in ("noisy_steps", "noise"):
+            row += rng.normal(0.0, 1.0, n)
+        rows.append(row)
+    cost_class = draw(st.sampled_from([L2Cost, NormalMeanVarCost]))
+    return np.stack(rows), cost_class, min_segment
+
+
+class TestBatchedKernel:
+    """``pelt`` on a ``(flows, n)`` array is one search over shared
+    candidate columns with per-row pruning masks; a row's answer must
+    be the answer of that row alone, which must be what the scalar
+    loop gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(signal_batches(), st.sampled_from([None, 0.0, 3.5]))
+    def test_batch_equals_rows_alone_equals_scalar_reference(
+            self, batch, penalty):
+        rows, cost_class, min_segment = batch
+        together = pelt(rows, penalty=penalty, cost_class=cost_class,
+                        min_segment=min_segment)
+        assert len(together) == len(rows)
+        for row, result in zip(rows, together):
+            alone = pelt(row, penalty=penalty, cost_class=cost_class,
+                         min_segment=min_segment)
+            assert result == alone
+            expected = (_reference_penalty(row.tolist())
+                        if penalty is None else penalty)
+            assert result.penalty == expected
+            assert type(result.penalty) is float
+            assert result.breakpoints == _reference_partition(
+                row.tolist(), expected, cost_class, min_segment, prune=True)
+            # Pruning loses nothing when splitting a segment never
+            # raises its cost, but only in exact arithmetic: a zero
+            # penalty makes every step a near-tie settled by rounding,
+            # and so do NormalMeanVarCost's variance floor and free
+            # one-point segments on the noiseless rows.  L2Cost at a
+            # positive penalty is the optimum to the last bit
+            # (constant rows cost exactly 0, so their ties are exact).
+            if cost_class is L2Cost and penalty != 0.0:
+                assert result.breakpoints == _reference_partition(
+                    row.tolist(), expected, cost_class, min_segment,
+                    prune=False)
+
+    def test_level_shift_batch_equals_rows_alone(self):
+        rng = np.random.default_rng(21)
+        rows = np.stack([noisy_steps(levels, seg_len=13, seed=i)
+                         for i, levels in enumerate(
+                             [[100.0, 40.0, 90.0], [100.0, 104.0, 100.0],
+                              [5.0, 5.0, 5.0], [10.0, 80.0, 81.0]])])
+        rows[2] = rng.normal(50.0, 4.0, rows.shape[1])
+        together = throughput_level_shift(rows, min_relative_shift=0.25)
+        assert together == [throughput_level_shift(
+            row, min_relative_shift=0.25) for row in rows]
+        assert [r.num_changes for r in together] == [2, 0, 0, 1]
+
+    def test_short_batch_gives_one_empty_result_per_row(self):
+        results = throughput_level_shift(np.ones((3, 7)))
+        assert [r.breakpoints for r in results] == [(), (), ()]
+        assert throughput_level_shift(np.ones((0, 40))) == []
+
+    def test_three_dimensional_signal_rejected(self):
+        with pytest.raises(AnalysisError):
+            pelt(np.ones((2, 3, 16)))
+
+
 class TestLevelShiftFilter:
+    def test_short_signal_reports_the_penalty_it_was_given(self):
+        # ``penalty or inf`` turned an explicit 0.0 into inf.
+        assert throughput_level_shift([1.0] * 5, penalty=0.0).penalty == 0.0
+        assert throughput_level_shift([1.0] * 5, penalty=2.5).penalty == 2.5
+        assert throughput_level_shift([1.0] * 5).penalty == float("inf")
+
     def test_small_shift_filtered_out(self):
         signal = noisy_steps([100.0, 104.0], seg_len=100, noise=0.5, seed=8)
         result = throughput_level_shift(signal, min_relative_shift=0.2)

@@ -6,8 +6,8 @@ import pytest
 from repro.errors import AnalysisError, ConfigError
 from repro.ndt import (Fig2Result, FlowCategory, NdtDataset, NdtRecord,
                        PopulationModel, SyntheticNdtGenerator, analyse_flow,
-                       categorize, infer_cellular, is_app_limited,
-                       is_rwnd_limited)
+                       analyse_records, categorize, infer_cellular,
+                       is_app_limited, is_rwnd_limited)
 from repro.tcp.tcp_info import TcpInfoSnapshot
 
 
@@ -142,6 +142,17 @@ class TestSynth:
             if rec.true_class == "app_limited":
                 assert rec.app_limited_us > 0
 
+    def test_rendered_fields_are_plain_python_numbers(self):
+        # Columns are converted with ``tolist()``: no numpy scalar may
+        # leak into a record (they pickle larger and print differently).
+        records = SyntheticNdtGenerator(seed=11).generate(80).records
+        assert {"cellular", "cable"} <= {r.access_type for r in records}
+        for rec in records:
+            for snapshot in rec.snapshots:
+                for name, value in vars(snapshot).items():
+                    assert type(value) in (int, float), name
+            assert NdtRecord.from_json(rec.to_json()) == rec
+
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigError):
             PopulationModel(class_mix=(("app_limited", 0.5),))
@@ -191,6 +202,31 @@ class TestPipeline:
                  and f.category is FlowCategory.REMAINING]
         flagged = sum(1 for f in clean if f.inferred_contention)
         assert flagged / max(1, len(clean)) < 0.2
+
+    def test_mixed_length_records_batch_like_flows_alone(self):
+        # Ragged records (an NdtCollector's, a truncated test) are
+        # grouped by series length; 3 snapshots are too few to search.
+        rng = np.random.default_rng(5)
+
+        def stepped(n, at, after):
+            rates = np.where(np.arange(n) < at, 10e6, after)
+            return record(rates=list(rates * rng.normal(1.0, 0.01, n)))
+
+        recs = [stepped(40, 20, 4e6), stepped(10, 5, 7e6),
+                stepped(39, 12, 10e6), stepped(40, 40, 10e6),
+                stepped(3, 1, 2e6), stepped(39, 30, 5e6),
+                stepped(40, 8, 6e6), record(app_us=5.0)]
+        alone = [analyse_flow(r) for r in recs]
+        assert [f.num_level_shifts for f in alone] == [1, 1, 0, 0, 0, 1,
+                                                       1, 0]
+        together = analyse_records(recs, start=7)
+        expected = Fig2Result.from_flows(alone, start=7)
+        assert together.shards == expected.shards
+        assert together.aggregate_fingerprint() \
+            == expected.aggregate_fingerprint()
+        for rec, flow in zip(recs, alone):
+            assert analyse_records([rec]).remaining_with_shifts \
+                == int(flow.inferred_contention)
 
     def test_analyse_flow_on_contended_record(self):
         gen = SyntheticNdtGenerator(seed=7)

@@ -30,6 +30,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import pelt, throughput_level_shift
@@ -84,6 +85,22 @@ def golden():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_records_and_pelt_decisions_identical(golden, seed):
     assert capture_seed(seed) == golden["seeds"][str(seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_detector_reproduces_per_flow_rows(golden, seed):
+    """The shard path: every pinned flow of a seed as one ``(flows, n)``
+    call, rows pruning differently beside each other."""
+    pinned = golden["seeds"][str(seed)]["remaining"]
+    generator = SyntheticNdtGenerator(seed=seed)
+    series = np.stack([generator.generate_record(row[0]).throughput_series()
+                       for row in pinned])
+    raw = pelt(series, min_segment=4)
+    kept = throughput_level_shift(series,
+                                  min_relative_shift=MIN_RELATIVE_SHIFT)
+    assert [[row[0], r.penalty.hex(), list(r.breakpoints),
+             list(k.breakpoints)]
+            for row, r, k in zip(pinned, raw, kept)] == pinned
 
 
 def test_stream_aggregate_and_store_key_identical(golden):
