@@ -178,7 +178,6 @@ def _pelt_rows(x: np.ndarray, penalty, cost_class,
     f = np.full((rows, n + 1), np.inf)
     f[:, 0] = 0.0
     prev = np.zeros((rows, n + 1), dtype=np.int64)
-    each_row = np.arange(rows)
     candidates = np.array([0], dtype=np.int64)
     # f at each candidate column, or inf once the row has pruned it.
     start = f[:, :1].copy()
@@ -186,9 +185,8 @@ def _pelt_rows(x: np.ndarray, penalty, cost_class,
     for t in range(min_segment, n + 1):
         reach = start + cost.cost_batch(candidates, [t])
         totals = reach + per_change
-        best = totals.argmin(axis=1)
-        f[:, t] = totals[each_row, best]
-        prev[:, t] = candidates[best]
+        f[:, t] = totals.min(axis=1)
+        prev[:, t] = candidates[totals.argmin(axis=1)]
         # Prune, per row, candidates that can never win again.
         np.putmask(start, reach > f[:, t:t + 1], np.inf)
         held = (start < np.inf).any(axis=0)

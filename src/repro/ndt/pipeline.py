@@ -367,8 +367,8 @@ def analyse_flow(record: NdtRecord, min_relative_shift: float = 0.25,
     in its batch; without a category both are computed here."""
     if category is None:
         category = categorize(record)
-        level_shifts, = _level_shifts([record], [category],
-                                      min_relative_shift)
+        level_shifts = _level_shifts([record], [category],
+                                     min_relative_shift)[0]
     return FlowAnalysis(
         uuid=record.uuid,
         category=category,
