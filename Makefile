@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test slow serve
+.PHONY: test slow serve loc
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -17,3 +17,9 @@ slow:
 ## run the always-on experiment service (see SERVING.md)
 serve:
 	$(PYTHON) -m repro serve
+
+## what every simplicity PR reports: lines under src/repro and the
+## REPRO_* environment variables src/ reads
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l
+	@grep -rhoE 'REPRO_[A-Z_]+' src/repro --include='*.py' | sort -u

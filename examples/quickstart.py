@@ -1,37 +1,23 @@
 #!/usr/bin/env python3
 """Quickstart: is the cross traffic on a path contending with you?
 
-Builds a 48 Mbit/s, 100 ms emulated path (the paper's Figure 3 link),
-runs an elasticity probe against two kinds of cross traffic, and prints
-the probe's verdicts -- the paper's measurement technique in ~20 lines.
+Probes a 48 Mbit/s, 100 ms emulated path (the paper's Figure 3 link)
+carrying three kinds of cross traffic and prints the probe's verdicts
+-- the paper's measurement technique in one call, the same one behind
+``python -m repro quicklook``.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.core.detector import ContentionDetector
-from repro.core.probe import ElasticityProbe
-from repro.sim import Simulator, dumbbell
-from repro.traffic import make_cross_traffic
-from repro.units import mbps, ms, to_mbps
+from repro.core.quicklook import run_quicklook
 
 
 def probe_path(cross_traffic: str, duration: float = 30.0) -> None:
-    sim = Simulator()
-    path = dumbbell(sim, rate_bps=mbps(48), rtt=ms(100))
-
-    probe = ElasticityProbe(sim, path, capacity_hint=mbps(48))
-    probe.start()
-    cross = make_cross_traffic(cross_traffic, sim, path, "cross")
-    cross.start()
-
-    sim.run(until=duration)
-
-    report = probe.report()
-    verdict = ContentionDetector().verdict(list(report.readings))
+    look = run_quicklook(cross_traffic, duration=duration)
     print(f"cross traffic: {cross_traffic:8s} "
-          f"mean elasticity: {report.mean_elasticity:6.2f}  "
-          f"verdict: {verdict.category:12s}  "
-          f"probe got {to_mbps(report.mean_throughput):.1f} Mbit/s")
+          f"mean elasticity: {look.mean_elasticity:6.2f}  "
+          f"verdict: {look.category:12s}  "
+          f"probe got {look.probe_throughput_mbps:.1f} Mbit/s")
 
 
 def main() -> None:

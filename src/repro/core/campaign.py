@@ -332,7 +332,7 @@ class Campaign:
                 1 when a store is active, so every completed path
                 checkpoints immediately).
             store: a :class:`repro.store.ArtifactStore`; omitted means
-                the ambient store (``REPRO_CACHE``), ``None`` disables
+                the ambient store (``using_store``), ``None`` disables
                 caching outright.  With a store, completed paths are
                 cached and checkpointed, failures are quarantined into
                 :attr:`CampaignResult.failed`, and an interrupted

@@ -37,11 +37,12 @@ import numpy as np
 from ..errors import AnalysisError, ConfigError
 
 
+# Kept on measurement (PR 24, DESIGN.md §3): computing both per reading
+# costs ``campaign_fluid`` +1.7 % (84.18 -> 85.58 ms/path over 15
+# interleaved pairs, cached lower in 12).
 @functools.lru_cache(maxsize=64)
 def _hann_window(n: int) -> np.ndarray:
-    """Cached Hann window (recomputing cosines per update is the
-    dominant non-FFT cost of the streaming estimator).  Treat as
-    read-only."""
+    """Cached Hann window.  Treat as read-only."""
     return np.hanning(n)
 
 
@@ -215,34 +216,24 @@ class ElasticityEstimator:
         #: rate scale (bytes/second) for the significance floor; the
         #: owner (e.g. NimbusCca) keeps this at its capacity estimate.
         self.scale = 0.0
-        # Fixed-size ring buffer: appends are O(1) array stores instead
-        # of Python-list slicing + list->array conversion per sample.
-        self._buffer = np.empty(self.window_samples)
-        self._pos = 0
-        self._count = 0
+        self._samples: list[float] = []
         self._last_update = float("-inf")
         self.readings: list[ElasticityReading] = []
 
     @property
     def window_values(self) -> np.ndarray:
-        """The buffered ẑ samples, oldest first (a copy)."""
-        if self._count < self.window_samples:
-            return self._buffer[:self._count].copy()
-        if self._pos == 0:
-            return self._buffer.copy()
-        return np.concatenate((self._buffer[self._pos:],
-                               self._buffer[:self._pos]))
+        """The last ``window_samples`` ẑ samples, oldest first (a copy)."""
+        return np.array(self._samples[-self.window_samples:], dtype=float)
 
     def add_sample(self, now: float, z: float) -> ElasticityReading | None:
         """Add one ẑ sample; returns a new reading when one is emitted."""
-        self._buffer[self._pos] = z
-        self._pos = (self._pos + 1) % self.window_samples
-        if self._count < self.window_samples:
-            self._count += 1
-        if (self._count < self.window_samples
+        samples = self._samples
+        samples.append(z)
+        if (len(samples) < self.window_samples
                 or now - self._last_update < self.update_interval):
             return None
         self._last_update = now
+        del samples[:-self.window_samples]
         z_arr = self.window_values
         elasticity, peak, background = _spectrum_elasticity(
             z_arr, self.sample_interval, self.pulse_freq, self.band,

@@ -58,10 +58,6 @@ class ProbeReport:
                    peak_elasticity=max(values, default=0.0),
                    mean_throughput=throughput, duration=duration)
 
-    def verdict(self, threshold: float = 2.0) -> bool:
-        """True if the path showed elastic (contending) cross traffic."""
-        return self.mean_elasticity >= threshold
-
 
 class ElasticityProbe:
     """A Nimbus measurement flow attached to a path.

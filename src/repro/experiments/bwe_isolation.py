@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from .. import viz
 from ..alloc.bwe import BweController
-from ..cca import make_cca
 from ..cca.cbr import CbrCca
+from ..qa.scenario import FlowSpec, Scenario, run_scenario
 from ..sim.engine import Simulator
 from ..sim.network import dumbbell
 from ..tcp.endpoint import Connection
@@ -38,15 +38,13 @@ FLOWS = (
 
 
 def _run_contention(rate_mbps: float, duration: float) -> dict[str, float]:
-    sim = Simulator()
-    path = dumbbell(sim, mbps(rate_mbps), ms(30), buffer_multiplier=2.0)
-    conns = {}
-    for name, _group, _weight, cca in FLOWS:
-        conns[name] = Connection(sim, path, name, make_cca(cca))
-        conns[name].sender.set_infinite_backlog()
-    sim.run(until=duration)
-    return {name: conn.receiver.received_bytes / duration
-            for name, conn in conns.items()}
+    delivered = run_scenario(Scenario(
+        family="flows", rate_mbps=rate_mbps, rtt_ms=30.0, qdisc="droptail",
+        duration=duration, seed=0, buffer_multiplier=2.0,
+        flows=tuple(FlowSpec(cca=cca) for *_, cca in FLOWS)),
+        check_invariants=False).delivered
+    return {name: delivered[f"flow-{i}"] / duration
+            for i, (name, *_) in enumerate(FLOWS)}
 
 
 def _run_bwe(rate_mbps: float, duration: float

@@ -11,7 +11,8 @@ from __future__ import annotations
 from .. import viz
 from ..core.axes import drop_defaults
 from ..core.campaign import Campaign, CampaignResult
-from ..core.detector import ContentionDetector, confusion_counts
+from ..core.detector import (ContentionDetector, confusion_counts,
+                             ordered_mean)
 from ..core.hypothesis import evaluate_hypothesis
 from .runner import ExperimentResult, Stopwatch, records_params
 
@@ -46,7 +47,7 @@ def run(n_paths: int = 48, duration: float = 30.0, seed: int = 1,
     ``workers`` fans the per-path probe simulations out over processes
     (default: ``REPRO_WORKERS`` env var, then CPU count); results are
     identical for any value.  When the ambient result store is active
-    (``repro run`` without ``--no-cache``, or ``REPRO_CACHE=1``),
+    (``repro run`` without ``--no-cache``, or a ``using_store`` scope),
     completed paths are cached and checkpointed; ``resume`` addition-
     ally skips paths a prior interrupted run quarantined as failing.
     ``backend`` selects "packet" (the event-driven reference) or
@@ -81,7 +82,7 @@ def run(n_paths: int = 48, duration: float = 30.0, seed: int = 1,
     group_rows = [{
         "cross_traffic": name,
         "paths": len(values),
-        "mean_elasticity": round(sum(values) / len(values), 3),
+        "mean_elasticity": round(ordered_mean(values), 3),
         "max_elasticity": round(max(values), 3),
     } for name, values in sorted(groups.items())]
 

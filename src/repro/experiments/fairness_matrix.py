@@ -18,11 +18,7 @@ reversal where loss-based CCAs out-buffer BBR's 2xBDP inflight cap.
 from __future__ import annotations
 
 from .. import viz
-from ..cca import CCA_REGISTRY, make_cca
-from ..sim.engine import Simulator
-from ..sim.network import dumbbell
-from ..tcp.endpoint import Connection
-from ..units import mbps, ms, to_mbps
+from ..qa.scenario import FlowSpec, Scenario, run_scenario
 from .runner import ExperimentResult, Stopwatch, records_params
 
 DEFAULT_CCAS = ("reno", "cubic", "vegas", "copa", "bbr")
@@ -30,18 +26,14 @@ DEFAULT_CCAS = ("reno", "cubic", "vegas", "copa", "bbr")
 
 def _share(cca_a: str, cca_b: str, rate_mbps: float, rtt_ms_val: float,
            duration: float, buffer_multiplier: float) -> float:
-    sim = Simulator()
-    path = dumbbell(sim, mbps(rate_mbps), ms(rtt_ms_val),
-                    buffer_multiplier=buffer_multiplier)
-    a = Connection(sim, path, "a", make_cca(cca_a))
-    b = Connection(sim, path, "b", make_cca(cca_b))
-    a.sender.set_infinite_backlog()
-    b.sender.set_infinite_backlog()
-    sim.run(until=duration)
-    got_a = a.receiver.received_bytes
-    got_b = b.receiver.received_bytes
-    total = got_a + got_b
-    return got_a / total if total else 0.0
+    delivered = run_scenario(Scenario(
+        family="flows", rate_mbps=rate_mbps, rtt_ms=rtt_ms_val,
+        qdisc="droptail", duration=duration, seed=0,
+        buffer_multiplier=buffer_multiplier,
+        flows=(FlowSpec(cca=cca_a), FlowSpec(cca=cca_b))),
+        check_invariants=False).delivered
+    total = delivered["flow-0"] + delivered["flow-1"]
+    return delivered["flow-0"] / total if total else 0.0
 
 
 @records_params

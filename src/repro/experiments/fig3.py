@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import viz
+from ..core.detector import ordered_mean
 from ..core.probe import ElasticityProbe
 from ..qdisc.fifo import DropTailQueue
 from ..sim.engine import Simulator
@@ -83,7 +84,7 @@ def run(phases: tuple[Phase, ...] = FIGURE3_PHASES,
             cross.stop()
             readings = probe.readings_between(t + settle,
                                               t + phase.duration)
-            mean_e = (sum(r.elasticity for r in readings) / len(readings)
+            mean_e = (ordered_mean([r.elasticity for r in readings])
                       if readings else 0.0)
             outcomes.append(PhaseOutcome(
                 name=phase.name, start=t, end=t + phase.duration,

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from .. import viz
 from ..analysis.fairness import harm, jain_index
-from ..cca import make_cca
-from ..qdisc.fifo import DropTailQueue
-from ..qdisc.fq import DrrFairQueue
-from ..sim.engine import Simulator
-from ..sim.network import default_buffer_packets, dumbbell
-from ..tcp.endpoint import Connection
-from ..units import mbps, ms, to_mbps
+from ..core.detector import ordered_mean
+from ..qa.scenario import FlowSpec, Scenario, run_scenario
+from ..units import mbps, to_mbps
 from .runner import ExperimentResult, Stopwatch, records_params
 
 DEFAULT_PAIRS = (("reno", "bbr"), ("cubic", "bbr"), ("reno", "cubic"),
@@ -30,20 +26,14 @@ DEFAULT_PAIRS = (("reno", "bbr"), ("cubic", "bbr"), ("reno", "cubic"),
 def _race(pair: tuple[str, str], qdisc_name: str, rate_mbps: float,
           rtt_ms: float, duration: float,
           buffer_multiplier: float) -> dict:
-    sim = Simulator()
-    rate, rtt = mbps(rate_mbps), ms(rtt_ms)
-    buffer_packets = default_buffer_packets(rate, rtt, buffer_multiplier)
-    if qdisc_name == "fq":
-        qdisc = DrrFairQueue(limit_packets=buffer_packets)
-    else:
-        qdisc = DropTailQueue(limit_packets=buffer_packets)
-    path = dumbbell(sim, rate, rtt, qdisc=qdisc)
-    conns = [Connection(sim, path, f"{name}-{i}", make_cca(name))
-             for i, name in enumerate(pair)]
-    for c in conns:
-        c.sender.set_infinite_backlog()
-    sim.run(until=duration)
-    rates = [c.receiver.received_bytes / duration for c in conns]
+    delivered = run_scenario(Scenario(
+        family="flows", rate_mbps=rate_mbps, rtt_ms=rtt_ms,
+        qdisc=qdisc_name, duration=duration, seed=0,
+        buffer_multiplier=buffer_multiplier,
+        flows=tuple(FlowSpec(cca=name) for name in pair)),
+        check_invariants=False).delivered
+    rates = [delivered[f"flow-{i}"] / duration for i in range(len(pair))]
+    rate = mbps(rate_mbps)
     # Solo reference for harm: half the link (the fair share).
     fair_share = rate / 2.0
     return {
@@ -97,8 +87,8 @@ def run(pairs: tuple = DEFAULT_PAIRS, rate_mbps: float = 40.0,
     metrics = {
         "min_jain_droptail": min(droptail_jain),
         "min_jain_fq": min(fq_jain),
-        "mean_jain_droptail": sum(droptail_jain) / len(droptail_jain),
-        "mean_jain_fq": sum(fq_jain) / len(fq_jain),
+        "mean_jain_droptail": ordered_mean(droptail_jain),
+        "mean_jain_fq": ordered_mean(fq_jain),
     }
     return ExperimentResult(
         experiment="fq_ablation",

@@ -33,7 +33,7 @@ import functools
 from .. import viz
 from ..core.axes import AXES
 from ..core.campaign import PathSpec
-from ..core.detector import ContentionDetector
+from ..core.detector import ContentionDetector, ordered_mean
 from ..core.path import build_packet_path
 from ..medium import parse_medium
 from ..runtime import parallel_map
@@ -191,8 +191,8 @@ def run(backend: str = "packet", rate_mbps: float = 20.0,
             "idle_reads_contending": float(len(overhead_rows)),
             "elastic_reads_clean": float(len(masked_rows)),
             "mean_confidence_delta": (
-                sum(r["confidence_delta"] for r in drift_rows)
-                / len(drift_rows) if drift_rows else 0.0),
+                ordered_mean([r["confidence_delta"] for r in drift_rows])
+                if drift_rows else 0.0),
         },
         tables={"cells": rows, "drift": drift_rows},
         elapsed_s=watch.elapsed,

@@ -166,11 +166,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        #: Monotonic reset count.  Callers that cache instrument
-        #: references (the engine's run-accounting fast path) key their
-        #: cache on this so :meth:`reset` cannot leave them holding
-        #: orphaned instruments.
-        self.generation = 0
 
     def _get(self, name: str, cls, factory):
         instrument = self._instruments.get(name)
@@ -209,7 +204,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every registered instrument."""
         self._instruments.clear()
-        self.generation += 1
 
     # -- snapshot / merge ------------------------------------------------
 

@@ -30,25 +30,6 @@ from ..obs.metrics import REGISTRY as _METRICS
 #: elapsed`` landing at -1e-18) and is clamped to "now".
 _EPSILON = 1e-9
 
-# Cached run-accounting instruments.  ``REGISTRY.reset()`` drops every
-# instrument, so the cache is keyed on the registry generation and
-# refreshed when it changes; between resets the per-run cost is one
-# integer comparison instead of three name lookups.
-_RUN_INSTRUMENTS: tuple | None = None
-
-
-def _run_instruments():
-    global _RUN_INSTRUMENTS
-    cached = _RUN_INSTRUMENTS
-    generation = _METRICS.generation
-    if cached is None or cached[0] != generation:
-        cached = (generation,
-                  _METRICS.counter("sim.events_processed"),
-                  _METRICS.counter("sim.runs"),
-                  _METRICS.gauge("sim.clock_s"))
-        _RUN_INSTRUMENTS = cached
-    return cached
-
 
 class Event:
     """Handle for a scheduled callback; supports cancellation.
@@ -130,7 +111,10 @@ class Simulator:
 
     def call_later(self, delay: float, callback: Callable[[], Any]) -> None:
         """Fast path: like :meth:`schedule` but with no cancellation
-        handle (and no per-event allocation beyond the heap tuple)."""
+        handle (and no per-event allocation beyond the heap tuple).
+        Kept on measurement (PR 24, DESIGN.md §3): as an alias of
+        ``schedule`` it costs ``paths_packet`` +3.8 % (357.5 -> 371.2
+        ms/path over 15 interleaved pairs, this lower in 13)."""
         if delay < 0:
             if delay <= -_EPSILON:
                 raise SimulationError(
@@ -196,11 +180,9 @@ class Simulator:
         finally:
             self._running = False
             self._events_processed += executed
-            _, events_counter, runs_counter, clock_gauge = \
-                _run_instruments()
-            events_counter.inc(executed)
-            runs_counter.inc()
-            clock_gauge.set(self.now)
+            _METRICS.counter("sim.events_processed").inc(executed)
+            _METRICS.counter("sim.runs").inc()
+            _METRICS.gauge("sim.clock_s").set(self.now)
             if _OBS.enabled:
                 _OBS.emit(self.now, EventKind.SIM_RUN, "sim",
                           value=float(executed), meta={"phase": "end"})

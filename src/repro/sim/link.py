@@ -21,7 +21,7 @@ from ..obs.bus import BUS as _OBS, EventKind
 from ..qdisc.base import Qdisc
 from ..qdisc.fifo import DropTailQueue
 from .engine import Simulator
-from .packet import Packet, recycle
+from .packet import Packet
 
 
 class PacketSink(Protocol):
@@ -194,7 +194,6 @@ class LossBox:
     def send(self, packet: Packet) -> None:
         if self._rng.random() < self.loss_rate:
             self.dropped += 1
-            recycle(packet)
             return
         if self.sink is not None:
             self.sink.send(packet)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .packet import _FREE, _POOL_LIMIT, Packet, recycle
+from .packet import Packet
 
 Handler = Callable[[Packet], None]
 
@@ -34,14 +34,7 @@ class Host:
         self._handlers.pop(flow_id, None)
 
     def send(self, packet: Packet) -> None:
-        """Receive a packet from the network (PacketSink interface).
-
-        The host is a terminal consumption point: once the handler
-        returns (handlers read header fields and reply with *new*
-        packets, they never re-inject their argument), the packet is
-        dead and goes back to the free-list pool (:func:`recycle`,
-        written out: every packet of every path ends here).
-        """
+        """Receive a packet from the network (PacketSink interface)."""
         self.received_packets += 1
         self.received_bytes += packet.size
         handler = self._handlers.get(packet.flow_id)
@@ -49,10 +42,6 @@ class Host:
             self.unclaimed += 1
         else:
             handler(packet)
-        if packet.packet_id:
-            packet.packet_id = 0
-            if len(_FREE) < _POOL_LIMIT:
-                _FREE.append(packet)
 
 
 class CountingSink:
@@ -68,6 +57,4 @@ class CountingSink:
         self.bytes += packet.size
 
     # PacketSink interface so it can terminate a path directly.
-    def send(self, packet: Packet) -> None:
-        self(packet)
-        recycle(packet)
+    send = __call__

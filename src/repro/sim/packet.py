@@ -98,83 +98,15 @@ class Packet:
         return f"<Packet {self.flow_id} {self.kind.value} {detail} {self.size}B>"
 
 
-# -- free-list pool --------------------------------------------------------
-#
-# A long simulation creates millions of short-lived packets; almost all
-# of them die at a terminal host within one path traversal.  Network-
-# internal consumption points (``Host.send`` dispatch, ``CountingSink``,
-# ``LossBox`` drops) hand dead packets back via :func:`recycle`, and
-# :func:`acquire` (which :func:`make_data` / :func:`make_ack` spell by
-# keyword) resets and reuses them instead of allocating.
-# ``packet_id == 0`` marks a packet currently sitting in the pool: a
-# recycled packet must never be recycled again (double-free guard), and
-# every reuse stamps a fresh id so identity-based analysis never
-# confuses two wire lifetimes.
-
-_FREE: list[Packet] = []
-_POOL_LIMIT = 4096
-
-
-def recycle(packet: Packet) -> None:
-    """Return a dead packet to the free list.
-
-    Safe to call twice (the second call is a no-op) and safe to skip
-    entirely -- an un-recycled packet is simply garbage-collected.
-    Callers must not retain references past this call.
-    """
-    if packet.packet_id == 0:
-        return
-    packet.packet_id = 0
-    if len(_FREE) < _POOL_LIMIT:
-        _FREE.append(packet)
-
-
-def pool_size() -> int:
-    """Number of packets currently pooled (for tests/introspection)."""
-    return len(_FREE)
-
-
-def acquire(flow_id: str, kind: PacketKind, size: int, seq: int,
-            end_seq: int, ack: int, user_id: str,
-            ecn_capable: bool) -> Packet:
-    """A packet with exactly these header fields and every other field
-    at its default: a pooled one if there is one, else a new one.  The
-    transport endpoints call this directly, once per segment and ACK."""
-    if _FREE:
-        packet = _FREE.pop()
-        packet.packet_id = next(_packet_ids)
-        packet.flow_id = flow_id
-        packet.user_id = user_id or flow_id
-        packet.kind = kind
-        packet.size = size
-        packet.seq = seq
-        packet.end_seq = end_seq
-        packet.ack = ack
-        packet.ecn_capable = ecn_capable
-        packet.ecn_marked = False
-        packet.sent_time = 0.0
-        packet.enqueue_time = 0.0
-        packet.ack_of_sent_time = None
-        packet.app_limited = False
-        packet.retransmit = False
-        packet.rwnd = None
-        packet.ecn_echo = False
-        packet.sack_blocks = ()
-        return packet
-    return Packet(flow_id, kind, size, seq=seq, end_seq=end_seq,
-                  ack=ack, user_id=user_id, ecn_capable=ecn_capable)
-
-
 def make_data(flow_id: str, seq: int, payload: int,
               size: int | None = None, user_id: str = "",
               ecn_capable: bool = False) -> Packet:
     """Build a DATA packet carrying ``payload`` bytes starting at ``seq``."""
     wire = size if size is not None else payload + 52
-    return acquire(flow_id, PacketKind.DATA, wire, seq, seq + payload,
-                   0, user_id, ecn_capable)
+    return Packet(flow_id, PacketKind.DATA, wire, seq, seq + payload,
+                  0, user_id, ecn_capable)
 
 
 def make_ack(flow_id: str, ack: int, user_id: str = "") -> Packet:
     """Build a bare ACK acknowledging everything before ``ack``."""
-    return acquire(flow_id, PacketKind.ACK, ACK_SIZE, 0, 0, ack,
-                   user_id, False)
+    return Packet(flow_id, PacketKind.ACK, ACK_SIZE, 0, 0, ack, user_id)

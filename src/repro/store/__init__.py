@@ -19,19 +19,19 @@ changed".  This package provides:
 
 Cache policy
 ------------
-Library entry points (``Campaign.run``, ``sweep``,
-``run_pipeline_streaming``) take an explicit ``store=`` argument; when
-it is omitted they fall back to the **ambient store**: enabled when
-``REPRO_CACHE=1`` (rooted at ``$REPRO_STORE``), otherwise off, so
-plain library use and the test suite stay side-effect-free.  The CLI
-turns the ambient store on for ``repro run`` / ``repro metrics`` /
-``repro trace`` unless ``--no-cache`` is given.
+Library entry points take an explicit ``store=`` argument.
+``Campaign.run`` and ``run_pipeline_streaming`` fall back, when it is
+omitted, to the **ambient store**: whatever an enclosing
+:func:`using_store` scope set, otherwise none, so plain library use and
+the test suite stay side-effect-free.  ``sweep`` has no fallback: its
+``store=None`` means no caching.  The CLI opens a :func:`using_store`
+scope for ``repro run`` / ``repro metrics`` / ``repro trace`` unless
+``--no-cache`` is given.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 
 from .artifacts import STORE_ENV, ArtifactStore, default_root
 from .atomic import (atomic_open, atomic_write_bytes, atomic_write_json,
@@ -41,26 +41,13 @@ from .fingerprint import (CODE_VERSION, STORE_SCHEMA_VERSION,
                           fingerprint)
 from .scheduler import ResumableScheduler, SchedulerReport
 
-#: When "1"/"true"/"yes", library calls without an explicit ``store=``
-#: use the ambient store automatically.
-CACHE_ENV = "REPRO_CACHE"
-
-_UNSET = object()
-_active: object = _UNSET
+_active: ArtifactStore | None = None
 
 
 def active_store() -> ArtifactStore | None:
-    """The ambient store, or ``None`` when caching is off.
-
-    Resolution: a :func:`using_store` scope wins; otherwise
-    ``REPRO_CACHE`` truthiness decides, with the store rooted per
-    ``$REPRO_STORE`` / ``~/.cache/repro``.
-    """
-    if _active is not _UNSET:
-        return _active  # type: ignore[return-value]
-    if os.environ.get(CACHE_ENV, "").lower() in ("1", "true", "yes"):
-        return ArtifactStore()
-    return None
+    """The ambient store: the innermost :func:`using_store` scope's,
+    or ``None`` (no caching) outside one."""
+    return _active
 
 
 @contextlib.contextmanager
@@ -78,7 +65,7 @@ def using_store(store: ArtifactStore | None):
 
 __all__ = [
     "ArtifactStore", "ResumableScheduler", "SchedulerReport",
-    "STORE_ENV", "CACHE_ENV", "CODE_VERSION", "STORE_SCHEMA_VERSION",
+    "STORE_ENV", "CODE_VERSION", "STORE_SCHEMA_VERSION",
     "default_root", "fingerprint",
     "canonical_json", "canonicalize", "callable_config",
     "atomic_open", "atomic_write_text", "atomic_write_bytes",

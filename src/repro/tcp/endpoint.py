@@ -28,7 +28,7 @@ from ..errors import TransportError
 from ..obs.bus import BUS as _OBS, EventKind
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
-from ..sim.packet import Packet, PacketKind, acquire
+from ..sim.packet import Packet, PacketKind
 from ..units import ACK_SIZE, DEFAULT_MSS
 from .rtt import RttEstimator
 from .tcp_info import LimitState, TcpInfoTracker
@@ -238,8 +238,8 @@ class TcpSender:
             app_limited = seq + payload == self._total_written
         end = seq + payload
         size = payload + self.header_bytes
-        packet = acquire(self.flow_id, _DATA, size, seq, end, 0,
-                         self.user_id, self.ecn)
+        packet = Packet(self.flow_id, _DATA, size, seq, end, 0,
+                        self.user_id, self.ecn)
         packet.sent_time = now
         packet.app_limited = app_limited
         self.snd_nxt = end
@@ -262,8 +262,8 @@ class TcpSender:
             return
         now = self.sim.now
         payload = segment.payload
-        packet = acquire(self.flow_id, _DATA, segment.wire_size, segment.seq,
-                         segment.end, 0, self.user_id, self.ecn)
+        packet = Packet(self.flow_id, _DATA, segment.wire_size, segment.seq,
+                        segment.end, 0, self.user_id, self.ecn)
         packet.sent_time = now
         packet.retransmit = True
         segment.retransmitted = True
@@ -631,8 +631,8 @@ class TcpReceiver:
                 if self.on_data is not None:
                     self.on_data(advanced, now)
 
-        ack = acquire(self.flow_id, _ACK, ACK_SIZE, 0, 0, self.rcv_nxt,
-                      self.user_id, False)
+        ack = Packet(self.flow_id, _ACK, ACK_SIZE, 0, 0, self.rcv_nxt,
+                     self.user_id)
         ack.sent_time = now
         if not packet.retransmit:
             # Karn's algorithm: never derive RTT from retransmissions.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.elasticity import (ElasticityEstimator, PulseGenerator,
+                                   _spectrum_elasticity,
                                    cross_traffic_estimate,
                                    elasticity_series)
 from repro.errors import AnalysisError, ConfigError
@@ -155,6 +156,37 @@ class TestStreamingEstimator:
         assert gated.readings[-1].elasticity \
             < loud.readings[-1].elasticity
         assert gated.readings[-1].elasticity < 1.0
+
+    def test_window_is_the_last_window_samples_inputs(self):
+        est = ElasticityEstimator(window=2.0)
+        n = est.window_samples
+        _, z = synthetic_z(duration=5.0, tone_freq=5.0, tone_amp=5e5,
+                           noise=1e5)
+        fed = 0
+        for upto in (int(0.4 * n), n, int(2.5 * n)):
+            for i in range(fed, upto):
+                est.add_sample(i * 0.01, z[i])
+            fed = upto
+            assert np.array_equal(est.window_values, z[max(0, upto - n):upto])
+
+    def test_readings_are_the_spectrum_of_each_window_slice(self):
+        est = ElasticityEstimator(window=2.0, update_interval=0.5)
+        n = est.window_samples
+        t, z = synthetic_z(duration=6.0, tone_freq=5.0, tone_amp=5e5,
+                           noise=1e5)
+        expected, last = [], float("-inf")
+        for i in range(len(z)):
+            est.add_sample(t[i], z[i])
+            if i + 1 >= n and t[i] - last >= 0.5:
+                last = t[i]
+                window = z[i + 1 - n:i + 1]
+                elasticity, peak, _ = _spectrum_elasticity(
+                    window, 0.01, 5.0, (1.0, 12.0))
+                expected.append((t[i], elasticity, peak,
+                                 float(window.mean())))
+        assert len(expected) >= 8
+        assert [(r.time, r.elasticity, r.peak_amplitude, r.mean_cross_rate)
+                for r in est.readings] == expected
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
+from repro.obs.metrics import REGISTRY
 from repro.sim.engine import Simulator
 
 
@@ -138,6 +139,19 @@ def test_events_processed_counter():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+def test_run_accounting_survives_a_registry_reset():
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, lambda: None)
+    sim.run(until=1.5)
+    REGISTRY.reset()
+    sim.run()
+    snap = REGISTRY.snapshot()
+    assert snap["sim.runs"]["value"] == 1
+    assert snap["sim.events_processed"]["value"] == 2
+    assert snap["sim.clock_s"]["value"] == 3.0
 
 
 def test_reentrant_run_rejected():

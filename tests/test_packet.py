@@ -1,7 +1,10 @@
 """Unit tests for the packet model."""
 
+from repro.cca import RenoCca
+from repro.sim import Simulator, dumbbell
 from repro.sim.packet import Packet, PacketKind, make_ack, make_data
-from repro.units import ACK_SIZE
+from repro.tcp import Connection
+from repro.units import ACK_SIZE, mbps, ms
 
 
 def test_data_packet_payload():
@@ -52,3 +55,23 @@ def test_ecn_flags_default_off():
 def test_repr_mentions_flow(capsys):
     p = make_data("myflow", seq=0, payload=10)
     assert "myflow" in repr(p)
+
+
+def test_a_tap_may_keep_what_it_is_shown():
+    # No consumer reuses a packet object: what a tap retained during
+    # the run is, afterwards, still the packet it was shown.
+    sim = Simulator()
+    path = dumbbell(sim, mbps(10), ms(20))
+    kept = []
+    path.bottleneck.add_tap(lambda packet, now: kept.append(
+        (packet, packet.packet_id, packet.flow_id, packet.seq, packet.size)))
+    for flow_id in ("a", "b"):
+        Connection(sim, path, flow_id, RenoCca()) \
+            .sender.set_infinite_backlog()
+    sim.run(until=2.0)
+    assert len(kept) > 1000
+    ids = [packet.packet_id for packet, *_ in kept]
+    assert 0 not in ids and len(set(ids)) == len(ids)
+    for packet, *shown in kept:
+        assert [packet.packet_id, packet.flow_id, packet.seq,
+                packet.size] == shown

@@ -134,8 +134,11 @@ class TestProbeEndToEnd:
 
     def test_verdict_matches_threshold(self):
         report = self.run_probe("reno")
-        assert report.verdict(threshold=2.0)
-        assert not report.verdict(threshold=1e9)
+        readings = list(report.readings)
+        assert ContentionDetector(threshold=2.0).verdict(
+            readings).contending
+        assert not ContentionDetector(threshold=1e9).verdict(
+            readings).contending
 
 
 class TestModeSwitching:
