@@ -6,47 +6,18 @@ disciplines, cross-traffic types), points an elasticity probe at each,
 aggregates the verdicts, and evaluates the paper's hypothesis: is CCA
 contention common?  Because the paths are synthetic we also get ground
 truth, so the study reports its own detector quality -- the part a
-real wide-area deployment could never check.
+real wide-area deployment could never check.  This is
+``repro run campaign_eval`` at 16 paths.
 
 Run:  python examples/campaign_study.py   (~2-4 minutes)
 """
 
-from repro import viz
-from repro.core.campaign import Campaign
-from repro.core.hypothesis import evaluate_hypothesis
+from repro.experiments import campaign_eval
 
 
 def main() -> None:
     print(__doc__)
-    campaign = Campaign(n_paths=16, seed=7, duration=25.0,
-                        fq_fraction=0.3)
-    print(f"probing {len(campaign.specs)} paths...")
-    result = campaign.run(
-        progress=lambda done, n: print(f"  {done}/{n} paths", end="\r"))
-    print()
-
-    groups = result.by_cross_traffic()
-    print(viz.table(
-        [(name, len(vals), f"{sum(vals) / len(vals):.2f}")
-         for name, vals in sorted(groups.items())],
-        header=("cross traffic", "paths", "mean elasticity")))
-    print()
-
-    quality = result.detector_quality()
-    print(f"detector: precision {quality['precision']:.2f}, "
-          f"recall {quality['recall']:.2f}, "
-          f"accuracy {quality['accuracy']:.2f}")
-
-    evaluation = evaluate_hypothesis(result, threshold=0.3)
-    print()
-    print(evaluation.describe())
-    print()
-    print("Interpretation: with isolation (fair queueing) on a third "
-          "of paths and mostly application-limited traffic on the "
-          "rest, contention shows up on only a minority of paths -- "
-          "the world the paper hypothesizes.  Re-run with "
-          "fq_fraction=0.0 and a bulkier cross-traffic mix to build "
-          "the opposite world and watch the hypothesis fail.")
+    print(campaign_eval.run(n_paths=16, seed=7, duration=25.0).text)
 
 
 if __name__ == "__main__":

@@ -452,6 +452,34 @@ def shard_indices(indices: Sequence[int], shard_count: int
     return shards
 
 
+def _coordinator(cluster, store, journal=None) -> Coordinator:
+    """A coordinator over a node spec or an existing Membership."""
+    if not isinstance(cluster, Membership):
+        cluster = Membership(parse_cluster(cluster))
+    return Coordinator(cluster, store, journal=journal)
+
+
+def _dispatch_missing(keys, store, local_metric, make_tasks, cluster,
+                      run_key, coordinator, progress) -> None:
+    """Run on the cluster ``make_tasks(todo, node_count)``, the tasks
+    for the ``keys`` the local store lacks; stored keys count into
+    ``cluster.<local_metric>``, quarantined tasks (the caller's local
+    assembly recomputes them) into ``cluster.shards_fallback_local``."""
+    metrics = _METRICS.scoped("cluster")
+    todo = [i for i, key in enumerate(keys) if key not in store]
+    metrics.counter(local_metric).inc(len(keys) - len(todo))
+    if todo:
+        if coordinator is None:
+            coordinator = _coordinator(cluster, store,
+                                       ClusterJournal(store, run_key))
+        records = coordinator.run(
+            make_tasks(todo, len(coordinator.membership.nodes)),
+            progress=progress)
+        lost = sum(1 for r in records.values() if r.status == "failed")
+        if lost:
+            metrics.counter("shards_fallback_local").inc(lost)
+
+
 def run_clustered_campaign(params: Mapping, cluster,
                            store: ArtifactStore | None = None,
                            workers: int | None = None,
@@ -497,30 +525,17 @@ def run_clustered_campaign(params: Mapping, cluster,
     base.pop("resume", None)
     campaign = Campaign(**base)
     path_keys = [campaign.path_key(s) for s in campaign.specs]
-    todo = [i for i, key in enumerate(path_keys) if key not in store]
-    _METRICS.scoped("cluster").counter("campaign_paths_local").inc(
-        len(path_keys) - len(todo))
-    if todo:
-        if coordinator is None:
-            membership = (cluster if isinstance(cluster, Membership)
-                          else Membership(parse_cluster(cluster)))
-            coordinator = Coordinator(
-                membership, store,
-                journal=ClusterJournal(store, campaign.fingerprint()))
-        shard_count = shards_per_node * len(
-            coordinator.membership.nodes)
-        tasks = []
-        for chunk in shard_indices(todo, shard_count):
-            tasks.append(task_for(
-                "paths", {**base, "indices": chunk},
-                artifact_keys=tuple(path_keys[i] for i in chunk),
-                label=f"paths[{chunk[0]}..{chunk[-1]}] "
-                      f"{fingerprint(chunk, kind='shard')[:8]}"))
-        records = coordinator.run(tasks, progress=progress)
-        lost = sum(1 for r in records.values() if r.status == "failed")
-        if lost:
-            _METRICS.scoped("cluster").counter(
-                "shards_fallback_local").inc(lost)
+
+    def make_tasks(todo: list[int], nodes: int) -> list[ClusterTask]:
+        return [task_for("paths", {**base, "indices": chunk},
+                         artifact_keys=tuple(path_keys[i] for i in chunk),
+                         label=f"paths[{chunk[0]}..{chunk[-1]}] "
+                               f"{fingerprint(chunk, kind='shard')[:8]}")
+                for chunk in shard_indices(todo, shards_per_node * nodes)]
+
+    _dispatch_missing(path_keys, store, "campaign_paths_local", make_tasks,
+                      cluster, campaign.fingerprint(), coordinator,
+                      progress)
     # Final assembly: merged paths are store hits, anything missing
     # (failed shards, dead nodes) recomputes locally.
     return campaign.run(store=store, workers=workers, resume=resume,
@@ -583,28 +598,17 @@ def run_clustered_fig2(n_flows: int, cluster,
     specs = shard_specs(n_flows, seed=seed, chunk_size=chunk_size,
                         min_relative_shift=min_relative_shift)
     keys = [spec.key() for spec in specs]
-    todo = [i for i, key in enumerate(keys) if key not in store]
-    _METRICS.scoped("cluster").counter("fig2_shards_local").inc(
-        len(keys) - len(todo))
-    if todo:
-        if coordinator is None:
-            membership = (cluster if isinstance(cluster, Membership)
-                          else Membership(parse_cluster(cluster)))
-            coordinator = Coordinator(
-                membership, store,
-                journal=ClusterJournal(store, stream_run_key(specs)))
-        tasks = [task_for(
-            "fig2-shard",
-            {"seed": seed, "start": specs[i].start,
-             "count": specs[i].count,
-             "min_relative_shift": min_relative_shift},
-            artifact_keys=(keys[i],), label=specs[i].shard_id)
-            for i in todo]
-        records = coordinator.run(tasks, progress=progress)
-        lost = sum(1 for r in records.values() if r.status == "failed")
-        if lost:
-            _METRICS.scoped("cluster").counter(
-                "shards_fallback_local").inc(lost)
+
+    def make_tasks(todo: list[int], nodes: int) -> list[ClusterTask]:
+        return [task_for("fig2-shard",
+                         {"seed": seed, "start": specs[i].start,
+                          "count": specs[i].count,
+                          "min_relative_shift": min_relative_shift},
+                         artifact_keys=(keys[i],), label=specs[i].shard_id)
+                for i in todo]
+
+    _dispatch_missing(keys, store, "fig2_shards_local", make_tasks, cluster,
+                      stream_run_key(specs), coordinator, progress)
     # Final assembly: merged shards are store hits, anything missing
     # (failed shards, dead nodes) recomputes locally.
     return run_pipeline_streaming(
@@ -663,9 +667,7 @@ def run_clustered_search(budget: int, cluster, seed: int = 0,
         from ..store import active_store
         store = active_store() or ArtifactStore()
     if coordinator is None:
-        membership = (cluster if isinstance(cluster, Membership)
-                      else Membership(parse_cluster(cluster)))
-        coordinator = Coordinator(membership, store)
+        coordinator = _coordinator(cluster, store)
     return run_search(budget, seed=seed, threshold=threshold,
                       qdisc_thresholds=qdisc_thresholds,
                       evaluate=cluster_evaluator(coordinator, store),

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from ..core.report import write_csv, write_json
 from ..errors import SweepPointError
-from ..runtime import parallel_map
+from ..runtime import FaultPolicy, parallel_map
 from ..store.atomic import atomic_write_text
 
 
@@ -184,54 +184,38 @@ def sweep(values: Sequence, run_fn, label: str = "value",
         progress: optional ``fn(done, total)`` completion callback.
         store: a :class:`repro.store.ArtifactStore` caching one
             :class:`ExperimentResult` per (run_fn config, value); only
-            uncached points execute.  ``None`` disables caching
-            (``run_fn`` closures cannot be cached -- their config has
-            no canonical fingerprint).
+            uncached points execute, and each is stored the moment it
+            finishes (:class:`repro.store.ResumableScheduler`), so a
+            sweep that fails or is killed keeps every point it
+            completed.  ``None`` disables caching (``run_fn`` closures
+            cannot be cached -- their config has no canonical
+            fingerprint).
     """
     task = _SweepPoint(run_fn, label)
     if store is None:
         results = parallel_map(task, values, workers=workers,
                                chunk_size=1, progress=progress)
     else:
-        results = _sweep_cached(task, values, label, store,
-                                workers=workers, progress=progress)
+        from ..store import ResumableScheduler, callable_config, fingerprint
+        fn_config = callable_config(run_fn)
+        keys = [fingerprint({"fn": fn_config, "label": label, "value": v},
+                            kind="sweep") for v in values]
+        # Scheduler keys must be unique: a repeated value runs once.
+        distinct = dict(zip(keys, values))
+        report = ResumableScheduler(
+            store, fingerprint(list(distinct), kind="sweep-run"),
+            kind="sweep",
+        ).run(task, distinct.values(), distinct,
+              labels=[f"{label}={v!r}" for v in distinct.values()],
+              workers=workers, policy=FaultPolicy(retries=0),
+              progress=progress)
+        if report.failed:
+            raise SweepPointError(report.failed[0].error)
+        by_key = dict(zip(distinct, report.results))
+        results = [by_key[key] for key in keys]
     rows = []
     for v, result in zip(values, results):
         row = {label: v}
         row.update(result.metrics)
         rows.append(row)
     return rows
-
-
-def _sweep_cached(task: _SweepPoint, values: Sequence, label: str,
-                  store, workers: int | None, progress) -> list:
-    """Store-backed sweep body: compute only the uncached points."""
-    from ..store import callable_config, fingerprint
-
-    fn_config = callable_config(task.run_fn)
-    keys = [fingerprint({"fn": fn_config, "label": label, "value": v},
-                        kind="sweep") for v in values]
-    results: list = [None] * len(values)
-    pending: list[int] = []
-    sentinel = object()
-    for i, key in enumerate(keys):
-        cached = store.get(key, sentinel)
-        if cached is sentinel:
-            pending.append(i)
-        else:
-            results[i] = cached
-    done_base = len(values) - len(pending)
-    if progress is not None and done_base:
-        progress(done_base, len(values))
-    if pending:
-        computed = parallel_map(
-            task, [values[i] for i in pending], workers=workers,
-            chunk_size=1,
-            progress=(None if progress is None else
-                      lambda done, _: progress(done_base + done,
-                                               len(values))))
-        for i, result in zip(pending, computed):
-            store.put(keys[i], result, kind="sweep",
-                      label=f"{label}={values[i]!r}")
-            results[i] = result
-    return results

@@ -7,14 +7,17 @@ experiment run per sweep point -- yet they were originally executed
 serially.  :mod:`repro.runtime` provides the process-pool map they all
 share:
 
-* :func:`parallel_map` / :class:`ParallelExecutor` -- ordered,
-  chunked, process-pool ``map`` with progress callbacks and an
-  automatic serial fallback (``workers <= 1``, unpicklable work, or an
-  unavailable pool all degrade gracefully to the plain loop).
-* :meth:`ParallelExecutor.imap_tasks` -- fault-tolerant execution
-  under a :class:`FaultPolicy` (per-task retry with exponential
-  backoff, per-task timeout, deterministic ``REPRO_FAULT_RATE`` fault
-  injection); failures come back as
+* :class:`ParallelExecutor` -- one chunked process-pool loop, with
+  one serial fallback (``workers <= 1``, unpicklable work, or an
+  unavailable pool all degrade gracefully to the plain loop) and one
+  recovery from a dead worker, read in two orders:
+* :func:`parallel_map` / :meth:`ParallelExecutor.map` -- the loop's
+  chunks collected in submission order: an ordered ``map`` with
+  progress callbacks whose first failure is the lowest index.
+* :meth:`ParallelExecutor.imap_tasks` -- the loop's chunks in
+  completion order, each task under a :class:`FaultPolicy` (per-task
+  retry with exponential backoff, per-task timeout, deterministic
+  ``REPRO_FAULT_RATE`` fault injection); failures come back as
   ``ok=False`` :class:`TaskOutcome` records instead of exceptions, so
   the :mod:`repro.store` scheduler can quarantine them.
 * :func:`resolve_workers` -- worker-count policy: explicit argument,

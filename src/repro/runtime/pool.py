@@ -3,9 +3,13 @@
 Design notes
 ------------
 
-* **Ordered reassembly.**  Tasks are dispatched in chunks but results
-  are always returned in submission order, so ``parallel_map(f, xs)``
-  is a drop-in replacement for ``[f(x) for x in xs]``.
+* **One loop, two orders.**  :meth:`ParallelExecutor.map` and
+  :meth:`ParallelExecutor.imap_tasks` share one private chunk loop that
+  yields each chunk's results: ``map`` collects the chunks in
+  submission order, so ``parallel_map(f, xs)`` is a drop-in
+  replacement for ``[f(x) for x in xs]`` and its first failure is
+  always the lowest index; ``imap_tasks`` takes them in completion
+  order, so a checkpointing caller persists each one as it lands.
 * **Determinism.**  The pool adds no randomness of its own: as long as
   ``fn`` is a pure function of its item (every item carries its own
   seed -- see :func:`derive_seed`), serial and parallel runs produce
@@ -14,7 +18,9 @@ Design notes
   unpicklable work (closures, lambdas), an unavailable pool (restricted
   sandboxes without semaphores), or running *inside* a pool worker all
   fall back to the plain serial loop -- correctness never depends on
-  the pool, so doctests, Windows ``spawn``, and CI stay correct.
+  the pool, so doctests, Windows ``spawn``, and CI stay correct.  A
+  worker that dies mid-run (OOM kill) costs only the chunks it left
+  unfinished: the loop recomputes those serially.
 * **Fault tolerance.**  :meth:`ParallelExecutor.imap_tasks` applies a
   :class:`FaultPolicy` -- per-task retry with exponential backoff and a
   per-task wall-clock timeout -- and yields a :class:`TaskOutcome` per
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import hashlib
 import os
 import pickle
@@ -274,10 +281,6 @@ def _auto_chunk_size(total: int, workers: int) -> int:
     return max(1, total // (workers * 8))
 
 
-def _chunks(items: Sequence, size: int) -> list[Sequence]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def _mark_worker() -> None:
     """Pool initializer: tag the process so nested maps stay serial."""
     os.environ[_IN_WORKER_ENV] = "1"
@@ -292,8 +295,8 @@ def _apply_timed(fn: Callable, item):
     return result
 
 
-def _run_chunk(fn: Callable, chunk: Sequence) -> tuple[list, dict]:
-    """Worker-side body: apply ``fn`` to one chunk of items.
+def _run_chunk(apply: Callable, chunk: Sequence) -> tuple[list, dict]:
+    """Worker-side body: ``apply`` each item of one chunk.
 
     Returns the chunk's results plus a snapshot of the metrics the
     chunk produced in this worker process.  The worker registry is
@@ -303,19 +306,7 @@ def _run_chunk(fn: Callable, chunk: Sequence) -> tuple[list, dict]:
     does not matter).
     """
     _METRICS.reset()
-    results = [_apply_timed(fn, item) for item in chunk]
-    return results, _METRICS.snapshot()
-
-
-def _run_outcome_chunk(runner: "_PolicyTask",
-                       chunk: Sequence) -> tuple[list, dict]:
-    """Worker-side body for outcome chunks.
-
-    Like :func:`_run_chunk` but the runner already times/counts each
-    task internally, so items are applied directly.
-    """
-    _METRICS.reset()
-    results = [runner(task) for task in chunk]
+    results = [apply(item) for item in chunk]
     return results, _METRICS.snapshot()
 
 
@@ -325,16 +316,6 @@ def _is_picklable(obj) -> bool:
         return True
     except Exception:
         return False
-
-
-def _serial_map(fn: Callable, items: Sequence, progress) -> list:
-    results = []
-    total = len(items)
-    for i, item in enumerate(items):
-        results.append(_apply_timed(fn, item))
-        if progress is not None:
-            progress(i + 1, total)
-    return results
 
 
 class ParallelExecutor:
@@ -389,58 +370,80 @@ class ParallelExecutor:
         self.close()
         return False
 
+    # -- the chunk loop --------------------------------------------------
+
+    def _chunk_results(self, apply: Callable, items: Sequence, size: int,
+                       ordered: bool) -> Iterator[list]:
+        """Yield the results of ``apply`` over ``items``, chunk by chunk.
+
+        Chunks of ``size`` items go to the pool and come back in
+        submission order when ``ordered``, in completion order
+        otherwise.  On the serial path (see :attr:`serial`, plus a
+        single item, unpicklable work or a pool that will not start)
+        every item is its own chunk, in order.  An exception from
+        ``apply`` cancels the chunks not yet started and propagates.
+        """
+        futures: dict[concurrent.futures.Future, int] = {}
+        if not (self.serial or len(items) <= 1 or not _is_picklable(apply)
+                or not _is_picklable(items[0])):
+            try:
+                pool = self._ensure_pool()
+                for start in range(0, len(items), size):
+                    futures[pool.submit(_run_chunk, apply,
+                                        items[start:start + size])] = start
+            except (OSError, ValueError, RuntimeError):
+                # Pool could not be created (restricted environment) --
+                # correctness over speed.
+                self.close()
+                futures = {}
+        leftover: Iterable[int] = range(len(items))
+        if futures:
+            try:
+                for future in (list(futures) if ordered else
+                               concurrent.futures.as_completed(futures)):
+                    results, worker_metrics = future.result()
+                    del futures[future]
+                    _METRICS.merge(worker_metrics)
+                    yield results
+                return
+            except concurrent.futures.process.BrokenProcessPool:
+                # A worker died (OOM-killed, sandbox limits): recompute
+                # the chunks it left unfinished serially.
+                self.close()
+                leftover = [i for start in sorted(futures.values())
+                            for i in range(start,
+                                           min(start + size, len(items)))]
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+        for i in leftover:
+            yield [apply(items[i])]
+
     # -- mapping ---------------------------------------------------------
 
     def map(self, fn: Callable, items: Iterable, progress=None) -> list:
         """Apply ``fn`` to every item, returning results in order.
 
         ``progress``, if given, is called as ``progress(done, total)``
-        with the cumulative number of completed items -- after every
+        with the cumulative number of collected items -- after every
         item in serial mode, after every chunk in parallel mode.
 
         Exceptions raised by ``fn`` propagate to the caller in both
-        modes.
+        modes; chunks are collected in order, so the one that surfaces
+        is always the lowest failing index.
         """
         items = list(items)
         total = len(items)
-        if total == 0:
-            return []
-        if (self.serial or total == 1
-                or not _is_picklable(fn) or not _is_picklable(items[0])):
-            return _serial_map(fn, items, progress)
         size = self.chunk_size or _auto_chunk_size(total, self.workers)
-        chunks = _chunks(items, size)
-        try:
-            pool = self._ensure_pool()
-            futures = [pool.submit(_run_chunk, fn, chunk)
-                       for chunk in chunks]
-        except (OSError, ValueError, RuntimeError):
-            # Pool could not be created (restricted environment) --
-            # correctness over speed.
-            self.close()
-            return _serial_map(fn, items, progress)
-        try:
+        results: list = []
+        for chunk in self._chunk_results(
+                functools.partial(_apply_timed, fn), items, size,
+                ordered=True):
+            results.extend(chunk)
             if progress is not None:
-                done_items = 0
-                for future in concurrent.futures.as_completed(futures):
-                    future.result()  # surface worker errors promptly
-                    done_items += len(chunks[futures.index(future)])
-                    progress(done_items, total)
-            results: list = []
-            for future in futures:
-                chunk_results, worker_metrics = future.result()
-                results.extend(chunk_results)
-                _METRICS.merge(worker_metrics)
-            return results
-        except concurrent.futures.process.BrokenProcessPool:
-            # A worker died (OOM-killed, sandbox limits): recompute
-            # serially rather than failing the whole run.
-            self.close()
-            return _serial_map(fn, items, progress)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+                progress(len(results), total)
+        return results
 
     # -- fault-tolerant task execution -----------------------------------
 
@@ -469,38 +472,10 @@ class ParallelExecutor:
                     f"labels/items length mismatch: "
                     f"{len(labels)} != {len(items)}")
         tasks = list(zip(range(len(items)), labels, items))
-        runner = _PolicyTask(fn, policy)
-        if (self.serial or len(tasks) <= 1 or not _is_picklable(fn)
-                or not (tasks and _is_picklable(tasks[0]))):
-            yield from (runner(task) for task in tasks)
-            return
-        size = self.chunk_size or 1
-        chunks = _chunks(tasks, size)
-        try:
-            pool = self._ensure_pool()
-            pending = {pool.submit(_run_outcome_chunk, runner, chunk):
-                       chunk for chunk in chunks}
-        except (OSError, ValueError, RuntimeError):
-            self.close()
-            yield from (runner(task) for task in tasks)
-            return
-        try:
-            for future in concurrent.futures.as_completed(list(pending)):
-                chunk_results, worker_metrics = future.result()
-                del pending[future]
-                _METRICS.merge(worker_metrics)
-                yield from chunk_results
-        except concurrent.futures.process.BrokenProcessPool:
-            # A worker died outright; recompute the unfinished chunks
-            # serially so the campaign still completes.
-            leftover = [task for chunk in pending.values()
-                        for task in chunk]
-            self.close()
-            yield from (runner(task) for task in leftover)
-        except BaseException:
-            for future in pending:
-                future.cancel()
-            raise
+        for outcomes in self._chunk_results(
+                _PolicyTask(fn, policy), tasks, self.chunk_size or 1,
+                ordered=False):
+            yield from outcomes
 
 
 def parallel_map(fn: Callable, items: Iterable, workers: int | None = None,

@@ -92,6 +92,29 @@ class TestSweepCaching:
         assert REGISTRY.counter("pool.tasks").value == 1
         assert [r["rate"] for r in rows] == [1, 2, 5]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_sweep_keeps_every_finished_point(self, tmp_path,
+                                                     workers):
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(SweepPointError) as excinfo:
+            sweep([1, 2, 3, 4], boom_at_three, label="rate",
+                  workers=workers, store=store)
+        assert "rate=3" in str(excinfo.value)
+        assert "ValueError" in str(excinfo.value)
+        REGISTRY.reset()
+        rows = sweep([1, 2, 4], boom_at_three, label="rate",
+                     workers=workers, store=store)
+        assert REGISTRY.counter("store.hits").value == 3
+        assert REGISTRY.counter("pool.tasks").value == 0
+        assert [r["doubled"] for r in rows] == [2.0, 4.0, 8.0]
+
+    def test_repeated_value_runs_once(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        rows = sweep([2, 1, 2], make_result, label="rate", workers=1,
+                     store=store)
+        assert [r["rate"] for r in rows] == [2, 1, 2]
+        assert REGISTRY.counter("pool.tasks").value == 2
+
 
 class TestSaveVersioning:
     def test_versioned_path(self, tmp_path):

@@ -12,9 +12,10 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError
-from repro.runtime import (DEFAULT_WORKERS_ENV, ParallelExecutor,
-                           derive_seed, parallel_map, resolve_workers)
-from repro.runtime.pool import _IN_WORKER_ENV, _auto_chunk_size, _chunks
+from repro.runtime import (DEFAULT_WORKERS_ENV, FaultPolicy,
+                           ParallelExecutor, derive_seed, parallel_map,
+                           resolve_workers)
+from repro.runtime.pool import _IN_WORKER_ENV, _auto_chunk_size
 
 
 def square(x):
@@ -23,6 +24,13 @@ def square(x):
 
 def boom(x):
     raise ValueError(f"boom on {x}")
+
+
+def square_unless_worker_dies(x):
+    """Kill the pool worker that draws item 3; square anywhere else."""
+    if x == 3 and os.environ.get(_IN_WORKER_ENV) == "1":
+        os._exit(1)
+    return x * x
 
 
 class TestResolveWorkers:
@@ -69,10 +77,11 @@ class TestChunking:
         assert _auto_chunk_size(10_000, 4) == 312
 
     def test_chunks_cover_items_in_order(self):
-        items = list(range(10))
-        chunks = _chunks(items, 3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-        assert [x for c in chunks for x in c] == items
+        # Even, ragged, one-item and larger-than-the-input chunks.
+        for size in (1, 3, 4, 40):
+            assert parallel_map(square, range(10), workers=2,
+                                chunk_size=size) \
+                == [x * x for x in range(10)]
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigError):
@@ -111,8 +120,24 @@ class TestParallelMapPool:
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
     def test_exception_propagates(self):
-        with pytest.raises(ValueError, match="boom"):
-            parallel_map(boom, range(4), workers=2, chunk_size=1)
+        # Chunks are collected in order, so the lowest failing index
+        # surfaces whether or not progress is reported.
+        for progress in (None, lambda done, n: None):
+            with pytest.raises(ValueError, match="^boom on 0$"):
+                parallel_map(boom, range(4), workers=2, chunk_size=1,
+                             progress=progress)
+
+    def test_worker_death_recomputes_unfinished_chunks(self):
+        serial = [x * x for x in range(8)]
+        with ParallelExecutor(workers=2, chunk_size=1) as ex:
+            assert ex.map(square_unless_worker_dies, range(8)) == serial
+        with ParallelExecutor(workers=2, chunk_size=1) as ex:
+            outcomes = sorted(ex.imap_tasks(square_unless_worker_dies,
+                                            range(8),
+                                            policy=FaultPolicy(retries=0)),
+                              key=lambda o: o.index)
+        assert all(o.ok for o in outcomes)
+        assert [o.value for o in outcomes] == serial
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         calls = []
