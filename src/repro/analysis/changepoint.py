@@ -6,13 +6,14 @@ citing the survey of Truong, Oudre & Vayatis (Signal Processing 2020)
 
 * :func:`binary_segmentation` -- greedy recursive splitting; fast and
   simple, approximate.
-* :func:`pelt` -- Pruned Exact Linear Time (Killick et al. 2012);
-  exact penalized optimum with amortized linear cost, searched for a
-  whole batch of equal-length signals at once.
+* :func:`pelt` -- the exact penalized optimum, searched for a whole
+  batch of equal-length signals at once.  It keeps the survey's name
+  but not the pruning of Killick et al. 2012: every flow here has at
+  most a few dozen points, so the plain O(n^2) optimal partitioning is
+  cheap, and it is exact where pruning with a minimum segment is not.
 
-Both use a piecewise-constant (L2 / Gaussian mean-shift) cost by
-default, which is the right model for "did this flow's achieved
-throughput level change".
+Both use a piecewise-constant (L2 / Gaussian mean-shift) cost, which is
+the right model for "did this flow's achieved throughput level change".
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ import numpy as np
 from ..errors import AnalysisError
 
 
-class _PrefixSums:
-    """Prefix sums of a signal -- or, given a ``(rows, n)`` array, of
-    every row (``cumsum`` along the last axis adds in the same order
-    either way, so a row's sums do not depend on its neighbours)."""
+class L2Cost:
+    """Sum of squared deviations from the segment mean.
+
+    cost(a, b) over signal x = sum_{a<=i<b} (x_i - mean(x[a:b]))^2,
+    computed in O(1) per query from prefix sums -- of the signal, or,
+    given a ``(rows, n)`` array, of every row (``cumsum`` along the last
+    axis adds in the same order either way, so a row's sums do not
+    depend on its neighbours).
+    """
 
     def __init__(self, signal: np.ndarray):
         x = np.asarray(signal, dtype=float)
@@ -39,23 +45,6 @@ class _PrefixSums:
         self._both = np.concatenate(
             [np.zeros_like(sums[..., :1]), sums], axis=-1)
         self._cum, self._cum2 = self._both
-
-    def _sums(self, starts, ends):
-        """(length, sum, sum of squares) of the segments; ``starts``
-        and ``ends`` broadcast against each other."""
-        starts = np.asarray(starts)
-        ends = np.asarray(ends)
-        hi = self._both.take(ends, axis=-1)
-        lo = self._both.take(starts, axis=-1)
-        return ends - starts, hi[0] - lo[0], hi[1] - lo[1]
-
-
-class L2Cost(_PrefixSums):
-    """Sum of squared deviations from the segment mean.
-
-    cost(a, b) over signal x = sum_{a<=i<b} (x_i - mean(x[a:b]))^2,
-    computed in O(1) per query from prefix sums.
-    """
 
     def cost(self, a: int, b: int) -> float:
         """Cost of the segment ``signal[a:b]``."""
@@ -69,37 +58,17 @@ class L2Cost(_PrefixSums):
     def cost_batch(self, starts, ends) -> np.ndarray:
         """Vectorized :meth:`cost` over arrays of segment bounds.
 
-        Every resulting segment must be non-empty.  Identical
-        arithmetic to the scalar path (same IEEE-754 operations on the
-        same prefix sums), so results are bit-for-bit equal.
+        ``starts`` and ``ends`` broadcast against each other, and every
+        resulting segment must be non-empty.  Identical arithmetic to
+        the scalar path (same IEEE-754 operations on the same prefix
+        sums), so results are bit-for-bit equal.
         """
-        n, s, s2 = self._sums(starts, ends)
+        starts = np.asarray(starts)
+        ends = np.asarray(ends)
+        hi = self._both.take(ends, axis=-1)
+        lo = self._both.take(starts, axis=-1)
+        n, s, s2 = ends - starts, hi[0] - lo[0], hi[1] - lo[1]
         return np.maximum(0.0, s2 - s * s / n)
-
-
-class NormalMeanVarCost(_PrefixSums):
-    """Negative log-likelihood cost for a Gaussian with free mean and
-    variance per segment -- detects changes in mean *or* variance."""
-
-    MIN_SEGMENT = 2
-
-    def cost(self, a: int, b: int) -> float:
-        n = b - a
-        if n < self.MIN_SEGMENT:
-            return 0.0
-        s = self._cum[b] - self._cum[a]
-        s2 = self._cum2[b] - self._cum2[a]
-        var = max((s2 - s * s / n) / n, 1e-12)
-        return n * (math.log(var) + 1.0 + math.log(2.0 * math.pi)) / 2.0
-
-    def cost_batch(self, starts, ends) -> np.ndarray:
-        """Vectorized :meth:`cost` over arrays of segment bounds."""
-        n, s, s2 = self._sums(starts, ends)
-        n = n.astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            var = np.maximum((s2 - s * s / n) / n, 1e-12)
-            out = n * (np.log(var) + 1.0 + math.log(2.0 * math.pi)) / 2.0
-        return np.where(n < self.MIN_SEGMENT, 0.0, out)
 
 
 def default_penalty(signal: np.ndarray):
@@ -157,19 +126,19 @@ def _check_length(n: int, min_segment: int) -> None:
             f"(need at least {2 * min_segment} points)")
 
 
-def _pelt_rows(x: np.ndarray, penalty, cost_class,
-               min_segment: int) -> list[ChangePointResult]:
-    """PELT on every row of the ``(rows, n)`` array ``x`` at once.
+def _optimal_partition_rows(x: np.ndarray, penalty,
+                            min_segment: int) -> list[ChangePointResult]:
+    """Optimal partitioning of every row of the ``(rows, n)`` array
+    ``x`` at once.
 
-    f[r, t] = optimal cost of x[r, :t]; prev[r, t] = last breakpoint
-    before t.  The rows share one list of candidate columns and each
-    row's pruning is a mask over it: a pruned candidate's total is
-    ``inf``, so ``argmin`` resolves a row's ties to its first surviving
-    candidate, exactly as PELT on that row alone, and no row's result
-    depends on its neighbours.  Columns no row still holds are dropped,
-    so a batch of one is classic pruned PELT.
+    f[r, t] = optimal penalized cost of x[r, :t]; prev[r, t] = last
+    breakpoint before t.  Every admissible last breakpoint s <= t -
+    min_segment is tried for every t -- no candidate is ever pruned, so
+    the answer is the exact optimum.  ``argmin`` resolves ties to the
+    first (lowest) s, each row's totals depend on that row alone, so a
+    row's result never depends on its neighbours.
     """
-    cost = cost_class(x)  # rejects an array of three or more axes
+    cost = L2Cost(x)  # rejects an array of three or more axes
     rows, n = x.shape
     _check_length(n, min_segment)
     if penalty is None:
@@ -178,21 +147,13 @@ def _pelt_rows(x: np.ndarray, penalty, cost_class,
     f = np.full((rows, n + 1), np.inf)
     f[:, 0] = 0.0
     prev = np.zeros((rows, n + 1), dtype=np.int64)
-    candidates = np.array([0], dtype=np.int64)
-    # f at each candidate column, or inf once the row has pruned it.
-    start = f[:, :1].copy()
     per_change = penalty[:, None]
     for t in range(min_segment, n + 1):
-        reach = start + cost.cost_batch(candidates, [t])
-        totals = reach + per_change
+        last = t - min_segment + 1
+        totals = (f[:, :last] + cost.cost_batch(np.arange(last), [t])
+                  + per_change)
         f[:, t] = totals.min(axis=1)
-        prev[:, t] = candidates[totals.argmin(axis=1)]
-        # Prune, per row, candidates that can never win again.
-        np.putmask(start, reach > f[:, t:t + 1], np.inf)
-        held = (start < np.inf).any(axis=0)
-        new = t - min_segment + 1
-        candidates = np.concatenate([candidates[held], [new]])
-        start = np.concatenate([start[:, held], f[:, new:new + 1]], axis=1)
+        prev[:, t] = totals.argmin(axis=1)
 
     results = []
     for back, row_penalty in zip(prev.tolist(), penalty.tolist()):
@@ -206,16 +167,18 @@ def _pelt_rows(x: np.ndarray, penalty, cost_class,
     return results
 
 
-def pelt(signal, penalty: float | None = None, cost_class=L2Cost,
-         min_segment: int = 2):
-    """Exact penalized change-point detection (PELT).
+def pelt(signal, penalty: float | None = None, min_segment: int = 2):
+    """Exact penalized change-point detection.
+
+    Minimises the L2 cost plus ``penalty`` per change point over every
+    segmentation.  The name is the survey's; the search is optimal
+    partitioning without PELT's pruning, which with ``min_segment`` > 1
+    can discard a candidate that still wins.
 
     Args:
         signal: 1-D array-like, or a ``(flows, n)`` batch of
             equal-length signals searched in one pass.
         penalty: per-change-point penalty; default is a robust BIC.
-        cost_class: segment cost model (L2Cost or NormalMeanVarCost;
-            its ``cost_batch`` is what the search calls).
         min_segment: minimum points per segment.
 
     Returns:
@@ -226,17 +189,16 @@ def pelt(signal, penalty: float | None = None, cost_class=L2Cost,
         AnalysisError: if the signal is shorter than ``2*min_segment``.
     """
     x = np.asarray(signal, dtype=float)
-    results = _pelt_rows(np.atleast_2d(x), penalty, cost_class, min_segment)
+    results = _optimal_partition_rows(np.atleast_2d(x), penalty, min_segment)
     return results if x.ndim == 2 else results[0]
 
 
 def binary_segmentation(signal, penalty: float | None = None,
-                        cost_class=L2Cost, min_segment: int = 2,
-                        max_changes: int | None = None) -> ChangePointResult:
+                        min_segment: int = 2) -> ChangePointResult:
     """Greedy top-down change-point detection.
 
     Recursively split at the point with the largest cost reduction
-    until no split beats the penalty (or ``max_changes`` is reached).
+    until no split beats the penalty.
 
     Raises:
         AnalysisError: if the signal is shorter than ``2*min_segment``.
@@ -246,7 +208,7 @@ def binary_segmentation(signal, penalty: float | None = None,
     _check_length(n, min_segment)
     if penalty is None:
         penalty = default_penalty(x)
-    cost = cost_class(x)
+    cost = L2Cost(x)
 
     def best_split(a: int, b: int) -> tuple[float, int]:
         # Vectorized scan over every admissible split point; ties
@@ -264,8 +226,6 @@ def binary_segmentation(signal, penalty: float | None = None,
     breakpoints: list[int] = []
     queue = [(0, n)]
     while queue:
-        if max_changes is not None and len(breakpoints) >= max_changes:
-            break
         # Split the segment offering the biggest gain first.
         gains = [(best_split(a, b), (a, b)) for a, b in queue]
         gains.sort(key=lambda item: item[0][0], reverse=True)
@@ -284,9 +244,10 @@ def throughput_level_shift(signal, penalty: float | None = None,
     """The §3.1 detector: change points that are *meaningful* throughput
     level shifts.
 
-    Runs PELT, then keeps only breakpoints where the mean level changes
-    by at least ``min_relative_shift`` of the larger side -- filtering
-    the small wiggles that would otherwise count as "contention".
+    Runs :func:`pelt`'s search, then keeps only breakpoints where the
+    mean level changes by at least ``min_relative_shift`` of the larger
+    side -- filtering the small wiggles that would otherwise count as
+    "contention".
 
     A flow too short to hold two segments trivially has no level shift,
     so (unlike the raw detectors, which raise) this returns an empty
@@ -301,8 +262,8 @@ def throughput_level_shift(signal, penalty: float | None = None,
             (), n, float("inf") if penalty is None else penalty)] * len(rows)
     else:
         results = []
-        for row, raw in zip(rows, _pelt_rows(rows, penalty, L2Cost,
-                                             min_segment)):
+        for row, raw in zip(rows, _optimal_partition_rows(
+                rows, penalty, min_segment)):
             kept = []
             edges = [0, *raw.breakpoints, n]
             for i, bp in enumerate(raw.breakpoints):

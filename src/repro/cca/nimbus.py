@@ -43,8 +43,9 @@ class NimbusCca(CongestionControl):
     Args:
         capacity_hint: bottleneck capacity μ in bytes/second; None
             estimates μ as a windowed max of delivery-rate samples.
-            (The elasticity metric is scale-invariant in μ, so the
-            hint mainly improves the delay-mode rate controller.)
+            (A wrong μ adds (k-1)·S to ẑ for a hint k times the true
+            capacity, so the probe's own pulse reads as elasticity;
+            see :mod:`repro.core.elasticity`.)
         pulse_freq: pulse frequency f_p (Hz).
         pulse_amplitude: pulse amplitude as a fraction of μ.
         delay_target: target standing queueing delay (seconds).

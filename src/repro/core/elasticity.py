@@ -20,10 +20,13 @@ transport so it can also run offline over recorded rate series:
 
 The elasticity metric here is a peak-to-background ratio: the amplitude
 of ``z``'s spectrum at the pulse frequency divided by the median
-amplitude in the surrounding band.  It is scale-invariant, so errors in
-the capacity estimate μ (which rescale ẑ) do not move it -- the
-property that makes the technique usable as a *measurement tool* on
-paths with unknown capacity.
+amplitude in the surrounding band.  It is invariant to rescaling ẑ, but
+an error in the capacity estimate μ does not rescale ẑ.  Behind a FIFO
+with inelastic cross traffic z, R = μS/(S+z); with μ̂ = kμ this gives
+ẑ = kz + (k-1)S, so for k != 1 the probe reads its own pulse back, at
+amplitude |k-1| times the pulse's, as if it were elastic cross traffic
+(``tests/test_elasticity.py`` measures it).  The metric is only as
+good as μ̂.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 from .. import viz
 from ..alloc.bwe import BweController
 from ..cca.cbr import CbrCca
+from ..fluid.queue import ordered_sum
 from ..qa.scenario import FlowSpec, Scenario, run_scenario
 from ..sim.engine import Simulator
 from ..sim.network import dumbbell
@@ -81,11 +82,12 @@ def run(rate_mbps: float = 100.0, duration: float = 20.0
         managed, allocations = _run_bwe(rate_mbps, duration)
 
     serving_share_contended = (
-        sum(v for k, v in contended.items() if k.startswith("serving"))
-        / sum(contended.values()))
+        ordered_sum(v for k, v in contended.items()
+                    if k.startswith("serving"))
+        / ordered_sum(contended.values()))
     serving_share_managed = (
-        sum(v for k, v in managed.items() if k.startswith("serving"))
-        / sum(managed.values()))
+        ordered_sum(v for k, v in managed.items() if k.startswith("serving"))
+        / ordered_sum(managed.values()))
     errors = [abs(managed[name] - allocations[name])
               / max(allocations[name], 1.0)
               for name, *_ in FLOWS]

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (binary_segmentation, pelt,
                             throughput_level_shift)
-from repro.analysis.changepoint import L2Cost, NormalMeanVarCost
+from repro.analysis.changepoint import L2Cost
 from repro.errors import AnalysisError
+from repro.ndt import SyntheticNdtGenerator
 
 
 def noisy_steps(levels, seg_len=50, noise=0.5, seed=0):
@@ -105,26 +106,15 @@ class TestPeltSpecifics:
         result = pelt(signal, penalty=1.0)
         assert result.breakpoints == (50,)
 
-    def test_normal_cost_detects_variance_change(self):
-        rng = np.random.default_rng(7)
-        signal = np.concatenate([
-            rng.normal(0, 0.1, 150),
-            rng.normal(0, 3.0, 150),
-        ])
-        result = pelt(signal, penalty=10.0, cost_class=NormalMeanVarCost,
-                      min_segment=5)
-        assert any(abs(bp - 150) <= 10 for bp in result.breakpoints)
-
 
 class TestCostBatch:
     """The vectorized cost paths must match the scalar ones exactly --
-    PELT's pruning decisions (hence its breakpoints) depend on it."""
+    the search's ties (hence its breakpoints) depend on it."""
 
-    @pytest.mark.parametrize("cost_class", [L2Cost, NormalMeanVarCost])
-    def test_batch_matches_scalar(self, cost_class):
+    def test_batch_matches_scalar(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=40)
-        cost = cost_class(x)
+        cost = L2Cost(x)
         ends = 37
         starts = np.arange(0, ends - 1)
         batch = cost.cost_batch(starts, ends)
@@ -140,24 +130,79 @@ class TestCostBatch:
             assert value == cost.cost(3, int(e))
 
 
-def _exact_partition(x, penalty, min_segment=2):
-    """Brute-force optimal segmentation by O(n^2) dynamic programming
-    (no pruning) -- the reference PELT must reproduce exactly."""
-    cost = L2Cost(x)
+def _reference_penalty(x):
+    """``default_penalty`` in Python floats."""
+    diffs = [b - a for a, b in zip(x, x[1:])]
+    centre = statistics.median(diffs)
+    mad = statistics.median([abs(d - centre) for d in diffs])
+    sigma = max(mad / 0.6745 / math.sqrt(2.0), 1e-12)
+    return 2.0 * sigma * sigma * math.log(len(x))
+
+
+def _reference_partition(x, penalty, min_segment=2):
+    """Optimal partitioning in plain Python floats, no numpy: every
+    admissible last breakpoint is tried for every prefix, in order, and
+    only a strictly better one replaces the incumbent."""
     n = len(x)
-    f = [0.0] + [float("inf")] * n
+    cum, cum2 = [0.0], [0.0]
+    for v in x:
+        cum.append(cum[-1] + v)
+        cum2.append(cum2[-1] + v * v)
+
+    def cost(a, b):
+        m = b - a
+        s, s2 = cum[b] - cum[a], cum2[b] - cum2[a]
+        return max(0.0, s2 - s * s / m)
+
+    f = [0.0] + [math.inf] * n
     prev = [0] * (n + 1)
     for t in range(min_segment, n + 1):
-        for s in [0] + list(range(min_segment, t - min_segment + 1)):
-            value = f[s] + cost.cost(s, t) + penalty
-            if value < f[t]:
-                f[t], prev[t] = value, s
-    bps, t = [], n
+        for s in range(t - min_segment + 1):
+            value = f[s] + cost(s, t)
+            if value + penalty < f[t]:
+                f[t], prev[t] = value + penalty, s
+    bps, t = [], prev[n]
     while t > 0:
-        if prev[t] > 0:
-            bps.append(prev[t])
+        bps.append(t)
         t = prev[t]
     return tuple(sorted(bps))
+
+
+def _penalized_cost(x, breakpoints, penalty):
+    cost = L2Cost(x)
+    edges = [0, *breakpoints, len(x)]
+    return (sum(cost.cost(a, b) for a, b in zip(edges, edges[1:]))
+            + penalty * len(breakpoints))
+
+
+def _ndt_flow(seed, index):
+    return (SyntheticNdtGenerator(seed=seed).generate_record(index)
+            .throughput_series())
+
+
+#: Signals on which PELT's pruning, at ``min_segment`` > 1, discarded
+#: the winning candidate: (signal, penalty, min_segment, optimum, the
+#: answer pruning gave).  The last is the L2 row, at penalty 3.5, of
+#: the batch a hypothesis run stored against the pruned kernel.
+PRUNING_COUNTEREXAMPLES = {
+    "six-points": ([1.0, 1.0, 2.0, 4.0, 5.0, 0.0], 5.0, 2, (), (3,)),
+    "seed1-flow816": (_ndt_flow(1, 816), None, 4, (18,), (14, 18)),
+    "seed20230-flow401": (_ndt_flow(20230, 401), None, 4, (7, 30),
+                          (7, 30, 34)),
+    "hypothesis-noise-row": ([
+        -2.97054469, -2.58869838, -4.26704595, -1.75262267, -2.79362945,
+        -1.40214964, -2.01181798, -2.03680339, -3.04609892, -2.93846289,
+        -3.5803515, -3.92777927, -4.37222932, -4.93756535, -3.27190575,
+        -1.72951569, -2.20721941, -3.03017219, -4.02230166, -3.03838364,
+        -1.25441587, -2.94237803, -0.714662429, -3.68054611, -1.99311997,
+        -2.8773548, -2.94695689, -4.28816534, -2.97394619, -1.98233072,
+        -1.60417662, -1.23764193, -2.65714998, -2.22952441, -3.13573748,
+        -3.81058497, -4.20804482, -1.22157053, -3.06121978, -2.88013195,
+        -3.40046502, -1.00375577, -2.50403509, -3.55538266, -2.06170378,
+        -3.79751415, -1.16137725, -5.37808063, -1.89265194, -4.16294339,
+        -0.48175278, -0.926740593, -3.77928107], 3.5, 2, (10, 14),
+        (10, 14, 47, 50)),
+}
 
 
 class TestPeltExactness:
@@ -168,64 +213,23 @@ class TestPeltExactness:
         x = np.concatenate([rng.normal(lvl, 1.0, 25) for lvl in levels])
         penalty = 8.0
         assert pelt(x, penalty=penalty).breakpoints \
-            == _exact_partition(x, penalty)
+            == _reference_partition(x.tolist(), penalty)
 
-
-def _reference_penalty(x):
-    """``default_penalty`` in Python floats."""
-    diffs = [b - a for a, b in zip(x, x[1:])]
-    centre = statistics.median(diffs)
-    mad = statistics.median([abs(d - centre) for d in diffs])
-    sigma = max(mad / 0.6745 / math.sqrt(2.0), 1e-12)
-    return 2.0 * sigma * sigma * math.log(len(x))
-
-
-def _reference_partition(x, penalty, cost_class, min_segment, prune):
-    """Optimal partitioning in plain Python floats, no numpy: every
-    candidate last breakpoint is tried for every prefix, in order, and
-    only a strictly better one replaces the incumbent.  With ``prune``
-    a candidate is dropped once it cannot win again (the PELT rule);
-    without, it is the O(n^2) search over all of them."""
-    n = len(x)
-    cum, cum2 = [0.0], [0.0]
-    for v in x:
-        cum.append(cum[-1] + v)
-        cum2.append(cum2[-1] + v * v)
-
-    def cost(a, b):
-        m = b - a
-        s, s2 = cum[b] - cum[a], cum2[b] - cum2[a]
-        if cost_class is L2Cost:
-            return max(0.0, s2 - s * s / m)
-        if m < NormalMeanVarCost.MIN_SEGMENT:
-            return 0.0
-        var = max((s2 - s * s / m) / m, 1e-12)
-        return m * (math.log(var) + 1.0 + math.log(2.0 * math.pi)) / 2.0
-
-    f = [0.0] + [math.inf] * n
-    prev = [0] * (n + 1)
-    candidates = [0]
-    for t in range(min_segment, n + 1):
-        reach = [f[s] + cost(s, t) for s in candidates]
-        for s, value in zip(candidates, reach):
-            if value + penalty < f[t]:
-                f[t], prev[t] = value + penalty, s
-        if prune:
-            candidates = [s for s, value in zip(candidates, reach)
-                          if value <= f[t]]
-        candidates.append(t - min_segment + 1)
-    bps, t = [], prev[n]
-    while t > 0:
-        bps.append(t)
-        t = prev[t]
-    return tuple(sorted(bps))
+    @pytest.mark.parametrize("case", sorted(PRUNING_COUNTEREXAMPLES))
+    def test_beats_what_pruning_returned(self, case):
+        x, penalty, min_segment, optimum, pruned = \
+            PRUNING_COUNTEREXAMPLES[case]
+        result = pelt(x, penalty=penalty, min_segment=min_segment)
+        assert result.breakpoints == optimum
+        assert (_penalized_cost(x, optimum, result.penalty)
+                < _penalized_cost(x, pruned, result.penalty))
 
 
 @st.composite
 def signal_batches(draw):
-    """(rows, cost class, min_segment): constant rows (every total an
-    exact tie), rows with 0-3 planted shifts with and without noise,
-    and pure noise, mixed in one batch."""
+    """(rows, min_segment): constant rows (every total an exact tie),
+    rows with 0-3 planted shifts with and without noise, and pure
+    noise, mixed in one batch."""
     min_segment = draw(st.integers(1, 6))
     n = draw(st.integers(max(2 * min_segment, 4), 200))
     kinds = draw(st.lists(
@@ -241,45 +245,31 @@ def signal_batches(draw):
         if kind in ("noisy_steps", "noise"):
             row += rng.normal(0.0, 1.0, n)
         rows.append(row)
-    cost_class = draw(st.sampled_from([L2Cost, NormalMeanVarCost]))
-    return np.stack(rows), cost_class, min_segment
+    return np.stack(rows), min_segment
 
 
 class TestBatchedKernel:
-    """``pelt`` on a ``(flows, n)`` array is one search over shared
-    candidate columns with per-row pruning masks; a row's answer must
-    be the answer of that row alone, which must be what the scalar
-    loop gives."""
+    """``pelt`` on a ``(flows, n)`` array is one search over every
+    candidate column of every row; a row's answer must be the answer of
+    that row alone, which must be the optimum the plain-Python search
+    finds -- at every ``min_segment`` and penalty, zero included."""
 
     @settings(max_examples=40, deadline=None)
     @given(signal_batches(), st.sampled_from([None, 0.0, 3.5]))
     def test_batch_equals_rows_alone_equals_scalar_reference(
             self, batch, penalty):
-        rows, cost_class, min_segment = batch
-        together = pelt(rows, penalty=penalty, cost_class=cost_class,
-                        min_segment=min_segment)
+        rows, min_segment = batch
+        together = pelt(rows, penalty=penalty, min_segment=min_segment)
         assert len(together) == len(rows)
         for row, result in zip(rows, together):
-            alone = pelt(row, penalty=penalty, cost_class=cost_class,
-                         min_segment=min_segment)
+            alone = pelt(row, penalty=penalty, min_segment=min_segment)
             assert result == alone
             expected = (_reference_penalty(row.tolist())
                         if penalty is None else penalty)
             assert result.penalty == expected
             assert type(result.penalty) is float
             assert result.breakpoints == _reference_partition(
-                row.tolist(), expected, cost_class, min_segment, prune=True)
-            # Pruning loses nothing when splitting a segment never
-            # raises its cost, but only in exact arithmetic: a zero
-            # penalty makes every step a near-tie settled by rounding,
-            # and so do NormalMeanVarCost's variance floor and free
-            # one-point segments on the noiseless rows.  L2Cost at a
-            # positive penalty is the optimum to the last bit
-            # (constant rows cost exactly 0, so their ties are exact).
-            if cost_class is L2Cost and penalty != 0.0:
-                assert result.breakpoints == _reference_partition(
-                    row.tolist(), expected, cost_class, min_segment,
-                    prune=False)
+                row.tolist(), expected, min_segment)
 
     def test_level_shift_batch_equals_rows_alone(self):
         rng = np.random.default_rng(21)

@@ -104,6 +104,28 @@ class TestElasticitySeries:
         b = elasticity_series(t, z * 7.0, pulse_freq=5.0)
         assert a[0].elasticity == pytest.approx(b[0].elasticity, rel=1e-6)
 
+    def test_misscaled_mu_reads_the_probes_own_pulse(self):
+        # A busy FIFO, inelastic noisy cross traffic z, and a probe
+        # pulsing S: R = mu*S/(S+z).  Told mu_hat = k*mu, the estimator
+        # reads z_hat = k*z + (k-1)*S -- the probe's own pulse.
+        mu = 12.5e6
+        t = np.arange(0.0, 10.0, 0.01)
+        pulse = PulseGenerator(frequency=5.0, amplitude_frac=0.25)
+        send = 0.5 * mu + np.array([pulse.offset(x, mu) for x in t])
+        cross = 0.5 * mu + np.random.default_rng(0).normal(
+            0.0, 0.02 * mu, len(t))
+        recv = mu * send / (send + cross)
+        median = {}
+        for k in (0.8, 1.0, 1.25, 2.0):
+            z_hat = [cross_traffic_estimate(k * mu, s, r)
+                     for s, r in zip(send, recv)]
+            assert np.allclose(z_hat, k * cross + (k - 1.0) * send)
+            median[k] = np.median([r.elasticity for r in elasticity_series(
+                t, z_hat, pulse_freq=5.0)])
+        assert median[1.0] < 3.0
+        # Peak over background goes as |k-1|/k: 0.25, 0.2 and 0.5.
+        assert 20 * median[1.0] < median[1.25] < median[0.8] < median[2.0]
+
     def test_mean_cross_rate_reported(self):
         t, z = synthetic_z(base=3e6)
         readings = elasticity_series(t, z, pulse_freq=5.0)

@@ -20,7 +20,10 @@ key may not move either).
 It was generated on the commit *before* ``ndt.synth._render`` was
 rewritten to compute snapshot fields by column and PELT became one
 batched kernel, so it is the proof that both emit what the per-element
-code did.  Regenerate (deliberately, explaining why in the diff) with::
+code did.  It was regenerated once when PELT's pruning was deleted for
+the exact search: the raw breakpoints of seed 1 flow 816 and seed
+20230 flow 401 moved to the optimum, and nothing else did.  Regenerate
+(deliberately, explaining why in the diff) with::
 
     PYTHONPATH=src python tests/test_ndt_records_golden.py
 """
@@ -90,7 +93,7 @@ def test_records_and_pelt_decisions_identical(golden, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_detector_reproduces_per_flow_rows(golden, seed):
     """The shard path: every pinned flow of a seed as one ``(flows, n)``
-    call, rows pruning differently beside each other."""
+    call, rows with different breakpoints beside each other."""
     pinned = golden["seeds"][str(seed)]["remaining"]
     generator = SyntheticNdtGenerator(seed=seed)
     series = np.stack([generator.generate_record(row[0]).throughput_series()
