@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
+from ..units import ordered_sum
 
 
 @dataclass
@@ -48,7 +49,7 @@ class DemandNode:
     def total_demand(self) -> float:
         if self.is_leaf:
             return self.demand if self.demand is not None else 0.0
-        return sum(child.total_demand() for child in self.children)
+        return ordered_sum(child.total_demand() for child in self.children)
 
 
 def weighted_water_fill(demands: list[float], weights: list[float],
@@ -66,7 +67,7 @@ def weighted_water_fill(demands: list[float], weights: list[float],
     active = [i for i in range(len(demands)) if demands[i] > 0]
     remaining = capacity
     while active and remaining > 1e-9:
-        total_weight = sum(weights[i] for i in active)
+        total_weight = ordered_sum(weights[i] for i in active)
         satisfied = [i for i in active
                      if demands[i] <= remaining * weights[i] / total_weight
                      + 1e-12]

@@ -13,20 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..units import ordered_sum
 from .elasticity import ElasticityReading
 
 
 def ordered_mean(values: list[float]) -> float:
-    """Mean of a non-empty list, added left to right.
-
-    Not ``sum()``: from Python 3.12 that is compensated, and a mean
-    that is a stored result (a verdict, a probe report) would differ
-    in its last bit between interpreters.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values)
+    """Mean of a non-empty list, added left to right (a verdict and a
+    probe report are stored results: see :func:`ordered_sum`)."""
+    return ordered_sum(values) / len(values)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,11 @@ from __future__ import annotations
 from .. import viz
 from ..alloc.bwe import BweController
 from ..cca.cbr import CbrCca
-from ..fluid.queue import ordered_sum
 from ..qa.scenario import FlowSpec, Scenario, run_scenario
 from ..sim.engine import Simulator
 from ..sim.network import dumbbell
 from ..tcp.endpoint import Connection
-from ..units import mbps, ms, to_mbps
+from ..units import mbps, ms, ordered_sum, to_mbps
 from .runner import ExperimentResult, Stopwatch, records_params
 
 #: (flow name, group, weight, CCA when contending)

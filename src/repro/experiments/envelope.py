@@ -19,6 +19,7 @@ from .. import viz
 from ..qa.oracles import _ELASTIC_ENVELOPE, _INELASTIC_ENVELOPE
 from ..qa.scenario import Scenario, run_scenario
 from ..runtime import parallel_map
+from ..units import ordered_sum
 from .runner import ExperimentResult, Stopwatch, records_params
 
 #: The calibrated cells: (cross_traffic, rate_mbps, rtt_ms, expected
@@ -60,7 +61,7 @@ def run(backend: str = "packet", duration: float = 20.0, seed: int = 1,
         contending = bool(probe.get("contending"))
         agree = contending == expected
         agreements += agree
-        total = sum(outcome.delivered.values())
+        total = ordered_sum(outcome.delivered.values())
         share = (outcome.delivered.get("probe", 0) / total
                  if total else 0.0)
         rows.append({

@@ -16,7 +16,7 @@ from .. import viz
 from ..analysis.fairness import harm, jain_index
 from ..core.detector import ordered_mean
 from ..qa.scenario import FlowSpec, Scenario, run_scenario
-from ..units import mbps, to_mbps
+from ..units import mbps, ordered_sum, to_mbps
 from .runner import ExperimentResult, Stopwatch, records_params
 
 DEFAULT_PAIRS = (("reno", "bbr"), ("cubic", "bbr"), ("reno", "cubic"),
@@ -44,7 +44,7 @@ def _race(pair: tuple[str, str], qdisc_name: str, rate_mbps: float,
         "jain": round(jain_index(rates), 4),
         "harm_to_a": round(harm(fair_share, rates[0]), 4),
         "harm_to_b": round(harm(fair_share, rates[1]), 4),
-        "utilization": round(sum(rates) / rate, 4),
+        "utilization": round(ordered_sum(rates) / rate, 4),
     }
 
 

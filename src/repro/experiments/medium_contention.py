@@ -37,6 +37,7 @@ from ..core.detector import ContentionDetector, ordered_mean
 from ..core.path import build_packet_path
 from ..medium import parse_medium
 from ..runtime import parallel_map
+from ..units import ordered_sum
 from .runner import ExperimentResult, Stopwatch, records_params
 
 #: The medium sweep: a queue control plus CSMA/CA at 2/4/8 stations
@@ -82,7 +83,7 @@ def _run_cell(cell, rate_mbps: float, rtt_ms: float, duration: float,
         model.run(duration)
         readings = list(flows["probe"].report(duration).readings)
         probe_bytes = flows["probe"].delivered_bytes
-        total_bytes = sum(f.delivered_bytes for f in flows.values())
+        total_bytes = ordered_sum(f.delivered_bytes for f in flows.values())
     else:
         handles, sources = build_packet_path(spec, cross_ids=cross_ids)
         handles.sim.run(until=duration)

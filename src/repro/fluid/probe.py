@@ -25,9 +25,8 @@ import math
 from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
                                cross_traffic_estimate)
 from ..core.probe import ProbeReport
-from ..units import DEFAULT_MSS
+from ..units import DEFAULT_MSS, ordered_sum
 from .flows import FluidFlow
-from .queue import ordered_sum
 
 #: Mirrors NimbusCca's rate-smoothing window (seconds).
 RATE_SMOOTHING = 0.06

@@ -24,27 +24,12 @@ from collections import deque
 from ..errors import ConfigError
 from ..medium.bianchi import airtime_shares, expected_service_time
 from ..medium.config import MediumSpec
-from ..units import DEFAULT_PACKET_SIZE
+from ..units import DEFAULT_PACKET_SIZE, ordered_sum
 
 # Every ``tick(arrivals, dt)`` takes one float of arriving bytes per
 # flow and returns ``(served, dropped, marked, delays)``, each one
 # float per flow.  A model holds at most six flows, where plain lists
 # beat numpy vectors several times over (DESIGN.md section 7).
-
-
-def ordered_sum(values) -> float:
-    """Sum of floats, strictly left to right.
-
-    Everything in :mod:`repro.fluid` that feeds a result adds with
-    this, never with builtin ``sum()``: from Python 3.12 that is
-    compensated (Neumaier), so the same values would add up to a
-    different last bit -- and a different stored fingerprint --
-    depending on the interpreter.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 class FifoBottleneck:

@@ -38,6 +38,7 @@ import math
 from typing import Sequence
 
 from ..errors import ConfigError
+from ..units import ordered_sum
 from .config import PER_TX_OVERHEAD, SIFS, SLOT_TIME, MacClass
 
 #: Fixed-point iteration controls (damped; converges in tens of steps).
@@ -143,7 +144,7 @@ def saturation_throughput(n_stations: int, rate: float,
         raise ConfigError(f"rate must be positive: {rate}")
     shares = airtime_shares([cls] * n_stations, payload_bytes / rate,
                             slot=slot, sifs=sifs, overhead=overhead)
-    return sum(shares) * rate
+    return ordered_sum(shares) * rate
 
 
 def expected_service_time(classes: Sequence[MacClass], payload_time: float,

@@ -70,12 +70,12 @@ class NdtCollector:
 
     def record(self, access_rate_bps: float = 0.0) -> NdtRecord:
         """Build the NDT record (call after the simulation has run)."""
-        return NdtRecord(
+        return NdtRecord.from_snapshots(
+            self._snapshots,
             uuid=f"collected-{self.flow_id}",
             duration_s=self.duration,
             access_type=self.access_type,
             access_rate_bps=access_rate_bps,
-            snapshots=tuple(self._snapshots),
             true_class=self.true_class,
             true_contention=self.true_contention,
         )

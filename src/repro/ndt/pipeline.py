@@ -24,6 +24,7 @@ import numpy as np
 from ..analysis.changepoint import throughput_level_shift
 from ..errors import AnalysisError
 from ..analysis.stats import CdfSketch, bootstrap_ci
+from ..units import ordered_sum
 from .filters import FlowCategory, categorize
 from .schema import NdtRecord
 
@@ -327,10 +328,10 @@ class _ShardRatio:
 
     def __call__(self, indices) -> float:
         idx = [int(i) for i in indices]
-        denom = sum(self.sizes[i] for i in idx)
+        denom = ordered_sum(self.sizes[i] for i in idx)
         if denom == 0:
             return 0.0
-        return sum(self.hits[i] for i in idx) / denom
+        return ordered_sum(self.hits[i] for i in idx) / denom
 
 
 def _sketches_of(flows) -> dict[FlowCategory, CdfSketch]:
@@ -348,7 +349,7 @@ def _level_shifts(records, categories,
     by_length: dict[int, list[int]] = {}
     for i, category in enumerate(categories):
         if category is FlowCategory.REMAINING:
-            by_length.setdefault(len(records[i].snapshots), []).append(i)
+            by_length.setdefault(records[i].n_snapshots, []).append(i)
     shifts = [0] * len(records)
     for group in by_length.values():
         results = throughput_level_shift(

@@ -3,15 +3,21 @@
 M-Lab's NDT (network diagnostic test) archives one row per measurement
 with periodic Linux ``TCPInfo`` snapshots.  The paper's §3.1 queries a
 month of these rows and keys on a handful of fields; we model exactly
-those, reusing :class:`repro.tcp.tcp_info.TcpInfoSnapshot` as the
-snapshot type so records collected from our simulator and records
-synthesized by :mod:`repro.ndt.synth` are interchangeable.
+those, with the field set of :class:`repro.tcp.tcp_info.TcpInfoSnapshot`
+so records collected from our simulator and records synthesized by
+:mod:`repro.ndt.synth` are interchangeable.
+
+A record holds its snapshots as **columns**, one tuple per snapshot
+field: the pipeline reads only columns (a throughput series, a last
+counter value), and :mod:`repro.ndt.synth` computes each field as one.
+Row objects are built on request (:attr:`NdtRecord.snapshots`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import starmap
 
 import numpy as np
 
@@ -21,6 +27,10 @@ from ..tcp.tcp_info import TcpInfoSnapshot
 #: Client access technologies; "cellular" is what §3.1 tries to infer
 #: and exclude.
 ACCESS_TYPES = ("fiber", "cable", "dsl", "wifi", "cellular", "satellite")
+
+#: ``TcpInfoSnapshot`` field names: the order of :attr:`NdtRecord.columns`.
+SNAPSHOT_FIELDS = tuple(f.name for f in fields(TcpInfoSnapshot))
+_COLUMN_INDEX = {name: i for i, name in enumerate(SNAPSHOT_FIELDS)}
 
 
 @dataclass(frozen=True)
@@ -34,7 +44,9 @@ class NdtRecord:
             the client network; we carry it as metadata).
         access_rate_bps: provisioned access rate (ground truth in
             synthetic data; unknown, 0, in collected data).
-        snapshots: TCPInfo snapshot stream, in time order.
+        columns: the TCPInfo snapshot stream, in time order, as one
+            tuple per :data:`SNAPSHOT_FIELDS` entry (sequences are
+            converted to tuples).
         true_class: hidden ground-truth behaviour label (synthetic data
             only, for validating the pipeline; empty otherwise).
         true_contention: ground truth: did another flow's CCA actually
@@ -48,7 +60,7 @@ class NdtRecord:
     duration_s: float
     access_type: str
     access_rate_bps: float
-    snapshots: tuple[TcpInfoSnapshot, ...]
+    columns: tuple[tuple, ...]
     true_class: str = ""
     true_contention: bool = False
     cca: str = ""
@@ -57,38 +69,62 @@ class NdtRecord:
         if self.access_type not in ACCESS_TYPES:
             raise AnalysisError(
                 f"unknown access type {self.access_type!r}")
-        if len(self.snapshots) < 2:
+        columns = tuple(map(tuple, self.columns))
+        lengths = {len(column) for column in columns}
+        if len(columns) != len(SNAPSHOT_FIELDS) or len(lengths) != 1:
+            raise AnalysisError(f"a record needs {len(SNAPSHOT_FIELDS)} "
+                                "snapshot columns of one length")
+        if lengths.pop() < 2:
             raise AnalysisError("a record needs at least two snapshots")
+        object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def from_snapshots(cls, rows, **record_fields) -> "NdtRecord":
+        """A record from :class:`TcpInfoSnapshot` rows, in time order."""
+        rows = tuple(rows)
+        return cls(columns=[[getattr(row, name) for row in rows]
+                            for name in SNAPSHOT_FIELDS], **record_fields)
+
+    def column(self, name: str) -> tuple:
+        """One snapshot field over time, by ``TcpInfoSnapshot`` name."""
+        return self.columns[_COLUMN_INDEX[name]]
+
+    @property
+    def n_snapshots(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def snapshots(self) -> tuple[TcpInfoSnapshot, ...]:
+        """The snapshot rows, built on each access."""
+        return tuple(starmap(TcpInfoSnapshot, zip(*self.columns)))
 
     # -- §3.1 observable fields -------------------------------------------
 
     @property
     def final(self) -> TcpInfoSnapshot:
-        return self.snapshots[-1]
+        return TcpInfoSnapshot(*(column[-1] for column in self.columns))
 
     @property
     def app_limited_us(self) -> float:
         """The AppLimited field §3.1 filters on (> 0 means limited)."""
-        return self.final.app_limited_us
+        return self.column("app_limited_us")[-1]
 
     @property
     def rwnd_limited_us(self) -> float:
         """The RWndLimited field §3.1 filters on."""
-        return self.final.rwnd_limited_us
+        return self.column("rwnd_limited_us")[-1]
 
     @property
     def mean_throughput_bps(self) -> float:
-        elapsed = self.final.elapsed_time_us / 1e6
+        elapsed = self.column("elapsed_time_us")[-1] / 1e6
         if elapsed <= 0:
             return 0.0
-        return self.final.bytes_acked / elapsed
+        return self.column("bytes_acked")[-1] / elapsed
 
     def throughput_series(self) -> np.ndarray:
         """Per-interval throughput (bytes/second) between snapshots."""
-        acked = np.array([s.bytes_acked for s in self.snapshots],
-                         dtype=float)
-        times = np.array([s.elapsed_time_us for s in self.snapshots],
-                         dtype=float) / 1e6
+        acked = np.array(self.column("bytes_acked"), dtype=float)
+        times = np.array(self.column("elapsed_time_us"), dtype=float) / 1e6
         dt = np.diff(times)
         if np.any(dt <= 0):
             raise AnalysisError(f"{self.uuid}: snapshots not increasing")
@@ -97,15 +133,21 @@ class NdtRecord:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        """Fields in order; the columns as a ``"snapshots"`` row list."""
+        payload = {}
+        for f in fields(self):
+            if f.name == "columns":
+                payload["snapshots"] = [dict(zip(SNAPSHOT_FIELDS, row))
+                                        for row in zip(*self.columns)]
+            else:
+                payload[f.name] = getattr(self, f.name)
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "NdtRecord":
         payload = json.loads(text)
-        snapshots = tuple(TcpInfoSnapshot(**s)
-                          for s in payload.pop("snapshots"))
-        return cls(snapshots=snapshots, **payload)
+        rows = [TcpInfoSnapshot(**s) for s in payload.pop("snapshots")]
+        return cls.from_snapshots(rows, **payload)
 
 
 @dataclass

@@ -41,26 +41,24 @@ what makes the dataset streamable:
 in isolation (a worker on another machine can render flows
 [start, start+count) without touching the rest), and
 :meth:`~SyntheticNdtGenerator.generate` is the shard that starts at 0.
-Measured per flow: stream derivation (SHA-256, ``SeedSequence``,
-``PCG64``) 8-10 us, plan draws 7 us (30 us while ``Generator.choice``
-re-validated ``p`` per draw), rendering ~115 us (300 us as a
-per-snapshot loop), most of it building the 40 frozen snapshots -- a
-shared counter-based stream would change every record to save under a
-tenth.  Fields are computed one numpy column each and converted with
-``tolist()``: records hold plain ``int``/``float``.
+Measured per flow (2-vCPU host): stream derivation (SHA-256,
+``SeedSequence``, ``PCG64``) 11 us, plan draws 8 us (30 us while
+``Generator.choice`` re-validated ``p`` per draw), rendering 36 us (300
+us as a per-snapshot loop, ~105 us while it built 40 frozen snapshot
+objects) -- a shared counter-based stream would change every record to
+save a fifth.  Each field is one numpy column, converted with
+``tolist()`` and kept as the record's column of plain ``int``/``float``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..sim.rng import RngRegistry, _stream_seed
-from ..tcp.tcp_info import TcpInfoSnapshot
 from ..units import mbps
 from .schema import NdtDataset, NdtRecord
 
@@ -260,7 +258,7 @@ class SyntheticNdtGenerator:
 
         # One column per ``TcpInfoSnapshot`` field, in field order (the
         # IEEE operations a per-snapshot expression would do, in its
-        # order), each converted to Python numbers once, then zipped.
+        # order), each converted to Python numbers once.
         elapsed_us = (times * 1e6).tolist()
         retrans = acked * 0.002
         columns = (
@@ -281,7 +279,7 @@ class SyntheticNdtGenerator:
             uuid=uuid, duration_s=m.test_duration,
             access_type=plan.access_type,
             access_rate_bps=plan.access_rate,
-            snapshots=tuple(starmap(TcpInfoSnapshot, zip(*columns))),
+            columns=columns,
             true_class=plan.behaviour,
             true_contention=plan.contention,
             cca=plan.cca,

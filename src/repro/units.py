@@ -6,6 +6,7 @@ Internal conventions used throughout the package:
 * data        -- bytes (int where possible)
 * rate        -- bytes per second (float)
 * cwnd        -- packets (float; fractional windows are meaningful for AIMD)
+* float sums  -- strictly left to right (:func:`ordered_sum`)
 
 External interfaces (CLI flags, experiment configs, the paper's prose) speak
 in megabits per second and milliseconds; these helpers translate at the
@@ -29,6 +30,21 @@ DEFAULT_PACKET_SIZE = 1500
 
 #: Size of a bare ACK segment on the wire.
 ACK_SIZE = 64
+
+
+def ordered_sum(values) -> float:
+    """Sum of floats, strictly left to right.
+
+    Float sums that feed a result add with this, never with builtin
+    ``sum()``: from Python 3.12 that is compensated (Neumaier), so the
+    same values would sum to a different last bit -- and a different
+    stored fingerprint -- depending on the interpreter
+    (``tests/test_builtin_sum.py`` allow-lists the other calls).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def mbps(value: float) -> float:

@@ -1,14 +1,20 @@
 """Tests for the NDT schema, synthetic population, filters, and pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConfigError
-from repro.ndt import (Fig2Result, FlowCategory, NdtDataset, NdtRecord,
-                       PopulationModel, SyntheticNdtGenerator, analyse_flow,
-                       analyse_records, categorize, infer_cellular,
+from repro.ndt import (Fig2Result, FlowCategory, NdtCollector, NdtDataset,
+                       NdtRecord, PopulationModel, ShardSpec,
+                       SyntheticNdtGenerator, analyse_flow, analyse_records,
+                       analyse_shard, categorize, infer_cellular,
                        is_app_limited, is_rwnd_limited)
+from repro.ndt.schema import SNAPSHOT_FIELDS
+from repro.sim import Simulator, dumbbell
 from repro.tcp.tcp_info import TcpInfoSnapshot
+from repro.units import mbps, ms
 
 
 def snap(elapsed_s, acked, app_us=0.0, rwnd_us=0.0, tput=1e6):
@@ -30,9 +36,19 @@ def record(snaps=None, access="cable", app_us=0.0, rwnd_us=0.0,
             acked += int(rate)
             snaps.append(snap(total, acked, app_us=app_us,
                               rwnd_us=rwnd_us, tput=rate))
-    return NdtRecord(uuid="t", duration_s=10.0, access_type=access,
-                     access_rate_bps=10e6, snapshots=tuple(snaps),
-                     true_contention=true_contention)
+    return NdtRecord.from_snapshots(
+        snaps, uuid="t", duration_s=10.0, access_type=access,
+        access_rate_bps=10e6, true_contention=true_contention)
+
+
+def collected_record():
+    """A 2 s NDT-style test collected from the packet simulator."""
+    sim = Simulator()
+    collector = NdtCollector(sim, dumbbell(sim, mbps(10), ms(30)), "t",
+                             duration=2.0)
+    collector.start()
+    sim.run(until=2.5)
+    return collector.record(access_rate_bps=mbps(10))
 
 
 class TestSchema:
@@ -46,9 +62,42 @@ class TestSchema:
         assert rec.mean_throughput_bps == pytest.approx(2e6)
 
     def test_requires_two_snapshots(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(AnalysisError, match="two snapshots"):
+            record(snaps=[snap(1.0, 100)])
+        with pytest.raises(AnalysisError, match="two snapshots"):
+            record(snaps=[])
+
+    @pytest.mark.parametrize("columns", [
+        pytest.param(lambda cols: cols[:-1], id="one-column-short"),
+        pytest.param(lambda cols: cols + (cols[0],), id="one-column-extra"),
+        pytest.param(lambda cols: (cols[0][:-1],) + cols[1:], id="ragged"),
+    ])
+    def test_malformed_columns_rejected(self, columns):
+        good = record(rates=[1e6] * 3)
+        with pytest.raises(AnalysisError, match="column"):
             NdtRecord(uuid="x", duration_s=1.0, access_type="cable",
-                      access_rate_bps=1e6, snapshots=(snap(1.0, 100),))
+                      access_rate_bps=1e6,
+                      columns=columns(good.columns))
+
+    def test_columns_are_field_tuples(self):
+        rec = record()
+        listed = replace(rec, columns=[list(c) for c in rec.columns])
+        assert listed == rec
+        assert all(type(c) is tuple for c in listed.columns)
+        assert rec.column("bytes_acked") == tuple(
+            s.bytes_acked for s in rec.snapshots)
+        assert rec.final == rec.snapshots[-1]
+        assert rec.n_snapshots == len(rec.snapshots) == 10
+
+    def test_from_snapshots_round_trips_and_hashes(self):
+        records = SyntheticNdtGenerator(seed=4).generate(30).records
+        for rec in records + [collected_record()]:
+            meta = {k: v for k, v in vars(rec).items() if k != "columns"}
+            clone = NdtRecord.from_snapshots(rec.snapshots, **meta)
+            assert clone == rec
+            assert hash(clone) == hash(rec)
+            assert NdtRecord.from_json(rec.to_json()) == rec
+        assert len(set(records + records)) == len(records)
 
     def test_unknown_access_type_rejected(self):
         with pytest.raises(AnalysisError):
@@ -148,10 +197,26 @@ class TestSynth:
         records = SyntheticNdtGenerator(seed=11).generate(80).records
         assert {"cellular", "cable"} <= {r.access_type for r in records}
         for rec in records:
-            for snapshot in rec.snapshots:
-                for name, value in vars(snapshot).items():
-                    assert type(value) in (int, float), name
+            for name, column in zip(SNAPSHOT_FIELDS, rec.columns):
+                assert {type(v) for v in column} <= {int, float}, name
             assert NdtRecord.from_json(rec.to_json()) == rec
+
+    def test_shard_builds_no_snapshot_rows(self, monkeypatch):
+        # Records are rendered and analysed as columns; a row object
+        # built per snapshot is what the columnar record removed.
+        built = []
+        init = TcpInfoSnapshot.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TcpInfoSnapshot, "__init__", counting_init)
+        result = analyse_shard(ShardSpec(seed=1, start=0, count=200))
+        assert result.total == 200
+        assert built == []
+        record()  # rows built by hand are counted
+        assert built
 
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigError):

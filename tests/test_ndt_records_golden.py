@@ -22,7 +22,10 @@ rewritten to compute snapshot fields by column and PELT became one
 batched kernel, so it is the proof that both emit what the per-element
 code did.  It was regenerated once when PELT's pruning was deleted for
 the exact search: the raw breakpoints of seed 1 flow 816 and seed
-20230 flow 401 moved to the optimum, and nothing else did.  Regenerate
+20230 flow 401 moved to the optimum, and nothing else did.  It passed
+byte-unchanged across the rewrite that made a record hold its snapshots
+as field columns instead of row objects, and was not regenerated for
+it.  Regenerate
 (deliberately, explaining why in the diff) with::
 
     PYTHONPATH=src python tests/test_ndt_records_golden.py
