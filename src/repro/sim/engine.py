@@ -11,7 +11,10 @@ be cancelled; :meth:`Simulator.call_later` / :meth:`Simulator.call_at`
 are the never-cancelled fast path -- they push a bare callback with no
 handle allocation, which matters because the overwhelming majority of
 events (transmission completions, propagation arrivals, pacing ticks)
-are never cancelled.
+are never cancelled.  A handle can also be moved:
+:meth:`Simulator.reschedule` gives it the key a cancel followed by a
+``schedule`` would, but pushes nothing when the deadline moves later
+(a retransmission timer restarted on every ACK).
 """
 
 from __future__ import annotations
@@ -39,14 +42,20 @@ class Event:
     unique, so later elements are never compared.  The fourth slot is
     None for the fast path (:meth:`Simulator.call_later`), which never
     allocates a handle at all.
+
+    ``(time, seq)`` is the current key; ``filed`` says whether it has an
+    entry yet (a moved event may not).  ``cancelled`` is also set once
+    the callback runs, so a fired handle is neither revived nor counted.
     """
 
-    __slots__ = ("time", "callback", "cancelled")
+    __slots__ = ("time", "seq", "callback", "cancelled", "filed")
 
-    def __init__(self, time: float, callback: Callable[[], Any]):
+    def __init__(self, time: float, seq: int, callback: Callable[[], Any]):
         self.time = time
+        self.seq = seq
         self.callback = callback
         self.cancelled = False
+        self.filed = True
 
     def cancel(self) -> None:
         """Prevent the callback from running; safe to call repeatedly."""
@@ -86,16 +95,7 @@ class Simulator:
         ``-_EPSILON``) are clamped to zero; genuinely negative delays
         raise :class:`SimulationError`.
         """
-        if delay < 0:
-            if delay <= -_EPSILON:
-                raise SimulationError(
-                    f"cannot schedule in the past: {delay!r}")
-            delay = 0.0
-        time = self.now + delay
-        event = Event(time, callback)
-        heapq.heappush(self._heap,
-                       (time, next(self._seq), callback, event))
-        return event
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Run ``callback`` at absolute simulation time ``time``."""
@@ -104,10 +104,27 @@ class Simulator:
                 raise SimulationError(
                     f"cannot schedule at {time} (now is {self.now})")
             time = self.now
-        event = Event(time, callback)
-        heapq.heappush(self._heap,
-                       (time, next(self._seq), callback, event))
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, callback, event))
         return event
+
+    def reschedule(self, event: Event, delay: float) -> None:
+        """Move a pending ``event`` to ``delay`` seconds from now, with
+        the key cancel-then-:meth:`schedule` would give it: the next
+        sequence number is drawn now, not when an entry is filed.  A
+        later deadline pushes nothing; the queued entry surfaces first
+        and is re-filed under the current key."""
+        if event.cancelled:
+            raise SimulationError("cannot move a fired or cancelled event")
+        if delay <= -_EPSILON:
+            raise SimulationError(f"cannot schedule in the past: {delay!r}")
+        time = self.now + delay if delay > 0 else self.now
+        seq = next(self._seq)
+        event.filed = time < event.time
+        if event.filed:
+            heapq.heappush(self._heap, (time, seq, event.callback, event))
+        event.time, event.seq = time, seq
 
     def call_later(self, delay: float, callback: Callable[[], Any]) -> None:
         """Fast path: like :meth:`schedule` but with no cancellation
@@ -135,11 +152,25 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
+    def _passed_over(self, seq: int, event: Event) -> bool:
+        """Whether a popped handle entry must not run.  Re-files a moved
+        event under its current key if that has no entry yet."""
+        if event.cancelled:
+            return True
+        if seq == event.seq:
+            event.cancelled = True  # fired: stale entries drop, no revival
+            return False
+        if not event.filed:
+            event.filed = True
+            heapq.heappush(self._heap, (event.time, event.seq,
+                                        event.callback, event))
+        return True
+
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         while self._heap:
-            time, _, callback, event = heapq.heappop(self._heap)
-            if event is not None and event.cancelled:
+            time, seq, callback, event = heapq.heappop(self._heap)
+            if event is not None and self._passed_over(seq, event):
                 continue
             self.now = time
             callback()
@@ -166,12 +197,12 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                time, _, callback, event = entry
-                if event is not None and event.cancelled:
-                    continue
+                time, seq, callback, event = entry
                 if time > limit:
                     heapq.heappush(heap, entry)  # same (time, seq): same place
                     break
+                if event is not None and self._passed_over(seq, event):
+                    continue
                 self.now = time
                 callback()
                 executed += 1
@@ -197,19 +228,20 @@ class Simulator:
     def pending(self) -> int:
         """Number of heap entries still queued.
 
-        This counts *cancelled* events too: cancellation only marks the
-        entry (removal from the middle of a heap is O(n)), and the mark
-        is skipped lazily at dispatch time.  Use :attr:`pending_active`
-        for the number of events that will actually run.
+        This counts entries that will never run -- a cancelled or fired
+        event's, or one a moved timer left -- since they are dropped
+        lazily at dispatch (removal from a heap's middle is O(n)).  Use
+        :attr:`pending_active` for the number of events that will run.
         """
         return len(self._heap)
 
     @property
     def pending_active(self) -> int:
-        """Number of queued events that have not been cancelled.
+        """Number of events that will still run, each counted once by
+        its current key however many entries it holds.
 
         O(pending): walks the heap, so prefer :attr:`pending` in hot
         paths where the distinction does not matter.
         """
-        return sum(1 for entry in self._heap
-                   if entry[3] is None or not entry[3].cancelled)
+        return (sum(1 for entry in self._heap if entry[3] is None)
+                + len({e for *_, e in self._heap if e and not e.cancelled}))

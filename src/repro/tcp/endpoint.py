@@ -450,11 +450,12 @@ class TcpSender:
                       {"pacing_rate": pacing} if pacing is not None else None)
 
         # Restart the retransmission timer while data is outstanding.
-        if self._rto_event is not None:
-            self._rto_event.cancelled = True
-            self._rto_event = None
-        if self.snd_nxt > ack:
+        if self.snd_nxt <= ack:
+            self._disarm_rto()
+        elif self._rto_event is None:
             self._rto_event = self.sim.schedule(rtt.rto, self._on_rto)
+        else:
+            self.sim.reschedule(self._rto_event, rtt.rto)
         if self._closed:
             self._maybe_complete()
 
@@ -532,8 +533,11 @@ class TcpSender:
                 or self._total_written > self.snd_nxt):
             # Restarted even if the pump just armed it: the timer runs
             # from the end of the go-back-N burst.
-            self._disarm_rto()
-            self._rto_event = self.sim.schedule(self.rtt.rto, self._on_rto)
+            if self._rto_event is None:
+                self._rto_event = self.sim.schedule(self.rtt.rto,
+                                                    self._on_rto)
+            else:
+                self.sim.reschedule(self._rto_event, self.rtt.rto)
 
     # -- accounting ---------------------------------------------------------
 

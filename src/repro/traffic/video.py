@@ -23,7 +23,7 @@ from ..errors import ConfigError
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
 from ..tcp.endpoint import Connection
-from ..units import mbps
+from ..units import mbps, ordered_sum
 from .base import TrafficSource
 
 #: A Netflix/YouTube-style bitrate ladder, in Mbit/s.
@@ -43,7 +43,7 @@ class VideoStats:
     def mean_bitrate(self) -> float:
         if not self.bitrate_history:
             return 0.0
-        return sum(self.bitrate_history) / len(self.bitrate_history)
+        return ordered_sum(self.bitrate_history) / len(self.bitrate_history)
 
 
 class VideoStream(TrafficSource):

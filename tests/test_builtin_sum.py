@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Packages whose values end up in results, fingerprints or goldens.
 SCANNED = ("core", "fluid", "analysis", "ndt", "alloc", "medium", "cca",
-           "experiments")
+           "experiments", "sim", "tcp", "qdisc", "traffic")
 
 INTS = "ints: sums of counts or booleans are exact in any order"
 
@@ -43,6 +43,12 @@ ALLOWED = {
     ("repro.experiments.subpacket", "_run_link"): INTS,
     ("repro.ndt.pipeline", "Fig2Result.from_flows"): INTS,
     ("repro.ndt.synth", "PopulationModel.__post_init__"): VALIDATION,
+    ("repro.sim.engine", "Simulator.pending_active"):
+        "ints: a count of heap entries",
+    ("repro.sim.medium", "MediumLink.queue_delay"):
+        "ints: qdisc backlogs in bytes",
+    ("repro.traffic.poisson", "PoissonShortFlows.offered_load"):
+        "ints: FlowRecord.size is an int byte count",
 }
 
 

@@ -20,6 +20,9 @@ It was generated on the commit *before* the per-packet path of
 ``tcp/endpoint.py``, ``sim/link.py``, ``qdisc/fifo.py`` and the engine
 loop was rewritten for fewer Python calls, so it is the proof that the
 rewrite scheduled the same events at the same times in the same order.
+It also passed unregenerated when the RTO timer became a lazy deadline
+moved by ``Simulator.reschedule`` instead of being cancelled and
+re-scheduled on every ACK.
 Regenerate (deliberately, explaining why in the diff) with::
 
     PYTHONPATH=src python tests/test_tcp_wire_golden.py
