@@ -13,13 +13,14 @@ Subcommands:
 * ``repro synth-ndt --flows 1000 --out ndt.jsonl`` -- write a synthetic
   NDT dataset.
 * ``repro store stat|ls|gc`` -- inspect and prune the result store.
-* ``repro qa fuzz|search|envelope|shrink|corpus`` -- deterministic
-  scenario fuzzing against the oracle suite, coverage-guided
-  adversarial search, the per-detector robustness-envelope artifact,
-  failure minimization, and the committed regression corpus (see
+* ``repro qa fuzz|search|envelope|shrink|corpus`` -- the one QA loop,
+  unguided on packet (random scenario fuzzing against the oracle
+  suite) or guided on fluid (coverage-guided adversarial search);
+  the per-detector robustness-envelope artifact, failure
+  minimization, and the committed regression corpus (see
   TESTING.md).
 * ``repro serve`` -- run the always-on experiment service: an asyncio
-  HTTP server accepting campaign/pipeline/sweep/qa-fuzz/qa-search/
+  HTTP server accepting campaign/pipeline/sweep/qa-search/
   qa-envelope requests as JSON, with request coalescing, store-backed
   cache hits, rate limiting, and graceful drain (see SERVING.md).
 * ``repro cluster status`` -- probe a federation of serve nodes and
@@ -28,7 +29,7 @@ Subcommands:
   nodes and merge results back (see SERVING.md, "Cluster mode").
 
 Machine-readable output: ``run`` / ``trace`` / ``metrics`` / ``qa
-fuzz`` / ``qa corpus`` accept ``--json``, printing a single JSON
+fuzz|search|envelope|corpus`` accept ``--json``, printing a single JSON
 document to stdout.  Exit codes are uniform: 0 success, 1 failure
 (including any :class:`repro.errors.ReproError`), 2 usage error.
 
@@ -378,52 +379,17 @@ def _promote_failures(found, args) -> None:
               f"({runs} shrink runs)", file=sys.stderr)
 
 
-def cmd_qa_fuzz(args) -> int:
-    """``repro qa fuzz``: run a budgeted scenario-fuzzing campaign.
-
-    Stdout carries only the deterministic verdict report (identical
-    across reruns of the same seed/budget, cache hits included);
-    timing and cache statistics go to stderr.  Failures are shrunk to
-    minimal repros and written into ``--corpus-out`` for triage.
-    """
-    import time as _time
-
-    from .qa.fuzz import sample_scenario
-    from .qa.oracles import ORACLES
-    from .qa.search import SearchFailure
-    from .serve.jobs import execute_qa_fuzz
-
-    t0 = _time.time()
-    summary, report = execute_qa_fuzz(
-        _cli_store(args), None, budget=args.budget, seed=args.seed,
-        pool_check=not args.no_pool_check)
-    if args.json:
-        _print_json(summary)
-    else:
-        print(report.render())
-    print(f"[{_time.time() - t0:.1f}s, {report.cache_hits} cached "
-          f"verdicts]", file=sys.stderr)
-    if report.failures and not args.no_shrink:
-        # Synthetic findings (pool-equivalence) have no oracle to hold.
-        shrinkable = {o.name for o in ORACLES}
-        _promote_failures(
-            [(SearchFailure(sample_scenario(v.index, args.seed),
-                            v.findings[0].oracle, (str(v.findings[0]),),
-                            (), reproduced=False),
-              f"fuzz seed={args.seed} index={v.index}")
-             for v in report.failures[:args.max_shrink]
-             if v.findings[0].oracle in shrinkable], args)
-    return 1 if report.failures else 0
-
-
 def cmd_qa_search(args) -> int:
-    """``repro qa search``: coverage-guided adversarial search.
+    """``repro qa search`` (guided, on fluid) and ``repro qa fuzz``
+    (unguided, on packet): one QA loop, :func:`repro.qa.search.
+    run_search`.
 
-    Stdout carries only the deterministic search report (a pure
-    function of seed/budget/threshold, bit-identical for any worker
-    count); timing goes to stderr.  Failures that reproduced on the
-    packet backend are shrunk and written into ``--corpus-out``; the
-    exit code is 1 only when at least one failure reproduced.
+    Stdout carries only the deterministic report (a pure function of
+    its arguments, bit-identical for any worker count); timing goes
+    to stderr.  Failures that reproduced on the packet backend (every
+    ``qa fuzz`` failure is a packet finding) are shrunk and written
+    into ``--corpus-out``; the exit code is 1 only when at least one
+    failure reproduced.
     """
     import time as _time
 
@@ -440,9 +406,10 @@ def cmd_qa_search(args) -> int:
             qdisc_thresholds=qdisc_thresholds)
     else:
         report = run_search(args.budget, seed=args.seed,
-                            workers=args.workers,
-                            threshold=args.threshold,
-                            qdisc_thresholds=qdisc_thresholds)
+                            workers=getattr(args, "workers", None),
+                            threshold=getattr(args, "threshold", 2.0),
+                            qdisc_thresholds=qdisc_thresholds,
+                            guided=args.guided, backend=args.backend)
     if args.json:
         _print_json(report.to_dict())
     else:
@@ -450,8 +417,9 @@ def cmd_qa_search(args) -> int:
     print(f"[{_time.time() - t0:.1f}s]", file=sys.stderr)
     reproduced = report.reproduced_failures
     if not args.no_shrink:
-        _promote_failures([(failure, f"search seed={args.seed}")
-                           for failure in reproduced], args)
+        origin = f"{args.qa_command} seed={args.seed}"
+        _promote_failures([(failure, origin) for failure in reproduced],
+                          args)
     return 1 if reproduced else 0
 
 
@@ -799,19 +767,16 @@ def build_parser() -> argparse.ArgumentParser:
         add_json_flag(p)
 
     p_fuzz = qa_sub.add_parser(
-        "fuzz", help="run a budgeted scenario-fuzzing campaign")
+        "fuzz", help="run a budgeted scenario-fuzzing campaign "
+                     "(the search, unguided, on packet)")
     p_fuzz.add_argument("--budget", type=int, default=200,
                         help="number of scenarios to sample and judge")
     p_fuzz.add_argument("--seed", type=int, default=0,
                         help="campaign seed (the scenario stream is a "
                              "pure function of it)")
-    p_fuzz.add_argument("--no-cache", action="store_true",
-                        help="skip the verdict cache")
     add_shrink_flags(p_fuzz)
-    p_fuzz.add_argument("--no-pool-check", action="store_true",
-                        help="skip the worker-equivalence stage")
     add_json_flag(p_fuzz)
-    p_fuzz.set_defaults(fn=cmd_qa_fuzz)
+    p_fuzz.set_defaults(fn=cmd_qa_search, guided=False, backend="packet")
     p_search = qa_sub.add_parser(
         "search", help="coverage-guided adversarial scenario search")
     add_search_flags(p_search)
@@ -820,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evaluate candidates across repro serve "
                                "nodes (host1:8765,...); the report "
                                "stays byte-identical to a local run")
-    p_search.set_defaults(fn=cmd_qa_search)
+    p_search.set_defaults(fn=cmd_qa_search, guided=True, backend="fluid")
     p_envelope = qa_sub.add_parser(
         "envelope", help="produce the robustness-envelope artifact")
     add_search_flags(p_envelope)

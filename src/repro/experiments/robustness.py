@@ -4,19 +4,19 @@ The acceptance claim behind ``repro qa search`` is quantitative: at
 equal budget and seed, coverage-guided search must explore more of
 the scenario feature map than uniform random sampling and drive
 detector-confidence minima at least as low.  This experiment runs
-both arms -- the guided search of :mod:`repro.qa.search` and its
-random control, sharing one fresh-sample stream so the comparison is
-apples to apples -- and reports coverage, the confidence minima, and
-the jitter axis's contribution (how many covered cells involve
-endpoint timing jitter, the 2BRobust perturbation the detector must
-survive).
+both arms -- :func:`repro.qa.search.run_search`, and the same loop
+with guidance off on the guided arm's fresh-sample stream, so the
+comparison is apples to apples -- and reports coverage, the
+confidence minima, and the jitter axis's contribution (how many
+covered cells involve endpoint timing jitter, the 2BRobust
+perturbation the detector must survive).
 """
 
 from __future__ import annotations
 
 from .. import viz
 from ..errors import ConfigError
-from ..qa.search import run_random_baseline, run_search
+from ..qa.search import fresh_seed, run_search
 from .runner import ExperimentResult, Stopwatch, records_params
 
 
@@ -40,10 +40,10 @@ def run(budget: int = 300, seed: int = 0,
         with Stopwatch() as guided_watch:
             report = run_search(budget, seed=seed, workers=workers)
         with Stopwatch() as random_watch:
-            baseline = run_random_baseline(budget, seed=seed,
-                                           workers=workers)
+            control = run_search(budget, fresh_seed(seed),
+                                 workers=workers, guided=False)
 
-    guided = report.feature_map
+    guided, baseline = report.feature_map, control.feature_map
     ratio = (guided.coverage / baseline.coverage
              if baseline.coverage else float("inf"))
     gmin = guided.min_confidence()
@@ -57,7 +57,7 @@ def run(budget: int = 300, seed: int = 0,
         {"arm": "random", "cells": baseline.coverage,
          "jitter_cells": _jitter_cells(baseline.cells),
          "min_confidence": rmin,
-         "failures": sum(s["failures"] for s in baseline.cells.values()),
+         "failures": len(control.failures),
          "seconds": round(random_watch.elapsed, 2)},
     ]
     parts = [

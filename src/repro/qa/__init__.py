@@ -13,13 +13,14 @@ against explicit properties rather than point scenarios.
   invariants, metamorphic properties (seed determinism, rate
   monotonicity, elasticity rescaling invariance), and paper-level
   ground-truth oracles (elastic cross traffic must read elastic).
-* :mod:`repro.qa.fuzz` -- the seeded scenario sampler, the mutation
-  operators, and the random fuzz campaign driver (store-backed
-  caching of passing scenarios).
+* :mod:`repro.qa.fuzz` -- the seeded scenario sampler and the
+  mutation operators.
 * :mod:`repro.qa.features` -- the scenario feature map coverage-
   guided search steers by.
-* :mod:`repro.qa.search` -- coverage-guided adversarial search and
-  the per-detector robustness-envelope artifact.
+* :mod:`repro.qa.search` -- the one QA loop, :func:`run_search`:
+  coverage-guided adversarial search, or with ``guided=False`` plain
+  random fuzzing (``qa fuzz`` on packet, E13's control arm on fluid);
+  plus the per-detector robustness-envelope artifact.
 * :mod:`repro.qa.shrink` -- delta-debugging minimizer for failing
   scenarios.
 * :mod:`repro.qa.corpus` -- the committed regression corpus under
@@ -32,8 +33,7 @@ corpus``.
 from .corpus import (CorpusCase, load_case, load_corpus, replay_case,
                      save_case)
 from .features import FeatureCell, FeatureMap, feature_cell
-from .fuzz import (MUTATORS, FuzzReport, ScenarioVerdict, mutate_scenario,
-                   run_fuzz, sample_scenario)
+from .fuzz import MUTATORS, mutate_scenario, sample_scenario
 from .oracles import (ORACLES, FAULT_ENV, Oracle, OracleFinding,
                       oracles_for_index, run_oracles)
 from .scenario import (FLOW_CCAS, QDISC_NAMES, FlowSpec, Scenario,
@@ -41,7 +41,7 @@ from .scenario import (FLOW_CCAS, QDISC_NAMES, FlowSpec, Scenario,
                        scenario_fingerprint)
 from .search import (SearchFailure, SearchReport, build_envelope,
                      diff_envelopes, promote_failure, run_envelope,
-                     run_random_baseline, run_search)
+                     run_search)
 from .shrink import ShrinkResult, shrink
 
 __all__ = [
@@ -49,12 +49,10 @@ __all__ = [
     "build_qdisc", "run_scenario", "scenario_fingerprint",
     "Oracle", "OracleFinding", "ORACLES", "FAULT_ENV", "run_oracles",
     "oracles_for_index",
-    "run_fuzz", "sample_scenario", "FuzzReport", "ScenarioVerdict",
-    "MUTATORS", "mutate_scenario",
+    "sample_scenario", "MUTATORS", "mutate_scenario",
     "FeatureCell", "FeatureMap", "feature_cell",
     "SearchReport", "SearchFailure", "run_search", "run_envelope",
-    "build_envelope", "diff_envelopes", "run_random_baseline",
-    "promote_failure",
+    "build_envelope", "diff_envelopes", "promote_failure",
     "shrink", "ShrinkResult",
     "CorpusCase", "save_case", "load_case", "load_corpus", "replay_case",
 ]

@@ -13,7 +13,7 @@ File format (schema 1)::
       "schema": 1,
       "name": "<scenario fingerprint prefix>",
       "oracle": "<oracle name that originally failed>",
-      "origin": "fuzz seed=0 index=42 (shrunk)",
+      "origin": "fuzz seed=0 (shrunk, 12 runs)",
       "created": "2026-08-06",
       "scenario": { ... Scenario.to_dict() ... }
     }

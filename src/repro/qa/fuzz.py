@@ -1,42 +1,27 @@
-"""Seeded scenario fuzzing: sample, run, judge, cache.
+"""Seeded scenario sampling and mutation: what the QA loop draws from.
 
 :func:`sample_scenario` maps ``(index, seed)`` to one random-but-valid
 :class:`~repro.qa.scenario.Scenario` through the same SHA-256 seed
 derivation the parallel runtime uses, so the scenario stream is a pure
 function of the campaign seed -- independent of process, platform, and
-how many scenarios were drawn before.
+how many scenarios were drawn before.  ``repro qa fuzz`` is
+:func:`repro.qa.search.run_search` with guidance off: candidate *k* is
+``sample_scenario(k, seed)``, run on the packet backend.
 
-:func:`run_fuzz` drives a budgeted campaign: every scenario runs under
-full trace capture, is judged by the (period-gated) oracle suite, and
--- when it passes -- has its verdict cached in the artifact store keyed
-by the scenario + oracle-list fingerprint, so re-running the same
-campaign is nearly free while any change to scenario semantics or
-oracle selection invalidates exactly the affected entries.  A small
-pool-equivalence stage re-computes a few outcome fingerprints through
-:class:`~repro.runtime.pool.ParallelExecutor` workers and fails the
-campaign if worker processes disagree with the in-process result.
+:func:`mutate_scenario` applies one of the :data:`MUTATORS`; the
+guided search builds its children with it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..runtime.pool import ParallelExecutor, derive_seed
-from ..store.artifacts import ArtifactStore
-from ..store.fingerprint import fingerprint
+from ..runtime.pool import derive_seed
 from ..traffic.mix import CROSS_TRAFFIC_REGISTRY
-from .oracles import (FAULT_ENV, SUITE_VERSION, OracleFinding,
-                      oracles_for_index, run_oracles)
-from .scenario import (FLOW_CCAS, QDISC_NAMES, FlowSpec, Scenario,
-                       run_scenario, scenario_fingerprint)
-
-#: How many flows-family scenarios get the worker-equivalence check.
-POOL_CHECK_COUNT = 3
+from .scenario import FLOW_CCAS, QDISC_NAMES, FlowSpec, Scenario
 
 _FLOW_RATES = (4.0, 8.0, 16.0, 24.0)
 _FLOW_RTTS = (10.0, 20.0, 40.0, 80.0)
@@ -289,141 +274,3 @@ def mutate_scenario(scenario: Scenario,
         if mutated is not None:
             return mutated
     raise AssertionError("unreachable: _mut_seed always applies")
-
-
-@dataclass(frozen=True)
-class ScenarioVerdict:
-    """One scenario's judgement: which oracles ran, what they found."""
-
-    index: int
-    fingerprint: str
-    label: str
-    oracles: tuple[str, ...]
-    findings: tuple[OracleFinding, ...] = ()
-    cached: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return not self.findings
-
-
-@dataclass
-class FuzzReport:
-    """The outcome of one fuzz campaign."""
-
-    seed: int
-    budget: int
-    verdicts: list[ScenarioVerdict] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[ScenarioVerdict]:
-        return [v for v in self.verdicts if not v.passed]
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for v in self.verdicts if v.cached)
-
-    def render(self) -> str:
-        """Deterministic human-readable summary (stable across reruns
-        of the same campaign, cache hits included)."""
-        lines = [f"qa fuzz seed={self.seed} budget={self.budget}"]
-        for v in self.verdicts:
-            status = "FAIL" if v.findings else "pass"
-            lines.append(f"  [{v.index:4d}] {status} "
-                         f"{v.fingerprint[:12]} {v.label}")
-            for finding in v.findings:
-                lines.append(f"         ! {finding}")
-        lines.append(f"{self.budget - len(self.failures)}/{self.budget} "
-                     f"scenarios passed, {len(self.failures)} failed")
-        return "\n".join(lines)
-
-
-def _scenario_outcome_fingerprint(scenario: Scenario) -> str:
-    """Module-level (picklable) worker task for the pool check."""
-    return run_scenario(scenario).fingerprint()
-
-
-def _pool_check(scenarios: Sequence[Scenario],
-                expected: Sequence[str]) -> list[str]:
-    """Compare in-process outcome fingerprints against worker-process
-    ones; any divergence is a determinism bug in the pool or engine."""
-    with ParallelExecutor(workers=2) as executor:
-        via_pool = executor.map(_scenario_outcome_fingerprint,
-                                list(scenarios))
-    problems = []
-    for scenario, want, got in zip(scenarios, expected, via_pool):
-        if want != got:
-            problems.append(
-                f"worker outcome diverged for "
-                f"{scenario_fingerprint(scenario)[:12]} "
-                f"({scenario.label()}): {want[:12]} != {got[:12]}")
-    return problems
-
-
-def run_fuzz(budget: int, seed: int = 0,
-             store: ArtifactStore | None = None,
-             progress: Callable[[ScenarioVerdict], None] | None = None,
-             pool_check: bool = True) -> FuzzReport:
-    """Run a ``budget``-scenario fuzz campaign.
-
-    Args:
-        budget: number of scenarios to sample and judge.
-        seed: campaign seed; the full scenario stream and every verdict
-            are a pure function of ``(seed, budget)``.
-        store: artifact store for verdict caching (``None`` disables).
-        progress: called with each :class:`ScenarioVerdict` as it lands.
-        pool_check: run the worker-equivalence stage on the first few
-            flows-family scenarios.
-    """
-    report = FuzzReport(seed=seed, budget=budget)
-    fault = os.environ.get(FAULT_ENV, "")
-    pool_targets: list[tuple[Scenario, str]] = []
-    for index in range(budget):
-        scenario = sample_scenario(index, seed)
-        oracles = oracles_for_index(scenario, index)
-        oracle_names = tuple(o.name for o in oracles)
-        scen_fp = scenario_fingerprint(scenario)
-        cache_key = fingerprint(
-            {"suite": SUITE_VERSION, "scenario": scenario.to_dict(),
-             "oracles": oracle_names, "fault": fault},
-            kind="qa-verdict")
-        cached = store.get(cache_key) if store is not None else None
-        if cached is not None and cached.get("passed"):
-            verdict = ScenarioVerdict(index=index, fingerprint=scen_fp,
-                                      label=scenario.label(),
-                                      oracles=oracle_names, cached=True)
-            if (pool_check and scenario.family == "flows"
-                    and len(pool_targets) < POOL_CHECK_COUNT):
-                pool_targets.append((scenario,
-                                     cached["outcome_fingerprint"]))
-        else:
-            outcome = run_scenario(scenario)
-            findings = run_oracles(scenario, outcome, run_scenario,
-                                   index=index, oracles=oracles)
-            verdict = ScenarioVerdict(index=index, fingerprint=scen_fp,
-                                      label=scenario.label(),
-                                      oracles=oracle_names,
-                                      findings=tuple(findings))
-            if verdict.passed and store is not None:
-                store.put(cache_key,
-                          {"passed": True,
-                           "outcome_fingerprint": outcome.fingerprint()},
-                          kind="qa-verdict", label=scenario.label())
-            if (pool_check and scenario.family == "flows"
-                    and len(pool_targets) < POOL_CHECK_COUNT):
-                pool_targets.append((scenario, outcome.fingerprint()))
-        report.verdicts.append(verdict)
-        if progress is not None:
-            progress(verdict)
-    if pool_check and pool_targets:
-        problems = _pool_check([s for s, _ in pool_targets],
-                               [f for _, f in pool_targets])
-        if problems:
-            scenario, _ = pool_targets[0]
-            findings = tuple(OracleFinding(oracle="pool-equivalence",
-                                           message=m) for m in problems)
-            report.verdicts.append(ScenarioVerdict(
-                index=budget, fingerprint="pool-equivalence",
-                label="workers=1 vs workers=2", oracles=("pool-equivalence",),
-                findings=findings))
-    return report

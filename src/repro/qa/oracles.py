@@ -47,7 +47,7 @@ from .scenario import Scenario, ScenarioOutcome
 #: Environment variable injecting a deterministic oracle failure.
 FAULT_ENV = "REPRO_QA_FAULT"
 
-#: Bump to invalidate cached fuzz verdicts when oracle semantics change.
+#: Bump to invalidate cached envelopes when oracle semantics change.
 #: 4: medium axis -- queue-regime gating of the calibrated envelopes,
 #: CSMA contention envelopes, and the airtime-agreement oracle.
 SUITE_VERSION = 4
@@ -76,9 +76,10 @@ class Oracle:
         name: stable identifier (corpus entries reference it).
         period: apply to every Nth fuzzed scenario (1 = all).  Corpus
             replay ignores the period.
-        corpus_replay: whether corpus replay should re-check this
-            oracle (metamorphic oracles that re-run simulations are
-            excluded to keep replay cheap; the fuzzer still runs them).
+        corpus_replay: whether corpus replay (and every fluid search
+            candidate) should check this oracle (metamorphic oracles
+            that re-run simulations are excluded to keep it cheap;
+            ``qa fuzz`` still runs them).
     """
 
     name = "oracle"
@@ -500,8 +501,8 @@ class InjectedFaultOracle(Oracle):
         return []
 
 
-#: The full suite, in a fixed order (order is part of the verdict
-#: cache key via the per-index oracle list).
+#: The full suite, in a fixed order (findings are reported in it, and
+#: a failure's oracle is its first finding's).
 ORACLES: tuple[Oracle, ...] = (
     InvariantOracle(),
     DeliveryBoundOracle(),

@@ -1,14 +1,19 @@
-"""Coverage-guided adversarial scenario search.
+"""The QA loop: coverage-guided adversarial search, or plain fuzzing.
 
-Where :func:`repro.qa.fuzz.run_fuzz` samples the scenario space
-uniformly, this module *steers*: it keeps a corpus of scenarios that
-hit new :mod:`repro.qa.features` cells or dragged a detector-
+:func:`run_search` *steers* by default: it keeps a corpus of scenarios
+that hit new :mod:`repro.qa.features` cells or dragged a detector-
 confidence minimum lower, and spends most of its budget mutating
 corpus entries (power-schedule weighted toward rarely-hit cells and
-low confidence) rather than sampling fresh.  Exploration runs on the
-fluid backend -- 46x cheaper per scenario -- and every candidate
-failure is replayed on the packet backend before it is reported, so
-a finding is never just a fluid-model artifact.
+low confidence) rather than sampling fresh.  With ``guided=False``
+candidate *k* is just ``sample_scenario(k, seed)``: that is ``repro qa
+fuzz`` (on packet) and E13's random control arm (on fluid).
+
+Guided exploration runs on the fluid backend -- 46x cheaper per
+scenario -- and every fluid failure is replayed on the packet backend
+before it is reported, so a finding is never just a fluid-model
+artifact.  A fluid candidate is judged by the corpus-replay oracle set
+(the cheap single-run oracles); a packet candidate *k* by the
+period-gated suite, ``oracles_for_index(scenario, k)``.
 
 The output doubles as the per-detector-config **robustness
 envelope**: the feature-cell pass/fail/confidence surface
@@ -18,9 +23,9 @@ config) and diffable across PRs (:func:`diff_envelopes`) -- the
 Contracts framing of mapping where the detector's assumptions hold.
 
 Determinism contract: the whole search -- corpus, report, envelope --
-is a pure function of ``(seed, budget, threshold)``.  All random
-draws happen in the sequential generation loop with a fixed batch
-size, and batches are evaluated through the ordered
+is a pure function of ``(seed, budget, threshold, guided, backend)``.
+All random draws happen in the sequential generation loop with a
+fixed batch size, and batches are evaluated through the ordered
 :class:`~repro.runtime.pool.ParallelExecutor`, so the worker count
 changes wall-clock time only, never a byte of output.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -78,28 +84,30 @@ FRESH_TRIES = 8
 #: escape the parent's cell neighbourhood).
 STACK_PROBABILITY = 0.4
 
-#: Oracles the search judges candidates with: the cheap single-run
-#: subset (nothing that re-runs simulations; the metamorphic oracles
-#: stay the random fuzzer's job).
-SEARCH_ORACLE_NAMES = ("invariants", "delivery-bound",
-                       "elastic-cross-detected", "inelastic-cross-clean",
-                       "injected-fault")
-
 _ORACLES_BY_NAME = {oracle.name: oracle for oracle in ORACLES}
 
 
-def _search_oracles(scenario: Scenario):
-    return [_ORACLES_BY_NAME[name] for name in SEARCH_ORACLE_NAMES
-            if _ORACLES_BY_NAME[name].applies(scenario)]
+def fresh_seed(seed: int) -> int:
+    """The sample stream the guided search draws fresh candidates
+    from.  E13's random arm is ``run_search(budget, fresh_seed(seed),
+    guided=False)``, so both arms start from one scenario stream."""
+    return derive_seed(seed, 1, "qa-search-fresh")
 
 
-def _run_search_scenario(scenario: Scenario
+def _run_search_scenario(scenario: Scenario, index: int | None = None
                          ) -> tuple[object, tuple[OracleFinding, ...]]:
-    """Module-level (picklable) worker task: run + judge one candidate."""
+    """Module-level (picklable) worker task: run + judge one candidate.
+
+    ``index`` drives the oracles' period gating; ``None`` judges with
+    the corpus-replay set, which re-runs no simulation.
+    """
     outcome = run_scenario(scenario, check_invariants=True)
-    findings = run_oracles(scenario, outcome, run_scenario,
-                           oracles=_search_oracles(scenario))
+    findings = run_oracles(scenario, outcome, run_scenario, index=index)
     return outcome, tuple(findings)
+
+
+def _run_search_task(task: tuple[Scenario, int | None]):
+    return _run_search_scenario(*task)
 
 
 @dataclass
@@ -134,7 +142,7 @@ class SearchFailure:
 
 @dataclass
 class SearchReport:
-    """The outcome of one guided-search campaign."""
+    """The outcome of one search campaign."""
 
     seed: int
     budget: int
@@ -202,12 +210,6 @@ def _entry_weight(entry: SearchEntry, fmap: FeatureMap) -> float:
     if entry.confidence is not None:
         weight *= 1.0 + 1.0 / (0.25 + entry.confidence)
     return weight
-
-
-def _force_fluid(scenario: Scenario) -> Scenario:
-    if scenario.backend == "fluid":
-        return scenario
-    return dataclasses.replace(scenario, backend="fluid")
 
 
 def _projection(scenario: Scenario) -> str:
@@ -292,15 +294,16 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
                threshold: float = 2.0,
                progress: Callable[[int, int], None] | None = None,
                qdisc_thresholds: dict[str, float] | None = None,
-               evaluate: Callable[[list[Scenario]], list] | None = None
+               evaluate: Callable[[list[Scenario]], list] | None = None,
+               guided: bool = True, backend: str = "fluid"
                ) -> SearchReport:
-    """Run a ``budget``-scenario coverage-guided search campaign.
+    """Run a ``budget``-scenario search campaign.
 
     Args:
-        budget: candidate scenarios to evaluate (fluid runs; packet
-            replays of failures are extra and not counted).
+        budget: candidate scenarios to evaluate (packet replays of
+            fluid failures are extra and not counted).
         seed: campaign seed; the report is a pure function of
-            ``(seed, budget, threshold)``.
+            ``(seed, budget, threshold, guided, backend)``.
         workers: evaluation parallelism (wall-clock only; the report
             is bit-identical for any worker count).
         threshold: detector threshold the confidence buckets center on.
@@ -313,10 +316,14 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
             (:func:`repro.cluster.cluster_evaluator`): generation
             stays sequential and local either way, so any evaluator
             that returns what :func:`_run_search_scenario` returns
-            preserves the determinism contract byte for byte.
+            preserves the determinism contract byte for byte.  It
+            judges with the corpus-replay set, as a fluid search does.
+        guided: steer by the corpus; ``False`` makes candidate *k*
+            ``sample_scenario(k, seed)`` (no corpus, no rng draw).
+        backend: the backend every candidate runs on.
     """
     rng = np.random.default_rng(derive_seed(seed, 0, "qa-search"))
-    fresh_seed = derive_seed(seed, 1, "qa-search-fresh")
+    fresh = fresh_seed(seed)
     fmap = FeatureMap(threshold, qdisc_thresholds)
     report = SearchReport(seed=seed, budget=budget, threshold=threshold,
                           feature_map=fmap)
@@ -326,24 +333,28 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
         if evaluate is None:
             executor = stack.enter_context(
                 ParallelExecutor(workers=workers))
-
-            def evaluate(batch):
-                return executor.map(_run_search_scenario, batch)
+            judge = functools.partial(executor.map, _run_search_task)
+        else:
+            def judge(tasks):
+                return evaluate([scenario for scenario, _ in tasks])
         while report.evaluated < budget:
             batch_size = min(SEARCH_BATCH, budget - report.evaluated)
-            batch: list[Scenario] = []
+            batch: list[tuple[Scenario, int | None]] = []
             # Generation is strictly sequential: every rng draw
             # happens here, in submission order, with a fixed batch
             # size -- never in worker callbacks.
             for _ in range(batch_size):
-                if not report.corpus or rng.random() < FRESH_FRACTION:
-                    candidate = sample_scenario(fresh_index, fresh_seed)
+                index = report.evaluated + len(batch)
+                if not guided:
+                    candidate = sample_scenario(index, seed)
+                elif not report.corpus or rng.random() < FRESH_FRACTION:
+                    candidate = sample_scenario(fresh_index, fresh)
                     fresh_index += 1
                     count = visits.get(_projection(candidate), 0)
                     for _ in range(FRESH_TRIES - 1):
                         if count == 0:
                             break
-                        other = sample_scenario(fresh_index, fresh_seed)
+                        other = sample_scenario(fresh_index, fresh)
                         fresh_index += 1
                         other_count = visits.get(_projection(other), 0)
                         if other_count < count:
@@ -366,23 +377,26 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
                         parent.uses += 1
                         candidate = _mutate_toward_novelty(
                             parent.scenario, rng, visits)
-                candidate = _force_fluid(candidate)
+                if candidate.backend != backend:
+                    candidate = dataclasses.replace(candidate,
+                                                    backend=backend)
                 # Count the projection at generation time so one batch
                 # doesn't pile onto the same "novel" projection.
                 key = _projection(candidate)
                 visits[key] = visits.get(key, 0) + 1
-                batch.append(candidate)
-            results = evaluate(batch)
+                batch.append((candidate,
+                              index if backend == "packet" else None))
+            results = judge(batch)
             # State updates are applied sequentially in submission
             # order (the evaluator preserves order).
-            for scenario, (outcome, findings) in zip(batch, results):
+            for (scenario, _), (outcome, findings) in zip(batch, results):
                 report.evaluated += 1
                 failed = bool(findings)
                 cell, new_cell, new_min = fmap.observe(scenario, outcome,
                                                        failed=failed)
                 if failed:
                     report.failures.append(
-                        _replay_on_packet(scenario, findings, fmap))
+                        _packet_failure(scenario, findings, fmap))
                 if new_cell or new_min:
                     report.corpus.append(SearchEntry(
                         scenario=scenario,
@@ -395,16 +409,24 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
     return report
 
 
-def _replay_on_packet(scenario: Scenario,
-                      findings: tuple[OracleFinding, ...],
-                      fmap: FeatureMap) -> SearchFailure:
-    """Replay a fluid-found failure on the packet backend.
+def _packet_failure(scenario: Scenario,
+                    findings: tuple[OracleFinding, ...],
+                    fmap: FeatureMap) -> SearchFailure:
+    """A failure as the packet backend sees it.
 
-    A failure counts as reproduced only if at least one of the same
-    oracles fails on the packet run too; the packet outcome is folded
-    into the feature map either way (it is a legitimate observation
-    of a packet-backend cell).
+    A packet candidate's findings already are packet findings.  A
+    fluid one is replayed on packet and counts as reproduced only if
+    at least one of the same oracles fails on the packet run too; the
+    packet outcome is folded into the feature map either way (it is a
+    legitimate observation of a packet-backend cell).
     """
+    messages = tuple(f.message for f in findings)
+    if scenario.backend == "packet":
+        return SearchFailure(
+            scenario=scenario, oracle=findings[0].oracle,
+            messages=messages,
+            packet_messages=tuple(str(f) for f in findings),
+            reproduced=True)
     packet_scenario = dataclasses.replace(scenario, backend="packet")
     packet_messages: list[str] = []
     try:
@@ -415,7 +437,7 @@ def _replay_on_packet(scenario: Scenario,
         return SearchFailure(
             scenario=scenario,
             oracle=findings[0].oracle,
-            messages=tuple(f.message for f in findings),
+            messages=messages,
             packet_messages=tuple(packet_messages),
             reproduced=True)
     failed_names = []
@@ -423,17 +445,17 @@ def _replay_on_packet(scenario: Scenario,
         oracle = _ORACLES_BY_NAME[name]
         if not oracle.applies(packet_scenario):
             continue
-        messages = oracle.check(packet_scenario, packet_outcome,
+        problems = oracle.check(packet_scenario, packet_outcome,
                                 run_scenario)
-        if messages:
+        if problems:
             failed_names.append(name)
-            packet_messages.extend(f"[{name}] {m}" for m in messages)
+            packet_messages.extend(f"[{name}] {m}" for m in problems)
     fmap.observe(packet_scenario, packet_outcome,
                  failed=bool(failed_names))
     return SearchFailure(
         scenario=scenario,
         oracle=(failed_names[0] if failed_names else findings[0].oracle),
-        messages=tuple(f.message for f in findings),
+        messages=messages,
         packet_messages=tuple(packet_messages),
         reproduced=bool(failed_names))
 
@@ -567,31 +589,6 @@ def diff_envelopes(baseline: dict, current: dict) -> dict:
     }
 
 
-# -- random baseline (the comparison yardstick) ---------------------------
-
-def run_random_baseline(budget: int, seed: int = 0,
-                        workers: int | None = 1,
-                        threshold: float = 2.0) -> FeatureMap:
-    """Feed ``budget`` *uniformly sampled* scenarios through the same
-    feature map, oracles, and backend as the guided search.
-
-    This is the control arm for the acceptance criterion: at equal
-    budget and seed, guided search must cover more cells and find
-    confidence minima at least as low.  Uses the same fresh-sample
-    stream as the search (``derive_seed(seed, 1, "qa-search-fresh")``)
-    so the two arms start from identical scenario distributions.
-    """
-    fresh_seed = derive_seed(seed, 1, "qa-search-fresh")
-    fmap = FeatureMap(threshold)
-    scenarios = [_force_fluid(sample_scenario(i, fresh_seed))
-                 for i in range(budget)]
-    with ParallelExecutor(workers=workers) as executor:
-        results = executor.map(_run_search_scenario, scenarios)
-    for scenario, (outcome, findings) in zip(scenarios, results):
-        fmap.observe(scenario, outcome, failed=bool(findings))
-    return fmap
-
-
 # -- corpus promotion ------------------------------------------------------
 
 def promote_failure(failure: SearchFailure, origin: str, created: str,
@@ -600,10 +597,9 @@ def promote_failure(failure: SearchFailure, origin: str, created: str,
     """Shrink one failure and commit it to the corpus.
 
     Reproduced failures are shrunk on the packet backend (the corpus
-    replays there); the rest (fluid-only, or found by ``qa fuzz``) are
-    shrunk as found.  ``origin`` says who found it (``"search
-    seed=3"``) and is recorded on the case.  Returns the saved case and
-    the number of shrink runs spent.
+    replays there); fluid-only ones are shrunk as found.  ``origin``
+    says who found it (``"search seed=3"``) and is recorded on the
+    case.  Returns the saved case and the number of shrink runs spent.
     """
     oracle = _ORACLES_BY_NAME[failure.oracle]
     scenario = (dataclasses.replace(failure.scenario, backend="packet")

@@ -13,7 +13,7 @@ Two layers live here:
   machinery (:class:`repro.core.campaign.Campaign`,
   :func:`repro.ndt.stream.run_pipeline_streaming`,
   :func:`repro.experiments.runner.sweep`,
-  :func:`repro.qa.fuzz.run_fuzz`), always passing the service's store
+  :func:`repro.qa.search.run_search`), always passing the service's store
   through -- so campaign jobs checkpoint per path and a killed server
   resumes them.
 
@@ -272,26 +272,6 @@ def execute_sweep(store, workers, *, experiment: str, param: str,
     return {"experiment": experiment, "param": param, "rows": rows}, rows
 
 
-def execute_qa_fuzz(store, workers, *, budget: Count = 25,
-                    seed: Index = 0,
-                    pool_check: bool = False) -> tuple[dict, object]:
-    """``qa-fuzz`` jobs: a budgeted scenario-fuzz campaign."""
-    from ..qa.fuzz import run_fuzz
-
-    report = run_fuzz(budget, seed=seed, store=store,
-                      pool_check=pool_check)
-    summary = {
-        "budget": budget,
-        "seed": seed,
-        "passed": budget - len(report.failures),
-        "failures": [{"index": v.index, "label": v.label,
-                      "findings": [str(f) for f in v.findings]}
-                     for v in report.failures],
-        "cache_hits": report.cache_hits,
-    }
-    return summary, report
-
-
 def execute_qa_search(store, workers, *, budget: Count = 50,
                       seed: Index = 0,
                       threshold: Positive = 2.0) -> tuple[dict, object]:
@@ -348,7 +328,6 @@ EXECUTORS: dict[str, Callable] = {
     "fig2-shard": execute_fig2_shard,
     "experiment": execute_experiment,
     "sweep": execute_sweep,
-    "qa-fuzz": execute_qa_fuzz,
     "qa-search": execute_qa_search,
     "qa-eval": execute_qa_eval,
     "qa-envelope": execute_qa_envelope,

@@ -1,7 +1,7 @@
 """Wire protocol for the experiment service: requests, jobs, states.
 
 A :class:`JobRequest` is the unit of admission -- a JSON document
-naming a job *kind* (campaign, pipeline, sweep, qa-fuzz, experiment)
+naming a job *kind* (campaign, pipeline, sweep, qa-search, experiment)
 plus that kind's parameters.  Requests round-trip through plain dicts,
 and every request has a deterministic **fingerprint**: the store
 fingerprint of its semantic payload (kind + params, minus
@@ -59,7 +59,7 @@ class JobRequest:
     """One experiment request, as admitted over HTTP.
 
     Attributes:
-        kind: job family ("campaign", "pipeline", "sweep", "qa-fuzz",
+        kind: job family ("campaign", "pipeline", "sweep", "qa-search",
             "experiment", ...); the executor registry in
             :mod:`repro.serve.jobs` decides which kinds exist.
         params: kind-specific parameters (JSON object).

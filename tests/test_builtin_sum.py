@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Packages whose values end up in results, fingerprints or goldens.
 SCANNED = ("core", "fluid", "analysis", "ndt", "alloc", "medium", "cca",
-           "experiments", "sim", "tcp", "qdisc", "traffic")
+           "experiments", "sim", "tcp", "qdisc", "traffic", "qa")
 
 INTS = "ints: sums of counts or booleans are exact in any order"
 
@@ -39,10 +39,15 @@ ALLOWED = {
     ("repro.core.detector", "confusion_counts"): INTS,
     ("repro.experiments.cellular_robustness", "run.correctness"): INTS,
     ("repro.experiments.robustness", "_jitter_cells"): INTS,
-    ("repro.experiments.robustness", "run"): INTS,
     ("repro.experiments.subpacket", "_run_link"): INTS,
     ("repro.ndt.pipeline", "Fig2Result.from_flows"): INTS,
     ("repro.ndt.synth", "PopulationModel.__post_init__"): VALIDATION,
+    ("repro.qa.oracles", "FluidPacketAgreementOracle._probe_share"):
+        "ints: delivered byte counts",
+    ("repro.qa.scenario", "ScenarioOutcome.total_delivered"):
+        "ints: delivered byte counts",
+    ("repro.qa.scenario", "run_scenario"):
+        "ints: qdisc packet and byte counters",
     ("repro.sim.engine", "Simulator.pending_active"):
         "ints: a count of heap entries",
     ("repro.sim.medium", "MediumLink.queue_delay"):

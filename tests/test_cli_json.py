@@ -61,10 +61,9 @@ class TestJsonOutput:
 
     def test_qa_fuzz_json_document(self, capsys):
         code = main(["qa", "fuzz", "--budget", "2", "--seed", "0",
-                     "--no-pool-check", "--no-shrink", "--json"])
+                     "--no-shrink", "--json"])
         doc = _json_out(capsys)
-        assert doc["budget"] == 2
-        assert doc["passed"] + len(doc["failures"]) == 2
+        assert doc["budget"] == doc["evaluated"] == 2
         assert code == (1 if doc["failures"] else 0)
 
 

@@ -24,7 +24,7 @@ def _probe(backend: str, medium: str = "queue",
 
 def test_fingerprints_are_backward_compatible():
     # medium="queue" must serialize exactly like a pre-medium scenario,
-    # or every corpus case and cached verdict is orphaned.
+    # or every corpus case and stored result is orphaned.
     scenario = _probe("packet")
     assert "medium" not in scenario.to_dict()
     assert Scenario.from_dict(scenario.to_dict()) == scenario

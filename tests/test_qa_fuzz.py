@@ -1,13 +1,14 @@
-"""Fuzz driver: deterministic sampling, verdict caching, the CLI
-entry points, and (behind ``-m fuzz``) a full-budget campaign."""
+"""The scenario sampler, ``qa fuzz`` -- the search unguided, on
+packet -- end to end, and (behind ``-m fuzz``) a full-budget
+campaign."""
 
 import pytest
 
-from repro.qa.fuzz import (FuzzReport, ScenarioVerdict, run_fuzz,
-                           sample_scenario)
+from repro.qa import oracles
+from repro.qa.fuzz import sample_scenario
 from repro.qa.oracles import FAULT_ENV
 from repro.qa.scenario import QDISC_NAMES, Scenario
-from repro.store.artifacts import ArtifactStore
+from repro.qa.search import run_search
 
 SMOKE_BUDGET = 5
 
@@ -38,63 +39,48 @@ def test_sampling_covers_the_space():
 
 # -- campaign -------------------------------------------------------------
 
+def _fuzz(budget: int, seed: int, workers: int | None = 1):
+    """What ``repro qa fuzz`` runs."""
+    return run_search(budget, seed=seed, workers=workers, guided=False,
+                      backend="packet")
+
+
 def test_smoke_campaign_passes_and_is_deterministic():
-    first = run_fuzz(SMOKE_BUDGET, seed=0, store=None, pool_check=False)
-    assert isinstance(first, FuzzReport)
-    assert len(first.verdicts) == SMOKE_BUDGET
+    first = _fuzz(SMOKE_BUDGET, 0)
+    assert first.evaluated == SMOKE_BUDGET
     assert first.failures == []
-    second = run_fuzz(SMOKE_BUDGET, seed=0, store=None, pool_check=False)
+    second = _fuzz(SMOKE_BUDGET, 0, workers=2)
+    assert first.to_dict() == second.to_dict()
     assert first.render() == second.render()
 
 
-def test_campaign_caches_passing_verdicts(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    cold = run_fuzz(3, seed=0, store=store, pool_check=False)
-    assert cold.cache_hits == 0
-    warm = run_fuzz(3, seed=0, store=store, pool_check=False)
-    assert warm.cache_hits == 3
-    assert cold.render() == warm.render()
-
-
-def test_injected_fault_is_caught_not_cached(monkeypatch, tmp_path):
-    store = ArtifactStore(tmp_path / "store")
+def test_fuzz_stream_and_gating_are_pinned(monkeypatch):
+    # `qa fuzz --seed s` judges sample_scenario(k, s) in order, each by
+    # the period-gated suite of its index k (never the corpus-replay
+    # set, index None), and a packet finding needs no replay.
     monkeypatch.setenv(FAULT_ENV, "any")
-    report = run_fuzz(1, seed=0, store=store, pool_check=False)
-    assert len(report.failures) == 1
-    assert all(f.oracle == "injected-fault"
-               for v in report.failures for f in v.findings)
-    # Failures must never enter the verdict cache...
-    rerun = run_fuzz(1, seed=0, store=store, pool_check=False)
-    assert rerun.cache_hits == 0
-    # ...and clearing the fault changes the cache key, so clean
-    # verdicts are computed fresh rather than inherited.
-    monkeypatch.delenv(FAULT_ENV)
-    clean = run_fuzz(1, seed=0, store=store, pool_check=False)
-    assert clean.failures == []
-    assert clean.cache_hits == 0
+    gate, seen = oracles.oracles_for_index, []
 
+    def spy(scenario, index):
+        seen.append(index)
+        return gate(scenario, index)
 
-def test_pool_equivalence_stage():
-    report = run_fuzz(2, seed=0, store=None, pool_check=True)
-    assert report.failures == []
-
-
-def test_verdict_shape():
-    report = run_fuzz(1, seed=0, store=None, pool_check=False)
-    verdict = report.verdicts[0]
-    assert isinstance(verdict, ScenarioVerdict)
-    assert verdict.passed and verdict.oracles
-    assert verdict.fingerprint and verdict.label
+    monkeypatch.setattr(oracles, "oracles_for_index", spy)
+    report = _fuzz(3, 0)
+    assert [f.scenario for f in report.failures] \
+        == [sample_scenario(k, 0) for k in range(3)]
+    assert all(f.oracle == "injected-fault" and f.reproduced
+               for f in report.failures)
+    assert seen == [0, 1, 2]
 
 
 # -- CLI ------------------------------------------------------------------
 
 def test_cli_fuzz_smoke(capsys):
     from repro.cli import main
-    assert main(["qa", "fuzz", "--budget", "2", "--seed", "0",
-                 "--no-cache", "--no-pool-check"]) == 0
+    assert main(["qa", "fuzz", "--budget", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "2/2 scenarios passed" in out
+    assert "2 scenarios searched, 0 failures" in out
 
 
 def test_cli_fuzz_shrinks_failures_into_corpus(monkeypatch, tmp_path,
@@ -104,7 +90,6 @@ def test_cli_fuzz_shrinks_failures_into_corpus(monkeypatch, tmp_path,
     corpus_dir = tmp_path / "failures"
     # seed 0 index 1 is a policer scenario: one failure to shrink.
     assert main(["qa", "fuzz", "--budget", "2", "--seed", "0",
-                 "--no-cache", "--no-pool-check",
                  "--corpus-out", str(corpus_dir)]) == 1
     cases = list(corpus_dir.glob("*.json"))
     assert len(cases) == 1
@@ -112,6 +97,7 @@ def test_cli_fuzz_shrinks_failures_into_corpus(monkeypatch, tmp_path,
     case = load_case(cases[0])
     assert case.scenario.qdisc == "policer"
     assert len(case.scenario.flows) == 1
+    assert case.origin.startswith("fuzz seed=0")
 
 
 def test_cli_corpus_replay(capsys):
@@ -126,14 +112,5 @@ def test_cli_corpus_replay(capsys):
 
 @pytest.mark.fuzz
 def test_full_budget_campaign_clean():
-    report = run_fuzz(200, seed=0, store=None)
+    report = _fuzz(200, 0, workers=None)
     assert report.failures == [], report.render()
-
-
-@pytest.mark.fuzz
-def test_full_campaign_render_stable(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    cold = run_fuzz(60, seed=1, store=store)
-    warm = run_fuzz(60, seed=1, store=store)
-    assert cold.render() == warm.render()
-    assert warm.cache_hits == 60

@@ -1,7 +1,7 @@
 """Golden pin of what a well-formed serve request means.
 
 ``tests/data/serve_request_golden.json`` holds one well-formed request
-per job kind (all ten of ``repro.serve.jobs.EXECUTORS``) with its
+per job kind (all nine of ``repro.serve.jobs.EXECUTORS``) with its
 ``JobRequest.fingerprint()`` and the keys of the summary its executor
 returned, plus the ``Campaign.path_key`` of every path the ``paths``
 shard ran.  It was generated on the commit *before* the executors'
@@ -49,7 +49,6 @@ REQUESTS = {
                    "params": {"n_flows": 200}},
     "sweep": {"experiment": "fig2", "param": "n_flows",
               "values": [100, 150], "base": {"seed": 1}},
-    "qa-fuzz": {"budget": 2, "seed": 0, "pool_check": False},
     "qa-search": {"budget": 4, "seed": 0, "threshold": 2.0},
     "qa-eval": {"scenario": _SCENARIO},
     "qa-envelope": {"budget": 4, "seed": 0},

@@ -359,8 +359,7 @@ MALFORMED = [
     ("sweep", {"experiment": "fig2", "param": "n_flows", "values": []}),
     ("sweep", {"experiment": "fig2", "param": "n_flows",
                "values": [1], "base": "seed=1"}),
-    ("qa-fuzz", {"budget": 0}),
-    ("qa-fuzz", {"pool_check": "no"}),
+    ("qa-fuzz", {"budget": 25}),                   # a removed kind
     ("qa-search", {"threshold": 0}),
     ("qa-envelope", {"budget": 2.5}),
     ("qa-eval", {}),

@@ -62,7 +62,7 @@ def test_timing_jitter_bounds():
 
 def test_fingerprints_are_backward_compatible():
     # timing_jitter=0.0 must serialize exactly like a pre-jitter
-    # scenario, or every corpus case and cached verdict is orphaned.
+    # scenario, or every corpus case and stored result is orphaned.
     scenario = _probe("packet")
     assert "timing_jitter" not in scenario.to_dict()
     assert Scenario.from_dict(scenario.to_dict()) == scenario
