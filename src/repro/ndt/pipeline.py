@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..analysis.changepoint import throughput_level_shift
 from ..errors import AnalysisError
 from ..analysis.stats import CdfSketch, bootstrap_ci
 from ..units import ordered_sum
-from .filters import FlowCategory, categorize
+from .filters import FlowCategory, categorize_records
 from .schema import NdtRecord
 
 
@@ -342,22 +340,19 @@ def _sketches_of(flows) -> dict[FlowCategory, CdfSketch]:
             for cat, vals in samples.items()}
 
 
-def _level_shifts(records, categories,
-                  min_relative_shift: float) -> list[int]:
-    """Level shifts found in each record (0 unless ``REMAINING``): one
-    batched detector call per series length."""
-    by_length: dict[int, list[int]] = {}
-    for i, category in enumerate(categories):
-        if category is FlowCategory.REMAINING:
-            by_length.setdefault(records[i].n_snapshots, []).append(i)
+def _judge(records, min_relative_shift: float):
+    """Each record's category and level-shift count (0 unless
+    ``REMAINING``): the §3.1 filters over the batch, then one detector
+    call per series length on the ``REMAINING`` rows of the throughput
+    array the filters computed."""
+    categories, remaining = categorize_records(records)
     shifts = [0] * len(records)
-    for group in by_length.values():
+    for group, series in remaining:
         results = throughput_level_shift(
-            np.stack([records[i].throughput_series() for i in group]),
-            min_relative_shift=min_relative_shift)
+            series, min_relative_shift=min_relative_shift)
         for i, result in zip(group, results):
             shifts[i] = result.num_changes
-    return shifts
+    return categories, shifts
 
 
 def analyse_flow(record: NdtRecord, min_relative_shift: float = 0.25,
@@ -367,9 +362,8 @@ def analyse_flow(record: NdtRecord, min_relative_shift: float = 0.25,
     passes the ``category`` and ``level_shifts`` it found for the flow
     in its batch; without a category both are computed here."""
     if category is None:
-        category = categorize(record)
-        level_shifts = _level_shifts([record], [category],
-                                     min_relative_shift)[0]
+        categories, shifts = _judge([record], min_relative_shift)
+        category, level_shifts = categories[0], shifts[0]
     return FlowAnalysis(
         uuid=record.uuid,
         category=category,
@@ -389,11 +383,10 @@ def analyse_records(records, min_relative_shift: float = 0.25,
     has rendered, and the entry point for records that exist only in
     memory (a reloaded JSONL, :class:`~repro.ndt.collect.NdtCollector`
     output).  ``start`` is the dataset position of the first record.
-    Records need not be equally long (:func:`_level_shifts`).
+    Records need not be equally long (:func:`_judge`).
     """
     records = list(records)
-    categories = [categorize(record) for record in records]
-    shifts = _level_shifts(records, categories, min_relative_shift)
+    categories, shifts = _judge(records, min_relative_shift)
     return Fig2Result.from_flows(
         [analyse_flow(record, min_relative_shift, category, n_shifts)
          for record, category, n_shifts

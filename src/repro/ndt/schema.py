@@ -70,7 +70,7 @@ class NdtRecord:
             raise AnalysisError(
                 f"unknown access type {self.access_type!r}")
         columns = tuple(map(tuple, self.columns))
-        lengths = {len(column) for column in columns}
+        lengths = set(map(len, columns))
         if len(columns) != len(SNAPSHOT_FIELDS) or len(lengths) != 1:
             raise AnalysisError(f"a record needs {len(SNAPSHOT_FIELDS)} "
                                 "snapshot columns of one length")
@@ -122,13 +122,9 @@ class NdtRecord:
         return self.column("bytes_acked")[-1] / elapsed
 
     def throughput_series(self) -> np.ndarray:
-        """Per-interval throughput (bytes/second) between snapshots."""
-        acked = np.array(self.column("bytes_acked"), dtype=float)
-        times = np.array(self.column("elapsed_time_us"), dtype=float) / 1e6
-        dt = np.diff(times)
-        if np.any(dt <= 0):
-            raise AnalysisError(f"{self.uuid}: snapshots not increasing")
-        return np.diff(acked) / dt
+        """Per-interval throughput (bytes/second) between snapshots: a
+        :func:`throughput_rows` batch of one."""
+        return throughput_rows([self])[0]
 
     # -- serialization ---------------------------------------------------------
 
@@ -148,6 +144,25 @@ class NdtRecord:
         payload = json.loads(text)
         rows = [TcpInfoSnapshot(**s) for s in payload.pop("snapshots")]
         return cls.from_snapshots(rows, **payload)
+
+
+def throughput_rows(records) -> np.ndarray:
+    """Per-interval throughput (bytes/second) of equally long records,
+    one row each, computed over the whole batch at once.
+
+    Raises :class:`AnalysisError` naming the first record whose
+    snapshot times do not increase.
+    """
+    acked = np.array([r.column("bytes_acked") for r in records],
+                     dtype=float)
+    times = np.array([r.column("elapsed_time_us") for r in records],
+                     dtype=float) / 1e6
+    dt = np.diff(times, axis=1)
+    stalled = (dt <= 0).any(axis=1)
+    if stalled.any():
+        raise AnalysisError(f"{records[int(stalled.argmax())].uuid}: "
+                            "snapshots not increasing")
+    return np.diff(acked, axis=1) / dt
 
 
 @dataclass

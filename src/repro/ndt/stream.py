@@ -9,8 +9,9 @@ in bounded memory at every size:
    :class:`~repro.ndt.synth.SyntheticNdtGenerator` means any shard is
    regenerable in isolation, on any process or machine.
 2. :func:`analyse_shard` renders one shard and hands the records to
-   :func:`~repro.ndt.pipeline.analyse_records`, which runs categorize +
-   change-point per flow and folds the flows into a
+   :func:`~repro.ndt.pipeline.analyse_records`, which runs the §3.1
+   filters and the change-point search over the shard as one array per
+   series length and folds the flows into a
    :class:`~repro.ndt.pipeline.Fig2Result` partial (integer counts,
    CDF sketches, quality tallies).  Peak memory is one chunk of
    records, regardless of the population size.

@@ -41,13 +41,16 @@ what makes the dataset streamable:
 in isolation (a worker on another machine can render flows
 [start, start+count) without touching the rest), and
 :meth:`~SyntheticNdtGenerator.generate` is the shard that starts at 0.
-Measured per flow (2-vCPU host): stream derivation (SHA-256,
-``SeedSequence``, ``PCG64``) 11 us, plan draws 8 us (30 us while
-``Generator.choice`` re-validated ``p`` per draw), rendering 36 us (300
-us as a per-snapshot loop, ~105 us while it built 40 frozen snapshot
-objects) -- a shared counter-based stream would change every record to
-save a fifth.  Each field is one numpy column, converted with
-``tolist()`` and kept as the record's column of plain ``int``/``float``.
+Only the draws are made flow by flow; a shard is rendered as one
+``(flows, snapshots)`` array, and each field is one numpy operation
+over it, converted with ``tolist()`` and handed to every record as a
+tuple of plain ``int``/``float``.  Measured per flow (2-vCPU host, CPU
+time, best of 9 over a 400-flow shard): stream derivation (SHA-256,
+``SeedSequence``, ``PCG64``) 19 us, plan draws 16 us, rendering 38 us
+including the flow's own noise draws and its record (81 us rendering
+one flow at a time, 300 us as a per-snapshot loop) -- derivation and
+plan are now half a record, and a shared counter-based stream would
+change every record to save them.
 """
 
 from __future__ import annotations
@@ -132,7 +135,13 @@ def _choice(rng: np.random.Generator, table):
 
 @dataclass
 class _FlowPlan:
-    """Intermediate per-flow draw before rendering snapshots."""
+    """One flow's draws, before its shard renders it.
+
+    The rate is a two-level ``step`` ``(hi, lo, t_in, t_out, leaves)``:
+    ``hi`` until ``t_in``, then ``lo`` -- and ``hi`` again from
+    ``t_out`` if the flow ``leaves`` -- so one ``np.where`` renders the
+    shapes of a whole shard.  A constant class has ``hi == lo``.
+    """
 
     access_type: str
     access_rate: float       # bytes/second
@@ -140,9 +149,14 @@ class _FlowPlan:
     min_rtt: float
     cca: str = "cubic"
     contention: bool = False
-    rate_fn: object = None   # fn(times array) -> goodput bytes/s each
+    step: tuple = ()         # goodput bytes/s: (hi, lo, t_in, t_out, leaves)
     app_limited_frac: float = 0.0
     rwnd_limited_frac: float = 0.0
+
+
+def _rows(matrix: np.ndarray) -> list[tuple]:
+    """Each row of ``matrix`` as a tuple of plain Python numbers."""
+    return list(map(tuple, matrix.tolist()))
 
 
 class SyntheticNdtGenerator:
@@ -185,20 +199,20 @@ class SyntheticNdtGenerator:
     def _build_app_limited(self, plan: _FlowPlan,
                            rng: np.random.Generator) -> None:
         demand = plan.access_rate * float(rng.uniform(0.05, 0.6))
-        plan.rate_fn = lambda t: np.full(t.shape, demand)
+        plan.step = (demand, demand, 0.0, 0.0, False)
         plan.app_limited_frac = float(rng.uniform(0.2, 0.9))
 
     def _build_rwnd_limited(self, plan: _FlowPlan,
                             rng: np.random.Generator) -> None:
         # Throughput capped at rwnd / rtt, below the access rate.
         cap = plan.access_rate * float(rng.uniform(0.1, 0.7))
-        plan.rate_fn = lambda t: np.full(t.shape, cap)
+        plan.step = (cap, cap, 0.0, 0.0, False)
         plan.rwnd_limited_frac = float(rng.uniform(0.3, 0.95))
 
     def _build_bulk_clean(self, plan: _FlowPlan,
                           rng: np.random.Generator) -> None:
         level = plan.access_rate * float(rng.uniform(0.9, 0.97))
-        plan.rate_fn = lambda t: np.full(t.shape, level)
+        plan.step = (level, level, 0.0, 0.0, False)
 
     def _build_bulk_contended(self, plan: _FlowPlan,
                               rng: np.random.Generator) -> None:
@@ -219,9 +233,7 @@ class SyntheticNdtGenerator:
         t_out = t_in + float(rng.uniform(0.25, 0.8)) \
             * (m.test_duration - t_in)
         plan.contention = True
-
-        plan.rate_fn = lambda t: np.where(
-            (t < t_in) | (leaves & (t >= t_out)), full, share)
+        plan.step = (full, share, t_in, t_out, leaves)
 
     def _build_policed(self, plan: _FlowPlan,
                        rng: np.random.Generator) -> None:
@@ -233,57 +245,7 @@ class SyntheticNdtGenerator:
         burst_until = float(rng.uniform(0.1, 0.4)) * m.test_duration
 
         full = plan.access_rate * 0.95
-        plan.rate_fn = lambda t: np.where(t < burst_until, full, policed)
-
-    # -- rendering -----------------------------------------------------------
-
-    def _render(self, plan: _FlowPlan, uuid: str,
-                rng: np.random.Generator) -> NdtRecord:
-        m = self.model
-        n = int(round(m.test_duration / m.snapshot_interval))
-        times = (np.arange(n) + 1) * m.snapshot_interval
-
-        inst = plan.rate_fn(times)
-        # Cellular/satellite rate variability multiplies the base shape.
-        if plan.access_type in ("cellular", "satellite"):
-            steps = rng.normal(0.0, m.cellular_volatility
-                               * np.sqrt(m.snapshot_interval), n)
-            wobble = np.exp(np.cumsum(steps))
-            wobble /= wobble.mean()
-            inst = inst * wobble
-        inst *= 1.0 + rng.normal(0.0, m.throughput_noise, n)
-        inst = np.maximum(inst, 1000.0)
-        acked = np.cumsum(inst * m.snapshot_interval).astype(int)
-        srtt = plan.min_rtt * float(rng.uniform(1.05, 1.8))
-
-        # One column per ``TcpInfoSnapshot`` field, in field order (the
-        # IEEE operations a per-snapshot expression would do, in its
-        # order), each converted to Python numbers once.
-        elapsed_us = (times * 1e6).tolist()
-        retrans = acked * 0.002
-        columns = (
-            elapsed_us,                                      # elapsed_time_us
-            acked.tolist(),                                  # bytes_acked
-            (acked * 1.01).astype(int).tolist(),             # bytes_sent
-            retrans.astype(int).tolist(),                    # bytes_retrans
-            elapsed_us,                                      # busy_time_us
-            (times * plan.rwnd_limited_frac * 1e6).tolist(),
-            (times * plan.app_limited_frac * 1e6).tolist(),
-            [0.0] * n,                                       # cwnd_limited_us
-            [plan.min_rtt] * n,
-            [srtt] * n,
-            inst.tolist(),                                   # throughput_bps
-            (retrans / 1448).astype(int).tolist(),           # retransmits
-        )
-        return NdtRecord(
-            uuid=uuid, duration_s=m.test_duration,
-            access_type=plan.access_type,
-            access_rate_bps=plan.access_rate,
-            columns=columns,
-            true_class=plan.behaviour,
-            true_contention=plan.contention,
-            cca=plan.cca,
-        )
+        plan.step = (full, policed, burst_until, burst_until, False)
 
     # -- streaming generation ------------------------------------------------
 
@@ -298,20 +260,87 @@ class SyntheticNdtGenerator:
             _stream_seed(self.rngs.seed, f"flow:{index}"))
 
     def generate_record(self, index: int) -> NdtRecord:
-        """Generate the single record at position ``index``."""
+        """Generate the single record at position ``index``: a shard of
+        one."""
         if index < 0:
             raise ConfigError(f"flow index must be >= 0: {index}")
-        rng = self._flow_rng(index)
-        return self._render(self._plan_flow(rng),
-                            f"synth-{index:08d}", rng)
+        return self.generate_shard(index, 1).records[0]
 
     def generate_shard(self, start: int, count: int) -> NdtDataset:
-        """Generate records [start, start+count) in isolation."""
+        """Generate records [start, start+count) in isolation.
+
+        One loop makes each flow's own draws, in its stream's order
+        (plan, cellular steps, noise, smoothed-RTT factor); everything
+        after the draws is one numpy operation over the ``(count, n)``
+        shard, along the snapshot axis, so no row depends on another.
+        """
         if start < 0:
             raise ConfigError(f"shard start must be >= 0: {start}")
         if count <= 0:
             raise ConfigError(f"shard count must be positive: {count}")
-        records = [self.generate_record(start + i) for i in range(count)]
+        m = self.model
+        n = int(round(m.test_duration / m.snapshot_interval))
+        times = (np.arange(n) + 1) * m.snapshot_interval
+        volatility = m.cellular_volatility * np.sqrt(m.snapshot_interval)
+        plans, srtts = [], []
+        # A fixed-line flow draws no steps: its wobble is exp(0) / 1.
+        steps = np.zeros((count, n))
+        noise = np.empty((count, n))
+        for row in range(count):
+            rng = self._flow_rng(start + row)
+            plan = self._plan_flow(rng)
+            if plan.access_type in ("cellular", "satellite"):
+                steps[row] = rng.normal(0.0, volatility, n)
+            noise[row] = rng.normal(0.0, m.throughput_noise, n)
+            srtts.append(plan.min_rtt * float(rng.uniform(1.05, 1.8)))
+            plans.append(plan)
+
+        hi, lo, t_in, t_out, leaves = (
+            np.array(column)[:, None]
+            for column in zip(*(plan.step for plan in plans)))
+        inst = np.where((times < t_in) | (leaves & (times >= t_out)),
+                        hi, lo)
+        # Cellular/satellite rate variability multiplies the base shape.
+        wobble = np.exp(np.cumsum(steps, axis=1))
+        wobble /= wobble.mean(axis=1, keepdims=True)
+        inst *= wobble
+        inst *= 1.0 + noise
+        inst = np.maximum(inst, 1000.0)
+        acked = np.cumsum(inst * m.snapshot_interval, axis=1).astype(int)
+
+        # One row per record of each ``TcpInfoSnapshot`` field (the IEEE
+        # operations a per-snapshot expression would do, in its order),
+        # converted to Python numbers once; a column no flow varies is
+        # one tuple that every record shares.
+        elapsed_us = tuple((times * 1e6).tolist())
+        no_cwnd_limit = (0.0,) * n
+        retrans = acked * 0.002
+        rwnd_frac = np.array([p.rwnd_limited_frac for p in plans])[:, None]
+        app_frac = np.array([p.app_limited_frac for p in plans])[:, None]
+        varying = zip(_rows(acked), _rows((acked * 1.01).astype(int)),
+                      _rows(retrans.astype(int)),
+                      _rows(times * rwnd_frac * 1e6),
+                      _rows(times * app_frac * 1e6), _rows(inst),
+                      _rows((retrans / 1448).astype(int)))
+        records = []
+        for row, (plan, srtt, (bytes_acked, bytes_sent, bytes_retrans,
+                               rwnd_us, app_us, throughput,
+                               retransmits)) in enumerate(
+                zip(plans, srtts, varying)):
+            records.append(NdtRecord(
+                uuid=f"synth-{start + row:08d}",
+                duration_s=m.test_duration,
+                access_type=plan.access_type,
+                access_rate_bps=plan.access_rate,
+                columns=(elapsed_us, bytes_acked, bytes_sent, bytes_retrans,
+                         elapsed_us,                      # busy_time_us
+                         rwnd_us, app_us, no_cwnd_limit,
+                         (plan.min_rtt,) * n, (srtt,) * n,
+                         throughput, retransmits),
+                true_class=plan.behaviour,
+                true_contention=plan.contention,
+                cca=plan.cca,
+            ))
         return NdtDataset(
             records=records,
             description=(f"synthetic NDT shard [{start}, "

@@ -2,7 +2,7 @@
 
 The paper-scale workloads in this repo are embarrassingly parallel --
 one independent probe simulation per sampled path (E7), one independent
-categorize + change-point run per NDT flow (Figure 2), one independent
+shard of NDT flows to render and analyse (Figure 2), one independent
 experiment run per sweep point -- yet they were originally executed
 serially.  :mod:`repro.runtime` provides the process-pool map they all
 share:

@@ -26,15 +26,18 @@ summed, ``last_access`` maxed, lifetime hits/misses added) under
 it -- ``put``/``put_bytes``/``delete``/``prune`` and ``stat``/
 ``entries`` -- and by the ``get`` that grows the log past
 :data:`LOG_FOLD_BYTES`.  The index records how many log bytes it has
-counted (``log_offset``) in the same atomic write as the counts, so a
-line is counted exactly once however appends and folds interleave; the
-log is cut back to empty only once that offset passes
-:data:`LOG_FOLD_BYTES`.
+counted (``log_offset``) in the same atomic write as the counts, and a
+fold counts only up to the last newline it read (an append still being
+copied in waits for the next fold), so a line is counted exactly once
+however appends and folds interleave; the log is cut back to empty only
+once that offset passes :data:`LOG_FOLD_BYTES`.
 
 What can be lost is accounting, never results: an access appended
-between that cut's last read and its truncate, and whatever a crash
-between the cut and the index write had just folded, lose their
-*counts*.  A ``put``'s entry is never lost, and a folded access never
+between that cut's last read and its truncate, whatever a crash
+between the cut and the index write had just folded, and a line a
+crash tore mid-write lose their *counts* (each line begins with a
+newline, so a torn line never swallows the one appended after it).
+A ``put``'s entry is never lost, and a folded access never
 moves an entry's ``last_access`` backwards, so LRU order holds.
 
 Store operations feed the ``store.*`` counters on the process metrics
@@ -248,7 +251,9 @@ class ArtifactStore:
         handles and processes share the log.
         """
         self._metrics.counter(outcome).inc()
-        line = f"{key} {time.time():.6f} {outcome[0]}\n".encode()
+        # The leading newline ends a line a crash left torn, so that
+        # line is skipped alone instead of swallowing this one.
+        line = f"\n{key} {time.time():.6f} {outcome[0]}\n".encode()
         flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
             fd = os.open(self._log_path, flags, 0o666)
@@ -267,9 +272,11 @@ class ArtifactStore:
     def _fold_log(self, index: dict) -> bool:
         """Count the access lines ``index`` has not seen; True if any.
 
-        Lines are ``<key> <time> <h|m>``.  Anything else (a line torn
-        by a crash or a full disk) is skipped, and so is the per-entry
-        count of a hit whose object has since been deleted.
+        Lines are ``<key> <time> <h|m>``, and a fold counts only lines
+        whose newline it has read.  Anything else (a line torn by a
+        crash or a full disk, ended by the next append's leading
+        newline) is skipped, and so is the per-entry count of a hit
+        whose object has since been deleted.
         """
         try:
             log = open(self._log_path, "r+b")
@@ -281,7 +288,10 @@ class ArtifactStore:
             if not isinstance(offset, int) or not 0 <= offset <= size:
                 offset = 0  # not this log: it was cut or replaced
             log.seek(offset)
+            # Up to the last newline only: an append still being copied
+            # in is counted whole by the next fold, not torn by this one.
             data = log.read()
+            data = data[:data.rfind(b"\n") + 1]
             if not data:
                 return False
             offset += len(data)

@@ -18,7 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Packages whose values end up in results, fingerprints or goldens.
 SCANNED = ("core", "fluid", "analysis", "ndt", "alloc", "medium", "cca",
-           "experiments", "sim", "tcp", "qdisc", "traffic", "qa")
+           "experiments", "sim", "tcp", "qdisc", "traffic", "qa", "store",
+           "serve", "runtime", "cluster")
 
 INTS = "ints: sums of counts or booleans are exact in any order"
 
@@ -27,6 +28,12 @@ VALIDATION = "validation only: probabilities must sum to 1 within 1e-9"
 ALLOWED = {
     ("repro.analysis.stats", "CdfSketch.fraction_below"):
         "ints: sketch bin counts",
+    ("repro.cluster.coordinator", "Coordinator.run.done_count"):
+        "ints: a count of finished tasks",
+    ("repro.cluster.coordinator", "_dispatch_missing"):
+        "ints: a count of failed shard records",
+    ("repro.cluster.journal", "list_journals"):
+        "ints: per-status task counts",
     ("repro.cca.nimbus", "NimbusCca._mean_rate"):
         "ints: bytes per sample bin (and it runs once per bin, in the "
         "packet hot path)",
@@ -48,10 +55,14 @@ ALLOWED = {
         "ints: delivered byte counts",
     ("repro.qa.scenario", "run_scenario"):
         "ints: qdisc packet and byte counters",
+    ("repro.serve.jobs", "execute_qa_envelope"):
+        "ints: a count of failing envelope cells",
     ("repro.sim.engine", "Simulator.pending_active"):
         "ints: a count of heap entries",
     ("repro.sim.medium", "MediumLink.queue_delay"):
         "ints: qdisc backlogs in bytes",
+    ("repro.store.artifacts", "ArtifactStore.prune"):
+        "ints: object sizes in bytes",
     ("repro.traffic.poisson", "PoissonShortFlows.offered_load"):
         "ints: FlowRecord.size is an int byte count",
 }

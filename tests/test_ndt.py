@@ -218,6 +218,22 @@ class TestSynth:
         record()  # rows built by hand are counted
         assert built
 
+    def test_record_is_its_row_of_any_shard(self):
+        # A shard is rendered as one (flows x snapshots) batch: a row
+        # may depend on neither its neighbours nor the batch size.
+        gen = SyntheticNdtGenerator(seed=13)
+        start = 1000
+        shard = gen.generate_shard(start, 400).records
+        firsts = {}
+        for i, rec in enumerate(shard, start):
+            firsts.setdefault(rec.access_type, i)
+        assert {"cellular", "satellite"} <= set(firsts)
+        for i in sorted({*range(start, start + 400, 37),
+                         *firsts.values(), start + 399}):
+            alone = gen.generate_record(i)
+            assert alone == shard[i - start]
+            assert alone.to_json() == shard[i - start].to_json()
+
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigError):
             PopulationModel(class_mix=(("app_limited", 0.5),))
@@ -292,6 +308,47 @@ class TestPipeline:
         for rec, flow in zip(recs, alone):
             assert analyse_records([rec]).remaining_with_shifts \
                 == int(flow.inferred_contention)
+
+    def test_batch_assigns_each_record_what_it_gets_alone(self,
+                                                          monkeypatch):
+        # Categories and level shifts are computed per length group, as
+        # arrays: a ragged batch must give each record exactly what
+        # categorize/analyse_flow give it on its own.
+        from repro.ndt import pipeline
+        rng = np.random.default_rng(0)
+        wild = record(access="cable",
+                      rates=[5e6 * float(np.exp(rng.normal(0, 0.5)))
+                             for _ in range(20)])
+        synth = SyntheticNdtGenerator(seed=21).generate(120).records
+        recs = [collected_record(), *synth[:60], wild, record(),
+                *synth[60:], collected_record()]
+        assert len({r.n_snapshots for r in recs}) == 4
+        alone = [(categorize(r), analyse_flow(r).num_level_shifts)
+                 for r in recs]
+        assert {category for category, _ in alone} == set(FlowCategory)
+        assert any(shifts for _, shifts in alone)
+        seen = []
+        real = pipeline.analyse_flow
+
+        def spy(rec, min_relative_shift, category, level_shifts):
+            seen.append((category, level_shifts))
+            return real(rec, min_relative_shift, category, level_shifts)
+
+        monkeypatch.setattr(pipeline, "analyse_flow", spy)
+        analyse_records(recs)
+        assert seen == alone
+
+    def test_stalled_record_in_a_batch_is_named(self):
+        synth = SyntheticNdtGenerator(seed=3).generate(60).records
+        target = next(r for r in synth
+                      if categorize(r) is FlowCategory.REMAINING)
+        elapsed = list(target.columns[0])
+        elapsed[7] = elapsed[6]  # two snapshots at one instant
+        stalled = replace(target, uuid="synth-stalled",
+                          columns=(elapsed, *target.columns[1:]))
+        assert stalled.n_snapshots == target.n_snapshots
+        with pytest.raises(AnalysisError, match="synth-stalled"):
+            analyse_records([*synth[:30], stalled, *synth[30:]])
 
     def test_analyse_flow_on_contended_record(self):
         gen = SyntheticNdtGenerator(seed=7)

@@ -25,7 +25,8 @@ the exact search: the raw breakpoints of seed 1 flow 816 and seed
 20230 flow 401 moved to the optimum, and nothing else did.  It passed
 byte-unchanged across the rewrite that made a record hold its snapshots
 as field columns instead of row objects, and was not regenerated for
-it.  Regenerate
+it, nor when a shard came to be rendered and filtered as one
+``(flows, snapshots)`` array.  Regenerate
 (deliberately, explaining why in the diff) with::
 
     PYTHONPATH=src python tests/test_ndt_records_golden.py

@@ -344,6 +344,21 @@ class TestAccessLog:
         store.get(kept)  # lands right behind the torn line
         assert store.entries()[kept]["hits"] == 2
 
+    def test_fold_waits_for_a_half_written_line(self, store):
+        """A fold that reads an append still being copied in leaves the
+        torn tail for the next fold instead of counting neither half."""
+        key = key_of("half")
+        store.put(key, "v")
+        line = f"{key} 1700000000.5 h\n".encode()
+        log_path = store.root / "access.log"
+        with open(log_path, "ab") as log:
+            log.write(line[:len(line) // 2])
+        assert store.stat()["hits"] == 0
+        with open(log_path, "ab") as log:
+            log.write(line[len(line) // 2:])
+        assert store.stat()["hits"] == 1
+        assert store.entries()[key]["hits"] == 1
+
     def test_stat_sees_other_handles_hits(self, tmp_path):
         a = ArtifactStore(tmp_path / "s")
         key = key_of("shared")
