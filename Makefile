@@ -18,8 +18,26 @@ slow:
 serve:
 	$(PYTHON) -m repro serve
 
-## what every simplicity PR reports: lines under src/repro and the
-## REPRO_* environment variables src/ reads
+## what every simplicity PR reports: lines under src/repro, the
+## REPRO_* environment variables src/ reads, and the settable values
+## (parameters with a default on public functions and methods and on
+## __init__s under src/repro)
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l
 	@grep -rhoE 'REPRO_[A-Z_]+' src/repro --include='*.py' | sort -u
+	@$(PYTHON) -c "$$SETTABLE_VALUES"
+
+define SETTABLE_VALUES
+import ast, pathlib
+count = 0
+for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and (node.name == "__init__"
+                     or not node.name.startswith("_"))):
+            args = node.args
+            count += len(args.defaults) + sum(
+                d is not None for d in args.kw_defaults)
+print(count, "settable values")
+endef
+export SETTABLE_VALUES

@@ -5,17 +5,17 @@ Nimbus runs a delay-controlling rate-based CCA while superimposing
 sinusoidal rate pulses.  From its own send rate S and delivery rate R
 it estimates the cross-traffic rate ẑ = μ·S/R - S; the spectral energy
 of ẑ at the pulse frequency is the *elasticity* of the cross traffic.
-When mode switching is enabled, high elasticity flips Nimbus into a
-TCP-competitive (Cubic-driven) mode; low elasticity returns it to
-delay mode.
+Deployed Nimbus flips into a TCP-competitive (Cubic-driven) mode when
+elasticity is high.
 
 The paper reproduced here (§3.2) proposes running Nimbus **with mode
 switching disabled but pulses maintained** as an active measurement
 tool: the elasticity readings then report whether any cross traffic on
-the path is contending for bandwidth.  Construct with
-``mode_switching=False`` (the default here, unlike deployed Nimbus)
-for that configuration; :class:`repro.core.probe.ElasticityProbe`
-wraps the whole arrangement.
+the path is contending for bandwidth.  That is the only configuration
+here.  The delay-mode law is this module's functions and constants,
+which the packet :class:`NimbusCca` and the fluid
+:class:`repro.fluid.probe.FluidProbe` both call;
+:class:`repro.core.probe.ElasticityProbe` wraps the packet one.
 
 Deviations from the deployed system, also listed in DESIGN.md:
 symmetric sinusoidal pulses (same spectral signature as Nimbus's
@@ -29,16 +29,94 @@ import math
 
 from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
                                cross_traffic_estimate)
-from ..errors import ConfigError
 from ..obs.bus import EventKind
 from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
-from .cubic import CubicCca
 from .filters import WindowedExtremum
+
+#: queue-feedback gain for the delay-mode controller.
+QUEUE_GAIN = 0.5
+#: fixed normalization for the queue feedback (seconds); see
+#: :func:`delay_mode_rate` for why it is not the target.
+GAIN_REFERENCE_DELAY = 0.05
+#: ẑ sampling cadence (seconds).
+SAMPLE_INTERVAL = 0.01
+#: window over which S and R are averaged for one ẑ sample (seconds).
+RATE_SMOOTHING = 0.06
+
+
+def default_delay_target(pulse_freq: float, pulse_amplitude: float
+                         ) -> float:
+    """Standing queueing delay (seconds) the delay mode aims for.
+
+    The standing queue must absorb the worst-case drain of a
+    down-pulse (amplitude * period / pi seconds of queueing), or the
+    bottleneck idles and ẑ picks up the probe's own pulse; the target
+    is twice that drain time, capped at 50 ms.
+    """
+    return min(2.0 * pulse_amplitude / (math.pi * pulse_freq), 0.05)
+
+
+def fit_to_buffer(buffer_delay: float, delay_target: float,
+                  pulse_freq: float, pulse_amplitude: float
+                  ) -> tuple[float, float]:
+    """``(delay_target, amplitude_frac)``, neither above its
+    configured value, fitted into a ``buffer_delay``-second buffer.
+
+    A buffer that cannot hold the standing queue plus a full pulse
+    swing makes the probe's own drops pulse-lock ẑ and fake
+    elasticity.  Budget: target ≈ 0.4 x buffer, swing ≤ 0.25 x buffer
+    each way, leaving ~0.1 x buffer so the up-lobe peak does not graze
+    the tail-drop limit (pulse-locked losses read as elasticity).
+    """
+    target = min(delay_target, max(0.4 * buffer_delay, 0.004))
+    max_drain = 0.25 * buffer_delay
+    max_amp = max_drain * math.pi * pulse_freq
+    return target, min(pulse_amplitude, max(max_amp, 0.02))
+
+
+def probe_estimator(pulse_freq: float) -> ElasticityEstimator:
+    """The probe's elasticity estimator for pulses at ``pulse_freq``.
+
+    Slow pulses need longer FFT windows (several periods) and a
+    comparison band that reaches below the pulse frequency.
+    """
+    return ElasticityEstimator(
+        pulse_freq=pulse_freq, sample_interval=SAMPLE_INTERVAL,
+        window=max(5.0, 10.0 / pulse_freq),
+        band=(min(1.0, pulse_freq / 4.0), 12.0))
+
+
+def clipped_cross_estimate(mu: float, send_rate: float,
+                           recv_rate: float) -> float:
+    """One ẑ sample, clipped at 1.5 μ.
+
+    Cross traffic cannot exceed the link: unclipped, transient
+    starvation of the probe's ACK stream (R -> 0 in a smoothing
+    window) yields unphysical ẑ spikes whose broadband spectral noise
+    drowns genuine pulse responses.
+    """
+    return min(cross_traffic_estimate(mu, send_rate, recv_rate), 1.5 * mu)
+
+
+def delay_mode_rate(mu: float, z_smoothed: float, delay_target: float,
+                    queue_delay: float, min_rate_frac: float) -> float:
+    """The delay-mode base rate (bytes/second): the fair share μ - ẑ
+    plus a proportional queue term, floored at ``min_rate_frac`` μ and
+    capped at 1.2 μ."""
+    fair_share = max(0.0, mu - z_smoothed)
+    # Stiffness is normalized by a FIXED reference delay, not by the
+    # target: dividing by a small target makes the feedback violent
+    # enough to self-oscillate at a few Hz -- squarely inside the
+    # elasticity band -- which reads as phantom elastic cross traffic
+    # on idle paths.
+    queue_term = (QUEUE_GAIN * mu * (delay_target - queue_delay)
+                  / GAIN_REFERENCE_DELAY)
+    return min(max(fair_share + queue_term, min_rate_frac * mu), 1.2 * mu)
 
 
 class NimbusCca(CongestionControl):
-    """Nimbus congestion control / elasticity probe.
+    """Nimbus congestion control / elasticity probe, in delay mode.
 
     Args:
         capacity_hint: bottleneck capacity μ in bytes/second; None
@@ -48,71 +126,34 @@ class NimbusCca(CongestionControl):
             see :mod:`repro.core.elasticity`.)
         pulse_freq: pulse frequency f_p (Hz).
         pulse_amplitude: pulse amplitude as a fraction of μ.
-        delay_target: target standing queueing delay (seconds).
-        mode_switching: enable the delay <-> TCP-competitive switch;
-            False is the paper's measurement configuration.
-        fixed_mode: with switching disabled, which base controller to
-            run: "delay" (the measurement default; pair it with a
-            raised ``min_rate_frac`` so it cannot be starved) or "tcp"
-            (Cubic-competitive).
-        elasticity_high / elasticity_low: switch thresholds.
-        sample_interval: ẑ sampling cadence (seconds).
-        initial_rate: pacing rate before any feedback (bytes/second).
         min_rate_frac: floor on the delay-mode rate as a fraction of μ.
             Deployed Nimbus uses a small floor (it switches modes when
-            squeezed); a *measurement* probe with switching disabled
-            should raise this (~0.25) so backlogged cross traffic
-            cannot squeeze its pulses into invisibility.
+            squeezed); a *measurement* probe should raise this (~0.25)
+            so backlogged cross traffic cannot squeeze its pulses into
+            invisibility.
     """
 
     name = "nimbus"
 
-    #: queue-feedback gain for the delay-mode controller.
-    QUEUE_GAIN = 0.5
-    #: fixed normalization for the queue feedback (seconds); see
-    #: _update_control for why the gain must not scale with the target.
-    GAIN_REFERENCE_DELAY = 0.05
-    #: minimum time between mode switches (seconds).
-    MODE_DWELL = 2.0
+    #: pacing rate before any feedback (bytes/second).
+    INITIAL_RATE = 1_250_000.0
 
     def __init__(self, mss: int = DEFAULT_MSS,
                  capacity_hint: float | None = None,
                  pulse_freq: float = 5.0, pulse_amplitude: float = 0.25,
-                 delay_target: float | None = None,
-                 mode_switching: bool = False, fixed_mode: str = "delay",
-                 elasticity_high: float = 3.0, elasticity_low: float = 1.5,
-                 sample_interval: float = 0.01, smoothing: float = 0.06,
-                 initial_rate: float = 1_250_000.0,
                  min_rate_frac: float = 0.05):
         super().__init__(mss=mss)
-        if delay_target is None:
-            # The standing queue must absorb the worst-case drain of a
-            # down-pulse (amplitude * period / pi seconds of queueing),
-            # or the bottleneck idles and ẑ picks up the probe's own
-            # pulse; default to twice that drain time.
-            delay_target = min(
-                2.0 * pulse_amplitude / (math.pi * pulse_freq), 0.05)
-        if delay_target <= 0:
-            raise ConfigError(f"delay_target must be positive: {delay_target}")
-        if elasticity_low >= elasticity_high:
-            raise ConfigError("need elasticity_low < elasticity_high")
         self.capacity_hint = capacity_hint
+        # Built first: it rejects a non-positive frequency or an
+        # amplitude outside (0, 1) before the target divides by them.
         self.pulses = PulseGenerator(pulse_freq, pulse_amplitude)
-        self.delay_target = delay_target
-        self.mode_switching = mode_switching
-        self.elasticity_high = elasticity_high
-        self.elasticity_low = elasticity_low
-        self.sample_interval = sample_interval
-        # Slow pulses need longer FFT windows (several periods) and a
-        # comparison band that reaches below the pulse frequency.
-        est_window = max(5.0, 10.0 / pulse_freq)
-        est_band = (min(1.0, pulse_freq / 4.0), 12.0)
-        self.estimator = ElasticityEstimator(
-            pulse_freq=pulse_freq, sample_interval=sample_interval,
-            window=est_window, band=est_band)
+        self.delay_target = default_delay_target(pulse_freq,
+                                                 pulse_amplitude)
+        self.estimator = probe_estimator(pulse_freq)
 
         self._mu_filter = WindowedExtremum(window=10.0, mode="max")
-        self._smooth_bins = max(1, int(round(smoothing / sample_interval)))
+        self._smooth_bins = max(1, int(round(RATE_SMOOTHING
+                                             / SAMPLE_INTERVAL)))
         self._bin_idx = 0
         self._send_in_bin = 0
         self._recv_in_bin = 0
@@ -128,8 +169,8 @@ class NimbusCca(CongestionControl):
         # enough to keep small-target paths just below saturation.
         self._wire_factor = (mss + 52) / mss
 
-        self._base_rate = float(initial_rate)
-        self._pacing_rate = float(initial_rate)
+        self._base_rate = self.INITIAL_RATE
+        self._pacing_rate = self.INITIAL_RATE
         self._cwnd = 20.0
         self._srtt: float | None = None
         self._min_rtt: float | None = None
@@ -137,34 +178,17 @@ class NimbusCca(CongestionControl):
         self._z_smoothed = 0.0
 
         self.min_rate_frac = min_rate_frac
-        # Adaptive pulse envelope: on paths whose buffer cannot hold
-        # the standing queue plus a full pulse swing, the probe's own
-        # drops pulse-lock ẑ and fake elasticity.  The probe learns the
-        # buffer depth from the peak queueing delay observed around
-        # losses (overflow happens exactly when the queue equals the
-        # buffer) and sizes its queue target and pulse amplitude to
-        # fit inside it.  The estimate only ratchets upward, so there
-        # is no oscillation; deeper-queue losses later (a competitor
-        # filling a big buffer) relax the restriction back toward the
-        # configured values.
+        # Adaptive pulse envelope (:func:`fit_to_buffer`): the probe
+        # learns the buffer depth from the peak queueing delay
+        # observed around losses (overflow happens exactly when the
+        # queue equals the buffer).  The estimate only ratchets
+        # upward, so there is no oscillation; deeper-queue losses
+        # later (a competitor filling a big buffer) relax the
+        # restriction back toward the configured values.
         self._buffer_est: float | None = None
-        self._last_loss = float("-inf")
         self._rtt_peak = WindowedExtremum(window=1.0, mode="max")
-        self._base_delay_target = delay_target
+        self._base_delay_target = self.delay_target
         self._base_amplitude = pulse_amplitude
-        self._pulse_freq = pulse_freq
-        if fixed_mode not in ("delay", "tcp"):
-            raise ConfigError(f"unknown fixed_mode {fixed_mode!r}")
-        self.mode = "delay"
-        self._mode_changed_at = 0.0
-        self._tcp_inner: CubicCca | None = None
-        #: (time, mode) history of mode switches, for analysis
-        self.mode_log: list[tuple[float, str]] = []
-        if not mode_switching and fixed_mode == "tcp":
-            self.mode = "tcp"
-            self._tcp_inner = CubicCca(mss=mss)
-            self._trace(0.0, EventKind.MODE,
-                        meta={"from": "delay", "to": "tcp", "fixed": True})
 
     # -- knobs -------------------------------------------------------------
 
@@ -206,14 +230,9 @@ class NimbusCca(CongestionControl):
         if (sample.delivery_rate is not None
                 and not sample.delivery_rate_app_limited):
             self._mu_filter.update(sample.now, sample.delivery_rate)
-        if self._tcp_inner is not None:
-            self._tcp_inner.on_ack(sample)
         self._update_control(sample.now)
 
     def on_loss(self, now: float, lost_bytes: int) -> None:
-        self._last_loss = now
-        if self._tcp_inner is not None:
-            self._tcp_inner.on_loss(now, lost_bytes)
         # Delay mode has no explicit rate cut on loss: losses inflate
         # the measured queueing delay, and the delay controller (which
         # recomputes the rate from scratch on every ACK) backs off
@@ -221,8 +240,6 @@ class NimbusCca(CongestionControl):
         # buffer depth: overflow happens when the queue equals the
         # buffer, so the recent peak queueing delay at loss time is a
         # buffer-depth sample.
-        if self.mode != "delay":
-            return
         peak_rtt = self._rtt_peak.value
         if peak_rtt is None or self._min_rtt is None:
             return
@@ -236,31 +253,17 @@ class NimbusCca(CongestionControl):
     @property
     def _amp_scale(self) -> float:
         """Delivered pulse amplitude as a fraction of the configured one."""
-        if self._base_amplitude <= 0:
-            return 1.0
         return self.pulses.amplitude_frac / self._base_amplitude
 
     def _retarget(self) -> None:
-        """Fit the queue target and pulse amplitude into the buffer.
-
-        Envelope budget: target ≈ 0.4 x buffer, pulse swing ≤ 0.25 x
-        buffer each way, leaving ~0.1 x buffer of headroom so the
-        up-lobe peak does not graze the tail-drop limit (grazing
-        produces pulse-locked losses, which read as phantom
-        elasticity).
-        """
+        """:func:`fit_to_buffer` into the learned buffer."""
         if self._buffer_est is None:
             return
-        self.delay_target = min(self._base_delay_target,
-                                max(0.4 * self._buffer_est, 0.004))
-        max_drain = 0.25 * self._buffer_est
-        max_amp = max_drain * math.pi * self._pulse_freq
-        self.pulses.amplitude_frac = min(self._base_amplitude,
-                                         max(max_amp, 0.02))
+        self.delay_target, self.pulses.amplitude_frac = fit_to_buffer(
+            self._buffer_est, self._base_delay_target,
+            self.pulses.frequency, self._base_amplitude)
 
     def on_rto(self, now: float) -> None:
-        if self._tcp_inner is not None:
-            self._tcp_inner.on_rto(now)
         self._base_rate = max(self._base_rate * 0.5,
                               self.min_rate_frac * self.mu)
 
@@ -269,8 +272,7 @@ class NimbusCca(CongestionControl):
     def _advance_bins(self, now: float) -> None:
         """Close any ẑ sample bins that ended before ``now``."""
         self._now = now
-        width = self.sample_interval
-        target_bin = int(now / width)
+        target_bin = int(now / SAMPLE_INTERVAL)
         while self._bin_idx < target_bin:
             self._close_bin()
 
@@ -279,7 +281,7 @@ class NimbusCca(CongestionControl):
         lo = max(0, end - self._smooth_bins)
         if end <= lo:
             return 0.0
-        return sum(bins[lo:end]) / ((end - lo) * self.sample_interval)
+        return sum(bins[lo:end]) / ((end - lo) * SAMPLE_INTERVAL)
 
     def _close_bin(self) -> None:
         self._send_bins.append(self._send_in_bin)
@@ -287,20 +289,15 @@ class NimbusCca(CongestionControl):
         self._send_in_bin = 0
         self._recv_in_bin = 0
         self._bin_idx += 1
-        bin_end = self._bin_idx * self.sample_interval
+        bin_end = self._bin_idx * SAMPLE_INTERVAL
 
         srtt = self._srtt if self._srtt is not None else 0.1
-        lag_bins = int(round(srtt / self.sample_interval))
+        lag_bins = int(round(srtt / SAMPLE_INTERVAL))
         n = len(self._send_bins)
         recv_rate = self._mean_rate(self._recv_bins, n) * self._wire_factor
         send_rate = (self._mean_rate(self._send_bins, n - lag_bins)
                      * self._wire_factor)
-        z = cross_traffic_estimate(self.mu, send_rate, recv_rate)
-        # Cross traffic cannot exceed the link: unclipped, transient
-        # starvation of our ACK stream (R -> 0 in a smoothing window)
-        # yields unphysical ẑ spikes whose broadband spectral noise
-        # drowns genuine pulse responses.
-        z = min(z, 1.5 * self.mu)
+        z = clipped_cross_estimate(self.mu, send_rate, recv_rate)
         # Light smoothing stabilizes the delay controller; the estimator
         # gets the raw sample to preserve spectral content.
         self._z_smoothed += 0.1 * (z - self._z_smoothed)
@@ -316,56 +313,19 @@ class NimbusCca(CongestionControl):
         if reading is not None:
             meta["elasticity"] = reading.elasticity
         self._trace(self._now, EventKind.PULSE, z, meta)
-        if reading is not None and self.mode_switching:
-            self._maybe_switch_mode(bin_end, reading.elasticity)
 
     # -- control law --------------------------------------------------------------
 
     def _update_control(self, now: float) -> None:
         mu = self.mu
         srtt = self._srtt if self._srtt is not None else 0.1
-        if self.mode == "delay":
-            queue_delay = 0.0
-            if self._srtt is not None and self._min_rtt is not None:
-                queue_delay = max(0.0, self._srtt - self._min_rtt)
-            fair_share = max(0.0, mu - self._z_smoothed)
-            # Stiffness is normalized by a FIXED reference delay, not
-            # by the target: dividing by a small target makes the
-            # feedback violent enough to self-oscillate at a few Hz --
-            # squarely inside the elasticity band -- which reads as
-            # phantom elastic cross traffic on idle paths.
-            queue_term = (self.QUEUE_GAIN * mu
-                          * (self.delay_target - queue_delay)
-                          / self.GAIN_REFERENCE_DELAY)
-            self._base_rate = min(max(fair_share + queue_term,
-                                      self.min_rate_frac * mu), 1.2 * mu)
-        else:
-            assert self._tcp_inner is not None
-            self._base_rate = self._tcp_inner.cwnd * self.mss / srtt
-
+        queue_delay = 0.0
+        if self._srtt is not None and self._min_rtt is not None:
+            queue_delay = max(0.0, self._srtt - self._min_rtt)
+        self._base_rate = delay_mode_rate(
+            mu, self._z_smoothed, self.delay_target, queue_delay,
+            self.min_rate_frac)
         rate = self._base_rate + self.pulses.offset(now, mu)
         self._pacing_rate = max(rate, self.min_rate_frac * mu)
         # The window caps rather than clocks transmission.
         self._cwnd = max(4.0, 2.0 * self._pacing_rate * srtt / self.mss)
-
-    def _maybe_switch_mode(self, now: float, elasticity: float) -> None:
-        if now - self._mode_changed_at < self.MODE_DWELL:
-            return
-        srtt = self._srtt if self._srtt is not None else 0.1
-        if self.mode == "delay" and elasticity >= self.elasticity_high:
-            self.mode = "tcp"
-            self._mode_changed_at = now
-            start_cwnd = max(4.0, self._base_rate * srtt / self.mss)
-            self._tcp_inner = CubicCca(mss=self.mss,
-                                       initial_cwnd=start_cwnd)
-            self._tcp_inner.ssthresh = start_cwnd
-            self.mode_log.append((now, "tcp"))
-            self._trace(self._now, EventKind.MODE, elasticity,
-                        {"from": "delay", "to": "tcp"})
-        elif self.mode == "tcp" and elasticity <= self.elasticity_low:
-            self.mode = "delay"
-            self._mode_changed_at = now
-            self._tcp_inner = None
-            self.mode_log.append((now, "delay"))
-            self._trace(self._now, EventKind.MODE, elasticity,
-                        {"from": "tcp", "to": "delay"})

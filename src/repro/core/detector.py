@@ -1,11 +1,11 @@
 """Turning elasticity readings into contention verdicts.
 
 The probe emits a time series of elasticity values; a path is judged
-to carry contending (elastic) cross traffic when the readings exceed a
-threshold persistently.  The detector offers both the simple
-mean-threshold rule and a fraction-above rule, and computes
-precision/recall style quality measures against ground truth for the
-campaign evaluation (E7).
+to carry contending (elastic) cross traffic when the mean reading
+reaches a threshold.  Fixed bands around it sort each path into
+"contending", "clean" or "inconclusive", and :func:`confusion_counts`
+computes precision/recall style quality measures against ground truth
+for the campaign evaluation (E7).
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..units import ordered_sum
 from .elasticity import ElasticityReading
+
+#: Verdict bands: a mean elasticity below ``CLEAN_BELOW`` is "clean",
+#: at or above ``CONTENDING_ABOVE`` "contending", and between them
+#: "inconclusive".
+CLEAN_BELOW = 1.5
+CONTENDING_ABOVE = 2.6
 
 
 def ordered_mean(values: list[float]) -> float:
@@ -28,7 +34,9 @@ class DetectorVerdict:
     """One path's verdict.
 
     Attributes:
-        contending: the detector's binary decision (confident band).
+        contending: the detector's binary decision, mean elasticity
+            >= the threshold (2.0 by default; below the confident
+            band, which starts at :data:`CONTENDING_ABOVE`).
         category: three-way call -- "contending" (confidently elastic),
             "clean" (confidently not), or "inconclusive".  Two kinds of
             real traffic live in the gray zone by their nature:
@@ -49,74 +57,52 @@ class DetectorVerdict:
 
 
 class ContentionDetector:
-    """Threshold detector over elasticity readings.
+    """Mean-threshold detector over elasticity readings.
 
     Args:
-        threshold: elasticity above this counts as elastic (the binary
-            decision boundary, kept for simple callers).
-        clean_below / contending_above: the three-way bands; between
-            them the verdict category is "inconclusive".
-        rule: "mean" (mean elasticity >= threshold) or "fraction"
-            (>= ``min_fraction`` of readings above threshold).
-        min_fraction: for the "fraction" rule.
-        warmup: discard readings earlier than this time.
+        threshold: a mean elasticity at or above this is contending
+            (the binary decision).  The three-way category uses the
+            fixed bands :data:`CLEAN_BELOW` and :data:`CONTENDING_ABOVE`.
     """
 
-    def __init__(self, threshold: float = 2.0, rule: str = "mean",
-                 min_fraction: float = 0.3, warmup: float = 0.0,
-                 clean_below: float = 1.5,
-                 contending_above: float = 2.6):
+    def __init__(self, threshold: float = 2.0):
         if threshold <= 0:
             raise ConfigError(f"threshold must be positive: {threshold}")
-        if rule not in ("mean", "fraction"):
-            raise ConfigError(f"unknown rule {rule!r}")
-        if not 0 < min_fraction <= 1:
-            raise ConfigError(f"min_fraction must be in (0, 1]: {min_fraction}")
-        if not 0 < clean_below <= contending_above:
-            raise ConfigError("need 0 < clean_below <= contending_above")
         self.threshold = threshold
-        self.rule = rule
-        self.min_fraction = min_fraction
-        self.warmup = warmup
-        self.clean_below = clean_below
-        self.contending_above = contending_above
 
     def fingerprint_config(self) -> dict:
         """Canonical config for :mod:`repro.store` fingerprints: two
         detectors with equal parameters must hash identically."""
+        # Retired keys as literals, so that no stored fingerprint moves.
         return {
             "threshold": self.threshold,
-            "rule": self.rule,
-            "min_fraction": self.min_fraction,
-            "warmup": self.warmup,
-            "clean_below": self.clean_below,
-            "contending_above": self.contending_above,
+            "rule": "mean",
+            "min_fraction": 0.3,
+            "warmup": 0.0,
+            "clean_below": CLEAN_BELOW,
+            "contending_above": CONTENDING_ABOVE,
         }
 
     def verdict(self, readings: list[ElasticityReading] | tuple
                 ) -> DetectorVerdict:
         """Judge one path's readings."""
-        usable = [r for r in readings if r.time >= self.warmup]
-        if not usable:
+        values = [r.elasticity for r in readings]
+        if not values:
             return DetectorVerdict(contending=False, category="clean",
                                    mean_elasticity=0.0,
                                    fraction_above=0.0, n_readings=0)
-        values = [r.elasticity for r in usable]
         mean = ordered_mean(values)
         above = sum(1 for v in values if v >= self.threshold) / len(values)
-        if self.rule == "mean":
-            contending = mean >= self.threshold
-        else:
-            contending = above >= self.min_fraction
-        if mean >= self.contending_above:
+        if mean >= CONTENDING_ABOVE:
             category = "contending"
-        elif mean < self.clean_below:
+        elif mean < CLEAN_BELOW:
             category = "clean"
         else:
             category = "inconclusive"
-        return DetectorVerdict(contending=contending, category=category,
-                               mean_elasticity=mean,
-                               fraction_above=above, n_readings=len(usable))
+        return DetectorVerdict(contending=mean >= self.threshold,
+                               category=category, mean_elasticity=mean,
+                               fraction_above=above,
+                               n_readings=len(values))
 
 
 def probe_summary(report) -> dict:

@@ -75,7 +75,6 @@ class ElasticityProbe:
             traffic (BBRv1's smoothed pacing) visible above bursty
             application traffic.  Calibration table in DESIGN.md.
         warmup: seconds of readings to discard in summaries.
-        probe_mode: Nimbus base controller, "delay" (default) or "tcp".
         min_rate_frac: starvation floor for the delay controller; the
             0.25 default keeps the probe's pulses visible even when
             backlogged cross traffic would otherwise squeeze it out.
@@ -85,15 +84,13 @@ class ElasticityProbe:
                  flow_id: str = "probe", capacity_hint: float | None = None,
                  pulse_freq: float = 5.0, pulse_amplitude: float = 0.35,
                  warmup: float = 6.0, mss: int = DEFAULT_MSS,
-                 probe_mode: str = "delay", min_rate_frac: float = 0.25,
-                 jitter=None):
+                 min_rate_frac: float = 0.25, jitter=None):
         self.sim = sim
         self.flow_id = flow_id
         self.warmup = warmup
         self.cca = NimbusCca(
             mss=mss, capacity_hint=capacity_hint, pulse_freq=pulse_freq,
-            pulse_amplitude=pulse_amplitude, mode_switching=False,
-            fixed_mode=probe_mode, min_rate_frac=min_rate_frac)
+            pulse_amplitude=pulse_amplitude, min_rate_frac=min_rate_frac)
         self.connection = Connection(sim, path, flow_id, self.cca,
                                      jitter=jitter)
         self._started_at: float | None = None

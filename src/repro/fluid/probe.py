@@ -1,35 +1,28 @@
 """Fluid Nimbus probe: the paper's elasticity measurement, rate-based.
 
-The control law, pulse shape, ẑ estimator, and spectral pipeline are
-the same as :class:`repro.cca.nimbus.NimbusCca` -- this class re-uses
-:class:`repro.core.elasticity.ElasticityEstimator` and
-:class:`~repro.core.elasticity.PulseGenerator` directly so the
-readings feed the identical FFT and the identical
-:class:`repro.core.detector.ContentionDetector`.
+The delay-mode law is :mod:`repro.cca.nimbus`'s, called rather than
+copied, so the readings feed the identical FFT and the identical
+:class:`repro.core.detector.ContentionDetector`.  Three things are the
+backend's own (DESIGN.md, "The fluid backend"):
 
-The one structural difference is feedback latency.  In the packet
-backend the probe sees its delivery rate one RTT after sending, so
-Nimbus lags its send-rate window by srtt to phase-align S with R.  In
-the fluid model feedback is instantaneous except for the queueing
-delay the cohort FIFO imposes, so the send-rate lag here is the
-(smoothed) queue delay.  With that alignment, ẑ = μ·S/R - S over a
-busy cohort FIFO reads exactly the cross arrival rate at enqueue
-time -- no echo of the probe's own pulse (DESIGN.md, "The fluid
-backend").
+* the lag: feedback is instantaneous except for the queueing delay the
+  cohort FIFO imposes, so S lags by the smoothed queue delay, not by
+  srtt; over a busy cohort FIFO, ẑ = μ·S/R - S then reads exactly the
+  cross arrival rate at enqueue time -- no echo of the probe's pulse;
+* μ is the capacity hint, always;
+* the buffer depth is known from the topology and fitted before the
+  first tick, where the packet probe learns it from its losses.
 """
 
 from __future__ import annotations
 
-import math
-
-from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
-                               cross_traffic_estimate)
+from ..cca.nimbus import (RATE_SMOOTHING, SAMPLE_INTERVAL,
+                          clipped_cross_estimate, default_delay_target,
+                          delay_mode_rate, fit_to_buffer, probe_estimator)
+from ..core.elasticity import PulseGenerator
 from ..core.probe import ProbeReport
-from ..units import DEFAULT_MSS, ordered_sum
+from ..units import ordered_sum
 from .flows import FluidFlow
-
-#: Mirrors NimbusCca's rate-smoothing window (seconds).
-RATE_SMOOTHING = 0.06
 
 
 class FluidProbe(FluidFlow):
@@ -40,51 +33,36 @@ class FluidProbe(FluidFlow):
         base_rtt: two-way propagation delay (seconds).
         buffer_delay: bottleneck buffer depth in seconds (buffer bytes
             over the drain rate).  The packet probe learns this from
-            its first loss and retargets its standing queue and pulse
-            amplitude to fit; the fluid probe knows the topology and
-            applies the same retargeting a priori (a documented
-            deviation -- it only skips the pre-first-loss transient).
-        pulse_freq / pulse_amplitude / warmup / min_rate_frac /
-        sample_interval: as in :class:`repro.core.probe.ElasticityProbe`.
+            its first loss and fits its standing queue and pulse
+            amplitude into it; the fluid probe knows the topology and
+            applies the same fit a priori (a documented deviation --
+            it only skips the pre-first-loss transient).
+        pulse_freq / pulse_amplitude / warmup / min_rate_frac: as in
+            :class:`repro.core.probe.ElasticityProbe`.
     """
-
-    QUEUE_GAIN = 0.5
-    GAIN_REFERENCE_DELAY = 0.05
 
     def __init__(self, mu: float, base_rtt: float, buffer_delay: float,
                  flow_id: str = "probe", pulse_freq: float = 5.0,
                  pulse_amplitude: float = 0.35, warmup: float = 6.0,
-                 min_rate_frac: float = 0.25,
-                 sample_interval: float = 0.01, mss: int = DEFAULT_MSS):
+                 min_rate_frac: float = 0.25):
         super().__init__(flow_id, base_rtt)
         self.mu = mu
         self.warmup = warmup
         self.min_rate_frac = min_rate_frac
-        self.sample_interval = sample_interval
         self.pulses = PulseGenerator(pulse_freq, pulse_amplitude)
-        base_target = min(2.0 * pulse_amplitude / (math.pi * pulse_freq),
-                          0.05)
-        # NimbusCca._retarget: fit the standing queue and pulse swing
-        # into the buffer so up-pulses do not graze the drop limit.
-        self.delay_target = base_target
-        if 0.4 * buffer_delay < base_target:
-            self.delay_target = max(0.4 * buffer_delay, 0.004)
-            max_amp = 0.25 * buffer_delay * math.pi * pulse_freq
-            self.pulses.amplitude_frac = min(pulse_amplitude,
-                                             max(max_amp, 0.02))
-        self._amp_scale = self.pulses.amplitude_frac / pulse_amplitude
-        self.estimator = ElasticityEstimator(
-            pulse_freq=pulse_freq, sample_interval=sample_interval,
-            window=max(5.0, 10.0 / pulse_freq), update_interval=0.5,
-            band=(min(1.0, pulse_freq / 4.0), 12.0))
-        self.estimator.scale = mu * self._amp_scale
+        self.delay_target, self.pulses.amplitude_frac = fit_to_buffer(
+            buffer_delay, default_delay_target(pulse_freq, pulse_amplitude),
+            pulse_freq, pulse_amplitude)
+        self.estimator = probe_estimator(pulse_freq)
+        self.estimator.scale = mu * (self.pulses.amplitude_frac
+                                     / pulse_amplitude)
         self._base_rate = min_rate_frac * mu
         self.rate = self._base_rate + self.pulses.offset(0.0, mu)
         self._z_smoothed = 0.0
         self._q_smoothed = 0.0
         self._send_hist: list[float] = []
         self._recv_hist: list[float] = []
-        self._next_sample = sample_interval
+        self._next_sample = SAMPLE_INTERVAL
 
     def _window_mean(self, hist: list[float], end: int, k: int) -> float:
         lo = max(0, end - k)
@@ -99,25 +77,19 @@ class FluidProbe(FluidFlow):
         self._q_smoothed += 0.1 * (queue_delay - self._q_smoothed)
 
         if now + dt >= self._next_sample:
-            self._next_sample += self.sample_interval
+            self._next_sample += SAMPLE_INTERVAL
             n = len(self._send_hist)
             k = max(1, int(round(RATE_SMOOTHING / dt)))
             lag = int(round(self._q_smoothed / dt))
             send = self._window_mean(self._send_hist, n - lag, k)
             recv = self._window_mean(self._recv_hist, n, k)
-            z = cross_traffic_estimate(self.mu, send, recv)
-            z = min(z, 1.5 * self.mu)
+            z = clipped_cross_estimate(self.mu, send, recv)
             self._z_smoothed += 0.1 * (z - self._z_smoothed)
             self.estimator.add_sample(now + dt, z)
 
-        # Delay-mode control law (NimbusCca._update_control).
-        fair_share = max(0.0, self.mu - self._z_smoothed)
-        queue_term = (self.QUEUE_GAIN * self.mu
-                      * (self.delay_target - queue_delay)
-                      / self.GAIN_REFERENCE_DELAY)
-        self._base_rate = min(max(fair_share + queue_term,
-                                  self.min_rate_frac * self.mu),
-                              1.2 * self.mu)
+        self._base_rate = delay_mode_rate(
+            self.mu, self._z_smoothed, self.delay_target, queue_delay,
+            self.min_rate_frac)
         self.rate = max(self._base_rate + self.pulses.offset(now + dt,
                                                              self.mu),
                         self.min_rate_frac * self.mu)

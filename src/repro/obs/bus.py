@@ -42,8 +42,8 @@ class EventKind:
       packets, ``meta["pacing_rate"]`` the pacing rate when one is set
       and ``meta["cause"]`` the trigger for loss/RTO cuts.
     * ``RATE`` -- explicit pacing/base-rate change (rate-based CCAs).
-    * ``MODE`` -- CCA mode/state switch (BBR state machine, Nimbus
-      delay<->tcp); ``meta["from"]``/``meta["to"]`` name the modes.
+    * ``MODE`` -- CCA mode/state switch (the BBR state machine);
+      ``meta["from"]``/``meta["to"]`` name the modes.
     * ``PULSE`` -- one Nimbus pulse-phase sample; ``value`` is the
       cross-traffic estimate ẑ for that bin, ``meta["elasticity"]``
       the reading when the bin completed an estimator window.

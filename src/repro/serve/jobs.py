@@ -341,7 +341,8 @@ def _checked(name: str, value, annotation, sibling):
     and ``30.0`` name one campaign), no number takes a ``bool``, a
     ``str`` or ``list`` may not be empty; ``Annotated`` adds a
     number's exclusive lower bound or, on a list, the name of the
-    param (read through ``sibling``) its integer elements index into.
+    param (read through ``sibling``) its distinct integer elements
+    index into.
     """
     if annotation is inspect.Parameter.empty:
         return value
@@ -360,10 +361,11 @@ def _checked(name: str, value, annotation, sibling):
                              else f"> {extra[0]}") + f": {value!r}")
     if extra and kind is list:
         limit = sibling(extra[0])
-        if not all(isinstance(i, int) and not isinstance(i, bool)
-                   and 0 <= i < limit for i in value):
-            raise ConfigError(f"param {name!r} must hold indices in "
-                              f"[0, {limit}): {value!r}")
+        if not (all(isinstance(i, int) and not isinstance(i, bool)
+                    and 0 <= i < limit for i in value)
+                and len(set(value)) == len(value)):
+            raise ConfigError(f"param {name!r} must hold distinct "
+                              f"indices in [0, {limit}): {value!r}")
     return float(value) if kind is float else value
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.cca.base import AckSample
 from repro.cca.nimbus import NimbusCca
 from repro.errors import ConfigError
+from repro.fluid.probe import FluidProbe
 
 
 def ack(now, acked=1448, rtt=0.1, min_rtt=0.1, srtt=0.1,
@@ -34,12 +35,48 @@ class TestConfig:
             > fast.estimator.window_samples
 
     def test_invalid_configs(self):
-        with pytest.raises(ConfigError):
-            NimbusCca(delay_target=-0.1)
-        with pytest.raises(ConfigError):
-            NimbusCca(fixed_mode="plaid")
-        with pytest.raises(ConfigError):
-            NimbusCca(elasticity_high=1.0, elasticity_low=2.0)
+        # A bad pulse is blamed on the pulse, not on the delay target
+        # derived from it.
+        for freq in (0.0, -5.0):
+            with pytest.raises(ConfigError, match="frequency"):
+                NimbusCca(pulse_freq=freq)
+        with pytest.raises(ConfigError, match="amplitude"):
+            NimbusCca(pulse_amplitude=1.5)
+
+
+class TestOneLaw:
+    """The packet and fluid probes fit their pulse into a buffer with
+    one function, so a known buffer gives both the same envelope."""
+
+    @staticmethod
+    def packet_fit(buffer_delay, freq, amp):
+        cca = NimbusCca(capacity_hint=6e6, pulse_freq=freq,
+                        pulse_amplitude=amp)
+        cca._buffer_est = buffer_delay
+        cca._retarget()
+        return cca.delay_target, cca.pulses.amplitude_frac
+
+    @staticmethod
+    def fluid_fit(buffer_delay, freq, amp):
+        probe = FluidProbe(6e6, 0.1, buffer_delay, pulse_freq=freq,
+                           pulse_amplitude=amp)
+        return probe.delay_target, probe.pulses.amplitude_frac
+
+    @pytest.mark.parametrize("buffer_delay", [0.005, 0.02, 0.05, 0.125,
+                                              0.3])
+    @pytest.mark.parametrize("freq,amp", [(5.0, 0.35), (5.0, 0.15),
+                                          (2.0, 0.25), (1.0, 0.5)])
+    def test_backends_fit_the_same_envelope(self, buffer_delay, freq,
+                                            amp):
+        assert self.fluid_fit(buffer_delay, freq, amp) \
+            == self.packet_fit(buffer_delay, freq, amp)
+
+    def test_capped_target_still_fits_the_pulse(self):
+        # The 50 ms cap binds at 1 Hz / 0.5, so the buffer can hold the
+        # target yet not the swing: the pulse must shrink to fit.
+        target, amp = self.fluid_fit(0.125, 1.0, 0.5)
+        assert target == pytest.approx(0.05)
+        assert amp == pytest.approx(0.25 * 0.125 * math.pi)
 
 
 class TestRateBins:
@@ -71,8 +108,9 @@ class TestRateBins:
     def test_mu_from_hint_or_filter(self):
         hinted = NimbusCca(capacity_hint=5e6)
         assert hinted.mu == 5e6
-        learned = NimbusCca(capacity_hint=None, initial_rate=1e6)
-        assert learned.mu == 1e6  # falls back to base rate
+        learned = NimbusCca(capacity_hint=None)
+        # falls back to base rate
+        assert learned.mu == NimbusCca.INITIAL_RATE
         learned.on_ack(ack(0.1, rate=4e6))
         assert learned.mu == 4e6
 

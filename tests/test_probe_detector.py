@@ -9,7 +9,8 @@ import pytest
 
 from repro.cca import RenoCca
 from repro.cca.nimbus import NimbusCca
-from repro.core.detector import (ContentionDetector, confusion_counts)
+from repro.core.detector import (CLEAN_BELOW, CONTENDING_ABOVE,
+                                 ContentionDetector, confusion_counts)
 from repro.core.elasticity import ElasticityReading
 from repro.core.probe import ElasticityProbe
 from repro.errors import ConfigError
@@ -25,24 +26,10 @@ def reading(t, e):
 
 class TestDetector:
     def test_mean_rule(self):
-        det = ContentionDetector(threshold=2.0, rule="mean")
+        det = ContentionDetector(threshold=2.0)
         verdict = det.verdict([reading(1.0, 1.0), reading(2.0, 5.0)])
         assert verdict.contending  # mean 3.0 >= 2.0
         assert verdict.mean_elasticity == pytest.approx(3.0)
-
-    def test_fraction_rule(self):
-        det = ContentionDetector(threshold=2.0, rule="fraction",
-                                 min_fraction=0.5)
-        readings = [reading(float(i), 3.0 if i % 3 == 0 else 1.0)
-                    for i in range(9)]
-        verdict = det.verdict(readings)
-        assert not verdict.contending  # only 1/3 above
-
-    def test_warmup_excludes_early_readings(self):
-        det = ContentionDetector(threshold=2.0, warmup=5.0)
-        verdict = det.verdict([reading(1.0, 100.0), reading(6.0, 1.0)])
-        assert not verdict.contending
-        assert verdict.n_readings == 1
 
     def test_no_readings_is_not_contending(self):
         verdict = ContentionDetector().verdict([])
@@ -52,8 +39,12 @@ class TestDetector:
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             ContentionDetector(threshold=0)
-        with pytest.raises(ConfigError):
-            ContentionDetector(rule="vibes")
+
+    def test_fingerprint_config_is_pinned(self):
+        # Store keys and envelope fingerprints hash this dict.
+        assert ContentionDetector(3.0).fingerprint_config() == {
+            "threshold": 3.0, "rule": "mean", "min_fraction": 0.3,
+            "warmup": 0.0, "clean_below": 1.5, "contending_above": 2.6}
 
     def test_confusion_counts(self):
         quality = confusion_counts([True, True, False, False],
@@ -69,12 +60,9 @@ class TestDetector:
 
 class TestNimbusCca:
     def test_invalid_configs(self):
-        with pytest.raises(ConfigError):
-            NimbusCca(delay_target=-1.0)
-        with pytest.raises(ConfigError):
-            NimbusCca(elasticity_high=1.0, elasticity_low=2.0)
-        with pytest.raises(ConfigError):
-            NimbusCca(fixed_mode="warp")
+        # The pulse is checked before the delay target divides by it.
+        with pytest.raises(ConfigError, match="frequency"):
+            NimbusCca(pulse_freq=0.0)
 
     def test_capacity_hint_is_mu(self):
         cca = NimbusCca(capacity_hint=6e6)
@@ -84,10 +72,6 @@ class TestNimbusCca:
         gentle = NimbusCca(pulse_freq=5.0, pulse_amplitude=0.125)
         strong = NimbusCca(pulse_freq=5.0, pulse_amplitude=0.25)
         assert strong.delay_target > gentle.delay_target
-
-    def test_fixed_tcp_mode_starts_in_tcp(self):
-        cca = NimbusCca(mode_switching=False, fixed_mode="tcp")
-        assert cca.mode == "tcp"
 
     def test_probe_saturates_empty_link(self):
         sim = Simulator()
@@ -108,6 +92,12 @@ class TestNimbusCca:
 
 
 class TestProbeEndToEnd:
+    """One 30 s probe run per cross type, shared by the class."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {cross: self.run_probe(cross) for cross in ("none", "reno")}
+
     @staticmethod
     def run_probe(cross: str, duration=30.0):
         sim = Simulator()
@@ -120,56 +110,29 @@ class TestProbeEndToEnd:
         sim.run(until=duration)
         return probe.report()
 
-    def test_elastic_cross_scores_higher_than_empty(self):
-        empty = self.run_probe("none")
-        contended = self.run_probe("reno")
+    def test_elastic_cross_scores_higher_than_empty(self, reports):
+        empty, contended = reports["none"], reports["reno"]
         assert contended.mean_elasticity > 2 * empty.mean_elasticity
         assert contended.mean_elasticity > 2.0
         assert empty.mean_elasticity < 2.0
 
-    def test_report_window_selection(self):
-        report = self.run_probe("none", duration=20.0)
+    def test_report_window_selection(self, reports):
+        report = reports["none"]
         assert report.readings
-        assert all(r.time >= 6.0 for r in report.readings)
+        assert all(6.0 <= r.time < 30.0 for r in report.readings)
 
-    def test_verdict_matches_threshold(self):
-        report = self.run_probe("reno")
-        readings = list(report.readings)
+    def test_verdict_matches_threshold(self, reports):
+        readings = list(reports["reno"].readings)
         assert ContentionDetector(threshold=2.0).verdict(
             readings).contending
         assert not ContentionDetector(threshold=1e9).verdict(
             readings).contending
 
 
-class TestModeSwitching:
-    def test_switches_to_tcp_against_elastic_cross(self):
-        sim = Simulator()
-        path = dumbbell(sim, mbps(48), ms(100))
-        cca = NimbusCca(capacity_hint=mbps(48), mode_switching=True,
-                        elasticity_high=2.0, elasticity_low=0.5,
-                        min_rate_frac=0.25)
-        conn = Connection(sim, path, "nimbus", cca)
-        conn.sender.set_infinite_backlog()
-        rival = Connection(sim, path, "rival", RenoCca())
-        rival.sender.set_infinite_backlog()
-        sim.run(until=40.0)
-        assert any(mode == "tcp" for _, mode in cca.mode_log)
-
-    def test_stays_in_delay_mode_alone(self):
-        sim = Simulator()
-        path = dumbbell(sim, mbps(48), ms(100))
-        cca = NimbusCca(capacity_hint=mbps(48), mode_switching=True,
-                        min_rate_frac=0.25)
-        conn = Connection(sim, path, "nimbus", cca)
-        conn.sender.set_infinite_backlog()
-        sim.run(until=30.0)
-        assert cca.mode == "delay"
-        assert not cca.mode_log
-
-
 class TestTriStateVerdict:
     def test_bands(self):
-        det = ContentionDetector(clean_below=1.5, contending_above=2.6)
+        assert (CLEAN_BELOW, CONTENDING_ABOVE) == (1.5, 2.6)
+        det = ContentionDetector()
         assert det.verdict([reading(1.0, 0.8)]).category == "clean"
         assert det.verdict([reading(1.0, 2.0)]).category == "inconclusive"
         assert det.verdict([reading(1.0, 3.5)]).category == "contending"
@@ -177,13 +140,8 @@ class TestTriStateVerdict:
     def test_no_readings_is_clean(self):
         assert ContentionDetector().verdict([]).category == "clean"
 
-    def test_invalid_bands_rejected(self):
-        with pytest.raises(ConfigError):
-            ContentionDetector(clean_below=3.0, contending_above=2.0)
-
     def test_binary_and_category_are_consistent(self):
-        det = ContentionDetector(threshold=2.0, clean_below=1.5,
-                                 contending_above=2.6)
+        det = ContentionDetector(threshold=2.0)
         confident = det.verdict([reading(1.0, 3.0)])
         assert confident.contending and confident.category == "contending"
         clean = det.verdict([reading(1.0, 1.0)])

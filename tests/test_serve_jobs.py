@@ -293,7 +293,7 @@ class TestShardExecutors:
         params = {"n_paths": 3, "duration": 1.0, "backend": "fluid"}
         with pytest.raises(ConfigError, match="need a store"):
             execute_paths(None, 1, indices=[0], **params)
-        for indices in ([], [3], [-1], ["x"], [True], "0"):
+        for indices in ([], [3], [-1], ["x"], [True], "0", [0, 0]):
             with pytest.raises(ConfigError, match="indices"):
                 bind_params("paths", {**params, "indices": indices})
         with pytest.raises(ConfigError, match="indices"):
