@@ -118,25 +118,6 @@ def _experiment_command(command):
     return resolved
 
 
-def _parse_qdisc_thresholds(pairs) -> dict[str, float] | None:
-    """Parse repeated ``--qdisc-threshold name=value`` flags."""
-    if not pairs:
-        return None
-    from .errors import ConfigError
-    out: dict[str, float] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise ConfigError(f"bad --qdisc-threshold {pair!r} "
-                              "(expected qdisc=value)")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"bad --qdisc-threshold {pair!r}: "
-                              f"{value!r} is not a number")
-    return out
-
-
 def _cli_store(args):
     """The store the command should use (None when ``--no-cache``)."""
     if getattr(args, "no_cache", False):
@@ -395,20 +376,15 @@ def cmd_qa_search(args) -> int:
 
     from .qa.search import run_search
 
-    qdisc_thresholds = _parse_qdisc_thresholds(
-        getattr(args, "qdisc_threshold", None))
     t0 = _time.time()
     if getattr(args, "cluster", None):
         from .cluster import run_clustered_search
         report = run_clustered_search(
             args.budget, args.cluster, seed=args.seed,
-            threshold=args.threshold, store=_cli_store(args),
-            qdisc_thresholds=qdisc_thresholds)
+            store=_cli_store(args))
     else:
         report = run_search(args.budget, seed=args.seed,
                             workers=getattr(args, "workers", None),
-                            threshold=getattr(args, "threshold", 2.0),
-                            qdisc_thresholds=qdisc_thresholds,
                             guided=args.guided, backend=args.backend)
     if args.json:
         _print_json(report.to_dict())
@@ -440,9 +416,7 @@ def cmd_qa_envelope(args) -> int:
     t0 = _time.time()
     artifact, cached = run_envelope(
         args.budget, seed=args.seed, store=_cli_store(args),
-        workers=args.workers, threshold=args.threshold,
-        qdisc_thresholds=_parse_qdisc_thresholds(
-            getattr(args, "qdisc_threshold", None)))
+        workers=args.workers)
     if args.out:
         with open(args.out, "w") as fh:
             _json.dump(artifact, fh, indent=2, sort_keys=True,
@@ -749,21 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         """What ``search`` and ``envelope`` share: the report is a pure
-        function of seed/budget/threshold(s)."""
+        function of seed and budget."""
         p.add_argument("--budget", type=int, default=200,
                        help="candidate scenarios to evaluate")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int,
                        help="evaluation parallelism (wall-clock only; "
                             "output is worker-count invariant)")
-        p.add_argument("--threshold", type=float, default=2.0,
-                       help="detector threshold the confidence buckets "
-                            "center on")
-        p.add_argument("--qdisc-threshold", action="append",
-                       metavar="QDISC=VALUE",
-                       help="per-qdisc detector-threshold override "
-                            "(repeatable); recorded in the envelope's "
-                            "detectors matrix")
         add_json_flag(p)
 
     p_fuzz = qa_sub.add_parser(

@@ -14,8 +14,8 @@ The pieces:
   (:func:`run_clustered_campaign`, :func:`run_clustered_search`).
 * :mod:`~repro.cluster.merge` -- pulling store objects and metrics
   snapshots back from nodes.
-* :mod:`~repro.cluster.journal` -- the per-run manifest that makes an
-  interrupted cluster run resumable.
+* :mod:`~repro.cluster.journal` -- the per-run manifest of task
+  transitions that ``repro cluster status`` lists.
 """
 
 from .coordinator import (ClusterTask, Coordinator, TaskRecord,

@@ -81,7 +81,7 @@ class TaskRecord:
     """The coordinator's ledger entry for one task."""
 
     task: ClusterTask
-    status: str = "pending"   # pending|running|done|failed|resumed
+    status: str = "pending"   # pending|running|done|failed
     node: str = ""            # node that completed (or last failed) it
     failures: int = 0         # terminal execution failures so far
     dispatches: int = 0
@@ -90,7 +90,7 @@ class TaskRecord:
 
     @property
     def finished(self) -> bool:
-        return self.status in ("done", "failed", "resumed")
+        return self.status in ("done", "failed")
 
 
 @dataclass
@@ -115,7 +115,8 @@ class Coordinator:
         max_attempts: execution failures before a task is quarantined.
         dead_grace_s: how long the loop tolerates zero live nodes
             (with unfinished work) before raising :class:`ClusterError`.
-        journal: optional :class:`ClusterJournal` for resumable runs.
+        journal: optional :class:`ClusterJournal` recording every task
+            transition and how the run ended.
         clock / sleep: injectable time sources for tests.
         client_factory: ``fn(node) -> ServeClient`` (injectable).
     """
@@ -191,9 +192,10 @@ class Coordinator:
 
         Duplicate keys are suppressed up front (one record serves all
         copies).  Raises :class:`ClusterError` only when no node is
-        live for ``dead_grace_s`` with work outstanding; individual
-        task failures are recorded, not raised -- callers fall back to
-        local execution for quarantined tasks.
+        live for ``dead_grace_s`` with work outstanding (the journal
+        then ends ``partial``); individual task failures are recorded,
+        not raised -- callers fall back to local execution for
+        quarantined tasks.
         """
         records: dict[str, TaskRecord] = {}
         order: list[str] = []
@@ -204,42 +206,39 @@ class Coordinator:
             else:
                 self._metrics.counter("tasks_deduplicated").inc()
         total = len(order)
-        if self.journal is not None:
-            resumable = self.journal.resumable_done(
-                {k: records[k].task.artifact_keys for k in order})
-            for key in resumable:
-                records[key].status = "resumed"
-                self._metrics.counter("tasks_resumed").inc()
-        pending: deque[str] = deque(
-            k for k in order if records[k].status == "pending")
+        pending: deque[str] = deque(order)
         inflight: dict[str, list[_Attempt]] = {}
         last_alive = self.clock()
 
         def done_count() -> int:
             return sum(1 for k in order if records[k].finished)
 
-        while pending or inflight:
-            self.membership.tick()
-            live = self.membership.live()
-            now = self.clock()
-            if live:
-                last_alive = now
-            elif now - last_alive > self.dead_grace_s:
-                raise ClusterError(
-                    f"no live cluster node for {self.dead_grace_s:g}s "
-                    f"with {len(pending) + len(inflight)} tasks "
-                    "outstanding")
-            before = done_count()
-            self._dispatch(pending, inflight, records, live)
-            self._poll(pending, inflight, records)
-            self._steal(inflight, records)
-            if progress is not None and done_count() != before:
-                progress(done_count(), total)
-            if pending or inflight:
-                self.sleep(self.poll_s)
-        if self.journal is not None:
-            self.journal.finish(
-                clean=all(records[k].status != "failed" for k in order))
+        clean = False
+        try:
+            while pending or inflight:
+                self.membership.tick()
+                live = self.membership.live()
+                now = self.clock()
+                if live:
+                    last_alive = now
+                elif now - last_alive > self.dead_grace_s:
+                    raise ClusterError(
+                        f"no live cluster node for "
+                        f"{self.dead_grace_s:g}s with "
+                        f"{len(pending) + len(inflight)} tasks "
+                        "outstanding")
+                before = done_count()
+                self._dispatch(pending, inflight, records, live)
+                self._poll(pending, inflight, records)
+                self._steal(inflight, records)
+                if progress is not None and done_count() != before:
+                    progress(done_count(), total)
+                if pending or inflight:
+                    self.sleep(self.poll_s)
+            clean = all(records[k].status != "failed" for k in order)
+        finally:
+            if self.journal is not None:
+                self.journal.finish(clean=clean)
         return records
 
     # -- dispatch --------------------------------------------------------
@@ -637,7 +636,7 @@ def cluster_evaluator(coordinator: Coordinator, store: ArtifactStore):
         for scenario, task in zip(scenarios, tasks):
             record = records[task.key]
             entry = (store.get(task.key)
-                     if record.status in ("done", "resumed") else None)
+                     if record.status == "done" else None)
             if isinstance(entry, dict) and "payload" in entry:
                 outcome, findings = entry["payload"]
                 results.append((outcome, tuple(findings)))
@@ -648,10 +647,7 @@ def cluster_evaluator(coordinator: Coordinator, store: ArtifactStore):
 
 
 def run_clustered_search(budget: int, cluster, seed: int = 0,
-                         threshold: float = 2.0,
                          store: ArtifactStore | None = None,
-                         qdisc_thresholds: Mapping[str, float] | None
-                         = None,
                          progress: Callable[[int, int], None] | None
                          = None,
                          coordinator: Coordinator | None = None):
@@ -668,7 +664,6 @@ def run_clustered_search(budget: int, cluster, seed: int = 0,
         store = active_store() or ArtifactStore()
     if coordinator is None:
         coordinator = _coordinator(cluster, store)
-    return run_search(budget, seed=seed, threshold=threshold,
-                      qdisc_thresholds=qdisc_thresholds,
+    return run_search(budget, seed=seed,
                       evaluate=cluster_evaluator(coordinator, store),
                       progress=progress)

@@ -1,17 +1,15 @@
-"""The cluster-run manifest: resumable bookkeeping under
-``store/cluster/``.
+"""The cluster-run manifest: bookkeeping under ``store/cluster/``.
 
 One JSON file per cluster run, keyed by the run's deterministic
-fingerprint (a clustered campaign uses the campaign fingerprint, so
-re-invoking the same ``repro run ... --cluster`` command after an
-interruption finds its own manifest).  The journal records every
-task's terminal state; on resume, tasks recorded ``done`` whose
-artifacts are all present in the local store are skipped without
-re-dispatch, and only unfinished fingerprints go back on the wire.
+fingerprint (a clustered campaign uses the campaign fingerprint).  The
+journal records every task's terminal state and how the run ended
+(``complete``, or ``partial`` when a task was quarantined or the
+cluster died); ``repro cluster status`` lists it.
 
-The artifact store remains the source of truth for *results* (content
-addressing makes re-pulling idempotent); the journal only saves the
-coordinator from re-asking nodes about work it already merged.
+The journal is a record, not a resume index: the artifact store is the
+source of truth for results, and a re-run dispatches only the tasks
+whose artifacts the local store lacks (content addressing makes
+re-pulling idempotent).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ class ClusterJournal:
     """
 
     def __init__(self, store: ArtifactStore, run_key: str):
-        self.store = store
         self.run_key = run_key
         self.path = journal_dir(store) / f"{run_key}.json"
         self._doc = {
@@ -50,26 +47,6 @@ class ClusterJournal:
             "status": "running",
             "tasks": {},
         }
-
-    # -- persistence -----------------------------------------------------
-
-    def load(self) -> dict[str, dict]:
-        """Read the prior manifest's task table ({} when absent or
-        unreadable -- a torn journal only costs re-dispatch)."""
-        try:
-            with open(self.path) as f:
-                doc = json.load(f)
-            if doc.get("version") != JOURNAL_VERSION:
-                raise ValueError("journal version mismatch")
-            tasks = doc.get("tasks")
-            if not isinstance(tasks, dict):
-                raise ValueError("journal tasks table missing")
-        except (OSError, ValueError):
-            return {}
-        self._doc = doc
-        self._doc["status"] = "running"
-        return {k: dict(v) for k, v in tasks.items()
-                if isinstance(v, dict)}
 
     def _save(self) -> None:
         atomic_write_json(self.path, self._doc)
@@ -90,24 +67,6 @@ class ClusterJournal:
         self._doc["status"] = "complete" if clean else "partial"
         self._doc["finished"] = time.time()
         self._save()
-
-    # -- resume ----------------------------------------------------------
-
-    def resumable_done(self, artifact_keys_by_task: dict[str, tuple]
-                       ) -> set[str]:
-        """Task keys safe to skip: journaled ``done`` AND every
-        artifact they were responsible for is in the local store."""
-        prior = self.load()
-        done = set()
-        for key, entry in prior.items():
-            if entry.get("status") != "done":
-                continue
-            needed = artifact_keys_by_task.get(key)
-            if needed is None:
-                continue
-            if all(k in self.store for k in (key, *needed)):
-                done.add(key)
-        return done
 
 
 def list_journals(store: ArtifactStore) -> list[dict]:

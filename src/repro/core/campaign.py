@@ -227,7 +227,6 @@ def sample_paths(n_paths: int, seed: int = 0,
 
 
 def run_path(spec: PathSpec, duration: float = 30.0,
-             detector: ContentionDetector | None = None,
              backend: str = "packet") -> PathResult:
     """Run one probe over one path.
 
@@ -238,13 +237,13 @@ def run_path(spec: PathSpec, duration: float = 30.0,
     """
     if AXES["backend"].validate(backend) == "fluid":
         from ..fluid import run_path_fluid
-        return run_path_fluid(spec, duration=duration, detector=detector)
-    det = detector if detector is not None else ContentionDetector()
+        return run_path_fluid(spec, duration=duration)
     handles, sources = build_packet_path(spec)
     handles.sim.run(until=duration)
     report = sources["probe"].report()
     return PathResult(spec=spec, report=report,
-                      verdict=det.verdict(list(report.readings)))
+                      verdict=ContentionDetector().verdict(
+                          list(report.readings)))
 
 
 #: Default sentinel: ``run(store=...)`` omitted means "use the ambient
@@ -261,9 +260,7 @@ class Campaign:
     """
 
     def __init__(self, n_paths: int = 40, seed: int = 0,
-                 duration: float = 30.0,
-                 detector: ContentionDetector | None = None,
-                 fq_fraction: float = 0.3,
+                 duration: float = 30.0, fq_fraction: float = 0.3,
                  cross_traffic_mix=None, **axes):
         """``axes`` are the run- and path-level axes of
         :mod:`repro.core.axes`: ``backend=`` for the whole campaign,
@@ -278,8 +275,6 @@ class Campaign:
                                   **path_axes, **kwargs)
         self.duration = duration
         self.run_axes = axes
-        self.detector = detector if detector is not None \
-            else ContentionDetector()
 
     # -- store fingerprints ----------------------------------------------
 
@@ -290,7 +285,7 @@ class Campaign:
         addressable."""
         return drop_defaults({
             **what, "duration": self.duration,
-            "detector": self.detector.fingerprint_config(),
+            "detector": ContentionDetector().fingerprint_config(),
             **self.run_axes})
 
     def _task_config(self, spec: PathSpec) -> dict:
@@ -366,7 +361,7 @@ class Campaign:
 
     def _job(self):
         return functools.partial(run_path, duration=self.duration,
-                                 detector=self.detector, **self.run_axes)
+                                 **self.run_axes)
 
     def run_stored(self, store, indices, manifest_key: str, *,
                    workers=None, chunk_size=None, resume: bool = False,

@@ -29,6 +29,10 @@ from ..units import DEFAULT_MSS
 from .detector import ordered_mean
 from .elasticity import ElasticityReading
 
+#: Seconds after the start whose readings both probes' reports drop
+#: (the start-up transient); every verdict is over the readings after.
+WARMUP = 6.0
+
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -74,7 +78,6 @@ class ElasticityProbe:
             and the extra drive is what makes weakly-reactive cross
             traffic (BBRv1's smoothed pacing) visible above bursty
             application traffic.  Calibration table in DESIGN.md.
-        warmup: seconds of readings to discard in summaries.
         min_rate_frac: starvation floor for the delay controller; the
             0.25 default keeps the probe's pulses visible even when
             backlogged cross traffic would otherwise squeeze it out.
@@ -83,11 +86,10 @@ class ElasticityProbe:
     def __init__(self, sim: Simulator, path: PathHandles,
                  flow_id: str = "probe", capacity_hint: float | None = None,
                  pulse_freq: float = 5.0, pulse_amplitude: float = 0.35,
-                 warmup: float = 6.0, mss: int = DEFAULT_MSS,
-                 min_rate_frac: float = 0.25, jitter=None):
+                 mss: int = DEFAULT_MSS, min_rate_frac: float = 0.25,
+                 jitter=None):
         self.sim = sim
         self.flow_id = flow_id
-        self.warmup = warmup
         self.cca = NimbusCca(
             mss=mss, capacity_hint=capacity_hint, pulse_freq=pulse_freq,
             pulse_amplitude=pulse_amplitude, min_rate_frac=min_rate_frac)
@@ -114,12 +116,12 @@ class ElasticityProbe:
         """Readings whose window ended within [t_start, t_end)."""
         return [r for r in self.readings if t_start <= r.time < t_end]
 
-    def report(self, t_start: float | None = None,
-               t_end: float | None = None) -> ProbeReport:
-        """Summarize the probe's measurements over a time range."""
+    def report(self) -> ProbeReport:
+        """Summarize the probe's readings from :data:`WARMUP` after its
+        start up to now."""
         started = self._started_at if self._started_at is not None else 0.0
-        lo = t_start if t_start is not None else started + self.warmup
-        hi = t_end if t_end is not None else self.sim.now
+        lo = started + WARMUP
+        hi = self.sim.now
         duration = max(hi - started, 1e-9)
         return ProbeReport.summarize(
             self.readings_between(lo, hi),

@@ -20,7 +20,7 @@ from ..cca.nimbus import (RATE_SMOOTHING, SAMPLE_INTERVAL,
                           clipped_cross_estimate, default_delay_target,
                           delay_mode_rate, fit_to_buffer, probe_estimator)
 from ..core.elasticity import PulseGenerator
-from ..core.probe import ProbeReport
+from ..core.probe import WARMUP, ProbeReport
 from ..units import ordered_sum
 from .flows import FluidFlow
 
@@ -37,17 +37,16 @@ class FluidProbe(FluidFlow):
             amplitude into it; the fluid probe knows the topology and
             applies the same fit a priori (a documented deviation --
             it only skips the pre-first-loss transient).
-        pulse_freq / pulse_amplitude / warmup / min_rate_frac: as in
+        pulse_freq / pulse_amplitude / min_rate_frac: as in
             :class:`repro.core.probe.ElasticityProbe`.
     """
 
     def __init__(self, mu: float, base_rtt: float, buffer_delay: float,
                  flow_id: str = "probe", pulse_freq: float = 5.0,
-                 pulse_amplitude: float = 0.35, warmup: float = 6.0,
+                 pulse_amplitude: float = 0.35,
                  min_rate_frac: float = 0.25):
         super().__init__(flow_id, base_rtt)
         self.mu = mu
-        self.warmup = warmup
         self.min_rate_frac = min_rate_frac
         self.pulses = PulseGenerator(pulse_freq, pulse_amplitude)
         self.delay_target, self.pulses.amplitude_frac = fit_to_buffer(
@@ -101,7 +100,6 @@ class FluidProbe(FluidFlow):
     def report(self, duration: float) -> ProbeReport:
         """Post-warmup summary of a ``duration``-second run (the fluid
         side of :meth:`repro.core.probe.ElasticityProbe.report`)."""
-        lo = self.warmup
         return ProbeReport.summarize(
-            [r for r in self.readings if lo <= r.time < duration],
-            self.delivered_bytes / max(duration, 1e-9), duration - lo)
+            [r for r in self.readings if WARMUP <= r.time < duration],
+            self.delivered_bytes / max(duration, 1e-9), duration - WARMUP)

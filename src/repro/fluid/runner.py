@@ -82,14 +82,13 @@ def run_scenario_fluid(scenario, check_invariants: bool = True):
     )
 
 
-def run_path_fluid(spec, duration: float = 30.0,
-                   detector: ContentionDetector | None = None):
+def run_path_fluid(spec, duration: float = 30.0):
     """Fluid counterpart of :func:`repro.core.campaign.run_path`."""
     from ..core.campaign import PathResult
 
-    det = detector if detector is not None else ContentionDetector()
     model, flows = build_fluid_path(spec)
     model.run(duration)
     report = flows["probe"].report(duration)
     return PathResult(spec=spec, report=report,
-                      verdict=det.verdict(list(report.readings)))
+                      verdict=ContentionDetector().verdict(
+                          list(report.readings)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..core.detector import ContentionDetector
 from ..medium.config import parse_medium
 from ..sim.network import default_buffer_packets
 from ..units import mbps, ms
@@ -146,13 +146,14 @@ def queue_residency_bucket(scenario: Scenario,
     return "empty"
 
 
-def detector_confidence(outcome: ScenarioOutcome,
-                        threshold: float = 2.0) -> float | None:
-    """Distance of the probe's mean elasticity from the verdict
-    threshold (None for flows-family scenarios: no detector ran)."""
+def detector_confidence(outcome: ScenarioOutcome) -> float | None:
+    """Distance of the probe's mean elasticity from the threshold of
+    the detector that judged it (None for flows-family scenarios: no
+    detector ran)."""
     if outcome.probe is None:
         return None
-    return abs(outcome.probe.get("mean_elasticity", 0.0) - threshold)
+    return abs(outcome.probe.get("mean_elasticity", 0.0)
+               - ContentionDetector().threshold)
 
 
 def confidence_bucket(confidence: float | None) -> str:
@@ -202,8 +203,8 @@ class FeatureCell:
                          self.medium))
 
 
-def feature_cell(scenario: Scenario, outcome: ScenarioOutcome,
-                 threshold: float = 2.0) -> FeatureCell:
+def feature_cell(scenario: Scenario, outcome: ScenarioOutcome
+                 ) -> FeatureCell:
     """Coarsen one (scenario, outcome) pair into its coverage cell."""
     return FeatureCell(
         qdisc=scenario.qdisc,
@@ -213,8 +214,7 @@ def feature_cell(scenario: Scenario, outcome: ScenarioOutcome,
         buffer=buffer_bucket(scenario),
         jitter=jitter_bucket(scenario),
         backend=scenario.backend,
-        confidence=confidence_bucket(
-            detector_confidence(outcome, threshold)),
+        confidence=confidence_bucket(detector_confidence(outcome)),
         probe_share=probe_share_bucket(outcome),
         queue=queue_residency_bucket(scenario, outcome),
         medium=medium_bucket(scenario),
@@ -227,36 +227,10 @@ class FeatureMap:
     ``observe`` returns what made the observation interesting (a new
     cell, or a new per-cell confidence minimum), which is exactly the
     corpus-admission rule of :mod:`repro.qa.search`.
-
-    Args:
-        threshold: the detector's elasticity verdict threshold.
-        qdisc_thresholds: optional per-qdisc overrides -- an AQM that
-            reshapes elasticity readings (codel, cake) can be judged
-            against its own calibrated threshold, so the envelope's
-            confidence axis compares like with like across qdiscs.
     """
 
-    def __init__(self, threshold: float = 2.0,
-                 qdisc_thresholds: dict[str, float] | None = None):
-        if threshold <= 0:
-            raise ConfigError(f"threshold must be positive: {threshold}")
-        self.threshold = threshold
-        self.qdisc_thresholds: dict[str, float] = {}
-        for qdisc, value in (qdisc_thresholds or {}).items():
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"threshold for {qdisc!r} must be "
-                                  f"a number: {value!r}")
-            if value <= 0:
-                raise ConfigError(f"threshold for {qdisc!r} must be "
-                                  f"positive: {value}")
-            self.qdisc_thresholds[str(qdisc)] = value
+    def __init__(self):
         self.cells: dict[str, dict] = {}
-
-    def threshold_for(self, qdisc: str) -> float:
-        """The effective verdict threshold for one qdisc."""
-        return self.qdisc_thresholds.get(qdisc, self.threshold)
 
     def observe(self, scenario: Scenario, outcome: ScenarioOutcome,
                 failed: bool = False) -> tuple[FeatureCell, bool, bool]:
@@ -267,9 +241,8 @@ class FeatureMap:
             previously unseen, and whether this run set a new per-cell
             detector-confidence minimum.
         """
-        threshold = self.threshold_for(scenario.qdisc)
-        cell = feature_cell(scenario, outcome, threshold)
-        confidence = detector_confidence(outcome, threshold)
+        cell = feature_cell(scenario, outcome)
+        confidence = detector_confidence(outcome)
         cell_id = cell.as_id()
         stats = self.cells.get(cell_id)
         new_cell = stats is None
@@ -301,10 +274,11 @@ class FeatureMap:
 
     def to_dict(self) -> dict:
         """Deterministic plain-dict form (cells sorted by id)."""
+        # Retired threshold keys as literals, so that no report digest
+        # or envelope fingerprint moves.
         return {
-            "threshold": self.threshold,
-            "qdisc_thresholds": dict(sorted(
-                self.qdisc_thresholds.items())),
+            "threshold": 2.0,
+            "qdisc_thresholds": {},
             "coverage": self.coverage,
             "min_confidence": self.min_confidence(),
             "cells": {

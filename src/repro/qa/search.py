@@ -15,15 +15,15 @@ artifact.  A fluid candidate is judged by the corpus-replay oracle set
 (the cheap single-run oracles); a packet candidate *k* by the
 period-gated suite, ``oracles_for_index(scenario, k)``.
 
-The output doubles as the per-detector-config **robustness
-envelope**: the feature-cell pass/fail/confidence surface
-(:func:`build_envelope`), store-cached by
-(:data:`~repro.qa.oracles.SUITE_VERSION`, seed, budget, detector
-config) and diffable across PRs (:func:`diff_envelopes`) -- the
-Contracts framing of mapping where the detector's assumptions hold.
+The output doubles as the detector's **robustness envelope**: the
+feature-cell pass/fail/confidence surface (:func:`build_envelope`),
+store-cached by (:data:`~repro.qa.oracles.SUITE_VERSION`, seed,
+budget, detector config) and diffable across PRs
+(:func:`diff_envelopes`) -- the Contracts framing of mapping where the
+detector's assumptions hold.
 
 Determinism contract: the whole search -- corpus, report, envelope --
-is a pure function of ``(seed, budget, threshold, guided, backend)``.
+is a pure function of ``(seed, budget, guided, backend)``.
 All random draws happen in the sequential generation loop with a
 fixed batch size, and batches are evaluated through the ordered
 :class:`~repro.runtime.pool.ParallelExecutor`, so the worker count
@@ -146,7 +146,6 @@ class SearchReport:
 
     seed: int
     budget: int
-    threshold: float
     feature_map: FeatureMap
     corpus: list[SearchEntry] = field(default_factory=list)
     failures: list[SearchFailure] = field(default_factory=list)
@@ -163,7 +162,8 @@ class SearchReport:
             "seed": self.seed,
             "budget": self.budget,
             "suite": SUITE_VERSION,
-            "threshold": self.threshold,
+            # Retired key as a literal, so that no report digest moves.
+            "threshold": 2.0,
             "evaluated": self.evaluated,
             "map": self.feature_map.to_dict(),
             "corpus": [
@@ -186,7 +186,7 @@ class SearchReport:
         min_conf = fmap.min_confidence()
         if min_conf is not None:
             lines.append(f"  lowest detector confidence: {min_conf:.3f} "
-                         f"(threshold {self.threshold:g})")
+                         f"(threshold {ContentionDetector().threshold:g})")
         for failure in self.failures:
             tag = ("REPRODUCED on packet" if failure.reproduced
                    else "fluid-only (not reproduced on packet)")
@@ -291,9 +291,7 @@ def _pick_minimize_parent(corpus: list["SearchEntry"],
 
 
 def run_search(budget: int, seed: int = 0, workers: int | None = 1,
-               threshold: float = 2.0,
                progress: Callable[[int, int], None] | None = None,
-               qdisc_thresholds: dict[str, float] | None = None,
                evaluate: Callable[[list[Scenario]], list] | None = None,
                guided: bool = True, backend: str = "fluid"
                ) -> SearchReport:
@@ -303,13 +301,10 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
         budget: candidate scenarios to evaluate (packet replays of
             fluid failures are extra and not counted).
         seed: campaign seed; the report is a pure function of
-            ``(seed, budget, threshold, guided, backend)``.
+            ``(seed, budget, guided, backend)``.
         workers: evaluation parallelism (wall-clock only; the report
             is bit-identical for any worker count).
-        threshold: detector threshold the confidence buckets center on.
         progress: called as ``progress(evaluated, budget)``.
-        qdisc_thresholds: per-qdisc threshold overrides for the
-            confidence axis (see :class:`FeatureMap`).
         evaluate: batch evaluator ``fn(scenarios) -> [(outcome,
             findings), ...]`` in submission order; defaults to a local
             :class:`ParallelExecutor`.  This is the cluster seam
@@ -324,9 +319,8 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
     """
     rng = np.random.default_rng(derive_seed(seed, 0, "qa-search"))
     fresh = fresh_seed(seed)
-    fmap = FeatureMap(threshold, qdisc_thresholds)
-    report = SearchReport(seed=seed, budget=budget, threshold=threshold,
-                          feature_map=fmap)
+    fmap = FeatureMap()
+    report = SearchReport(seed=seed, budget=budget, feature_map=fmap)
     fresh_index = 0
     visits: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
@@ -401,9 +395,7 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
                     report.corpus.append(SearchEntry(
                         scenario=scenario,
                         cell_id=cell.as_id(),
-                        confidence=detector_confidence(
-                            outcome,
-                            fmap.threshold_for(scenario.qdisc))))
+                        confidence=detector_confidence(outcome)))
                 if progress is not None:
                     progress(report.evaluated, budget)
     return report
@@ -465,37 +457,26 @@ def _packet_failure(scenario: Scenario,
 ENVELOPE_SCHEMA = 1
 
 
-def build_envelope(report: SearchReport,
-                   detector: ContentionDetector | None = None) -> dict:
-    """The robustness-envelope artifact for one detector config.
+def build_envelope(report: SearchReport) -> dict:
+    """The robustness-envelope artifact of the detector.
 
     A cell *passes* when no failure was observed in it; the artifact
     carries the full confidence surface, so two envelopes from
     different PRs diff cell by cell (:func:`diff_envelopes`).
-
-    The ``detectors`` matrix records the effective detector config per
-    qdisc: the default config plus one entry for every per-qdisc
-    threshold override the search ran with, so an envelope is
-    self-describing about *which* detector each cell's confidence axis
-    was judged against.
     """
-    det = detector if detector is not None else ContentionDetector(
-        threshold=report.threshold)
     surface = report.feature_map.to_dict()
-    detectors = {"default": det.fingerprint_config()}
-    for qdisc, value in sorted(
-            report.feature_map.qdisc_thresholds.items()):
-        detectors[qdisc] = ContentionDetector(
-            threshold=value).fingerprint_config()
+    detector = ContentionDetector().fingerprint_config()
     payload = {
         "schema": ENVELOPE_SCHEMA,
         "kind": "qa-envelope",
         "suite": SUITE_VERSION,
         "seed": report.seed,
         "budget": report.budget,
-        "detector": det.fingerprint_config(),
-        "detectors": detectors,
-        "qdisc_thresholds": surface["qdisc_thresholds"],
+        "detector": detector,
+        # The retired per-qdisc matrix as literals, so that no
+        # envelope fingerprint moves.
+        "detectors": {"default": detector},
+        "qdisc_thresholds": {},
         "coverage": surface["coverage"],
         "min_confidence": surface["min_confidence"],
         "cells": {
@@ -508,38 +489,27 @@ def build_envelope(report: SearchReport,
     return payload
 
 
-def envelope_cache_key(budget: int, seed: int, threshold: float,
-                       detector: ContentionDetector | None = None,
-                       qdisc_thresholds: dict[str, float] | None = None
-                       ) -> str:
+def envelope_cache_key(budget: int, seed: int) -> str:
     """Store key for a cached envelope (covers everything the artifact
     is a function of, including any injected fault)."""
-    det = detector if detector is not None else ContentionDetector(
-        threshold=threshold)
     config = {
         "kind": "qa-envelope-job",
         "suite": SUITE_VERSION,
         "seed": seed,
         "budget": budget,
-        "threshold": threshold,
-        "detector": det.fingerprint_config(),
+        # Retired key as a literal, so that no cached envelope's key
+        # moves.
+        "threshold": 2.0,
+        "detector": ContentionDetector().fingerprint_config(),
         "fault": os.environ.get(FAULT_ENV, ""),
     }
-    if qdisc_thresholds:
-        # Only present when overridden, so plain-envelope keys are
-        # unchanged by the feature's existence.
-        config["qdisc_thresholds"] = dict(
-            sorted((str(k), float(v))
-                   for k, v in qdisc_thresholds.items()))
     return fingerprint(config, kind="qa-envelope-job")
 
 
 def run_envelope(budget: int, seed: int = 0,
                  store: ArtifactStore | None = None,
-                 workers: int | None = 1, threshold: float = 2.0,
-                 detector: ContentionDetector | None = None,
-                 progress: Callable[[int, int], None] | None = None,
-                 qdisc_thresholds: dict[str, float] | None = None
+                 workers: int | None = 1,
+                 progress: Callable[[int, int], None] | None = None
                  ) -> tuple[dict, bool]:
     """Produce (or fetch) the robustness-envelope artifact.
 
@@ -547,16 +517,14 @@ def run_envelope(budget: int, seed: int = 0,
         (artifact, cached): the envelope dict and whether it came out
         of the store instead of a fresh search.
     """
-    key = envelope_cache_key(budget, seed, threshold, detector,
-                             qdisc_thresholds)
+    key = envelope_cache_key(budget, seed)
     if store is not None:
         hit = store.get(key)
         if hit is not None:
             return hit, True
     report = run_search(budget, seed=seed, workers=workers,
-                        threshold=threshold, progress=progress,
-                        qdisc_thresholds=qdisc_thresholds)
-    artifact = build_envelope(report, detector)
+                        progress=progress)
+    artifact = build_envelope(report)
     if store is not None:
         store.put(key, artifact, kind="qa-envelope",
                   label=f"envelope seed={seed} budget={budget}")

@@ -273,13 +273,11 @@ def execute_sweep(store, workers, *, experiment: str, param: str,
 
 
 def execute_qa_search(store, workers, *, budget: Count = 50,
-                      seed: Index = 0,
-                      threshold: Positive = 2.0) -> tuple[dict, object]:
+                      seed: Index = 0) -> tuple[dict, object]:
     """``qa-search`` jobs: a coverage-guided search campaign."""
     from ..qa.search import run_search
 
-    report = run_search(budget, seed=seed, workers=workers,
-                        threshold=threshold)
+    report = run_search(budget, seed=seed, workers=workers)
     summary = {
         "budget": budget,
         "seed": seed,
@@ -293,19 +291,18 @@ def execute_qa_search(store, workers, *, budget: Count = 50,
 
 
 def execute_qa_envelope(store, workers, *, budget: Count = 50,
-                        seed: Index = 0, threshold: Positive = 2.0
-                        ) -> tuple[dict, object]:
+                        seed: Index = 0) -> tuple[dict, object]:
     """``qa-envelope`` jobs: the robustness-envelope artifact.
 
     The artifact itself is store-cached under its own key (seed,
-    budget, threshold, detector config, oracle-suite version), so a
+    budget, detector config, oracle-suite version), so a
     resubmission with equal params -- even under a different serve
     request id -- is a search-free cache hit.
     """
     from ..qa.search import run_envelope
 
     artifact, cached = run_envelope(budget, seed=seed, store=store,
-                                    workers=workers, threshold=threshold)
+                                    workers=workers)
     failing = sum(1 for s in artifact["cells"].values() if not s["pass"])
     summary = {
         "budget": budget,

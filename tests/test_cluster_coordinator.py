@@ -14,9 +14,9 @@ import pickle
 import pytest
 
 from repro.cluster import (ClusterJournal, Coordinator, Membership,
-                           parse_cluster, run_clustered_campaign,
-                           run_clustered_search, shard_indices,
-                           task_for)
+                           list_journals, parse_cluster,
+                           run_clustered_campaign, run_clustered_search,
+                           shard_indices, task_for)
 from repro.core.campaign import Campaign
 from repro.errors import ClusterError, ConfigError
 from repro.experiments import fig2
@@ -85,6 +85,37 @@ class FakeServeNode:
             return self.objects[key]
         except KeyError:
             raise ServeError(404, f"no store object {key[:16]}...")
+
+
+class DyingServeNode(FakeServeNode):
+    """A node that goes down for good right after serving its first
+    artifact: every later call is a transport error, every probe
+    fails."""
+
+    def __init__(self, objects, clients, name):
+        super().__init__(objects)
+        self.clients = clients
+        self.name = name
+        self.dead = False
+
+    def _check(self):
+        if self.dead:
+            raise ServeError(0, "connection refused")
+
+    def submit(self, kind, params, priority=3):
+        self._check()
+        return super().submit(kind, params, priority)
+
+    def status(self, job_id):
+        self._check()
+        return super().status(job_id)
+
+    def fetch_store(self, key):
+        self._check()
+        data = super().fetch_store(key)
+        self.dead = True
+        self.clients[self.name] = None
+        return data
 
 
 def _tasks(n, objects, tag="t"):
@@ -233,27 +264,20 @@ class TestCoordinatorLoop:
         with pytest.raises(ClusterError, match="no live cluster node"):
             coordinator.run(_tasks(2, objects))
 
-    def test_journal_resume_skips_completed_tasks(self, tmp_path):
+    def test_journal_ends_partial_when_the_cluster_dies(self, tmp_path):
         objects = {}
-        node = FakeServeNode(objects)
-        coordinator, store, clock = _fabric({"a:1": node}, tmp_path)
-        journal = ClusterJournal(store, "resume-run")
-        coordinator.journal = journal
-        tasks = _tasks(4, objects)
-        records = coordinator.run(tasks)
-        assert all(r.status == "done" for r in records.values())
-
-        # Second run: same journal and store, but the whole cluster is
-        # gone -- every task resumes from local state without dispatch.
-        dead, store2, _ = _fabric({"a:1": None}, tmp_path,
-                                  dead_grace_s=0.5)
-        resumed = Coordinator(dead.membership, store, clock=clock,
-                              sleep=clock.advance,
-                              journal=ClusterJournal(store,
-                                                     "resume-run"),
-                              client_factory=lambda node: None)
-        records = resumed.run(tasks)
-        assert all(r.status == "resumed" for r in records.values())
+        clients = {}
+        node = DyingServeNode(objects, clients, "a:1")
+        clients["a:1"] = node
+        coordinator, store, _ = _fabric(clients, tmp_path,
+                                        dead_grace_s=1.0)
+        coordinator.journal = ClusterJournal(store, "dying-run")
+        with pytest.raises(ClusterError, match="no live cluster node"):
+            coordinator.run(_tasks(3, objects))
+        [row] = list_journals(store)
+        assert row["run"] == "dying-run"
+        assert row["status"] == "partial"
+        assert row["by_status"] == {"done": 1}
 
     def test_coordinator_requires_a_store(self, tmp_path):
         clock = FakeClock()
@@ -332,6 +356,26 @@ class TestClusteredCampaign:
         assert result.fraction_contending == golden.fraction_contending
         assert [r.verdict for r in result.results] == \
             [r.verdict for r in golden.results]
+
+
+    def test_rerun_against_a_warm_store_dispatches_nothing(self,
+                                                           tmp_path):
+        """What resumes a clustered campaign is the local store: every
+        path already in it is skipped before any task is built."""
+        from repro.obs.metrics import REGISTRY
+
+        objects = {}
+        node = FakeServeNode(objects)
+        coordinator, store, _ = _fabric({"a:1": node}, tmp_path)
+        warm = Campaign(**E2E_PARAMS).run(store=store, workers=1)
+        result = run_clustered_campaign(
+            E2E_PARAMS, coordinator.membership, store=store, workers=1,
+            coordinator=coordinator)
+        assert node.submitted == []
+        assert REGISTRY.counter("cluster.campaign_paths_local").value \
+            == E2E_PARAMS["n_paths"]
+        assert [r.verdict for r in result.results] == \
+            [r.verdict for r in warm.results]
 
 
 class TestClusteredSearch:

@@ -3,7 +3,6 @@ corpus-admission accounting guided search is built on."""
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.qa.features import (FeatureMap, buffer_bucket, cca_mix_class,
                                confidence_bucket, detector_confidence,
                                feature_cell, jitter_bucket, load_bucket,
@@ -166,33 +165,3 @@ def test_feature_map_to_dict_is_sorted_and_deterministic():
     import json
     assert json.dumps(payload, sort_keys=True) \
         == json.dumps(fmap.to_dict(), sort_keys=True)
-
-
-def test_feature_map_rejects_bad_threshold():
-    with pytest.raises(ConfigError):
-        FeatureMap(threshold=0.0)
-    with pytest.raises(ConfigError):
-        FeatureMap(qdisc_thresholds={"codel": 0.0})
-    with pytest.raises(ConfigError):
-        FeatureMap(qdisc_thresholds={"codel": "hot"})
-
-
-def test_per_qdisc_thresholds_override_bucketing():
-    import dataclasses
-
-    fmap = FeatureMap(threshold=2.0, qdisc_thresholds={"codel": 1.0})
-    assert fmap.threshold_for("codel") == 1.0
-    assert fmap.threshold_for("droptail") == 2.0
-    assert fmap.to_dict()["qdisc_thresholds"] == {"codel": 1.0}
-
-    scenario = _probe_scenario(qdisc="codel")
-    real = run_scenario(scenario)
-    pinned = dataclasses.replace(
-        real, probe={**real.probe, "mean_elasticity": 3.5})
-    # distance 1.5 from the default threshold ("mid"), but 2.5 from
-    # the codel override -- the override must win the cell bucket.
-    cell, _, _ = fmap.observe(scenario, pinned)
-    assert cell.confidence == "high"
-    default_cell, _, _ = FeatureMap(threshold=2.0).observe(scenario,
-                                                           pinned)
-    assert default_cell.confidence == "mid"

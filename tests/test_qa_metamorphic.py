@@ -22,23 +22,32 @@ def small_campaign_results():
     campaign = Campaign(n_paths=2, seed=1, duration=12.0)
     serial = campaign.run(workers=1, store=None)
     parallel = campaign.run(workers=4, store=None)
-    return serial, parallel
+    again = campaign.run(workers=1, store=None)
+    return serial, parallel, again
 
 
 def test_workers_do_not_change_fingerprints(small_campaign_results):
-    serial, parallel = small_campaign_results
+    serial, parallel, _ = small_campaign_results
     assert (fingerprint(serial, kind="campaign")
             == fingerprint(parallel, kind="campaign"))
 
 
 def test_workers_do_not_change_order_or_verdicts(small_campaign_results):
-    serial, parallel = small_campaign_results
+    serial, parallel, _ = small_campaign_results
     assert len(serial.results) == len(parallel.results) == 2
     for a, b in zip(serial.results, parallel.results):
         assert a.spec == b.spec
         assert a.verdict.contending == b.verdict.contending
         assert a.verdict.mean_elasticity == b.verdict.mean_elasticity
         assert a.verdict.n_readings > 0  # non-vacuous comparison
+
+
+def test_repeat_runs_and_detector_quality_are_identical(
+        small_campaign_results):
+    serial, parallel, again = small_campaign_results
+    assert serial.results == again.results
+    assert (serial.detector_quality() == parallel.detector_quality()
+            == again.detector_quality())
 
 
 @pytest.mark.slow

@@ -49,7 +49,7 @@ REQUESTS = {
                    "params": {"n_flows": 200}},
     "sweep": {"experiment": "fig2", "param": "n_flows",
               "values": [100, 150], "base": {"seed": 1}},
-    "qa-search": {"budget": 4, "seed": 0, "threshold": 2.0},
+    "qa-search": {"budget": 4, "seed": 0},
     "qa-eval": {"scenario": _SCENARIO},
     "qa-envelope": {"budget": 4, "seed": 0},
 }

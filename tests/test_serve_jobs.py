@@ -364,6 +364,7 @@ MALFORMED = [
     ("qa-envelope", {"budget": 2.5}),
     ("qa-eval", {}),
     ("qa-eval", {"scenario": "reno"}),
+    ("qa-search", {"threshold": 2.0}),              # a removed param
 ]
 
 
