@@ -29,7 +29,7 @@ import math
 
 from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
                                cross_traffic_estimate)
-from ..obs.bus import EventKind
+from ..obs.bus import BUS as _OBS, EventKind
 from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 from .filters import WindowedExtremum
@@ -305,14 +305,16 @@ class NimbusCca(CongestionControl):
         # shrunken pulse elicits proportionally smaller responses, and
         # holding the floor at full scale would mute true detections.
         self.estimator.scale = self.mu * self._amp_scale
-        reading = self.estimator.add_sample(bin_end, z)
-        # Bins close lazily, so bin_end can trail the live clock; emit
-        # at the clock (events must be non-decreasing in time) and keep
-        # the bin boundary in meta.
-        meta = {"bin_end": bin_end}
-        if reading is not None:
-            meta["elasticity"] = reading.elasticity
-        self._trace(self._now, EventKind.PULSE, z, meta)
+        due = self.estimator.add_sample(bin_end, z)
+        if _OBS.enabled:
+            # Bins close lazily, so bin_end can trail the live clock;
+            # emit at the clock (events must be non-decreasing in time)
+            # and keep the bin boundary in meta.  Only a traced run
+            # transforms each window as it falls due.
+            meta = {"bin_end": bin_end}
+            if due:
+                meta["elasticity"] = self.estimator.readings[-1].elasticity
+            self._trace(self._now, EventKind.PULSE, z, meta)
 
     # -- control law --------------------------------------------------------------
 

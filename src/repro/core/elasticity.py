@@ -31,28 +31,12 @@ good as μ̂.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import AnalysisError, ConfigError
-
-
-# Kept on measurement (PR 24, DESIGN.md §3): computing both per reading
-# costs ``campaign_fluid`` +1.7 % (84.18 -> 85.58 ms/path over 15
-# interleaved pairs, cached lower in 12).
-@functools.lru_cache(maxsize=64)
-def _hann_window(n: int) -> np.ndarray:
-    """Cached Hann window.  Treat as read-only."""
-    return np.hanning(n)
-
-
-@functools.lru_cache(maxsize=64)
-def _rfft_freqs(n: int, sample_interval: float) -> np.ndarray:
-    """Cached rFFT frequency grid.  Treat as read-only."""
-    return np.fft.rfftfreq(n, d=sample_interval)
 
 
 def cross_traffic_estimate(mu: float, send_rate: float,
@@ -121,10 +105,21 @@ class ElasticityReading:
     mean_cross_rate: float
 
 
+def _comparison_bins(freqs: np.ndarray, pulse_freq: float,
+                     band: tuple[float, float]) -> tuple[int, np.ndarray]:
+    """``(pulse bin, comparison mask)`` on the rFFT grid ``freqs``: the
+    bins in ``band`` outside the pulse bin and its Hann spread."""
+    pulse_idx = int(np.argmin(np.abs(freqs - pulse_freq)))
+    in_band = (freqs >= band[0]) & (freqs <= band[1])
+    exclude = np.zeros_like(in_band)
+    exclude[max(0, pulse_idx - 2):pulse_idx + 3] = True
+    return pulse_idx, in_band & ~exclude
+
+
 def _spectrum_elasticity_batch(windows: np.ndarray, sample_interval: float,
                                pulse_freq: float,
                                band: tuple[float, float],
-                               significance_floor: float = 0.0
+                               significance_floor: float | np.ndarray = 0.0
                                ) -> tuple[np.ndarray, np.ndarray,
                                           np.ndarray]:
     """Vectorized elasticity over a batch of ẑ windows.
@@ -134,31 +129,31 @@ def _spectrum_elasticity_batch(windows: np.ndarray, sample_interval: float,
     what makes offline analysis of long traces cheap.  Returns
     ``(elasticity, peak, background)`` arrays of length ``m``.
 
-    ``significance_floor`` is a rate amplitude (bytes/second): a cross-
-    traffic oscillation smaller than this is insignificant, so it is
-    added to the background before taking the ratio.  Without it, an
+    ``significance_floor`` is a rate amplitude (bytes/second), one
+    value for every row or an array of one per row: a cross-traffic
+    oscillation smaller than this is insignificant, so it is added to
+    the background before taking the ratio.  Without it, an
     all-but-empty path (ẑ ~ 0 everywhere) can produce arbitrarily large
     ratios out of numerical residue.
     """
     n = windows.shape[1]
-    detrended = windows - windows.mean(axis=1, keepdims=True)
-    windowed = detrended * _hann_window(n)
+    windowed = windows - windows.mean(axis=1, keepdims=True)
+    # In place: a batch is every window a probe fell due on, so each
+    # temporary is (readings, n) doubles and one fewer lowers peak RSS.
+    windowed *= np.hanning(n)
     spectrum = np.abs(np.fft.rfft(windowed, axis=1))
-    freqs = _rfft_freqs(n, sample_interval)
+    pulse_idx, comparison_bins = _comparison_bins(
+        np.fft.rfftfreq(n, d=sample_interval), pulse_freq, band)
 
     # Peak: the pulse-frequency bin and its immediate neighbours (the
     # Hann window spreads a tone over ~2 bins).
-    pulse_idx = int(np.argmin(np.abs(freqs - pulse_freq)))
     lo = max(0, pulse_idx - 1)
     hi = min(spectrum.shape[1], pulse_idx + 2)
     peak = spectrum[:, lo:hi].max(axis=1)
 
     # Background: median amplitude in the band, excluding the pulse
     # bins (and their spread).
-    in_band = (freqs >= band[0]) & (freqs <= band[1])
-    exclude = np.zeros_like(in_band)
-    exclude[max(0, pulse_idx - 2):pulse_idx + 3] = True
-    comparison = spectrum[:, in_band & ~exclude]
+    comparison = spectrum[:, comparison_bins]
     if comparison.shape[1] == 0:
         raise AnalysisError(
             "comparison band is empty; widen band or window")
@@ -170,23 +165,30 @@ def _spectrum_elasticity_batch(windows: np.ndarray, sample_interval: float,
     return peak / denom, peak, background
 
 
-def _spectrum_elasticity(z: np.ndarray, sample_interval: float,
-                         pulse_freq: float, band: tuple[float, float],
-                         significance_floor: float = 0.0
-                         ) -> tuple[float, float, float]:
-    """Return (elasticity, peak, background) for one window of ẑ."""
+def _window_readings(windows: np.ndarray, times, sample_interval: float,
+                     pulse_freq: float, band: tuple[float, float],
+                     significance_floor: float | np.ndarray = 0.0
+                     ) -> list[ElasticityReading]:
+    """One :class:`ElasticityReading` per row of ``windows``, the row's
+    window having ended at the matching entry of ``times``."""
     elasticity, peak, background = _spectrum_elasticity_batch(
-        np.asarray(z)[None, :], sample_interval, pulse_freq, band,
-        significance_floor=significance_floor)
-    return float(elasticity[0]), float(peak[0]), float(background[0])
+        windows, sample_interval, pulse_freq, band, significance_floor)
+    means = windows.mean(axis=1)
+    return [ElasticityReading(
+        time=float(t), elasticity=float(e), peak_amplitude=float(p),
+        background_amplitude=float(b), mean_cross_rate=float(m))
+        for t, e, p, b, m in zip(times, elasticity, peak, background,
+                                 means)]
 
 
 class ElasticityEstimator:
     """Streaming elasticity estimator over a sliding window of ẑ samples.
 
     Feed ẑ samples at a fixed cadence with :meth:`add_sample`; every
-    ``update_interval`` seconds (once the window is full) a new
-    :class:`ElasticityReading` is appended to :attr:`readings`.
+    ``update_interval`` seconds (once the window is full) a reading
+    falls due.  Due readings are transformed together, in one batched
+    ``rfft``, the next time :attr:`readings` is read; a reading is the
+    same to the bit whenever it is read.
 
     Args:
         pulse_freq: the probe's pulse frequency (Hz).
@@ -197,7 +199,9 @@ class ElasticityEstimator:
         band: comparison band (Hz) for the background estimate.
         significance_frac: oscillations below this fraction of
             :attr:`scale` are insignificant (see
-            :func:`_spectrum_elasticity`); ignored while ``scale`` is 0.
+            :func:`_spectrum_elasticity_batch`); ignored while
+            ``scale`` is 0.  The floor is taken from ``scale`` as it
+            is when a reading falls due.
     """
 
     def __init__(self, pulse_freq: float = 5.0,
@@ -210,9 +214,22 @@ class ElasticityEstimator:
         if sample_interval <= 0 or sample_interval > 1.0 / (2 * pulse_freq):
             raise ConfigError(
                 "sample_interval must satisfy Nyquist for the pulse")
+        if update_interval <= 0:
+            raise ConfigError(
+                f"update_interval must be positive: {update_interval}")
+        if significance_frac < 0:
+            raise ConfigError(
+                f"significance_frac must be >= 0: {significance_frac}")
+        self.window_samples = int(round(window / sample_interval))
+        _, comparison_bins = _comparison_bins(
+            np.fft.rfftfreq(self.window_samples, d=sample_interval),
+            pulse_freq, band)
+        if not comparison_bins.any():
+            raise ConfigError(
+                f"comparison band {band} holds no frequency bin besides "
+                "the pulse's; widen band or window")
         self.pulse_freq = pulse_freq
         self.sample_interval = sample_interval
-        self.window_samples = int(round(window / sample_interval))
         self.update_interval = update_interval
         self.band = band
         self.significance_frac = significance_frac
@@ -221,32 +238,43 @@ class ElasticityEstimator:
         self.scale = 0.0
         self._samples: list[float] = []
         self._last_update = float("-inf")
-        self.readings: list[ElasticityReading] = []
+        # (time, end index into _samples, significance floor) of each
+        # reading due since readings were last read.
+        self._due: list[tuple[float, int, float]] = []
+        self._readings: list[ElasticityReading] = []
 
     @property
     def window_values(self) -> np.ndarray:
         """The last ``window_samples`` ẑ samples, oldest first (a copy)."""
         return np.array(self._samples[-self.window_samples:], dtype=float)
 
-    def add_sample(self, now: float, z: float) -> ElasticityReading | None:
-        """Add one ẑ sample; returns a new reading when one is emitted."""
+    def add_sample(self, now: float, z: float) -> bool:
+        """Add one ẑ sample; True when a reading falls due on it."""
         samples = self._samples
         samples.append(z)
         if (len(samples) < self.window_samples
                 or now - self._last_update < self.update_interval):
-            return None
+            return False
         self._last_update = now
-        del samples[:-self.window_samples]
-        z_arr = self.window_values
-        elasticity, peak, background = _spectrum_elasticity(
-            z_arr, self.sample_interval, self.pulse_freq, self.band,
-            significance_floor=self.significance_frac * self.scale)
-        reading = ElasticityReading(
-            time=now, elasticity=elasticity, peak_amplitude=peak,
-            background_amplitude=background,
-            mean_cross_rate=float(z_arr.mean()))
-        self.readings.append(reading)
-        return reading
+        self._due.append((now, len(samples),
+                          self.significance_frac * self.scale))
+        return True
+
+    @property
+    def readings(self) -> list[ElasticityReading]:
+        """Every reading so far, oldest first."""
+        if self._due:
+            n = self.window_samples
+            times, ends, floors = zip(*self._due)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                np.array(self._samples, dtype=float), n)[np.array(ends) - n]
+            self._readings += _window_readings(
+                windows, times, self.sample_interval, self.pulse_freq,
+                self.band, np.array(floors))
+            self._due.clear()
+            # No later window reaches further back than the last n.
+            del self._samples[:-n]
+        return self._readings
 
 
 def elasticity_series(times, z_values, pulse_freq: float = 5.0,
@@ -276,12 +304,4 @@ def elasticity_series(times, z_values, pulse_freq: float = 5.0,
     # One strided view + one batched FFT over every window at once,
     # instead of a Python loop transforming windows one by one.
     windows = np.lib.stride_tricks.sliding_window_view(z, win)[ends - win]
-    elasticity, peak, background = _spectrum_elasticity_batch(
-        windows, dt, pulse_freq, band)
-    means = windows.mean(axis=1)
-    return [ElasticityReading(
-        time=float(t[end - 1]), elasticity=float(e),
-        peak_amplitude=float(p), background_amplitude=float(b),
-        mean_cross_rate=float(m))
-        for end, e, p, b, m in zip(ends, elasticity, peak, background,
-                                   means)]
+    return _window_readings(windows, t[ends - 1], dt, pulse_freq, band)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.elasticity import (ElasticityEstimator, PulseGenerator,
-                                   _spectrum_elasticity,
+                                   _spectrum_elasticity_batch,
                                    cross_traffic_estimate,
                                    elasticity_series)
 from repro.errors import AnalysisError, ConfigError
@@ -142,19 +142,19 @@ class TestElasticitySeries:
 
 class TestStreamingEstimator:
     def test_emits_after_window_fills(self):
+        # add_sample says which samples a reading falls due on; the
+        # readings, transformed when read, carry exactly those times.
         est = ElasticityEstimator(pulse_freq=5.0, sample_interval=0.01,
                                   window=2.0, update_interval=0.5)
-        emitted = []
-        t = 0.0
+        due = []
         for i in range(400):
             t = i * 0.01
-            reading = est.add_sample(t, 1e6 + 5e5 * np.sin(
-                2 * np.pi * 5.0 * t))
-            if reading is not None:
-                emitted.append(reading)
-        assert emitted
-        assert emitted[0].time >= 2.0 - 0.02
-        assert emitted[-1].elasticity > 5.0
+            if est.add_sample(t, 1e6 + 5e5 * np.sin(2 * np.pi * 5.0 * t)):
+                due.append(t)
+        assert due
+        assert due[0] >= 2.0 - 0.02
+        assert [r.time for r in est.readings] == due
+        assert est.readings[-1].elasticity > 5.0
 
     def test_update_interval_spacing(self):
         est = ElasticityEstimator(pulse_freq=5.0, sample_interval=0.01,
@@ -192,29 +192,64 @@ class TestStreamingEstimator:
             assert np.array_equal(est.window_values, z[max(0, upto - n):upto])
 
     def test_readings_are_the_spectrum_of_each_window_slice(self):
+        # Deferred equals streamed: each reading is its own window's
+        # one-row transform, with the floor of the scale when it fell
+        # due, whether it was read mid-stream or at the end.
         est = ElasticityEstimator(window=2.0, update_interval=0.5)
         n = est.window_samples
         t, z = synthetic_z(duration=6.0, tone_freq=5.0, tone_amp=5e5,
                            noise=1e5)
-        expected, last = [], float("-inf")
+        expected, floors, last, midway = [], set(), float("-inf"), None
         for i in range(len(z)):
+            est.scale = 2e6 * (i % 7)
             est.add_sample(t[i], z[i])
             if i + 1 >= n and t[i] - last >= 0.5:
                 last = t[i]
                 window = z[i + 1 - n:i + 1]
-                elasticity, peak, _ = _spectrum_elasticity(
-                    window, 0.01, 5.0, (1.0, 12.0))
-                expected.append((t[i], elasticity, peak,
+                floors.add(est.significance_frac * est.scale)
+                row = _spectrum_elasticity_batch(
+                    window[None, :], 0.01, 5.0, (1.0, 12.0),
+                    est.significance_frac * est.scale)
+                expected.append((t[i], *(float(x[0]) for x in row),
                                  float(window.mean())))
-        assert len(expected) >= 8
-        assert [(r.time, r.elasticity, r.peak_amplitude, r.mean_cross_rate)
+            if i == len(z) // 2:
+                midway = len(est.readings)
+                assert len(est.window_values) == n
+        assert 0 < midway < len(expected) and len(expected) >= 8
+        assert len(floors) > 2
+        assert [(r.time, r.elasticity, r.peak_amplitude,
+                 r.background_amplitude, r.mean_cross_rate)
                 for r in est.readings] == expected
+
+    def test_estimator_equals_offline_series_at_equal_window_ends(self):
+        # A binary sample interval keeps every time and every due
+        # comparison exact, so both see windows ending every 64 samples.
+        dt = 1.0 / 128
+        times = [i * dt for i in range(1024)]
+        z = 1e6 + 5e5 * np.sin(2 * np.pi * 5.0 * np.array(times)) \
+            + np.random.default_rng(3).normal(0, 1e5, len(times))
+        est = ElasticityEstimator(sample_interval=dt, window=2.0,
+                                  update_interval=0.5)
+        for now, value in zip(times, z):
+            est.add_sample(now, float(value))
+        offline = elasticity_series(times, z, window=2.0, step=0.5)
+        assert len(offline) == 13
+        assert est.readings == offline
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             ElasticityEstimator(pulse_freq=5.0, window=0.1)
         with pytest.raises(ConfigError):
             ElasticityEstimator(pulse_freq=5.0, sample_interval=0.5)
+        # Caught where they are made, not at the first reading.
+        for band in ((12.0, 1.0), (60.0, 80.0)):
+            with pytest.raises(ConfigError, match="band"):
+                ElasticityEstimator(band=band)
+        for interval in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="update_interval"):
+                ElasticityEstimator(update_interval=interval)
+        with pytest.raises(ConfigError, match="significance_frac"):
+            ElasticityEstimator(significance_frac=-0.01)
 
 
 @settings(max_examples=10, deadline=None)

@@ -8,6 +8,7 @@ from repro.cca.base import AckSample
 from repro.cca.nimbus import NimbusCca
 from repro.errors import ConfigError
 from repro.fluid.probe import FluidProbe
+from repro.obs import EventKind, capture
 
 
 def ack(now, acked=1448, rtt=0.1, min_rtt=0.1, srtt=0.1,
@@ -96,6 +97,30 @@ class TestRateBins:
             cca.on_packet_sent(t, 1448, False)
             cca.on_ack(ack(t + 0.001))
         assert len(cca.estimator.window_values) > 50
+
+    def test_traced_pulse_meta_is_the_deferred_reading(self):
+        # A traced run transforms each window as it falls due (for the
+        # PULSE event's meta); an untraced one when readings are read.
+        # Both give the same readings, to the bit.
+        def drive(cca):
+            # A sawtooth delivery pattern, so ẑ and the readings vary.
+            for i in range(1300):
+                t = i * 0.005
+                cca.on_packet_sent(t, 1448, False)
+                cca.on_ack(ack(t + 0.001, acked=1448 * (1 + i % 3)))
+
+        traced, untraced = NimbusCca(capacity_hint=6e6), \
+            NimbusCca(capacity_hint=6e6)
+        with capture() as trace:
+            drive(traced)
+        drive(untraced)
+        assert untraced.estimator._due
+        readings = untraced.elasticity_readings
+        assert len(readings) >= 3
+        assert readings == traced.elasticity_readings
+        assert [e.meta["elasticity"] for e in trace.events
+                if e.kind == EventKind.PULSE and "elasticity" in e.meta] \
+            == [r.elasticity for r in readings]
 
     def test_z_clipped_at_capacity_multiple(self):
         cca = NimbusCca(capacity_hint=6e6)
