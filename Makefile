@@ -25,19 +25,6 @@ serve:
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l
 	@grep -rhoE 'REPRO_[A-Z_]+' src/repro --include='*.py' | sort -u
-	@$(PYTHON) -c "$$SETTABLE_VALUES"
-
-define SETTABLE_VALUES
-import ast, pathlib
-count = 0
-for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
-    for node in ast.walk(ast.parse(path.read_text())):
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and (node.name == "__init__"
-                     or not node.name.startswith("_"))):
-            args = node.args
-            count += len(args.defaults) + sum(
-                d is not None for d in args.kw_defaults)
-print(count, "settable values")
-endef
-export SETTABLE_VALUES
+	@PYTHONPATH=tests $(PYTHON) -c "from pathlib import Path; \
+		from test_settable_values import settable_values; \
+		print(len(settable_values(Path('src/repro'))), 'settable values')"

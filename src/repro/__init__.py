@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 
-def quicklook_elasticity(cross_traffic: str = "reno", duration: float = 30.0,
-                         seed: int = 0):
+def quicklook_elasticity(cross_traffic: str = "reno", duration: float = 30.0):
     """Run a small single-path elasticity probe and return its report.
 
     A convenience wrapper around :class:`repro.core.probe.ElasticityProbe`
@@ -70,5 +69,4 @@ def quicklook_elasticity(cross_traffic: str = "reno", duration: float = 30.0,
     the full Figure 3 reproduction.
     """
     from .core.quicklook import run_quicklook
-    return run_quicklook(cross_traffic=cross_traffic, duration=duration,
-                         seed=seed)
+    return run_quicklook(cross_traffic=cross_traffic, duration=duration)

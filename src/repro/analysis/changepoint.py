@@ -238,9 +238,12 @@ def binary_segmentation(signal, penalty: float | None = None,
     return ChangePointResult(tuple(sorted(breakpoints)), n, penalty)
 
 
+#: Shortest segment (samples) :func:`throughput_level_shift` admits.
+LEVEL_SHIFT_MIN_SEGMENT = 4
+
+
 def throughput_level_shift(signal, penalty: float | None = None,
-                           min_relative_shift: float = 0.2,
-                           min_segment: int = 4):
+                           min_relative_shift: float = 0.2):
     """The §3.1 detector: change points that are *meaningful* throughput
     level shifts.
 
@@ -257,13 +260,13 @@ def throughput_level_shift(signal, penalty: float | None = None,
     x = np.asarray(signal, dtype=float)
     rows = np.atleast_2d(x)
     n = rows.shape[1]
-    if n < 2 * min_segment:
+    if n < 2 * LEVEL_SHIFT_MIN_SEGMENT:
         results = [ChangePointResult(
             (), n, float("inf") if penalty is None else penalty)] * len(rows)
     else:
         results = []
         for row, raw in zip(rows, _optimal_partition_rows(
-                rows, penalty, min_segment)):
+                rows, penalty, LEVEL_SHIFT_MIN_SEGMENT)):
             kept = []
             edges = [0, *raw.breakpoints, n]
             for i, bp in enumerate(raw.breakpoints):

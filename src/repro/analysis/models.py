@@ -24,9 +24,11 @@ from ..errors import AnalysisError
 #: Mathis constant for periodic loss with delayed-ack disabled.
 MATHIS_C = math.sqrt(3.0 / 2.0)
 
+#: PFTK's retransmission timeout T0 (seconds), the RTO floor.
+PADHYE_RTO = 0.2
 
-def mathis_throughput(mss: int, rtt: float, loss_rate: float,
-                      c: float = MATHIS_C) -> float:
+
+def mathis_throughput(mss: int, rtt: float, loss_rate: float) -> float:
     """Mathis SQRT model throughput in bytes/second.
 
     Valid for small loss rates where timeouts are negligible.
@@ -35,27 +37,27 @@ def mathis_throughput(mss: int, rtt: float, loss_rate: float,
         raise AnalysisError("mss and rtt must be positive")
     if not 0 < loss_rate < 1:
         raise AnalysisError(f"loss_rate must be in (0, 1): {loss_rate}")
-    return (mss / rtt) * c / math.sqrt(loss_rate)
+    return (mss / rtt) * MATHIS_C / math.sqrt(loss_rate)
 
 
 def padhye_throughput(mss: int, rtt: float, loss_rate: float,
-                      rto: float = 0.2,
                       rwnd_bytes: float = float("inf")) -> float:
     """PFTK full model throughput in bytes/second.
 
     T = min(Wmax/RTT,
             MSS / (RTT*sqrt(2bp/3) + T0*min(1, 3*sqrt(3bp/8))*p*(1+32p^2)))
 
-    with b = 1 (no delayed acks in our receiver).
+    with b = 1 (no delayed acks in our receiver) and T0 =
+    :data:`PADHYE_RTO`.
     """
-    if mss <= 0 or rtt <= 0 or rto <= 0:
-        raise AnalysisError("mss, rtt, and rto must be positive")
+    if mss <= 0 or rtt <= 0:
+        raise AnalysisError("mss and rtt must be positive")
     if not 0 < loss_rate < 1:
         raise AnalysisError(f"loss_rate must be in (0, 1): {loss_rate}")
     b = 1.0
     p = loss_rate
     denom = (rtt * math.sqrt(2.0 * b * p / 3.0)
-             + rto * min(1.0, 3.0 * math.sqrt(3.0 * b * p / 8.0))
+             + PADHYE_RTO * min(1.0, 3.0 * math.sqrt(3.0 * b * p / 8.0))
              * p * (1.0 + 32.0 * p * p))
     model = mss / denom
     return min(rwnd_bytes / rtt, model)

@@ -133,10 +133,8 @@ class CdfSketch:
             total=self.total + len(x))
 
     @classmethod
-    def from_samples(cls, samples, lo: float = SKETCH_LO,
-                     hi: float = SKETCH_HI,
-                     bins: int = SKETCH_BINS) -> "CdfSketch":
-        return cls(lo=lo, hi=hi, bins=bins).add_samples(samples)
+    def from_samples(cls, samples) -> "CdfSketch":
+        return cls().add_samples(samples)
 
     def merge(self, other: "CdfSketch") -> "CdfSketch":
         """Combine two sketches over the same binning."""

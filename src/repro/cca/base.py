@@ -71,18 +71,22 @@ class CongestionControl(abc.ABC):
     #: flow label attached to trace events; set via :meth:`bind_flow`
     _obs_flow = ""
 
-    def __init__(self, mss: int = DEFAULT_MSS):
-        self.mss = mss
+    #: payload bytes per segment, the unit ACKed bytes are counted in;
+    #: the sender's own MSS once :meth:`bind_flow` has run
+    mss = DEFAULT_MSS
 
-    # -- observability -----------------------------------------------------
+    # -- binding and tracing -----------------------------------------------
 
-    def bind_flow(self, flow_id: str) -> None:
-        """Label this CCA's trace events with the owning flow's id.
+    def bind_flow(self, flow_id: str, mss: int) -> None:
+        """Adopt the owning sender's flow id (the label on this CCA's
+        trace events) and MSS.
 
-        Called by the transport endpoint at construction; harmless to
-        skip (events then carry an empty flow field).
+        Called by the transport endpoint at construction; an unbound
+        CCA counts in :data:`~repro.units.DEFAULT_MSS` segments and
+        traces with an empty flow field.
         """
         self._obs_flow = flow_id
+        self.mss = mss
 
     def _trace(self, now: float, kind: str, value: float = 0.0,
                meta: dict | None = None) -> None:

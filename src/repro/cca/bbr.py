@@ -16,7 +16,6 @@ serves as elastic-but-not-loss-based cross traffic in Figure 3.
 from __future__ import annotations
 
 from ..obs.bus import EventKind
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 from .filters import WindowedExtremum
 
@@ -28,6 +27,8 @@ PROBE_RTT_DURATION = 0.2      # seconds spent at the cwnd floor
 BW_WINDOW_ROUNDS = 10         # bandwidth filter window, in round trips
 CWND_GAIN = 2.0
 MIN_CWND_PACKETS = 4.0
+INITIAL_CWND = 10.0           # packets
+INITIAL_RATE = 1_000_000.0    # bytes/second, before any sample
 
 
 class BbrCca(CongestionControl):
@@ -35,12 +36,10 @@ class BbrCca(CongestionControl):
 
     name = "bbr"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 10.0,
-                 initial_rate: float = 1_000_000.0):
-        super().__init__(mss=mss)
+    def __init__(self):
         self._state = "STARTUP"
-        self._cwnd = float(initial_cwnd)
-        self._pacing_rate = float(initial_rate)
+        self._cwnd = INITIAL_CWND
+        self._pacing_rate = INITIAL_RATE
         self._bw_filter = WindowedExtremum(BW_WINDOW_ROUNDS, mode="max")
         self._rtprop: float | None = None
         self._rtprop_stamp = 0.0

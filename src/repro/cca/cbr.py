@@ -10,7 +10,6 @@ offers a raw packet source that bypasses the transport entirely.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..units import DEFAULT_MSS
 from .base import CongestionControl
 
 
@@ -23,8 +22,7 @@ class CbrCca(CongestionControl):
 
     name = "cbr"
 
-    def __init__(self, rate: float, mss: int = DEFAULT_MSS):
-        super().__init__(mss=mss)
+    def __init__(self, rate: float):
         if rate <= 0:
             raise ConfigError(f"rate must be positive: {rate}")
         self.rate = float(rate)

@@ -13,7 +13,6 @@ implementation exposes the same default-mode dynamics.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 from .filters import WindowedExtremum
 
@@ -27,9 +26,7 @@ class CopaCca(CongestionControl):
 
     name = "copa"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 10.0,
-                 delta: float = 0.5):
-        super().__init__(mss=mss)
+    def __init__(self, initial_cwnd: float = 10.0, delta: float = 0.5):
         if delta <= 0:
             raise ConfigError(f"delta must be positive: {delta}")
         self._cwnd = float(initial_cwnd)

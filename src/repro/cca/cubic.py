@@ -9,7 +9,6 @@ aggressive as Reno at small BDPs.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 
 
@@ -23,10 +22,8 @@ class CubicCca(CongestionControl):
 
     name = "cubic"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 10.0,
-                 c: float = 0.4, beta: float = 0.7,
-                 fast_convergence: bool = True):
-        super().__init__(mss=mss)
+    def __init__(self, initial_cwnd: float = 10.0, c: float = 0.4,
+                 beta: float = 0.7):
         if not 0 < beta < 1:
             raise ConfigError(f"beta must be in (0, 1): {beta}")
         if c <= 0:
@@ -34,7 +31,6 @@ class CubicCca(CongestionControl):
         self._cwnd = float(initial_cwnd)
         self.c = c
         self.beta = beta
-        self.fast_convergence = fast_convergence
         self.ssthresh = float("inf")
         self.min_cwnd = 2.0
         self.w_max = 0.0
@@ -88,7 +84,7 @@ class CubicCca(CongestionControl):
             self._cwnd += acked_packets / (100.0 * self._cwnd)
 
     def _multiplicative_decrease(self) -> None:
-        if self.fast_convergence and self._cwnd < self.w_max:
+        if self._cwnd < self.w_max:
             self.w_max = self._cwnd * (1.0 + self.beta) / 2.0
         else:
             self.w_max = self._cwnd

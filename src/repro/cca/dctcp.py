@@ -14,7 +14,6 @@ fraction per RTT.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 
 
@@ -28,9 +27,7 @@ class DctcpCca(CongestionControl):
 
     name = "dctcp"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 10.0,
-                 g: float = 1.0 / 16.0):
-        super().__init__(mss=mss)
+    def __init__(self, initial_cwnd: float = 10.0, g: float = 1.0 / 16.0):
         if not 0 < g <= 1:
             raise ConfigError(f"g must be in (0, 1]: {g}")
         self._cwnd = float(initial_cwnd)

@@ -15,7 +15,6 @@ off_target = (TARGET - queuing_delay) / TARGET, and a loss halving.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 
 
@@ -25,19 +24,15 @@ class LedbatCca(CongestionControl):
     Args:
         target: target queueing delay (RFC 6817 says <= 100 ms;
             deployments use 25-60 ms).
-        gain: window gain per off-target unit.
     """
 
     name = "ledbat"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 2.0,
-                 target: float = 0.025, gain: float = 1.0):
-        super().__init__(mss=mss)
+    def __init__(self, initial_cwnd: float = 2.0, target: float = 0.025):
         if target <= 0:
             raise ConfigError(f"target must be positive: {target}")
         self._cwnd = float(initial_cwnd)
         self.target = target
-        self.gain = gain
         self.min_cwnd = 1.0
 
     @property
@@ -52,7 +47,7 @@ class LedbatCca(CongestionControl):
         queuing = max(0.0, sample.rtt - sample.min_rtt)
         off_target = (self.target - queuing) / self.target
         acked_packets = min(sample.acked_bytes / self.mss, 2.0)
-        self._cwnd += self.gain * off_target * acked_packets / self._cwnd
+        self._cwnd += off_target * acked_packets / self._cwnd
         self._cwnd = max(self._cwnd, self.min_cwnd)
 
     def on_loss(self, now: float, lost_bytes: int) -> None:

@@ -30,7 +30,7 @@ import math
 from ..core.elasticity import (ElasticityEstimator, PulseGenerator,
                                cross_traffic_estimate)
 from ..obs.bus import BUS as _OBS, EventKind
-from ..units import DEFAULT_MSS
+from ..units import DEFAULT_MSS, HEADER_BYTES
 from .base import AckSample, CongestionControl
 from .filters import WindowedExtremum
 
@@ -43,6 +43,21 @@ GAIN_REFERENCE_DELAY = 0.05
 SAMPLE_INTERVAL = 0.01
 #: window over which S and R are averaged for one ẑ sample (seconds).
 RATE_SMOOTHING = 0.06
+
+#: The probe's pulse, shared by :class:`NimbusCca`,
+#: :class:`repro.core.probe.ElasticityProbe` and
+#: :class:`repro.fluid.probe.FluidProbe`: frequency (Hz), amplitude
+#: as a fraction of μ, and the delay controller's floor as a fraction
+#: of μ.  The amplitude is above deployed Nimbus's 0.25: a dedicated
+#: measurement flow can afford stronger pulses, and the extra drive is
+#: what makes weakly-reactive cross traffic (BBRv1's smoothed pacing)
+#: visible above bursty application traffic (calibration table in
+#: DESIGN.md).  The floor is far above deployed Nimbus's 0.05, which
+#: switches modes when squeezed: it keeps the pulses visible when
+#: backlogged cross traffic would otherwise squeeze them out.
+PULSE_FREQ = 5.0
+PULSE_AMPLITUDE = 0.35
+MIN_RATE_FRAC = 0.25
 
 
 def default_delay_target(pulse_freq: float, pulse_amplitude: float
@@ -126,11 +141,8 @@ class NimbusCca(CongestionControl):
             see :mod:`repro.core.elasticity`.)
         pulse_freq: pulse frequency f_p (Hz).
         pulse_amplitude: pulse amplitude as a fraction of μ.
-        min_rate_frac: floor on the delay-mode rate as a fraction of μ.
-            Deployed Nimbus uses a small floor (it switches modes when
-            squeezed); a *measurement* probe should raise this (~0.25)
-            so backlogged cross traffic cannot squeeze its pulses into
-            invisibility.
+
+    The delay-mode rate is floored at :data:`MIN_RATE_FRAC` μ.
     """
 
     name = "nimbus"
@@ -138,11 +150,12 @@ class NimbusCca(CongestionControl):
     #: pacing rate before any feedback (bytes/second).
     INITIAL_RATE = 1_250_000.0
 
-    def __init__(self, mss: int = DEFAULT_MSS,
-                 capacity_hint: float | None = None,
-                 pulse_freq: float = 5.0, pulse_amplitude: float = 0.25,
-                 min_rate_frac: float = 0.05):
-        super().__init__(mss=mss)
+    #: wire bytes per payload byte (see :meth:`bind_flow`)
+    _wire_factor = (DEFAULT_MSS + HEADER_BYTES) / DEFAULT_MSS
+
+    def __init__(self, capacity_hint: float | None = None,
+                 pulse_freq: float = PULSE_FREQ,
+                 pulse_amplitude: float = PULSE_AMPLITUDE):
         self.capacity_hint = capacity_hint
         # Built first: it rejects a non-positive frequency or an
         # amplitude outside (0, 1) before the target divides by them.
@@ -163,11 +176,6 @@ class NimbusCca(CongestionControl):
         # into ẑ whenever the RTT is comparable to the pulse period.
         self._send_bins: list[int] = []
         self._recv_bins: list[int] = []
-        # The transport reports payload bytes; μ is a wire rate.  The
-        # ~3.6% difference looks like phantom cross traffic in ẑ and,
-        # worse, biases the delay controller's fair-share term low
-        # enough to keep small-target paths just below saturation.
-        self._wire_factor = (mss + 52) / mss
 
         self._base_rate = self.INITIAL_RATE
         self._pacing_rate = self.INITIAL_RATE
@@ -177,7 +185,6 @@ class NimbusCca(CongestionControl):
         self._now = 0.0
         self._z_smoothed = 0.0
 
-        self.min_rate_frac = min_rate_frac
         # Adaptive pulse envelope (:func:`fit_to_buffer`): the probe
         # learns the buffer depth from the peak queueing delay
         # observed around losses (overflow happens exactly when the
@@ -189,6 +196,14 @@ class NimbusCca(CongestionControl):
         self._rtt_peak = WindowedExtremum(window=1.0, mode="max")
         self._base_delay_target = self.delay_target
         self._base_amplitude = pulse_amplitude
+
+    def bind_flow(self, flow_id: str, mss: int) -> None:
+        super().bind_flow(flow_id, mss)
+        # The transport reports payload bytes; μ is a wire rate.  The
+        # ~3.6% difference looks like phantom cross traffic in ẑ and,
+        # worse, biases the delay controller's fair-share term low
+        # enough to keep small-target paths just below saturation.
+        self._wire_factor = (mss + HEADER_BYTES) / mss
 
     # -- knobs -------------------------------------------------------------
 
@@ -265,7 +280,7 @@ class NimbusCca(CongestionControl):
 
     def on_rto(self, now: float) -> None:
         self._base_rate = max(self._base_rate * 0.5,
-                              self.min_rate_frac * self.mu)
+                              MIN_RATE_FRAC * self.mu)
 
     # -- rate sampling ----------------------------------------------------------
 
@@ -326,8 +341,8 @@ class NimbusCca(CongestionControl):
             queue_delay = max(0.0, self._srtt - self._min_rtt)
         self._base_rate = delay_mode_rate(
             mu, self._z_smoothed, self.delay_target, queue_delay,
-            self.min_rate_frac)
+            MIN_RATE_FRAC)
         rate = self._base_rate + self.pulses.offset(now, mu)
-        self._pacing_rate = max(rate, self.min_rate_frac * mu)
+        self._pacing_rate = max(rate, MIN_RATE_FRAC * mu)
         # The window caps rather than clocks transmission.
         self._cwnd = max(4.0, 2.0 * self._pacing_rate * srtt / self.mss)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..obs.bus import EventKind
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 
 
@@ -29,9 +28,8 @@ class RenoCca(CongestionControl):
 
     name = "reno"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 10.0,
+    def __init__(self, initial_cwnd: float = 10.0,
                  ssthresh: float = float("inf"), min_cwnd: float = 2.0):
-        super().__init__(mss=mss)
         if initial_cwnd < 1:
             raise ConfigError(f"initial_cwnd must be >= 1: {initial_cwnd}")
         self._cwnd = float(initial_cwnd)

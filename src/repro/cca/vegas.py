@@ -9,7 +9,6 @@ packets it estimates it has queued at the bottleneck -- between
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..units import DEFAULT_MSS
 from .base import AckSample, CongestionControl
 
 
@@ -24,9 +23,8 @@ class VegasCca(CongestionControl):
 
     name = "vegas"
 
-    def __init__(self, mss: int = DEFAULT_MSS, initial_cwnd: float = 10.0,
-                 alpha: float = 2.0, beta: float = 4.0, gamma: float = 1.0):
-        super().__init__(mss=mss)
+    def __init__(self, initial_cwnd: float = 10.0, alpha: float = 2.0,
+                 beta: float = 4.0, gamma: float = 1.0):
         if not 0 < alpha <= beta:
             raise ConfigError("need 0 < alpha <= beta")
         self._cwnd = float(initial_cwnd)

@@ -45,6 +45,11 @@ from .membership import (CONNECT_TIMEOUT_S, READ_TIMEOUT_S, Membership,
                          Node, parse_cluster)
 from .merge import pull_objects
 
+#: ``paths`` tasks per node a clustered campaign is cut into (the
+#: granularity work stealing has to move).
+SHARDS_PER_NODE = 4
+
+
 @dataclass(frozen=True)
 class ClusterTask:
     """One unit of cluster dispatch.
@@ -185,9 +190,7 @@ class Coordinator:
 
     # -- the run loop ----------------------------------------------------
 
-    def run(self, tasks: Sequence[ClusterTask],
-            progress: Callable[[int, int], None] | None = None
-            ) -> dict[str, TaskRecord]:
+    def run(self, tasks: Sequence[ClusterTask]) -> dict[str, TaskRecord]:
         """Run ``tasks`` to completion; returns the ledger by key.
 
         Duplicate keys are suppressed up front (one record serves all
@@ -205,13 +208,9 @@ class Coordinator:
                 order.append(task.key)
             else:
                 self._metrics.counter("tasks_deduplicated").inc()
-        total = len(order)
         pending: deque[str] = deque(order)
         inflight: dict[str, list[_Attempt]] = {}
         last_alive = self.clock()
-
-        def done_count() -> int:
-            return sum(1 for k in order if records[k].finished)
 
         clean = False
         try:
@@ -227,12 +226,9 @@ class Coordinator:
                         f"{self.dead_grace_s:g}s with "
                         f"{len(pending) + len(inflight)} tasks "
                         "outstanding")
-                before = done_count()
                 self._dispatch(pending, inflight, records, live)
                 self._poll(pending, inflight, records)
                 self._steal(inflight, records)
-                if progress is not None and done_count() != before:
-                    progress(done_count(), total)
                 if pending or inflight:
                     self.sleep(self.poll_s)
             clean = all(records[k].status != "failed" for k in order)
@@ -459,7 +455,7 @@ def _coordinator(cluster, store, journal=None) -> Coordinator:
 
 
 def _dispatch_missing(keys, store, local_metric, make_tasks, cluster,
-                      run_key, coordinator, progress) -> None:
+                      run_key, coordinator) -> None:
     """Run on the cluster ``make_tasks(todo, node_count)``, the tasks
     for the ``keys`` the local store lacks; stored keys count into
     ``cluster.<local_metric>``, quarantined tasks (the caller's local
@@ -472,8 +468,7 @@ def _dispatch_missing(keys, store, local_metric, make_tasks, cluster,
             coordinator = _coordinator(cluster, store,
                                        ClusterJournal(store, run_key))
         records = coordinator.run(
-            make_tasks(todo, len(coordinator.membership.nodes)),
-            progress=progress)
+            make_tasks(todo, len(coordinator.membership.nodes)))
         lost = sum(1 for r in records.values() if r.status == "failed")
         if lost:
             metrics.counter("shards_fallback_local").inc(lost)
@@ -482,17 +477,14 @@ def _dispatch_missing(keys, store, local_metric, make_tasks, cluster,
 def run_clustered_campaign(params: Mapping, cluster,
                            store: ArtifactStore | None = None,
                            workers: int | None = None,
-                           shards_per_node: int = 4,
                            resume: bool = False,
-                           progress: Callable[[int, int], None] | None
-                           = None,
                            coordinator: Coordinator | None = None):
     """Run a campaign across a serve cluster; returns
     :class:`~repro.core.campaign.CampaignResult`.
 
     The flow: build the campaign locally, fingerprint every path,
     shard the paths *not already in the local store* into ``paths``
-    tasks (about ``shards_per_node`` per node, for stealing
+    tasks (about :data:`SHARDS_PER_NODE` per node, for stealing
     granularity), dispatch them, pull each completed shard's per-path
     objects back by content address, and finally assemble through
     :meth:`Campaign.run` against the local store -- every merged path
@@ -530,26 +522,21 @@ def run_clustered_campaign(params: Mapping, cluster,
                          artifact_keys=tuple(path_keys[i] for i in chunk),
                          label=f"paths[{chunk[0]}..{chunk[-1]}] "
                                f"{fingerprint(chunk, kind='shard')[:8]}")
-                for chunk in shard_indices(todo, shards_per_node * nodes)]
+                for chunk in shard_indices(todo, SHARDS_PER_NODE * nodes)]
 
     _dispatch_missing(path_keys, store, "campaign_paths_local", make_tasks,
-                      cluster, campaign.fingerprint(), coordinator,
-                      progress)
+                      cluster, campaign.fingerprint(), coordinator)
     # Final assembly: merged paths are store hits, anything missing
     # (failed shards, dead nodes) recomputes locally.
-    return campaign.run(store=store, workers=workers, resume=resume,
-                        progress=progress)
+    return campaign.run(store=store, workers=workers, resume=resume)
 
 
 def run_clustered_fig2(n_flows: int, cluster,
                        seed: int = 0, model=None,
                        chunk_size: int | None = None,
                        min_relative_shift: float = 0.25,
-                       store: ArtifactStore | None = None,
                        workers: int | None = None,
-                       resume: bool = False,
-                       progress: Callable[[int, int], None] | None = None,
-                       coordinator: Coordinator | None = None):
+                       resume: bool = False):
     """Run a §3.1 fig2 pipeline across a serve cluster;
     returns :class:`~repro.ndt.pipeline.Fig2Result`.
 
@@ -567,26 +554,25 @@ def run_clustered_fig2(n_flows: int, cluster,
     Args:
         n_flows: population size.
         cluster: node spec for :func:`parse_cluster`, or an existing
-            :class:`Membership` when ``coordinator`` is None.
+            :class:`Membership`.
         seed: population seed.
         model: must be None or the default
             :class:`~repro.ndt.synth.PopulationModel` -- custom models
             do not travel over the cluster wire.
         chunk_size: flows per shard (default
             :data:`~repro.ndt.synth.DEFAULT_CHUNK_SIZE`).
-        store: local merge target (default: the default store).
         workers: local workers for the final assembly (and any
             fallback recomputation).
         resume: forwarded to the final assembly's scheduler manifest.
-        coordinator: injectable pre-built coordinator (tests).
+
+    Results merge into the default store.
     """
     from ..ndt.stream import (run_pipeline_streaming, shard_specs,
                               stream_run_key)
     from ..ndt.synth import DEFAULT_CHUNK_SIZE, PopulationModel
     from ..store import active_store
 
-    if store is None:
-        store = active_store() or ArtifactStore()
+    store = active_store() or ArtifactStore()
     if model is not None and model != PopulationModel():
         raise ConfigError(
             "clustered fig2 runs support only the default "
@@ -607,13 +593,13 @@ def run_clustered_fig2(n_flows: int, cluster,
                 for i in todo]
 
     _dispatch_missing(keys, store, "fig2_shards_local", make_tasks, cluster,
-                      stream_run_key(specs), coordinator, progress)
+                      stream_run_key(specs), None)
     # Final assembly: merged shards are store hits, anything missing
     # (failed shards, dead nodes) recomputes locally.
     return run_pipeline_streaming(
         n_flows, seed=seed, chunk_size=chunk_size,
         min_relative_shift=min_relative_shift, workers=workers,
-        store=store, resume=resume, progress=progress)
+        store=store, resume=resume)
 
 
 def cluster_evaluator(coordinator: Coordinator, store: ArtifactStore):
@@ -647,10 +633,7 @@ def cluster_evaluator(coordinator: Coordinator, store: ArtifactStore):
 
 
 def run_clustered_search(budget: int, cluster, seed: int = 0,
-                         store: ArtifactStore | None = None,
-                         progress: Callable[[int, int], None] | None
-                         = None,
-                         coordinator: Coordinator | None = None):
+                         store: ArtifactStore | None = None):
     """Run a coverage-guided search with clustered evaluation.
 
     Generation stays local and sequential (that is the determinism
@@ -662,8 +645,6 @@ def run_clustered_search(budget: int, cluster, seed: int = 0,
     if store is None:
         from ..store import active_store
         store = active_store() or ArtifactStore()
-    if coordinator is None:
-        coordinator = _coordinator(cluster, store)
     return run_search(budget, seed=seed,
-                      evaluate=cluster_evaluator(coordinator, store),
-                      progress=progress)
+                      evaluate=cluster_evaluator(
+                          _coordinator(cluster, store), store))

@@ -150,16 +150,14 @@ class CampaignResult:
         return (sum(1 for r in self.results if r.spec.truly_contending)
                 / len(self.results))
 
-    def detector_quality(self, exclude_masked: bool = True
-                         ) -> dict[str, float]:
+    def detector_quality(self) -> dict[str, float]:
         """Detector precision/recall/accuracy vs ground truth.
 
-        ``exclude_masked`` (default) scores only paths the instrument
-        can see (see :attr:`PathSpec.isolation_masked`); the masked
-        bucket is reported by :meth:`masked_summary`.
+        Only paths the instrument can see are scored (see
+        :attr:`PathSpec.isolation_masked`); the masked bucket is
+        reported by :meth:`masked_summary`.
         """
-        subset = [r for r in self.results
-                  if not (exclude_masked and r.spec.isolation_masked)]
+        subset = [r for r in self.results if not r.spec.isolation_masked]
         if not subset:
             return confusion_counts([], [])
         return confusion_counts(

@@ -49,19 +49,16 @@ class HypothesisEvaluation:
 
 
 def evaluate_hypothesis(campaign: CampaignResult,
-                        threshold: float = 0.2,
-                        confidence: float = 0.95,
-                        seed: int = 0) -> HypothesisEvaluation:
+                        threshold: float = 0.2) -> HypothesisEvaluation:
     """Judge the hypothesis on a campaign's results.
 
     ``threshold`` encodes what "common" means: the hypothesis is
-    supported if the upper confidence bound on the contending fraction
-    stays below it.
+    supported if the upper bound of the 95% bootstrap interval on the
+    contending fraction stays below it.
     """
     indicators = [1.0 if r.verdict.contending else 0.0
                   for r in campaign.results]
-    point, lo, hi = bootstrap_ci(indicators, confidence=confidence,
-                                 seed=seed)
+    point, lo, hi = bootstrap_ci(indicators)
     quality = campaign.detector_quality()
     return HypothesisEvaluation(
         fraction_contending=point,

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cca.nimbus import NimbusCca
+from ..cca.nimbus import PULSE_AMPLITUDE, PULSE_FREQ, NimbusCca
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
 from ..tcp.endpoint import Connection
-from ..units import DEFAULT_MSS
 from .detector import ordered_mean
 from .elasticity import ElasticityReading
 
@@ -69,31 +68,24 @@ class ElasticityProbe:
     Args:
         sim: the simulator.
         path: topology handles from a builder in :mod:`repro.sim.network`.
-        flow_id: the probe flow's identifier.
         capacity_hint: bottleneck capacity if known (speedtest servers
             typically learn it in a warmup phase); None auto-estimates.
-        pulse_freq / pulse_amplitude: pulse parameters.  The amplitude
-            default (0.35 of μ) is higher than deployed Nimbus's 0.25:
-            a dedicated measurement flow can afford stronger pulses,
-            and the extra drive is what makes weakly-reactive cross
-            traffic (BBRv1's smoothed pacing) visible above bursty
-            application traffic.  Calibration table in DESIGN.md.
-        min_rate_frac: starvation floor for the delay controller; the
-            0.25 default keeps the probe's pulses visible even when
-            backlogged cross traffic would otherwise squeeze it out.
+        pulse_freq / pulse_amplitude: pulse parameters; the defaults
+            are :mod:`repro.cca.nimbus`'s probe pulse.
     """
 
+    #: the probe flow's identifier
+    flow_id = "probe"
+
     def __init__(self, sim: Simulator, path: PathHandles,
-                 flow_id: str = "probe", capacity_hint: float | None = None,
-                 pulse_freq: float = 5.0, pulse_amplitude: float = 0.35,
-                 mss: int = DEFAULT_MSS, min_rate_frac: float = 0.25,
-                 jitter=None):
+                 capacity_hint: float | None = None,
+                 pulse_freq: float = PULSE_FREQ,
+                 pulse_amplitude: float = PULSE_AMPLITUDE, jitter=None):
         self.sim = sim
-        self.flow_id = flow_id
         self.cca = NimbusCca(
-            mss=mss, capacity_hint=capacity_hint, pulse_freq=pulse_freq,
-            pulse_amplitude=pulse_amplitude, min_rate_frac=min_rate_frac)
-        self.connection = Connection(sim, path, flow_id, self.cca,
+            capacity_hint=capacity_hint, pulse_freq=pulse_freq,
+            pulse_amplitude=pulse_amplitude)
+        self.connection = Connection(sim, path, self.flow_id, self.cca,
                                      jitter=jitter)
         self._started_at: float | None = None
 

@@ -35,25 +35,26 @@ class TslpProber:
         path: the path whose bottleneck queueing is being watched.
         interval: probe spacing (seconds); TSLP uses sparse probes so
             the measurement itself adds negligible load.
-        probe_size: probe packet size (bytes).
     """
 
+    #: the prober's flow identifier
+    flow_id = "tslp"
+    #: probe packet size (bytes)
+    probe_size = 64
+
     def __init__(self, sim: Simulator, path: PathHandles,
-                 flow_id: str = "tslp", interval: float = 0.1,
-                 probe_size: int = 64):
+                 interval: float = 0.1):
         if interval <= 0:
             raise ConfigError(f"interval must be positive: {interval}")
         self.sim = sim
         self.path = path
-        self.flow_id = flow_id
         self.interval = interval
-        self.probe_size = probe_size
         self.times: list[float] = []
         self.rtts: list[float] = []
         self._running = False
         self._seq = 0
-        path.dst_host.attach(flow_id, self._bounce)
-        path.src_host.attach(flow_id, self._on_reply)
+        path.dst_host.attach(self.flow_id, self._bounce)
+        path.src_host.attach(self.flow_id, self._on_reply)
 
     def start(self) -> None:
         self._running = True
@@ -109,26 +110,27 @@ class CongestionEpisodes:
         return self.congested_fraction > 0.1
 
 
-def detect_congestion_episodes(times, rtts,
-                               baseline_quantile: float = 0.1,
-                               inflation_threshold: float = 0.005,
-                               min_episode: float = 1.0
+#: quantile of the RTT samples taken as the uncongested floor
+BASELINE_QUANTILE = 0.1
+#: seconds above the floor that count as congested
+INFLATION_THRESHOLD = 0.005
+
+
+def detect_congestion_episodes(times, rtts, min_episode: float = 1.0
                                ) -> CongestionEpisodes:
-    """Dhamdhere-style analysis: flag periods of inflated queueing delay.
+    """Dhamdhere-style analysis: flag periods of inflated queueing delay
+    (:data:`INFLATION_THRESHOLD` above the :data:`BASELINE_QUANTILE`
+    floor).
 
     Args:
-        baseline_quantile: quantile of the RTT samples taken as the
-            uncongested floor.
-        inflation_threshold: seconds above baseline that counts as
-            congested.
         min_episode: minimum sustained duration for an episode.
     """
     t = np.asarray(times, dtype=float)
     r = np.asarray(rtts, dtype=float)
     if len(t) != len(r) or len(t) < 5:
         raise AnalysisError("need at least five aligned samples")
-    baseline = float(np.quantile(r, baseline_quantile))
-    inflated = r > baseline + inflation_threshold
+    baseline = float(np.quantile(r, BASELINE_QUANTILE))
+    inflated = r > baseline + INFLATION_THRESHOLD
 
     episodes: list[tuple[float, float]] = []
     start: float | None = None

@@ -163,8 +163,7 @@ class _SweepPoint:
 
 
 def sweep(values: Sequence, run_fn, label: str = "value",
-          workers: int | None = None, progress=None,
-          store=None) -> list[dict]:
+          workers: int | None = None, store=None) -> list[dict]:
     """Run ``run_fn(v)`` for each value, collecting metric rows.
 
     Sweep points are independent, so they are fanned out over worker
@@ -181,7 +180,6 @@ def sweep(values: Sequence, run_fn, label: str = "value",
         label: column name for the sweep value.
         workers: worker processes; ``None`` defers to ``REPRO_WORKERS``
             then the CPU count; ``1`` forces serial.
-        progress: optional ``fn(done, total)`` completion callback.
         store: a :class:`repro.store.ArtifactStore` caching one
             :class:`ExperimentResult` per (run_fn config, value); only
             uncached points execute, and each is stored the moment it
@@ -194,7 +192,7 @@ def sweep(values: Sequence, run_fn, label: str = "value",
     task = _SweepPoint(run_fn, label)
     if store is None:
         results = parallel_map(task, values, workers=workers,
-                               chunk_size=1, progress=progress)
+                               chunk_size=1)
     else:
         from ..store import ResumableScheduler, callable_config, fingerprint
         fn_config = callable_config(run_fn)
@@ -207,8 +205,7 @@ def sweep(values: Sequence, run_fn, label: str = "value",
             kind="sweep",
         ).run(task, distinct.values(), distinct,
               labels=[f"{label}={v!r}" for v in distinct.values()],
-              workers=workers, policy=FaultPolicy(retries=0),
-              progress=progress)
+              workers=workers, policy=FaultPolicy(retries=0))
         if report.failed:
             raise SweepPointError(report.failed[0].error)
         by_key = dict(zip(distinct, report.results))

@@ -24,7 +24,7 @@ from ..sim.engine import Simulator
 from ..sim.network import dumbbell
 from ..qdisc.fifo import DropTailQueue
 from ..tcp.endpoint import Connection
-from ..units import bdp_packets, kbps, mbps, ms
+from ..units import HEADER_BYTES, bdp_packets, kbps, mbps, ms
 from .runner import ExperimentResult, Stopwatch, records_params
 
 
@@ -57,7 +57,8 @@ def _run_link(rate_bps: float, rtt: float, n_flows: int, duration: float,
     total_windows = n_flows * n_windows
     totals = per_window.sum(axis=1)
     return {
-        "bdp_packets": round(bdp_packets(rate_bps, rtt, mss + 52), 3),
+        "bdp_packets": round(
+            bdp_packets(rate_bps, rtt, mss + HEADER_BYTES), 3),
         "jain_overall": round(jain_index(totals), 4),
         "starved_windows": starved,
         "starved_fraction": round(starved / total_windows, 4),

@@ -71,10 +71,10 @@ class WindowFlow(FluidFlow):
     """
 
     def __init__(self, flow_id: str, base_rtt: float, kind: str = "reno",
-                 start: float = 0.0, mss: int = DEFAULT_MSS):
+                 start: float = 0.0):
         super().__init__(flow_id, base_rtt, start=start)
         self.kind = kind
-        self.mss = float(mss)
+        self.mss = float(DEFAULT_MSS)
         self.cwnd = 10.0 * self.mss
         self._last_cut = float("-inf")
         # Cubic state (MSS units).
@@ -139,10 +139,9 @@ class BbrFlow(FluidFlow):
 
     STARTUP_GAIN = 2.885
 
-    def __init__(self, flow_id: str, base_rtt: float, start: float = 0.0,
-                 mss: int = DEFAULT_MSS):
+    def __init__(self, flow_id: str, base_rtt: float, start: float = 0.0):
         super().__init__(flow_id, base_rtt, start=start)
-        self.mss = float(mss)
+        self.mss = float(DEFAULT_MSS)
         self.rate = 10.0 * self.mss / base_rtt
         # (time, delivery rate) with rates strictly decreasing, so the
         # head is the windowed max.
@@ -231,14 +230,12 @@ class PoissonFlow(FluidFlow):
 
     WINDOW = 0.2
 
-    def __init__(self, flow_id: str, base_rtt: float, seed: int = 0,
-                 offered: float = POISSON_OFFERED_RATE, start: float = 0.0):
-        super().__init__(flow_id, base_rtt, start=start)
+    def __init__(self, flow_id: str, base_rtt: float, seed: int = 0):
+        super().__init__(flow_id, base_rtt)
         self._rng = np.random.default_rng(seed)
-        self._offered = offered
-        self._mean_arrivals = offered * self.WINDOW / 50_000.0
-        self._next_draw = start
-        self.rate = offered
+        self._mean_arrivals = POISSON_OFFERED_RATE * self.WINDOW / 50_000.0
+        self._next_draw = 0.0
+        self.rate = POISSON_OFFERED_RATE
 
     def advance(self, now, dt, delivered_rate, queue_delay, loss,
                 ecn_mark) -> None:
@@ -262,10 +259,9 @@ class VideoFlow(FluidFlow):
     MAX_BUFFER = 12.0
     LOW_RESERVOIR, HIGH_RESERVOIR = 4.0, 10.0
 
-    def __init__(self, flow_id: str, base_rtt: float, start: float = 0.0,
-                 mss: int = DEFAULT_MSS):
-        super().__init__(flow_id, base_rtt, start=start)
-        self.mss = float(mss)
+    def __init__(self, flow_id: str, base_rtt: float):
+        super().__init__(flow_id, base_rtt)
+        self.mss = float(DEFAULT_MSS)
         self.cwnd = 10.0 * self.mss
         self._last_cut = float("-inf")
         self._buffer = 0.0

@@ -16,7 +16,8 @@ backend's own (DESIGN.md, "The fluid backend"):
 
 from __future__ import annotations
 
-from ..cca.nimbus import (RATE_SMOOTHING, SAMPLE_INTERVAL,
+from ..cca.nimbus import (MIN_RATE_FRAC, PULSE_AMPLITUDE, PULSE_FREQ,
+                          RATE_SMOOTHING, SAMPLE_INTERVAL,
                           clipped_cross_estimate, default_delay_target,
                           delay_mode_rate, fit_to_buffer, probe_estimator)
 from ..core.elasticity import PulseGenerator
@@ -37,17 +38,15 @@ class FluidProbe(FluidFlow):
             amplitude into it; the fluid probe knows the topology and
             applies the same fit a priori (a documented deviation --
             it only skips the pre-first-loss transient).
-        pulse_freq / pulse_amplitude / min_rate_frac: as in
+        pulse_freq / pulse_amplitude: as in
             :class:`repro.core.probe.ElasticityProbe`.
     """
 
     def __init__(self, mu: float, base_rtt: float, buffer_delay: float,
-                 flow_id: str = "probe", pulse_freq: float = 5.0,
-                 pulse_amplitude: float = 0.35,
-                 min_rate_frac: float = 0.25):
-        super().__init__(flow_id, base_rtt)
+                 pulse_freq: float = PULSE_FREQ,
+                 pulse_amplitude: float = PULSE_AMPLITUDE):
+        super().__init__("probe", base_rtt)
         self.mu = mu
-        self.min_rate_frac = min_rate_frac
         self.pulses = PulseGenerator(pulse_freq, pulse_amplitude)
         self.delay_target, self.pulses.amplitude_frac = fit_to_buffer(
             buffer_delay, default_delay_target(pulse_freq, pulse_amplitude),
@@ -55,7 +54,7 @@ class FluidProbe(FluidFlow):
         self.estimator = probe_estimator(pulse_freq)
         self.estimator.scale = mu * (self.pulses.amplitude_frac
                                      / pulse_amplitude)
-        self._base_rate = min_rate_frac * mu
+        self._base_rate = MIN_RATE_FRAC * mu
         self.rate = self._base_rate + self.pulses.offset(0.0, mu)
         self._z_smoothed = 0.0
         self._q_smoothed = 0.0
@@ -88,10 +87,10 @@ class FluidProbe(FluidFlow):
 
         self._base_rate = delay_mode_rate(
             self.mu, self._z_smoothed, self.delay_target, queue_delay,
-            self.min_rate_frac)
+            MIN_RATE_FRAC)
         self.rate = max(self._base_rate + self.pulses.offset(now + dt,
                                                              self.mu),
-                        self.min_rate_frac * self.mu)
+                        MIN_RATE_FRAC * self.mu)
 
     @property
     def readings(self):

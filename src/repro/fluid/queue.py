@@ -297,8 +297,7 @@ class ContentionBottleneck:
     """
 
     def __init__(self, n_flows: int, rate: float, buffer_bytes: float,
-                 spec: MediumSpec,
-                 payload_bytes: float = DEFAULT_PACKET_SIZE):
+                 spec: MediumSpec):
         if rate <= 0 or buffer_bytes <= 0:
             raise ConfigError("need positive rate and buffer")
         self.n = n_flows
@@ -315,7 +314,7 @@ class ContentionBottleneck:
         self.served_bytes = 0.0
         self.dropped_bytes = 0.0
         self.marked_bytes = 0.0
-        self._payload_time = payload_bytes / rate
+        self._payload_time = DEFAULT_PACKET_SIZE / rate
         self._share_cache: dict[tuple, tuple] = {}
 
     @property

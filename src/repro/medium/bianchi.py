@@ -95,8 +95,7 @@ def transmit_probabilities(classes: Sequence[MacClass]) -> list[float]:
     return taus
 
 
-def _cycle(classes: Sequence[MacClass], payload_time: float,
-           slot: float, sifs: float, overhead: float
+def _cycle(classes: Sequence[MacClass], payload_time: float
            ) -> tuple[list[float], float]:
     """Per-station success probabilities and mean renewal-slot time."""
     if payload_time <= 0:
@@ -111,28 +110,25 @@ def _cycle(classes: Sequence[MacClass], payload_time: float,
         succ.append(t * others)
     p_busy = 1.0 - p_idle
     aifsn = min(cls.aifsn for cls in classes)
-    t_busy = payload_time + overhead + sifs + aifsn * slot
-    mean_t = p_idle * slot + p_busy * t_busy
+    t_busy = payload_time + PER_TX_OVERHEAD + SIFS + aifsn * SLOT_TIME
+    mean_t = p_idle * SLOT_TIME + p_busy * t_busy
     return succ, mean_t
 
 
-def airtime_shares(classes: Sequence[MacClass], payload_time: float,
-                   slot: float = SLOT_TIME, sifs: float = SIFS,
-                   overhead: float = PER_TX_OVERHEAD) -> list[float]:
+def airtime_shares(classes: Sequence[MacClass], payload_time: float
+                   ) -> list[float]:
     """Per-station goodput as a fraction of the raw link rate.
 
     ``sum(shares)`` is the medium's saturation efficiency: strictly
     below 1 (backoff slots, collisions, and MAC overhead all burn
     airtime), decreasing in station count past the optimum.
     """
-    succ, mean_t = _cycle(classes, payload_time, slot, sifs, overhead)
+    succ, mean_t = _cycle(classes, payload_time)
     return [s * payload_time / mean_t for s in succ]
 
 
 def saturation_throughput(n_stations: int, rate: float,
-                          payload_bytes: float, cls: MacClass,
-                          slot: float = SLOT_TIME, sifs: float = SIFS,
-                          overhead: float = PER_TX_OVERHEAD) -> float:
+                          payload_bytes: float, cls: MacClass) -> float:
     """Total saturated goodput (bytes/second), homogeneous stations.
 
     This is the closed form the ``MediumLink`` validation tests pin the
@@ -142,21 +138,18 @@ def saturation_throughput(n_stations: int, rate: float,
         raise ConfigError(f"need >= 1 station: {n_stations}")
     if rate <= 0:
         raise ConfigError(f"rate must be positive: {rate}")
-    shares = airtime_shares([cls] * n_stations, payload_bytes / rate,
-                            slot=slot, sifs=sifs, overhead=overhead)
+    shares = airtime_shares([cls] * n_stations, payload_bytes / rate)
     return ordered_sum(shares) * rate
 
 
 def expected_service_time(classes: Sequence[MacClass], payload_time: float,
-                          station: int = 0, slot: float = SLOT_TIME,
-                          sifs: float = SIFS,
-                          overhead: float = PER_TX_OVERHEAD) -> float:
+                          station: int = 0) -> float:
     """Mean time between station ``station``'s successful transmissions.
 
     The MAC-layer head-of-line service time under saturation -- the
     fluid backend's per-packet contention delay.
     """
-    succ, mean_t = _cycle(classes, payload_time, slot, sifs, overhead)
+    succ, mean_t = _cycle(classes, payload_time)
     if succ[station] <= 0.0:
         return float("inf")
     return mean_t / succ[station]

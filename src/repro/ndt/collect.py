@@ -26,25 +26,22 @@ class NdtCollector:
         path: path under test.
         flow_id: flow identifier.
         duration: test length (NDT uses 10 s).
-        snapshot_interval: TCPInfo snapshot cadence.
         access_type: metadata tag carried into the record.
         cca: transport CCA (NDT servers run Cubic or BBR).
         rwnd_bytes: receiver window, to model receiver-limited tests.
     """
 
+    #: TCPInfo snapshot cadence (seconds), NDT's
+    snapshot_interval = 0.25
+
     def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
-                 duration: float = 10.0, snapshot_interval: float = 0.25,
-                 access_type: str = "cable",
+                 duration: float = 10.0, access_type: str = "cable",
                  cca: CongestionControl | None = None,
-                 rwnd_bytes: int | None = None,
-                 true_class: str = "", true_contention: bool = False):
+                 rwnd_bytes: int | None = None):
         self.sim = sim
         self.flow_id = flow_id
         self.duration = duration
-        self.snapshot_interval = snapshot_interval
         self.access_type = access_type
-        self.true_class = true_class
-        self.true_contention = true_contention
         self.connection = Connection(
             sim, path, flow_id, cca if cca is not None else CubicCca(),
             rwnd_bytes=rwnd_bytes)
@@ -76,6 +73,4 @@ class NdtCollector:
             duration_s=self.duration,
             access_type=self.access_type,
             access_rate_bps=access_rate_bps,
-            true_class=self.true_class,
-            true_contention=self.true_contention,
         )

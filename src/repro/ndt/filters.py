@@ -48,7 +48,7 @@ def is_rwnd_limited(record: NdtRecord) -> bool:
     return record.rwnd_limited_us > 0
 
 
-def _variable(series: np.ndarray, threshold: float) -> np.ndarray:
+def _variable(series: np.ndarray) -> np.ndarray:
     """Per row of a ``(flows, n)`` throughput array: does its steady
     tail vary like a cellular link's?"""
     # Judge the steady tail: the first quarter of any TCP test is slow
@@ -61,12 +61,10 @@ def _variable(series: np.ndarray, threshold: float) -> np.ndarray:
     # Coefficient of variation of short-term differences.
     cv = np.divide(np.std(np.diff(tail, axis=1), axis=1), mean,
                    out=np.zeros_like(mean), where=positive)
-    return positive & (cv > threshold)
+    return positive & (cv > VARIABILITY_THRESHOLD)
 
 
-def infer_cellular(record: NdtRecord,
-                   variability_threshold: float = VARIABILITY_THRESHOLD
-                   ) -> bool:
+def infer_cellular(record: NdtRecord) -> bool:
     """Infer a cellular/satellite path.
 
     M-Lab infers access type from client network metadata; we use that
@@ -77,8 +75,7 @@ def infer_cellular(record: NdtRecord,
     """
     if record.access_type in CELLULAR_ACCESS:
         return True
-    return bool(_variable(throughput_rows([record]),
-                          variability_threshold)[0])
+    return bool(_variable(throughput_rows([record]))[0])
 
 
 def categorize_records(records):
@@ -113,7 +110,7 @@ def categorize_records(records):
     remaining = []
     for group in undecided.values():
         series = throughput_rows([records[i] for i in group])
-        cellular = _variable(series, VARIABILITY_THRESHOLD)
+        cellular = _variable(series)
         for i, flag in zip(group, cellular):
             if flag:
                 categories[i] = FlowCategory.CELLULAR

@@ -243,15 +243,14 @@ class Fig2Result:
 
     # -- population confidence intervals --------------------------------------
 
-    def fraction_ci(self, category: FlowCategory | None = None,
-                    confidence: float = 0.95, n_resamples: int = 1000,
-                    seed: int = 0) -> tuple[float, float, float]:
-        """Cluster-bootstrap CI for a headline fraction.
+    def fraction_ci(self, confidence: float = 0.95
+                    ) -> tuple[float, float, float]:
+        """Cluster-bootstrap CI for the headline fraction,
+        :attr:`fraction_possible_contention`.
 
         Resamples whole shards with replacement (shards are the
         independent units a result retains), so it needs a result
-        with >= 2 shards.  ``category=None`` gives the CI of
-        :attr:`fraction_possible_contention`.
+        with >= 2 shards.
 
         Returns:
             (point_estimate, ci_low, ci_high).
@@ -261,16 +260,11 @@ class Fig2Result:
                 "population CIs need >= 2 shards: re-run with a "
                 f"smaller chunk size (have {len(self.shards)})")
 
-        if category is None:
-            hits = [float(s.remaining_with_shifts) for s in self.shards]
-        else:
-            hits = [float(dict(s.counts).get(category.value, 0))
-                    for s in self.shards]
+        hits = [float(s.remaining_with_shifts) for s in self.shards]
         sizes = [float(s.count) for s in self.shards]
         ratio = _ShardRatio(tuple(hits), tuple(sizes))
         return bootstrap_ci(range(len(self.shards)), statistic=ratio,
-                            confidence=confidence,
-                            n_resamples=n_resamples, seed=seed)
+                            confidence=confidence)
 
     # -- ground-truth validation (synthetic datasets only) ----------------------
 

@@ -181,11 +181,11 @@ class NdtDataset:
                 f.write(record.to_json() + "\n")
 
     @classmethod
-    def load_jsonl(cls, path, description: str = "") -> "NdtDataset":
+    def load_jsonl(cls, path) -> "NdtDataset":
         records = []
         with open(path) as f:
             for line in f:
                 line = line.strip()
                 if line:
                     records.append(NdtRecord.from_json(line))
-        return cls(records=records, description=description)
+        return cls(records=records)

@@ -193,25 +193,22 @@ class capture:
 
     Args:
         kinds: restrict collection to these event kinds (None = all).
-        bus: the bus to tap (default: the global one).
     """
 
-    def __init__(self, kinds: Optional[Iterable[str]] = None,
-                 bus: TraceBus = BUS):
+    def __init__(self, kinds: Optional[Iterable[str]] = None):
         self.events: list[TraceEvent] = []
         self._kinds = frozenset(kinds) if kinds is not None else None
-        self._bus = bus
 
     def _collect(self, event: TraceEvent) -> None:
         if self._kinds is None or event.kind in self._kinds:
             self.events.append(event)
 
     def __enter__(self) -> "capture":
-        self._bus.subscribe(self._collect)
+        BUS.subscribe(self._collect)
         return self
 
     def __exit__(self, *exc) -> bool:
-        self._bus.unsubscribe(self._collect)
+        BUS.unsubscribe(self._collect)
         return False
 
     def counts_by_kind(self) -> dict[str, int]:
@@ -229,13 +226,11 @@ class JsonlTraceWriter:
     with ``repro trace <experiment> --out trace.jsonl``.
     """
 
-    def __init__(self, path, kinds: Optional[Iterable[str]] = None,
-                 bus: TraceBus = BUS):
+    def __init__(self, path, kinds: Optional[Iterable[str]] = None):
         self.path = path
         self.count = 0
         self.counts: dict[str, int] = {}
         self._kinds = frozenset(kinds) if kinds is not None else None
-        self._bus = bus
         self._file: Optional[TextIO] = None
 
     def _write(self, event: TraceEvent) -> None:
@@ -248,11 +243,11 @@ class JsonlTraceWriter:
 
     def __enter__(self) -> "JsonlTraceWriter":
         self._file = open(self.path, "w")
-        self._bus.subscribe(self._write)
+        BUS.subscribe(self._write)
         return self
 
     def __exit__(self, *exc) -> bool:
-        self._bus.unsubscribe(self._write)
+        BUS.unsubscribe(self._write)
         if self._file is not None:
             self._file.close()
             self._file = None

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -538,14 +538,11 @@ def oracles_for_index(scenario: Scenario,
 
 
 def run_oracles(scenario: Scenario, outcome: ScenarioOutcome,
-                runner: Runner, index: int | None = None,
-                oracles: Sequence[Oracle] | None = None
+                runner: Runner, index: int | None = None
                 ) -> list[OracleFinding]:
     """Run the (gated) oracle suite over one scenario outcome."""
-    if oracles is None:
-        oracles = oracles_for_index(scenario, index)
     findings = []
-    for oracle in oracles:
+    for oracle in oracles_for_index(scenario, index):
         for message in oracle.check(scenario, outcome, runner):
             findings.append(OracleFinding(oracle=oracle.name,
                                           message=message))

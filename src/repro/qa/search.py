@@ -508,9 +508,7 @@ def envelope_cache_key(budget: int, seed: int) -> str:
 
 def run_envelope(budget: int, seed: int = 0,
                  store: ArtifactStore | None = None,
-                 workers: int | None = 1,
-                 progress: Callable[[int, int], None] | None = None
-                 ) -> tuple[dict, bool]:
+                 workers: int | None = 1) -> tuple[dict, bool]:
     """Produce (or fetch) the robustness-envelope artifact.
 
     Returns:
@@ -522,8 +520,7 @@ def run_envelope(budget: int, seed: int = 0,
         hit = store.get(key)
         if hit is not None:
             return hit, True
-    report = run_search(budget, seed=seed, workers=workers,
-                        progress=progress)
+    report = run_search(budget, seed=seed, workers=workers)
     artifact = build_envelope(report)
     if store is not None:
         store.put(key, artifact, kind="qa-envelope",

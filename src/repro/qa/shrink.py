@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .oracles import Oracle, Runner
 from .scenario import Scenario
@@ -99,8 +99,7 @@ def _still_fails(scenario: Scenario, oracle: Oracle,
 
 
 def shrink(scenario: Scenario, oracle: Oracle, runner: Runner,
-           max_runs: int = 80,
-           progress: Callable[[str], None] | None = None) -> ShrinkResult:
+           max_runs: int = 80) -> ShrinkResult:
     """Minimize ``scenario`` while ``oracle`` keeps failing on it.
 
     Args:
@@ -108,7 +107,6 @@ def shrink(scenario: Scenario, oracle: Oracle, runner: Runner,
         oracle: the oracle whose failure must be preserved.
         runner: executes candidate scenarios (``run_scenario``).
         max_runs: bound on simulator invocations during the search.
-        progress: called with a description of each accepted step.
     """
     current = scenario
     runs = 0
@@ -123,8 +121,6 @@ def shrink(scenario: Scenario, oracle: Oracle, runner: Runner,
             if _still_fails(candidate, oracle, runner):
                 current = candidate
                 steps.append(description)
-                if progress is not None:
-                    progress(description)
                 improved = True
                 break
     return ShrinkResult(scenario=current, runs=runs, steps=steps)

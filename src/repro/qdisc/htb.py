@@ -8,13 +8,13 @@ they paid for, plus a share of any slack".
 
 Scheduling: leaves below their assured rate are served first
 (round-robin); if none, leaves below their ceiling borrow (round-robin
-weighted by ``quantum``).
+too).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import ConfigError
 from typing import TYPE_CHECKING
@@ -28,10 +28,10 @@ class HtbClass:
     """One leaf class: a token bucket pair (assured rate and ceiling)."""
 
     __slots__ = ("name", "rate", "ceil", "burst", "tokens", "ctokens",
-                 "last_update", "packets", "bytes", "quantum")
+                 "last_update", "packets", "bytes")
 
     def __init__(self, name: str, rate: float, ceil: float,
-                 burst: int = 15140, quantum: int = 1514):
+                 burst: int = 15140):
         if rate <= 0 or ceil < rate:
             raise ConfigError(
                 f"class {name!r}: need 0 < rate <= ceil, got {rate}, {ceil}")
@@ -39,7 +39,6 @@ class HtbClass:
         self.rate = rate
         self.ceil = ceil
         self.burst = burst
-        self.quantum = quantum
         self.tokens = float(burst)
         self.ctokens = float(burst)
         self.last_update = 0.0
@@ -57,14 +56,13 @@ class HtbQueue(Qdisc):
     """Two-level HTB with per-class FIFO leaves.
 
     Args:
-        classes: leaf classes keyed by name.
-        classify: maps packets to a class name (default: by user id).
+        classes: leaf classes keyed by name; a packet's class is the one
+            named by its user id.
         default_class: class for unmatched packets; must exist.
         limit_packets: per-class packet limit.
     """
 
     def __init__(self, classes: list[HtbClass],
-                 classify: Callable[[Packet], str] | None = None,
                  default_class: str | None = None,
                  limit_packets: int = 1000):
         super().__init__()
@@ -73,8 +71,6 @@ class HtbQueue(Qdisc):
         self.classes = {c.name: c for c in classes}
         if len(self.classes) != len(classes):
             raise ConfigError("duplicate class names")
-        self.classify = classify if classify is not None else (
-            lambda p: p.user_id)
         self.default_class = default_class if default_class is not None \
             else classes[0].name
         if self.default_class not in self.classes:
@@ -87,8 +83,8 @@ class HtbQueue(Qdisc):
         self._total_bytes = 0
 
     def _class_of(self, packet: Packet) -> HtbClass:
-        name = self.classify(packet)
-        return self.classes.get(name, self.classes[self.default_class])
+        return self.classes.get(packet.user_id,
+                                self.classes[self.default_class])
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         cls = self._class_of(packet)

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
+from ..units import DEFAULT_PACKET_SIZE
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -32,15 +33,12 @@ class RedQueue(Qdisc):
         weight: EWMA weight for the average queue size.
         ecn: mark ECN-capable packets instead of dropping them (drops
             still happen above the hard limit or for non-ECN packets).
-        mean_packet_size: used to convert idle time into virtual
-            departures when updating the average across idle periods.
         seed: seed for the internal drop-decision RNG.
     """
 
     def __init__(self, min_thresh: float, max_thresh: float,
                  limit_packets: int, max_p: float = 0.1,
-                 weight: float = 0.002, ecn: bool = False,
-                 mean_packet_size: int = 1500, seed: int = 0):
+                 weight: float = 0.002, ecn: bool = False, seed: int = 0):
         super().__init__()
         if not 0 < min_thresh < max_thresh <= limit_packets:
             raise ConfigError(
@@ -54,7 +52,6 @@ class RedQueue(Qdisc):
         self.max_p = max_p
         self.weight = weight
         self.ecn = ecn
-        self.mean_packet_size = mean_packet_size
         self._rng = np.random.default_rng(seed)
         self._queue: deque[Packet] = deque()
         self._bytes = 0
@@ -75,7 +72,7 @@ class RedQueue(Qdisc):
         # could have sent while idle (standard RED idle adjustment).
         if self._idle_since is not None and self._service_rate_hint > 0:
             idle = max(0.0, now - self._idle_since)
-            virtual = idle * self._service_rate_hint / self.mean_packet_size
+            virtual = idle * self._service_rate_hint / DEFAULT_PACKET_SIZE
             self._avg *= (1.0 - self.weight) ** virtual
         else:
             self._avg += self.weight * (0.0 - self._avg)

@@ -33,13 +33,13 @@ class StochasticFairQueue(DrrFairQueue):
             fixed per instance for reproducibility).
     """
 
-    def __init__(self, limit_packets: int = 1000, quantum: int = 1514,
-                 buckets: int = 128, salt: int = 0):
+    def __init__(self, limit_packets: int = 1000, buckets: int = 128,
+                 salt: int = 0):
         if buckets <= 0:
             raise ConfigError(f"buckets must be positive: {buckets}")
         self.buckets = buckets
         self.salt = salt
-        super().__init__(limit_packets=limit_packets, quantum=quantum,
+        super().__init__(limit_packets=limit_packets,
                          classify=self._classify)
 
     def _classify(self, packet: Packet) -> str:

@@ -22,6 +22,9 @@ from typing import Iterator, Mapping
 
 from ..errors import ReproError
 
+#: Seconds between :meth:`ServeClient.wait`'s status polls.
+POLL_S = 0.2
+
 
 class ServeError(ReproError):
     """An HTTP-level failure from the experiment service.
@@ -202,9 +205,9 @@ class ServeClient:
     def cancel(self, job_id: str) -> dict:
         return self._request("DELETE", f"/jobs/{job_id}")
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll_s: float = 0.2) -> dict:
-        """Poll until the job is terminal; return its result document.
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Poll every :data:`POLL_S` until the job is terminal; return
+        its result document.
 
         Raises:
             JobFailed: the job finished as failed/timeout/cancelled.
@@ -224,7 +227,7 @@ class ServeClient:
                 raise ServeError(
                     0, f"timed out after {timeout:g}s waiting for "
                        f"{job_id} (state: {status['state']})")
-            time.sleep(poll_s)
+            time.sleep(POLL_S)
 
     def events(self, job_id: str) -> Iterator[dict]:
         """Stream the job's state transitions until it is terminal.
@@ -257,10 +260,9 @@ class ServeClient:
             conn.close()
 
     def submit_and_wait(self, kind: str, params: Mapping | None = None,
-                        priority: int = 5,
                         timeout: float = 300.0) -> dict:
         """Submit, then wait; cached submissions return immediately."""
-        job = self.submit(kind, params, priority=priority)
+        job = self.submit(kind, params)
         if job.get("disposition") == "cached":
             return job
         return self.wait(job["id"], timeout=timeout)

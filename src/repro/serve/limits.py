@@ -51,19 +51,19 @@ class TokenBucket:
         self.tokens = burst
         self.stamp = now
 
-    def acquire(self, now: float, cost: float = 1.0) -> float | None:
-        """Try to spend ``cost`` tokens at time ``now``.
+    def acquire(self, now: float) -> float | None:
+        """Try to spend one token at time ``now``.
 
-        Returns ``None`` on success, else the seconds until enough
-        tokens will have accumulated (the bucket is left untouched).
+        Returns ``None`` on success, else the seconds until a whole
+        token will have accumulated (the bucket is left untouched).
         """
         elapsed = max(0.0, now - self.stamp)
         self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
         self.stamp = now
-        if self.tokens >= cost:
-            self.tokens -= cost
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return None
-        return (cost - self.tokens) / self.rate
+        return (1.0 - self.tokens) / self.rate
 
 
 class ClientRateLimiter:

@@ -408,8 +408,7 @@ async def serve_main(host: str = "127.0.0.1", port: int = 8765,
                      job_workers: int | None = None,
                      timeout_s: float | None = None,
                      rate: float = 2.0, burst: float = 10.0,
-                     drain_grace_s: float = 30.0,
-                     ready=None) -> bool:
+                     drain_grace_s: float = 30.0) -> bool:
     """Run the service until a signal (or drain request) stops it.
 
     Returns True when the final drain was clean (no job left behind).
@@ -432,8 +431,6 @@ async def serve_main(host: str = "127.0.0.1", port: int = 8765,
     print(f"repro-serve listening on {server.address} "
           f"(queue={queue_depth}, concurrency={concurrency})",
           flush=True)
-    if ready is not None:
-        ready(server)
     await server.wait_stopped()
     clean = bool(server.drain_clean)
     print(f"repro-serve drained "
@@ -446,18 +443,15 @@ class ServerThread:
     """Run a :class:`ReproServer` on a background thread.
 
     For tests and embedding: starts the server (``port=0`` by default,
-    so an OS-assigned free port), exposes :attr:`port`, and stops it
-    with the same graceful drain as SIGTERM.  Usable as a context
-    manager.
+    so an OS-assigned free port) over a ``JobManager(**manager_kwargs)``,
+    exposes :attr:`port`, and stops it with the same graceful drain as
+    SIGTERM.  Usable as a context manager.
     """
 
-    def __init__(self, manager: JobManager | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  limiter: ClientRateLimiter | None = None,
                  drain_grace_s: float = 10.0, **manager_kwargs):
-        if manager is None:
-            manager = JobManager(**manager_kwargs)
-        self.manager = manager
+        self.manager = JobManager(**manager_kwargs)
         self._host = host
         self._port = port
         self._limiter = limiter
@@ -505,12 +499,13 @@ class ServerThread:
             raise ConfigError("server thread failed to start")
         return self
 
-    def stop(self, timeout: float = 30.0) -> bool:
-        """Graceful drain + stop; True when the drain was clean."""
+    def stop(self) -> bool:
+        """Graceful drain + stop (waiting up to 30 s for the thread);
+        True when the drain was clean."""
         if self._loop is not None and self.server is not None:
             self._loop.call_soon_threadsafe(self.server.request_shutdown)
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=30.0)
         return bool(self.server.drain_clean) if self.server else False
 
     def __enter__(self) -> "ServerThread":

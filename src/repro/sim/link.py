@@ -178,16 +178,16 @@ class DelayBox:
 class LossBox:
     """Independent random loss (Mahimahi ``mm-loss``)."""
 
+    name = "loss"
+
     def __init__(self, sim: Simulator, loss_rate: float,
-                 sink: Optional[PacketSink] = None, seed: int = 0,
-                 name: str = "loss"):
+                 sink: Optional[PacketSink] = None, seed: int = 0):
         if not 0 <= loss_rate < 1:
             raise ConfigError(f"loss_rate must be in [0, 1): {loss_rate}")
         import numpy as np
         self.sim = sim
         self.loss_rate = loss_rate
         self.sink = sink
-        self.name = name
         self.dropped = 0
         self._rng = np.random.default_rng(seed)
 

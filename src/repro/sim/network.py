@@ -151,14 +151,13 @@ def bottleneck_path(sim: Simulator, rate_bps: float, rtt: float,
 
 
 def trace_dumbbell(sim: Simulator, opportunities_ms: list[float], rtt: float,
-                   qdisc: Optional[Qdisc] = None,
                    buffer_packets: int = 200) -> PathHandles:
     """A dumbbell whose bottleneck is a Mahimahi-style trace link."""
     src, dst, fwd_delay, reverse = _ends(sim, rtt, 1e9)
-    if qdisc is None:
-        qdisc = DropTailQueue(limit_packets=buffer_packets)
-    bottleneck = TraceLink(sim, opportunities_ms, sink=fwd_delay,
-                           qdisc=qdisc, name="trace-bottleneck")
+    bottleneck = TraceLink(
+        sim, opportunities_ms, sink=fwd_delay,
+        qdisc=DropTailQueue(limit_packets=buffer_packets),
+        name="trace-bottleneck")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)

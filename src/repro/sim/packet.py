@@ -13,7 +13,7 @@ import enum
 import itertools
 from typing import Optional
 
-from ..units import ACK_SIZE, DEFAULT_PACKET_SIZE
+from ..units import ACK_SIZE, DEFAULT_PACKET_SIZE, HEADER_BYTES
 
 
 class PacketKind(enum.Enum):
@@ -102,11 +102,11 @@ def make_data(flow_id: str, seq: int, payload: int,
               size: int | None = None, user_id: str = "",
               ecn_capable: bool = False) -> Packet:
     """Build a DATA packet carrying ``payload`` bytes starting at ``seq``."""
-    wire = size if size is not None else payload + 52
+    wire = size if size is not None else payload + HEADER_BYTES
     return Packet(flow_id, PacketKind.DATA, wire, seq, seq + payload,
                   0, user_id, ecn_capable)
 
 
-def make_ack(flow_id: str, ack: int, user_id: str = "") -> Packet:
+def make_ack(flow_id: str, ack: int) -> Packet:
     """Build a bare ACK acknowledging everything before ``ack``."""
-    return Packet(flow_id, PacketKind.ACK, ACK_SIZE, 0, 0, ack, user_id)
+    return Packet(flow_id, PacketKind.ACK, ACK_SIZE, 0, 0, ack)

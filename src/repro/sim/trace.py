@@ -91,35 +91,38 @@ def periodic_rate_trace(low_mbps: float, high_mbps: float,
     return out
 
 
+#: Milliseconds between the knots of :func:`cellular_trace`'s walk.
+CELLULAR_STEP_MS = 100
+
+
 def cellular_trace(mean_mbps: float, duration_ms: int = 10_000,
-                   volatility: float = 0.3, seed: int = 0,
-                   step_ms: int = 100) -> list[float]:
+                   volatility: float = 0.3, seed: int = 0) -> list[float]:
     """A random-walk trace mimicking cellular capacity variation.
 
     The instantaneous rate follows a geometric random walk around
-    ``mean_mbps`` with reflection, re-sampled every ``step_ms`` and
-    linearly interpolated per millisecond between samples -- abrupt
-    rate steps every ``step_ms`` would plant a spectral comb at
-    ``1000/step_ms`` Hz and its subharmonics, which an elasticity
+    ``mean_mbps`` with reflection, re-sampled every
+    :data:`CELLULAR_STEP_MS` and linearly interpolated per millisecond
+    between samples -- abrupt rate steps every 100 ms would plant a
+    spectral comb at 10 Hz and its subharmonics, which an elasticity
     probe could mistake for pulse-reactive cross traffic.
     """
     if mean_mbps <= 0:
         raise TraceFormatError(f"mean rate must be positive: {mean_mbps}")
     rng = np.random.default_rng(seed)
     low, high = math.log(mean_mbps / 8.0), math.log(mean_mbps * 4.0)
-    n_knots = int(math.ceil(duration_ms / step_ms)) + 1
+    n_knots = int(math.ceil(duration_ms / CELLULAR_STEP_MS)) + 1
     log_rate = math.log(mean_mbps)
     knots = []
     for _ in range(n_knots):
         knots.append(log_rate)
-        log_rate += rng.normal(0.0,
-                               volatility * math.sqrt(step_ms / 1000.0))
+        log_rate += rng.normal(
+            0.0, volatility * math.sqrt(CELLULAR_STEP_MS / 1000.0))
         log_rate = min(max(log_rate, low), high)
 
     out: list[float] = []
     carry = 0.0
     for t_ms in range(int(duration_ms)):
-        pos = t_ms / step_ms
+        pos = t_ms / CELLULAR_STEP_MS
         idx = min(int(pos), n_knots - 2)
         frac = pos - idx
         rate = math.exp(knots[idx] * (1 - frac) + knots[idx + 1] * frac)

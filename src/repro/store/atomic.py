@@ -63,11 +63,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     return Path(path)
 
 
-def atomic_write_json(path: str | Path, payload, *, indent: int | None = 2,
-                      default=None) -> Path:
+def atomic_write_json(path: str | Path, payload, *, indent: int | None = 2
+                      ) -> Path:
     """Atomically dump ``payload`` as JSON to ``path``; returns the path."""
     with atomic_open(path, "w") as f:
-        json.dump(payload, f, indent=indent, default=default,
-                  sort_keys=False)
+        json.dump(payload, f, indent=indent, sort_keys=False)
         f.write("\n")
     return Path(path)

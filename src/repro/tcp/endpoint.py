@@ -29,7 +29,7 @@ from ..obs.bus import BUS as _OBS, EventKind
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
 from ..sim.packet import Packet, PacketKind
-from ..units import ACK_SIZE, DEFAULT_MSS
+from ..units import ACK_SIZE, DEFAULT_MSS, HEADER_BYTES
 from .rtt import RttEstimator
 from .tcp_info import LimitState, TcpInfoTracker
 
@@ -77,9 +77,8 @@ class TcpSender:
         flow_id: flow identifier carried on every packet.
         cca: the congestion control algorithm instance (owned).
         transmit: callable injecting packets into the network.
-        mss: payload bytes per segment.
+        mss: payload bytes per segment, which the CCA counts in too.
         user_id: subscriber identifier (for per-user qdiscs).
-        header_bytes: wire overhead per segment.
         ecn: negotiate ECN (packets marked capable; reacts to echoes).
         jitter: optional :class:`~repro.sim.jitter.TimingJitter`
             perturbing the pacing clock (endpoint CPU contention).
@@ -87,15 +86,13 @@ class TcpSender:
 
     def __init__(self, sim: Simulator, flow_id: str, cca: CongestionControl,
                  transmit: Callable[[Packet], None], mss: int = DEFAULT_MSS,
-                 user_id: str = "", header_bytes: int = 52,
-                 ecn: bool = False, jitter=None):
+                 user_id: str = "", ecn: bool = False, jitter=None):
         self.sim = sim
         self.flow_id = flow_id
         self.cca = cca
         self.transmit = transmit
         self.mss = mss
         self.user_id = user_id or flow_id
-        self.header_bytes = header_bytes
         self.ecn = ecn
         self.jitter = jitter
 
@@ -148,7 +145,7 @@ class TcpSender:
         self.fast_retransmits = 0
         self.timeouts = 0
 
-        cca.bind_flow(flow_id)
+        cca.bind_flow(flow_id, mss)
         cca.on_connection_start(sim.now)
 
     # -- application interface -------------------------------------------
@@ -237,7 +234,7 @@ class TcpSender:
             payload = min(self.mss, self._total_written - seq)
             app_limited = seq + payload == self._total_written
         end = seq + payload
-        size = payload + self.header_bytes
+        size = payload + HEADER_BYTES
         packet = Packet(self.flow_id, _DATA, size, seq, end, 0,
                         self.user_id, self.ecn)
         packet.sent_time = now

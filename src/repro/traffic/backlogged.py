@@ -31,14 +31,12 @@ class BackloggedFlow(TrafficSource):
 
     def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
                  cca: CongestionControl, user_id: str = "",
-                 rwnd_bytes: int | None = None, ecn: bool = False,
-                 jitter=None):
+                 ecn: bool = False, jitter=None):
         self.sim = sim
         self.path = path
         self.flow_id = flow_id
         self.connection = Connection(sim, path, flow_id, cca,
-                                     user_id=user_id, rwnd_bytes=rwnd_bytes,
-                                     ecn=ecn, jitter=jitter)
+                                     user_id=user_id, ecn=ecn, jitter=jitter)
         self._stopped = False
 
     def start(self) -> None:

@@ -27,7 +27,7 @@ class CbrSource(TrafficSource):
     """
 
     def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
-                 rate: float, packet_size: int = 1200, user_id: str = ""):
+                 rate: float, packet_size: int = 1200):
         if rate <= 0:
             raise ConfigError(f"rate must be positive: {rate}")
         if packet_size <= 0:
@@ -37,7 +37,7 @@ class CbrSource(TrafficSource):
         self.flow_id = flow_id
         self.rate = rate
         self.packet_size = packet_size
-        self.user_id = user_id or flow_id
+        self.user_id = flow_id
         self.sent_packets = 0
         self._received = 0
         self._running = False

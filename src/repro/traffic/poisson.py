@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cca.base import CongestionControl
 from ..cca.cubic import CubicCca
 from ..errors import ConfigError
 from ..sim.engine import Simulator
@@ -23,12 +22,15 @@ from ..tcp.endpoint import Connection
 from .base import TrafficSource
 
 
-def lognormal_sizes(rng: np.random.Generator, mean_bytes: float,
-                    sigma: float = 1.5):
+#: log-normal shape parameter of the flow sizes (tail heaviness)
+SIZE_SIGMA = 1.5
+
+
+def lognormal_sizes(rng: np.random.Generator, mean_bytes: float):
     """Heavy-tailed flow sizes with the requested mean."""
-    mu = np.log(mean_bytes) - sigma * sigma / 2.0
+    mu = np.log(mean_bytes) - SIZE_SIGMA * SIZE_SIGMA / 2.0
     while True:
-        yield max(200, int(rng.lognormal(mu, sigma)))
+        yield max(200, int(rng.lognormal(mu, SIZE_SIGMA)))
 
 
 @dataclass
@@ -55,17 +57,17 @@ class PoissonShortFlows(TrafficSource):
         sim: the simulator.
         path: topology the flows run over.
         arrival_rate: flows per second (Poisson).
-        mean_size: mean flow size in bytes.
-        sigma: log-normal shape parameter (tail heaviness).
-        cca_factory: builds a CCA per flow (fresh slow start each time).
+        mean_size: mean flow size in bytes (:func:`lognormal_sizes`).
         seed: RNG seed.
         prefix: flow-id prefix.
+
+    Each flow is its own Cubic connection (a fresh slow start each
+    time) and its own user.
     """
 
     def __init__(self, sim: Simulator, path: PathHandles,
                  arrival_rate: float, mean_size: float = 50_000,
-                 sigma: float = 1.5, cca_factory=CubicCca, seed: int = 0,
-                 prefix: str = "short", user_id: str = ""):
+                 seed: int = 0, prefix: str = "short"):
         if arrival_rate <= 0:
             raise ConfigError(f"arrival_rate must be positive: {arrival_rate}")
         if mean_size <= 0:
@@ -73,11 +75,9 @@ class PoissonShortFlows(TrafficSource):
         self.sim = sim
         self.path = path
         self.arrival_rate = arrival_rate
-        self.cca_factory = cca_factory
         self.prefix = prefix
-        self.user_id = user_id
         self._rng = np.random.default_rng(seed)
-        self._sizes = lognormal_sizes(self._rng, mean_size, sigma)
+        self._sizes = lognormal_sizes(self._rng, mean_size)
         self._running = False
         self._counter = 0
         self.records: list[FlowRecord] = []
@@ -107,15 +107,14 @@ class PoissonShortFlows(TrafficSource):
                             start_time=self.sim.now)
         self.records.append(record)
 
-        conn = Connection(self.sim, self.path, flow_id, self.cca_factory(),
-                          user_id=self.user_id or flow_id,
-                          on_data=self._count_bytes)
+        conn = Connection(self.sim, self.path, flow_id, CubicCca(),
+                          user_id=flow_id, on_data=self._count_bytes)
         path = self.path
 
-        def finished(now: float, rec=record, c=conn, fid=flow_id):
-            rec.completion_time = now
-            path.dst_host.detach(fid)
-            path.src_host.detach(fid)
+        def finished(now: float):
+            record.completion_time = now
+            path.dst_host.detach(flow_id)
+            path.src_host.detach(flow_id)
 
         conn.sender.on_complete = finished
         conn.sender.write(size)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cca.base import CongestionControl
 from ..cca.cubic import CubicCca
 from ..errors import ConfigError
 from ..sim.engine import Simulator
@@ -54,36 +53,33 @@ class VideoStream(TrafficSource):
         path: topology the stream runs over.
         flow_id: flow identifier.
         ladder_mbps: available bitrates (Mbit/s), ascending.
-        chunk_seconds: media seconds per chunk.
         max_buffer: playback buffer cap (seconds); no fetches while full.
-        low_reservoir / high_reservoir: buffer levels (seconds) mapped
-            to the bottom/top of the ladder (BBA's reservoir+cushion).
-        cca: transport CCA for the underlying connection.
+
+    The transport is Cubic.
     """
+
+    #: media seconds per chunk
+    chunk_seconds = 2.0
+    #: buffer levels (seconds) mapped to the bottom/top of the ladder
+    #: (BBA's reservoir+cushion)
+    low_reservoir, high_reservoir = 4.0, 10.0
 
     def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
                  ladder_mbps: tuple[float, ...] = DEFAULT_LADDER_MBPS,
-                 chunk_seconds: float = 2.0, max_buffer: float = 12.0,
-                 low_reservoir: float = 4.0, high_reservoir: float = 10.0,
-                 cca: CongestionControl | None = None, user_id: str = ""):
+                 max_buffer: float = 12.0):
         if not ladder_mbps or list(ladder_mbps) != sorted(ladder_mbps):
             raise ConfigError("ladder must be non-empty and ascending")
-        if not 0 < low_reservoir < high_reservoir <= max_buffer:
-            raise ConfigError(
-                "need 0 < low_reservoir < high_reservoir <= max_buffer")
+        if max_buffer < self.high_reservoir:
+            raise ConfigError(f"need max_buffer >= {self.high_reservoir} s")
         self.sim = sim
         self.flow_id = flow_id
         self.ladder = [mbps(b) for b in ladder_mbps]  # bytes/second
         self.ladder_mbps = tuple(ladder_mbps)
-        self.chunk_seconds = chunk_seconds
         self.max_buffer = max_buffer
-        self.low_reservoir = low_reservoir
-        self.high_reservoir = high_reservoir
         self.stats = VideoStats()
 
-        self.connection = Connection(
-            sim, path, flow_id, cca if cca is not None else CubicCca(),
-            user_id=user_id, on_data=self._on_bytes)
+        self.connection = Connection(sim, path, flow_id, CubicCca(),
+                                     on_data=self._on_bytes)
         self.buffer_seconds = 0.0
         self._buffer_updated = 0.0
         self._chunk_remaining = 0

@@ -25,8 +25,11 @@ GIGA = 1_000_000_000
 #: common Ethernet MTU minus typical TCP/IP headers.
 DEFAULT_MSS = 1448
 
-#: Default full packet size on the wire (MSS plus 52 bytes of headers).
-DEFAULT_PACKET_SIZE = 1500
+#: TCP/IP header bytes on the wire per data segment.
+HEADER_BYTES = 52
+
+#: Default full packet size on the wire (1500 bytes).
+DEFAULT_PACKET_SIZE = DEFAULT_MSS + HEADER_BYTES
 
 #: Size of a bare ACK segment on the wire.
 ACK_SIZE = 64

@@ -11,11 +11,15 @@ from typing import Sequence
 
 from .errors import AnalysisError
 
-def line_chart(xs: Sequence[float], ys: Sequence[float], width: int = 70,
-               height: int = 15, title: str = "", x_label: str = "",
-               y_label: str = "",
+#: Plot area of :func:`line_chart`, in characters.
+CHART_WIDTH, CHART_HEIGHT = 70, 15
+
+
+def line_chart(xs: Sequence[float], ys: Sequence[float], title: str = "",
+               x_label: str = "", y_label: str = "",
                phases: Sequence[tuple[float, str]] | None = None) -> str:
-    """Render an (x, y) series as an ASCII chart.
+    """Render an (x, y) series as an ASCII chart of
+    :data:`CHART_WIDTH` x :data:`CHART_HEIGHT` cells.
 
     Args:
         phases: optional (start_x, name) markers drawn as a footer rule.
@@ -29,34 +33,34 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], width: int = 70,
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * CHART_WIDTH for _ in range(CHART_HEIGHT)]
     for x, y in zip(xs, ys):
-        col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
-        row = int((y - y_lo) / (y_hi - y_lo) * (height - 1))
-        grid[height - 1 - row][col] = "•"
+        col = int((x - x_lo) / (x_hi - x_lo) * (CHART_WIDTH - 1))
+        row = int((y - y_lo) / (y_hi - y_lo) * (CHART_HEIGHT - 1))
+        grid[CHART_HEIGHT - 1 - row][col] = "•"
 
     lines = []
     if title:
         lines.append(title)
     label_width = 10
     for i, row in enumerate(grid):
-        value = y_hi - (y_hi - y_lo) * i / (height - 1)
+        value = y_hi - (y_hi - y_lo) * i / (CHART_HEIGHT - 1)
         prefix = f"{value:>{label_width}.3g} |" if i % 3 == 0 \
             else " " * label_width + " |"
         lines.append(prefix + "".join(row))
-    lines.append(" " * label_width + "+" + "-" * width)
-    x_axis = (f"{x_lo:<12.4g}" + " " * max(0, width - 24)
+    lines.append(" " * label_width + "+" + "-" * CHART_WIDTH)
+    x_axis = (f"{x_lo:<12.4g}" + " " * max(0, CHART_WIDTH - 24)
               + f"{x_hi:>12.4g}")
     lines.append(" " * (label_width + 1) + x_axis)
     if x_label or y_label:
         lines.append(" " * (label_width + 1)
                      + f"x: {x_label}    y: {y_label}")
     if phases:
-        marker_row = [" "] * width
+        marker_row = [" "] * CHART_WIDTH
         for start, name in phases:
-            col = int((start - x_lo) / (x_hi - x_lo) * (width - 1))
+            col = int((start - x_lo) / (x_hi - x_lo) * (CHART_WIDTH - 1))
             for j, ch in enumerate("|" + name):
-                if 0 <= col + j < width:
+                if 0 <= col + j < CHART_WIDTH:
                     marker_row[col + j] = ch
         lines.append(" " * (label_width + 1) + "".join(marker_row))
     return "\n".join(lines)

@@ -140,7 +140,7 @@ class TestToyAxis:
             class membership:
                 nodes = ("node",)
 
-            def run(self, tasks, progress=None):
+            def run(self, tasks):
                 raise Dispatched(tasks)
 
         with pytest.raises(Dispatched) as caught:

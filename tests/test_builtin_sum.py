@@ -28,8 +28,6 @@ VALIDATION = "validation only: probabilities must sum to 1 within 1e-9"
 ALLOWED = {
     ("repro.analysis.stats", "CdfSketch.fraction_below"):
         "ints: sketch bin counts",
-    ("repro.cluster.coordinator", "Coordinator.run.done_count"):
-        "ints: a count of finished tasks",
     ("repro.cluster.coordinator", "_dispatch_missing"):
         "ints: a count of failed shard records",
     ("repro.cluster.journal", "list_journals"):

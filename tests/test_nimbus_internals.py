@@ -142,7 +142,7 @@ class TestRateBins:
 
 class TestDelayControl:
     def test_rate_floor_enforced(self):
-        cca = NimbusCca(capacity_hint=6e6, min_rate_frac=0.25)
+        cca = NimbusCca(capacity_hint=6e6)
         # Report a huge queueing delay: controller wants near zero.
         for i in range(5):
             cca.on_ack(ack(0.1 * i, rtt=0.5, min_rtt=0.1, srtt=0.5))

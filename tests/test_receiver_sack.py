@@ -156,7 +156,7 @@ def test_receiver_matches_reference_on_any_arrival_order(arrivals):
 
 
 class _WideOpen(CongestionControl):
-    """A window that never reacts, and binds only where a test sets it."""
+    """A window that never reacts."""
 
     name = "wide-open"
     cwnd = 1e6
@@ -252,7 +252,7 @@ class TestSenderScoreboard:
                     self._segments.counting = False
 
         sent = []
-        tx = CountingSender(Simulator(), "f", _WideOpen(mss=1000),
+        tx = CountingSender(Simulator(), "f", _WideOpen(),
                             transmit=sent.append, mss=1000)
         tx._segments = CountingSegments()
         n = 2000
@@ -270,7 +270,7 @@ class TestSenderScoreboard:
         # ACK carrying that block must mark them, not resume past them.
         sim = Simulator()
         sent = []
-        tx = TcpSender(sim, "f", _WideOpen(mss=1000), transmit=sent.append,
+        tx = TcpSender(sim, "f", _WideOpen(), transmit=sent.append,
                        mss=1000)
         tx.write(10_000)
         tx.on_packet(self.ack_packet(0, sacks=[(3000, 6000)]))
@@ -289,7 +289,7 @@ class TestSenderScoreboard:
         # resume on the segments sent next, which sit *below* the block.
         sim = Simulator()
         sent = []
-        cca = _WideOpen(mss=1000)
+        cca = _WideOpen()
         tx = TcpSender(sim, "f", cca, transmit=sent.append, mss=1000)
         tx.write(10_000)
         tx.on_packet(self.ack_packet(0, sacks=[(5000, 8000)]))

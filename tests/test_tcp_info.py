@@ -5,6 +5,7 @@ import pytest
 from repro.cca.base import CongestionControl
 from repro.sim import Packet, PacketKind, Simulator
 from repro.tcp import LimitState, TcpInfoTracker, TcpSender
+from repro.units import HEADER_BYTES
 
 
 def test_initial_state_is_idle():
@@ -74,8 +75,7 @@ class _FixedKnobs(CongestionControl):
 
     name = "fixed"
 
-    def __init__(self, cwnd, pacing_rate, mss):
-        super().__init__(mss=mss)
+    def __init__(self, cwnd, pacing_rate):
         self._cwnd = cwnd
         self._pacing_rate = pacing_rate
 
@@ -94,9 +94,9 @@ def test_sender_walks_every_limit_state():
     # window paced at one segment per `gap`, six segments to send.
     sim = Simulator()
     sent = []
-    tx = TcpSender(sim, "f", _FixedKnobs(4.0, 1_000_000.0, mss=1000),
+    tx = TcpSender(sim, "f", _FixedKnobs(4.0, 1_000_000.0),
                    transmit=sent.append, mss=1000)
-    gap = (1000 + tx.header_bytes) / 1_000_000.0
+    gap = (1000 + HEADER_BYTES) / 1_000_000.0
     walk = []
     set_state = tx.tracker.set_state
 

@@ -12,7 +12,7 @@ from repro.cca import BbrCca, CubicCca, NewRenoCca, RenoCca, VegasCca
 from repro.qdisc import DropTailQueue
 from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection, LimitState
-from repro.units import mbps, ms, to_mbps
+from repro.units import DEFAULT_MSS, mbps, ms, to_mbps
 
 
 def run_bulk(cca_factory, rate_mbps=10.0, rtt_ms=40.0, duration=15.0,
@@ -63,6 +63,32 @@ class TestBulkTransfer:
         Connection(sim, path, "f", RenoCca())
         sim.run(until=1.0)
         assert path.bottleneck.delivered_packets == 0
+
+
+class TestSegmentSize:
+    """A CCA counts ACKed bytes in its own sender's MSS."""
+
+    def test_slow_start_grows_one_packet_per_segment_acked(self):
+        sim = Simulator()
+        path = dumbbell(sim, mbps(20), ms(50),
+                        qdisc=DropTailQueue(limit_packets=100))
+        cca = RenoCca(initial_cwnd=2)
+        conn = Connection(sim, path, "f", cca, mss=500)
+        conn.sender.set_infinite_backlog()
+        sim.run(until=0.3)
+        # Still in slow start, nothing lost, so every ACKed 500-byte
+        # segment added one packet of window (not 500/1448 of one).
+        assert cca.in_slow_start and conn.sender.fast_retransmits == 0
+        assert conn.sender.snd_una > 50 * 500
+        assert cca.mss == 500
+        assert cca.cwnd == 2 + conn.sender.snd_una / 500
+
+    def test_unbound_cca_counts_in_the_default_mss(self):
+        cca = RenoCca()
+        assert cca.mss == DEFAULT_MSS
+        Connection(Simulator(), dumbbell(Simulator(), mbps(10), ms(40)),
+                   "f", cca, mss=500)
+        assert cca.mss == 500 and RenoCca().mss == DEFAULT_MSS
 
 
 class TestReceiverWindow:
