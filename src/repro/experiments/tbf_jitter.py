@@ -21,7 +21,7 @@ from ..qdisc.fifo import DropTailQueue
 from ..qdisc.tbf import TokenBucketFilter
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
-from ..sim.link import DelayBox, Link
+from ..sim.link import Link
 from ..sim.node import Host
 from ..tcp.endpoint import Connection
 from ..traffic.cbr import CbrSource
@@ -38,17 +38,18 @@ def _shaped_path(sim: Simulator, shaped_rate: float, line_rate: float,
     gates a line-rate link.
     """
     src, dst = Host("src"), Host("dst")
-    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst)
     if burst_bytes is None:
-        bottleneck = Link(sim, shaped_rate, sink=fwd_delay,
-                          qdisc=DropTailQueue(limit_packets=400))
+        bottleneck = Link(sim, shaped_rate, sink=dst,
+                          qdisc=DropTailQueue(limit_packets=400),
+                          delay=rtt / 2.0)
     else:
         tbf = TokenBucketFilter(rate=shaped_rate, burst=burst_bytes,
                                 child=DropTailQueue(limit_packets=400))
-        bottleneck = Link(sim, line_rate, sink=fwd_delay, qdisc=tbf)
-    rev_delay = DelayBox(sim, rtt / 2.0, sink=src)
-    reverse = Link(sim, line_rate * 10, sink=rev_delay,
-                   qdisc=DropTailQueue(limit_packets=10_000))
+        bottleneck = Link(sim, line_rate, sink=dst, qdisc=tbf,
+                          delay=rtt / 2.0)
+    reverse = Link(sim, line_rate * 10, sink=src,
+                   qdisc=DropTailQueue(limit_packets=10_000),
+                   delay=rtt / 2.0)
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)

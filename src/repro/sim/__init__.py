@@ -7,7 +7,7 @@ topology builders (:mod:`network`).
 """
 
 from .engine import Event, Simulator
-from .link import DelayBox, Link, LossBox, TraceLink
+from .link import Link, LossBox, TraceLink
 from .network import PathHandles, dumbbell, trace_dumbbell
 from .node import CountingSink, Host
 from .packet import Packet, PacketKind, make_ack, make_data
@@ -15,6 +15,6 @@ from .rng import RngRegistry
 
 __all__ = [
     "Simulator", "Event", "Packet", "PacketKind", "make_ack", "make_data",
-    "Link", "DelayBox", "LossBox", "TraceLink", "Host", "CountingSink",
+    "Link", "LossBox", "TraceLink", "Host", "CountingSink",
     "PathHandles", "dumbbell", "trace_dumbbell", "RngRegistry",
 ]

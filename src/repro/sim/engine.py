@@ -10,11 +10,20 @@ Two scheduling families exist.  :meth:`Simulator.schedule` /
 be cancelled; :meth:`Simulator.call_later` / :meth:`Simulator.call_at`
 are the never-cancelled fast path -- they push a bare callback with no
 handle allocation, which matters because the overwhelming majority of
-events (transmission completions, propagation arrivals, pacing ticks)
-are never cancelled.  A handle can also be moved:
-:meth:`Simulator.reschedule` gives it the key a cancel followed by a
-``schedule`` would, but pushes nothing when the deadline moves later
-(a retransmission timer restarted on every ACK).
+events (propagation arrivals, pacing ticks) are never cancelled.  A
+handle can also be moved: :meth:`Simulator.reschedule` gives it the
+key a cancel followed by a ``schedule`` would, but pushes nothing when
+the deadline moves later (a retransmission timer restarted on every
+ACK).
+
+A component may apply its own work lazily, at the virtual timestamp
+it was due, when something next touches it (a :class:`~repro.sim.link.Link`
+applies its transmission completions so).  It registers with
+:meth:`Simulator.add_settler` so every :meth:`Simulator.run` ends with
+its state current, and while the trace bus is on it asks for a
+:meth:`Simulator.wake_at` at each due time, so the trace stays in time
+order.  A wake is not an event: it is not counted, and a traced run
+executes exactly the events an untraced one does.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ from ..obs.metrics import REGISTRY as _METRICS
 #: elapsed`` landing at -1e-18) and is clamped to "now".
 _EPSILON = 1e-9
 
+#: The fourth slot of a :meth:`Simulator.wake_at` entry: runs at its
+#: time like an event, but is never counted as one.
+_WAKE = object()
+
 
 class Event:
     """Handle for a scheduled callback; supports cancellation.
@@ -41,7 +54,7 @@ class Event:
     ordering is decided by C-level float/int comparison; ``seq`` is
     unique, so later elements are never compared.  The fourth slot is
     None for the fast path (:meth:`Simulator.call_later`), which never
-    allocates a handle at all.
+    allocates a handle at all, and ``_WAKE`` for an uncounted wake.
 
     ``(time, seq)`` is the current key; ``filed`` says whether it has an
     entry yet (a moved event may not).  ``cancelled`` is also set once
@@ -79,6 +92,7 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
+        self._settlers: list[Callable[[], Any]] = []
         # Opt-in runtime auditing: REPRO_CHECK_INVARIANTS=1 attaches
         # strict trace-driven invariant checkers (idempotent, and a
         # no-op without the env var).
@@ -150,6 +164,20 @@ class Simulator:
         heapq.heappush(self._heap,
                        (time, next(self._seq), callback, None))
 
+    def wake_at(self, time: float, callback: Callable[[], Any]) -> None:
+        """Run ``callback`` at ``time`` without counting an event.
+
+        For a lazy component that must act in time order while traced:
+        the callback may only bring its owner's state up to ``time``
+        (no scheduling that an untraced run would not do at that
+        moment), so the run stays the one an untraced run executes."""
+        heapq.heappush(self._heap, (time, next(self._seq), callback, _WAKE))
+
+    def add_settler(self, settle: Callable[[], Any]) -> None:
+        """Call ``settle()`` at the end of every :meth:`run`, after the
+        clock is set, so a lazy component's state is current when read."""
+        self._settlers.append(settle)
+
     # -- execution -------------------------------------------------------
 
     def _passed_over(self, seq: int, event: Event) -> bool:
@@ -170,8 +198,13 @@ class Simulator:
         """Execute the next pending event.  Returns False if none remain."""
         while self._heap:
             time, seq, callback, event = heapq.heappop(self._heap)
-            if event is not None and self._passed_over(seq, event):
-                continue
+            if event is not None:
+                if event is _WAKE:
+                    self.now = time
+                    callback()
+                    continue
+                if self._passed_over(seq, event):
+                    continue
             self.now = time
             callback()
             self._events_processed += 1
@@ -201,13 +234,20 @@ class Simulator:
                 if time > limit:
                     heapq.heappush(heap, entry)  # same (time, seq): same place
                     break
-                if event is not None and self._passed_over(seq, event):
-                    continue
+                if event is not None:
+                    if event is _WAKE:
+                        self.now = time
+                        callback()
+                        continue
+                    if self._passed_over(seq, event):
+                        continue
                 self.now = time
                 callback()
                 executed += 1
             if until is not None and until > self.now:
                 self.now = until
+            for settle in self._settlers:
+                settle()
         finally:
             self._running = False
             self._events_processed += executed
@@ -237,11 +277,14 @@ class Simulator:
 
     @property
     def pending_active(self) -> int:
-        """Number of events that will still run, each counted once by
-        its current key however many entries it holds.
+        """Number of callbacks that will still run (events, and a traced
+        run's wakes), each counted once by its current key however many
+        entries it holds.
 
         O(pending): walks the heap, so prefer :attr:`pending` in hot
         paths where the distinction does not matter.
         """
-        return (sum(1 for entry in self._heap if entry[3] is None)
-                + len({e for *_, e in self._heap if e and not e.cancelled}))
+        return (sum(1 for entry in self._heap
+                    if entry[3] is None or entry[3] is _WAKE)
+                + len({e for *_, e in self._heap
+                       if e and e is not _WAKE and not e.cancelled}))

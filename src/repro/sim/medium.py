@@ -47,7 +47,7 @@ from ..obs.bus import BUS as _OBS, EventKind
 from ..qdisc.base import Qdisc
 from ..qdisc.fifo import DropTailQueue
 from .engine import Simulator
-from .link import PacketSink, Tap
+from .link import PacketSink, _Egress
 from .packet import Packet
 
 
@@ -88,7 +88,7 @@ class _Station:
         return self.backoff
 
 
-class MediumLink:
+class MediumLink(_Egress):
     """A CSMA/CA shared medium serving per-station queues.
 
     Drop-in for :class:`~repro.sim.link.Link` as a dumbbell bottleneck:
@@ -102,6 +102,8 @@ class MediumLink:
         sim: the owning simulator.
         rate: raw medium bit-pipe rate (bytes/second).
         spec: station count and priority layout.
+        delay: propagation delay (seconds) from the end of a successful
+            transmission to its arrival at ``sink``.
         sink: downstream element receiving successful transmissions.
         qdisc_factory: builds one egress qdisc per station (default:
             100-packet DropTail each).
@@ -110,16 +112,14 @@ class MediumLink:
     """
 
     def __init__(self, sim: Simulator, rate: float, spec: MediumSpec,
-                 sink: Optional[PacketSink] = None,
+                 delay: float, sink: Optional[PacketSink] = None,
                  qdisc_factory: Optional[Callable[[], Qdisc]] = None,
                  seed: int = 0, name: str = "medium"):
         if rate <= 0:
             raise ConfigError(f"medium rate must be positive: {rate}")
-        self.sim = sim
+        super().__init__(sim, sink, delay, name)
         self._rate = float(rate)
-        self.sink = sink
         self.spec = spec
-        self.name = name
         factory = qdisc_factory or (
             lambda: DropTailQueue(limit_packets=100))
         self.stations = [
@@ -132,13 +132,9 @@ class MediumLink:
         self._idle_anchor = sim.now
         self._round_event = None
         self._in_flight: Optional[Packet] = None
-        self._taps: list[Tap] = []
-        self.delivered_packets = 0
-        self.delivered_bytes = 0
         self.busy_time = 0.0
         self.collisions = 0
         self.txops = 0
-        self._per_flow_bytes: dict[str, int] = {}
         self._obs_src = f"medium:{name}"
 
     # -- Link-compatible surface ----------------------------------------
@@ -147,14 +143,6 @@ class MediumLink:
     def rate(self) -> float:
         """Raw medium rate (bytes/second); goodput is strictly lower."""
         return self._rate
-
-    def add_tap(self, tap: Tap) -> None:
-        """Register an observer called on every successful delivery."""
-        self._taps.append(tap)
-
-    def flow_bytes(self, flow_id: str) -> int:
-        """Total bytes delivered for ``flow_id``."""
-        return self._per_flow_bytes.get(flow_id, 0)
 
     @property
     def queue_delay(self) -> float:
@@ -320,7 +308,8 @@ class MediumLink:
     def _tx_done(self) -> None:
         packet = self._in_flight
         self._in_flight = None
-        self._deliver(packet)
+        self._account(packet, self.sim.now)
+        self._propagate(packet)
         self._begin_idle()
 
     def _begin_idle(self) -> None:
@@ -337,18 +326,3 @@ class MediumLink:
             any_registered = any_registered or st.registered
         if any_registered:
             self._schedule_round()
-
-    def _deliver(self, packet: Packet) -> None:
-        now = self.sim.now
-        self.delivered_packets += 1
-        self.delivered_bytes += packet.size
-        flow = packet.flow_id
-        self._per_flow_bytes[flow] = (
-            self._per_flow_bytes.get(flow, 0) + packet.size)
-        if _OBS.enabled:
-            _OBS.emit(now, EventKind.DELIVER, f"link:{self.name}", flow,
-                      packet.size)
-        for tap in self._taps:
-            tap(packet, now)
-        if self.sink is not None:
-            self.sink.send(packet)

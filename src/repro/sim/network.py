@@ -6,7 +6,9 @@ returning over an uncongested reverse path.  That matches both the
 paper's Figure 3 setup (one emulated Mahimahi link) and the access-link
 scenarios of §2.2-2.3.
 
-The builders return a :class:`PathHandles` bundle; transport glue in
+Every link carries its own propagation delay (``rtt / 2`` each way),
+so a packet costs one heap entry per hop: its arrival.  The builders
+return a :class:`PathHandles` bundle; transport glue in
 :mod:`repro.tcp` attaches flows to it.
 """
 
@@ -20,7 +22,7 @@ from ..qdisc.base import Qdisc
 from ..qdisc.fifo import DropTailQueue
 from ..units import bdp_packets
 from .engine import Simulator
-from .link import DelayBox, Link, LossBox, TraceLink
+from .link import Link, LossBox, TraceLink
 from .node import Host
 
 
@@ -60,18 +62,17 @@ REVERSE_RATE_FACTOR = 40.0
 
 
 def _ends(sim: Simulator, rtt: float, reverse_rate_bps: float):
-    """What every topology shares: the two hosts, the forward
-    propagation delay into ``dst`` and the uncongested ACK path back
-    to ``src``.  Returns ``(src, dst, fwd_delay, reverse)``."""
+    """What every topology shares: the two hosts and the uncongested
+    ACK path back to ``src``, ``rtt / 2`` long.  Returns
+    ``(src, dst, reverse)``; the bottleneck carries the other half."""
     if rtt <= 0:
         raise ConfigError(f"rtt must be positive: {rtt}")
     src = Host("src")
     dst = Host("dst")
-    fwd_delay = DelayBox(sim, rtt / 2.0, sink=dst, name="fwd-delay")
-    rev_delay = DelayBox(sim, rtt / 2.0, sink=src, name="rev-delay")
-    reverse = Link(sim, reverse_rate_bps, sink=rev_delay,
-                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse")
-    return src, dst, fwd_delay, reverse
+    reverse = Link(sim, reverse_rate_bps, sink=src,
+                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse",
+                   delay=rtt / 2.0)
+    return src, dst, reverse
 
 
 def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
@@ -80,8 +81,9 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
              loss_rate: float = 0.0, seed: int = 0) -> PathHandles:
     """Build a single-bottleneck dumbbell.
 
-    Forward path: entry -> bottleneck(rate, qdisc) -> delay(rtt/2) -> dst.
-    Reverse path: reverse_entry -> fast link -> delay(rtt/2) -> src.
+    Forward path: entry -> bottleneck(rate, qdisc, delay rtt/2)
+    [-> loss] -> dst.
+    Reverse path: reverse_entry -> fast link(delay rtt/2) -> src.
 
     Args:
         rate_bps: bottleneck rate, bytes/second.
@@ -90,16 +92,16 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
         buffer_multiplier: BDP multiple for the default queue size.
         loss_rate: optional random loss on the forward path.
     """
-    src, dst, fwd_delay, reverse = _ends(
-        sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
+    src, dst, reverse = _ends(sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
     if qdisc is None:
         qdisc = DropTailQueue(limit_packets=default_buffer_packets(
             rate_bps, rtt, buffer_multiplier))
-    sink = fwd_delay
+    sink = dst
     if loss_rate > 0:
-        sink = LossBox(sim, loss_rate, sink=fwd_delay, seed=seed)
+        # Loss draws in packet order, before or after propagation alike.
+        sink = LossBox(sim, loss_rate, sink=dst, seed=seed)
     bottleneck = Link(sim, rate_bps, sink=sink, qdisc=qdisc,
-                      name="bottleneck")
+                      name="bottleneck", delay=rtt / 2.0)
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)
@@ -125,9 +127,8 @@ def medium_dumbbell(sim: Simulator, rate_bps: float, rtt: float, spec,
     """
     from .medium import MediumLink
 
-    src, dst, fwd_delay, reverse = _ends(
-        sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
-    bottleneck = MediumLink(sim, rate_bps, spec, sink=fwd_delay,
+    src, dst, reverse = _ends(sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
+    bottleneck = MediumLink(sim, rate_bps, spec, rtt / 2.0, sink=dst,
                             qdisc_factory=qdisc_factory, seed=seed,
                             name="bottleneck")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
@@ -153,9 +154,9 @@ def bottleneck_path(sim: Simulator, rate_bps: float, rtt: float,
 def trace_dumbbell(sim: Simulator, opportunities_ms: list[float], rtt: float,
                    buffer_packets: int = 200) -> PathHandles:
     """A dumbbell whose bottleneck is a Mahimahi-style trace link."""
-    src, dst, fwd_delay, reverse = _ends(sim, rtt, 1e9)
+    src, dst, reverse = _ends(sim, rtt, 1e9)
     bottleneck = TraceLink(
-        sim, opportunities_ms, sink=fwd_delay,
+        sim, opportunities_ms, rtt / 2.0, sink=dst,
         qdisc=DropTailQueue(limit_packets=buffer_packets),
         name="trace-bottleneck")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,

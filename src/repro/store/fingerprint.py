@@ -33,7 +33,11 @@ from ..errors import ConfigError
 #: Bump when cached-result semantics change without a package version
 #: bump (e.g. a simulator bug fix that alters results).
 #: 2: per-flow NDT seeding + mergeable Fig2Result (streaming pipeline).
-STORE_SCHEMA_VERSION = 2
+#: 3: a link applies its transmission ends lazily, so a transmission
+#: that ends at T has ended for every other event at T (packet-backend
+#: same-time ties resolve differently), and E5 ``subpacket`` at an MSS
+#: other than 1448 counts in its sender's MSS.
+STORE_SCHEMA_VERSION = 3
 
 #: The default fingerprint salt: package version + store schema.
 CODE_VERSION = f"{__version__}+store{STORE_SCHEMA_VERSION}"

@@ -15,3 +15,21 @@ def _isolated_store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "repro-store"))
     monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
     monkeypatch.delenv("REPRO_QA_FAULT", raising=False)
+
+
+@pytest.fixture
+def bus_off(monkeypatch):
+    """A context manager that turns the trace bus off inside it, even
+    while ``REPRO_CHECK_INVARIANTS=1``'s runtime checkers (installed by
+    the first ``Simulator`` of the process) keep it subscribed, so a
+    test's untraced run really is untraced."""
+    from contextlib import contextmanager
+
+    from repro.obs.bus import BUS
+
+    @contextmanager
+    def off():
+        with monkeypatch.context() as patch:
+            patch.setattr(BUS, "enabled", False)
+            yield
+    return off

@@ -57,6 +57,8 @@ ALLOWED = {
         "ints: a count of failing envelope cells",
     ("repro.sim.engine", "Simulator.pending_active"):
         "ints: a count of heap entries",
+    ("repro.sim.link", "_Egress.delivered_bytes"):
+        "ints: per-flow delivered byte counts",
     ("repro.sim.medium", "MediumLink.queue_delay"):
         "ints: qdisc backlogs in bytes",
     ("repro.store.artifacts", "ArtifactStore.prune"):

@@ -1,11 +1,11 @@
-"""Unit tests for links, delay boxes, loss boxes, and trace links."""
+"""Unit tests for links (with their propagation delay), loss boxes, and
+trace links."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.qdisc import DropTailQueue, TokenBucketFilter
-from repro.sim import (CountingSink, DelayBox, Link, LossBox, Simulator,
-                       TraceLink)
+from repro.sim import CountingSink, Link, LossBox, Simulator, TraceLink
 from repro.sim.packet import make_data
 from repro.units import mbps
 
@@ -102,29 +102,57 @@ class TestLink:
         assert link.busy_time == pytest.approx(0.5)
 
 
-class TestDelayBox:
+class ArrivalLog:
+    """A sink that records each packet's arrival time (and its flow)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.arrivals = []
+
+    def send(self, packet):
+        self.arrivals.append((self.sim.now, packet.flow_id))
+
+
+class TestLinkDelay:
     def test_adds_fixed_delay(self):
         sim = Simulator()
-        sink = CountingSink()
-        arrivals = []
-        box = DelayBox(sim, delay=0.05, sink=sink)
-        box.send(pkt())
-        sim.schedule(0.0, lambda: None)
+        sink = ArrivalLog(sim)
+        link = Link(sim, rate=1500.0, sink=sink, delay=0.05)
+        link.send(pkt())
         sim.run()
-        assert sink.packets == 1
+        assert sink.arrivals == [(1.05, "f")]
 
     def test_is_infinite_capacity(self):
+        # A fast link into a long pipe: all 100 packets are in
+        # propagation at once, and all arrive, in order.
         sim = Simulator()
-        sink = CountingSink()
-        box = DelayBox(sim, delay=0.01, sink=sink)
-        for _ in range(100):
-            box.send(pkt())
+        sink = ArrivalLog(sim)
+        link = Link(sim, rate=1500.0 * 1000, sink=sink, delay=1.0,
+                    qdisc=DropTailQueue(limit_packets=200))
+        for i in range(100):
+            link.send(pkt(flow=str(i)))
         sim.run()
-        assert sink.packets == 100
+        assert [flow for _, flow in sink.arrivals] == [
+            str(i) for i in range(100)]
+        assert [t for t, _ in sink.arrivals] == pytest.approx(
+            [1.0 + (i + 1) / 1000 for i in range(100)])
+
+    def test_zero_delay_arrives_when_serialization_ends(self):
+        sim = Simulator()
+        sink = ArrivalLog(sim)
+        taps = []
+        link = Link(sim, rate=1500.0, sink=sink)
+        link.add_tap(lambda p, now: taps.append(now))
+        for flow in "abc":
+            link.send(pkt(flow=flow))
+        sim.run()
+        assert sink.arrivals == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+        assert taps == [1.0, 2.0, 3.0]
+        assert sim.events_processed == 3  # one arrival per packet
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigError):
-            DelayBox(Simulator(), delay=-0.1)
+            Link(Simulator(), rate=1500.0, delay=-0.1)
 
 
 class TestLossBox:
@@ -155,7 +183,7 @@ class TestTraceLink:
         sim = Simulator()
         sink = CountingSink()
         arrivals = []
-        link = TraceLink(sim, [10, 20, 30], sink=sink)
+        link = TraceLink(sim, [10, 20, 30], 0.0, sink=sink)
         link.add_tap(lambda p, now: arrivals.append(now))
         for _ in range(3):
             link.send(pkt())
@@ -166,7 +194,7 @@ class TestTraceLink:
         sim = Simulator()
         sink = CountingSink()
         arrivals = []
-        link = TraceLink(sim, [10, 20], sink=sink)
+        link = TraceLink(sim, [10, 20], 0.0, sink=sink)
         link.add_tap(lambda p, now: arrivals.append(now))
         for _ in range(4):
             link.send(pkt())
@@ -175,15 +203,15 @@ class TestTraceLink:
 
     def test_idle_opportunities_are_wasted(self):
         sim = Simulator()
-        link = TraceLink(sim, [10, 20], sink=CountingSink())
+        link = TraceLink(sim, [10, 20], 0.0, sink=CountingSink())
         sim.run(until=0.05)
         assert link.wasted_opportunities >= 4
         assert link.delivered_packets == 0
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
-            TraceLink(Simulator(), [])
+            TraceLink(Simulator(), [], 0.0)
 
     def test_decreasing_trace_rejected(self):
         with pytest.raises(ConfigError):
-            TraceLink(Simulator(), [20, 10])
+            TraceLink(Simulator(), [20, 10], 0.0)

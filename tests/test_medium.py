@@ -127,7 +127,7 @@ def _saturated_medium(n: int, duration: float, seed: int = 7,
     """Run ``n`` always-backlogged stations and return the link."""
     sim = Simulator()
     spec = parse_medium(medium or f"csma-{n}")
-    link = MediumLink(sim, RATE, spec, seed=seed)
+    link = MediumLink(sim, RATE, spec, 0.0, seed=seed)
     # Refill on delivery so every station stays saturated: classic
     # Bianchi conditions without a transport loop in the way.
     link.add_tap(lambda pkt, now: link.send(Packet(pkt.flow_id,
@@ -181,7 +181,7 @@ def test_medium_link_is_deterministic_and_seed_sensitive():
 def test_medium_link_rejects_bad_rate():
     sim = Simulator()
     with pytest.raises(ConfigError):
-        MediumLink(sim, 0.0, parse_medium("csma-2"))
+        MediumLink(sim, 0.0, parse_medium("csma-2"), 0.0)
 
 
 # -- golden trace (satellite: 3-station medium-state regression) ----------

@@ -37,7 +37,7 @@ GOLDEN_EVENT_COUNTS = {
 
 GOLDEN_METRICS = {
     "sim.clock_s": 5.0,
-    "sim.events_processed": 16536.0,
+    "sim.events_processed": 8251.0,
     "sim.runs": 1.0,
 }
 

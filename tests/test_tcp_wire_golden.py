@@ -8,9 +8,9 @@ wire itself for five short deterministic runs that between them cover
 SACK recovery, pacing, RTO go-back-N, a CSMA/CA bottleneck and a
 finite receiver-limited transfer:
 
-* the SHA-256 over every delivery of the bottleneck and of the ACK
-  link, in order, as ``(repr(now), link, flow_id, kind, seq, end_seq,
-  ack, sack_blocks, retransmit)``;
+* per link (the bottleneck, ``fwd``, and the ACK link, ``rev``), the
+  SHA-256 over its every delivery, in order, as ``(repr(now), link,
+  flow_id, kind, seq, end_seq, ack, sack_blocks, retransmit)``;
 * ``sim.events_processed``;
 * per sender: ``fast_retransmits``, ``timeouts``, ``dupacks_total``,
   ``delivered`` and the final :class:`TcpInfoSnapshot`, floats by
@@ -22,7 +22,12 @@ loop was rewritten for fewer Python calls, so it is the proof that the
 rewrite scheduled the same events at the same times in the same order.
 It also passed unregenerated when the RTO timer became a lazy deadline
 moved by ``Simulator.reschedule`` instead of being cancelled and
-re-scheduled on every ACK.
+re-scheduled on every ACK.  When a link began to apply its
+transmission ends lazily (one event per packet per hop), each link's
+deliveries stayed bit-identical and only ``events_processed`` moved;
+the digests became per link then, because a link's taps now fire when
+it is next touched, so the two links' taps interleave differently in
+traced and untraced runs while each link's own order is fixed.
 Regenerate (deliberately, explaining why in the diff) with::
 
     PYTHONPATH=src python tests/test_tcp_wire_golden.py
@@ -110,10 +115,12 @@ def _pin(value):
 
 def capture_run(name: str) -> dict:
     sim = Simulator()
-    digest = hashlib.sha256()
+    digests = {"fwd": hashlib.sha256(), "rev": hashlib.sha256()}
     deliveries = [0]
 
     def tap_for(link_name):
+        digest = digests[link_name]
+
         def tap(packet, now):
             deliveries[0] += 1
             digest.update(repr((
@@ -138,7 +145,9 @@ def capture_run(name: str) -> dict:
             "delivered": tx.delivered,
             "tcp_info": _pin(dataclasses.asdict(tx.snapshot())),
         }
-    return {"sha256": digest.hexdigest(), "deliveries": deliveries[0],
+    return {"sha256": {name: digest.hexdigest()
+                       for name, digest in digests.items()},
+            "deliveries": deliveries[0],
             "events_processed": sim.events_processed, "senders": senders}
 
 
