@@ -21,7 +21,10 @@ serve:
 ## what every simplicity PR reports: lines under src/repro, the
 ## REPRO_* environment variables src/ reads, and the settable values
 ## (parameters with a default on public functions and methods and on
-## __init__s under src/repro)
+## __init__s under src/repro).  tests/test_settable_values.py fails on
+## one that no call in src/ or benchmarks/ledger/ sets: tests and
+## examples do not set a value (its ALLOWLIST lists the exceptions,
+## test seams and the §3.2 pulse parameters among them)
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l
 	@grep -rhoE 'REPRO_[A-Z_]+' src/repro --include='*.py' | sort -u

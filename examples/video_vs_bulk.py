@@ -5,34 +5,29 @@ The paper argues most bytes are adaptive video whose demand is bounded
 by the bitrate ladder, so it yields rather than contends.  We race an
 ABR video stream against a backlogged Cubic download on links of
 decreasing capacity and watch the video's ABR ladder -- not CCA
-dynamics -- set its share.
+dynamics -- set its share.  Each race is one ``flows`` scenario of the
+QA harness, with the video as its cross traffic.
 
 Run:  python examples/video_vs_bulk.py
 """
 
 from repro import viz
-from repro.cca import CubicCca
-from repro.sim import Simulator, dumbbell
-from repro.traffic import BackloggedFlow, VideoStream
-from repro.units import mbps, ms, to_mbps
+from repro.qa.scenario import FlowSpec, Scenario, run_scenario
+from repro.units import to_mbps
 
 DURATION = 40.0
 
 
 def race(link_mbps: float) -> dict:
-    sim = Simulator()
-    path = dumbbell(sim, mbps(link_mbps), ms(30), buffer_multiplier=2.0)
-    video = VideoStream(sim, path, "video")
-    bulk = BackloggedFlow(sim, path, "bulk", CubicCca())
-    video.start()
-    bulk.start()
-    sim.run(until=DURATION)
+    outcome = run_scenario(Scenario(
+        family="flows", rate_mbps=link_mbps, rtt_ms=30.0,
+        qdisc="droptail", duration=DURATION, seed=0,
+        buffer_multiplier=2.0, flows=(FlowSpec(cca="cubic"),),
+        cross_traffic="video"), check_invariants=False)
     return {
         "link_mbps": link_mbps,
-        "video_mbps": to_mbps(video.delivered_bytes / DURATION),
-        "video_bitrate_mbps": video.stats.mean_bitrate * 8 / 1e6,
-        "video_stalls": video.stats.stalls,
-        "bulk_mbps": to_mbps(bulk.delivered_bytes / DURATION),
+        "video_mbps": to_mbps(outcome.delivered["cross"] / DURATION),
+        "bulk_mbps": to_mbps(outcome.delivered["flow-0"] / DURATION),
     }
 
 
@@ -41,10 +36,8 @@ def main() -> None:
     rows = [race(cap) for cap in (100.0, 50.0, 25.0, 12.0)]
     print(viz.table(
         [(f"{r['link_mbps']:.0f}", f"{r['video_mbps']:.1f}",
-          f"{r['video_bitrate_mbps']:.1f}", r["video_stalls"],
           f"{r['bulk_mbps']:.1f}") for r in rows],
-        header=("link Mb/s", "video Mb/s", "chosen bitrate Mb/s",
-                "stalls", "bulk Mb/s")))
+        header=("link Mb/s", "video Mb/s", "bulk Mb/s")))
     print()
     print("On fast links the video takes only what its top bitrate "
           "needs and the bulk flow absorbs the rest; the video's share "

@@ -61,12 +61,13 @@ __all__ = [
 ]
 
 
-def quicklook_elasticity(cross_traffic: str = "reno", duration: float = 30.0):
-    """Run a small single-path elasticity probe and return its report.
+def quicklook_elasticity(cross_traffic: str):
+    """Run a small single-path elasticity probe (30 s) against
+    ``cross_traffic`` and return its report.
 
     A convenience wrapper around :class:`repro.core.probe.ElasticityProbe`
     for interactive exploration; see :mod:`repro.experiments.fig3` for
     the full Figure 3 reproduction.
     """
     from .core.quicklook import run_quicklook
-    return run_quicklook(cross_traffic=cross_traffic, duration=duration)
+    return run_quicklook(cross_traffic=cross_traffic)

@@ -132,16 +132,16 @@ class BweController:
         self._running = False
 
     def register(self, name: str, demand_fn, enforce_fn,
-                 group: str = "default", weight: float = 1.0,
+                 group: str = "default",
                  group_weight: float | None = None) -> None:
         """Register a flow: ``demand_fn() -> bytes/s``,
         ``enforce_fn(rate_bytes_per_s)``.
 
-        ``weight`` scales the flow within its group; ``group_weight``
-        (if given) sets the group's weight among groups.
+        Flows share their group equally; ``group_weight`` (if given)
+        sets the group's weight among groups.
         """
         self._flows[name] = {"demand": demand_fn, "enforce": enforce_fn,
-                             "group": group, "weight": weight}
+                             "group": group}
         if group_weight is not None:
             self._group_weights[group] = group_weight
 
@@ -166,7 +166,7 @@ class BweController:
         root = DemandNode("root", children=[
             DemandNode(group, weight=self._group_weights.get(group, 1.0),
                        children=[
-                DemandNode(name, weight=self._flows[name]["weight"],
+                DemandNode(name,
                            demand=float(self._flows[name]["demand"]()))
                 for name in names
             ])

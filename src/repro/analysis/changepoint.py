@@ -117,8 +117,6 @@ def _check_length(n: int, min_segment: int) -> None:
     Raises :class:`AnalysisError` (never an ``IndexError`` from deep
     inside the dynamic program) for empty and tiny inputs.
     """
-    if min_segment < 1:
-        raise AnalysisError(f"min_segment must be >= 1: {min_segment}")
     if n < 2 * min_segment:
         raise AnalysisError(
             f"signal of length {n} is too short for change-point "
@@ -126,10 +124,10 @@ def _check_length(n: int, min_segment: int) -> None:
             f"(need at least {2 * min_segment} points)")
 
 
-def _optimal_partition_rows(x: np.ndarray, penalty,
+def _optimal_partition_rows(x: np.ndarray,
                             min_segment: int) -> list[ChangePointResult]:
     """Optimal partitioning of every row of the ``(rows, n)`` array
-    ``x`` at once.
+    ``x`` at once, each row at its :func:`default_penalty`.
 
     f[r, t] = optimal penalized cost of x[r, :t]; prev[r, t] = last
     breakpoint before t.  Every admissible last breakpoint s <= t -
@@ -141,9 +139,8 @@ def _optimal_partition_rows(x: np.ndarray, penalty,
     cost = L2Cost(x)  # rejects an array of three or more axes
     rows, n = x.shape
     _check_length(n, min_segment)
-    if penalty is None:
-        penalty = default_penalty(x)
-    penalty = np.broadcast_to(np.asarray(penalty, dtype=float), (rows,))
+    penalty = np.broadcast_to(np.asarray(default_penalty(x), dtype=float),
+                              (rows,))
     f = np.full((rows, n + 1), np.inf)
     f[:, 0] = 0.0
     prev = np.zeros((rows, n + 1), dtype=np.int64)
@@ -167,53 +164,55 @@ def _optimal_partition_rows(x: np.ndarray, penalty,
     return results
 
 
-def pelt(signal, penalty: float | None = None, min_segment: int = 2):
+#: Shortest segment (samples) :func:`pelt` and
+#: :func:`binary_segmentation` admit.
+MIN_SEGMENT = 2
+
+
+def pelt(signal):
     """Exact penalized change-point detection.
 
-    Minimises the L2 cost plus ``penalty`` per change point over every
-    segmentation.  The name is the survey's; the search is optimal
-    partitioning without PELT's pruning, which with ``min_segment`` > 1
-    can discard a candidate that still wins.
+    Minimises the L2 cost plus :func:`default_penalty` (a robust BIC)
+    per change point over every segmentation of at least
+    :data:`MIN_SEGMENT` points per segment.  The name is the survey's;
+    the search is optimal partitioning without PELT's pruning, which
+    with a minimum segment > 1 can discard a candidate that still wins.
 
     Args:
         signal: 1-D array-like, or a ``(flows, n)`` batch of
             equal-length signals searched in one pass.
-        penalty: per-change-point penalty; default is a robust BIC.
-        min_segment: minimum points per segment.
 
     Returns:
         :class:`ChangePointResult` with the optimal breakpoints; for a
         batch, a list of them, row ``i`` equal to ``pelt(signal[i])``.
 
     Raises:
-        AnalysisError: if the signal is shorter than ``2*min_segment``.
+        AnalysisError: if the signal is shorter than ``2*MIN_SEGMENT``.
     """
     x = np.asarray(signal, dtype=float)
-    results = _optimal_partition_rows(np.atleast_2d(x), penalty, min_segment)
+    results = _optimal_partition_rows(np.atleast_2d(x), MIN_SEGMENT)
     return results if x.ndim == 2 else results[0]
 
 
-def binary_segmentation(signal, penalty: float | None = None,
-                        min_segment: int = 2) -> ChangePointResult:
+def binary_segmentation(signal) -> ChangePointResult:
     """Greedy top-down change-point detection.
 
     Recursively split at the point with the largest cost reduction
-    until no split beats the penalty.
+    until no split beats :func:`default_penalty`.
 
     Raises:
-        AnalysisError: if the signal is shorter than ``2*min_segment``.
+        AnalysisError: if the signal is shorter than ``2*MIN_SEGMENT``.
     """
     x = np.asarray(signal, dtype=float)
     n = len(x)
-    _check_length(n, min_segment)
-    if penalty is None:
-        penalty = default_penalty(x)
+    _check_length(n, MIN_SEGMENT)
+    penalty = default_penalty(x)
     cost = L2Cost(x)
 
     def best_split(a: int, b: int) -> tuple[float, int]:
         # Vectorized scan over every admissible split point; ties
         # resolve to the first (lowest) index, like the scalar loop.
-        splits = np.arange(a + min_segment, b - min_segment + 1)
+        splits = np.arange(a + MIN_SEGMENT, b - MIN_SEGMENT + 1)
         if len(splits) == 0:
             return 0.0, -1
         gains = (cost.cost(a, b) - cost.cost_batch(a, splits)
@@ -242,8 +241,7 @@ def binary_segmentation(signal, penalty: float | None = None,
 LEVEL_SHIFT_MIN_SEGMENT = 4
 
 
-def throughput_level_shift(signal, penalty: float | None = None,
-                           min_relative_shift: float = 0.2):
+def throughput_level_shift(signal, min_relative_shift: float = 0.2):
     """The §3.1 detector: change points that are *meaningful* throughput
     level shifts.
 
@@ -261,12 +259,11 @@ def throughput_level_shift(signal, penalty: float | None = None,
     rows = np.atleast_2d(x)
     n = rows.shape[1]
     if n < 2 * LEVEL_SHIFT_MIN_SEGMENT:
-        results = [ChangePointResult(
-            (), n, float("inf") if penalty is None else penalty)] * len(rows)
+        results = [ChangePointResult((), n, float("inf"))] * len(rows)
     else:
         results = []
         for row, raw in zip(rows, _optimal_partition_rows(
-                rows, penalty, LEVEL_SHIFT_MIN_SEGMENT)):
+                rows, LEVEL_SHIFT_MIN_SEGMENT)):
             kept = []
             edges = [0, *raw.breakpoints, n]
             for i, bp in enumerate(raw.breakpoints):

@@ -38,14 +38,9 @@ def throughput_shares(allocations) -> list[float]:
     return [float(v) / total for v in x]
 
 
-def harm(solo_performance: float, contended_performance: float,
-         more_is_better: bool = True) -> float:
-    """Ware et al.'s harm metric in [0, 1+).
-
-    For a more-is-better metric (throughput):
-        harm = (solo - contended) / solo
-    For a less-is-better metric (latency):
-        harm = (contended - solo) / contended
+def harm(solo_performance: float, contended_performance: float) -> float:
+    """Ware et al.'s harm metric in [0, 1+) for a more-is-better metric
+    (throughput): harm = (solo - contended) / solo.
 
     0 means no harm; 1 means the metric was destroyed entirely.
     Negative values (the flow did *better* under contention) are
@@ -53,13 +48,7 @@ def harm(solo_performance: float, contended_performance: float,
     """
     if solo_performance <= 0 or contended_performance < 0:
         raise AnalysisError("performances must be positive")
-    if more_is_better:
-        value = (solo_performance - contended_performance) / solo_performance
-    else:
-        if contended_performance == 0:
-            raise AnalysisError("less-is-better metric cannot be zero")
-        value = (contended_performance - solo_performance) \
-            / contended_performance
+    value = (solo_performance - contended_performance) / solo_performance
     return max(0.0, float(value))
 
 

@@ -10,7 +10,7 @@ credible ground for the paper's contention experiments.
 * :func:`mathis_throughput` -- the SQRT model (Mathis et al. 1997):
   ``T = (MSS / RTT) * C / sqrt(p)``.
 * :func:`padhye_throughput` -- the PFTK model (Padhye et al. 1998),
-  adding timeout effects and receiver-window clamping.
+  adding timeout effects.
 * :func:`reno_steady_state_loss_rate` -- the deterministic sawtooth
   inverse (what loss rate a link must impose for a window ``W``).
 """
@@ -40,12 +40,11 @@ def mathis_throughput(mss: int, rtt: float, loss_rate: float) -> float:
     return (mss / rtt) * MATHIS_C / math.sqrt(loss_rate)
 
 
-def padhye_throughput(mss: int, rtt: float, loss_rate: float,
-                      rwnd_bytes: float = float("inf")) -> float:
-    """PFTK full model throughput in bytes/second.
+def padhye_throughput(mss: int, rtt: float, loss_rate: float) -> float:
+    """PFTK full model throughput in bytes/second, with no receiver
+    window clamp.
 
-    T = min(Wmax/RTT,
-            MSS / (RTT*sqrt(2bp/3) + T0*min(1, 3*sqrt(3bp/8))*p*(1+32p^2)))
+    T = MSS / (RTT*sqrt(2bp/3) + T0*min(1, 3*sqrt(3bp/8))*p*(1+32p^2))
 
     with b = 1 (no delayed acks in our receiver) and T0 =
     :data:`PADHYE_RTO`.
@@ -59,8 +58,7 @@ def padhye_throughput(mss: int, rtt: float, loss_rate: float,
     denom = (rtt * math.sqrt(2.0 * b * p / 3.0)
              + PADHYE_RTO * min(1.0, 3.0 * math.sqrt(3.0 * b * p / 8.0))
              * p * (1.0 + 32.0 * p * p))
-    model = mss / denom
-    return min(rwnd_bytes / rtt, model)
+    return mss / denom
 
 
 def reno_steady_state_loss_rate(window_packets: float) -> float:

@@ -222,10 +222,14 @@ def percentile(samples, q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=float), q))
 
 
-def bootstrap_ci(samples, statistic=np.mean, confidence: float = 0.95,
-                 n_resamples: int = 1000, seed: int = 0
+#: Resamples :func:`bootstrap_ci` draws, from a generator seeded 0.
+BOOTSTRAP_RESAMPLES = 1000
+
+
+def bootstrap_ci(samples, statistic=np.mean, confidence: float = 0.95
                  ) -> tuple[float, float, float]:
-    """Bootstrap confidence interval.
+    """Bootstrap confidence interval over :data:`BOOTSTRAP_RESAMPLES`
+    resamples (deterministic: the generator is seeded 0).
 
     Returns:
         (point_estimate, ci_low, ci_high).
@@ -235,10 +239,10 @@ def bootstrap_ci(samples, statistic=np.mean, confidence: float = 0.95,
         raise AnalysisError("cannot bootstrap no samples")
     if not 0 < confidence < 1:
         raise AnalysisError(f"confidence must be in (0, 1): {confidence}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     estimates = np.array([
         statistic(rng.choice(x, size=len(x), replace=True))
-        for _ in range(n_resamples)
+        for _ in range(BOOTSTRAP_RESAMPLES)
     ])
     alpha = (1.0 - confidence) / 2.0
     return (float(statistic(x)),

@@ -19,28 +19,18 @@ from ..errors import AnalysisError
 class RateMeter:
     """Bin packet sizes into fixed intervals to produce a rate series.
 
-    Attach via ``link.add_tap(meter.on_packet)``.  Optionally filter to
-    a subset of flows with ``flow_filter``.
-
-    Args:
-        bin_width: bin size in seconds.
-        flow_filter: ``fn(flow_id) -> bool``; None counts everything.
+    Attach via ``link.add_tap(meter.on_packet)``; every flow counts.
     """
 
-    def __init__(self, bin_width: float = 0.01,
-                 flow_filter: Optional[Callable[[str], bool]] = None):
-        if bin_width <= 0:
-            raise AnalysisError(f"bin_width must be positive: {bin_width}")
-        self.bin_width = bin_width
-        self.flow_filter = flow_filter
+    #: Bin size in seconds.
+    bin_width = 0.01
+
+    def __init__(self):
         self._bins: dict[int, int] = {}
         self.total_bytes = 0
 
     def on_packet(self, packet, now: float) -> None:
         """Link-tap entry point."""
-        if self.flow_filter is not None and not self.flow_filter(
-                packet.flow_id):
-            return
         self.add(now, packet.size)
 
     def add(self, now: float, nbytes: int) -> None:
@@ -59,13 +49,6 @@ class RateMeter:
         rates = np.array([self._bins.get(int(i), 0) for i in idx],
                          dtype=float) / self.bin_width
         return times, rates
-
-    def mean_rate(self, t_start: float, t_end: float) -> float:
-        """Average rate (bytes/second) over the interval."""
-        if t_end <= t_start:
-            raise AnalysisError("t_end must exceed t_start")
-        _, rates = self.series(t_start, t_end)
-        return float(rates.mean()) if len(rates) else 0.0
 
 
 class DelayMeter:

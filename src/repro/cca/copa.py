@@ -12,25 +12,19 @@ implementation exposes the same default-mode dynamics.
 
 from __future__ import annotations
 
-from ..errors import ConfigError
 from .base import AckSample, CongestionControl
 from .filters import WindowedExtremum
 
 
 class CopaCca(CongestionControl):
-    """Copa default mode.
-
-    Args:
-        delta: aggressiveness; 0.5 targets ~2 packets of queueing.
-    """
+    """Copa default mode."""
 
     name = "copa"
+    #: Aggressiveness; 0.5 targets ~2 packets of queueing.
+    delta = 0.5
 
-    def __init__(self, initial_cwnd: float = 10.0, delta: float = 0.5):
-        if delta <= 0:
-            raise ConfigError(f"delta must be positive: {delta}")
-        self._cwnd = float(initial_cwnd)
-        self.delta = delta
+    def __init__(self):
+        self._cwnd = 10.0
         self.min_cwnd = 2.0
         self._velocity = 1.0
         self._direction = 0  # +1 growing, -1 shrinking

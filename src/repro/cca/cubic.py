@@ -8,29 +8,20 @@ aggressive as Reno at small BDPs.
 
 from __future__ import annotations
 
-from ..errors import ConfigError
 from .base import AckSample, CongestionControl
 
 
 class CubicCca(CongestionControl):
-    """Cubic with fast convergence, per RFC 8312 defaults.
-
-    Args:
-        c: cubic scaling constant (packets/second^3).
-        beta: multiplicative decrease factor (window *= beta on loss).
-    """
+    """Cubic with fast convergence, per RFC 8312 defaults."""
 
     name = "cubic"
+    #: Cubic scaling constant (packets/second^3).
+    c = 0.4
+    #: Multiplicative decrease factor (window *= beta on loss).
+    beta = 0.7
 
-    def __init__(self, initial_cwnd: float = 10.0, c: float = 0.4,
-                 beta: float = 0.7):
-        if not 0 < beta < 1:
-            raise ConfigError(f"beta must be in (0, 1): {beta}")
-        if c <= 0:
-            raise ConfigError(f"c must be positive: {c}")
-        self._cwnd = float(initial_cwnd)
-        self.c = c
-        self.beta = beta
+    def __init__(self):
+        self._cwnd = 10.0
         self.ssthresh = float("inf")
         self.min_cwnd = 2.0
         self.w_max = 0.0

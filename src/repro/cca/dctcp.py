@@ -13,25 +13,18 @@ fraction per RTT.
 
 from __future__ import annotations
 
-from ..errors import ConfigError
 from .base import AckSample, CongestionControl
 
 
 class DctcpCca(CongestionControl):
-    """DCTCP window management.
-
-    Args:
-        g: EWMA gain for the marked-fraction estimate (RFC 8257: 1/16).
-        initial_cwnd: initial window (packets).
-    """
+    """DCTCP window management."""
 
     name = "dctcp"
+    #: EWMA gain for the marked-fraction estimate (RFC 8257: 1/16).
+    g = 1.0 / 16.0
 
-    def __init__(self, initial_cwnd: float = 10.0, g: float = 1.0 / 16.0):
-        if not 0 < g <= 1:
-            raise ConfigError(f"g must be in (0, 1]: {g}")
-        self._cwnd = float(initial_cwnd)
-        self.g = g
+    def __init__(self):
+        self._cwnd = 10.0
         self.alpha = 1.0          # assume the worst until measured
         self.ssthresh = float("inf")
         self.min_cwnd = 2.0

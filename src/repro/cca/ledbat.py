@@ -14,25 +14,19 @@ off_target = (TARGET - queuing_delay) / TARGET, and a loss halving.
 
 from __future__ import annotations
 
-from ..errors import ConfigError
 from .base import AckSample, CongestionControl
 
 
 class LedbatCca(CongestionControl):
-    """LEDBAT window management.
-
-    Args:
-        target: target queueing delay (RFC 6817 says <= 100 ms;
-            deployments use 25-60 ms).
-    """
+    """LEDBAT window management."""
 
     name = "ledbat"
+    #: Target queueing delay (RFC 6817 says <= 100 ms; deployments use
+    #: 25-60 ms).
+    target = 0.025
 
-    def __init__(self, initial_cwnd: float = 2.0, target: float = 0.025):
-        if target <= 0:
-            raise ConfigError(f"target must be positive: {target}")
-        self._cwnd = float(initial_cwnd)
-        self.target = target
+    def __init__(self):
+        self._cwnd = 2.0
         self.min_cwnd = 1.0
 
     @property

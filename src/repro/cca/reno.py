@@ -22,19 +22,16 @@ class RenoCca(CongestionControl):
 
     Args:
         initial_cwnd: initial window (packets); RFC 6928's IW10 default.
-        ssthresh: initial slow-start threshold (packets).
-        min_cwnd: floor for multiplicative decrease.
     """
 
     name = "reno"
 
-    def __init__(self, initial_cwnd: float = 10.0,
-                 ssthresh: float = float("inf"), min_cwnd: float = 2.0):
+    def __init__(self, initial_cwnd: float = 10.0):
         if initial_cwnd < 1:
             raise ConfigError(f"initial_cwnd must be >= 1: {initial_cwnd}")
         self._cwnd = float(initial_cwnd)
-        self.ssthresh = float(ssthresh)
-        self.min_cwnd = float(min_cwnd)
+        self.ssthresh = float("inf")
+        self.min_cwnd = 2.0
         self._last_ecn_reaction = float("-inf")
 
     @property

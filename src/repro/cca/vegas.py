@@ -8,29 +8,22 @@ packets it estimates it has queued at the bottleneck -- between
 
 from __future__ import annotations
 
-from ..errors import ConfigError
 from .base import AckSample, CongestionControl
 
 
 class VegasCca(CongestionControl):
-    """Vegas with once-per-RTT window adjustment.
-
-    Args:
-        alpha: grow the window below this many queued packets.
-        beta: shrink the window above this many queued packets.
-        gamma: leave slow start once the queue estimate exceeds this.
-    """
+    """Vegas with once-per-RTT window adjustment."""
 
     name = "vegas"
+    #: Grow the window below this many queued packets.
+    alpha = 2.0
+    #: Shrink the window above this many queued packets.
+    beta = 4.0
+    #: Leave slow start once the queue estimate exceeds this.
+    gamma = 1.0
 
-    def __init__(self, initial_cwnd: float = 10.0, alpha: float = 2.0,
-                 beta: float = 4.0, gamma: float = 1.0):
-        if not 0 < alpha <= beta:
-            raise ConfigError("need 0 < alpha <= beta")
-        self._cwnd = float(initial_cwnd)
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
+    def __init__(self):
+        self._cwnd = 10.0
         self.min_cwnd = 2.0
         self._in_slow_start = True
         self._next_adjust_time = 0.0

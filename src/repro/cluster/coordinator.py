@@ -13,13 +13,14 @@ One coordinator process drives N ``repro serve`` nodes:
   membership churn (a node joining or dying only moves the tasks it
   owns), with bounded in-flight dispatch per node so every node's
   queue stays fed without flooding.
-* **Work stealing** -- a task in flight longer than ``steal_after_s``
+* **Work stealing** -- a task in flight longer than :data:`STEAL_AFTER_S`
   gets a replica on another live node; first completion wins, and the
   loser's results (same content addresses) merge harmlessly.
 * **Fault handling** -- transport failures mark a node down with
   exponential backoff (see :mod:`repro.cluster.membership`) and its
   tasks re-dispatch elsewhere; *execution* failures retry on other
-  nodes up to ``max_attempts`` before the task is quarantined (the
+  nodes up to :data:`MAX_ATTEMPTS` times before the task is
+  quarantined (the
   caller then recomputes locally or reports it).
 
 The loop is single-threaded and clock-injectable: every decision
@@ -48,6 +49,23 @@ from .merge import pull_objects
 #: ``paths`` tasks per node a clustered campaign is cut into (the
 #: granularity work stealing has to move).
 SHARDS_PER_NODE = 4
+
+#: Dispatch bound per live node.
+MAX_INFLIGHT_PER_NODE = 2
+
+#: Loop tick (status polls per in-flight attempt), seconds.
+POLL_S = 0.05
+
+#: Age (seconds) at which an in-flight task earns a replica on another
+#: node.
+STEAL_AFTER_S = 20.0
+
+#: Execution failures before a task is quarantined.
+MAX_ATTEMPTS = 3
+
+#: How long (seconds) the loop tolerates zero live nodes, with work
+#: outstanding, before raising :class:`ClusterError`.
+DEAD_GRACE_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -113,13 +131,6 @@ class Coordinator:
         membership: the probed node list.
         store: local artifact store results merge into (required --
             the store *is* the result channel).
-        max_inflight_per_node: dispatch bound per live node.
-        poll_s: loop tick (status polls per in-flight attempt).
-        steal_after_s: age at which an in-flight task earns a replica
-            on another node.
-        max_attempts: execution failures before a task is quarantined.
-        dead_grace_s: how long the loop tolerates zero live nodes
-            (with unfinished work) before raising :class:`ClusterError`.
         journal: optional :class:`ClusterJournal` recording every task
             transition and how the run ended.
         clock / sleep: injectable time sources for tests.
@@ -127,9 +138,6 @@ class Coordinator:
     """
 
     def __init__(self, membership: Membership, store: ArtifactStore,
-                 max_inflight_per_node: int = 2, poll_s: float = 0.05,
-                 steal_after_s: float = 20.0, max_attempts: int = 3,
-                 dead_grace_s: float = 120.0,
                  journal: ClusterJournal | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep,
@@ -137,16 +145,8 @@ class Coordinator:
         if store is None:
             raise ConfigError("the coordinator needs a local store "
                               "(results merge into it)")
-        if max_inflight_per_node < 1:
-            raise ConfigError(f"max_inflight_per_node must be >= 1: "
-                              f"{max_inflight_per_node}")
         self.membership = membership
         self.store = store
-        self.max_inflight_per_node = max_inflight_per_node
-        self.poll_s = poll_s
-        self.steal_after_s = steal_after_s
-        self.max_attempts = max_attempts
-        self.dead_grace_s = dead_grace_s
         self.journal = journal
         self.clock = clock
         self.sleep = sleep
@@ -195,7 +195,7 @@ class Coordinator:
 
         Duplicate keys are suppressed up front (one record serves all
         copies).  Raises :class:`ClusterError` only when no node is
-        live for ``dead_grace_s`` with work outstanding (the journal
+        live for :data:`DEAD_GRACE_S` with work outstanding (the journal
         then ends ``partial``); individual task failures are recorded,
         not raised -- callers fall back to local execution for
         quarantined tasks.
@@ -220,17 +220,17 @@ class Coordinator:
                 now = self.clock()
                 if live:
                     last_alive = now
-                elif now - last_alive > self.dead_grace_s:
+                elif now - last_alive > DEAD_GRACE_S:
                     raise ClusterError(
                         f"no live cluster node for "
-                        f"{self.dead_grace_s:g}s with "
+                        f"{DEAD_GRACE_S:g}s with "
                         f"{len(pending) + len(inflight)} tasks "
                         "outstanding")
                 self._dispatch(pending, inflight, records, live)
                 self._poll(pending, inflight, records)
                 self._steal(inflight, records)
                 if pending or inflight:
-                    self.sleep(self.poll_s)
+                    self.sleep(POLL_S)
             clean = all(records[k].status != "failed" for k in order)
         finally:
             if self.journal is not None:
@@ -246,7 +246,7 @@ class Coordinator:
         now = self.clock()
         return [n for n in live
                 if n.name != exclude and now >= n.busy_until
-                and load.get(n.name, 0) < self.max_inflight_per_node]
+                and load.get(n.name, 0) < MAX_INFLIGHT_PER_NODE]
 
     def _dispatch(self, pending: deque, inflight: dict,
                   records: dict[str, TaskRecord],
@@ -349,7 +349,7 @@ class Coordinator:
                 continue
             if not attempts:
                 del inflight[key]
-                if record.failures >= self.max_attempts:
+                if record.failures >= MAX_ATTEMPTS:
                     record.status = "failed"
                     self._record_journal(record)
                     self._metrics.counter("tasks_failed").inc()
@@ -380,7 +380,7 @@ class Coordinator:
             if len(attempts) != 1:
                 continue
             primary = attempts[0]
-            if now - primary.submitted_at < self.steal_after_s:
+            if now - primary.submitted_at < STEAL_AFTER_S:
                 continue
             candidates = self._capacity(live, inflight,
                                         exclude=primary.node.name)

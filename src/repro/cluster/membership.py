@@ -7,8 +7,8 @@ coordinator probes each node's ``/healthz`` to decide who gets work.
 
 A node that fails a probe (or a dispatch) is marked **down** with
 exponential backoff: the first failure suspends it for
-``backoff_base_s`` seconds, each consecutive failure doubles the
-suspension up to ``backoff_max_s``, and a successful probe resets the
+:data:`BACKOFF_BASE_S` seconds, each consecutive failure doubles the
+suspension up to :data:`BACKOFF_MAX_S`, and a successful probe resets the
 counter.  Dead nodes therefore cost one cheap connect-timeout every
 backoff window instead of stalling the dispatch loop, and a restarted
 node rejoins within a single window.
@@ -32,6 +32,14 @@ DEFAULT_PORT = 8765
 #: exchange; job execution is awaited by *polling*, never blocking).
 CONNECT_TIMEOUT_S = 2.0
 READ_TIMEOUT_S = 10.0
+
+#: How often a live node is re-probed (seconds).
+PROBE_INTERVAL_S = 5.0
+
+#: The mark-down schedule: the first failure suspends a node this long,
+#: each consecutive one doubles it, up to :data:`BACKOFF_MAX_S`.
+BACKOFF_BASE_S = 0.5
+BACKOFF_MAX_S = 30.0
 
 
 def parse_cluster(spec: str | Sequence[str]) -> list[tuple[str, int]]:
@@ -101,24 +109,16 @@ class Membership:
             default builds a short-timeout :class:`ServeClient` and
             calls ``/healthz``.  Injectable for tests.
         clock: monotonic time source (injectable for tests).
-        probe_interval_s: how often a live node is re-probed.
-        backoff_base_s / backoff_max_s: the mark-down schedule.
     """
 
     def __init__(self, nodes: Sequence[tuple[str, int]],
                  probe: Callable[[Node], dict] | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 probe_interval_s: float = 5.0,
-                 backoff_base_s: float = 0.5,
-                 backoff_max_s: float = 30.0):
+                 clock: Callable[[], float] = time.monotonic):
         if not nodes:
             raise ConfigError("a cluster needs at least one node")
         self.nodes = [Node(host, port) for host, port in nodes]
         self.clock = clock
         self.probe = probe if probe is not None else self._default_probe
-        self.probe_interval_s = probe_interval_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self._metrics = _METRICS.scoped("cluster")
 
     @staticmethod
@@ -133,11 +133,11 @@ class Membership:
 
     def mark_down(self, node: Node) -> None:
         """One more consecutive failure: suspend with exponential
-        backoff (0.5s, 1s, 2s, ... capped at ``backoff_max_s``)."""
+        backoff (0.5s, 1s, 2s, ... capped at :data:`BACKOFF_MAX_S`)."""
         node.failures += 1
         node.up = False
-        delay = min(self.backoff_max_s,
-                    self.backoff_base_s * 2 ** (node.failures - 1))
+        delay = min(BACKOFF_MAX_S,
+                    BACKOFF_BASE_S * 2 ** (node.failures - 1))
         node.next_probe = self.clock() + delay
         self._metrics.counter(
             f"node.{node.metric_name}.marked_down").inc()
@@ -147,7 +147,7 @@ class Membership:
         node.up = True
         node.draining = bool((health or {}).get("status") == "draining")
         node.last_health = dict(health or {})
-        node.next_probe = self.clock() + self.probe_interval_s
+        node.next_probe = self.clock() + PROBE_INTERVAL_S
 
     # -- probing ---------------------------------------------------------
 

@@ -185,7 +185,7 @@ class ElasticityEstimator:
     """Streaming elasticity estimator over a sliding window of ẑ samples.
 
     Feed ẑ samples at a fixed cadence with :meth:`add_sample`; every
-    ``update_interval`` seconds (once the window is full) a reading
+    :attr:`update_interval` seconds (once the window is full) a reading
     falls due.  Due readings are transformed together, in one batched
     ``rfft``, the next time :attr:`readings` is read; a reading is the
     same to the bit whenever it is read.
@@ -195,31 +195,25 @@ class ElasticityEstimator:
         sample_interval: spacing of ẑ samples (seconds).
         window: FFT window length (seconds); 5 s at f_p = 5 Hz gives
             25 pulse periods per window.
-        update_interval: how often to emit a reading (seconds).
         band: comparison band (Hz) for the background estimate.
-        significance_frac: oscillations below this fraction of
-            :attr:`scale` are insignificant (see
-            :func:`_spectrum_elasticity_batch`); ignored while
-            ``scale`` is 0.  The floor is taken from ``scale`` as it
-            is when a reading falls due.
     """
+
+    #: How often to emit a reading (seconds).
+    update_interval = 0.5
+    #: Oscillations below this fraction of :attr:`scale` are
+    #: insignificant (see :func:`_spectrum_elasticity_batch`); ignored
+    #: while ``scale`` is 0.  The floor is taken from ``scale`` as it is
+    #: when a reading falls due.
+    significance_frac = 0.01
 
     def __init__(self, pulse_freq: float = 5.0,
                  sample_interval: float = 0.01, window: float = 5.0,
-                 update_interval: float = 0.5,
-                 band: tuple[float, float] = (1.0, 12.0),
-                 significance_frac: float = 0.01):
+                 band: tuple[float, float] = (1.0, 12.0)):
         if window < 4.0 / pulse_freq:
             raise ConfigError("window must cover several pulse periods")
         if sample_interval <= 0 or sample_interval > 1.0 / (2 * pulse_freq):
             raise ConfigError(
                 "sample_interval must satisfy Nyquist for the pulse")
-        if update_interval <= 0:
-            raise ConfigError(
-                f"update_interval must be positive: {update_interval}")
-        if significance_frac < 0:
-            raise ConfigError(
-                f"significance_frac must be >= 0: {significance_frac}")
         self.window_samples = int(round(window / sample_interval))
         _, comparison_bins = _comparison_bins(
             np.fft.rfftfreq(self.window_samples, d=sample_interval),
@@ -230,9 +224,7 @@ class ElasticityEstimator:
                 "the pulse's; widen band or window")
         self.pulse_freq = pulse_freq
         self.sample_interval = sample_interval
-        self.update_interval = update_interval
         self.band = band
-        self.significance_frac = significance_frac
         #: rate scale (bytes/second) for the significance floor; the
         #: owner (e.g. NimbusCca) keeps this at its capacity estimate.
         self.scale = 0.0
@@ -242,11 +234,6 @@ class ElasticityEstimator:
         # reading due since readings were last read.
         self._due: list[tuple[float, int, float]] = []
         self._readings: list[ElasticityReading] = []
-
-    @property
-    def window_values(self) -> np.ndarray:
-        """The last ``window_samples`` ẑ samples, oldest first (a copy)."""
-        return np.array(self._samples[-self.window_samples:], dtype=float)
 
     def add_sample(self, now: float, z: float) -> bool:
         """Add one ẑ sample; True when a reading falls due on it."""

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from ..analysis.stats import bootstrap_ci
 from .campaign import CampaignResult
 
+#: What "common" means: the hypothesis is supported if the upper bound
+#: of the 95% bootstrap interval on the contending fraction stays
+#: below this.
+THRESHOLD = 0.2
+
 
 @dataclass(frozen=True)
 class HypothesisEvaluation:
@@ -48,14 +53,9 @@ class HypothesisEvaluation:
         )
 
 
-def evaluate_hypothesis(campaign: CampaignResult,
-                        threshold: float = 0.2) -> HypothesisEvaluation:
-    """Judge the hypothesis on a campaign's results.
-
-    ``threshold`` encodes what "common" means: the hypothesis is
-    supported if the upper bound of the 95% bootstrap interval on the
-    contending fraction stays below it.
-    """
+def evaluate_hypothesis(campaign: CampaignResult) -> HypothesisEvaluation:
+    """Judge the hypothesis on a campaign's results, at
+    :data:`THRESHOLD`."""
     indicators = [1.0 if r.verdict.contending else 0.0
                   for r in campaign.results]
     point, lo, hi = bootstrap_ci(indicators)
@@ -64,8 +64,8 @@ def evaluate_hypothesis(campaign: CampaignResult,
         fraction_contending=point,
         ci_low=lo,
         ci_high=hi,
-        threshold=threshold,
-        supported=hi < threshold,
+        threshold=THRESHOLD,
+        supported=hi < THRESHOLD,
         detector_accuracy=quality["accuracy"],
         n_paths=len(campaign.results),
     )

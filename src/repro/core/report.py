@@ -18,32 +18,25 @@ from typing import Iterable, Mapping, Sequence
 from ..store.atomic import atomic_open
 
 
-def write_csv(path, rows: Iterable[Mapping | Sequence],
-              header: Sequence[str] | None = None) -> None:
+def write_csv(path, rows: Iterable[Mapping | Sequence]) -> None:
     """Atomically write rows (dicts or sequences) as CSV.
 
-    Dict rows take their header from the first row's keys unless
-    ``header`` is given; sequence rows require ``header``.
+    Dict rows take their header from the first row's keys; sequence
+    rows, and an empty table, are written without one.
     """
     rows = list(rows)
     path = Path(path)
     with atomic_open(path, "w", newline="") as f:
         if not rows:
-            if header:
-                csv.writer(f).writerow(header)
             return
         first = rows[0]
         if isinstance(first, Mapping):
-            fields = list(header) if header else list(first.keys())
-            writer = csv.DictWriter(f, fieldnames=fields)
+            writer = csv.DictWriter(f, fieldnames=list(first.keys()))
             writer.writeheader()
             for row in rows:
                 writer.writerow(dict(row))
         else:
-            writer = csv.writer(f)
-            if header:
-                writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(f).writerows(rows)
 
 
 def write_json(path, payload) -> None:

@@ -114,17 +114,14 @@ class CongestionEpisodes:
 BASELINE_QUANTILE = 0.1
 #: seconds above the floor that count as congested
 INFLATION_THRESHOLD = 0.005
+#: minimum sustained duration (seconds) of an episode
+MIN_EPISODE = 1.0
 
 
-def detect_congestion_episodes(times, rtts, min_episode: float = 1.0
-                               ) -> CongestionEpisodes:
+def detect_congestion_episodes(times, rtts) -> CongestionEpisodes:
     """Dhamdhere-style analysis: flag periods of inflated queueing delay
     (:data:`INFLATION_THRESHOLD` above the :data:`BASELINE_QUANTILE`
-    floor).
-
-    Args:
-        min_episode: minimum sustained duration for an episode.
-    """
+    floor) sustained for at least :data:`MIN_EPISODE` seconds."""
     t = np.asarray(times, dtype=float)
     r = np.asarray(rtts, dtype=float)
     if len(t) != len(r) or len(t) < 5:
@@ -138,10 +135,10 @@ def detect_congestion_episodes(times, rtts, min_episode: float = 1.0
         if bad and start is None:
             start = float(time)
         elif not bad and start is not None:
-            if time - start >= min_episode:
+            if time - start >= MIN_EPISODE:
                 episodes.append((start, float(time)))
             start = None
-    if start is not None and t[-1] - start >= min_episode:
+    if start is not None and t[-1] - start >= MIN_EPISODE:
         episodes.append((start, float(t[-1])))
 
     return CongestionEpisodes(

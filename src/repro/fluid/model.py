@@ -24,9 +24,9 @@ from ..units import DEFAULT_PACKET_SIZE
 from .flows import FluidFlow
 from .queue import build_bottleneck
 
-#: Default integration step (seconds): well below the shortest pulse
-#: period (200 ms at f_p = 5 Hz) and the smallest base RTT (20 ms).
-DEFAULT_DT = 0.005
+#: Integration step (seconds): well below the shortest pulse period
+#: (200 ms at f_p = 5 Hz) and the smallest base RTT (20 ms).
+DT = 0.005
 
 
 def _jitter_seed(seed: int) -> int:
@@ -44,7 +44,6 @@ class FluidModel:
         rate: bottleneck link rate (bytes/second).
         buffer_bytes: bottleneck buffer (bytes).
         qdisc: one of :data:`repro.qa.scenario.QDISC_NAMES`.
-        dt: integration step (seconds).
         ecn: bottleneck marks instead of early-dropping (RED only).
         jitter: endpoint-timing-jitter amplitude; each tick a masked
             flow's offered rate is multiplied by a seeded factor in
@@ -63,18 +62,16 @@ class FluidModel:
 
     def __init__(self, flows: list[FluidFlow], rate: float,
                  buffer_bytes: float, qdisc: str = "droptail",
-                 dt: float = DEFAULT_DT, ecn: bool = False,
+                 ecn: bool = False,
                  jitter: float = 0.0, jitter_seed: int = 0,
                  jitter_mask=None, medium=None):
         if not flows:
             raise ConfigError("fluid model needs at least one flow")
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive: {dt}")
         if jitter < 0:
             raise ConfigError(f"jitter must be >= 0: {jitter}")
         self.flows = list(flows)
         self.rate = rate
-        self.dt = dt
+        self.dt = DT
         self.bottleneck, self.effective_rate = build_bottleneck(
             qdisc, len(flows), rate, buffer_bytes, ecn=ecn,
             medium=medium)

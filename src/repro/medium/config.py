@@ -136,11 +136,9 @@ def parse_medium(value: str) -> MediumSpec | None:
                       priority="mixed" if match.group(2) else "uniform")
 
 
-def medium_names(station_counts=(2, 4, 8),
-                 with_priority: bool = True) -> tuple[str, ...]:
-    """A canonical sweep of medium axis values (used by E16 and QA)."""
-    names = [MEDIUM_DEFAULT]
-    names += [f"csma-{n}" for n in station_counts]
-    if with_priority:
-        names += [f"csma-{n}-prio" for n in station_counts]
-    return tuple(names)
+def medium_names() -> tuple[str, ...]:
+    """A canonical sweep of medium axis values: the queue, then 2, 4
+    and 8 stations without and with a priority class."""
+    counts = (2, 4, 8)
+    return (MEDIUM_DEFAULT, *(f"csma-{n}" for n in counts),
+            *(f"csma-{n}-prio" for n in counts))

@@ -9,7 +9,6 @@ the simulator substrate and the passive analysis.
 
 from __future__ import annotations
 
-from ..cca.base import CongestionControl
 from ..cca.cubic import CubicCca
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
@@ -19,32 +18,26 @@ from .schema import NdtRecord
 
 
 class NdtCollector:
-    """A simulated NDT measurement flow.
+    """A simulated NDT measurement flow: a 10 s Cubic bulk test over a
+    cable access link (NDT servers run Cubic or BBR).
 
     Args:
         sim: the simulator.
         path: path under test.
         flow_id: flow identifier.
-        duration: test length (NDT uses 10 s).
-        access_type: metadata tag carried into the record.
-        cca: transport CCA (NDT servers run Cubic or BBR).
-        rwnd_bytes: receiver window, to model receiver-limited tests.
     """
 
     #: TCPInfo snapshot cadence (seconds), NDT's
     snapshot_interval = 0.25
+    #: Test length (seconds), NDT's
+    duration = 10.0
+    #: Metadata tag carried into the record
+    access_type = "cable"
 
-    def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
-                 duration: float = 10.0, access_type: str = "cable",
-                 cca: CongestionControl | None = None,
-                 rwnd_bytes: int | None = None):
+    def __init__(self, sim: Simulator, path: PathHandles, flow_id: str):
         self.sim = sim
         self.flow_id = flow_id
-        self.duration = duration
-        self.access_type = access_type
-        self.connection = Connection(
-            sim, path, flow_id, cca if cca is not None else CubicCca(),
-            rwnd_bytes=rwnd_bytes)
+        self.connection = Connection(sim, path, flow_id, CubicCca())
         self._snapshots: list[TcpInfoSnapshot] = []
         self._path = path
 

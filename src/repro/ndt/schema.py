@@ -121,11 +121,6 @@ class NdtRecord:
             return 0.0
         return self.column("bytes_acked")[-1] / elapsed
 
-    def throughput_series(self) -> np.ndarray:
-        """Per-interval throughput (bytes/second) between snapshots: a
-        :func:`throughput_rows` batch of one."""
-        return throughput_rows([self])[0]
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:

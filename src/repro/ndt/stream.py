@@ -122,9 +122,7 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
                            chunk_size: int = DEFAULT_CHUNK_SIZE,
                            min_relative_shift: float = 0.25,
                            workers: int | None = None,
-                           store=_AUTO, resume: bool = False,
-                           policy: FaultPolicy | None = None,
-                           progress=None) -> Fig2Result:
+                           store=_AUTO, resume: bool = False) -> Fig2Result:
     """Run the §3.1 pipeline over ``n_flows`` synthetic flows, out of
     core.
 
@@ -146,9 +144,8 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
         resume: resume a prior interrupted run's manifest -- finished
             shards become cache hits, only the remainder executes, and
             shards the manifest quarantined are reported failed again
-            instead of being retried.
-        policy: fault policy for shard execution (store path only).
-        progress: optional ``fn(done, total)`` over shards.
+            instead of being retried.  Shards run under the default
+            :class:`FaultPolicy`.
     """
     if store is _AUTO:
         from ..store import active_store
@@ -159,15 +156,13 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
 
     if store is None:
         partials = parallel_map(analyse_shard, specs, workers=workers,
-                                chunk_size=1, progress=progress)
+                                chunk_size=1)
         return merge_partials(partials)
 
     run_key = stream_run_key(specs)
     cached = store.get(run_key)
     if cached is not None:
         _METRICS.counter("ndt.stream.merged_hits").inc()
-        if progress is not None:
-            progress(len(specs), len(specs))
         return cached
 
     from ..store import ResumableScheduler
@@ -176,8 +171,7 @@ def run_pipeline_streaming(n_flows: int, seed: int = 0,
     report = scheduler.run(
         analyse_shard, specs, [spec.key() for spec in specs],
         labels=[spec.shard_id for spec in specs], workers=workers,
-        policy=policy if policy is not None else FaultPolicy(),
-        progress=progress)
+        policy=FaultPolicy())
     _METRICS.counter("ndt.stream.shards_cached").inc(report.hits)
     _METRICS.counter("ndt.stream.shards_computed").inc(report.computed)
     if report.failed:

@@ -259,13 +259,6 @@ class SyntheticNdtGenerator:
         return np.random.default_rng(
             _stream_seed(self.rngs.seed, f"flow:{index}"))
 
-    def generate_record(self, index: int) -> NdtRecord:
-        """Generate the single record at position ``index``: a shard of
-        one."""
-        if index < 0:
-            raise ConfigError(f"flow index must be >= 0: {index}")
-        return self.generate_shard(index, 1).records[0]
-
     def generate_shard(self, start: int, count: int) -> NdtDataset:
         """Generate records [start, start+count) in isolation.
 

@@ -190,18 +190,13 @@ class capture:
     ...     BUS.emit(0.5, EventKind.DROP, "qdisc:q", "f1", 1500)
     >>> [(e.kind, e.flow) for e in trace.events]
     [('drop', 'f1')]
-
-    Args:
-        kinds: restrict collection to these event kinds (None = all).
     """
 
-    def __init__(self, kinds: Optional[Iterable[str]] = None):
+    def __init__(self):
         self.events: list[TraceEvent] = []
-        self._kinds = frozenset(kinds) if kinds is not None else None
 
     def _collect(self, event: TraceEvent) -> None:
-        if self._kinds is None or event.kind in self._kinds:
-            self.events.append(event)
+        self.events.append(event)
 
     def __enter__(self) -> "capture":
         BUS.subscribe(self._collect)

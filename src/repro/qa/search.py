@@ -291,7 +291,6 @@ def _pick_minimize_parent(corpus: list["SearchEntry"],
 
 
 def run_search(budget: int, seed: int = 0, workers: int | None = 1,
-               progress: Callable[[int, int], None] | None = None,
                evaluate: Callable[[list[Scenario]], list] | None = None,
                guided: bool = True, backend: str = "fluid"
                ) -> SearchReport:
@@ -304,7 +303,6 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
             ``(seed, budget, guided, backend)``.
         workers: evaluation parallelism (wall-clock only; the report
             is bit-identical for any worker count).
-        progress: called as ``progress(evaluated, budget)``.
         evaluate: batch evaluator ``fn(scenarios) -> [(outcome,
             findings), ...]`` in submission order; defaults to a local
             :class:`ParallelExecutor`.  This is the cluster seam
@@ -396,8 +394,6 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
                         scenario=scenario,
                         cell_id=cell.as_id(),
                         confidence=detector_confidence(outcome)))
-                if progress is not None:
-                    progress(report.evaluated, budget)
     return report
 
 
@@ -557,8 +553,7 @@ def diff_envelopes(baseline: dict, current: dict) -> dict:
 # -- corpus promotion ------------------------------------------------------
 
 def promote_failure(failure: SearchFailure, origin: str, created: str,
-                    directory=DEFAULT_CORPUS_DIR,
-                    max_runs: int = 80) -> tuple[CorpusCase, int]:
+                    directory=DEFAULT_CORPUS_DIR) -> tuple[CorpusCase, int]:
     """Shrink one failure and commit it to the corpus.
 
     Reproduced failures are shrunk on the packet backend (the corpus
@@ -569,7 +564,7 @@ def promote_failure(failure: SearchFailure, origin: str, created: str,
     oracle = _ORACLES_BY_NAME[failure.oracle]
     scenario = (dataclasses.replace(failure.scenario, backend="packet")
                 if failure.reproduced else failure.scenario)
-    result = shrink(scenario, oracle, run_scenario, max_runs=max_runs)
+    result = shrink(scenario, oracle, run_scenario)
     if result.steps:
         origin += f" (shrunk, {result.runs} runs)"
     case = case_for(result.scenario, oracle=failure.oracle,

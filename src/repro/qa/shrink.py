@@ -98,24 +98,28 @@ def _still_fails(scenario: Scenario, oracle: Oracle,
     return bool(oracle.check(scenario, outcome, runner))
 
 
-def shrink(scenario: Scenario, oracle: Oracle, runner: Runner,
-           max_runs: int = 80) -> ShrinkResult:
-    """Minimize ``scenario`` while ``oracle`` keeps failing on it.
+#: Bound on simulator invocations during one :func:`shrink`.
+MAX_RUNS = 80
+
+
+def shrink(scenario: Scenario, oracle: Oracle,
+           runner: Runner) -> ShrinkResult:
+    """Minimize ``scenario`` while ``oracle`` keeps failing on it, in at
+    most :data:`MAX_RUNS` runs.
 
     Args:
         scenario: a scenario known to fail ``oracle``.
         oracle: the oracle whose failure must be preserved.
         runner: executes candidate scenarios (``run_scenario``).
-        max_runs: bound on simulator invocations during the search.
     """
     current = scenario
     runs = 0
     steps: list[str] = []
     improved = True
-    while improved and runs < max_runs:
+    while improved and runs < MAX_RUNS:
         improved = False
         for description, candidate in _candidates(current):
-            if runs >= max_runs:
+            if runs >= MAX_RUNS:
                 break
             runs += 1
             if _still_fails(candidate, oracle, runner):

@@ -38,6 +38,8 @@ class Qdisc(abc.ABC):
     def __init__(self):
         self.drops = 0
         self.dropped_bytes = 0
+        # No packet qdisc marks ECN (DESIGN.md §7, deviation 5); the
+        # count stays 0 and keeps its place in scenario outcomes.
         self.marks = 0
         self.enqueued = 0
         self.dequeued = 0
@@ -92,12 +94,6 @@ class Qdisc(abc.ABC):
                       _ENQUEUED_DROP_META if enqueued else None)
         if self.on_drop is not None:
             self.on_drop(packet, now)
-
-    def _record_mark(self, packet: Packet, now: float) -> None:
-        self.marks += 1
-        if _OBS.enabled:
-            _OBS.emit(now, EventKind.MARK, self.obs_name, packet.flow_id,
-                      packet.size)
 
     def _record_enqueue(self, packet: Packet, now: float) -> None:
         self.enqueued += 1

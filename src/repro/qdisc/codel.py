@@ -12,7 +12,6 @@ import math
 from collections import deque
 from typing import Optional
 
-from ..errors import ConfigError
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,19 +23,17 @@ class CoDelQueue(Qdisc):
     """CoDel with a hard packet limit.
 
     Args:
-        target: acceptable standing queue delay (seconds), default 5 ms.
-        interval: sliding window over which the minimum sojourn time must
-            exceed ``target`` before dropping starts, default 100 ms.
         limit_packets: hard tail-drop limit.
     """
 
-    def __init__(self, target: float = 0.005, interval: float = 0.100,
-                 limit_packets: int = 1000):
+    #: Acceptable standing queue delay (seconds).
+    target = 0.005
+    #: Sliding window (seconds) over which the minimum sojourn time must
+    #: exceed ``target`` before dropping starts.
+    interval = 0.100
+
+    def __init__(self, limit_packets: int = 1000):
         super().__init__()
-        if target <= 0 or interval <= 0:
-            raise ConfigError("target and interval must be positive")
-        self.target = target
-        self.interval = interval
         self.limit_packets = limit_packets
         self._queue: deque[Packet] = deque()
         self._bytes = 0

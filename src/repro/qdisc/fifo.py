@@ -19,36 +19,23 @@ from .base import Qdisc
 
 
 class DropTailQueue(Qdisc):
-    """Tail-drop FIFO with packet and/or byte limits.
+    """Tail-drop FIFO with a packet limit.
 
     Args:
-        limit_packets: maximum queued packets (None = unlimited).
-        limit_bytes: maximum queued bytes (None = unlimited).
-
-    At least one limit must be set: an unbounded bottleneck queue makes
-    loss-based CCAs fill memory forever.
+        limit_packets: maximum queued packets.  There is no unbounded
+            queue: it would let loss-based CCAs fill memory forever.
     """
 
-    def __init__(self, limit_packets: int | None = None,
-                 limit_bytes: int | None = None):
+    def __init__(self, limit_packets: int):
         super().__init__()
-        if limit_packets is None and limit_bytes is None:
-            raise ConfigError("DropTailQueue needs a packet or byte limit")
-        if limit_packets is not None and limit_packets <= 0:
+        if limit_packets <= 0:
             raise ConfigError(f"limit_packets must be positive: {limit_packets}")
-        if limit_bytes is not None and limit_bytes <= 0:
-            raise ConfigError(f"limit_bytes must be positive: {limit_bytes}")
         self.limit_packets = limit_packets
-        self.limit_bytes = limit_bytes
         self._queue: deque[Packet] = deque()
         self._bytes = 0
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        if self.limit_packets is not None and len(self._queue) >= self.limit_packets:
-            self._record_drop(packet, now)
-            return False
-        if (self.limit_bytes is not None
-                and self._bytes + packet.size > self.limit_bytes):
+        if len(self._queue) >= self.limit_packets:
             self._record_drop(packet, now)
             return False
         packet.enqueue_time = now

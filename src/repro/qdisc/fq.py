@@ -47,18 +47,19 @@ class DrrFairQueue(Qdisc):
 
     Args:
         limit_packets: total packet budget across all sub-queues.
-        quantum: bytes added to a sub-queue's deficit per round; one MTU
-            gives byte-accurate fairness for MTU-sized packets.
         classify: maps a packet to its sub-queue key (flow or user).
     """
 
-    def __init__(self, limit_packets: int = 1000, quantum: int = 1514,
+    #: Bytes added to a sub-queue's deficit per round; one MTU gives
+    #: byte-accurate fairness for MTU-sized packets.
+    quantum = 1514
+
+    def __init__(self, limit_packets: int = 1000,
                  classify: Callable[[Packet], str] = by_flow):
         super().__init__()
-        if limit_packets <= 0 or quantum <= 0:
-            raise ConfigError("limit_packets and quantum must be positive")
+        if limit_packets <= 0:
+            raise ConfigError("limit_packets must be positive")
         self.limit_packets = limit_packets
-        self.quantum = quantum
         self.classify = classify
         self._subqueues: "OrderedDict[str, _SubQueue]" = OrderedDict()
         self._active: deque[str] = deque()
@@ -143,8 +144,3 @@ class DrrFairQueue(Qdisc):
     @property
     def byte_length(self) -> int:
         return self._total_bytes
-
-    @property
-    def active_queues(self) -> int:
-        """Number of sub-queues with packets waiting."""
-        return len(self._subqueues)

@@ -24,23 +24,26 @@ if TYPE_CHECKING:
 from .base import Qdisc
 
 
-class HtbClass:
-    """One leaf class: a token bucket pair (assured rate and ceiling)."""
+#: Depth (bytes) of every class's buckets: ten MTUs.
+BURST = 15140
 
-    __slots__ = ("name", "rate", "ceil", "burst", "tokens", "ctokens",
+
+class HtbClass:
+    """One leaf class: a token bucket pair (assured rate and ceiling),
+    each :data:`BURST` bytes deep."""
+
+    __slots__ = ("name", "rate", "ceil", "tokens", "ctokens",
                  "last_update", "packets", "bytes")
 
-    def __init__(self, name: str, rate: float, ceil: float,
-                 burst: int = 15140):
+    def __init__(self, name: str, rate: float, ceil: float):
         if rate <= 0 or ceil < rate:
             raise ConfigError(
                 f"class {name!r}: need 0 < rate <= ceil, got {rate}, {ceil}")
         self.name = name
         self.rate = rate
         self.ceil = ceil
-        self.burst = burst
-        self.tokens = float(burst)
-        self.ctokens = float(burst)
+        self.tokens = float(BURST)
+        self.ctokens = float(BURST)
         self.last_update = 0.0
         self.packets: deque[Packet] = deque()
         self.bytes = 0
@@ -48,8 +51,8 @@ class HtbClass:
     def refill(self, now: float) -> None:
         elapsed = max(0.0, now - self.last_update)
         self.last_update = now
-        self.tokens = min(float(self.burst), self.tokens + elapsed * self.rate)
-        self.ctokens = min(float(self.burst), self.ctokens + elapsed * self.ceil)
+        self.tokens = min(float(BURST), self.tokens + elapsed * self.rate)
+        self.ctokens = min(float(BURST), self.ctokens + elapsed * self.ceil)
 
 
 class HtbQueue(Qdisc):
@@ -111,7 +114,7 @@ class HtbQueue(Qdisc):
                 return None
         cls.packets.popleft()
         cls.bytes -= head.size
-        cls.tokens = max(cls.tokens - head.size, -float(cls.burst))
+        cls.tokens = max(cls.tokens - head.size, -float(BURST))
         cls.ctokens -= head.size
         self._total_packets -= 1
         self._total_bytes -= head.size

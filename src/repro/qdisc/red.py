@@ -1,10 +1,12 @@
-"""Random Early Detection (RED) with optional ECN marking.
+"""Random Early Detection (RED).
 
 Implements the classic Floyd/Jacobson gentle-RED variant: the average
-queue size is an EWMA over instantaneous occupancy (with idle-time
-compensation), and the drop/mark probability ramps linearly from 0 at
-``min_thresh`` to ``max_p`` at ``max_thresh``, then to 1 at
-``2 * max_thresh``.
+queue size is an EWMA over instantaneous occupancy, and the drop
+probability ramps linearly from 0 at ``min_thresh`` to ``max_p`` at
+``max_thresh``, then to 1 at ``2 * max_thresh``.  RED drops; it never
+marks ECN.  An arrival to an empty queue decays the average by one
+EWMA step, however long the queue was idle (RED's idle-time
+compensation needs the link rate, which no caller gives it).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..units import DEFAULT_PACKET_SIZE
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -29,53 +30,32 @@ class RedQueue(Qdisc):
     Args:
         min_thresh / max_thresh: EWMA-occupancy thresholds (packets).
         limit_packets: hard tail-drop limit.
-        max_p: drop probability at ``max_thresh``.
-        weight: EWMA weight for the average queue size.
-        ecn: mark ECN-capable packets instead of dropping them (drops
-            still happen above the hard limit or for non-ECN packets).
         seed: seed for the internal drop-decision RNG.
     """
 
+    #: Drop probability at ``max_thresh``.
+    max_p = 0.1
+    #: EWMA weight for the average queue size.
+    weight = 0.002
+
     def __init__(self, min_thresh: float, max_thresh: float,
-                 limit_packets: int, max_p: float = 0.1,
-                 weight: float = 0.002, ecn: bool = False, seed: int = 0):
+                 limit_packets: int, seed: int = 0):
         super().__init__()
         if not 0 < min_thresh < max_thresh <= limit_packets:
             raise ConfigError(
                 "need 0 < min_thresh < max_thresh <= limit_packets, got "
                 f"{min_thresh}, {max_thresh}, {limit_packets}")
-        if not 0 < max_p <= 1:
-            raise ConfigError(f"max_p must be in (0, 1]: {max_p}")
         self.min_thresh = min_thresh
         self.max_thresh = max_thresh
         self.limit_packets = limit_packets
-        self.max_p = max_p
-        self.weight = weight
-        self.ecn = ecn
         self._rng = np.random.default_rng(seed)
         self._queue: deque[Packet] = deque()
         self._bytes = 0
         self._avg = 0.0
         self._count_since_mark = -1
-        self._idle_since: float | None = 0.0
-        self._service_rate_hint = 0.0
 
-    def set_service_rate_hint(self, rate_bytes_per_s: float) -> None:
-        """Tell RED the link rate so idle periods decay the average."""
-        self._service_rate_hint = rate_bytes_per_s
-
-    def _update_average(self, now: float) -> None:
-        if self._queue:
-            self._avg += self.weight * (len(self._queue) - self._avg)
-            return
-        # Queue idle: decay the average by the number of packets the link
-        # could have sent while idle (standard RED idle adjustment).
-        if self._idle_since is not None and self._service_rate_hint > 0:
-            idle = max(0.0, now - self._idle_since)
-            virtual = idle * self._service_rate_hint / DEFAULT_PACKET_SIZE
-            self._avg *= (1.0 - self.weight) ** virtual
-        else:
-            self._avg += self.weight * (0.0 - self._avg)
+    def _update_average(self) -> None:
+        self._avg += self.weight * (len(self._queue) - self._avg)
 
     def _drop_probability(self) -> float:
         if self._avg < self.min_thresh:
@@ -90,8 +70,7 @@ class RedQueue(Qdisc):
         return 1.0
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        self._update_average(now)
-        self._idle_since = None
+        self._update_average()
         if len(self._queue) >= self.limit_packets:
             self._count_since_mark = -1
             self._record_drop(packet, now)
@@ -113,12 +92,8 @@ class RedQueue(Qdisc):
 
         if should_act:
             self._count_since_mark = -1
-            if self.ecn and packet.ecn_capable:
-                packet.ecn_marked = True
-                self._record_mark(packet, now)
-            else:
-                self._record_drop(packet, now)
-                return False
+            self._record_drop(packet, now)
+            return False
 
         packet.enqueue_time = now
         self._queue.append(packet)
@@ -131,8 +106,6 @@ class RedQueue(Qdisc):
             return None
         packet = self._queue.popleft()
         self._bytes -= packet.size
-        if not self._queue:
-            self._idle_since = now
         self._record_dequeue(packet, now)
         return packet
 
@@ -142,8 +115,3 @@ class RedQueue(Qdisc):
     @property
     def byte_length(self) -> int:
         return self._bytes
-
-    @property
-    def average_queue(self) -> float:
-        """Current EWMA queue estimate (packets)."""
-        return self._avg

@@ -31,29 +31,24 @@ class TokenBucketFilter(Qdisc):
         burst: bucket depth (bytes); must hold at least one MTU or the
             largest packet would starve forever.
         child: inner queue holding packets awaiting tokens.
-        peak_rate: optional second bucket limiting how fast a burst can
-            drain (classic TBF peakrate); None = line rate.
+
+    A burst drains at line rate: there is no peak-rate bucket.
     """
 
     MTU = 1514
 
     def __init__(self, rate: float, burst: int,
-                 child: Qdisc | None = None,
-                 peak_rate: float | None = None):
+                 child: Qdisc | None = None):
         super().__init__()
         if rate <= 0:
             raise ConfigError(f"rate must be positive: {rate}")
         if burst < self.MTU:
             raise ConfigError(f"burst must hold at least one MTU: {burst}")
-        if peak_rate is not None and peak_rate < rate:
-            raise ConfigError("peak_rate must be >= rate")
         self.rate = rate
         self.burst = burst
-        self.peak_rate = peak_rate
         self.child = child if child is not None else DropTailQueue(
             limit_packets=1000)
         self._tokens = float(burst)
-        self._peak_tokens = float(self.MTU)
         self._last_update = 0.0
         #: head-of-line packet pulled from the child but awaiting tokens
         self._stash: Optional[Packet] = None
@@ -63,13 +58,6 @@ class TokenBucketFilter(Qdisc):
         self._last_update = now
         self._tokens = min(float(self.burst),
                            self._tokens + elapsed * self.rate)
-        if self.peak_rate is not None:
-            self._peak_tokens = min(
-                float(self.MTU), self._peak_tokens + elapsed * self.peak_rate)
-
-    def _affordable(self, size: int) -> bool:
-        return self._tokens >= size and (
-            self.peak_rate is None or self._peak_tokens >= size)
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         accepted = self.child.enqueue(packet, now)
@@ -90,12 +78,10 @@ class TokenBucketFilter(Qdisc):
             self._stash = None
         if head is None:
             return None
-        if not self._affordable(head.size):
+        if self._tokens < head.size:
             self._stash = head
             return None
         self._tokens -= head.size
-        if self.peak_rate is not None:
-            self._peak_tokens -= head.size
         self._record_dequeue(head, now)
         return head
 
@@ -114,9 +100,6 @@ class TokenBucketFilter(Qdisc):
         self._refill(now)
         deficit = max(0.0, need - self._tokens)
         wait = deficit / self.rate
-        if self.peak_rate is not None:
-            peak_deficit = max(0.0, need - self._peak_tokens)
-            wait = max(wait, peak_deficit / self.peak_rate)
         # Floor the wait: float rounding can leave the bucket a hair
         # short of affordable, and a zero-delay retry would spin the
         # link's poll loop at sub-nanosecond timestamps forever.

@@ -258,11 +258,3 @@ class ServeClient:
                     yield json.loads(line.decode())
         finally:
             conn.close()
-
-    def submit_and_wait(self, kind: str, params: Mapping | None = None,
-                        timeout: float = 300.0) -> dict:
-        """Submit, then wait; cached submissions return immediately."""
-        job = self.submit(kind, params)
-        if job.get("disposition") == "cached":
-            return job
-        return self.wait(job["id"], timeout=timeout)

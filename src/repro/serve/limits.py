@@ -74,20 +74,18 @@ class ClientRateLimiter:
             disables limiting entirely.
         burst: bucket capacity (back-to-back admissions a fresh or
             idle client gets before pacing kicks in).
-        max_clients: LRU bound on tracked identities.
         clock: monotonic time source (injectable for tests).
     """
 
+    #: LRU bound on tracked identities.
+    max_clients = 1024
+
     def __init__(self, rate: float = 2.0, burst: float = 10.0,
-                 max_clients: int = 1024,
                  clock: Callable[[], float] = time.monotonic):
         if rate > 0 and burst < 1.0:
             raise ConfigError(f"burst must be >= 1: {burst}")
-        if max_clients < 1:
-            raise ConfigError(f"max_clients must be >= 1: {max_clients}")
         self.rate = rate
         self.burst = burst
-        self.max_clients = max_clients
         self._clock = clock
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
 

@@ -448,14 +448,15 @@ class ServerThread:
     SIGTERM.  Usable as a context manager.
     """
 
+    #: How long (seconds) a stop's drain waits for in-flight jobs.
+    drain_grace_s = 10.0
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 limiter: ClientRateLimiter | None = None,
-                 drain_grace_s: float = 10.0, **manager_kwargs):
+                 limiter: ClientRateLimiter | None = None, **manager_kwargs):
         self.manager = JobManager(**manager_kwargs)
         self._host = host
         self._port = port
         self._limiter = limiter
-        self._drain_grace_s = drain_grace_s
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -477,7 +478,7 @@ class ServerThread:
             self.server = ReproServer(
                 self.manager, host=self._host, port=self._port,
                 limiter=self._limiter,
-                drain_grace_s=self._drain_grace_s)
+                drain_grace_s=self.drain_grace_s)
             await self.server.start()
             self._loop = asyncio.get_running_loop()
         except BaseException as exc:

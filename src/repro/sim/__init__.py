@@ -7,14 +7,14 @@ topology builders (:mod:`network`).
 """
 
 from .engine import Event, Simulator
-from .link import Link, LossBox, TraceLink
+from .link import Link, TraceLink
 from .network import PathHandles, dumbbell, trace_dumbbell
 from .node import CountingSink, Host
-from .packet import Packet, PacketKind, make_ack, make_data
+from .packet import Packet, PacketKind, make_ack
 from .rng import RngRegistry
 
 __all__ = [
-    "Simulator", "Event", "Packet", "PacketKind", "make_ack", "make_data",
-    "Link", "LossBox", "TraceLink", "Host", "CountingSink",
+    "Simulator", "Event", "Packet", "PacketKind", "make_ack",
+    "Link", "TraceLink", "Host", "CountingSink",
     "PathHandles", "dumbbell", "trace_dumbbell", "RngRegistry",
 ]

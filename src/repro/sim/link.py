@@ -68,7 +68,6 @@ class _Egress:
         self.name = name
         self._taps: list[Tap] = []
         self._pipe: deque[Packet] = deque()
-        self._delivered_packets = 0
         self._per_flow_bytes: dict[str, int] = {}
 
     def _settle(self) -> None:
@@ -77,12 +76,6 @@ class _Egress:
     def add_tap(self, tap: Tap) -> None:
         """Register an observer called as ``tap(packet, now)`` on delivery."""
         self._taps.append(tap)
-
-    @property
-    def delivered_packets(self) -> int:
-        """Packets whose transmission has ended."""
-        self._settle()
-        return self._delivered_packets
 
     @property
     def delivered_bytes(self) -> int:
@@ -99,7 +92,6 @@ class _Egress:
         """A transmission ended at ``now``: count it and show the taps."""
         size = packet.size
         flow = packet.flow_id
-        self._delivered_packets += 1
         per_flow = self._per_flow_bytes
         per_flow[flow] = per_flow.get(flow, 0) + size
         if _OBS.enabled:
@@ -164,13 +156,6 @@ class Link(_Egress):
         """Current transmission rate (bytes/second)."""
         return self._rate
 
-    def set_rate(self, rate: float) -> None:
-        """Change the link rate; takes effect at the next transmission."""
-        if rate <= 0:
-            raise ConfigError(f"link rate must be positive: {rate}")
-        self._settle()
-        self._rate = float(rate)
-
     # -- data path ---------------------------------------------------------
 
     def send(self, packet: Packet) -> None:
@@ -234,7 +219,6 @@ class Link(_Egress):
                 # _account, written out: this runs once per packet.
                 size = packet.size
                 flow = packet.flow_id
-                self._delivered_packets += 1
                 per_flow = self._per_flow_bytes
                 per_flow[flow] = per_flow.get(flow, 0) + size
                 if _OBS.enabled:
@@ -306,30 +290,6 @@ class Link(_Egress):
     def queue_delay(self) -> float:
         """Instantaneous queueing delay at the current rate (seconds)."""
         return self.qdisc.byte_length / self._rate
-
-
-class LossBox:
-    """Independent random loss (Mahimahi ``mm-loss``)."""
-
-    name = "loss"
-
-    def __init__(self, sim: Simulator, loss_rate: float,
-                 sink: Optional[PacketSink] = None, seed: int = 0):
-        if not 0 <= loss_rate < 1:
-            raise ConfigError(f"loss_rate must be in [0, 1): {loss_rate}")
-        import numpy as np
-        self.sim = sim
-        self.loss_rate = loss_rate
-        self.sink = sink
-        self.dropped = 0
-        self._rng = np.random.default_rng(seed)
-
-    def send(self, packet: Packet) -> None:
-        if self._rng.random() < self.loss_rate:
-            self.dropped += 1
-            return
-        if self.sink is not None:
-            self.sink.send(packet)
 
 
 class TraceLink(_Egress):

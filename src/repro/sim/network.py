@@ -22,7 +22,7 @@ from ..qdisc.base import Qdisc
 from ..qdisc.fifo import DropTailQueue
 from ..units import bdp_packets
 from .engine import Simulator
-from .link import Link, LossBox, TraceLink
+from .link import Link, TraceLink
 from .node import Host
 
 
@@ -77,12 +77,10 @@ def _ends(sim: Simulator, rtt: float, reverse_rate_bps: float):
 
 def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
              qdisc: Optional[Qdisc] = None,
-             buffer_multiplier: float = 1.0,
-             loss_rate: float = 0.0, seed: int = 0) -> PathHandles:
+             buffer_multiplier: float = 1.0) -> PathHandles:
     """Build a single-bottleneck dumbbell.
 
-    Forward path: entry -> bottleneck(rate, qdisc, delay rtt/2)
-    [-> loss] -> dst.
+    Forward path: entry -> bottleneck(rate, qdisc, delay rtt/2) -> dst.
     Reverse path: reverse_entry -> fast link(delay rtt/2) -> src.
 
     Args:
@@ -90,17 +88,12 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
         rtt: two-way propagation delay, seconds.
         qdisc: bottleneck queue (default: 1xBDP DropTail).
         buffer_multiplier: BDP multiple for the default queue size.
-        loss_rate: optional random loss on the forward path.
     """
     src, dst, reverse = _ends(sim, rtt, rate_bps * REVERSE_RATE_FACTOR)
     if qdisc is None:
         qdisc = DropTailQueue(limit_packets=default_buffer_packets(
             rate_bps, rtt, buffer_multiplier))
-    sink = dst
-    if loss_rate > 0:
-        # Loss draws in packet order, before or after propagation alike.
-        sink = LossBox(sim, loss_rate, sink=dst, seed=seed)
-    bottleneck = Link(sim, rate_bps, sink=sink, qdisc=qdisc,
+    bottleneck = Link(sim, rate_bps, sink=dst, qdisc=qdisc,
                       name="bottleneck", delay=rtt / 2.0)
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,

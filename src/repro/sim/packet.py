@@ -13,7 +13,7 @@ import enum
 import itertools
 from typing import Optional
 
-from ..units import ACK_SIZE, DEFAULT_PACKET_SIZE, HEADER_BYTES
+from ..units import ACK_SIZE, DEFAULT_PACKET_SIZE
 
 
 class PacketKind(enum.Enum):
@@ -96,15 +96,6 @@ class Packet:
         else:
             detail = f"ack={self.ack}"
         return f"<Packet {self.flow_id} {self.kind.value} {detail} {self.size}B>"
-
-
-def make_data(flow_id: str, seq: int, payload: int,
-              size: int | None = None, user_id: str = "",
-              ecn_capable: bool = False) -> Packet:
-    """Build a DATA packet carrying ``payload`` bytes starting at ``seq``."""
-    wire = size if size is not None else payload + HEADER_BYTES
-    return Packet(flow_id, PacketKind.DATA, wire, seq, seq + payload,
-                  0, user_id, ecn_capable)
 
 
 def make_ack(flow_id: str, ack: int) -> Packet:

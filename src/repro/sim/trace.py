@@ -2,15 +2,13 @@
 
 Mahimahi traces are text files with one integer millisecond timestamp
 per line; each line is an opportunity to deliver one MTU-sized packet.
-We parse that format and synthesize traces for constant rates, periodic
-variation, and random-walk cellular-style links.
+We parse that format and synthesize traces for constant rates and
+random-walk cellular-style links.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
-
 import numpy as np
 
 from ..errors import TraceFormatError
@@ -46,49 +44,18 @@ def parse_trace(text: str) -> list[float]:
     return timestamps
 
 
-def load_trace(path: str | Path) -> list[float]:
-    """Load a Mahimahi trace file."""
-    return parse_trace(Path(path).read_text())
+def constant_rate_trace(rate_mbps: float) -> list[float]:
+    """Opportunities for a constant ``rate_mbps`` link over a one-second
+    period.
 
-
-def format_trace(opportunities_ms: list[float]) -> str:
-    """Render opportunity timestamps back into Mahimahi's text format."""
-    return "\n".join(str(int(round(t))) for t in opportunities_ms) + "\n"
-
-
-def constant_rate_trace(rate_mbps: float, duration_ms: int = 1000) -> list[float]:
-    """Opportunities for a constant ``rate_mbps`` link over one period.
-
-    >>> len(constant_rate_trace(12.112, 1000))  # 1 opportunity per ms
+    >>> len(constant_rate_trace(12.112))  # 1 opportunity per ms
     1000
     """
     if rate_mbps <= 0:
         raise TraceFormatError(f"rate must be positive: {rate_mbps}")
-    opportunities = mbps(rate_mbps) * (duration_ms / 1000.0) / OPPORTUNITY_BYTES
-    count = max(1, int(round(opportunities)))
-    step = duration_ms / count
+    count = max(1, int(round(mbps(rate_mbps) / OPPORTUNITY_BYTES)))
+    step = 1000.0 / count
     return [round((i + 1) * step, 3) for i in range(count)]
-
-
-def periodic_rate_trace(low_mbps: float, high_mbps: float,
-                        period_ms: int = 2000,
-                        duration_ms: int = 4000) -> list[float]:
-    """A square-wave trace alternating between two rates."""
-    if low_mbps <= 0 or high_mbps <= 0:
-        raise TraceFormatError("rates must be positive")
-    out: list[float] = []
-    t = 0.0
-    toggle_high = True
-    while t < duration_ms:
-        rate = high_mbps if toggle_high else low_mbps
-        seg_end = min(t + period_ms / 2.0, duration_ms)
-        per_ms = mbps(rate) / 1000.0 / OPPORTUNITY_BYTES
-        n = max(1, int(round((seg_end - t) * per_ms)))
-        step = (seg_end - t) / n
-        out.extend(round(t + (i + 1) * step, 3) for i in range(n))
-        t = seg_end
-        toggle_high = not toggle_high
-    return out
 
 
 #: Milliseconds between the knots of :func:`cellular_trace`'s walk.

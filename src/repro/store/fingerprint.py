@@ -89,16 +89,13 @@ def canonical_json(obj) -> str:
                       separators=(",", ":"), allow_nan=False)
 
 
-def fingerprint(payload, kind: str = "generic",
-                salt: str | None = None) -> str:
-    """SHA-256 hex digest of ``payload`` under the code-version salt.
+def fingerprint(payload, kind: str = "generic") -> str:
+    """SHA-256 hex digest of ``payload`` salted with :data:`CODE_VERSION`.
 
     Args:
         payload: any canonicalizable config value.
         kind: a namespace string ("path", "sweep", "experiment", ...)
             so configs of different task types can never collide.
-        salt: override of :data:`CODE_VERSION` (tests; forced
-            invalidation).
 
     >>> fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
     True
@@ -107,8 +104,7 @@ def fingerprint(payload, kind: str = "generic",
     >>> fingerprint(1, kind="x") == fingerprint(1, kind="y")
     False
     """
-    material = (f"{salt if salt is not None else CODE_VERSION}\x00"
-                f"{kind}\x00{canonical_json(payload)}")
+    material = f"{CODE_VERSION}\x00{kind}\x00{canonical_json(payload)}"
     return hashlib.sha256(material.encode()).hexdigest()
 
 

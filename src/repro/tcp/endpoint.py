@@ -175,11 +175,6 @@ class TcpSender:
         return self.snd_nxt - self.snd_una
 
     @property
-    def pipe_bytes(self) -> int:
-        """RFC 6675 pipe: bytes estimated to still be in the network."""
-        return self._pipe_bytes
-
-    @property
     def in_recovery(self) -> bool:
         return self._in_recovery
 
@@ -578,14 +573,13 @@ class TcpSender:
 
 
 class TcpReceiver:
-    """Stream reassembly, receive-window advertisement, and ACK generation.
+    """Stream reassembly and ACK generation.  The receive window is
+    unlimited: no ACK advertises one.
 
     Args:
         sim: the simulator.
         flow_id: flow identifier.
         transmit: callable injecting ACKs into the reverse path.
-        rwnd_bytes: advertised receive window (None = unlimited); a
-            small fixed window models receiver-limited flows.
         on_data: optional ``fn(new_bytes, now)`` delivery callback fired
             as in-order data arrives.
         jitter: optional :class:`~repro.sim.jitter.TimingJitter`
@@ -595,13 +589,11 @@ class TcpReceiver:
 
     def __init__(self, sim: Simulator, flow_id: str,
                  transmit: Callable[[Packet], None],
-                 rwnd_bytes: int | None = None,
                  on_data: Optional[Callable[[int, float], None]] = None,
                  user_id: str = "", jitter=None):
         self.sim = sim
         self.flow_id = flow_id
         self.transmit = transmit
-        self.rwnd_bytes = rwnd_bytes
         self.on_data = on_data
         self.user_id = user_id or flow_id
         self.jitter = jitter
@@ -640,8 +632,6 @@ class TcpReceiver:
             ack.ack_of_sent_time = packet.sent_time
         if self._ooo:
             ack.sack_blocks = tuple(self._ooo[-MAX_SACK_BLOCKS:])
-        if self.rwnd_bytes is not None:
-            ack.rwnd = self.rcv_nxt + self.rwnd_bytes
         if packet.ecn_marked:
             ack.ecn_echo = True
         if self.jitter is not None:
@@ -673,7 +663,7 @@ class Connection:
 
     def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
                  cca: CongestionControl, mss: int = DEFAULT_MSS,
-                 rwnd_bytes: int | None = None, user_id: str = "",
+                 user_id: str = "",
                  on_data: Optional[Callable[[int, float], None]] = None,
                  ecn: bool = False, jitter=None):
         self.flow_id = flow_id
@@ -682,7 +672,7 @@ class Connection:
             user_id=user_id, ecn=ecn, jitter=jitter)
         self.receiver = TcpReceiver(
             sim, flow_id, transmit=path.reverse_entry.send,
-            rwnd_bytes=rwnd_bytes, on_data=on_data, user_id=user_id,
+            on_data=on_data, user_id=user_id,
             jitter=jitter)
         path.dst_host.attach(flow_id, self.receiver.on_packet)
         path.src_host.attach(flow_id, self.sender.on_packet)

@@ -6,30 +6,24 @@ from ..errors import ConfigError
 
 
 class RttEstimator:
-    """Jacobson/Karels smoothed RTT with RFC 6298 RTO computation.
-
-    Args:
-        min_rto: lower clamp on the RTO (Linux uses 200 ms).
-        max_rto: upper clamp on the RTO.
-        initial_rto: RTO before the first RTT sample (RFC 6298: 1 s).
-    """
+    """Jacobson/Karels smoothed RTT with RFC 6298 RTO computation."""
 
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
     K = 4.0
+    #: Lower clamp on the RTO (Linux uses 200 ms).
+    MIN_RTO = 0.2
+    #: Upper clamp on the RTO.
+    MAX_RTO = 60.0
 
-    def __init__(self, min_rto: float = 0.2, max_rto: float = 60.0,
-                 initial_rto: float = 1.0):
-        if not 0 < min_rto <= max_rto:
-            raise ConfigError("need 0 < min_rto <= max_rto")
-        self.min_rto = min_rto
-        self.max_rto = max_rto
+    def __init__(self):
         self.srtt: float | None = None
         self.rttvar: float | None = None
         self.min_rtt: float | None = None
         self.latest_rtt: float | None = None
-        #: current retransmission timeout (seconds)
-        self.rto = initial_rto
+        #: current retransmission timeout (seconds); RFC 6298's 1 s
+        #: before the first RTT sample
+        self.rto = 1.0
         self.samples = 0
 
     def update(self, rtt: float) -> None:
@@ -49,8 +43,8 @@ class RttEstimator:
                            + self.BETA * abs(self.srtt - rtt))
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
         raw = self.srtt + self.K * self.rttvar
-        self.rto = min(max(raw, self.min_rto), self.max_rto)
+        self.rto = min(max(raw, self.MIN_RTO), self.MAX_RTO)
 
     def backoff(self) -> None:
         """Exponential RTO backoff after a timeout fires."""
-        self.rto = min(self.rto * 2.0, self.max_rto)
+        self.rto = min(self.rto * 2.0, self.MAX_RTO)

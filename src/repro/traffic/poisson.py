@@ -42,13 +42,6 @@ class FlowRecord:
     start_time: float
     completion_time: float | None = None
 
-    @property
-    def fct(self) -> float | None:
-        """Flow completion time (None while in flight)."""
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.start_time
-
 
 class PoissonShortFlows(TrafficSource):
     """Open-loop short-flow workload.
@@ -127,14 +120,3 @@ class PoissonShortFlows(TrafficSource):
     @property
     def delivered_bytes(self) -> int:
         return self._delivered
-
-    @property
-    def completed_flows(self) -> list[FlowRecord]:
-        return [r for r in self.records if r.completion_time is not None]
-
-    def offered_load(self) -> float:
-        """Long-run offered load in bytes/second (rate x mean size)."""
-        if not self.records:
-            return 0.0
-        mean = sum(r.size for r in self.records) / len(self.records)
-        return self.arrival_rate * mean

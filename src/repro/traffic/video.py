@@ -18,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cca.cubic import CubicCca
-from ..errors import ConfigError
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
 from ..tcp.endpoint import Connection
-from ..units import mbps, ordered_sum
+from ..units import mbps
 from .base import TrafficSource
 
 #: A Netflix/YouTube-style bitrate ladder, in Mbit/s.
-DEFAULT_LADDER_MBPS = (0.6, 1.5, 3.0, 4.5, 8.0, 16.0)
+LADDER_MBPS = (0.6, 1.5, 3.0, 4.5, 8.0, 16.0)
 
 
 @dataclass
@@ -38,12 +37,6 @@ class VideoStats:
     stall_time: float = 0.0
     bitrate_history: list[float] = field(default_factory=list)
 
-    @property
-    def mean_bitrate(self) -> float:
-        if not self.bitrate_history:
-            return 0.0
-        return ordered_sum(self.bitrate_history) / len(self.bitrate_history)
-
 
 class VideoStream(TrafficSource):
     """Buffer-based ABR video client+server pair on one connection.
@@ -52,10 +45,8 @@ class VideoStream(TrafficSource):
         sim: the simulator.
         path: topology the stream runs over.
         flow_id: flow identifier.
-        ladder_mbps: available bitrates (Mbit/s), ascending.
-        max_buffer: playback buffer cap (seconds); no fetches while full.
 
-    The transport is Cubic.
+    The transport is Cubic, and the bitrates are :data:`LADDER_MBPS`.
     """
 
     #: media seconds per chunk
@@ -63,19 +54,13 @@ class VideoStream(TrafficSource):
     #: buffer levels (seconds) mapped to the bottom/top of the ladder
     #: (BBA's reservoir+cushion)
     low_reservoir, high_reservoir = 4.0, 10.0
+    #: playback buffer cap (seconds); no fetches while full
+    max_buffer = 12.0
 
-    def __init__(self, sim: Simulator, path: PathHandles, flow_id: str,
-                 ladder_mbps: tuple[float, ...] = DEFAULT_LADDER_MBPS,
-                 max_buffer: float = 12.0):
-        if not ladder_mbps or list(ladder_mbps) != sorted(ladder_mbps):
-            raise ConfigError("ladder must be non-empty and ascending")
-        if max_buffer < self.high_reservoir:
-            raise ConfigError(f"need max_buffer >= {self.high_reservoir} s")
+    def __init__(self, sim: Simulator, path: PathHandles, flow_id: str):
         self.sim = sim
         self.flow_id = flow_id
-        self.ladder = [mbps(b) for b in ladder_mbps]  # bytes/second
-        self.ladder_mbps = tuple(ladder_mbps)
-        self.max_buffer = max_buffer
+        self.ladder = [mbps(b) for b in LADDER_MBPS]  # bytes/second
         self.stats = VideoStats()
 
         self.connection = Connection(sim, path, flow_id, CubicCca(),

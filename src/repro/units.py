@@ -75,11 +75,6 @@ def to_ms(seconds: float) -> float:
     return seconds * 1_000.0
 
 
-def usec(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return value / 1_000_000.0
-
-
 def to_usec(seconds: float) -> float:
     """Convert seconds to microseconds."""
     return seconds * 1_000_000.0

@@ -67,16 +67,15 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], title: str = "",
 
 
 def bar_chart(labels: Sequence[str], values: Sequence[float],
-              width: int = 50, title: str = "",
-              fmt: str = "{:.3g}") -> str:
-    """Horizontal bar chart with labels."""
+              title: str = "", fmt: str = "{:.3g}") -> str:
+    """Horizontal bar chart with labels; the longest bar is 50 wide."""
     if len(labels) != len(values) or not labels:
         raise AnalysisError("need equal-length, non-empty labels/values")
     peak = max(values) if max(values) > 0 else 1.0
     label_width = max(len(str(lab)) for lab in labels)
     lines = [title] if title else []
     for lab, val in zip(labels, values):
-        bar = "█" * max(0, int(val / peak * width))
+        bar = "█" * max(0, int(val / peak * 50))
         lines.append(f"{lab:>{label_width}} | {bar} {fmt.format(val)}")
     return "\n".join(lines)
 

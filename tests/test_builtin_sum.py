@@ -63,8 +63,6 @@ ALLOWED = {
         "ints: qdisc backlogs in bytes",
     ("repro.store.artifacts", "ArtifactStore.prune"):
         "ints: object sizes in bytes",
-    ("repro.traffic.poisson", "PoissonShortFlows.offered_load"):
-        "ints: FlowRecord.size is an int byte count",
 }
 
 

@@ -122,15 +122,12 @@ class TestController:
         controller = BweController(sim, capacity=90.0, period=1.0)
         rates = {}
         controller.register("s", demand_fn=lambda: 100.0, group="serving",
-                            weight=2.0,
                             enforce_fn=lambda r: rates.__setitem__("s", r))
         controller.register("b", demand_fn=lambda: 100.0, group="batch",
-                            weight=1.0,
                             enforce_fn=lambda r: rates.__setitem__("b", r))
         controller.start()
         sim.run(until=0.5)
-        # Groups have default weight 1 each; within-group weights apply
-        # to leaves.  Each group gets 45.
+        # Groups have default weight 1 each: each gets 45.
         assert rates["s"] == pytest.approx(45.0)
         assert rates["b"] == pytest.approx(45.0)
 

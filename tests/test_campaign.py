@@ -135,14 +135,15 @@ class TestCampaignAggregation:
         assert len(groups["reno"]) == 2
 
     def test_hypothesis_evaluation(self, campaign):
-        ev = evaluate_hypothesis(campaign, threshold=0.9)
+        ev = evaluate_hypothesis(campaign)
         assert ev.n_paths == 4
         assert ev.fraction_contending == pytest.approx(0.5)
         assert ev.ci_low <= ev.fraction_contending <= ev.ci_high
         assert "%" in ev.describe()
 
     def test_hypothesis_threshold_binds(self, campaign):
-        ev = evaluate_hypothesis(campaign, threshold=0.01)
+        ev = evaluate_hypothesis(campaign)
+        assert ev.threshold == 0.2 < ev.ci_high
         assert not ev.supported
         assert "NOT SUPPORTED" in ev.describe()
 
@@ -153,7 +154,7 @@ class TestCampaignAggregation:
             run_path(spec("cbr", "droptail", seed=7), duration=20.0),
             run_path(spec("none", "fq", seed=8), duration=20.0),
         ])
-        ev = evaluate_hypothesis(quiet, threshold=0.9)
+        ev = evaluate_hypothesis(quiet)
         assert ev.supported
         assert "SUPPORTED" in ev.describe()
 

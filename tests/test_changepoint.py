@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (binary_segmentation, pelt,
                             throughput_level_shift)
-from repro.analysis.changepoint import L2Cost
+from repro.analysis.changepoint import (LEVEL_SHIFT_MIN_SEGMENT,
+                                       MIN_SEGMENT, L2Cost,
+                                       _optimal_partition_rows)
 from repro.errors import AnalysisError
 from repro.ndt import SyntheticNdtGenerator
+from repro.ndt.schema import throughput_rows
 
 
 def noisy_steps(levels, seg_len=50, noise=0.5, seed=0):
@@ -75,14 +78,15 @@ class TestDetectors:
 
     def test_tiny_signal_raises_with_large_min_segment(self, detect):
         with pytest.raises(AnalysisError):
-            detect([1.0] * 7, min_segment=4)
+            detect([1.0] * (2 * MIN_SEGMENT - 1))
 
     def test_exactly_two_segments_accepted(self, detect):
-        result = detect([1.0] * 8, min_segment=4)
+        result = detect([1.0] * (2 * MIN_SEGMENT))
         assert result.num_changes == 0
 
     def test_bad_min_segment_raises(self, detect):
-        with pytest.raises(AnalysisError):
+        # The minimum segment is the module's; a detector takes none.
+        with pytest.raises(TypeError):
             detect([1.0] * 8, min_segment=0)
 
     def test_segments_partition_signal(self, detect):
@@ -95,15 +99,16 @@ class TestDetectors:
             assert b == c
 
     def test_high_penalty_suppresses_detection(self, detect):
-        signal = noisy_steps([10.0, 10.5], seg_len=60, seed=6)
-        result = detect(signal, penalty=1e9)
+        # The BIC penalty outweighs a shift well inside the noise.
+        signal = noisy_steps([10.0, 10.1], seg_len=60, seed=6)
+        result = detect(signal)
         assert result.num_changes == 0
 
 
 class TestPeltSpecifics:
     def test_pelt_exactness_on_clean_steps(self):
         signal = np.concatenate([np.zeros(50), np.ones(50) * 10])
-        result = pelt(signal, penalty=1.0)
+        result = pelt(signal)
         assert result.breakpoints == (50,)
 
 
@@ -139,7 +144,7 @@ def _reference_penalty(x):
     return 2.0 * sigma * sigma * math.log(len(x))
 
 
-def _reference_partition(x, penalty, min_segment=2):
+def _reference_partition(x, penalty, min_segment=MIN_SEGMENT):
     """Optimal partitioning in plain Python floats, no numpy: every
     admissible last breakpoint is tried for every prefix, in order, and
     only a strictly better one replaces the incumbent."""
@@ -176,32 +181,17 @@ def _penalized_cost(x, breakpoints, penalty):
 
 
 def _ndt_flow(seed, index):
-    return (SyntheticNdtGenerator(seed=seed).generate_record(index)
-            .throughput_series())
+    record = SyntheticNdtGenerator(seed=seed).generate_shard(index, 1)
+    return throughput_rows(record.records)[0]
 
 
-#: Signals on which PELT's pruning, at ``min_segment`` > 1, discarded
-#: the winning candidate: (signal, penalty, min_segment, optimum, the
-#: answer pruning gave).  The last is the L2 row, at penalty 3.5, of
-#: the batch a hypothesis run stored against the pruned kernel.
+#: NDT flows on which PELT's pruning, at the level-shift detector's
+#: minimum segment, discarded the winning candidate: (signal, optimum,
+#: the answer pruning gave).  The raw search is the detector's at a
+#: relative-shift floor of 0, which keeps every breakpoint.
 PRUNING_COUNTEREXAMPLES = {
-    "six-points": ([1.0, 1.0, 2.0, 4.0, 5.0, 0.0], 5.0, 2, (), (3,)),
-    "seed1-flow816": (_ndt_flow(1, 816), None, 4, (18,), (14, 18)),
-    "seed20230-flow401": (_ndt_flow(20230, 401), None, 4, (7, 30),
-                          (7, 30, 34)),
-    "hypothesis-noise-row": ([
-        -2.97054469, -2.58869838, -4.26704595, -1.75262267, -2.79362945,
-        -1.40214964, -2.01181798, -2.03680339, -3.04609892, -2.93846289,
-        -3.5803515, -3.92777927, -4.37222932, -4.93756535, -3.27190575,
-        -1.72951569, -2.20721941, -3.03017219, -4.02230166, -3.03838364,
-        -1.25441587, -2.94237803, -0.714662429, -3.68054611, -1.99311997,
-        -2.8773548, -2.94695689, -4.28816534, -2.97394619, -1.98233072,
-        -1.60417662, -1.23764193, -2.65714998, -2.22952441, -3.13573748,
-        -3.81058497, -4.20804482, -1.22157053, -3.06121978, -2.88013195,
-        -3.40046502, -1.00375577, -2.50403509, -3.55538266, -2.06170378,
-        -3.79751415, -1.16137725, -5.37808063, -1.89265194, -4.16294339,
-        -0.48175278, -0.926740593, -3.77928107], 3.5, 2, (10, 14),
-        (10, 14, 47, 50)),
+    "seed1-flow816": (_ndt_flow(1, 816), (18,), (14, 18)),
+    "seed20230-flow401": (_ndt_flow(20230, 401), (7, 30), (7, 30, 34)),
 }
 
 
@@ -211,15 +201,15 @@ class TestPeltExactness:
         rng = np.random.default_rng(seed)
         levels = rng.choice([0.0, 5.0, 12.0], size=3)
         x = np.concatenate([rng.normal(lvl, 1.0, 25) for lvl in levels])
-        penalty = 8.0
-        assert pelt(x, penalty=penalty).breakpoints \
-            == _reference_partition(x.tolist(), penalty)
+        result = pelt(x)
+        assert result.penalty == _reference_penalty(x.tolist())
+        assert result.breakpoints \
+            == _reference_partition(x.tolist(), result.penalty)
 
     @pytest.mark.parametrize("case", sorted(PRUNING_COUNTEREXAMPLES))
     def test_beats_what_pruning_returned(self, case):
-        x, penalty, min_segment, optimum, pruned = \
-            PRUNING_COUNTEREXAMPLES[case]
-        result = pelt(x, penalty=penalty, min_segment=min_segment)
+        x, optimum, pruned = PRUNING_COUNTEREXAMPLES[case]
+        result = throughput_level_shift(x, min_relative_shift=0.0)
         assert result.breakpoints == optimum
         assert (_penalized_cost(x, optimum, result.penalty)
                 < _penalized_cost(x, pruned, result.penalty))
@@ -229,8 +219,10 @@ class TestPeltExactness:
 def signal_batches(draw):
     """(rows, min_segment): constant rows (every total an exact tie),
     rows with 0-3 planted shifts with and without noise, and pure
-    noise, mixed in one batch."""
-    min_segment = draw(st.integers(1, 6))
+    noise, mixed in one batch, at either minimum segment a search
+    runs at."""
+    min_segment = draw(st.sampled_from([MIN_SEGMENT,
+                                        LEVEL_SHIFT_MIN_SEGMENT]))
     n = draw(st.integers(max(2 * min_segment, 4), 200))
     kinds = draw(st.lists(
         st.sampled_from(["constant", "steps", "noisy_steps", "noise"]),
@@ -249,23 +241,21 @@ def signal_batches(draw):
 
 
 class TestBatchedKernel:
-    """``pelt`` on a ``(flows, n)`` array is one search over every
+    """The search on a ``(flows, n)`` array is one pass over every
     candidate column of every row; a row's answer must be the answer of
     that row alone, which must be the optimum the plain-Python search
-    finds -- at every ``min_segment`` and penalty, zero included."""
+    finds -- at each minimum segment a search runs at."""
 
     @settings(max_examples=40, deadline=None)
-    @given(signal_batches(), st.sampled_from([None, 0.0, 3.5]))
-    def test_batch_equals_rows_alone_equals_scalar_reference(
-            self, batch, penalty):
+    @given(signal_batches())
+    def test_batch_equals_rows_alone_equals_scalar_reference(self, batch):
         rows, min_segment = batch
-        together = pelt(rows, penalty=penalty, min_segment=min_segment)
+        together = _optimal_partition_rows(rows, min_segment)
         assert len(together) == len(rows)
         for row, result in zip(rows, together):
-            alone = pelt(row, penalty=penalty, min_segment=min_segment)
+            alone = _optimal_partition_rows(row[None, :], min_segment)[0]
             assert result == alone
-            expected = (_reference_penalty(row.tolist())
-                        if penalty is None else penalty)
+            expected = _reference_penalty(row.tolist())
             assert result.penalty == expected
             assert type(result.penalty) is float
             assert result.breakpoints == _reference_partition(
@@ -295,10 +285,9 @@ class TestBatchedKernel:
 
 class TestLevelShiftFilter:
     def test_short_signal_reports_the_penalty_it_was_given(self):
-        # ``penalty or inf`` turned an explicit 0.0 into inf.
-        assert throughput_level_shift([1.0] * 5, penalty=0.0).penalty == 0.0
-        assert throughput_level_shift([1.0] * 5, penalty=2.5).penalty == 2.5
-        assert throughput_level_shift([1.0] * 5).penalty == float("inf")
+        # Too short to search: no breakpoint, at an infinite penalty.
+        result = throughput_level_shift([1.0] * 5)
+        assert result.breakpoints == () and result.penalty == float("inf")
 
     def test_small_shift_filtered_out(self):
         signal = noisy_steps([100.0, 104.0], seg_len=100, noise=0.5, seed=8)

@@ -129,7 +129,7 @@ def _tasks(n, objects, tag="t"):
     return tasks
 
 
-def _fabric(clients, tmp_path, clock=None, **kwargs):
+def _fabric(clients, tmp_path, clock=None):
     """A (coordinator, store, clock) triple over scripted clients.
 
     ``clients`` maps node name ("host:port") to a client object, or
@@ -143,13 +143,11 @@ def _fabric(clients, tmp_path, clock=None, **kwargs):
         return {"status": "ok"}
 
     membership = Membership(parse_cluster(list(clients)), probe=probe,
-                            clock=clock, probe_interval_s=0.2,
-                            backoff_base_s=0.2, backoff_max_s=1.0)
+                            clock=clock)
     store = ArtifactStore(tmp_path / "coordinator-store")
-    kwargs.setdefault("poll_s", 0.05)
     coordinator = Coordinator(
         membership, store, clock=clock, sleep=clock.advance,
-        client_factory=lambda node: clients[node.name], **kwargs)
+        client_factory=lambda node: clients[node.name])
     return coordinator, store, clock
 
 
@@ -198,8 +196,7 @@ class TestCoordinatorLoop:
             self, tmp_path):
         objects = {}
         node = FakeServeNode(objects, state="failed")
-        coordinator, _, _ = _fabric({"a:1": node}, tmp_path,
-                                    max_attempts=3)
+        coordinator, _, _ = _fabric({"a:1": node}, tmp_path)
         [task] = _tasks(1, objects)
         records = coordinator.run([task])
         record = records[task.key]
@@ -240,7 +237,7 @@ class TestCoordinatorLoop:
         slow = FakeServeNode(objects, state="running")
         fast = FakeServeNode(objects)
         coordinator, _, clock = _fabric({"a:1": slow, "b:2": fast},
-                                        tmp_path, steal_after_s=1.0)
+                                        tmp_path)
         nodes = coordinator.membership.nodes
         # A task whose rendezvous placement prefers the slow node.
         for i in range(64):
@@ -260,7 +257,7 @@ class TestCoordinatorLoop:
     def test_dead_cluster_raises_after_grace(self, tmp_path):
         objects = {}
         coordinator, _, _ = _fabric({"a:1": None, "b:2": None},
-                                    tmp_path, dead_grace_s=1.0)
+                                    tmp_path)
         with pytest.raises(ClusterError, match="no live cluster node"):
             coordinator.run(_tasks(2, objects))
 
@@ -269,8 +266,7 @@ class TestCoordinatorLoop:
         clients = {}
         node = DyingServeNode(objects, clients, "a:1")
         clients["a:1"] = node
-        coordinator, store, _ = _fabric(clients, tmp_path,
-                                        dead_grace_s=1.0)
+        coordinator, store, _ = _fabric(clients, tmp_path)
         coordinator.journal = ClusterJournal(store, "dying-run")
         with pytest.raises(ClusterError, match="no live cluster node"):
             coordinator.run(_tasks(3, objects))

@@ -48,9 +48,7 @@ class TestLiveness:
             return outcome
 
         membership = Membership(parse_cluster(list(results)),
-                                probe=probe, clock=clock,
-                                probe_interval_s=5.0,
-                                backoff_base_s=0.5, backoff_max_s=4.0)
+                                probe=probe, clock=clock)
         return membership, clock
 
     def test_probe_marks_up_and_down(self):
@@ -65,16 +63,15 @@ class TestLiveness:
 
     def test_backoff_doubles_and_caps(self):
         membership, clock = self._membership({
-            "a:1": [OSError(), OSError(), OSError(), OSError(),
-                    OSError()],
+            "a:1": [OSError()] * 8,
         })
         node = membership.nodes[0]
         delays = []
-        for _ in range(5):
+        for _ in range(8):
             node.next_probe = clock()  # force an immediate probe
             membership.tick()
             delays.append(node.next_probe - clock())
-        assert delays == [0.5, 1.0, 2.0, 4.0, 4.0]
+        assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
     def test_success_resets_backoff(self):
         membership, clock = self._membership({
@@ -110,8 +107,7 @@ class TestLiveness:
             return {"status": "ok"}
 
         clock = FakeClock()
-        membership = Membership([("a", 1)], probe=probe, clock=clock,
-                                probe_interval_s=5.0)
+        membership = Membership([("a", 1)], probe=probe, clock=clock)
         membership.tick()
         clock.advance(1.0)
         membership.tick()  # within the interval: no probe

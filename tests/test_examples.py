@@ -43,7 +43,7 @@ def test_mlab_style_study_runs(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "category" in out
-    assert "level shifts" in out
+    assert "remaining_with_level_shift" in out
 
 
 def test_video_vs_bulk_single_race(capsys):

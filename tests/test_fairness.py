@@ -57,10 +57,6 @@ class TestHarm:
     def test_improvement_clamped_to_zero(self):
         assert harm(10.0, 12.0) == 0.0
 
-    def test_latency_direction(self):
-        # Solo latency 10ms, contended 40ms -> harm 0.75.
-        assert harm(0.010, 0.040, more_is_better=False) == pytest.approx(0.75)
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(AnalysisError):
             harm(0.0, 1.0)

@@ -143,7 +143,9 @@ def test_fluid_model_rejects_empty_and_bad_dt():
     with pytest.raises(ConfigError):
         FluidModel([], mbps(10.0), 1e5)
     flow = make_flow_cca("reno", "f", ms(20.0), mbps(10.0))
-    with pytest.raises(ConfigError):
+    # The step is the module's constant; it takes no argument.
+    assert FluidModel([flow], mbps(10.0), 1e5).dt == 0.005
+    with pytest.raises(TypeError):
         FluidModel([flow], mbps(10.0), 1e5, dt=0.0)
 
 

@@ -33,9 +33,10 @@ from repro.obs.invariants import all_checkers
 from repro.qa.scenario import Scenario
 from repro.qdisc import DropTailQueue, TokenBucketFilter
 from repro.sim import CountingSink, Link, Simulator, dumbbell
-from repro.sim.packet import make_data
 from repro.traffic.cbr import CbrSource
 from repro.units import mbps, ms
+
+from .helpers import make_data
 
 PATH_GOLDEN = Path(__file__).parent / "data" / "path_golden.json"
 
@@ -134,7 +135,7 @@ def _idle_link_run(traced: bool, bus_off):
     # What only the end of run() can bring up to date comes first: the
     # taps and the qdisc object itself; then the link's own counters.
     return (list(taps), qdisc.dequeued, qdisc.dequeued_bytes, len(qdisc),
-            link.delivered_bytes, link.delivered_packets,
+            link.delivered_bytes,
             [link.flow_bytes(f) for f in "abc"], link.busy_time,
             sim.events_processed)
 
@@ -142,19 +143,18 @@ def _idle_link_run(traced: bool, bus_off):
 def test_reads_after_run_include_every_ended_transmission(bus_off):
     untraced = _idle_link_run(False, bus_off)
     assert untraced == ([(1.0, "a"), (2.0, "b"), (3.0, "c")], 3, 4500, 0,
-                        4500, 3, [1500, 1500, 1500], 3.0, 0)
+                        4500, [1500, 1500, 1500], 3.0, 0)
     assert _idle_link_run(True, bus_off) == untraced
 
 
 @pytest.mark.parametrize("read, expect", [
-    (lambda link: link.delivered_packets, 2),
     (lambda link: link.delivered_bytes, 3000),
     (lambda link: link.flow_bytes("b"), 1500),
     (lambda link: len(link.qdisc), 0),
     (lambda link: link.qdisc.dequeued, 3),
     (lambda link: link.queue_delay, 0.0),
     (lambda link: link.busy_time, 3.0),
-], ids=["delivered_packets", "delivered_bytes", "flow_bytes", "qdisc_len",
+], ids=["delivered_bytes", "flow_bytes", "qdisc_len",
         "qdisc_dequeued", "queue_delay", "busy_time"])
 def test_a_read_mid_run_sees_every_ended_transmission(read, expect,
                                                       bus_off):
@@ -191,29 +191,6 @@ def test_dumbbell_reads_after_run_match_the_traced_run(bus_off):
     assert untraced[0][1] == untraced[0][0] > 0
     assert untraced[1] == untraced[2] == untraced[3] == untraced[0][2]
     assert run(True) == untraced
-
-
-@pytest.mark.parametrize("traced", [False, True])
-def test_set_rate_mid_backlog_applies_to_the_next_transmission(
-        traced, bus_off):
-    # Four 1500-byte packets at 1500 B/s, 0.5 s of propagation.  At
-    # 1.1 s nothing has touched the link since its first transmission
-    # ended at 1.0 s; the second started then, at the old rate, so the
-    # new rate applies from the third on.
-    sim = Simulator()
-    arrivals = []
-
-    class Sink:
-        def send(self, packet):
-            arrivals.append(sim.now)
-
-    link = Link(sim, rate=1500.0, sink=Sink(), delay=0.5)
-    with (_Audit() if traced else bus_off()):
-        for _ in range(4):
-            link.send(pkt())
-        sim.schedule(1.1, lambda: link.set_rate(3000.0))
-        sim.run()
-    assert arrivals == [1.5, 2.5, 3.0, 3.5]
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -49,9 +49,9 @@ def test_station_class_layout():
 
 
 def test_medium_names_sweep():
-    names = medium_names(station_counts=(2, 4), with_priority=True)
-    assert names == ("queue", "csma-2", "csma-4", "csma-2-prio",
-                     "csma-4-prio")
+    names = medium_names()
+    assert names == ("queue", "csma-2", "csma-4", "csma-8", "csma-2-prio",
+                     "csma-4-prio", "csma-8-prio")
     for name in names:
         parse_medium(name)  # every sweep value is parseable
 
@@ -205,7 +205,7 @@ def test_three_station_golden_trace():
         link = _saturated_medium(3, 3.0, seed=7)
     counts = trace.counts_by_kind()
     digest = {
-        "delivered_packets": link.delivered_packets,
+        "delivered_packets": counts.get(EventKind.DELIVER, 0),
         "delivered_bytes": link.delivered_bytes,
         "collisions": link.collisions,
         "txops": link.txops,

@@ -6,9 +6,11 @@ from repro.analysis.models import (mathis_throughput, padhye_throughput,
                                    reno_steady_state_loss_rate)
 from repro.cca import RenoCca
 from repro.errors import AnalysisError
-from repro.sim import Simulator, dumbbell
+from repro.sim import Simulator
 from repro.tcp import Connection
 from repro.units import mbps, ms
+
+from .helpers import lossy_dumbbell
 
 
 class TestMathis:
@@ -46,10 +48,6 @@ class TestPadhye:
         padhye = padhye_throughput(1448, 0.1, 0.05)
         assert padhye < mathis
 
-    def test_rwnd_clamp(self):
-        t = padhye_throughput(1448, 0.1, 1e-5, rwnd_bytes=100_000)
-        assert t == pytest.approx(1_000_000)
-
 
 class TestSawtooth:
     def test_loss_rate_inverse(self):
@@ -69,8 +67,7 @@ class TestSimulatorAgainstMathis:
         only accurate to that order; see Philip et al., IMC '21)."""
         sim = Simulator()
         # High capacity so random loss, not the queue, is binding.
-        path = dumbbell(sim, mbps(200), ms(50), loss_rate=loss_rate,
-                        seed=3)
+        path = lossy_dumbbell(sim, mbps(200), ms(50), loss_rate, seed=3)
         conn = Connection(sim, path, "f", RenoCca())
         conn.sender.set_infinite_backlog()
         sim.run(until=60.0)

@@ -11,7 +11,7 @@ from repro.ndt import (Fig2Result, FlowCategory, NdtCollector, NdtDataset,
                        SyntheticNdtGenerator, analyse_flow, analyse_records,
                        analyse_shard, categorize, infer_cellular,
                        is_app_limited, is_rwnd_limited)
-from repro.ndt.schema import SNAPSHOT_FIELDS
+from repro.ndt.schema import SNAPSHOT_FIELDS, throughput_rows
 from repro.sim import Simulator, dumbbell
 from repro.tcp.tcp_info import TcpInfoSnapshot
 from repro.units import mbps, ms
@@ -42,19 +42,18 @@ def record(snaps=None, access="cable", app_us=0.0, rwnd_us=0.0,
 
 
 def collected_record():
-    """A 2 s NDT-style test collected from the packet simulator."""
+    """An NDT-style test collected from the packet simulator."""
     sim = Simulator()
-    collector = NdtCollector(sim, dumbbell(sim, mbps(10), ms(30)), "t",
-                             duration=2.0)
+    collector = NdtCollector(sim, dumbbell(sim, mbps(10), ms(30)), "t")
     collector.start()
-    sim.run(until=2.5)
+    sim.run(until=NdtCollector.duration + 0.5)
     return collector.record(access_rate_bps=mbps(10))
 
 
 class TestSchema:
     def test_throughput_series_from_snapshots(self):
         rec = record(rates=[1e6, 2e6, 3e6])
-        series = rec.throughput_series()
+        series = throughput_rows([rec])[0]
         assert series == pytest.approx([2e6, 3e6])
 
     def test_mean_throughput(self):
@@ -108,8 +107,8 @@ class TestSchema:
         clone = NdtRecord.from_json(rec.to_json())
         assert clone.uuid == rec.uuid
         assert clone.true_contention
-        assert clone.throughput_series() == pytest.approx(
-            rec.throughput_series())
+        assert throughput_rows([clone])[0] == pytest.approx(
+            throughput_rows([rec])[0])
 
     def test_dataset_jsonl_round_trip(self, tmp_path):
         ds = SyntheticNdtGenerator(seed=3).generate(20)
@@ -230,7 +229,7 @@ class TestSynth:
         assert {"cellular", "satellite"} <= set(firsts)
         for i in sorted({*range(start, start + 400, 37),
                          *firsts.values(), start + 399}):
-            alone = gen.generate_record(i)
+            alone = gen.generate_shard(i, 1).records[0]
             assert alone == shard[i - start]
             assert alone.to_json() == shard[i - start].to_json()
 
@@ -321,7 +320,7 @@ class TestPipeline:
                              for _ in range(20)])
         synth = SyntheticNdtGenerator(seed=21).generate(120).records
         recs = [collected_record(), *synth[:60], wild, record(),
-                *synth[60:], collected_record()]
+                *synth[60:], record(rates=[4e6] * 30), collected_record()]
         assert len({r.n_snapshots for r in recs}) == 4
         alone = [(categorize(r), analyse_flow(r).num_level_shifts)
                  for r in recs]

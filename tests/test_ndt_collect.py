@@ -2,27 +2,29 @@
 
 import pytest
 
-from repro.cca import CubicCca, RenoCca
+from repro.cca import RenoCca
 from repro.ndt import NdtCollector, analyse_flow
 from repro.ndt.filters import FlowCategory
 from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection
 from repro.units import mbps, ms, to_mbps
 
+from .helpers import advertise_window
 
-def collect(duration=10.0, rwnd=None, competitor_at=None,
-            rate_mbps=50.0):
+
+def collect(rwnd=None, competitor_at=None, rate_mbps=50.0):
     sim = Simulator()
     path = dumbbell(sim, mbps(rate_mbps), ms(30))
-    collector = NdtCollector(sim, path, "test", duration=duration,
-                             cca=CubicCca(), rwnd_bytes=rwnd)
+    collector = NdtCollector(sim, path, "test")
+    if rwnd is not None:
+        advertise_window(collector.connection, rwnd)
     collector.start()
     if competitor_at is not None:
         def rival():
             conn = Connection(sim, path, "rival", RenoCca())
             conn.sender.set_infinite_backlog()
         sim.schedule(competitor_at, rival)
-    sim.run(until=duration + 0.5)
+    sim.run(until=NdtCollector.duration + 0.5)
     return collector.record(access_rate_bps=mbps(rate_mbps))
 
 

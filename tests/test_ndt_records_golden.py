@@ -10,7 +10,9 @@ then dropped anyway, would pass it.  This file pins, for three seeds of
   every snapshot field of every access type and behaviour class
   (cellular/satellite wobble included) is held to the last bit;
 * for every ``REMAINING`` flow, ``[index, penalty.hex(), raw PELT
-  breakpoints, breakpoints kept by the relative-shift filter]``;
+  breakpoints, breakpoints kept by the relative-shift filter]`` (the
+  raw ones are the detector's search at a relative-shift floor of 0,
+  which keeps every breakpoint it finds);
 
 and, for a 3,000-flow run in 500-flow shards, the
 ``aggregate_fingerprint()`` and the store key of the run (a store
@@ -37,11 +39,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.analysis import pelt, throughput_level_shift
+from repro.analysis import throughput_level_shift
 from repro.ndt import FlowCategory, SyntheticNdtGenerator, categorize
+from repro.ndt.schema import throughput_rows
 from repro.ndt.stream import (run_pipeline_streaming, shard_specs,
                               stream_run_key)
 
@@ -63,8 +65,8 @@ def capture_seed(seed: int) -> dict:
         covered.add(f"{record.access_type}/{record.true_class}")
         if categorize(record) is not FlowCategory.REMAINING:
             continue
-        series = record.throughput_series()
-        raw = pelt(series, min_segment=4)
+        series = throughput_rows([record])[0]
+        raw = throughput_level_shift(series, min_relative_shift=0.0)
         kept = throughput_level_shift(
             series, min_relative_shift=MIN_RELATIVE_SHIFT)
         remaining.append([index, float(raw.penalty).hex(),
@@ -100,9 +102,9 @@ def test_batched_detector_reproduces_per_flow_rows(golden, seed):
     call, rows with different breakpoints beside each other."""
     pinned = golden["seeds"][str(seed)]["remaining"]
     generator = SyntheticNdtGenerator(seed=seed)
-    series = np.stack([generator.generate_record(row[0]).throughput_series()
-                       for row in pinned])
-    raw = pelt(series, min_segment=4)
+    series = throughput_rows([generator.generate_shard(row[0], 1).records[0]
+                              for row in pinned])
+    raw = throughput_level_shift(series, min_relative_shift=0.0)
     kept = throughput_level_shift(series,
                                   min_relative_shift=MIN_RELATIVE_SHIFT)
     assert [[row[0], r.penalty.hex(), list(r.breakpoints),

@@ -31,7 +31,6 @@ from repro.ndt import (Fig2Result, PopulationModel, ShardSpec,
                        merge_partials, run_pipeline_streaming,
                        shard_specs)
 from repro.ndt.stream import stream_run_key
-from repro.runtime import FaultPolicy
 from repro.store import ArtifactStore
 
 SEED = 20230601
@@ -76,8 +75,8 @@ class TestChunkInvariance:
         assert fractions["bbr"] == pytest.approx(0.22, abs=0.08)
 
     def test_different_seeds_differ(self):
-        a = SyntheticNdtGenerator(seed=1).generate_record(5)
-        b = SyntheticNdtGenerator(seed=2).generate_record(5)
+        a = SyntheticNdtGenerator(seed=1).generate_shard(5, 1).records[0]
+        b = SyntheticNdtGenerator(seed=2).generate_shard(5, 1).records[0]
         assert a != b
 
     def test_bad_shard_args_raise(self):
@@ -214,8 +213,7 @@ class TestFailedShards:
 
         monkeypatch.setattr("repro.ndt.stream.analyse_shard", flaky)
         run = dict(seed=5, chunk_size=40, workers=1,
-                   store=ArtifactStore(tmp_path / "store"),
-                   policy=FaultPolicy(retries=0))
+                   store=ArtifactStore(tmp_path / "store"))
         with pytest.raises(AnalysisError, match="cannot omit a shard") as err:
             run_pipeline_streaming(120, **run)
         message = str(err.value)

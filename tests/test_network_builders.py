@@ -9,7 +9,9 @@ from repro.sim.network import default_buffer_packets
 from repro.sim.trace import constant_rate_trace
 from repro.tcp import Connection
 from repro.units import (bdp_bytes, bdp_packets, mbps, ms, to_mbps, to_ms,
-                         to_usec, usec, kbps)
+                         to_usec, kbps)
+
+from .helpers import lossy_dumbbell
 
 
 class TestUnits:
@@ -20,7 +22,7 @@ class TestUnits:
         assert to_ms(ms(100.0)) == pytest.approx(100.0)
 
     def test_usec_round_trip(self):
-        assert to_usec(usec(250.0)) == pytest.approx(250.0)
+        assert to_usec(250.0 / 1_000_000.0) == pytest.approx(250.0)
 
     def test_kbps(self):
         assert kbps(64.0) == pytest.approx(8_000.0)
@@ -77,7 +79,7 @@ class TestDumbbell:
 
     def test_loss_rate_wiring(self):
         sim = Simulator()
-        path = dumbbell(sim, mbps(10), ms(40), loss_rate=0.3, seed=1)
+        path = lossy_dumbbell(sim, mbps(10), ms(40), 0.3, seed=1)
         conn = Connection(sim, path, "f", CubicCca())
         conn.sender.set_infinite_backlog()
         sim.run(until=5.0)
@@ -87,7 +89,7 @@ class TestDumbbell:
 class TestTraceDumbbell:
     def test_capacity_matches_trace(self):
         sim = Simulator()
-        trace = constant_rate_trace(12.112, 1000)  # 1 pkt/ms
+        trace = constant_rate_trace(12.112)  # 1 pkt/ms
         path = trace_dumbbell(sim, trace, ms(40))
         conn = Connection(sim, path, "f", CubicCca())
         conn.sender.set_infinite_backlog()

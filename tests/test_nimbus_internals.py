@@ -96,7 +96,7 @@ class TestRateBins:
             t = i * 0.005
             cca.on_packet_sent(t, 1448, False)
             cca.on_ack(ack(t + 0.001))
-        assert len(cca.estimator.window_values) > 50
+        assert len(cca.estimator._samples) > 50
 
     def test_traced_pulse_meta_is_the_deferred_reading(self, bus_off):
         # A traced run transforms each window as it falls due (for the
@@ -130,7 +130,7 @@ class TestRateBins:
         for i in range(300):
             cca.on_packet_sent(i * 0.01, 14_480, False)
         cca.on_ack(ack(3.0, acked=100))
-        assert max(cca.estimator.window_values) <= 1.5 * 6e6 + 1e-6
+        assert max(cca.estimator._samples) <= 1.5 * 6e6 + 1e-6
 
     def test_mu_from_hint_or_filter(self):
         hinted = NimbusCca(capacity_hint=5e6)

@@ -2,9 +2,11 @@
 
 from repro.cca import RenoCca
 from repro.sim import Simulator, dumbbell
-from repro.sim.packet import Packet, PacketKind, make_ack, make_data
+from repro.sim.packet import Packet, PacketKind, make_ack
 from repro.tcp import Connection
 from repro.units import ACK_SIZE, mbps, ms
+
+from .helpers import make_data
 
 
 def test_data_packet_payload():

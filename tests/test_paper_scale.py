@@ -18,6 +18,7 @@ from repro.cca import RenoCca
 from repro.core.probe import ElasticityProbe
 from repro.experiments import EXPERIMENTS, fig2
 from repro.ndt import PopulationModel, SyntheticNdtGenerator
+from repro.ndt.schema import throughput_rows
 from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection
 from repro.traffic import FIGURE3_PHASES
@@ -70,10 +71,9 @@ def test_fig2_pelt_and_binary_segmentation_agree():
     """The change-point algorithm is a free choice (the paper cites a
     survey without picking): both flag about the same flows."""
     dataset = SyntheticNdtGenerator(seed=2023).generate(400)
-    series = [r.throughput_series() for r in dataset.records]
-    pelt_n = sum(1 for s in series if pelt(s, min_segment=4).num_changes)
-    binseg_n = sum(1 for s in series
-                   if binary_segmentation(s, min_segment=4).num_changes)
+    series = [throughput_rows([r])[0] for r in dataset.records]
+    pelt_n = sum(1 for s in series if pelt(s).num_changes)
+    binseg_n = sum(1 for s in series if binary_segmentation(s).num_changes)
     assert abs(pelt_n - binseg_n) <= 0.2 * max(pelt_n, binseg_n, 1)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.qa.corpus import load_corpus, replay_case
 from repro.qa.oracles import FAULT_ENV
+from repro.qa.shrink import MAX_RUNS
 from repro.qa.search import (build_envelope, diff_envelopes,
                              envelope_cache_key, fresh_seed,
                              promote_failure, run_envelope, run_search)
@@ -166,8 +167,8 @@ def test_search_failures_shrink_into_the_corpus(monkeypatch, tmp_path):
                      key=lambda f: f.scenario.duration)[0]
     case, runs = promote_failure(failure, "search seed=3",
                                  created="2026-08-09",
-                                 directory=tmp_path, max_runs=10)
-    assert runs <= 10
+                                 directory=tmp_path)
+    assert runs <= MAX_RUNS
     assert case.oracle == "injected-fault"
     assert case.origin.startswith("search seed=3")
     saved = load_corpus(tmp_path)

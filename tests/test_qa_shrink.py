@@ -4,7 +4,7 @@ import pytest
 
 from repro.qa.oracles import FAULT_ENV, InjectedFaultOracle, Oracle
 from repro.qa.scenario import FlowSpec, Scenario, run_scenario
-from repro.qa.shrink import ShrinkResult, shrink
+from repro.qa.shrink import MAX_RUNS, ShrinkResult, shrink
 
 
 def _big_scenario() -> Scenario:
@@ -39,9 +39,8 @@ def test_shrink_preserves_qdisc_trigger(monkeypatch):
 
 def test_shrink_respects_run_budget(monkeypatch):
     monkeypatch.setenv(FAULT_ENV, "any")
-    result = shrink(_big_scenario(), InjectedFaultOracle(), run_scenario,
-                    max_runs=3)
-    assert result.runs <= 3
+    result = shrink(_big_scenario(), InjectedFaultOracle(), run_scenario)
+    assert result.runs <= MAX_RUNS
 
 
 def test_shrink_minimal_scenario_is_fixed_point(monkeypatch):
@@ -74,6 +73,5 @@ def test_shrink_rejects_candidates_that_stop_failing():
 
 def test_shrink_result_type(monkeypatch):
     monkeypatch.setenv(FAULT_ENV, "any")
-    result = shrink(_big_scenario(), InjectedFaultOracle(), run_scenario,
-                    max_runs=5)
+    result = shrink(_big_scenario(), InjectedFaultOracle(), run_scenario)
     assert isinstance(result, ShrinkResult)

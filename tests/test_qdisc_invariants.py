@@ -14,7 +14,8 @@ import pytest
 from repro.obs import assert_no_violations, capture
 from repro.qa.scenario import QDISC_NAMES, FlowSpec, Scenario, build_qdisc
 from repro.runtime.pool import derive_seed
-from repro.sim.packet import make_data
+
+from .helpers import make_data
 
 
 def _qdisc_for(name: str, seed: int = 0):

@@ -5,8 +5,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.qdisc import (DropTailQueue, HtbClass, HtbQueue, Policer,
                          TokenBucketFilter)
-from repro.sim.packet import make_data
 from repro.units import mbps
+
+from .helpers import make_data
 
 
 def pkt(flow="f", size=1500, user=""):
@@ -78,7 +79,8 @@ class TestTokenBucketFilter:
             TokenBucketFilter(rate=mbps(1), burst=100)
 
     def test_peak_rate_must_exceed_rate(self):
-        with pytest.raises(ConfigError):
+        # There is no peak-rate bucket: a burst drains at line rate.
+        with pytest.raises(TypeError):
             TokenBucketFilter(rate=mbps(10), burst=15140, peak_rate=mbps(5))
 
     def test_child_overflow_counted_as_drop(self):
@@ -140,9 +142,8 @@ class TestHtb:
         assert users.count("bob") == 5
 
     def test_borrowing_up_to_ceiling(self):
-        alice = HtbClass("alice", rate=mbps(2), ceil=mbps(10),
-                         burst=4 * 1514)
-        bob = HtbClass("bob", rate=mbps(8), ceil=mbps(10), burst=4 * 1514)
+        alice = HtbClass("alice", rate=mbps(2), ceil=mbps(10))
+        bob = HtbClass("bob", rate=mbps(8), ceil=mbps(10))
         htb = HtbQueue([alice, bob])
         # Only alice has traffic: she may exceed her assured 2 Mbit/s by
         # borrowing, draining her ceil bucket.
@@ -174,11 +175,13 @@ class TestHtb:
             HtbQueue([])
 
     def test_next_ready_time_when_tokens_exhausted(self):
-        cls = HtbClass("c", rate=mbps(1), ceil=mbps(1), burst=1514)
+        cls = HtbClass("c", rate=mbps(1), ceil=mbps(1))
         htb = HtbQueue([cls])
-        htb.enqueue(pkt("f", user="c", size=1514), 0.0)
-        htb.enqueue(pkt("f", user="c", size=1514), 0.0)
-        assert htb.dequeue(0.0) is not None
+        # The 15140-byte burst covers ten MTUs; the eleventh waits.
+        for _ in range(11):
+            htb.enqueue(pkt("f", user="c", size=1514), 0.0)
+        for _ in range(10):
+            assert htb.dequeue(0.0) is not None
         assert htb.dequeue(0.0) is None
         ready = htb.next_ready_time(0.0)
         assert ready is not None

@@ -17,15 +17,17 @@ class TestCsv:
         assert lines[1] == "1,x"
 
     def test_sequence_rows_with_header(self, tmp_path):
+        # Sequence rows name no columns, so no header line is written.
         path = tmp_path / "out.csv"
-        write_csv(path, [(1, 2), (3, 4)], header=("x", "y"))
+        write_csv(path, [(1, 2), (3, 4)])
         lines = path.read_text().splitlines()
-        assert lines == ["x,y", "1,2", "3,4"]
+        assert lines == ["1,2", "3,4"]
 
     def test_empty_rows_writes_header_only(self, tmp_path):
+        # An empty table has no first row to take a header from.
         path = tmp_path / "out.csv"
-        write_csv(path, [], header=("a",))
-        assert path.read_text().strip() == "a"
+        write_csv(path, [])
+        assert path.read_text() == ""
 
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "out.csv"
@@ -33,9 +35,10 @@ class TestCsv:
         assert path.exists()
 
     def test_explicit_header_subset(self, tmp_path):
+        # The header is the first row's keys, in that row's order.
         path = tmp_path / "out.csv"
-        write_csv(path, [{"a": 1, "b": 2}], header=("a", "b"))
-        assert path.read_text().splitlines()[0] == "a,b"
+        write_csv(path, [{"b": 2, "a": 1}, {"a": 3, "b": 4}])
+        assert path.read_text().splitlines() == ["b,a", "2,1", "4,3"]
 
 
 class TestJson:

@@ -22,6 +22,8 @@ from repro.serve import (ClientRateLimiter, JobManager, ServeClient,
                          ServeError, ServerThread)
 from repro.store import ArtifactStore
 
+from .helpers import submit_and_wait
+
 #: Fast-but-real campaign config (~1s of simulated paths).
 CAMPAIGN_PARAMS = {"n_paths": 2, "seed": 3, "duration": 1.0}
 
@@ -67,8 +69,8 @@ class TestEndToEnd:
         with ServerThread(store=store, concurrency=1,
                           limiter=open_limiter()) as server:
             client = ServeClient(port=server.port, client_id="e2e")
-            result = client.submit_and_wait("campaign", CAMPAIGN_PARAMS,
-                                            timeout=120)
+            result = submit_and_wait(client, "campaign", CAMPAIGN_PARAMS,
+                                     timeout=120)
             assert result["state"] == "done"
             served = store.get(result["key"])
 
@@ -119,8 +121,8 @@ class TestEndToEnd:
         with ServerThread(store=store, concurrency=1,
                           limiter=open_limiter()) as server:
             client = ServeClient(port=server.port, client_id="warm")
-            first = client.submit_and_wait("pipeline", {"flows": 200},
-                                           timeout=60)
+            first = submit_and_wait(client, "pipeline", {"flows": 200},
+                                    timeout=60)
         # a *new* server over the same store answers without executing
         with ServerThread(store=store, concurrency=1,
                           limiter=open_limiter()) as server:
@@ -136,8 +138,11 @@ class TestEndToEnd:
         re-admits the job and runs it to completion."""
         store = ArtifactStore()
         request_params = {"tag": "orphan"}
-        with ServerThread(store=store, concurrency=1, drain_grace_s=0.1,
-                          limiter=open_limiter()) as server:
+        thread = ServerThread(store=store, concurrency=1,
+                              limiter=open_limiter())
+        # A 0.1 s drain, not 10 s: the blocked job never finishes in it.
+        thread.drain_grace_s = 0.1
+        with thread as server:
             client = ServeClient(port=server.port, client_id="kill")
             job = client.submit("block", request_params)
             assert block.started.wait(timeout=10)
@@ -357,8 +362,8 @@ class TestPerKindCounters:
         with ServerThread(store=None, concurrency=1,
                           limiter=open_limiter()) as server:
             client = ServeClient(port=server.port, client_id="kinds")
-            client.submit_and_wait("pipeline", {"flows": 200},
-                                   timeout=60)
+            submit_and_wait(client, "pipeline", {"flows": 200},
+                            timeout=60)
             metrics = client.metrics()
             assert metrics["serve.kind.pipeline.admitted"]["value"] == 1
             assert metrics["serve.kind.pipeline.done"]["value"] == 1

@@ -133,14 +133,14 @@ class TestClientRateLimiter:
             limiter.check("alice")
 
     def test_lru_bound(self):
-        limiter = self._limiter(rate=1.0, burst=1.0, max_clients=2)
-        limiter.check("a")
-        limiter.check("b")
-        limiter.check("c")  # evicts "a"
-        assert len(limiter) == 2
-        limiter.check("a")  # fresh bucket again: admission passes
+        limiter = self._limiter(rate=1.0, burst=1.0)
+        for i in range(ClientRateLimiter.max_clients):
+            limiter.check(f"c{i}")
+        limiter.check("b")  # evicts "c0"
+        assert len(limiter) == ClientRateLimiter.max_clients == 1024
+        limiter.check("c0")  # fresh bucket again: admission passes
         with pytest.raises(RateLimited):
-            limiter.check("a")
+            limiter.check("c0")
 
     def test_disabled(self):
         limiter = self._limiter(rate=0.0)
@@ -151,5 +151,5 @@ class TestClientRateLimiter:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             ClientRateLimiter(rate=1.0, burst=0.5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             ClientRateLimiter(max_clients=0)

@@ -1,13 +1,16 @@
-"""Every default under ``src/repro`` is set by some call.
+"""Every default under ``src/repro`` is set by the program, and every
+public name is used by it.
 
 A *settable value* is what ``make loc`` counts (it prints the length
 of :func:`settable_values`): a parameter with a default on a public
 function or method, or on an ``__init__``, under ``src/repro``.  A
 default that no call sets is a knob without a caller -- its value is a
 constant, and the code that would honour any other value is untested.
-This census parses ``src/``, ``benchmarks/ledger/``, ``examples/`` and
-``tests/`` and fails on any settable value that no call sets, unless a
-rule of :data:`ALLOWLIST` covers it.
+This census parses the program -- ``src/`` and the benchmark
+workloads in ``benchmarks/ledger/`` -- and fails on any settable value
+that no call there sets, unless a rule of :data:`ALLOWLIST` covers it.
+A test or an example is not a caller: a knob only they turn is
+configuration space the program never enters.
 
 What counts as setting a parameter:
 
@@ -35,6 +38,7 @@ reason to :data:`ALLOWLIST`.
 
 import ast
 import fnmatch
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,7 +47,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 #: ``(module glob, function glob, parameter glob, keyword-only only)``
-#: -> why defaults there stay even when no call sets them.
+#: -- or a tuple of them, one rule -- -> why defaults there stay even
+#: when no call sets them.
 ALLOWLIST = {
     ("serve/server.py", "ServerThread.__init__", "host", False):
         "deployment setting: where an embedded server binds",
@@ -58,6 +63,27 @@ ALLOWLIST = {
     ("experiments/*.py", "run", "*", False):
         "CLI schema: an experiment's flags and serve params are its "
         "run() parameters",
+    (("cluster/coordinator.py", "Coordinator.__init__", "clock", False),
+     ("cluster/coordinator.py", "Coordinator.__init__", "sleep", False),
+     ("cluster/coordinator.py", "Coordinator.__init__", "client_factory",
+      False),
+     ("cluster/membership.py", "Membership.__init__", "clock", False),
+     ("cluster/membership.py", "Membership.__init__", "probe", False),
+     ("serve/limits.py", "ClientRateLimiter.__init__", "clock", False),
+     ("cluster/coordinator.py", "run_clustered_campaign", "coordinator",
+      False),
+     ("cluster/coordinator.py", "run_clustered_campaign", "store", False),
+     ("cli.py", "main", "argv", False)):
+        "test seams: each injects a fake (clock, sleep, client, probe, "
+        "coordinator, store, argv) so a test drives the real code without "
+        "real time, sockets or a command line",
+    (("cca/nimbus.py", "NimbusCca.__init__", "pulse_*", False),
+     ("core/probe.py", "ElasticityProbe.__init__", "pulse_*", False),
+     ("fluid/probe.py", "FluidProbe.__init__", "pulse_*", False)):
+        "§3.2 pulse parameters: E7's documented ablation "
+        "(test_paper_scale.py::"
+        "test_separation_survives_pulse_parameter_choices) varies the "
+        "pulse frequency and amplitude on both backends",
 }
 
 
@@ -209,14 +235,21 @@ def _init_owner(name, classes):
     return name
 
 
+def _patterns(rule):
+    """A rule's ``(module, function, parameter, kwonly)`` patterns."""
+    return [rule] if isinstance(rule[0], str) else list(rule)
+
+
+def _matches(entry, position, pattern):
+    (module, qualname, param), (mod, func, par, kwonly) = entry, pattern
+    return (fnmatch.fnmatch(module, mod) and fnmatch.fnmatch(qualname, func)
+            and fnmatch.fnmatch(param, par)
+            and (not kwonly or position is None))
+
+
 def _allowed(entry, position, allowlist):
-    module, qualname, param = entry
-    for (mod, func, par, kwonly), _reason in allowlist.items():
-        if (fnmatch.fnmatch(module, mod) and fnmatch.fnmatch(qualname, func)
-                and fnmatch.fnmatch(param, par)
-                and (not kwonly or position is None)):
-            return True
-    return False
+    return any(_matches(entry, position, pattern)
+               for rule in allowlist for pattern in _patterns(rule))
 
 
 def census(src: Path, callers, allowlist=ALLOWLIST):
@@ -268,10 +301,13 @@ def census(src: Path, callers, allowlist=ALLOWLIST):
     return sorted(unset), sorted(allowed)
 
 
+#: What counts as the program: the callers of the census and the
+#: readers of the public-name check.
+PROGRAM = (ROOT / "src", ROOT / "benchmarks" / "ledger")
+
+
 def _repo_census():
-    return census(ROOT / "src" / "repro",
-                  [ROOT / "src", ROOT / "benchmarks" / "ledger",
-                   ROOT / "examples", ROOT / "tests"])
+    return census(ROOT / "src" / "repro", PROGRAM)
 
 
 def test_every_settable_value_has_a_caller():
@@ -284,8 +320,84 @@ def test_every_settable_value_has_a_caller():
 def test_every_allowlist_rule_still_matches_a_default():
     defaults = settable_values(ROOT / "src" / "repro")
     for rule in ALLOWLIST:
-        assert any(_allowed(entry, pos, {rule: ""})
-                   for entry, (_, pos, _) in defaults.items()), rule
+        for pattern in _patterns(rule):
+            assert any(_matches(entry, pos, pattern)
+                       for entry, (_, pos, _) in defaults.items()), pattern
+
+
+# -- public names ---------------------------------------------------------
+
+#: ``(module, qualname)`` -> why a public name stays though nothing in
+#: the program mentions it.
+NAME_ALLOWLIST = {
+    ("ndt/schema.py", "NdtDataset.load_jsonl"):
+        "reads back what `repro synth-ndt` writes with save_jsonl",
+    ("sim/trace.py", "parse_trace"):
+        "the Mahimahi trace-file format TraceLink replays; no program "
+        "path reads a trace file, and whether one should (a recorded "
+        "cellular trace for E12) is an open ROADMAP item",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def public_names(src: Path):
+    """``{(module, qualname): (name, path, line)}`` for every public
+    module-level or class-level function, method and class under
+    ``src`` (qualnames as :func:`settable_values` writes them)."""
+    out = {}
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    if not child.name.startswith("_"):
+                        out[(module, prefix + child.name)] = (
+                            child.name, path.resolve(), child.lineno)
+                    if isinstance(child, ast.ClassDef):
+                        visit(child, f"{prefix}{child.name}.")
+                elif not isinstance(child, ast.Lambda):
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def unreferenced_names(src: Path, readers, allowlist=NAME_ALLOWLIST):
+    """Sorted ``(module, qualname)`` of the public names under ``src``
+    that no file under ``readers`` mentions.
+
+    Names are matched as words, like the census matches calls: any
+    occurrence outside the name's own ``def``/``class`` line counts --
+    a same-named definition elsewhere, a string, a comment or a
+    docstring included -- so the check errs toward keeping a name.
+    """
+    seen = defaultdict(set)
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            resolved = path.resolve()
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for word in _WORD.findall(line):
+                    seen[word].add((resolved, lineno))
+    return sorted(key for key, (name, path, line) in
+                  public_names(src).items()
+                  if key not in allowlist and not seen[name] - {(path, line)})
+
+
+def test_every_public_name_has_a_caller():
+    unused = unreferenced_names(ROOT / "src" / "repro", PROGRAM)
+    assert not unused, (
+        "public names nothing in src/ or benchmarks/ledger/ mentions "
+        "(delete them, or allowlist with a reason):\n"
+        + "\n".join(":".join(key) for key in unused))
+
+
+def test_every_name_allowlist_entry_still_names_a_public_name():
+    names = public_names(ROOT / "src" / "repro")
+    for key in NAME_ALLOWLIST:
+        assert key in names, key
 
 
 # -- the census itself, on a tiny tree ------------------------------------
@@ -366,3 +478,22 @@ def test_census_treats_allowlisted_values_as_set(tiny):
                        ("lib.py", "kw_only", "h")]
     # forward()'s b is live now, so leaf's b is set by forwarding it.
     assert unset == [("lib.py", "leaf", "c")]
+
+
+def test_name_check_counts_words_outside_the_def_line(tmp_path):
+    src, use = tmp_path / "src", tmp_path / "use"
+    src.mkdir()
+    use.mkdir()
+    (src / "lib.py").write_text(
+        "def called():\n    pass\n\n"
+        "def documented():\n    pass\n\n"
+        "def orphan():\n    pass\n\n"
+        "class A:\n    def twin(self):\n        pass\n\n"
+        "class B:\n    def twin(self):\n        pass\n\n"
+        "def _private():\n    pass\n")
+    # A twin vouches for its same-named twin; a docstring mention counts.
+    (use / "use.py").write_text('called()\n"""see documented"""\nA, B\n')
+    assert unreferenced_names(src, [src, use], allowlist={}) \
+        == [("lib.py", "orphan")]
+    assert unreferenced_names(src, [src, use], allowlist={
+        ("lib.py", "orphan"): "kept on purpose"}) == []

@@ -7,6 +7,7 @@ change the hash; bumping the code-version salt does.
 """
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -85,9 +86,15 @@ class TestSaltAndKind:
         assert fingerprint(1, kind="path") != fingerprint(1, kind="sweep")
 
     def test_salt_bump_invalidates(self):
+        # CODE_VERSION salts the hashed material, so bumping it moves
+        # every fingerprint.
+        def digest(salt):
+            material = f"{salt}\x00generic\x00{canonical_json({'x': 1})}"
+            return hashlib.sha256(material.encode()).hexdigest()
+
         base = fingerprint({"x": 1})
-        assert base == fingerprint({"x": 1}, salt=CODE_VERSION)
-        assert base != fingerprint({"x": 1}, salt=CODE_VERSION + ".next")
+        assert base == digest(CODE_VERSION)
+        assert base != digest(CODE_VERSION + ".next")
 
 
 class TestCrossProcessStability:

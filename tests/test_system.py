@@ -30,6 +30,8 @@ from repro.qa.scenario import Scenario, run_scenario
 from repro.serve import ServeClient, ServeError
 from repro.store import ArtifactStore
 
+from .helpers import submit_and_wait
+
 pytestmark = pytest.mark.slow
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -79,8 +81,9 @@ def spawn(tmp_path):
 
 def test_serve_subprocess_drains_cleanly_on_sigterm(spawn):
     proc, client = spawn("solo")
-    done = client.submit_and_wait(
-        "experiment", {"experiment": "fig2", "smoke": True}, timeout=120)
+    done = submit_and_wait(
+        client, "experiment", {"experiment": "fig2", "smoke": True},
+        timeout=120)
     assert done["state"] == "done"
     assert done["summary"]["experiment"] == "fig2"
 

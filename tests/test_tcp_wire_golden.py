@@ -49,6 +49,8 @@ from repro.sim.network import medium_dumbbell
 from repro.tcp import Connection
 from repro.units import mbps, ms
 
+from .helpers import advertise_window, lossy_dumbbell
+
 GOLDEN_PATH = Path(__file__).parent / "data" / "tcp_wire_golden.json"
 
 
@@ -70,7 +72,7 @@ def _bbr_paced(sim):
 def _reno_lossy(sim):
     # 12% random loss after the bottleneck: retransmissions are lost
     # too, which is what forces the retransmission timer.
-    path = dumbbell(sim, mbps(10), ms(40), loss_rate=0.12, seed=7)
+    path = lossy_dumbbell(sim, mbps(10), ms(40), 0.12, seed=7)
     conn = Connection(sim, path, "lossy", RenoCca())
     conn.sender.set_infinite_backlog()
     return path, [conn], 6.0
@@ -89,7 +91,8 @@ def _reno_rwnd_finite(sim):
     # Two application writes, a small receive window and a close: the
     # write/close/rwnd side of the sender the backlogged runs never use.
     path = dumbbell(sim, mbps(10), ms(40), buffer_multiplier=1.0)
-    conn = Connection(sim, path, "finite", RenoCca(), rwnd_bytes=20_000)
+    conn = Connection(sim, path, "finite", RenoCca())
+    advertise_window(conn, 20_000)
     conn.sender.write(150_000)
     sim.schedule(1.0, lambda: (conn.sender.write(90_000),
                                conn.sender.close()))

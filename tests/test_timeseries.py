@@ -5,7 +5,8 @@ import pytest
 
 from repro.analysis import DelayMeter, RateMeter, ewma, jitter_metrics
 from repro.errors import AnalysisError
-from repro.sim.packet import make_data
+
+from .helpers import make_data
 
 
 def pkt(flow="f", size=1000):
@@ -14,39 +15,39 @@ def pkt(flow="f", size=1000):
 
 class TestRateMeter:
     def test_constant_rate_measured(self):
-        meter = RateMeter(bin_width=0.1)
+        meter = RateMeter()
         # 1000 bytes every 10 ms = 100 kB/s.
         for i in range(100):
             meter.add(i * 0.01, 1000)
-        assert meter.mean_rate(0.0, 1.0) == pytest.approx(100_000)
+        _, rates = meter.series(0.0, 1.0)
+        assert rates.mean() == pytest.approx(100_000)
 
     def test_flow_filter(self):
-        meter = RateMeter(bin_width=0.1,
-                          flow_filter=lambda f: f == "wanted")
-        meter.on_packet(pkt("wanted"), 0.05)
-        meter.on_packet(pkt("other"), 0.05)
-        assert meter.total_bytes == 1000
+        # There is no filter: the tap counts every flow's bytes.
+        meter = RateMeter()
+        meter.on_packet(pkt("wanted"), 0.005)
+        meter.on_packet(pkt("other"), 0.005)
+        assert meter.total_bytes == 2000
 
     def test_empty_bins_are_zero(self):
-        meter = RateMeter(bin_width=0.1)
-        meter.add(0.05, 500)
-        times, rates = meter.series(0.0, 0.3)
+        meter = RateMeter()
+        meter.add(0.005, 500)
+        times, rates = meter.series(0.0, 0.03)
         assert len(rates) == 3
-        assert rates[0] == pytest.approx(5000)
+        assert rates[0] == pytest.approx(50_000)
         assert rates[1] == 0.0
         assert rates[2] == 0.0
 
     def test_series_times_are_bin_centers(self):
-        meter = RateMeter(bin_width=0.2)
-        times, _ = meter.series(0.0, 0.6)
-        assert times == pytest.approx([0.1, 0.3, 0.5])
+        meter = RateMeter()
+        times, _ = meter.series(0.0, 0.03)
+        assert times == pytest.approx([0.005, 0.015, 0.025])
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(AnalysisError):
+        # The 10 ms bin is the class's; a meter takes no configuration.
+        assert RateMeter.bin_width == 0.01
+        with pytest.raises(TypeError):
             RateMeter(bin_width=0.0)
-        meter = RateMeter()
-        with pytest.raises(AnalysisError):
-            meter.mean_rate(1.0, 1.0)
 
 
 class TestDelayMeter:

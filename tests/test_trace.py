@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.sim.trace import (OPPORTUNITY_BYTES, cellular_trace,
-                             constant_rate_trace, format_trace, load_trace,
-                             parse_trace, periodic_rate_trace)
+                             constant_rate_trace, parse_trace)
 from repro.units import mbps
 
 
@@ -36,30 +35,18 @@ class TestParse:
         with pytest.raises(TraceFormatError):
             parse_trace("-3\n")
 
-    def test_round_trip_via_file(self, tmp_path):
-        path = tmp_path / "trace"
-        path.write_text(format_trace([1, 2, 3]))
-        assert load_trace(path) == [1.0, 2.0, 3.0]
-
 
 class TestSynthesis:
     def test_constant_rate_opportunity_count(self):
         # rate * 1s / 1514B opportunities.
-        trace = constant_rate_trace(12.0, 1000)
+        trace = constant_rate_trace(12.0)
         expected = mbps(12.0) / OPPORTUNITY_BYTES
         assert len(trace) == pytest.approx(expected, rel=0.01)
 
     def test_constant_rate_evenly_spaced(self):
-        trace = constant_rate_trace(12.112, 1000)
+        trace = constant_rate_trace(12.112)
         gaps = [b - a for a, b in zip(trace, trace[1:])]
         assert max(gaps) - min(gaps) < 0.01
-
-    def test_periodic_alternates_density(self):
-        trace = periodic_rate_trace(2.0, 20.0, period_ms=2000,
-                                    duration_ms=2000)
-        first_half = sum(1 for t in trace if t <= 1000)
-        second_half = len(trace) - first_half
-        assert first_half > 5 * second_half
 
     def test_cellular_deterministic_and_positive(self):
         a = cellular_trace(20.0, duration_ms=2000, seed=3)
@@ -76,7 +63,5 @@ class TestSynthesis:
     def test_invalid_rates_rejected(self):
         with pytest.raises(TraceFormatError):
             constant_rate_trace(0.0)
-        with pytest.raises(TraceFormatError):
-            periodic_rate_trace(-1.0, 5.0)
         with pytest.raises(TraceFormatError):
             cellular_trace(0.0)

@@ -14,13 +14,17 @@ from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection, LimitState
 from repro.units import DEFAULT_MSS, mbps, ms, to_mbps
 
+from .helpers import advertise_window, lossy_dumbbell
+
 
 def run_bulk(cca_factory, rate_mbps=10.0, rtt_ms=40.0, duration=15.0,
              rwnd=None, buffer_multiplier=1.0):
     sim = Simulator()
     path = dumbbell(sim, mbps(rate_mbps), ms(rtt_ms),
                     buffer_multiplier=buffer_multiplier)
-    conn = Connection(sim, path, "flow0", cca_factory(), rwnd_bytes=rwnd)
+    conn = Connection(sim, path, "flow0", cca_factory())
+    if rwnd is not None:
+        advertise_window(conn, rwnd)
     conn.sender.set_infinite_backlog()
     sim.run(until=duration)
     return sim, path, conn
@@ -62,7 +66,7 @@ class TestBulkTransfer:
         path = dumbbell(sim, mbps(10), ms(40))
         Connection(sim, path, "f", RenoCca())
         sim.run(until=1.0)
-        assert path.bottleneck.delivered_packets == 0
+        assert path.bottleneck.delivered_bytes == 0
 
 
 class TestSegmentSize:
@@ -147,8 +151,8 @@ class TestCompletion:
 
     def test_flow_completes_despite_loss(self):
         sim = Simulator()
-        path = dumbbell(sim, mbps(2), ms(40), buffer_multiplier=0.5,
-                        loss_rate=0.02, seed=7)
+        path = lossy_dumbbell(sim, mbps(2), ms(40), 0.02, seed=7,
+                              buffer_multiplier=0.5)
         conn = Connection(sim, path, "lossy", NewRenoCca())
         done = []
         conn.sender.on_complete = done.append

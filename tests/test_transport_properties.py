@@ -13,6 +13,8 @@ from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection
 from repro.units import kbps, mbps, ms
 
+from .helpers import lossy_dumbbell
+
 
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -22,8 +24,8 @@ from repro.units import kbps, mbps, ms
 def test_property_stream_integrity_under_loss(size, loss, seed):
     """Every byte written is delivered exactly once, in order."""
     sim = Simulator()
-    path = dumbbell(sim, mbps(8), ms(30), loss_rate=loss, seed=seed,
-                    buffer_multiplier=1.0)
+    path = lossy_dumbbell(sim, mbps(8), ms(30), loss, seed=seed,
+                          buffer_multiplier=1.0)
     conn = Connection(sim, path, "f", NewRenoCca())
     done = []
     conn.sender.on_complete = done.append
@@ -34,7 +36,7 @@ def test_property_stream_integrity_under_loss(size, loss, seed):
     assert conn.receiver.rcv_nxt == size
     assert conn.receiver.received_bytes == size
     assert conn.sender.inflight_bytes == 0
-    assert conn.sender.pipe_bytes == 0
+    assert conn.sender._pipe_bytes == 0
 
 
 @settings(max_examples=8, deadline=None,
@@ -82,7 +84,7 @@ def test_property_no_deadlock_across_rate_rtt_space(rate_kbps, rtt_ms_val):
        seed=st.integers(min_value=0, max_value=100))
 def test_property_concurrent_short_flows_all_complete(sizes, seed):
     sim = Simulator()
-    path = dumbbell(sim, mbps(12), ms(40), loss_rate=0.01, seed=seed)
+    path = lossy_dumbbell(sim, mbps(12), ms(40), 0.01, seed=seed)
     completions = []
     for i, size in enumerate(sizes):
         conn = Connection(sim, path, f"s{i}", CubicCca())

@@ -35,7 +35,7 @@ class TestAnalysis:
         t = np.arange(0, 30, 0.1)
         r = np.full_like(t, 0.05)
         r[50:53] = 0.2  # 0.3 s blip < min_episode
-        result = detect_congestion_episodes(t, r, min_episode=1.0)
+        result = detect_congestion_episodes(t, r)
         assert result.episodes == ()
 
     def test_episode_running_to_end_counted(self):

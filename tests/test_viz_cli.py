@@ -27,10 +27,10 @@ class TestLineChart:
 
 class TestBarAndTable:
     def test_bar_chart_scales_to_peak(self):
-        chart = viz.bar_chart(["a", "b"], [1.0, 2.0], width=10)
+        chart = viz.bar_chart(["a", "b"], [1.0, 2.0])
         lines = chart.splitlines()
-        assert lines[0].count("█") == 5
-        assert lines[1].count("█") == 10
+        assert lines[0].count("█") == 25
+        assert lines[1].count("█") == 50
 
     def test_table_aligns_columns(self):
         text = viz.table([("a", 1), ("bbbb", 22)], header=("n", "v"))
