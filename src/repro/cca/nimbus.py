@@ -135,7 +135,8 @@ class NimbusCca(CongestionControl):
 
     Args:
         capacity_hint: bottleneck capacity μ in bytes/second; None
-            estimates μ as a windowed max of delivery-rate samples.
+            estimates μ as a windowed max of delivery-rate samples
+            (the filter runs only then: with a hint it is never fed).
             (A wrong μ adds (k-1)·S to ẑ for a hint k times the true
             capacity, so the probe's own pulse reads as elasticity;
             see :mod:`repro.core.elasticity`.)
@@ -242,7 +243,8 @@ class NimbusCca(CongestionControl):
         self._min_rtt = sample.min_rtt
         if sample.rtt is not None:
             self._rtt_peak.update(sample.now, sample.rtt)
-        if (sample.delivery_rate is not None
+        if (self.capacity_hint is None
+                and sample.delivery_rate is not None
                 and not sample.delivery_rate_app_limited):
             self._mu_filter.update(sample.now, sample.delivery_rate)
         self._update_control(sample.now)
@@ -264,11 +266,6 @@ class NimbusCca(CongestionControl):
         if self._buffer_est is None or queue_at_loss > self._buffer_est:
             self._buffer_est = queue_at_loss
             self._retarget()
-
-    @property
-    def _amp_scale(self) -> float:
-        """Delivered pulse amplitude as a fraction of the configured one."""
-        return self.pulses.amplitude_frac / self._base_amplitude
 
     def _retarget(self) -> None:
         """:func:`fit_to_buffer` into the learned buffer."""
@@ -319,7 +316,8 @@ class NimbusCca(CongestionControl):
         # The significance floor tracks the *delivered* pulse drive: a
         # shrunken pulse elicits proportionally smaller responses, and
         # holding the floor at full scale would mute true detections.
-        self.estimator.scale = self.mu * self._amp_scale
+        self.estimator.scale = self.mu * (self.pulses.amplitude_frac
+                                          / self._base_amplitude)
         due = self.estimator.add_sample(bin_end, z)
         if _OBS.enabled:
             # Bins close lazily, so bin_end can trail the live clock;

@@ -136,6 +136,10 @@ class Link(_Egress):
         self._rate = float(rate)
         self._qdisc = qdisc if qdisc is not None else DropTailQueue(
             limit_packets=100)
+        # Only a qdisc that overrides next_ready_time holds packets
+        # back from an idle link; with any other, idle waits for a send.
+        self._gated = (type(self._qdisc).next_ready_time
+                       is not Qdisc.next_ready_time)
         # The transmitter's chain: ``_next`` is the virtual time of its
         # next step -- the end of ``_in_flight``'s serialization, or a
         # retry of a token-gated qdisc when nothing is in flight -- and
@@ -171,9 +175,12 @@ class Link(_Egress):
                 self._retry_event = None
             packet = self._qdisc.dequeue(now)
             if packet is None:
-                self._next = self._wait(now)
-                if self._next < _IDLE:
-                    self._file_retry()
+                if self._gated:
+                    self._next = self._wait(now)
+                    if self._next < _IDLE:
+                        self._file_retry()
+                else:
+                    self._next = _IDLE
                 return
             # One start, written out as in _catch_up: an idle link (an
             # ACK path, always) takes this branch once per packet.
@@ -229,7 +236,7 @@ class Link(_Egress):
             packet = self._qdisc.dequeue(due)
             self._in_flight = packet
             if packet is None:
-                due = self._wait(due)
+                due = self._wait(due) if self._gated else _IDLE
                 continue
             tx_time = packet.size / self._rate
             self._busy_time += tx_time

@@ -2,8 +2,9 @@
 
 A :class:`Host` terminates paths -- it routes incoming packets to the
 handler registered for their flow id (a transport endpoint, a sink, a
-measurement probe).  Unclaimed packets are counted, not raised: in a
-long scenario, late packets from a finished flow are normal.
+measurement probe).  A packet no handler claims is dropped silently,
+not raised: in a long scenario, late packets from a finished flow are
+normal.
 """
 
 from __future__ import annotations
@@ -21,26 +22,19 @@ class Host:
     def __init__(self, name: str = "host"):
         self.name = name
         self._handlers: dict[str, Handler] = {}
-        self.unclaimed = 0
-        self.received_packets = 0
-        self.received_bytes = 0
 
     def attach(self, flow_id: str, handler: Handler) -> None:
         """Route packets of ``flow_id`` to ``handler``."""
         self._handlers[flow_id] = handler
 
     def detach(self, flow_id: str) -> None:
-        """Stop routing ``flow_id`` (its packets become unclaimed)."""
+        """Stop routing ``flow_id`` (its packets are dropped)."""
         self._handlers.pop(flow_id, None)
 
     def send(self, packet: Packet) -> None:
         """Receive a packet from the network (PacketSink interface)."""
-        self.received_packets += 1
-        self.received_bytes += packet.size
         handler = self._handlers.get(packet.flow_id)
-        if handler is None:
-            self.unclaimed += 1
-        else:
+        if handler is not None:
             handler(packet)
 
 

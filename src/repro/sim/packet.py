@@ -45,8 +45,6 @@ class Packet:
             (set by qdiscs; used for queueing-delay analysis).
         ack_of_sent_time: for ACK, echo of the data packet's sent_time
             (an exact RTT timestamp, like TCP timestamps).
-        app_limited: the sender was application-limited when this packet
-            left, so rate samples derived from it are not trustworthy.
     """
 
     __slots__ = (
@@ -54,7 +52,7 @@ class Packet:
         "seq", "end_seq", "ack",
         "ecn_capable", "ecn_marked",
         "sent_time", "enqueue_time", "ack_of_sent_time",
-        "app_limited", "retransmit", "rwnd", "ecn_echo", "sack_blocks",
+        "retransmit", "rwnd", "ecn_echo", "sack_blocks",
     )
 
     def __init__(self, flow_id: str, kind: PacketKind = PacketKind.DATA,
@@ -74,7 +72,6 @@ class Packet:
         self.sent_time = 0.0
         self.enqueue_time = 0.0
         self.ack_of_sent_time: Optional[float] = None
-        self.app_limited = False
         self.retransmit = False
         #: for ACKs: advertised receive window in bytes (None = no limit)
         self.rwnd: Optional[int] = None

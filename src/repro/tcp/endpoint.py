@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Optional
 
 from ..cca.base import AckSample, CongestionControl
@@ -42,6 +43,9 @@ UNLIMITED_RWND = 1 << 48
 
 #: Maximum SACK blocks carried per ACK (as in real TCP options).
 MAX_SACK_BLOCKS = 3
+
+#: Cumulatively-acked segments the scoreboard keeps before it compacts.
+COMPACT_AFTER = 256
 
 _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
@@ -67,6 +71,9 @@ class _Segment:
         self.delivered_at_send = delivered_at_send
         self.app_limited = app_limited
         self.payload = end - seq
+
+
+_seq_of = attrgetter("seq")
 
 
 class TcpSender:
@@ -105,23 +112,18 @@ class TcpSender:
         #: invoked once, as ``fn(now)``, when a closed stream is fully acked
         self.on_complete: Optional[Callable[[float], None]] = None
 
-        # Scoreboard: seq -> segment, plus an ordered queue of lost
-        # segments awaiting retransmission and a running pipe estimate.
-        # `_order` holds outstanding seqs in (monotone) send order with
-        # `_head` as its logical start, `_scan` as the loss-marking
-        # pointer and `_sack_resume` as, per block start of the last
-        # SACK-bearing ACK, the `_order` index where marking that block
-        # stopped -- this keeps SACK processing amortized O(1) per ACK
-        # instead of O(window), which matters when a BBR-sized window
-        # (thousands of segments) is in flight.  The indices die with
-        # the positions they name: on go-back-N and on compaction.
-        self._segments: dict[int, _Segment] = {}
-        self._by_end: dict[int, int] = {}
-        self._order: list[int] = []
+        # Scoreboard: the segments in send order (seq order until
+        # go-back-N empties it), outstanding from `_head` on; `_scan` is
+        # the loss-marking pointer and `_sack_resume`, per block start
+        # of the last SACK-bearing ACK, the index where marking that
+        # block stopped, so SACK processing is amortized O(1) per ACK
+        # with a BBR-sized window in flight.  Lost segments await
+        # retransmission in `_lost_queue`, in seq order.
+        self._order: list[_Segment] = []
         self._head = 0
         self._scan = 0
         self._sack_resume: dict[int, int] = {}
-        self._lost_queue: deque[int] = deque()
+        self._lost_queue: deque[_Segment] = deque()
         self._pipe_bytes = 0
         self._highest_sacked = 0
 
@@ -233,12 +235,9 @@ class TcpSender:
         packet = Packet(self.flow_id, _DATA, size, seq, end, 0,
                         self.user_id, self.ecn)
         packet.sent_time = now
-        packet.app_limited = app_limited
         self.snd_nxt = end
-        self._segments[seq] = _Segment(
-            seq, end, size, now, self.delivered, app_limited)
-        self._by_end[end] = seq
-        self._order.append(seq)
+        self._order.append(_Segment(
+            seq, end, size, now, self.delivered, app_limited))
         self._pipe_bytes += payload
         self.tracker.bytes_sent += payload
         self._advance_pacing_clock(now, size)
@@ -248,9 +247,9 @@ class TcpSender:
         self.transmit(packet)
 
     def _send_retransmission(self) -> None:
-        seq = self._lost_queue.popleft()
-        segment = self._segments.get(seq)
-        if segment is None or segment.sacked or segment.retx_inflight:
+        # Acked segments leave the queue's front as they are dropped.
+        segment = self._lost_queue.popleft()
+        if segment.sacked or segment.retx_inflight:
             return
         now = self.sim.now
         payload = segment.payload
@@ -312,7 +311,7 @@ class TcpSender:
     def _apply_sack_blocks(self,
                            blocks: tuple[tuple[int, int], ...]) -> None:
         order = self._order
-        segments = self._segments
+        head = self._head
         resume = self._sack_resume
         self._sack_resume = stops = {}
         for lo, hi in blocks:
@@ -320,19 +319,21 @@ class TcpSender:
                 self._highest_sacked = hi
             # A block keeps its start while it grows, and everything
             # marked under that start stays marked: carry on from where
-            # the previous ACK's walk of it stopped.  (A walk that
-            # stopped at the end of `_order` resumes at whatever was
-            # sent next, which after go-back-N can still be below the
-            # block: hence `seq >= lo`.)
+            # the previous ACK's walk of it stopped (or from `_head`).
+            # (A walk that stopped at the end of `_order` resumes at
+            # whatever was sent next, which after go-back-N can still be
+            # below the block: hence `seq >= lo`.)
             idx = resume.get(lo)
             if idx is None:
-                idx = bisect.bisect_left(order, lo, lo=self._head)
+                idx = bisect.bisect_left(order, lo, head, key=_seq_of)
+            elif idx < head:
+                idx = head
             while idx < len(order):
-                seq = order[idx]
+                seg = order[idx]
+                seq = seg.seq
                 if seq >= hi:
                     break
-                seg = segments.get(seq)
-                if seg is not None and not seg.sacked and seq >= lo:
+                if not seg.sacked and seq >= lo:
                     if seg.end > hi:
                         break  # straddles the edge: look again next ACK
                     seg.sacked = True
@@ -354,21 +355,21 @@ class TcpSender:
     def _detect_losses(self, now: float) -> None:
         threshold = self._highest_sacked - DUPACK_THRESHOLD * self.mss
         newly_lost_max: int | None = None
-        if self._scan < self._head:
-            self._scan = self._head
-        while self._scan < len(self._order):
-            seq = self._order[self._scan]
-            seg = self._segments.get(seq)
-            if seg is None or seg.sacked or seg.lost:
-                self._scan += 1
+        order = self._order
+        scan = max(self._scan, self._head)
+        while scan < len(order):
+            seg = order[scan]
+            if seg.sacked or seg.lost:
+                scan += 1
                 continue
             if seg.end > threshold:
                 break
             seg.lost = True
             self._pipe_bytes -= seg.payload
-            self._lost_queue.append(seq)  # scan order is seq order
-            newly_lost_max = seq
-            self._scan += 1
+            self._lost_queue.append(seg)  # scan order is seq order
+            newly_lost_max = seg.seq
+            scan += 1
+        self._scan = scan
         if newly_lost_max is None or self._in_recovery:
             return
         # One congestion response per window of data (RFC 6582/6675):
@@ -402,14 +403,12 @@ class TcpSender:
                 rtt.update(elapsed)
                 rtt_sample = elapsed
 
-        # Grab the rate-sample candidate (the segment ending exactly at
-        # the new ack) before its segment is dropped.
-        candidate = self._segments.get(self._by_end.get(ack))
-
         # Delivery accounting: bytes already counted when SACKed are
         # not re-counted; bytes with no scoreboard entry (post-RTO
-        # go-back-N races) are credited from the ACK itself.
-        newly_delivered, covered = self._drop_acked_segments(ack)
+        # go-back-N races) are credited from the ACK itself.  The
+        # rate-sample candidate is the dropped segment ending exactly
+        # at the new ack.
+        newly_delivered, covered, candidate = self._drop_acked_segments(ack)
         self.delivered += newly_delivered + max(0, acked - covered)
 
         delivery_rate = None
@@ -451,43 +450,44 @@ class TcpSender:
         if self._closed:
             self._maybe_complete()
 
-    def _drop_acked_segments(self, ack: int) -> tuple[int, int]:
-        """Remove segments below ``ack``.
+    def _drop_acked_segments(self, ack: int
+                             ) -> tuple[int, int, Optional[_Segment]]:
+        """Move ``_head`` past the segments below ``ack``.
 
         Returns:
-            (newly_delivered, covered): payload bytes not previously
-            counted as delivered via SACK, and total payload bytes of
-            the removed segments.
+            (newly_delivered, covered, candidate): payload bytes not
+            counted as delivered via SACK, payload bytes dropped, and
+            the dropped segment ending exactly at ``ack``, if any.
         """
         newly_delivered = 0
         covered = 0
         order = self._order
-        segments = self._segments
-        head = self._head
+        head = start = self._head
         while head < len(order):
-            seq = order[head]
-            seg = segments.get(seq)
-            if seg is not None:
-                if seg.end > ack:
-                    break
-                del segments[seq]
-                self._by_end.pop(seg.end, None)
-                covered += seg.payload
-                if not seg.sacked:
-                    newly_delivered += seg.payload
-                    if not seg.lost or seg.retx_inflight:
-                        self._pipe_bytes -= seg.payload
+            seg = order[head]
+            if seg.end > ack:
+                break
+            covered += seg.payload
+            if not seg.sacked:
+                newly_delivered += seg.payload
+                if not seg.lost or seg.retx_inflight:
+                    self._pipe_bytes -= seg.payload
             head += 1
+        candidate = (order[head - 1] if head > start
+                     and order[head - 1].end == ack else None)
+        if head > COMPACT_AFTER:
+            del order[:head]  # in place: a test may hold the list
+            self._scan = max(0, self._scan - head)
+            resume = self._sack_resume
+            for lo in resume:
+                resume[lo] = max(0, resume[lo] - head)
+            head = 0
         self._head = head
-        if self._head > 4096 and self._head > len(self._order) // 2:
-            del self._order[:self._head]
-            self._scan = max(0, self._scan - self._head)
-            self._head = 0
-            self._sack_resume = {}
-        while self._lost_queue and self._lost_queue[0] not in self._segments:
+        lost_queue = self._lost_queue
+        while lost_queue and lost_queue[0].end <= ack:
             # Cumulatively-acked entries sit at the front (lowest seqs).
-            self._lost_queue.popleft()
-        return newly_delivered, covered
+            lost_queue.popleft()
+        return newly_delivered, covered, candidate
 
     # -- RTO -------------------------------------------------------------------
 
@@ -507,8 +507,6 @@ class TcpSender:
                       self.flow_id, float(self.snd_nxt - self.snd_una))
         self.rtt.backoff()
         # Go-back-N: everything outstanding is presumed lost.
-        self._segments.clear()
-        self._by_end.clear()
         self._order.clear()
         self._head = 0
         self._scan = 0
@@ -642,20 +640,23 @@ class TcpReceiver:
             self.transmit(ack)
 
     def _insert(self, seq: int, end: int) -> None:
-        seq = max(seq, self.rcv_nxt)
-        intervals = self._ooo + [(seq, end)]
-        intervals.sort()
-        merged: list[tuple[int, int]] = []
-        for lo, hi in intervals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        # Advance rcv_nxt over any leading contiguous interval.
-        while merged and merged[0][0] <= self.rcv_nxt:
-            self.rcv_nxt = max(self.rcv_nxt, merged[0][1])
-            merged.pop(0)
-        self._ooo = merged
+        # `_ooo` is sorted, and no two of its blocks touch: merge
+        # [lo, end) with its neighbours in place.
+        lo = max(seq, self.rcv_nxt)
+        ooo = self._ooo
+        i = bisect.bisect_left(ooo, (lo,))
+        if i and ooo[i - 1][1] >= lo:
+            i -= 1
+            lo = ooo[i][0]
+        j = i
+        while j < len(ooo) and ooo[j][0] <= end:
+            end = max(end, ooo[j][1])
+            j += 1
+        if lo <= self.rcv_nxt:  # only a block at rcv_nxt: delivered
+            self.rcv_nxt = end
+            del ooo[:j]
+        else:
+            ooo[i:j] = [(lo, end)]
 
 
 class Connection:

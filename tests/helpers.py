@@ -5,6 +5,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.sim import dumbbell
 from repro.sim.packet import Packet, PacketKind
+from repro.tcp.endpoint import DUPACK_THRESHOLD, TcpSender, _Segment
 from repro.units import HEADER_BYTES
 
 
@@ -73,3 +74,99 @@ def submit_and_wait(client, kind: str, params, timeout: float) -> dict:
     if job.get("disposition") == "cached":
         return job
     return client.wait(job["id"], timeout=timeout)
+
+
+class ReferenceScoreboard(TcpSender):
+    """:class:`~repro.tcp.endpoint.TcpSender` with its SACK scoreboard
+    written the slow way: a seq -> segment dict and an end -> seq dict,
+    every SACK block and every loss check walked from the lowest
+    outstanding seq, a lost queue of seqs.  No resume index, scan
+    pointer or compaction; what reads the scoreboard (the pump, the
+    ACK clock, the CCA) is the sender's own."""
+
+    def __init__(self, *args, **kwargs):
+        self._segments: dict[int, _Segment] = {}
+        self._by_end: dict[int, int] = {}
+        super().__init__(*args, **kwargs)
+
+    def flags(self) -> dict:
+        """``{seq: (sacked, lost)}`` of every outstanding segment."""
+        return {seq: (seg.sacked, seg.lost)
+                for seq, seg in self._segments.items()}
+
+    def _send_new_segment(self, now):
+        before = self.snd_nxt
+        super()._send_new_segment(now)
+        segment = self._order.pop()
+        self._segments[before] = segment
+        self._by_end[segment.end] = before
+
+    def _send_retransmission(self):
+        seq = self._lost_queue.popleft()
+        segment = self._segments.get(seq)
+        if segment is None or segment.sacked or segment.retx_inflight:
+            return
+        self._lost_queue.appendleft(segment)
+        super()._send_retransmission()
+
+    def _apply_sack_blocks(self, blocks):
+        for lo, hi in blocks:
+            self._highest_sacked = max(self._highest_sacked, hi)
+            for seq, seg in self._segments.items():
+                if seq >= hi:
+                    break
+                if seg.sacked or seq < lo:
+                    continue
+                if seg.end > hi:
+                    break
+                seg.sacked = True
+                self.delivered += seg.payload
+                if not seg.lost:
+                    self._pipe_bytes -= seg.payload
+                elif seg.retx_inflight:
+                    self._pipe_bytes -= seg.payload
+                    seg.retx_inflight = False
+
+    def _detect_losses(self, now):
+        threshold = self._highest_sacked - DUPACK_THRESHOLD * self.mss
+        newly_lost_max = None
+        for seq, seg in self._segments.items():
+            if seg.sacked or seg.lost:
+                continue
+            if seg.end > threshold:
+                break
+            seg.lost = True
+            self._pipe_bytes -= seg.payload
+            self._lost_queue.append(seq)
+            newly_lost_max = seq
+        if (newly_lost_max is None or self._in_recovery
+                or newly_lost_max < self._recover_point):
+            return
+        self._in_recovery = True
+        self._recover_point = self.snd_nxt
+        self.fast_retransmits += 1
+        self.cca.on_loss(now, self.mss)
+
+    def _drop_acked_segments(self, ack):
+        candidate = self._segments.get(self._by_end.get(ack))
+        newly_delivered = covered = 0
+        for seq in list(self._segments):
+            seg = self._segments[seq]
+            if seg.end > ack:
+                break
+            del self._segments[seq]
+            del self._by_end[seg.end]
+            covered += seg.payload
+            if not seg.sacked:
+                newly_delivered += seg.payload
+                if not seg.lost or seg.retx_inflight:
+                    self._pipe_bytes -= seg.payload
+        while self._lost_queue and self._lost_queue[0] not in self._segments:
+            self._lost_queue.popleft()
+        return newly_delivered, covered, candidate
+
+    def _on_rto(self):
+        if self.snd_nxt > self.snd_una:
+            self._segments.clear()
+            self._by_end.clear()
+        super()._on_rto()

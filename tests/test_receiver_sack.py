@@ -8,9 +8,9 @@ from repro.cca import RenoCca
 from repro.cca.base import CongestionControl
 from repro.sim import Simulator
 from repro.sim.packet import Packet, PacketKind
-from repro.tcp.endpoint import TcpReceiver, TcpSender
+from repro.tcp.endpoint import COMPACT_AFTER, TcpReceiver, TcpSender
 
-from .helpers import make_data
+from .helpers import ReferenceScoreboard, make_data
 
 
 def data(seq, payload=1000, flow="f", retransmit=False, sent_time=0.0):
@@ -127,13 +127,27 @@ class _ReferenceReceiver:
         return self.rcv_nxt, tuple(self.ooo[-3:])
 
 
+#: (start, length) in units of 100 bytes over a 4,600-byte stream:
+#: duplicates, overlaps, stale retransmissions below rcv_nxt, and long
+#: in-order runs with nothing buffered all turn up.
+ARRIVAL_ORDERS = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                          min_size=1, max_size=60)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
-                min_size=1, max_size=60))
+@given(ARRIVAL_ORDERS)
 def test_receiver_matches_reference_on_any_arrival_order(arrivals):
-    # (start, length) in units of 100 bytes over a 4,600-byte stream:
-    # duplicates, overlaps, stale retransmissions below rcv_nxt, and
-    # long in-order runs with nothing buffered all turn up.
+    check_receiver_against_reference(arrivals)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=5000, deadline=None)
+@given(ARRIVAL_ORDERS)
+def test_receiver_matches_reference_on_any_arrival_order_at_length(arrivals):
+    check_receiver_against_reference(arrivals)
+
+
+def check_receiver_against_reference(arrivals):
     acks = []
     rx = TcpReceiver(Simulator(), "f", transmit=acks.append)
     ref = _ReferenceReceiver()
@@ -154,6 +168,16 @@ class _WideOpen(CongestionControl):
 
     name = "wide-open"
     cwnd = 1e6
+
+
+def segment_at(tx, seq):
+    """The sender's outstanding scoreboard segment that starts at ``seq``."""
+    return next(seg for seg in tx._order[tx._head:] if seg.seq == seq)
+
+
+def outstanding_flags(tx):
+    """``{seq: (sacked, lost)}`` of the sender's outstanding segments."""
+    return {seg.seq: (seg.sacked, seg.lost) for seg in tx._order[tx._head:]}
 
 
 class TestSenderScoreboard:
@@ -228,35 +252,59 @@ class TestSenderScoreboard:
         # One hole at the front of a 2,000-segment window and 1,999
         # ACKs, each extending the same SACK block by one segment: the
         # scoreboard must be walked once overall, not once per ACK.
-        class CountingSegments(dict):
+        # Every read of the send-ordered list during a SACK walk counts.
+        class CountingOrder(list):
             visits = 0
             counting = False
 
-            def get(self, key, default=None):
+            def __getitem__(self, index):
                 if self.counting:
                     self.visits += 1
-                return super().get(key, default)
+                return super().__getitem__(index)
 
         class CountingSender(TcpSender):
             def _apply_sack_blocks(self, blocks):
-                self._segments.counting = True
+                self._order.counting = True
                 try:
                     super()._apply_sack_blocks(blocks)
                 finally:
-                    self._segments.counting = False
+                    self._order.counting = False
 
         sent = []
         tx = CountingSender(Simulator(), "f", _WideOpen(),
                             transmit=sent.append, mss=1000)
-        tx._segments = CountingSegments()
+        tx._order = order = CountingOrder()
         n = 2000
         tx.write(n * 1000)
-        assert len(sent) == n
+        assert len(sent) == n and len(order) == n
         for k in range(2, n + 1):
             tx.on_packet(self.ack_packet(0, sacks=[(1000, k * 1000)]))
         assert tx.delivered == (n - 1) * 1000
         assert tx._pipe_bytes <= 1000   # only the hole's retransmission
-        assert tx._segments.visits <= 3 * (n - 1)
+        # Each ACK marks one segment, so each reads the list at least once.
+        assert n - 1 <= order.visits <= 3 * (n - 1)
+
+    def test_acked_segments_wait_at_most_compact_after_for_compaction(self):
+        # A BBR-sized window acked one segment at a time: the list holds
+        # the outstanding segments and at most COMPACT_AFTER acked ones.
+        class _Window(CongestionControl):
+            name = "window"
+            cwnd = 2000.0
+
+        sent = []
+        tx = TcpSender(Simulator(), "f", _Window(), transmit=sent.append,
+                       mss=1000)
+        tx.set_infinite_backlog()
+        window = 2000
+        longest = 0
+        for k in range(1, 3 * window + 1):
+            tx.on_packet(self.ack_packet(k * 1000))
+            outstanding = (tx.snd_nxt - tx.snd_una) // 1000
+            assert outstanding == window
+            assert len(tx._order) <= outstanding + COMPACT_AFTER
+            longest = max(longest, len(tx._order))
+        assert len(sent) == 4 * window
+        assert longest == window + COMPACT_AFTER
 
     def test_rto_forgets_where_sack_walks_stopped(self):
         # Go-back-N rebuilds the scoreboard, so segments re-sent inside
@@ -273,7 +321,7 @@ class TestSenderScoreboard:
         assert tx.timeouts >= 1
         assert tx._pipe_bytes == 10_000   # everything re-sent
         tx.on_packet(self.ack_packet(1000, sacks=[(3000, 6000)]))
-        assert [tx._segments[seq].sacked for seq in (3000, 4000, 5000)] \
+        assert [segment_at(tx, seq).sacked for seq in (3000, 4000, 5000)] \
             == [True, True, True]
         assert tx._pipe_bytes == 10_000 - 1000 - 3000
 
@@ -295,6 +343,89 @@ class TestSenderScoreboard:
         tx.on_packet(self.ack_packet(2000, sacks=[(5000, 8000)]))
         assert tx.snd_nxt == 10_000
         tx.on_packet(self.ack_packet(3000, sacks=[(5000, 8000)]))
-        assert [tx._segments[seq].sacked
+        assert [segment_at(tx, seq).sacked
                 for seq in (3000, 4000, 5000, 6000, 7000, 8000)] \
             == [False, False, True, True, True, False]
+
+
+class _RateLog(RenoCca):
+    """Reno that keeps the delivery rate of every ACK sample."""
+
+    def __init__(self):
+        super().__init__(initial_cwnd=12.0)
+        self.rates = []
+
+    def on_ack(self, sample):
+        self.rates.append(sample.delivery_rate)
+        super().on_ack(sample)
+
+
+#: One ACK: (cumulative advance, SACKed units above the new ack, ms
+#: since the previous ACK), in units of half a segment, so that acks
+#: and blocks also land inside segments; plus the step (modulo the
+#: program's length) before which the RTO fires.
+SENDER_PROGRAMS = st.tuples(
+    st.lists(st.tuples(st.integers(0, 6),
+                       st.frozensets(st.integers(0, 40), max_size=14),
+                       st.integers(0, 30)),
+             min_size=1, max_size=40),
+    st.integers(0, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SENDER_PROGRAMS)
+def test_sender_matches_reference_on_any_ack_stream(program):
+    check_sender_against_reference(*program)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=5000, deadline=None)
+@given(SENDER_PROGRAMS)
+def test_sender_matches_reference_on_any_ack_stream_at_length(program):
+    check_sender_against_reference(*program)
+
+
+def check_sender_against_reference(acks, rto_at):
+    half = 500
+    runs = []
+    for cls in (TcpSender, ReferenceScoreboard):
+        sim, sent = Simulator(), []
+        tx = cls(sim, "f", _RateLog(), transmit=sent.append, mss=1000)
+        tx.write(60 * 1000 + half)
+        runs.append((sim, tx, sent))
+    (sim, tx, sent), (ref_sim, ref, ref_sent) = runs
+    for step, (advance, sacked, gap_ms) in enumerate(acks):
+        if step == rto_at % len(acks):
+            # Everything outstanding times out once: go-back-N.
+            until = sim.now + tx.rtt.rto + 1e-3
+            sim.run(until=until)
+            ref_sim.run(until=until)
+        until = sim.now + gap_ms / 1000
+        sim.run(until=until)
+        ref_sim.run(until=until)
+        # What a receiver could acknowledge: anything ever sent.
+        high = max(p.end_seq for p in sent)
+        ack = min(tx.snd_una + advance * half, high)
+        units = sorted(u for u in sacked if ack + (u + 2) * half <= high)
+        blocks = []
+        for u in units:
+            lo = ack + (u + 1) * half
+            if blocks and blocks[-1][1] == lo:
+                blocks[-1] = (blocks[-1][0], lo + half)
+            else:
+                blocks.append((lo, lo + half))
+        last = sent[-1]
+        for sender in (tx, ref):
+            packet = Packet("f", PacketKind.ACK, ack=ack)
+            packet.sack_blocks = tuple(blocks[-3:])
+            if not last.retransmit:
+                packet.ack_of_sent_time = last.sent_time
+            sender.on_packet(packet)
+        assert tx._pipe_bytes == ref._pipe_bytes
+        assert tx.delivered == ref.delivered
+        assert (tx.snd_una, tx.snd_nxt, tx.in_recovery) \
+            == (ref.snd_una, ref.snd_nxt, ref.in_recovery)
+        assert [(p.seq, p.end_seq, p.retransmit) for p in sent] \
+            == [(p.seq, p.end_seq, p.retransmit) for p in ref_sent]
+        assert tx.cca.rates == ref.cca.rates
+        assert outstanding_flags(tx) == ref.flags()

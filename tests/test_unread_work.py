@@ -1,0 +1,81 @@
+"""Per-packet work that nothing would read is not done.
+
+* An idle link asks its qdisc when to look again only if the qdisc's
+  class overrides ``next_ready_time`` -- ``tbf`` and ``htb``, the
+  token-gated ones.  Any other discipline is idle until the next send.
+* A :class:`~repro.cca.nimbus.NimbusCca` told the link rate never feeds
+  its μ max-filter, whose value only an unhinted probe reads.
+
+Counted on 2-second runs of two of the ledger's ``paths_packet``
+shapes; a ``tbf`` path and an unhinted probe are the controls that show
+the counters count.
+"""
+
+import pytest
+
+from repro.cca.base import AckSample
+from repro.cca.nimbus import NimbusCca
+from repro.core.campaign import PathSpec
+from repro.core.path import build_packet_path
+from repro.qa.scenario import Scenario
+from repro.qdisc import TokenBucketFilter
+from repro.qdisc.base import Qdisc
+
+
+def _count_polls(monkeypatch) -> list:
+    """Patch every ``next_ready_time`` rule to record its calls."""
+    polls = []
+    for cls in (Qdisc, TokenBucketFilter):
+        rule = cls.next_ready_time
+
+        def counted(self, now, rule=rule):
+            polls.append(now)
+            return rule(self, now)
+
+        monkeypatch.setattr(cls, "next_ready_time", counted)
+    return polls
+
+
+def _run(spec, seconds: float = 2.0) -> list:
+    """Run ``spec`` with its probe's μ-filter updates counted."""
+    handles, sources = build_packet_path(spec)
+    mu_filter = sources["probe"].cca._mu_filter
+    updates = []
+    update = mu_filter.update
+
+    def counted(key, value):
+        updates.append(key)
+        update(key, value)
+
+    mu_filter.update = counted
+    handles.sim.run(until=seconds)
+    assert handles.bottleneck.busy_time > 0.5 * seconds
+    return updates
+
+
+@pytest.mark.parametrize("cross, qdisc", [("reno", "droptail"),
+                                          ("bbr", "fq")])
+def test_untokened_links_never_poll_and_a_hinted_probe_never_filters(
+        cross, qdisc, monkeypatch):
+    polls = _count_polls(monkeypatch)
+    updates = _run(PathSpec(rate_mbps=20.0, rtt_ms=50.0, qdisc=qdisc,
+                            cross_traffic=cross, seed=7))
+    assert polls == []
+    assert updates == []
+
+
+def test_a_token_gated_link_still_polls(monkeypatch):
+    polls = _count_polls(monkeypatch)
+    _run(Scenario(family="probe", rate_mbps=20.0, rtt_ms=50.0,
+                  duration=2.0, qdisc="tbf", cross_traffic="reno", seed=23))
+    assert len(polls) > 0
+
+
+def test_only_an_unhinted_probe_feeds_its_mu_filter():
+    sample = AckSample(0.1, 1448, 0.05, 0.05, 0.05, 10_000, 2e6, False,
+                       1448, False, False)
+    for hint, filtered in ((None, 2e6), (6e6, None)):
+        cca = NimbusCca(capacity_hint=hint)
+        cca.bind_flow("probe", 1448)
+        cca.on_ack(sample)
+        assert cca._mu_filter.value == filtered
