@@ -198,7 +198,8 @@ class Coordinator:
         live for :data:`DEAD_GRACE_S` with work outstanding (the journal
         then ends ``partial``); individual task failures are recorded,
         not raised -- callers fall back to local execution for
-        quarantined tasks.
+        quarantined tasks.  The per-node clients' idle connections are
+        closed when it returns.
         """
         records: dict[str, TaskRecord] = {}
         order: list[str] = []
@@ -235,6 +236,8 @@ class Coordinator:
         finally:
             if self.journal is not None:
                 self.journal.finish(clean=clean)
+            for client in self._clients.values():
+                client.close()
         return records
 
     # -- dispatch --------------------------------------------------------

@@ -123,11 +123,10 @@ class Membership:
 
     @staticmethod
     def _default_probe(node: Node) -> dict:
-        client = ServeClient(node.host, node.port,
-                             timeout=READ_TIMEOUT_S,
-                             connect_timeout=CONNECT_TIMEOUT_S,
-                             client_id="cluster-coordinator")
-        return client.healthz()
+        with ServeClient(node.host, node.port, timeout=READ_TIMEOUT_S,
+                         connect_timeout=CONNECT_TIMEOUT_S,
+                         client_id="cluster-coordinator") as client:
+            return client.healthz()
 
     # -- state transitions -----------------------------------------------
 

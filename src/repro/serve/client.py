@@ -1,10 +1,12 @@
 """Blocking stdlib client for the experiment service.
 
-:class:`ServeClient` wraps ``http.client`` (one connection per call --
-the server is connection-per-request) with the service's semantics:
-JSON in/out, typed :class:`ServeError` failures carrying the HTTP
-status and the server's ``Retry-After`` hint, submit-and-wait
-convenience, and an iterator over the chunked job event stream.
+:class:`ServeClient` wraps ``http.client`` with the service's
+semantics: JSON in/out, typed :class:`ServeError` failures carrying the
+HTTP status and the server's ``Retry-After`` hint, submit-and-wait
+convenience, and an iterator over the chunked job event stream.  It
+keeps its connections open between requests: each request takes an
+idle one (or opens one), so threads may share a client, and
+:meth:`ServeClient.close` (or leaving a ``with`` block) closes them.
 
 >>> client = ServeClient(port=8765)            # doctest: +SKIP
 >>> job = client.submit("pipeline", {"flows": 500})   # doctest: +SKIP
@@ -18,6 +20,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
+import weakref
 from typing import Iterator, Mapping
 
 from ..errors import ReproError
@@ -75,14 +78,33 @@ class ServeClient:
         self.connect_timeout = (connect_timeout
                                 if connect_timeout is not None
                                 else timeout)
+        #: Idle keep-alive connections, most recently used last; a
+        #: request takes one and puts it back when the server keeps it.
+        self._idle: list[http.client.HTTPConnection] = []
+        # A client dropped without close() still closes its sockets.
+        weakref.finalize(self, _close_all, self._idle)
 
     # -- plumbing --------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        _close_all(self._idle)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         if self.client_id:
             headers["X-Repro-Client"] = self.client_id
         return headers
+
+    def _unreachable(self, exc: BaseException) -> ServeError:
+        return ServeError(0, f"cannot reach {self.host}:{self.port}: "
+                             f"{exc}")
 
     def _connect(self) -> http.client.HTTPConnection:
         """Open one connection: connect under ``connect_timeout``, then
@@ -91,41 +113,81 @@ class ServeClient:
                                           timeout=self.connect_timeout)
         try:
             conn.connect()
-        except (ConnectionError, OSError) as exc:
+        except OSError as exc:
             conn.close()
-            raise ServeError(0, f"cannot reach {self.host}:"
-                                f"{self.port}: {exc}")
+            raise self._unreachable(exc)
         if conn.sock is not None:
             conn.sock.settimeout(self.timeout)
         return conn
 
-    def _request(self, method: str, path: str,
-                 body: Mapping | None = None) -> dict:
-        conn = self._connect()
+    def _open(self, method: str, path: str, data: bytes | None = None
+              ) -> tuple[http.client.HTTPConnection,
+                         http.client.HTTPResponse]:
+        """Send one request on an idle connection, or a new one when
+        none is idle; return the connection and the response, its body
+        unread.
+
+        The server closes only idle connections (at a drain or a
+        restart), so a reused one that fails before any response byte
+        never had the request read: it is replayed once on a new
+        connection.  A new connection that fails raises status 0.
+        """
         try:
-            data = json.dumps(body).encode() if body is not None else None
+            conn = self._idle.pop()
+        except IndexError:
+            conn = None
+        while True:
+            fresh = conn is None
+            if fresh:
+                conn = self._connect()
             try:
                 conn.request(method, path, body=data,
                              headers=self._headers())
-                response = conn.getresponse()
-                raw = response.read()
-            except (ConnectionError, OSError) as exc:
-                raise ServeError(0, f"cannot reach {self.host}:"
-                                    f"{self.port}: {exc}")
-            try:
-                payload = json.loads(raw.decode() or "{}")
-            except ValueError:
-                payload = {"error": raw.decode(errors="replace")}
-            if response.status >= 400:
-                retry_after = response.getheader("Retry-After")
-                raise ServeError(
-                    response.status,
-                    payload.get("error", response.reason),
-                    payload,
-                    float(retry_after) if retry_after else None)
-            return payload
-        finally:
+                return conn, conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError) as exc:
+                conn.close()
+                if fresh:
+                    raise self._unreachable(exc)
+                conn = None
+            except OSError as exc:
+                conn.close()
+                raise self._unreachable(exc)
+            except BaseException:
+                conn.close()
+                raise
+
+    def _exchange(self, method: str, path: str,
+                  data: bytes | None = None) -> bytes:
+        """One request and its whole response body; the connection goes
+        back to the idle stack unless the server ends it.
+
+        Raises:
+            ServeError: status >= 400 (with the server's error document
+                and ``Retry-After``), or 0 on transport failures.
+        """
+        conn, response = self._open(method, path, data)
+        try:
+            raw = response.read()
+        except OSError as exc:
             conn.close()
+            raise self._unreachable(exc)
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        if response.status >= 400:
+            raise _status_error(response, raw)
+        return raw
+
+    def _request(self, method: str, path: str,
+                 body: Mapping | None = None) -> dict:
+        raw = self._exchange(
+            method, path,
+            json.dumps(body).encode() if body is not None else None)
+        return _json_document(raw)
 
     # -- service state ---------------------------------------------------
 
@@ -149,27 +211,7 @@ class ServeClient:
                 503 when the server runs without a store, 0 on
                 transport failures.
         """
-        conn = self._connect()
-        try:
-            try:
-                conn.request("GET", f"/store/{key}",
-                             headers=self._headers())
-                response = conn.getresponse()
-                raw = response.read()
-            except (ConnectionError, OSError) as exc:
-                raise ServeError(0, f"cannot reach {self.host}:"
-                                    f"{self.port}: {exc}")
-            if response.status >= 400:
-                try:
-                    payload = json.loads(raw.decode() or "{}")
-                except ValueError:
-                    payload = {"error": raw.decode(errors="replace")}
-                raise ServeError(response.status,
-                                 payload.get("error", response.reason),
-                                 payload)
-            return raw
-        finally:
-            conn.close()
+        return self._exchange("GET", f"/store/{key}")
 
     def drain(self) -> dict:
         """Ask the server to drain and shut down gracefully."""
@@ -235,20 +277,10 @@ class ServeClient:
         Yields one parsed JSON document per transition (the server's
         chunked NDJSON stream, decoded by ``http.client``).
         """
-        conn = self._connect()
+        conn, response = self._open("GET", f"/jobs/{job_id}/events")
         try:
-            conn.request("GET", f"/jobs/{job_id}/events",
-                         headers=self._headers())
-            response = conn.getresponse()
             if response.status >= 400:
-                raw = response.read()
-                try:
-                    payload = json.loads(raw.decode() or "{}")
-                except ValueError:
-                    payload = {}
-                raise ServeError(response.status,
-                                 payload.get("error", response.reason),
-                                 payload)
+                raise _status_error(response, response.read())
             while True:
                 line = response.readline()
                 if not line:
@@ -257,4 +289,30 @@ class ServeClient:
                 if line:
                     yield json.loads(line.decode())
         finally:
+            response.close()
             conn.close()
+
+
+def _json_document(raw: bytes) -> dict:
+    try:
+        return json.loads(raw.decode() or "{}")
+    except ValueError:
+        return {"error": raw.decode(errors="replace")}
+
+
+def _status_error(response: http.client.HTTPResponse,
+                  raw: bytes) -> ServeError:
+    payload = _json_document(raw)
+    retry_after = response.getheader("Retry-After")
+    return ServeError(response.status,
+                      payload.get("error", response.reason), payload,
+                      float(retry_after) if retry_after else None)
+
+
+def _close_all(conns: list[http.client.HTTPConnection]) -> None:
+    """Close and drop every connection in ``conns``."""
+    while conns:
+        try:
+            conns.pop().close()
+        except IndexError:
+            return  # another thread took the last one

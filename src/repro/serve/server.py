@@ -1,8 +1,13 @@
 """The asyncio HTTP front end of the experiment service.
 
 A deliberately small, stdlib-only HTTP/1.1 server over
-``asyncio.start_server``: one request per connection, JSON bodies,
-chunked transfer for the event stream.  All admission-control
+``asyncio.start_server``: persistent connections, JSON bodies, chunked
+transfer for the event stream.  A connection carries one request after
+another; a response says ``Connection: close`` and the server hangs up
+when the request asked for it or spoke HTTP/1.0, when it was malformed
+(the next request cannot be found), or while the server drains.  The
+event stream ends its connection, and a drain closes the connections
+waiting for their next request.  All admission-control
 decisions (rate limit, queue bound, drain) surface as proper HTTP
 semantics -- ``429`` with ``Retry-After`` for backpressure, ``503``
 with ``Retry-After`` while draining -- so ordinary HTTP clients
@@ -77,6 +82,21 @@ def _retry_after_header(seconds: float) -> dict[str, str]:
     return {"Retry-After": str(max(1, int(round(seconds))))}
 
 
+#: What a route answers: ``(status, body, content type, extra headers)``.
+_Response = tuple[int, bytes, str, Mapping[str, str]]
+
+
+def _json_response(status: int, payload,
+                   headers: Mapping[str, str] | None = None) -> _Response:
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    return status, body, "application/json", headers or {}
+
+
+def _error_response(exc: _HttpError) -> _Response:
+    return _json_response(exc.status, {"error": exc.message,
+                                       "status": exc.status}, exc.headers)
+
+
 class ReproServer:
     """The experiment service: HTTP front end over a :class:`JobManager`.
 
@@ -103,6 +123,12 @@ class ReproServer:
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
         self._shutdown_task: asyncio.Task | None = None
+        #: The handler task of every open connection, the connections
+        #: waiting for their next request line, and whether the server
+        #: has stopped listening.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
         self._metrics = _METRICS.scoped("serve")
         self.drain_clean: bool | None = None
 
@@ -128,7 +154,26 @@ class ReproServer:
     async def _shutdown(self) -> None:
         self.drain_clean = await self.manager.drain(self.drain_grace_s)
         if self._server is not None:
+            # Stop accepting; an event stream ends at its next poll.
+            self._closing = True
             self._server.close()
+            # A connection waiting for its next request would hold the
+            # stop up (3.12's ``wait_closed`` waits for every
+            # connection): close it, and its handler sees EOF.
+            for writer in self._idle:
+                writer.close()
+            # Let every handler return rather than be cancelled (a
+            # cancelled one logs a traceback); cut off any client still
+            # mid-request after the grace.
+            if self._connections:
+                _done, stuck = await asyncio.wait(
+                    set(self._connections.values()),
+                    timeout=self.drain_grace_s)
+                for writer, task in self._connections.items():
+                    if task in stuck:
+                        writer.transport.abort()
+                if stuck:
+                    await asyncio.wait(stuck)
             await self._server.wait_closed()
         self._stopped.set()
 
@@ -139,42 +184,69 @@ class ReproServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Answer requests on one connection until the client, a
+        request or a drain ends it."""
+        self._connections[writer] = asyncio.current_task()
         try:
-            try:
-                method, path = await self._read_request_line(reader)
-                headers = await self._read_headers(reader)
-                body = await self._read_body(reader, headers)
-            except _HttpError as exc:
-                await self._respond_error(writer, exc)
-                return
-            self._metrics.counter("http_requests").inc()
-            try:
-                await self._route(method, path, headers, body, writer)
-            except _HttpError as exc:
-                await self._respond_error(writer, exc)
-            except Exception as exc:  # never kill the server loop
-                self._metrics.counter("http_errors").inc()
-                await self._respond_error(writer, _HttpError(
-                    500, f"{type(exc).__name__}: {exc}"))
+            while await self._exchange(reader, writer):
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
         finally:
+            del self._connections[writer]
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request_line(self, reader) -> tuple[str, str]:
-        line = await reader.readline()
+    async def _exchange(self, reader, writer) -> bool:
+        """Read one request and answer it; True when the connection
+        stays open for the next one."""
+        if self._closing:
+            return False  # kept alive by a response sent as a stop began
+        self._idle.add(writer)
+        try:
+            line = await reader.readline()
+        finally:
+            self._idle.discard(writer)
         if not line:
-            raise _HttpError(400, "empty request")
+            return False  # the client hung up between requests
+        try:
+            method, path, version = self._parse_request_line(line)
+            headers = await self._read_headers(reader)
+            body = await self._read_body(reader, headers)
+        except _HttpError as exc:
+            # The start of the next request cannot be found.
+            await self._send(writer, _error_response(exc), False)
+            return False
+        self._metrics.counter("http_requests").inc()
+        try:
+            response = await self._route(method, path, headers, body,
+                                         writer)
+        except _HttpError as exc:
+            response = _error_response(exc)
+        except Exception as exc:  # never kill the server loop
+            self._metrics.counter("http_errors").inc()
+            response = _error_response(_HttpError(
+                500, f"{type(exc).__name__}: {exc}"))
+        if response is None:
+            return False  # an event stream ends its connection
+        keep_alive = (version == "HTTP/1.1"
+                      and "close" not in
+                      headers.get("connection", "").lower()
+                      and not self.manager.draining)
+        await self._send(writer, response, keep_alive)
+        return keep_alive
+
+    @staticmethod
+    def _parse_request_line(line: bytes) -> tuple[str, str, str]:
         if len(line) > MAX_REQUEST_LINE:
             raise _HttpError(400, "request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _HttpError(400, f"malformed request line: {parts!r}")
-        return parts[0].upper(), parts[1]
+        return parts[0].upper(), parts[1], parts[2]
 
     async def _read_headers(self, reader) -> dict[str, str]:
         headers: dict[str, str] = {}
@@ -204,82 +276,60 @@ class ReproServer:
 
     # -- responses -------------------------------------------------------
 
-    async def _respond(self, writer, status: int, payload,
-                       headers: Mapping[str, str] | None = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    @staticmethod
+    async def _send(writer, response: _Response, keep_alive: bool) -> None:
+        status, body, content_type, headers = response
         head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                "Content-Type: application/json",
+                f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}",
-                "Connection: close"]
-        for name, value in (headers or {}).items():
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+        for name, value in headers.items():
             head.append(f"{name}: {value}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
         await writer.drain()
 
-    async def _respond_bytes(self, writer, status: int,
-                             body: bytes) -> None:
-        """Raw binary response (the store-fetch endpoint)."""
-        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                "Content-Type: application/octet-stream",
-                f"Content-Length: {len(body)}",
-                "Connection: close"]
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-        await writer.drain()
-
-    async def _respond_error(self, writer, exc: _HttpError) -> None:
-        await self._respond(writer, exc.status,
-                            {"error": exc.message,
-                             "status": exc.status}, exc.headers)
-
     # -- routing ---------------------------------------------------------
 
     async def _route(self, method: str, path: str, headers, body,
-                     writer) -> None:
+                     writer) -> _Response | None:
+        """The response to one request, or None once an event stream
+        has been written (it ends the connection)."""
         path = path.split("?", 1)[0]
         if path == "/" and method == "GET":
-            await self._respond(writer, 200, {
+            return _json_response(200, {
                 "service": "repro-serve", "version": __version__,
                 "endpoints": ["/healthz", "/metrics", "/jobs",
                               "/jobs/<id>", "/jobs/<id>/result",
                               "/jobs/<id>/events", "/store/<key>",
                               "/drain"]})
-            return
         if path == "/healthz" and method == "GET":
             stats = self.manager.stats()
-            await self._respond(writer, 200, {
+            return _json_response(200, {
                 "status": "draining" if self.manager.draining else "ok",
                 "uptime_s": time.time() - self.started_at,
                 **stats})
-            return
         if path == "/metrics" and method == "GET":
             self._metrics.gauge("queue_depth").set(
                 len(self.manager.queue))
             self._metrics.gauge("running").set(
                 len(self.manager.running))
-            await self._respond(writer, 200,
-                                {"metrics": _METRICS.snapshot()})
-            return
+            return _json_response(200, {"metrics": _METRICS.snapshot()})
         if path == "/drain" and method == "POST":
             self.request_shutdown()
-            await self._respond(writer, 202, {"status": "draining"})
-            return
+            return _json_response(202, {"status": "draining"})
         if path == "/jobs" and method == "POST":
-            await self._submit(headers, body, writer)
-            return
+            return self._submit(headers, body, writer)
         if path == "/jobs" and method == "GET":
-            await self._respond(writer, 200, {
+            return _json_response(200, {
                 "jobs": [job.to_dict()
                          for job in self.manager.jobs.values()]})
-            return
         if path.startswith("/jobs/"):
-            await self._job_route(method, path, writer)
-            return
+            return await self._job_route(method, path, writer)
         if path.startswith("/store/") and method == "GET":
-            await self._store_fetch(path[len("/store/"):], writer)
-            return
+            return self._store_fetch(path[len("/store/"):])
         raise _HttpError(404, f"no such endpoint: {method} {path}")
 
-    async def _store_fetch(self, key: str, writer) -> None:
+    def _store_fetch(self, key: str) -> _Response:
         """``GET /store/<key>``: the raw pickled object bytes.
 
         The cluster-merge transfer endpoint: peers pull completed
@@ -297,7 +347,7 @@ class ReproServer:
             raise _HttpError(404, f"no store object {key[:16]}...")
         self._metrics.counter("store_fetches").inc()
         self._metrics.counter("store_fetch_bytes").inc(len(data))
-        await self._respond_bytes(writer, 200, data)
+        return 200, data, "application/octet-stream", {}
 
     def _client_identity(self, headers, request: JobRequest,
                          writer) -> str:
@@ -309,7 +359,7 @@ class ReproServer:
         peer = writer.get_extra_info("peername")
         return peer[0] if peer else "unknown"
 
-    async def _submit(self, headers, body, writer) -> None:
+    def _submit(self, headers, body, writer) -> _Response:
         try:
             payload = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError) as exc:
@@ -336,11 +386,11 @@ class ReproServer:
         except ConfigError as exc:
             raise _HttpError(400, str(exc))
         status = 202 if disposition == "queued" else 200
-        await self._respond(writer, status,
-                            {**job.to_dict(),
-                             "disposition": disposition})
+        return _json_response(status, {**job.to_dict(),
+                                       "disposition": disposition})
 
-    async def _job_route(self, method: str, path: str, writer) -> None:
+    async def _job_route(self, method: str, path: str,
+                         writer) -> _Response | None:
         parts = path.strip("/").split("/")
         job = self.manager.get_job(parts[1])
         if job is None:
@@ -350,22 +400,19 @@ class ReproServer:
             ok, reason = self.manager.cancel(job.id)
             if not ok:
                 raise _HttpError(409, f"cannot cancel: {reason}")
-            await self._respond(writer, 200, job.to_dict())
-            return
+            return _json_response(200, job.to_dict())
         if method != "GET":
             raise _HttpError(405, f"{method} not allowed here")
         if not tail:
-            await self._respond(writer, 200, job.to_dict())
-            return
+            return _json_response(200, job.to_dict())
         if tail == "result":
             if not job.terminal:
                 raise _HttpError(409, f"job {job.id} is {job.state}",
                                  _retry_after_header(1.0))
-            await self._respond(writer, 200, job.to_dict())
-            return
+            return _json_response(200, job.to_dict())
         if tail == "events":
             await self._stream_events(job, writer)
-            return
+            return None
         raise _HttpError(404, f"no such endpoint: {path}")
 
     async def _stream_events(self, job, writer) -> None:
@@ -384,7 +431,7 @@ class ReproServer:
                 writer.write(f"{len(line):x}\r\n".encode() + line
                              + b"\r\n")
                 await writer.drain()
-            if job.terminal:
+            if job.terminal or self._closing:
                 break
             await asyncio.sleep(EVENT_POLL_S)
         writer.write(b"0\r\n\r\n")

@@ -58,6 +58,7 @@ class FakeServeNode:
         self.submitted = []
         self.status_calls = 0
         self.cancelled = []
+        self.closes = 0
         self._n = 0
 
     def submit(self, kind, params, priority=3):
@@ -85,6 +86,9 @@ class FakeServeNode:
             return self.objects[key]
         except KeyError:
             raise ServeError(404, f"no store object {key[:16]}...")
+
+    def close(self):
+        self.closes += 1
 
 
 class DyingServeNode(FakeServeNode):
@@ -163,6 +167,8 @@ class TestCoordinatorLoop:
             assert store.get_bytes(task.key) == objects[task.key]
         # Rendezvous placement spreads a 12-task set over both nodes.
         assert a.submitted and b.submitted
+        # The run closes its per-node clients' idle connections.
+        assert a.closes == b.closes == 1
 
     def test_duplicate_tasks_collapse_to_one_record(self, tmp_path):
         objects = {}

@@ -9,10 +9,15 @@ Covers the acceptance criteria of the serve subsystem:
 * a server killed mid-job resumes the job from its store checkpoint
   on restart;
 * queue-full and rate-limited requests get 429 + Retry-After;
-* ``/metrics`` reflects admit/coalesce/reject counts.
+* ``/metrics`` reflects admit/coalesce/reject counts;
+* connections persist: one client reuses one connection, ``Connection:
+  close``, HTTP/1.0, a malformed request and an event stream each end
+  theirs, a stale one is replayed once, and a stop closes idle ones.
 """
 
+import json
 import pickle
+import socket
 import threading
 
 import pytest
@@ -59,6 +64,40 @@ def block(monkeypatch):
     release.set()
 
 
+@pytest.fixture
+def connects(monkeypatch):
+    """Every connection a :class:`ServeClient` opens, in order."""
+    opened = []
+    real = ServeClient._connect
+
+    def counting(self):
+        conn = real(self)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(ServeClient, "_connect", counting)
+    return opened
+
+
+def _raw_connect(port):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """``(status line, headers, body)`` of one response with a
+    ``Content-Length``, read off a raw socket's file."""
+    status = stream.readline()
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers["content-length"]))
+
+
 class TestEndToEnd:
     def test_campaign_matches_direct_run(self):
         """HTTP result == direct Campaign.run, byte for byte."""
@@ -87,7 +126,8 @@ class TestEndToEnd:
         assert pickle.dumps(served["payload"].results) == \
             pickle.dumps(direct.results)
 
-    def test_concurrent_identical_submissions_execute_once(self, block):
+    def test_concurrent_identical_submissions_execute_once(self, block,
+                                                           connects):
         with ServerThread(store=None, concurrency=1,
                           limiter=open_limiter()) as server:
             client = ServeClient(port=server.port, client_id="race")
@@ -107,6 +147,7 @@ class TestEndToEnd:
             assert not errors
             assert len({r["id"] for r in results}) == 1, \
                 "identical submissions must coalesce onto one job"
+            assert len(connects) <= 4  # one per thread at most
             block.release.set()
             done = client.wait(results[0]["id"], timeout=30)
             assert done["summary"] == {"blocked": "x"}
@@ -367,3 +408,216 @@ class TestPerKindCounters:
             metrics = client.metrics()
             assert metrics["serve.kind.pipeline.admitted"]["value"] == 1
             assert metrics["serve.kind.pipeline.done"]["value"] == 1
+
+
+class TestKeepAlive:
+    """The wire contract of persistent connections, over a raw socket."""
+
+    def test_two_requests_on_one_socket(self):
+        with ServerThread(store=None) as server:
+            sock, stream = _raw_connect(server.port)
+            with sock, stream:
+                for path in (b"/healthz", b"/nope"):
+                    sock.sendall(b"GET " + path + b" HTTP/1.1\r\n"
+                                 b"Host: x\r\n\r\n")
+                    status, headers, body = _read_response(stream)
+                    assert headers["connection"] == "keep-alive"
+                    assert json.loads(body)
+                    assert status.split()[1] == (
+                        b"200" if path == b"/healthz" else b"404")
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_close_is_answered_with_close_then_eof(self, request_head):
+        with ServerThread(store=None) as server:
+            sock, stream = _raw_connect(server.port)
+            with sock, stream:
+                sock.sendall(request_head)
+                status, headers, body = _read_response(stream)
+                assert status.split()[1] == b"200"
+                assert headers["connection"] == "close"
+                assert json.loads(body)["status"] == "ok"
+                assert stream.read() == b""
+
+    def test_malformed_request_gets_400_then_eof(self):
+        with ServerThread(store=None) as server:
+            sock, stream = _raw_connect(server.port)
+            with sock, stream:
+                sock.sendall(b"NONSENSE\r\n\r\nGET /healthz HTTP/1.1"
+                             b"\r\n\r\n")
+                status, headers, _body = _read_response(stream)
+                assert status.split()[1] == b"400"
+                assert headers["connection"] == "close"
+                assert stream.read() == b""
+
+    def test_event_stream_ends_its_connection(self, block):
+        with ServerThread(store=None, concurrency=1,
+                          limiter=open_limiter()) as server:
+            client = ServeClient(port=server.port, client_id="stream")
+            job = client.submit("block", {"tag": "stream"})
+            block.release.set()
+            client.wait(job["id"], timeout=30)
+            sock, stream = _raw_connect(server.port)
+            with sock, stream:
+                sock.sendall(f"GET /jobs/{job['id']}/events HTTP/1.1"
+                             f"\r\n\r\n".encode())
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    head += stream.readline()
+                assert b"Transfer-Encoding: chunked" in head
+                assert b"Connection: close" in head
+                rest = stream.read()  # returns at EOF only
+                assert rest.endswith(b"\r\n0\r\n\r\n")
+                assert b'"state": "done"' in rest
+
+    def test_one_client_reuses_one_connection(self, block, connects):
+        with ServerThread(store=None, concurrency=1,
+                          limiter=open_limiter()) as server:
+            client = ServeClient(port=server.port, client_id="reuse")
+            ids = {client.submit("block", {"tag": "same"})["id"]
+                   for _ in range(50)}
+            assert len(ids) == 1
+            assert len(connects) == 1
+            assert client.metrics()["serve.jobs_coalesced"]["value"] == 49
+            block.release.set()
+
+    def test_threads_sharing_a_client_never_share_a_connection(
+            self, connects):
+        """Eight threads, 25 requests each, a 10 us switch interval: a
+        connection two threads took at once would fail a request
+        (``CannotSendRequest``/``ResponseNotReady``) or cross two
+        responses."""
+        import sys
+
+        with ServerThread(store=None) as server:
+            client = ServeClient(port=server.port)
+            errors = []
+
+            def hammer(worker):
+                try:
+                    for i in range(25):
+                        path = f"/jobs/job-{worker}-{i}"
+                        with pytest.raises(ServeError) as exc:
+                            client._request("GET", path)
+                        assert exc.value.status == 404
+                        assert exc.value.payload["error"].endswith(
+                            f"job-{worker}-{i}")
+                except BaseException as exc:  # surface in the test
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=hammer, args=(w,))
+                           for w in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert len(connects) <= 8
+            client.close()
+
+    def test_stale_connection_is_replayed_once(self, connects):
+        """A server restart on the same port closes the client's idle
+        connection; the next request replays on a new one."""
+        store = ArtifactStore()
+        with ServerThread(store=store, limiter=open_limiter()) as server:
+            port = server.port
+            client = ServeClient(port=port, client_id="restart")
+            first = submit_and_wait(client, "pipeline", {"flows": 200},
+                                    timeout=60)
+        reused = client._idle[-1]
+        with ServerThread(store=store, port=port,
+                          limiter=open_limiter()):
+            again = client.submit("pipeline", {"flows": 200})
+            assert again["disposition"] == "cached"
+            assert again["summary"] == first["summary"]
+            assert reused not in client._idle
+            assert len(connects) == 2
+        with pytest.raises(ServeError) as exc:
+            client.healthz()
+        assert exc.value.status == 0
+
+    def test_stop_closes_idle_connections_quietly(self, caplog):
+        import logging
+        import time
+
+        server = ServerThread(store=None).start()
+        client = ServeClient(port=server.port)
+        client.healthz()  # leaves one idle pooled connection
+        sock, stream = _raw_connect(server.port)
+        with sock, stream:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            _read_response(stream)
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                start = time.monotonic()
+                assert server.stop() is True
+                assert time.monotonic() - start < 5.0
+            assert stream.read() == b"", \
+                "the server must close a connection idle at stop"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        client.close()
+        assert client._idle == []
+
+    def test_stop_ends_streams_and_cuts_off_stalled_clients(self, block,
+                                                           caplog):
+        """A drain that gives up on a job still ends that job's event
+        stream cleanly, and a client stalled mid-request is cut off
+        after the grace instead of holding the stop up."""
+        import logging
+        import time
+
+        server = ServerThread(store=None, concurrency=1,
+                              limiter=open_limiter())
+        server.drain_grace_s = 0.2
+        server.start()
+        job = ServeClient(port=server.port).submit("block",
+                                                   {"tag": "stuck"})
+        assert block.started.wait(timeout=10)
+        events, events_stream = _raw_connect(server.port)
+        stalled, stalled_stream = _raw_connect(server.port)
+        with events, events_stream, stalled, stalled_stream:
+            events.sendall(f"GET /jobs/{job['id']}/events HTTP/1.1\r\n"
+                           f"\r\n".encode())
+            while events_stream.readline() != b"\r\n":
+                pass  # the stream's head: the server is streaming
+            stalled.sendall(b"GET /healthz HTTP/1.1\r\n")  # no end
+            time.sleep(0.2)
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                start = time.monotonic()
+                assert server.stop() is False
+                assert time.monotonic() - start < 5.0
+            rest = events_stream.read()
+            assert rest.endswith(b"\r\n0\r\n\r\n")
+            assert b'"state": "running"' in rest
+            assert stalled_stream.read() == b""
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        block.release.set()
+
+
+class TestClientLifetime:
+    def test_context_manager_closes_idle_connections(self):
+        with ServerThread(store=None) as server:
+            with ServeClient(port=server.port) as client:
+                client.healthz()
+                sock = client._idle[-1].sock
+            assert client._idle == [] and sock.fileno() == -1
+            assert client.healthz()["status"] == "ok"  # reopens
+            client.close()
+
+    def test_dropped_client_closes_its_connections(self):
+        import gc
+
+        with ServerThread(store=None) as server:
+            client = ServeClient(port=server.port)
+            client.healthz()
+            sock = client._idle[-1].sock
+            del client
+            gc.collect()
+            assert sock.fileno() == -1
