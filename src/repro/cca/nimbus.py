@@ -111,7 +111,8 @@ def clipped_cross_estimate(mu: float, send_rate: float,
     window) yields unphysical ẑ spikes whose broadband spectral noise
     drowns genuine pulse responses.
     """
-    return min(cross_traffic_estimate(mu, send_rate, recv_rate), 1.5 * mu)
+    z, cap = cross_traffic_estimate(mu, send_rate, recv_rate), 1.5 * mu
+    return cap if cap < z else z  # min(z, cap) without the call
 
 
 def delay_mode_rate(mu: float, z_smoothed: float, delay_target: float,
@@ -119,7 +120,9 @@ def delay_mode_rate(mu: float, z_smoothed: float, delay_target: float,
     """The delay-mode base rate (bytes/second): the fair share μ - ẑ
     plus a proportional queue term, floored at ``min_rate_frac`` μ and
     capped at 1.2 μ."""
-    fair_share = max(0.0, mu - z_smoothed)
+    # max/min written out as CPython evaluates them (DESIGN.md §7).
+    fair_share = mu - z_smoothed
+    fair_share = fair_share if fair_share > 0.0 else 0.0
     # Stiffness is normalized by a FIXED reference delay, not by the
     # target: dividing by a small target makes the feedback violent
     # enough to self-oscillate at a few Hz -- squarely inside the
@@ -127,7 +130,9 @@ def delay_mode_rate(mu: float, z_smoothed: float, delay_target: float,
     # on idle paths.
     queue_term = (QUEUE_GAIN * mu * (delay_target - queue_delay)
                   / GAIN_REFERENCE_DELAY)
-    return min(max(fair_share + queue_term, min_rate_frac * mu), 1.2 * mu)
+    rate, floor, cap = fair_share + queue_term, min_rate_frac * mu, 1.2 * mu
+    rate = floor if floor > rate else rate
+    return cap if cap < rate else rate
 
 
 class NimbusCca(CongestionControl):

@@ -54,7 +54,8 @@ def cross_traffic_estimate(mu: float, send_rate: float,
     """
     if recv_rate <= 0 or send_rate <= 0:
         return 0.0
-    return max(0.0, mu * send_rate / recv_rate - send_rate)
+    z = mu * send_rate / recv_rate - send_rate
+    return z if z > 0.0 else 0.0  # max(0.0, z), as CPython evaluates it
 
 
 class PulseGenerator:
@@ -78,11 +79,12 @@ class PulseGenerator:
                 f"amplitude_frac must be in (0, 1): {amplitude_frac}")
         self.frequency = frequency
         self.amplitude_frac = amplitude_frac
+        # 2.0 * math.pi * frequency * t is (2π·f)·t: the same float.
+        self._omega = 2.0 * math.pi * frequency
 
     def offset(self, t: float, mu: float) -> float:
         """Rate offset (bytes/second) to add at time ``t``."""
-        return (self.amplitude_frac * mu
-                * math.sin(2.0 * math.pi * self.frequency * t))
+        return self.amplitude_frac * mu * math.sin(self._omega * t)
 
 
 @dataclass(frozen=True)

@@ -92,23 +92,29 @@ class FluidModel:
         tick = self.bottleneck.tick
         rng, scale = self._jitter_rng, self._jitter_scale
         steps = int(round((duration - self.now) / dt))
+        now = self.now
         for _ in range(steps):
-            now = self.now
-            rates = [f.rate if now >= f.start else 0.0 for f in flows]
-            if rng is not None:
+            if rng is None:
+                arrivals = [f.rate * dt if now >= f.start else 0.0
+                            for f in flows]
+            else:
                 # One vector draw per tick keeps the seeded stream.
-                rates = [r * (1.0 + a * (2.0 * u - 1.0)) for r, a, u
-                         in zip(rates, scale, rng.random(len(flows)).tolist())]
-            served, dropped, marked, delays = tick(
-                [r * dt for r in rates], dt)
-            for i, flow in enumerate(flows):
+                arrivals = [(f.rate if now >= f.start else 0.0)
+                            * (1.0 + a * (2.0 * u - 1.0)) * dt
+                            for f, a, u in zip(
+                                flows, scale,
+                                rng.random(len(flows)).tolist())]
+            served, dropped, marked, delays = tick(arrivals, dt)
+            for flow, got, delay, lost, mark in zip(flows, served, delays,
+                                                    dropped, marked):
                 if now >= flow.start:
-                    delivered_rate = served[i] / dt
+                    delivered_rate = got / dt
                     flow.delivered_bytes += delivered_rate * dt
-                    flow.advance(now, dt, delivered_rate, delays[i],
-                                 dropped[i] > 0.0, marked[i] > 0.0)
-            self.now = now + dt
-            self.ticks += 1
+                    flow.advance(now, dt, delivered_rate, delay,
+                                 lost > 0.0, mark > 0.0)
+            now += dt
+        self.now = now
+        self.ticks += steps
 
     def qdisc_stats(self) -> dict[str, float]:
         """Counters shaped like ``ScenarioOutcome.qdisc_stats``.

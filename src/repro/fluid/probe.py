@@ -22,7 +22,6 @@ from ..cca.nimbus import (MIN_RATE_FRAC, PULSE_AMPLITUDE, PULSE_FREQ,
                           delay_mode_rate, fit_to_buffer, probe_estimator)
 from ..core.elasticity import PulseGenerator
 from ..core.probe import WARMUP, ProbeReport
-from ..units import ordered_sum
 from .flows import FluidFlow
 
 
@@ -63,34 +62,39 @@ class FluidProbe(FluidFlow):
         self._next_sample = SAMPLE_INTERVAL
 
     def _window_mean(self, hist: list[float], end: int, k: int) -> float:
-        lo = max(0, end - k)
+        lo = end - k if end > k else 0
         if end <= lo:
             return 0.0
-        return ordered_sum(hist[lo:end]) / (end - lo)
+        total = 0.0
+        for value in hist[lo:end]:
+            total += value
+        return total / (end - lo)
 
     def advance(self, now, dt, delivered_rate, queue_delay, loss,
                 ecn_mark) -> None:
-        self._send_hist.append(self.rate)
+        send_hist, mu, t = self._send_hist, self.mu, now + dt
+        send_hist.append(self.rate)
         self._recv_hist.append(delivered_rate)
         self._q_smoothed += 0.1 * (queue_delay - self._q_smoothed)
 
-        if now + dt >= self._next_sample:
+        if t >= self._next_sample:
             self._next_sample += SAMPLE_INTERVAL
-            n = len(self._send_hist)
-            k = max(1, int(round(RATE_SMOOTHING / dt)))
-            lag = int(round(self._q_smoothed / dt))
-            send = self._window_mean(self._send_hist, n - lag, k)
-            recv = self._window_mean(self._recv_hist, n, k)
-            z = clipped_cross_estimate(self.mu, send, recv)
+            n = len(send_hist)
+            # round() of a float is already an int, and never negative here.
+            k = round(RATE_SMOOTHING / dt) or 1
+            lag = round(self._q_smoothed / dt)
+            z = clipped_cross_estimate(
+                mu, self._window_mean(send_hist, n - lag, k),
+                self._window_mean(self._recv_hist, n, k))
             self._z_smoothed += 0.1 * (z - self._z_smoothed)
-            self.estimator.add_sample(now + dt, z)
+            self.estimator.add_sample(t, z)
 
         self._base_rate = delay_mode_rate(
-            self.mu, self._z_smoothed, self.delay_target, queue_delay,
+            mu, self._z_smoothed, self.delay_target, queue_delay,
             MIN_RATE_FRAC)
-        self.rate = max(self._base_rate + self.pulses.offset(now + dt,
-                                                             self.mu),
-                        MIN_RATE_FRAC * self.mu)
+        rate = self._base_rate + self.pulses.offset(t, mu)
+        floor = MIN_RATE_FRAC * mu
+        self.rate = floor if floor > rate else rate
 
     @property
     def readings(self):

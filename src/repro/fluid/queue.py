@@ -29,7 +29,8 @@ from ..units import DEFAULT_PACKET_SIZE, ordered_sum
 # Every ``tick(arrivals, dt)`` takes one float of arriving bytes per
 # flow and returns ``(served, dropped, marked, delays)``, each one
 # float per flow.  A model holds at most six flows, where plain lists
-# beat numpy vectors several times over (DESIGN.md section 7).
+# beat numpy vectors several times over.  A tick does only arithmetic,
+# bit-identical to the plain loop by DESIGN.md section 7's rules.
 
 
 class FifoBottleneck:
@@ -47,13 +48,18 @@ class FifoBottleneck:
         self.n = n_flows
         self.rate = rate
         self.buffer_bytes = buffer_bytes
-        self._cohorts: deque[tuple[float, list[float]]] = deque()
+        # (size, bytes per flow, scale): each flow's bytes are b * scale,
+        # multiplied out when next served (b * 1.0 is b).
+        self._cohorts: deque[tuple[float, list[float], float]] = deque()
         self._zeros = (0.0,) * n_flows
         self.backlog = 0.0
         self.accepted_bytes = 0.0
         self.served_bytes = 0.0
         self.dropped_bytes = 0.0
         self.marked_bytes = 0.0
+        # Only a class that overrides the hook early-drops or marks.
+        self._early = (type(self)._early_action
+                       is not FifoBottleneck._early_action)
 
     # Subclass hook: fraction of the ``total_in`` arriving bytes to
     # early-drop (RED) or an ECN share to mark; the base FIFO never
@@ -63,54 +69,62 @@ class FifoBottleneck:
         return 0.0, 0.0
 
     def tick(self, arrivals: list[float], dt: float):
-        dropped = marked = self._zeros
-        total_in = ordered_sum(arrivals)
+        dropped = marked = served = zeros = self._zeros
+        backlog = self.backlog
+        total_in = 0.0
+        for a in arrivals:
+            total_in += a
         if total_in > 0.0:
             accepted = arrivals
-            drop_frac, mark_frac = self._early_action(total_in, dt)
-            if mark_frac > 0.0:
-                marked = [a * mark_frac for a in arrivals]
-                self.marked_bytes += total_in * mark_frac
-            if drop_frac > 0.0:
-                dropped = [a * drop_frac for a in arrivals]
-                accepted = [a * (1.0 - drop_frac) for a in arrivals]
-                total_in = ordered_sum(accepted)
+            if self._early:
+                drop_frac, mark_frac = self._early_action(total_in, dt)
+                if mark_frac > 0.0:
+                    marked = [a * mark_frac for a in arrivals]
+                    self.marked_bytes += total_in * mark_frac
+                if drop_frac > 0.0:
+                    dropped = [a * drop_frac for a in arrivals]
+                    accepted = [a * (1.0 - drop_frac) for a in arrivals]
+                    total_in = ordered_sum(accepted)
             # Tail drop: whatever exceeds the buffer comes out of the
             # arriving cohort, proportionally across its flows.
-            space = self.buffer_bytes - self.backlog
+            space = self.buffer_bytes - backlog
             if total_in > space:
-                keep = max(0.0, space) / total_in
+                keep = (space if space > 0.0 else 0.0) / total_in
                 dropped = [d + a * (1.0 - keep)
                            for d, a in zip(dropped, accepted)]
                 accepted = [a * keep for a in accepted]
                 total_in = ordered_sum(accepted)
             if total_in > 0.0:
-                self._cohorts.append((total_in, accepted))
-                self.backlog += total_in
+                self._cohorts.append((total_in, accepted, 1.0))
+                backlog += total_in
                 self.accepted_bytes += total_in
-            if dropped is not self._zeros:
+            if dropped is not zeros:
                 self.dropped_bytes += ordered_sum(dropped)
 
-        served = [0.0] * self.n
+        # ``served`` starts as the zeros: a first share is 0.0 + c.
         budget = self.rate * dt
         cohorts = self._cohorts
         while budget > 1e-9 and cohorts:
-            size, cohort = cohorts[0]
+            size, cohort, scale = cohorts[0]
             if size <= budget:
-                served = [s + c for s, c in zip(served, cohort)]
+                served = [s + c * scale for s, c in zip(served, cohort)]
                 budget -= size
-                self.backlog -= size
+                backlog -= size
                 cohorts.popleft()
             else:
+                if scale != 1.0:
+                    cohort = [c * scale for c in cohort]
                 frac = budget / size
                 served = [s + c * frac for s, c in zip(served, cohort)]
-                rest = 1.0 - frac
-                cohorts[0] = (size - budget, [c * rest for c in cohort])
-                self.backlog -= budget
+                cohorts[0] = (size - budget, cohort, 1.0 - frac)
+                backlog -= budget
                 budget = 0.0
-        self.backlog = max(0.0, self.backlog)
-        self.served_bytes += ordered_sum(served)
-        return served, dropped, marked, [self.backlog / self.rate] * self.n
+        self.backlog = backlog = backlog if backlog > 0.0 else 0.0
+        total_out = 0.0
+        for s in served:
+            total_out += s
+        self.served_bytes += total_out
+        return served, dropped, marked, [backlog / self.rate] * self.n
 
 
 class RedBottleneck(FifoBottleneck):
@@ -219,20 +233,22 @@ class FairBottleneck:
 
         served = [0.0] * self.n
         budget = self.rate * dt
-        while budget > 1e-9:
-            active = [i for i, q in enumerate(queues) if q > 1e-9]
-            if not active:
-                break
+        # A queue a round empties stays empty: each round serves the
+        # previous round's still-active queues.
+        active = [i for i, q in enumerate(queues) if q > 1e-9]
+        while budget > 1e-9 and active:
             share = budget / len(active)
             spent = 0.0
             for i in active:
-                take = min(queues[i], share)
-                queues[i] -= take
+                q = queues[i]
+                take = share if share < q else q
+                queues[i] = q - take
                 served[i] += take
                 spent += take
             if spent <= 1e-12:
                 break
             budget -= spent
+            active = [i for i in active if queues[i] > 1e-9]
         self.served_bytes += ordered_sum(served)
         recent = self._svc_smoothed
         for i, got in enumerate(served):
@@ -343,16 +359,18 @@ class ContentionBottleneck:
         self.accepted_bytes += ordered_sum(arrivals)
         backlogs = [ordered_sum([queues[i] for i in flows])
                     for flows in members]
-        # Per-station tail drop, proportional across the station's flows.
-        dropped = self._zeros
+        # Per-station tail drop, proportional across the station's flows;
+        # ``held`` is what each station's queues then sum to.
+        dropped, held = self._zeros, backlogs
         for s, backlog in enumerate(backlogs):
             if backlog > limit:
                 if dropped is self._zeros:
-                    dropped = [0.0] * self.n
+                    dropped, held = [0.0] * self.n, list(backlogs)
                 keep = limit / backlog
                 for i in members[s]:
                     dropped[i] += queues[i] * (1.0 - keep)
                     queues[i] *= keep
+                held[s] = ordered_sum([queues[i] for i in members[s]])
                 backlogs[s] = backlog - (backlog - limit)
         if dropped is not self._zeros:
             drop_total = ordered_sum(dropped)
@@ -369,26 +387,28 @@ class ContentionBottleneck:
             # Water-fill: capacity a station cannot use goes back to
             # the still-backlogged ones in proportion to their shares.
             for _ in active:
-                spare = 0.0
+                spare = weight_sum = 0.0
                 busy = []
                 for k, budget in enumerate(budgets):
-                    if waiting[k] > budget + 1e-9:
-                        busy.append(k)
-                    spare += budget - min(waiting[k], budget)
-                if spare <= 1e-9 or not busy:
+                    wait = waiting[k]
+                    hungry = wait > budget + 1e-9
+                    busy.append(hungry)
+                    if hungry:
+                        weight_sum += caps[k]
+                    spare += budget - (budget if budget < wait else wait)
+                if spare <= 1e-9 or True not in busy:
                     break
-                weight_sum = ordered_sum([caps[k] for k in busy])
-                for k, budget in enumerate(budgets):
-                    if k in busy:
-                        budgets[k] = budget + spare * caps[k] / weight_sum
-                    else:
-                        budgets[k] = min(budget, waiting[k])
+                budgets = [budget + spare * cap / weight_sum if hungry
+                           else (wait if wait < budget else budget)
+                           for budget, cap, wait, hungry
+                           in zip(budgets, caps, waiting, busy)]
             for k, s in enumerate(active):
-                station_q = ordered_sum([queues[i] for i in members[s]])
-                take = min(station_q, budgets[k])
+                station_q, budget, cap = held[s], budgets[k], caps[k]
+                take = budget if budget < station_q else station_q
                 frac = take / station_q
                 # Sojourn at the station's cap plus MAC access delay.
-                delay = (station_q - take) / max(caps[k], 1e-9) + access[k]
+                delay = ((station_q - take) / (1e-9 if 1e-9 > cap else cap)
+                         + access[k])
                 for i in members[s]:
                     served[i] = queues[i] * frac
                     queues[i] *= 1.0 - frac

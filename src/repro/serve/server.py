@@ -208,9 +208,11 @@ class ReproServer:
         self._idle.add(writer)
         try:
             line = await reader.readline()
+        except ValueError:  # past the stream's own 64 KiB line limit
+            line = None
         finally:
             self._idle.discard(writer)
-        if not line:
+        if line == b"":
             return False  # the client hung up between requests
         try:
             method, path, version = self._parse_request_line(line)
@@ -240,8 +242,8 @@ class ReproServer:
         return keep_alive
 
     @staticmethod
-    def _parse_request_line(line: bytes) -> tuple[str, str, str]:
-        if len(line) > MAX_REQUEST_LINE:
+    def _parse_request_line(line: bytes | None) -> tuple[str, str, str]:
+        if line is None or len(line) > MAX_REQUEST_LINE:
             raise _HttpError(400, "request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
@@ -251,8 +253,11 @@ class ReproServer:
     async def _read_headers(self, reader) -> dict[str, str]:
         headers: dict[str, str] = {}
         for _ in range(MAX_HEADERS + 1):
-            line = await reader.readline()
-            if len(line) > MAX_REQUEST_LINE:
+            try:
+                line = await reader.readline()
+            except ValueError:  # past the stream's own 64 KiB line limit
+                line = None
+            if line is None or len(line) > MAX_REQUEST_LINE:
                 raise _HttpError(400, "header line too long")
             if line in (b"\r\n", b"\n", b""):
                 return headers

@@ -452,6 +452,37 @@ class TestKeepAlive:
                 assert headers["connection"] == "close"
                 assert stream.read() == b""
 
+    @pytest.mark.parametrize("request_head, reason", [
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+         "request line too long"),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000
+         + b"\r\n\r\n", "header line too long"),
+    ], ids=["request-line", "header-line"])
+    def test_line_past_the_stream_limit_gets_400_then_eof(
+            self, request_head, reason, caplog):
+        """A line longer than asyncio's 64 KiB stream limit is a 400
+        like any other line the server cannot parse, not a dead
+        handler; the server goes on serving."""
+        import logging
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(store=None) as server:
+                sock, stream = _raw_connect(server.port)
+                with sock, stream:
+                    sock.sendall(request_head)
+                    status, headers, body = _read_response(stream)
+                    assert status.split()[1] == b"400"
+                    assert headers["connection"] == "close"
+                    assert json.loads(body)["error"] == reason
+                    assert stream.read() == b""
+                sock, stream = _raw_connect(server.port)
+                with sock, stream:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    status, _headers, body = _read_response(stream)
+                    assert status.split()[1] == b"200"
+                    assert json.loads(body)["status"] == "ok"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_event_stream_ends_its_connection(self, block):
         with ServerThread(store=None, concurrency=1,
                           limiter=open_limiter()) as server:

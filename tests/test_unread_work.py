@@ -5,6 +5,9 @@
   token-gated ones.  Any other discipline is idle until the next send.
 * A :class:`~repro.cca.nimbus.NimbusCca` told the link rate never feeds
   its μ max-filter, whose value only an unhinted probe reads.
+* A fluid FIFO asks its early-action hook only if its class overrides
+  it -- RED and CoDel, once per tick that has arrivals.  A plain FIFO
+  (``droptail``, ``htb``, ``tbf``) never early-drops, so never asks.
 
 Counted on 2-second runs of two of the ledger's ``paths_packet``
 shapes; a ``tbf`` path and an unhinted probe are the controls that show
@@ -17,6 +20,9 @@ from repro.cca.base import AckSample
 from repro.cca.nimbus import NimbusCca
 from repro.core.campaign import PathSpec
 from repro.core.path import build_packet_path
+from repro.fluid.queue import (CodelBottleneck, FifoBottleneck,
+                               RedBottleneck)
+from repro.fluid.runner import build_fluid_path
 from repro.qa.scenario import Scenario
 from repro.qdisc import TokenBucketFilter
 from repro.qdisc.base import Qdisc
@@ -79,3 +85,45 @@ def test_only_an_unhinted_probe_feeds_its_mu_filter():
         cca.bind_flow("probe", 1448)
         cca.on_ack(sample)
         assert cca._mu_filter.value == filtered
+
+
+def _count_hook_calls(monkeypatch, qdisc) -> tuple[int, int]:
+    """(hook calls, ticks with arrivals) over a 2-second fluid probe
+    path behind ``qdisc`` with Reno cross traffic."""
+    calls = []
+    for cls in (FifoBottleneck, RedBottleneck, CodelBottleneck):
+        hook = cls._early_action
+
+        def counted(self, total_in, dt, hook=hook):
+            calls.append(total_in)
+            return hook(self, total_in, dt)
+
+        monkeypatch.setattr(cls, "_early_action", counted)
+    scenario = Scenario(family="probe", rate_mbps=20.0, rtt_ms=50.0,
+                        duration=2.0, qdisc=qdisc, cross_traffic="reno",
+                        seed=23, backend="fluid")
+    model, _ = build_fluid_path(scenario, **scenario.builder_arguments())
+    fed = []
+    tick = model.bottleneck.tick
+
+    def counted_tick(arrivals, dt):
+        fed.append(any(a > 0.0 for a in arrivals))
+        return tick(arrivals, dt)
+
+    model.bottleneck.tick = counted_tick
+    model.run(scenario.duration)
+    assert len(fed) == model.ticks == 400
+    return len(calls), fed.count(True)
+
+
+@pytest.mark.parametrize("qdisc", ["droptail", "htb", "tbf"])
+def test_a_plain_fluid_fifo_never_asks_its_hook(qdisc, monkeypatch):
+    calls, fed = _count_hook_calls(monkeypatch, qdisc)
+    assert calls == 0 and fed > 300
+
+
+@pytest.mark.parametrize("qdisc", ["red", "codel"])
+def test_an_aqm_asks_its_hook_once_per_tick_with_arrivals(qdisc,
+                                                          monkeypatch):
+    calls, fed = _count_hook_calls(monkeypatch, qdisc)
+    assert calls == fed > 300
