@@ -21,7 +21,7 @@ from ..qdisc.fifo import DropTailQueue
 from ..qdisc.tbf import TokenBucketFilter
 from ..sim.engine import Simulator
 from ..sim.network import PathHandles
-from ..sim.link import Link
+from ..sim.link import Link, Wire
 from ..sim.node import Host
 from ..tcp.endpoint import Connection
 from ..traffic.cbr import CbrSource
@@ -47,9 +47,7 @@ def _shaped_path(sim: Simulator, shaped_rate: float, line_rate: float,
                                 child=DropTailQueue(limit_packets=400))
         bottleneck = Link(sim, line_rate, sink=dst, qdisc=tbf,
                           delay=rtt / 2.0)
-    reverse = Link(sim, line_rate * 10, sink=src,
-                   qdisc=DropTailQueue(limit_packets=10_000),
-                   delay=rtt / 2.0)
+    reverse = Wire(sim, line_rate * 10, src, rtt / 2.0, "reverse")
     return PathHandles(sim=sim, entry=bottleneck, bottleneck=bottleneck,
                        src_host=src, dst_host=dst, reverse_entry=reverse,
                        rtt=rtt)

@@ -19,6 +19,8 @@ order it would with one event per completion.  A transmission that
 ends at T has ended for anything else at T.  New heap entries (an
 arrival, a retry) are filed only by a send, an arrival or a retry, so
 a stats read or a traced run's wake changes no later event's order.
+ACKs cross a :class:`Wire`, a lazy link with no qdisc, as nothing
+congests their path.
 
 Taps (observer callbacks) fire on every delivery, at the time the
 packet's serialization ended; measurement code uses them to compute
@@ -47,8 +49,10 @@ class PacketSink(Protocol):
 
 Tap = Callable[[Packet, float], None]
 
-#: ``Link._next`` while the link waits for a send: later than any time.
+#: A lazy link's ``_next`` while nothing is due: later than any time.
 _IDLE = float("inf")
+#: ``Wire._waiting``'s head when it is empty.
+_NONE = (_IDLE, None)
 
 
 class _Egress:
@@ -56,7 +60,8 @@ class _Egress:
     propagation pipe from the end of a transmission to ``sink``.
 
     A fixed delay keeps arrivals in transmission order, so the pipe is
-    a deque and each arrival a bound-method event."""
+    a deque and each arrival a bound-method event.  A lazy kind applies
+    the ends due by now (``_catch_up``) before a read or an arrival."""
 
     def __init__(self, sim: Simulator, sink: Optional[PacketSink],
                  delay: float, name: str):
@@ -70,8 +75,14 @@ class _Egress:
         self._pipe: deque[Packet] = deque()
         self._per_flow_bytes: dict[str, int] = {}
 
+    #: When a lazy kind's next step is due (never, for eager kinds).
+    _next = _IDLE
+
     def _settle(self) -> None:
-        """Bring lazily applied state up to now (a no-op unless lazy)."""
+        """Bring lazily applied state up to now."""
+        now = self.sim.now
+        if self._next <= now:
+            self._catch_up(now)
 
     def add_tap(self, tap: Tap) -> None:
         """Register an observer called as ``tap(packet, now)`` on delivery."""
@@ -106,6 +117,9 @@ class _Egress:
         self.sim.call_later(self.delay, self._arrive)
 
     def _arrive(self) -> None:
+        now = self.sim.now
+        if self._next <= now:
+            self._catch_up(now)
         packet = self._pipe.popleft()
         sink = self.sink
         if sink is not None:
@@ -182,8 +196,8 @@ class Link(_Egress):
                 else:
                     self._next = _IDLE
                 return
-            # One start, written out as in _catch_up: an idle link (an
-            # ACK path, always) takes this branch once per packet.
+            # One start, written out as in _catch_up: a link with no
+            # backlog takes this branch once per packet.
             self._in_flight = packet
             tx_time = packet.size / self._rate
             self._busy_time += tx_time
@@ -206,7 +220,7 @@ class Link(_Egress):
             self.sim.wake_at(retry, self._settle)
         return retry
 
-    def _catch_up(self, now: float, file: bool) -> None:
+    def _catch_up(self, now: float, file: bool = False) -> None:
         """Apply every chain step due at or before ``now``, each at its
         own timestamp: end the packet in flight, then dequeue the next
         one (or learn when a token-gated qdisc is ready again).
@@ -251,11 +265,6 @@ class Link(_Egress):
             due = end
         self._next = due
 
-    def _settle(self) -> None:
-        now = self.sim.now
-        if self._next <= now:
-            self._catch_up(now, False)
-
     def _file_retry(self) -> None:
         """The chain waits on a token-gated qdisc: put its retry on the
         heap, unless one is there already."""
@@ -297,6 +306,57 @@ class Link(_Egress):
     def queue_delay(self) -> float:
         """Instantaneous queueing delay at the current rate (seconds)."""
         return self.qdisc.byte_length / self._rate
+
+
+class Wire(_Egress):
+    """A :class:`Link` with an unbounded FIFO and no qdisc: per packet one
+    ``max``, one division and one heap push.  Its ends and arrivals are
+    the floats a :class:`Link` computes, applied at the same touches;
+    only a packet sent while another serializes has its arrival filed at
+    the send, not when its own serialization starts."""
+
+    def __init__(self, sim: Simulator, rate: float, sink: PacketSink,
+                 delay: float, name: str):
+        if rate <= 0:
+            raise ConfigError(f"link rate must be positive: {rate}")
+        super().__init__(sim, sink, delay, name)
+        self._rate = float(rate)
+        self._free = 0.0  # when the last serialization started ends
+        # Started, not yet applied: ``_head`` ends at ``_next`` (or
+        # ``_IDLE``: none), and ``(end, packet)`` wait behind it.
+        self._head: Optional[Packet] = None
+        self._next = _IDLE
+        self._waiting: deque[tuple[float, Packet]] = deque()
+        sim.add_settler(self._settle)
+
+    def send(self, packet: Packet) -> None:
+        """Start serializing ``packet`` once the wire is free."""
+        now = self.sim.now
+        if self._next <= now:
+            self._catch_up(now)
+        free = self._free
+        end = (free if free > now else now) + packet.size / self._rate
+        self._free = end
+        if self._next == _IDLE:
+            self._head = packet
+            self._next = end
+        else:
+            self._waiting.append((end, packet))
+        self._pipe.append(packet)
+        self.sim.call_at(end + self.delay, self._arrive)
+        if _OBS.enabled:
+            self.sim.wake_at(end, self._settle)
+
+    def _catch_up(self, now: float) -> None:
+        """Apply every serialization end due by ``now``, at its time."""
+        end = self._next
+        packet = self._head
+        waiting = self._waiting
+        while end <= now:
+            self._account(packet, end)
+            end, packet = waiting.popleft() if waiting else _NONE
+        self._next = end
+        self._head = packet
 
 
 class TraceLink(_Egress):

@@ -7,7 +7,8 @@ paper's Figure 3 setup (one emulated Mahimahi link) and the access-link
 scenarios of §2.2-2.3.
 
 Every link carries its own propagation delay (``rtt / 2`` each way),
-so a packet costs one heap entry per hop: its arrival.  The builders
+so a packet costs one heap entry per hop: its arrival.  ACKs return
+over a :class:`~repro.sim.link.Wire`, which has no qdisc.  The builders
 return a :class:`PathHandles` bundle; transport glue in
 :mod:`repro.tcp` attaches flows to it.
 """
@@ -22,7 +23,7 @@ from ..qdisc.base import Qdisc
 from ..qdisc.fifo import DropTailQueue
 from ..units import bdp_packets
 from .engine import Simulator
-from .link import Link, TraceLink
+from .link import Link, TraceLink, Wire
 from .node import Host
 
 
@@ -69,9 +70,7 @@ def _ends(sim: Simulator, rtt: float, reverse_rate_bps: float):
         raise ConfigError(f"rtt must be positive: {rtt}")
     src = Host("src")
     dst = Host("dst")
-    reverse = Link(sim, reverse_rate_bps, sink=src,
-                   qdisc=DropTailQueue(limit_packets=10_000), name="reverse",
-                   delay=rtt / 2.0)
+    reverse = Wire(sim, reverse_rate_bps, src, rtt / 2.0, "reverse")
     return src, dst, reverse
 
 
@@ -81,7 +80,7 @@ def dumbbell(sim: Simulator, rate_bps: float, rtt: float,
     """Build a single-bottleneck dumbbell.
 
     Forward path: entry -> bottleneck(rate, qdisc, delay rtt/2) -> dst.
-    Reverse path: reverse_entry -> fast link(delay rtt/2) -> src.
+    Reverse path: reverse_entry -> fast wire(delay rtt/2) -> src.
 
     Args:
         rate_bps: bottleneck rate, bytes/second.
@@ -106,7 +105,7 @@ def medium_dumbbell(sim: Simulator, rate_bps: float, rtt: float, spec,
 
     Forward data crosses a :class:`~repro.sim.medium.MediumLink`
     (stations contending for airtime, per-station qdiscs built by
-    ``qdisc_factory``); ACKs return over an ordinary fast link, as on
+    ``qdisc_factory``); ACKs return over the usual fast wire, as on
     an infrastructure WLAN where the AP's downlink is not the
     contended direction under study.
 

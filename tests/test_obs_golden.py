@@ -24,12 +24,15 @@ from repro.units import mbps, ms
 #: Pinned digest for the scenario below.  If a deliberate behaviour
 #: change moves these numbers, re-pin them in the same commit and say
 #: why in the commit message.
+#: ``enqueue``/``dequeue`` count the bottleneck's qdisc only: ACKs cross
+#: a ``Wire``, which has no qdisc (8312/8286 with a reverse DropTail,
+#: whose 4,134 ACKs each emitted both).  ``deliver`` counts both links.
 GOLDEN_EVENT_COUNTS = {
     "cwnd": 3746,
     "deliver": 8285,
-    "dequeue": 8286,
+    "dequeue": 4152,
     "drop": 76,
-    "enqueue": 8312,
+    "enqueue": 4178,
     "loss": 10,
     "sim_run": 2,       # one run(): begin + end markers
     "sim_start": 1,

@@ -8,11 +8,16 @@
 * A fluid FIFO asks its early-action hook only if its class overrides
   it -- RED and CoDel, once per tick that has arrivals.  A plain FIFO
   (``droptail``, ``htb``, ``tbf``) never early-drops, so never asks.
+* ACKs cross a :class:`~repro.sim.link.Wire` on every topology: an
+  ACK's trip from the receiver to the sender calls nothing in
+  :mod:`repro.qdisc` and pushes one heap entry, its arrival.
 
 Counted on 2-second runs of two of the ledger's ``paths_packet``
 shapes; a ``tbf`` path and an unhinted probe are the controls that show
 the counters count.
 """
+
+import sys
 
 import pytest
 
@@ -20,12 +25,20 @@ from repro.cca.base import AckSample
 from repro.cca.nimbus import NimbusCca
 from repro.core.campaign import PathSpec
 from repro.core.path import build_packet_path
+from repro.experiments.tbf_jitter import _shaped_path
 from repro.fluid.queue import (CodelBottleneck, FifoBottleneck,
                                RedBottleneck)
 from repro.fluid.runner import build_fluid_path
 from repro.qa.scenario import Scenario
-from repro.qdisc import TokenBucketFilter
+from repro.medium.config import parse_medium
+from repro.qdisc import DropTailQueue, TokenBucketFilter
 from repro.qdisc.base import Qdisc
+from repro.sim import Simulator, dumbbell, trace_dumbbell
+from repro.sim.link import Wire
+from repro.sim.network import medium_dumbbell
+from repro.units import mbps, ms
+
+from .helpers import make_data
 
 
 def _count_polls(monkeypatch) -> list:
@@ -127,3 +140,75 @@ def test_an_aqm_asks_its_hook_once_per_tick_with_arrivals(qdisc,
                                                           monkeypatch):
     calls, fed = _count_hook_calls(monkeypatch, qdisc)
     assert calls == fed > 300
+
+
+def test_every_topology_returns_acks_over_a_wire():
+    sim = Simulator()
+    paths = [
+        dumbbell(sim, mbps(20), ms(50)),
+        medium_dumbbell(sim, mbps(20), ms(50), parse_medium("csma-5"),
+                        qdisc_factory=lambda: DropTailQueue(
+                            limit_packets=40)),
+        trace_dumbbell(sim, [1.0, 2.0], ms(50)),
+        _shaped_path(sim, mbps(10), mbps(1000), ms(20), None),
+        _shaped_path(sim, mbps(10), mbps(1000), ms(20), 60_000),
+    ]
+    assert all(type(path.reverse_entry) is Wire for path in paths)
+
+
+def test_an_ack_crosses_no_qdisc_and_pushes_one_heap_entry(monkeypatch,
+                                                           bus_off):
+    """Every call into ``repro.qdisc`` made while a wire takes an ACK,
+    and from its arrival until the hand-over to the sender's host."""
+    qdisc_calls, pushes, acks = [], [], []
+
+    def watch(frame, event, arg):
+        if event == "call" and "/repro/qdisc/" in frame.f_code.co_filename:
+            qdisc_calls.append(frame.f_code.co_name)
+
+    send, arrive = Wire.send, Wire._arrive
+
+    def watched_send(self, packet):
+        before = len(self.sim._heap)
+        sys.setprofile(watch)
+        try:
+            send(self, packet)
+        finally:
+            sys.setprofile(None)
+        pushes.append(len(self.sim._heap) - before)
+
+    def watched_arrive(self):
+        sys.setprofile(watch)
+        try:
+            arrive(self)
+        finally:
+            sys.setprofile(None)
+
+    class HandOver:
+        def __init__(self, host):
+            self.host = host
+
+        def send(self, packet):
+            sys.setprofile(None)
+            acks.append(packet)
+            self.host.send(packet)
+
+    monkeypatch.setattr(Wire, "send", watched_send)
+    monkeypatch.setattr(Wire, "_arrive", watched_arrive)
+    with bus_off():
+        handles, _ = build_packet_path(PathSpec(
+            rate_mbps=20.0, rtt_ms=50.0, qdisc="droptail",
+            cross_traffic="reno", seed=7))
+        wire = handles.reverse_entry
+        wire.sink = HandOver(wire.sink)
+        handles.sim.run(until=2.0)
+    assert len(acks) > 1000 and len(pushes) >= len(acks)
+    assert qdisc_calls == []
+    assert set(pushes) == {1}
+    # The control: the watch sees a bottleneck's qdisc.
+    sys.setprofile(watch)
+    try:
+        handles.bottleneck.send(make_data("probe", seq=0, payload=1448))
+    finally:
+        sys.setprofile(None)
+    assert "enqueue" in qdisc_calls
