@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
+from .stats import median
 
 
 class L2Cost:
@@ -80,8 +81,7 @@ def default_penalty(signal: np.ndarray):
     if n < 4:
         return np.full(x.shape[:-1], np.inf)[()]
     diffs = np.diff(x)
-    mad = np.median(np.abs(
-        diffs - np.median(diffs, axis=-1, keepdims=True)), axis=-1)
+    mad = median(np.abs(diffs - np.expand_dims(median(diffs), -1)))
     sigma = np.maximum(mad / 0.6745 / math.sqrt(2.0), 1e-12)
     return 2.0 * sigma * sigma * math.log(n)
 

@@ -23,10 +23,16 @@ def jain_index(allocations) -> float:
         raise AnalysisError("need at least one allocation")
     if np.any(x < 0):
         raise AnalysisError("allocations must be non-negative")
-    denom = len(x) * float(np.sum(x * x))
-    if denom == 0:
-        return 1.0  # all zero: degenerately equal
-    return float(np.sum(x)) ** 2 / denom
+    squares = float(np.sum(x * x))
+    if squares < np.finfo(float).tiny:
+        # x * x went subnormal (or zero) and lost its precision; the
+        # index does not change with scale, so take it of x / max(x).
+        top = float(x.max())
+        if top == 0:
+            return 1.0  # all zero: degenerately equal
+        x = x / top
+        squares = float(np.sum(x * x))
+    return float(np.sum(x)) ** 2 / (len(x) * squares)
 
 
 def throughput_shares(allocations) -> list[float]:

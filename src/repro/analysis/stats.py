@@ -215,6 +215,33 @@ class CdfSketch:
         return pts
 
 
+def median(a):
+    """Median over the last axis: ``np.median(a, axis=-1)`` to the bit.
+
+    It is numpy's own algorithm -- one partition on the middle one or
+    two positions and the last, then ``(lo + hi) / 2`` -- less the NaN
+    check numpy runs through ``numpy.ma``, whose first import costs a
+    process ~20 ms of CPU and 1.3 MB of RSS.  A NaN still propagates:
+    the partition puts any NaN of a row last, and that row's median is
+    that NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    if n == 0:
+        raise AnalysisError("cannot take the median of no samples")
+    mid = n // 2
+    part = np.partition(a, [mid, -1] if n % 2 else [mid - 1, mid, -1],
+                        axis=-1)
+    # numpy's mean sums from +0.0, so its median of -0.0s is +0.0.
+    result = (part[..., mid] + 0.0 if n % 2
+              else (part[..., mid - 1] + part[..., mid] + 0.0) / 2)
+    last = part[..., -1]
+    nan = np.isnan(last)
+    if nan.any():
+        result = np.where(nan, last, result)
+    return result[()]  # a scalar for one row, as np.median gives
+
+
 def percentile(samples, q: float) -> float:
     """The ``q``-th percentile (0-100) of ``samples``."""
     if not 0 <= q <= 100:

@@ -27,6 +27,15 @@ from ..sim.jitter import MAX_AMPLITUDE
 BACKENDS = ("packet", "fluid")
 
 
+def preload_backend(backend: str) -> None:
+    """Import ``backend``'s simulator now (the packet engine is always
+    loaded).  A caller about to fork a process pool calls this first,
+    so that no worker imports it again (the warm-fork contract of
+    :mod:`repro.runtime.pool`)."""
+    if backend == "fluid":
+        from .. import fluid  # noqa: F401
+
+
 @dataclass(frozen=True)
 class Axis:
     """One late axis.

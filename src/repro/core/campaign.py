@@ -20,7 +20,8 @@ import numpy as np
 from ..errors import ConfigError
 from ..runtime import FaultPolicy, parallel_map
 from ..traffic.mix import CROSS_TRAFFIC_IS_ELASTIC
-from .axes import AXES, declared, drop_defaults, resolve_axes
+from .axes import (AXES, declared, drop_defaults, preload_backend,
+                   resolve_axes)
 from .detector import ContentionDetector, DetectorVerdict, confusion_counts
 from .path import build_packet_path
 from .probe import ProbeReport
@@ -358,6 +359,9 @@ class Campaign:
             failed=failed)
 
     def _job(self):
+        """The per-path task, its backend loaded in this process before
+        any pool forks."""
+        preload_backend(self.run_axes["backend"])
         return functools.partial(run_path, duration=self.duration,
                                  **self.run_axes)
 

@@ -35,7 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# np.fft is a lazy submodule: imported here, it is loaded before any
+# pool fork instead of once in every child (DESIGN.md §10).
+import numpy.fft
 
+from ..analysis.stats import median
 from ..errors import AnalysisError, ConfigError
 
 
@@ -159,7 +163,7 @@ def _spectrum_elasticity_batch(windows: np.ndarray, sample_interval: float,
     if comparison.shape[1] == 0:
         raise AnalysisError(
             "comparison band is empty; widen band or window")
-    background = np.median(comparison, axis=1)
+    background = median(comparison)
     # A Hann-windowed sine of amplitude `a` over n samples produces an
     # rfft peak of ~ a*n/4; convert the rate floor to spectrum units.
     floor = significance_floor * n / 4.0
@@ -281,7 +285,7 @@ def elasticity_series(times, z_values, pulse_freq: float = 5.0,
     if len(t) < 3:
         raise AnalysisError("need at least three samples")
     intervals = np.diff(t)
-    dt = float(np.median(intervals))
+    dt = float(median(intervals))
     if np.any(np.abs(intervals - dt) > dt * 0.01):
         raise AnalysisError("times must be evenly spaced")
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 
 from .. import viz
-from ..core.axes import AXES
+from ..core.axes import AXES, preload_backend
 from ..core.campaign import PathSpec
 from ..core.detector import ContentionDetector, ordered_mean
 from ..core.path import build_packet_path
@@ -122,7 +122,7 @@ def run(backend: str = "packet", rate_mbps: float = 20.0,
     baseline.  Cells are independent; ``workers`` parallelizes them
     with bit-identical results.
     """
-    AXES["backend"].validate(backend)
+    preload_backend(AXES["backend"].validate(backend))
     cells = _cells(mediums, cross_types)  # parses (validates) each medium
     with Stopwatch() as watch:
         rows = parallel_map(

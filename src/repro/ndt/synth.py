@@ -59,6 +59,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+# np.random is a lazy submodule: imported here, it is loaded before any
+# pool fork instead of once in every child (DESIGN.md §10).
+import numpy.random
 
 from ..errors import ConfigError
 from ..sim.rng import RngRegistry, _stream_seed

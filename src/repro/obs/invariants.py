@@ -87,12 +87,14 @@ class MonotonicClockChecker(InvariantChecker):
 
     Args:
         gate_to_runs: only check events emitted between a ``SIM_RUN``
-            begin and end marker.  The runtime assertion mode uses
+            begin and end marker, each run against a floor that starts
+            at its begin marker's time.  The runtime assertion mode uses
             this: once checkers are installed process-wide, unit tests
             that drive a CCA or qdisc directly at hand-picked times
-            (with no simulator clock at all) would otherwise read as
-            clock regressions.  Offline :func:`check_trace` leaves the
-            gate off and checks every event.
+            (with no simulator clock at all), or run two simulators in
+            turns, would otherwise read as clock regressions.  Offline
+            :func:`check_trace` leaves the gate off and checks every
+            event.
     """
 
     name = "monotonic_clock"
@@ -111,6 +113,11 @@ class MonotonicClockChecker(InvariantChecker):
             return
         if kind == EventKind.SIM_RUN and self._gated:
             self._active = (event.meta or {}).get("phase") == "begin"
+            if self._active:
+                # A run starts at its own simulator's clock, which may
+                # be behind the last run's if that was another
+                # simulator's.
+                self._last = event.time
         if not self._active:
             return
         if event.time < self._last - 1e-12:

@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.axes import preload_backend
 from ..core.detector import ContentionDetector
 from ..runtime.pool import ParallelExecutor, derive_seed
 from ..store.artifacts import ArtifactStore
@@ -323,6 +324,7 @@ def run_search(budget: int, seed: int = 0, workers: int | None = 1,
     visits: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         if evaluate is None:
+            preload_backend(backend)
             executor = stack.enter_context(
                 ParallelExecutor(workers=workers))
             judge = functools.partial(executor.map, _run_search_task)

@@ -21,6 +21,19 @@ Design notes
   the pool, so doctests, Windows ``spawn``, and CI stay correct.  A
   worker that dies mid-run (OOM kill) costs only the chunks it left
   unfinished: the loop recomputes those serially.
+* **Warm forks.**  A pool forks its workers from the caller as it
+  stands when the first chunk is submitted, and lives only as long as
+  its executor (one ``parallel_map`` call, one scheduler run), so
+  whatever a task does once per process -- a lazy import above all --
+  is paid again by every child of every pool.  The contract: work a
+  task needs only once goes in the parent, before the fork.  A caller
+  that fans simulations out loads their backend first
+  (:func:`repro.core.axes.preload_backend`: ``Campaign``, the QA
+  search, E16), the modules behind lazy numpy attributes
+  (``numpy.fft``, ``numpy.random``) are imported at module level where
+  they are used, and the probe's and the NDT pipeline's medians do not
+  reach ``numpy.ma`` (:func:`repro.analysis.stats.median`).
+  ``tests/test_runtime.py`` checks that their children import nothing.
 * **Fault tolerance.**  :meth:`ParallelExecutor.imap_tasks` applies a
   :class:`FaultPolicy` -- per-task retry with exponential backoff and a
   per-task wall-clock timeout -- and yields a :class:`TaskOutcome` per
@@ -330,6 +343,11 @@ class ParallelExecutor:
 
     Use as a context manager (or call :meth:`close`) to release the
     pool; a one-shot convenience wrapper is :func:`parallel_map`.
+
+    Work a task needs only once per process (an import, a table built
+    on first use) goes in the caller, before the first ``map`` forks
+    the workers; done inside the task, every worker pays it again (see
+    "Warm forks" above).
 
     >>> with ParallelExecutor(workers=1) as ex:
     ...     ex.map(abs, [-1, -2, 3])

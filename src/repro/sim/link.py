@@ -36,7 +36,6 @@ from typing import Callable, Optional, Protocol
 from ..errors import ConfigError
 from ..obs.bus import BUS as _OBS, EventKind
 from ..qdisc.base import Qdisc
-from ..qdisc.fifo import DropTailQueue
 from .engine import Simulator
 from .packet import Packet
 
@@ -134,22 +133,19 @@ class Link(_Egress):
         sim: the owning simulator.
         rate: transmission rate in bytes/second.
         sink: downstream element receiving each packet on arrival.
-        qdisc: egress queue (default: 100-packet DropTail).
-        name: label used in stats and debugging.
+        qdisc: egress queue.
         delay: propagation delay (seconds) from the end of a packet's
             serialization to its arrival at ``sink``.
+        name: label used in stats and debugging.
     """
 
-    def __init__(self, sim: Simulator, rate: float,
-                 sink: Optional[PacketSink] = None,
-                 qdisc: Optional[Qdisc] = None, name: str = "link",
-                 delay: float = 0.0):
+    def __init__(self, sim: Simulator, rate: float, sink: PacketSink,
+                 qdisc: Qdisc, delay: float, name: str = "link"):
         if rate <= 0:
             raise ConfigError(f"link rate must be positive: {rate}")
         super().__init__(sim, sink, delay, name)
         self._rate = float(rate)
-        self._qdisc = qdisc if qdisc is not None else DropTailQueue(
-            limit_packets=100)
+        self._qdisc = qdisc
         # Only a qdisc that overrides next_ready_time holds packets
         # back from an idle link; with any other, idle waits for a send.
         self._gated = (type(self._qdisc).next_ready_time
@@ -375,8 +371,8 @@ class TraceLink(_Egress):
     MTU = 1514
 
     def __init__(self, sim: Simulator, opportunities_ms: list[float],
-                 delay: float, sink: Optional[PacketSink] = None,
-                 qdisc: Optional[Qdisc] = None, name: str = "tracelink"):
+                 delay: float, sink: PacketSink, qdisc: Qdisc,
+                 name: str = "tracelink"):
         if not opportunities_ms:
             raise ConfigError("trace must contain at least one opportunity")
         if any(b < a for a, b in zip(opportunities_ms, opportunities_ms[1:])):
@@ -386,8 +382,7 @@ class TraceLink(_Egress):
         super().__init__(sim, sink, delay, name)
         self.trace = [t / 1000.0 for t in opportunities_ms]
         self.period = self.trace[-1]
-        self.qdisc = qdisc if qdisc is not None else DropTailQueue(
-            limit_packets=100)
+        self.qdisc = qdisc
         self.wasted_opportunities = 0
         self._index = 0
         self._epoch = 0.0

@@ -29,6 +29,10 @@ class TestJain:
         idx = jain_index(alloc)
         assert 1.0 / len(alloc) - 1e-9 <= idx <= 1.0 + 1e-9
 
+    def test_subnormal_squares_stay_at_most_one(self):
+        # x * x is subnormal here; unscaled, this read 1.000000241.
+        assert jain_index([2.2636834487242959e-159] * 2) == 1.0
+
     @given(st.floats(min_value=0.01, max_value=1e3),
            st.integers(min_value=1, max_value=20))
     def test_property_scale_invariant(self, scale, n):

@@ -20,7 +20,8 @@ class TestLink:
         sim = Simulator()
         sink = CountingSink()
         arrivals = []
-        link = Link(sim, rate=1500.0, sink=sink)  # 1 packet per second
+        link = Link(sim, rate=1500.0, sink=sink,  # 1 packet per second
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.0)
         link.add_tap(lambda p, now: arrivals.append(now))
         link.send(pkt(size=1500))
         sim.run()
@@ -30,7 +31,8 @@ class TestLink:
         sim = Simulator()
         sink = CountingSink()
         arrivals = []
-        link = Link(sim, rate=1500.0, sink=sink)
+        link = Link(sim, rate=1500.0, sink=sink,
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.0)
         link.add_tap(lambda p, now: arrivals.append(now))
         link.send(pkt())
         link.send(pkt())
@@ -42,7 +44,7 @@ class TestLink:
         sim = Simulator()
         sink = CountingSink()
         link = Link(sim, rate=1500.0, sink=sink,
-                    qdisc=DropTailQueue(limit_packets=2))
+                    qdisc=DropTailQueue(limit_packets=2), delay=0.0)
         for _ in range(5):
             link.send(pkt())
         sim.run()
@@ -53,7 +55,7 @@ class TestLink:
     def test_per_flow_accounting(self):
         sim = Simulator()
         link = Link(sim, rate=mbps(10), sink=CountingSink(),
-                    qdisc=DropTailQueue(limit_packets=100))
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.0)
         link.send(pkt("a", size=1000))
         link.send(pkt("b", size=500))
         link.send(pkt("a", size=200))
@@ -65,7 +67,8 @@ class TestLink:
     def test_invalid_rate_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigError):
-            Link(sim, rate=0.0)
+            Link(sim, rate=0.0, sink=CountingSink(),
+                 qdisc=DropTailQueue(limit_packets=100), delay=0.0)
 
     def test_token_gated_qdisc_wakes_link(self):
         # A TBF inside a fast link: the link must poll again when
@@ -73,7 +76,8 @@ class TestLink:
         sim = Simulator()
         arrivals = []
         tbf = TokenBucketFilter(rate=1514.0, burst=1514)  # 1 pkt/s
-        link = Link(sim, rate=1e9, sink=CountingSink(), qdisc=tbf)
+        link = Link(sim, rate=1e9, sink=CountingSink(), qdisc=tbf,
+                    delay=0.0)
         link.add_tap(lambda p, now: arrivals.append(now))
         link.send(pkt(size=1514))
         link.send(pkt(size=1514))
@@ -83,7 +87,8 @@ class TestLink:
 
     def test_busy_time_tracks_utilization(self):
         sim = Simulator()
-        link = Link(sim, rate=1500.0, sink=CountingSink())
+        link = Link(sim, rate=1500.0, sink=CountingSink(),
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.0)
         link.send(pkt(size=750))
         sim.run()
         assert link.busy_time == pytest.approx(0.5)
@@ -104,7 +109,8 @@ class TestLinkDelay:
     def test_adds_fixed_delay(self):
         sim = Simulator()
         sink = ArrivalLog(sim)
-        link = Link(sim, rate=1500.0, sink=sink, delay=0.05)
+        link = Link(sim, rate=1500.0, sink=sink,
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.05)
         link.send(pkt())
         sim.run()
         assert sink.arrivals == [(1.05, "f")]
@@ -128,7 +134,8 @@ class TestLinkDelay:
         sim = Simulator()
         sink = ArrivalLog(sim)
         taps = []
-        link = Link(sim, rate=1500.0, sink=sink)
+        link = Link(sim, rate=1500.0, sink=sink,
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.0)
         link.add_tap(lambda p, now: taps.append(now))
         for flow in "abc":
             link.send(pkt(flow=flow))
@@ -139,7 +146,8 @@ class TestLinkDelay:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigError):
-            Link(Simulator(), rate=1500.0, delay=-0.1)
+            Link(Simulator(), rate=1500.0, sink=CountingSink(),
+                 qdisc=DropTailQueue(limit_packets=100), delay=-0.1)
 
 
 class TestLossBox:
@@ -170,7 +178,8 @@ class TestTraceLink:
         sim = Simulator()
         sink = CountingSink()
         arrivals = []
-        link = TraceLink(sim, [10, 20, 30], 0.0, sink=sink)
+        link = TraceLink(sim, [10, 20, 30], 0.0, sink=sink,
+                         qdisc=DropTailQueue(limit_packets=100))
         link.add_tap(lambda p, now: arrivals.append(now))
         for _ in range(3):
             link.send(pkt())
@@ -181,7 +190,8 @@ class TestTraceLink:
         sim = Simulator()
         sink = CountingSink()
         arrivals = []
-        link = TraceLink(sim, [10, 20], 0.0, sink=sink)
+        link = TraceLink(sim, [10, 20], 0.0, sink=sink,
+                         qdisc=DropTailQueue(limit_packets=100))
         link.add_tap(lambda p, now: arrivals.append(now))
         for _ in range(4):
             link.send(pkt())
@@ -190,15 +200,18 @@ class TestTraceLink:
 
     def test_idle_opportunities_are_wasted(self):
         sim = Simulator()
-        link = TraceLink(sim, [10, 20], 0.0, sink=CountingSink())
+        link = TraceLink(sim, [10, 20], 0.0, sink=CountingSink(),
+                         qdisc=DropTailQueue(limit_packets=100))
         sim.run(until=0.05)
         assert link.wasted_opportunities >= 4
         assert link.delivered_bytes == 0
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
-            TraceLink(Simulator(), [], 0.0)
+            TraceLink(Simulator(), [], 0.0, sink=CountingSink(),
+                      qdisc=DropTailQueue(limit_packets=100))
 
     def test_decreasing_trace_rejected(self):
         with pytest.raises(ConfigError):
-            TraceLink(Simulator(), [20, 10], 0.0)
+            TraceLink(Simulator(), [20, 10], 0.0, sink=CountingSink(),
+                      qdisc=DropTailQueue(limit_packets=100))

@@ -220,7 +220,8 @@ def test_zero_delay_link_traced_and_untraced(bus_off):
         sim = Simulator()
         sink = CountingSink()
         taps = []
-        link = Link(sim, rate=3000.0, sink=sink)
+        link = Link(sim, rate=3000.0, sink=sink,
+                    qdisc=DropTailQueue(limit_packets=100), delay=0.0)
         link.add_tap(lambda p, now: taps.append(now))
         with (_Audit() if traced else bus_off()):
             for _ in range(5):
@@ -239,8 +240,10 @@ def test_one_callback_per_packet_per_hop(traced, bus_off):
     # first.  A traced run's wakes are not events.
     sim = Simulator()
     sink = CountingSink()
-    second = Link(sim, rate=mbps(20), sink=sink, delay=0.005)
-    first = Link(sim, rate=mbps(10), sink=second, delay=0.01)
+    second = Link(sim, rate=mbps(20), sink=sink,
+                  qdisc=DropTailQueue(limit_packets=100), delay=0.005)
+    first = Link(sim, rate=mbps(10), sink=second,
+                 qdisc=DropTailQueue(limit_packets=100), delay=0.01)
     sent = []
 
     def tick():

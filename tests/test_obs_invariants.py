@@ -15,13 +15,25 @@ import pytest
 
 from repro.cca import BbrCca, RenoCca
 from repro.cca.nimbus import NimbusCca
+from repro.errors import InvariantViolation
 from repro.obs import EventKind, TraceEvent, capture, check_trace
+from repro.obs.invariants import MonotonicClockChecker
 from repro.qdisc import DropTailQueue, DrrFairQueue, TokenBucketFilter
 from repro.sim import Simulator, dumbbell
 from repro.tcp import Connection
 from repro.units import mbps, ms
 
 CCAS = {"reno": RenoCca, "bbr": BbrCca, "nimbus": NimbusCca}
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _src_env(**extra):
+    """This environment with ``src`` on PYTHONPATH, plus ``extra``."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH", "")]))
+    return env
 
 
 def _make_qdisc(kind):
@@ -112,6 +124,50 @@ def test_checkers_flag_bad_traces():
     assert check_trace(ok) == []
 
 
+def test_gated_clock_follows_simulators_run_in_turns():
+    # Runtime mode: two simulators take turns, so the second one's run
+    # begins at 0.0 after the first reached 1.0.  Each run is checked
+    # against its own start; a regression inside a run still raises.
+    checker = MonotonicClockChecker(strict=True, gate_to_runs=True)
+
+    def run(begin, *times):
+        checker.observe(TraceEvent(begin, EventKind.SIM_RUN, "sim",
+                                   meta={"phase": "begin"}))
+        for t in times:
+            checker.observe(TraceEvent(t, EventKind.LOSS, "tcp:f", "f"))
+        checker.observe(TraceEvent(times[-1], EventKind.SIM_RUN, "sim",
+                                   meta={"phase": "end"}))
+
+    run(0.0, 0.5, 1.0)   # simulator A
+    run(0.0, 0.25, 0.5)  # simulator B, from its own 0.0
+    run(1.0, 1.5)        # A again
+    assert checker.violations == []
+    with pytest.raises(InvariantViolation):
+        run(0.5, 0.75, 0.6)
+    with pytest.raises(InvariantViolation):
+        run(2.0, 1.9)
+
+
+def test_two_simulators_run_in_turns_under_runtime_checks():
+    # The same through real simulators, in a fresh interpreter with the
+    # strict checkers REPRO_CHECK_INVARIANTS=1 installs process-wide.
+    code = (
+        "from repro.obs.invariants import install_runtime_checks\n"
+        "from repro.sim import Simulator\n"
+        "assert install_runtime_checks()\n"
+        "a, b = Simulator(), Simulator()\n"
+        "for sim in (a, b):\n"
+        "    sim.schedule(0.5, lambda: None)\n"
+        "a.run(until=1.0)\n"
+        "b.run(until=1.0)\n"
+        "a.schedule(0.5, lambda: None)\n"
+        "a.run(until=2.0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          cwd=_REPO, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_final_residual_mismatch_is_detected():
     # Claim a qdisc still holds bytes the trace never saw arrive.
     class FakeQdisc:
@@ -141,11 +197,7 @@ def test_env_var_installs_runtime_checkers():
         "assert inv._runtime_checkers is not None\n"
         "assert all(c.strict for c in inv._runtime_checkers)\n"
     )
-    env = dict(os.environ, REPRO_CHECK_INVARIANTS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, ["src", env.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          cwd=os.path.dirname(os.path.dirname(
-                              os.path.abspath(__file__))),
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=_src_env(REPRO_CHECK_INVARIANTS="1"),
+                          cwd=_REPO, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,26 @@
 """Tests for the parallel execution layer (`repro.runtime`).
 
 Covers the pool mechanics (ordering, chunking, progress, fallbacks,
-error propagation) and the determinism contract on the real workloads:
-``Campaign.run`` and ``sweep`` must produce bit-for-bit
-identical results for any worker count and across repeated runs.
+error propagation), the determinism contract on the real workloads
+(``Campaign.run`` and ``sweep`` must produce bit-for-bit identical
+results for any worker count and across repeated runs) and the
+warm-fork contract (a forked worker imports nothing its parent could
+have imported before the fork).
 """
 
+import json
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.analysis.stats import median
 from repro.errors import ConfigError
 from repro.runtime import (DEFAULT_WORKERS_ENV, FaultPolicy,
                            ParallelExecutor, derive_seed, parallel_map,
@@ -271,3 +281,115 @@ class TestTaskDeadline:
         assert len(warned) == 1
         assert "cannot be enforced" in str(warned[0].message)
         assert pool._DEADLINE_WARNED
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter on ``src``; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH", "")]))
+    env.pop(DEFAULT_WORKERS_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          cwd=_REPO, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: Wraps ``pool._apply_timed`` in the parent, so that every forked
+#: worker inherits the wrapper: after each task it appends, to a file
+#: named after its pid, the modules it holds that it did not hold when
+#: it was forked.  ``kind`` names the fan-out: a campaign on either
+#: backend, a streamed fig2 run, a fluid QA search or a fluid E16 sweep.
+_RECORD_CHILD_IMPORTS = """
+import json, os, sys
+from repro.runtime import pool
+from repro.store import ArtifactStore
+
+kind, out = sys.argv[1:]
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+apply_timed = pool._apply_timed
+
+def _apply_timed(fn, item):
+    result = apply_timed(fn, item)
+    with open(os.path.join(out, str(os.getpid())), "a") as f:
+        f.write(json.dumps(sorted(set(sys.modules) - at_fork)) + "\\n")
+    return result
+
+_apply_timed.__module__ = pool.__name__
+pool._apply_timed = _apply_timed
+store = ArtifactStore(os.path.join(out, "store"))
+if kind == "fig2":
+    from repro.ndt.stream import run_pipeline_streaming
+    run_pipeline_streaming(400, seed=1, chunk_size=200, workers=2,
+                           store=store)
+elif kind == "qa_search":
+    from repro.qa.search import run_search
+    run_search(2, seed=0, workers=2)
+elif kind == "medium_contention":
+    from repro.experiments import medium_contention
+    medium_contention.run(backend="fluid", duration=6.0, workers=2,
+                          mediums=("queue", "csma-2"), cross_types=("reno",))
+else:
+    from repro.core.campaign import Campaign
+    Campaign(n_paths=2, seed=1, duration=6.0, backend=kind).run(
+        workers=2, store=store)
+print(os.getpid())
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the warm-fork contract is about fork")
+@pytest.mark.parametrize("kind", ["fluid", "packet", "fig2", "qa_search",
+                                  "medium_contention"])
+def test_forked_workers_import_nothing(kind, tmp_path):
+    # Two items or more, two workers: each child's task would import,
+    # once per child, whatever the parent left lazy (the fluid backend,
+    # numpy.fft, numpy.random, numpy.ma behind np.median).
+    parent = _run_python(_RECORD_CHILD_IMPORTS, kind, str(tmp_path))
+    tasks = {path.name: [json.loads(line) for line in
+                         path.read_text().splitlines()]
+             for path in tmp_path.iterdir() if path.name != "store"}
+    assert tasks and parent.strip() not in tasks
+    assert sum(len(lines) for lines in tasks.values()) >= 2
+    assert all(imported == [] for lines in tasks.values()
+               for imported in lines), tasks
+
+
+def test_probe_and_ndt_tasks_leave_numpy_ma_unloaded():
+    out = _run_python("""
+import sys
+from repro.core.campaign import PathSpec, run_path
+from repro.ndt.stream import analyse_shard, shard_specs
+spec = PathSpec(rate_mbps=20, rtt_ms=50, qdisc="droptail",
+                cross_traffic="reno", seed=3)
+run_path(spec, duration=6.0, backend="fluid")
+run_path(spec, duration=6.0)
+analyse_shard(shard_specs(200, seed=1, chunk_size=200)[0])
+print("numpy.ma" in sys.modules)
+""")
+    assert out.strip() == "False"
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"),
+                     float("nan")]))
+
+
+@given(arrays(np.float64,
+              st.one_of(st.tuples(st.integers(1, 12)),
+                        st.tuples(st.integers(0, 5), st.integers(1, 12))),
+              elements=_MEDIAN_VALUES))
+def test_median_is_numpys_bit_for_bit(a):
+    # Odd and even lengths, ties (few distinct values), signed zeros,
+    # infinities and NaN, one row or (rows, n).
+    with np.errstate(over="ignore", invalid="ignore"):  # huge, inf
+        ours, theirs = median(a), np.median(a, axis=-1)
+    assert type(ours) is type(theirs)
+    assert np.shape(ours) == np.shape(theirs)
+    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
